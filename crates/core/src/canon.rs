@@ -157,9 +157,18 @@ const ATTR_KINDS: [AttrKind; 5] = [
 /// equal; unequal problems collide with 2^-64 probability, which is why
 /// consumers must back the hash with a structural equality check.
 pub fn fingerprint_problem(problem: &Problem) -> u64 {
+    #[cfg(test)]
+    FINGERPRINT_CALLS.with(|c| c.set(c.get() + 1));
     let mut h = DefaultHasher::new();
     hash_problem(problem, AddrToken::Exact, &mut h);
     h.finish()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`fingerprint_problem`] on this thread, so tests can pin
+    /// how often a query is hashed.
+    pub(crate) static FINGERPRINT_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Address-blind shape hash: every address is replaced by its host

@@ -20,10 +20,15 @@
 //!    pools are reused round-robin when exhausted, so reduce placement
 //!    with more tasks than nodes still assigns everyone work).
 //!
-//! Running time: `O(max(m, n·p))` for `m` flows, `n` variables, and at
-//! most `p` candidates per variable.
+//! Running time: expected `O(max(m, n·p))` for `m` flows, `n` variables,
+//! and at most `p` candidates per variable. The flows are walked once,
+//! into per-variable profiles (peers deduplicated through one hash map);
+//! after that a candidate is scored from its variable's profile and one
+//! status lookup, and checked against its pool's taken set, in constant
+//! expected time. A [`HeuristicScratch`] kept across calls makes a warmed
+//! evaluation allocate only the binding and the scores it returns.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, Problem, Value, VarId};
 use estimator::World;
@@ -57,9 +62,9 @@ impl Default for HeuristicConfig {
 /// Per-variable communication profile derived from the flows.
 #[derive(Clone, Debug, Default)]
 struct VarProfile {
-    /// Fixed network peers this variable transmits to.
+    /// Fixed network peers this variable transmits to, in first-flow order.
     tx_peers: Vec<Address>,
-    /// Fixed network peers this variable receives from.
+    /// Fixed network peers this variable receives from, in first-flow order.
     rx_peers: Vec<Address>,
     /// Whether the variable transmits to anything over the network
     /// (including other variables / unknown).
@@ -72,6 +77,48 @@ struct VarProfile {
     writes_disk: bool,
     /// Total number of distinct network peer endpoints (fixed or not).
     peer_endpoints: usize,
+}
+
+impl VarProfile {
+    /// Back to the no-flows profile, keeping the peer lists' storage.
+    fn reset(&mut self) {
+        self.tx_peers.clear();
+        self.rx_peers.clear();
+        self.any_tx = false;
+        self.any_rx = false;
+        self.reads_disk = false;
+        self.writes_disk = false;
+        self.peer_endpoints = 0;
+    }
+}
+
+/// Direction bits recorded per `(variable, peer)` while profiling.
+const TX: u8 = 1;
+const RX: u8 = 2;
+
+/// Reusable per-evaluation state: the variables' profiles, the peer
+/// dedup table, the binding order and the per-pool taken sets. Holding
+/// one across [`evaluate_query_scored_in`] calls — every `EvalCore` does —
+/// makes a warmed evaluation allocate nothing but its result (pinned by
+/// `tests/heuristic_alloc.rs`).
+#[derive(Debug, Default)]
+pub struct HeuristicScratch {
+    profiles: Vec<VarProfile>,
+    /// Which directions each `(variable, network peer)` pair was seen in.
+    peers: HashMap<(usize, Endpoint), u8>,
+    /// Binding order: priority variables first, then declaration order.
+    order: Vec<usize>,
+    /// Whether a variable went into `order` with the priority ones.
+    prioritised: Vec<bool>,
+    /// Values already taken, per pool (distinct-by-default semantics).
+    taken: Vec<HashSet<Value>>,
+}
+
+impl HeuristicScratch {
+    /// An empty scratch; buffers grow on first use and are kept.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 /// Evaluates a query: binds every variable, minimising expected completion
@@ -99,164 +146,143 @@ pub fn evaluate_query_scored(
     world: &World,
     cfg: &HeuristicConfig,
 ) -> (Binding, Vec<f64>) {
+    evaluate_query_scored_in(problem, world, cfg, &mut HeuristicScratch::new())
+}
+
+/// [`evaluate_query_scored`] over caller-held scratch.
+pub fn evaluate_query_scored_in(
+    problem: &Problem,
+    world: &World,
+    cfg: &HeuristicConfig,
+    scratch: &mut HeuristicScratch,
+) -> (Binding, Vec<f64>) {
     let n = problem.vars.len();
-    let profiles = build_profiles(problem);
+    build_profiles(problem, scratch);
+    let HeuristicScratch {
+        profiles,
+        order,
+        prioritised,
+        taken,
+        ..
+    } = scratch;
 
     // Priority: variables whose single network peer is in their pool.
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    order.clear();
+    prioritised.clear();
+    prioritised.resize(n, false);
     if cfg.priority_binding {
         for (i, p) in profiles.iter().enumerate() {
             if is_priority(problem, VarId(i), p) {
+                prioritised[i] = true;
                 order.push(i);
             }
         }
     }
-    for i in 0..n {
-        if !order.contains(&i) {
-            order.push(i);
-        }
-    }
+    order.extend((0..n).filter(|&i| !prioritised[i]));
 
-    let mut binding: Vec<Option<Value>> = vec![None; n];
+    let pools = problem.vars.iter().map(|v| v.pool).max().map_or(0, |m| m + 1);
+    taken.resize_with(pools, HashSet::new);
+    taken.iter_mut().for_each(HashSet::clear);
+
+    // Every slot is overwritten below: `order` holds each variable once.
+    let mut binding: Binding = vec![Value::Disk; n];
     let mut scores: Vec<f64> = vec![0.0; n];
-    // Values already taken, per pool (distinct-by-default semantics).
-    let mut taken: Vec<HashSet<Value>> = {
-        let pools = problem.vars.iter().map(|v| v.pool).max().map_or(0, |m| m + 1);
-        vec![HashSet::new(); pools]
-    };
-
-    for &vi in &order {
+    for &vi in order.iter() {
         let var = &problem.vars[vi];
-        let pool_taken = &taken[var.pool];
-        let mut available: Vec<&Value> = var
-            .candidates
-            .iter()
-            .filter(|v| !problem.distinct || !pool_taken.contains(v))
-            .collect();
-        if available.is_empty() {
+        let profile = &profiles[vi];
+        let pool_taken = &mut taken[var.pool];
+        // Scored at most once per variable, whatever the pool repeats.
+        let mut disk_score: Option<f64> = None;
+        let mut best: Option<(f64, Value)> = None;
+        let mut consider = |value: Value| {
+            let s = match value {
+                Value::Addr(addr) => score_addr(addr, profile, world, cfg),
+                Value::Disk => *disk_score.get_or_insert_with(|| score_disk(profile, world)),
+            };
+            // Strict `>` keeps the earliest candidate on ties (deterministic).
+            if best.is_none_or(|(bs, _)| s > bs) {
+                best = Some((s, value));
+            }
+        };
+        let exclude = problem.distinct && !pool_taken.is_empty();
+        let mut available = false;
+        for &value in &var.candidates {
+            if !(exclude && pool_taken.contains(&value)) {
+                available = true;
+                consider(value);
+            }
+        }
+        if !available {
             // Pool exhausted: reuse values (everyone gets work). A pool
             // that is empty outright has no values to reuse — the server
             // rejects such problems with `ServerError::EmptyCandidates`
             // before evaluation; direct callers must do the same.
-            available = var.candidates.iter().collect();
-        }
-        let mut best: Option<(f64, Value)> = None;
-        for &value in &available {
-            let s = score_value(problem, VarId(vi), *value, &profiles[vi], world, cfg);
-            // Strict `>` keeps the earliest candidate on ties (deterministic).
-            if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                best = Some((s, *value));
-            }
+            var.candidates.iter().for_each(|&value| consider(value));
         }
         let (score, value) = best.expect("candidate pools are never empty");
-        binding[vi] = Some(value);
+        binding[vi] = value;
         scores[vi] = score;
         if problem.distinct {
-            taken[var.pool].insert(value);
+            pool_taken.insert(value);
         }
     }
-
-    (
-        binding
-            .into_iter()
-            .map(|v| v.expect("all variables bound"))
-            .collect(),
-        scores,
-    )
+    (binding, scores)
 }
 
-/// Scores one candidate value for a variable: the least-fit resource
-/// dimension it would exercise.
-fn score_value(
-    problem: &Problem,
-    var: VarId,
-    value: Value,
-    profile: &VarProfile,
-    world: &World,
-    cfg: &HeuristicConfig,
-) -> f64 {
-    match value {
-        Value::Addr(addr) => {
-            let state = world.get(addr);
-            let w = cfg.weight;
-            let net_rx = if single_local_peer(problem, var, &profile.rx_peers, addr)
-                || !profile.any_rx
-            {
-                MAX_SCORE
-            } else {
-                score::eval_rx(&state, w)
-            };
-            let net_tx = if single_local_peer(problem, var, &profile.tx_peers, addr)
-                || !profile.any_tx
-            {
-                MAX_SCORE
-            } else {
-                score::eval_tx(&state, w)
-            };
-            let disk_read = if profile.reads_disk {
-                score::eval_disk_read(&state, w)
-            } else {
-                MAX_SCORE
-            };
-            let disk_write = if profile.writes_disk {
-                score::eval_disk_write(&state, w)
-            } else {
-                MAX_SCORE
-            };
-            net_rx.min(net_tx).min(disk_read).min(disk_write)
-        }
-        Value::Disk => {
-            // Binding the variable to "disk" turns its network flows into
-            // local-disk accesses at the fixed peer; score by the peer's
-            // disk fitness (worst relevant dimension). Disk-vs-address
-            // comparisons cross resource types, where the W·capacity term
-            // would let a large-but-saturated disk outrank an idle NIC, so
-            // this one comparison uses residual capacity (W = 1).
-            let w = 1.0;
-            let mut s = MAX_SCORE;
-            for &peer in &profile.tx_peers {
-                // v -> peer with v = disk: peer reads its local disk.
-                s = s.min(score::eval_disk_read(&world.get(peer), w));
-            }
-            for &peer in &profile.rx_peers {
-                // peer -> v with v = disk: peer writes its local disk.
-                s = s.min(score::eval_disk_write(&world.get(peer), w));
-            }
-            if profile.tx_peers.is_empty() && profile.rx_peers.is_empty() {
-                // No fixed peer to attribute the disk to: assume overloaded.
-                s = 0.0;
-            }
-            s
-        }
+/// Scores binding a variable to the server `addr`: the least-fit resource
+/// dimension it would exercise there.
+fn score_addr(addr: Address, profile: &VarProfile, world: &World, cfg: &HeuristicConfig) -> f64 {
+    let state = world.get(addr);
+    let w = cfg.weight;
+    // Listing 1 lines 8–9 / 27: a variable that exchanges data with exactly
+    // one network endpoint, the candidate itself, uses no network there.
+    let only_peer_is =
+        |direction_peers: &[Address]| profile.peer_endpoints == 1 && direction_peers == [addr];
+    let net_rx = if !profile.any_rx || only_peer_is(&profile.rx_peers) {
+        MAX_SCORE
+    } else {
+        score::eval_rx(&state, w)
+    };
+    let net_tx = if !profile.any_tx || only_peer_is(&profile.tx_peers) {
+        MAX_SCORE
+    } else {
+        score::eval_tx(&state, w)
+    };
+    let disk_read = if profile.reads_disk {
+        score::eval_disk_read(&state, w)
+    } else {
+        MAX_SCORE
+    };
+    let disk_write = if profile.writes_disk {
+        score::eval_disk_write(&state, w)
+    } else {
+        MAX_SCORE
+    };
+    net_rx.min(net_tx).min(disk_read).min(disk_write)
+}
+
+/// Scores binding a variable to "disk": its network flows become
+/// local-disk accesses at the fixed peer, so the score is the peer's disk
+/// fitness (worst relevant dimension). Disk-vs-address comparisons cross
+/// resource types, where the W·capacity term would let a
+/// large-but-saturated disk outrank an idle NIC, so this one comparison
+/// uses residual capacity (W = 1).
+fn score_disk(profile: &VarProfile, world: &World) -> f64 {
+    if profile.tx_peers.is_empty() && profile.rx_peers.is_empty() {
+        // No fixed peer to attribute the disk to: assume overloaded.
+        return 0.0;
     }
-}
-
-/// Listing 1 lines 8–9 / 27: does the variable exchange data with exactly
-/// one network endpoint, which is the candidate `addr` itself?
-fn single_local_peer(
-    problem: &Problem,
-    var: VarId,
-    direction_peers: &[Address],
-    addr: Address,
-) -> bool {
-    let profile_peers = total_network_peers(problem, var);
-    profile_peers == 1 && direction_peers == [addr]
-}
-
-fn total_network_peers(problem: &Problem, var: VarId) -> usize {
-    let mut peers: HashSet<Endpoint> = HashSet::new();
-    for flow in &problem.flows {
-        match (flow.src, flow.dst) {
-            (Endpoint::Var(v), other) if v == var && other != Endpoint::Disk => {
-                peers.insert(other);
-            }
-            (other, Endpoint::Var(v)) if v == var && other != Endpoint::Disk => {
-                peers.insert(other);
-            }
-            _ => {}
-        }
+    let w = 1.0;
+    let mut s = MAX_SCORE;
+    for &peer in &profile.tx_peers {
+        // v -> peer with v = disk: peer reads its local disk.
+        s = s.min(score::eval_disk_read(&world.get(peer), w));
     }
-    peers.len()
+    for &peer in &profile.rx_peers {
+        // peer -> v with v = disk: peer writes its local disk.
+        s = s.min(score::eval_disk_write(&world.get(peer), w));
+    }
+    s
 }
 
 fn is_priority(problem: &Problem, var: VarId, profile: &VarProfile) -> bool {
@@ -273,40 +299,55 @@ fn is_priority(problem: &Problem, var: VarId, profile: &VarProfile) -> bool {
     rx_ok || tx_ok
 }
 
-fn build_profiles(problem: &Problem) -> Vec<VarProfile> {
-    let mut profiles = vec![VarProfile::default(); problem.vars.len()];
+/// One walk over the flows fills `scratch.profiles`.
+fn build_profiles(problem: &Problem, scratch: &mut HeuristicScratch) {
+    let HeuristicScratch {
+        profiles, peers, ..
+    } = scratch;
+    profiles.truncate(problem.vars.len());
+    profiles.iter_mut().for_each(VarProfile::reset);
+    profiles.resize_with(problem.vars.len(), VarProfile::default);
+    peers.clear();
+
+    // Records that `var` talks to `other` in direction `dir`.
+    let mut note = |var: VarId, other: Endpoint, dir: u8| {
+        let p = &mut profiles[var.0];
+        if other == Endpoint::Disk {
+            if dir == TX {
+                p.writes_disk = true;
+            } else {
+                p.reads_disk = true;
+            }
+            return;
+        }
+        if dir == TX {
+            p.any_tx = true;
+        } else {
+            p.any_rx = true;
+        }
+        let seen = peers.entry((var.0, other)).or_insert_with(|| {
+            p.peer_endpoints += 1;
+            0
+        });
+        if *seen & dir == 0 {
+            *seen |= dir;
+            if let Endpoint::Addr(a) = other {
+                if dir == TX {
+                    p.tx_peers.push(a);
+                } else {
+                    p.rx_peers.push(a);
+                }
+            }
+        }
+    };
     for flow in &problem.flows {
-        // Variable as source.
         if let Endpoint::Var(v) = flow.src {
-            match flow.dst {
-                Endpoint::Disk => profiles[v.0].writes_disk = true,
-                Endpoint::Addr(a) => {
-                    profiles[v.0].any_tx = true;
-                    if !profiles[v.0].tx_peers.contains(&a) {
-                        profiles[v.0].tx_peers.push(a);
-                    }
-                }
-                Endpoint::Var(_) | Endpoint::Unknown => profiles[v.0].any_tx = true,
-            }
+            note(v, flow.dst, TX);
         }
-        // Variable as destination.
         if let Endpoint::Var(v) = flow.dst {
-            match flow.src {
-                Endpoint::Disk => profiles[v.0].reads_disk = true,
-                Endpoint::Addr(a) => {
-                    profiles[v.0].any_rx = true;
-                    if !profiles[v.0].rx_peers.contains(&a) {
-                        profiles[v.0].rx_peers.push(a);
-                    }
-                }
-                Endpoint::Var(_) | Endpoint::Unknown => profiles[v.0].any_rx = true,
-            }
+            note(v, flow.src, RX);
         }
     }
-    for (i, p) in profiles.iter_mut().enumerate() {
-        p.peer_endpoints = total_network_peers(problem, VarId(i));
-    }
-    profiles
 }
 
 #[cfg(test)]

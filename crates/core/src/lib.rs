@@ -95,6 +95,7 @@ pub mod billing;
 pub mod canon;
 pub mod exhaustive;
 pub mod faults;
+mod footprint;
 pub mod heuristic;
 pub mod messages;
 pub mod pkteval;

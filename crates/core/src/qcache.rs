@@ -64,8 +64,8 @@ use std::sync::{Arc, Mutex};
 
 use cloudtalk_lang::problem::{Address, Binding, Problem};
 
-use crate::canon::fingerprint_problem;
 use crate::exhaustive::EvalStrategy;
+use crate::footprint::Footprint;
 use crate::pktsearch::PktArtifacts;
 use crate::server::{Backend, DegradationRung, EvalMethod, SearchStats};
 
@@ -137,32 +137,51 @@ impl CacheStats {
     }
 }
 
-/// Borrowed key components of one lookup. Hashing walks the problem
-/// structurally; nothing is allocated until an insert actually clones
-/// the problem into the stored entry.
+/// Borrowed key components of one lookup, with the bucket hash both
+/// tiers and the insert share: the problem is fingerprinted once (by its
+/// [`Footprint`]) and the key hashed once, here. Nothing is allocated
+/// until an insert stores an entry.
 pub(crate) struct KeyParts<'a> {
-    pub problem: &'a Problem,
-    pub epoch: u64,
+    fp: &'a Footprint<'a>,
+    epoch: u64,
     /// Mentioned addresses currently reserved in the caller's view,
     /// sorted ascending.
-    pub reserved: &'a [Address],
-    pub rung: DegradationRung,
-    pub shed: bool,
-    pub method: EvalMethod,
-    pub strategy: EvalStrategy,
+    reserved: &'a [Address],
+    rung: DegradationRung,
+    shed: bool,
+    method: EvalMethod,
+    strategy: EvalStrategy,
+    hash: u64,
 }
 
-impl KeyParts<'_> {
-    fn hash64(&self) -> u64 {
+impl<'a> KeyParts<'a> {
+    pub fn new(
+        fp: &'a Footprint<'a>,
+        epoch: u64,
+        reserved: &'a [Address],
+        rung: DegradationRung,
+        shed: bool,
+        method: EvalMethod,
+        strategy: EvalStrategy,
+    ) -> Self {
         let mut h = DefaultHasher::new();
-        fingerprint_problem(self.problem).hash(&mut h);
-        self.epoch.hash(&mut h);
-        self.reserved.hash(&mut h);
-        self.rung.hash(&mut h);
-        self.shed.hash(&mut h);
-        self.method.hash(&mut h);
-        self.strategy.hash(&mut h);
-        h.finish()
+        fp.fingerprint().hash(&mut h);
+        epoch.hash(&mut h);
+        reserved.hash(&mut h);
+        rung.hash(&mut h);
+        shed.hash(&mut h);
+        method.hash(&mut h);
+        strategy.hash(&mut h);
+        KeyParts {
+            fp,
+            epoch,
+            reserved,
+            rung,
+            shed,
+            method,
+            strategy,
+            hash: h.finish(),
+        }
     }
 }
 
@@ -216,7 +235,7 @@ impl Entry {
             && self.method == k.method
             && self.strategy == k.strategy
             && self.reserved == k.reserved
-            && *self.problem == *k.problem
+            && *self.problem == *k.fp.problem()
     }
 
     fn approx_bytes(&self) -> u64 {
@@ -234,7 +253,7 @@ pub(crate) type SharedMap = HashMap<u64, Vec<Entry>>;
 /// Looks `k` up in a pinned L2 view. Lock-free: the view is an
 /// immutable snapshot published before the wave started.
 pub(crate) fn lookup_shared(map: &SharedMap, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
-    let bucket = map.get(&k.hash64())?;
+    let bucket = map.get(&k.hash)?;
     bucket.iter().find(|e| e.matches(k)).map(|e| e.value.clone())
 }
 
@@ -279,21 +298,21 @@ impl QueryCache {
     }
 
     pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
-        let bucket = self.map.get(&k.hash64())?;
+        let bucket = self.map.get(&k.hash)?;
         bucket.iter().find(|e| e.matches(k)).map(|e| e.value.clone())
     }
 
-    /// Stores a freshly computed search result under `k`. The problem is
-    /// cloned exactly once, into the shared `Arc` the L2 entry will
-    /// reuse.
+    /// Stores a freshly computed search result under `k`. The entry (and
+    /// the L2 entry after it) shares the footprint's problem: no copy
+    /// when the front end owns the problem, one when it borrowed it.
     pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>) {
         if !self.cfg.enabled || self.cfg.l1_entries == 0 {
             return;
         }
-        let hash = k.hash64();
+        let hash = k.hash;
         let entry = Entry {
             hash,
-            problem: Arc::new(k.problem.clone()),
+            problem: k.fp.share(),
             epoch: k.epoch,
             reserved: k.reserved.to_vec(),
             rung: k.rung,
@@ -335,28 +354,27 @@ impl QueryCache {
         self.bytes
     }
 
-    /// Looks up compiled packet-level artifacts for `problem`.
-    pub fn lookup_artifacts(&self, problem: &Problem) -> Option<Arc<PktArtifacts>> {
-        let fp = fingerprint_problem(problem);
-        let bucket = self.artifacts.get(&fp)?;
+    /// Looks up compiled packet-level artifacts for `fp`'s problem.
+    pub fn lookup_artifacts(&self, fp: &Footprint<'_>) -> Option<Arc<PktArtifacts>> {
+        let bucket = self.artifacts.get(&fp.fingerprint())?;
         bucket
             .iter()
-            .find(|(p, _)| **p == *problem)
+            .find(|(p, _)| **p == *fp.problem())
             .map(|(_, a)| a.clone())
     }
 
-    /// Stores compiled artifacts for `problem`.
-    pub fn insert_artifacts(&mut self, problem: &Problem, artifacts: Arc<PktArtifacts>) {
+    /// Stores compiled artifacts for `fp`'s problem.
+    pub fn insert_artifacts(&mut self, fp: &Footprint<'_>, artifacts: Arc<PktArtifacts>) {
         if !self.cfg.enabled || self.cfg.artifact_entries == 0 {
             return;
         }
-        let fp = fingerprint_problem(problem);
+        let hash = fp.fingerprint();
         self.bytes += artifacts.approx_bytes();
         self.artifacts
-            .entry(fp)
+            .entry(hash)
             .or_default()
-            .push((Arc::new(problem.clone()), artifacts));
-        self.artifact_order.push_back(fp);
+            .push((fp.share(), artifacts));
+        self.artifact_order.push_back(hash);
         while self.artifact_order.len() > self.cfg.artifact_entries {
             let h = self.artifact_order.pop_front().expect("order non-empty");
             if let Some(bucket) = self.artifacts.get_mut(&h) {
@@ -531,16 +549,26 @@ mod tests {
         b.resolve().unwrap()
     }
 
-    fn parts<'a>(p: &'a Problem, epoch: u64, reserved: &'static [Address]) -> KeyParts<'a> {
-        KeyParts {
-            problem: p,
+    fn parts<'a>(fp: &'a Footprint<'a>, epoch: u64, reserved: &'static [Address]) -> KeyParts<'a> {
+        parts_with(fp, epoch, reserved, DegradationRung::Full, false)
+    }
+
+    fn parts_with<'a>(
+        fp: &'a Footprint<'a>,
+        epoch: u64,
+        reserved: &'static [Address],
+        rung: DegradationRung,
+        shed: bool,
+    ) -> KeyParts<'a> {
+        KeyParts::new(
+            fp,
             epoch,
             reserved,
-            rung: DegradationRung::Full,
-            shed: false,
-            method: EvalMethod::Heuristic,
-            strategy: EvalStrategy::Delta,
-        }
+            rung,
+            shed,
+            EvalMethod::Heuristic,
+            EvalStrategy::Delta,
+        )
     }
 
     fn value(epoch: u64) -> Arc<CachedSearch> {
@@ -556,20 +584,22 @@ mod tests {
     #[test]
     fn key_components_all_matter() {
         let mut c = QueryCache::new(CacheConfig::default());
-        let p = problem(10);
+        let p = Footprint::shared(problem(10));
         c.insert(&parts(&p, 1, &[]), value(1));
         assert!(c.lookup(&parts(&p, 1, &[])).is_some());
         // Epoch, reservation mask, rung, shed, and problem all miss.
         assert!(c.lookup(&parts(&p, 2, &[])).is_none());
         assert!(c.lookup(&parts(&p, 1, &[Address(1)])).is_none());
-        let mut k = parts(&p, 1, &[]);
-        k.rung = DegradationRung::FreshSubset;
+        let k = parts_with(&p, 1, &[], DegradationRung::FreshSubset, false);
         assert!(c.lookup(&k).is_none());
-        let mut k = parts(&p, 1, &[]);
-        k.shed = true;
+        let k = parts_with(&p, 1, &[], DegradationRung::Full, true);
         assert!(c.lookup(&k).is_none());
-        let other = problem(11);
+        let other = Footprint::shared(problem(11));
         assert!(c.lookup(&parts(&other, 1, &[])).is_none());
+        // An equal problem held elsewhere is the same key.
+        let copy = problem(10);
+        let copy = Footprint::borrowed(&copy);
+        assert!(c.lookup(&parts(&copy, 1, &[])).is_some());
     }
 
     #[test]
@@ -579,7 +609,7 @@ mod tests {
             ..CacheConfig::default()
         };
         let mut c = QueryCache::new(cfg);
-        let ps: Vec<Problem> = (0..3).map(|i| problem(20 + i)).collect();
+        let ps: Vec<Footprint<'_>> = (0..3).map(|i| Footprint::shared(problem(20 + i))).collect();
         for p in &ps {
             c.insert(&parts(p, 1, &[]), value(1));
         }
@@ -591,7 +621,7 @@ mod tests {
     #[test]
     fn shared_publish_sweeps_dead_epochs_and_dedups() {
         let mut l1 = QueryCache::new(CacheConfig::default());
-        let p = problem(30);
+        let p = Footprint::shared(problem(30));
         l1.insert(&parts(&p, 1, &[]), value(1));
         let fresh = l1.take_fresh();
         let mut shared = SharedCache::new(16);
@@ -616,7 +646,7 @@ mod tests {
             ..CacheConfig::default()
         };
         let mut c = QueryCache::new(cfg);
-        let p = problem(40);
+        let p = Footprint::shared(problem(40));
         c.insert(&parts(&p, 1, &[]), value(1));
         assert_eq!(c.len(), 0);
         assert!(c.lookup(&parts(&p, 1, &[])).is_none());

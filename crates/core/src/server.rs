@@ -21,7 +21,6 @@
 //! snapshot, and [`CloudTalkServer::answer_with_snapshot`] does the same
 //! for a single query when the caller manages snapshot lifetime itself.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -31,16 +30,14 @@ use desim::rng::{stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use estimator::{HostState, World};
 
-use obs::{
-    CounterId, GaugeId, HistogramId, MetricsRegistry, MonotonicClock, NullClock, Trace,
-    TraceReport,
-};
+use obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, Trace, TraceReport};
 
 use crate::exhaustive::{
     exhaustive_search_in, EvalStrategy, ExhaustiveError, ExhaustiveResult, SearchOptions,
     SearchWorkspace,
 };
-use crate::heuristic::{evaluate_query_scored, HeuristicConfig};
+use crate::footprint::Footprint;
+use crate::heuristic::{evaluate_query_scored_in, HeuristicConfig, HeuristicScratch};
 use crate::refine::refine_binding;
 use crate::messages::{LedgerCounters, OverheadLedger};
 use crate::pktsearch::{
@@ -588,6 +585,12 @@ pub(crate) struct EvalCore {
     lc: LedgerCounters,
     ids: ServerMetricIds,
     ws: SearchWorkspace,
+    /// Heuristic scratch, reused like `ws`.
+    hs: HeuristicScratch,
+    /// The span arena every answer records into and reports from: reset
+    /// per answer, allocated once ([`ObsConfig`] picks its clock; disabled
+    /// when tracing is off).
+    trace: Trace,
     /// The L1 answer + artifact cache ([`crate::qcache`]).
     qcache: QueryCache,
     /// Monotonic stamp for snapshots gathered by this core. The serving
@@ -611,12 +614,19 @@ impl EvalCore {
         let lc = LedgerCounters::register(&mut metrics);
         let ids = ServerMetricIds::register(&mut metrics);
         let qcache = QueryCache::new(cfg.cache);
+        let trace = match (cfg.obs.tracing, cfg.obs.host_timer) {
+            (false, _) => Trace::disabled(),
+            (true, false) => Trace::deterministic(cfg.obs.span_capacity),
+            (true, true) => Trace::timed(cfg.obs.span_capacity),
+        };
         EvalCore {
             cfg,
             metrics,
             lc,
             ids,
             ws: SearchWorkspace::new(),
+            hs: HeuristicScratch::new(),
+            trace,
             qcache,
             snapshot_seq: 0,
         }
@@ -718,7 +728,7 @@ impl CloudTalkServer {
     ) -> Result<Answer, ServerError> {
         self.reservations.purge(now);
         let (working, sampled) = self.maybe_sample(problem);
-        let snapshot = self.take_snapshot(&working.mentioned_addresses(), source);
+        let snapshot = self.take_snapshot(working.addrs(), source);
         self.answer_snapshot_inner(&working, &snapshot, now, reserve, sampled)
     }
 
@@ -845,13 +855,11 @@ impl CloudTalkServer {
         now: SimTime,
     ) -> Vec<Result<Answer, ServerError>> {
         self.reservations.purge(now);
-        let working: Vec<(Cow<'_, Problem>, bool)> = problems
-            .iter()
-            .map(|p| self.maybe_sample(p))
-            .collect();
+        let working: Vec<(Footprint<'_>, bool)> =
+            problems.iter().map(|p| self.maybe_sample(p)).collect();
         let mut addrs: Vec<Address> = Vec::new();
         for (w, _) in &working {
-            for a in w.mentioned_addresses() {
+            for &a in w.addrs() {
                 if !addrs.contains(&a) {
                     addrs.push(a);
                 }
@@ -864,18 +872,22 @@ impl CloudTalkServer {
             .collect()
     }
 
-    /// §4.3 sampling: shrink oversized candidate pools. Borrows the
-    /// problem untouched when every pool fits the budget — the common case
-    /// pays no clone.
-    fn maybe_sample<'a>(&mut self, problem: &'a Problem) -> (Cow<'a, Problem>, bool) {
-        sample_within_budget(problem, self.core.cfg.sample_budget, &mut self.rng)
+    /// §4.3 sampling: shrink oversized candidate pools, and take the
+    /// working problem's footprint. Borrows the problem untouched when
+    /// every pool fits the budget — the common case pays no clone. The
+    /// bool reports whether sampling ran.
+    fn maybe_sample<'a>(&mut self, problem: &'a Problem) -> (Footprint<'a>, bool) {
+        match sample_within_budget(problem, self.core.cfg.sample_budget, &mut self.rng) {
+            Some(sampled) => (Footprint::shared(sampled), true),
+            None => (Footprint::borrowed(problem), false),
+        }
     }
 
     /// Evaluation + reservation + answer assembly, shared by the direct
     /// and snapshot paths. Assumes `purge` and sampling already happened.
     fn answer_snapshot_inner(
         &mut self,
-        working: &Problem,
+        working: &Footprint<'_>,
         snapshot: &StatusSnapshot,
         now: SimTime,
         reserve: bool,
@@ -930,7 +942,7 @@ impl EvalCore {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn answer_snapshot(
         &mut self,
-        working: &Problem,
+        fp: &Footprint<'_>,
         snapshot: &StatusSnapshot,
         now: SimTime,
         sampled: bool,
@@ -938,6 +950,7 @@ impl EvalCore {
         shed: bool,
         shared: Option<&SharedMap>,
     ) -> Result<Answer, ServerError> {
+        let working = fp.problem();
         // A variable with an empty candidate pool can never be bound; fail
         // with a typed error instead of panicking deep in the evaluator.
         if let Some(v) = working.vars.iter().find(|v| v.candidates.is_empty()) {
@@ -957,41 +970,32 @@ impl EvalCore {
         // timestamps are zero and the trace — like the whole answer — is
         // deterministic; sim timestamps reconstruct the modelled timeline
         // (the gather already happened when the snapshot was taken, so the
-        // collect span is synthesised from the snapshot's metadata).
-        let mut trace = if self.cfg.obs.tracing {
-            let cap = self.cfg.obs.span_capacity;
-            if self.cfg.obs.host_timer {
-                Trace::new(cap, Box::new(MonotonicClock::new()))
-            } else {
-                Trace::new(cap, Box::new(NullClock))
-            }
-        } else {
-            Trace::disabled()
-        };
-        let root = trace.begin("answer", now);
+        // collect span is synthesised from the snapshot's metadata). The
+        // core's one arena is reset per answer; with a host timer its
+        // readings count from the core's creation, not the query's.
+        self.trace.reset();
+        let root = self.trace.begin("answer", now);
         let t_collected = now + snapshot.elapsed;
-        let collect = trace.begin("collect", now);
-        trace.set_arg(collect, "rounds", u64::from(snapshot.rounds));
-        trace.end(collect, t_collected);
+        let collect = self.trace.begin("collect", now);
+        self.trace
+            .set_arg(collect, "rounds", u64::from(snapshot.rounds));
+        self.trace.end(collect, t_collected);
 
-        let sanitise = trace.begin("sanitise", t_collected);
-        let addrs = working.mentioned_addresses();
+        let sanitise = self.trace.begin("sanitise", t_collected);
         // Hosts whose report exists but is too old to trust — the set the
-        // FreshSubset rung excludes. Reported in the provenance so callers
-        // can see exactly *which* hosts the answer distrusted.
-        let mut stale_dropped: Vec<Address> = Vec::new();
-        if rung == DegradationRung::FreshSubset {
+        // FreshSubset rung excludes, sorted by address. Reported in the
+        // provenance so callers can see exactly *which* hosts the answer
+        // distrusted.
+        let stale_dropped: Vec<Address> = if rung == DegradationRung::FreshSubset {
             let max_age = self.cfg.degradation.fresh_max_age;
-            for &a in &addrs {
-                if matches!(snapshot.report_age(a), Some(age) if age > max_age) {
-                    stale_dropped.push(a);
-                }
-            }
-            stale_dropped.sort_unstable_by_key(|a| a.0);
-            stale_dropped.dedup();
-        }
-        trace.set_arg(sanitise, "stale_dropped", stale_dropped.len() as u64);
-        trace.end(sanitise, t_collected);
+            let stale = |a: &Address| matches!(snapshot.report_age(*a), Some(age) if age > max_age);
+            fp.sorted().iter().copied().filter(stale).collect()
+        } else {
+            Vec::new()
+        };
+        self.trace
+            .set_arg(sanitise, "stale_dropped", stale_dropped.len() as u64);
+        self.trace.end(sanitise, t_collected);
 
         // Degraded rungs always use the heuristic: it is total (returns a
         // complete binding for any world), while the exhaustive and
@@ -1009,34 +1013,35 @@ impl EvalCore {
             .iter()
             .fold(1u64, |acc, v| acc.saturating_mul(v.candidates.len() as u64));
 
-        // Cache key: the search reads reservations only through the
-        // `overlay_reserved` pass over the problem's mentioned addresses,
-        // so the footprint-restricted mask below (plus the snapshot
-        // epoch, rung, shed flag, and backend config) pins every input
-        // the search depends on. The key stores the *configured* method:
-        // rung + shed determine the effective one.
-        let cache_on = self.qcache.enabled();
-        let mut mask: Vec<Address> = match reserved {
-            Some(pred) if cache_on => addrs.iter().copied().filter(|&a| pred(a)).collect(),
-            _ => Vec::new(),
+        // The reservation mask: the footprint's addresses the caller's
+        // view holds, ascending. The predicate is asked here and nowhere
+        // else — the search overlays exactly this mask, so the mask (plus
+        // the snapshot epoch, rung, shed flag, and backend config) pins
+        // every input the search depends on, which is what makes it a
+        // sound cache key. The key stores the *configured* method: rung +
+        // shed determine the effective one.
+        let mask: Vec<Address> = match reserved {
+            Some(pred) => fp.sorted().iter().copied().filter(|&a| pred(a)).collect(),
+            None => Vec::new(),
         };
-        mask.sort_unstable_by_key(|a| a.0);
-        let key = KeyParts {
-            problem: working,
-            epoch: snapshot.epoch(),
-            reserved: &mask,
-            rung,
-            shed,
-            method: self.cfg.method,
-            strategy: self.cfg.eval_strategy,
-        };
-        let cached = if cache_on {
-            match self.qcache.lookup(&key) {
+        let key = self.qcache.enabled().then(|| {
+            KeyParts::new(
+                fp,
+                snapshot.epoch(),
+                &mask,
+                rung,
+                shed,
+                self.cfg.method,
+                self.cfg.eval_strategy,
+            )
+        });
+        let cached = if let Some(key) = &key {
+            match self.qcache.lookup(key) {
                 Some(v) => {
                     self.metrics.inc(self.ids.cache_l1_hit, 1);
                     Some(v)
                 }
-                None => match shared.and_then(|map| crate::qcache::lookup_shared(map, &key)) {
+                None => match shared.and_then(|map| crate::qcache::lookup_shared(map, key)) {
                     Some(v) => {
                         self.metrics.inc(self.ids.cache_l2_hit, 1);
                         Some(v)
@@ -1049,7 +1054,7 @@ impl EvalCore {
         };
         let cache_hit = cached.is_some();
 
-        let search_span = trace.begin("search", t_collected);
+        let search_span = self.trace.begin("search", t_collected);
         let t_evaluated = t_collected + MODELLED_EVAL_TIME;
         let (backend, search, binding, binding_scores) = if let Some(v) = cached {
             // Replay. The audit counter must stay zero: the epoch is in
@@ -1060,14 +1065,14 @@ impl EvalCore {
             }
             (v.backend, v.search, v.binding.clone(), v.binding_scores.clone())
         } else {
-            if cache_on {
+            if key.is_some() {
                 self.metrics.inc(self.ids.cache_miss, 1);
             }
             let (backend, search, binding, binding_scores) =
-                self.run_search(working, snapshot, &addrs, reserved, rung, method, space)?;
-            if cache_on {
+                self.run_search(fp, snapshot, &mask, rung, method, space)?;
+            if let Some(key) = &key {
                 self.qcache.insert(
-                    &key,
+                    key,
                     Arc::new(CachedSearch {
                         backend,
                         search,
@@ -1086,15 +1091,16 @@ impl EvalCore {
             }
             (backend, search, binding, binding_scores)
         };
-        trace.set_arg(search_span, "enumerated", search.enumerated);
-        trace.end(search_span, t_evaluated);
+        self.trace
+            .set_arg(search_span, "enumerated", search.enumerated);
+        self.trace.end(search_span, t_evaluated);
 
         // The bind phase proper — recording the recommendation into a
         // reservation table or ledger — happens in the caller, which owns
         // that state; the span still marks the modelled instant.
-        let bind = trace.begin("bind", t_evaluated);
-        trace.end(bind, t_evaluated);
-        trace.end(root, t_evaluated);
+        let bind = self.trace.begin("bind", t_evaluated);
+        self.trace.end(bind, t_evaluated);
+        self.trace.end(root, t_evaluated);
 
         self.metrics.inc(self.ids.queries, 1);
         let rung_counter = match rung {
@@ -1152,7 +1158,8 @@ impl EvalCore {
                 stale_dropped,
                 shed,
                 cache_hit,
-                trace: trace.into_report(),
+                // A copy sized to the spans recorded, not to the arena.
+                trace: self.trace.report(),
             },
         })
     }
@@ -1160,17 +1167,16 @@ impl EvalCore {
     /// The search phase of [`EvalCore::answer_snapshot`]: builds the
     /// rung's world view, overlays reservations, and runs the effective
     /// backend. This is exactly the work an answer-cache hit skips.
-    #[allow(clippy::too_many_arguments)]
     fn run_search(
         &mut self,
-        working: &Problem,
+        fp: &Footprint<'_>,
         snapshot: &StatusSnapshot,
-        addrs: &[Address],
-        reserved: Option<&dyn Fn(Address) -> bool>,
+        mask: &[Address],
         rung: DegradationRung,
         method: EvalMethod,
         space: u64,
     ) -> Result<(Backend, SearchStats, Binding, Vec<f64>), ServerError> {
+        let working = fp.problem();
         // The world the chosen rung evaluates against. `base` owns the
         // degraded copies; `Full` keeps borrowing the shared snapshot.
         let base: Option<World> = match rung {
@@ -1186,11 +1192,12 @@ impl EvalCore {
         // Overlay reservations: recently recommended machines count as
         // busy. Copy-on-write — the shared snapshot world is only cloned
         // when a mentioned address actually holds a reservation.
-        let overlaid = reserved.and_then(|pred| overlay_reserved(base, addrs, pred));
+        let overlaid = overlay_reserved(base, mask);
         let world: &World = overlaid.as_ref().unwrap_or(base);
         Ok(match method {
             EvalMethod::Heuristic => {
-                let (mut b, mut s) = evaluate_query_scored(working, world, &self.cfg.heuristic);
+                let (mut b, mut s) =
+                    evaluate_query_scored_in(working, world, &self.cfg.heuristic, &mut self.hs);
                 let enumerated = working
                     .vars
                     .iter()
@@ -1254,7 +1261,7 @@ impl EvalCore {
                 // pure functions of (problem, mirror); reuse them across
                 // epochs — the artifact cache never needs invalidation.
                 let artifacts = if self.qcache.enabled() {
-                    match self.qcache.lookup_artifacts(working) {
+                    match self.qcache.lookup_artifacts(fp) {
                         Some(a) => {
                             self.metrics.inc(self.ids.cache_artifact_hit, 1);
                             a
@@ -1264,7 +1271,7 @@ impl EvalCore {
                             let a = Arc::new(
                                 pkt_prepare(working, &mirror).map_err(ServerError::PktSearch)?,
                             );
-                            self.qcache.insert_artifacts(working, Arc::clone(&a));
+                            self.qcache.insert_artifacts(fp, Arc::clone(&a));
                             a
                         }
                     }
@@ -1297,58 +1304,49 @@ impl EvalCore {
     }
 }
 
-/// Returns a world with reservation penalties applied to every mentioned
-/// address the `reserved` predicate holds, or `None` when nothing is
-/// reserved (callers keep using the shared snapshot world unchanged — no
-/// clone).
-fn overlay_reserved(
-    world: &World,
-    addrs: &[Address],
-    reserved: &dyn Fn(Address) -> bool,
-) -> Option<World> {
-    let mut out: Option<World> = None;
-    for &addr in addrs {
-        if reserved(addr) {
-            let world = out.get_or_insert_with(|| world.clone());
-            let mut s = world.get(addr);
-            // Recommended machines are treated as in use until real
-            // feedback catches up. The penalty is *additive* (a full
-            // capacity's worth of extra usage) rather than saturating:
-            // every reserved machine ranks below every unreserved one,
-            // but among reserved machines the measured load still
-            // orders candidates — the paper's "previously considered
-            // endpoints, in decreasing order of their evaluated
-            // fitness" fallback.
-            s.nic_up_used += s.nic_up_capacity;
-            s.nic_down_used += s.nic_down_capacity;
-            s.disk_read_used += s.disk_read_capacity;
-            s.disk_write_used += s.disk_write_capacity;
-            world.set(addr, s);
-        }
+/// Returns a world with reservation penalties applied to every address of
+/// the reservation mask, or `None` when the mask is empty (callers keep
+/// using the shared snapshot world unchanged — no clone).
+fn overlay_reserved(world: &World, mask: &[Address]) -> Option<World> {
+    if mask.is_empty() {
+        return None;
     }
-    out
+    let mut out = world.clone();
+    for &addr in mask {
+        let mut s = out.get(addr);
+        // Recommended machines are treated as in use until real
+        // feedback catches up. The penalty is *additive* (a full
+        // capacity's worth of extra usage) rather than saturating:
+        // every reserved machine ranks below every unreserved one,
+        // but among reserved machines the measured load still
+        // orders candidates — the paper's "previously considered
+        // endpoints, in decreasing order of their evaluated
+        // fitness" fallback.
+        s.nic_up_used += s.nic_up_capacity;
+        s.nic_down_used += s.nic_down_capacity;
+        s.disk_read_used += s.disk_read_capacity;
+        s.disk_write_used += s.disk_write_capacity;
+        out.set(addr, s);
+    }
+    Some(out)
 }
 
-/// §4.3 sampling as a reusable step: shrink any candidate pool above
-/// `budget` (drawing from `rng`), borrowing the problem untouched when
-/// every pool already fits — the common case pays no clone. The bool
-/// reports whether sampling actually ran.
-pub(crate) fn sample_within_budget<'a>(
-    problem: &'a Problem,
+/// §4.3 sampling as a reusable step: shrinks any candidate pool above
+/// `budget` (drawing from `rng`) into a new working problem. `None` when
+/// every pool already fits — the common case draws nothing and copies
+/// nothing.
+pub(crate) fn sample_within_budget(
+    problem: &Problem,
     budget: usize,
     rng: &mut DetRng,
-) -> (Cow<'a, Problem>, bool) {
+) -> Option<Problem> {
     let max_pool = problem
         .vars
         .iter()
         .map(|v| v.candidates.len())
         .max()
         .unwrap_or(0);
-    if max_pool > budget {
-        (Cow::Owned(sample_candidates(problem, budget, rng)), true)
-    } else {
-        (Cow::Borrowed(problem), false)
-    }
+    (max_pool > budget).then(|| sample_candidates(problem, budget, rng))
 }
 
 /// An immutable, cheaply shareable view of gathered status data.
@@ -1680,6 +1678,47 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_miss_fingerprints_the_problem_once() {
+        use crate::canon::FINGERPRINT_CALLS;
+        let nodes: Vec<Address> = (2..12).map(Address).collect();
+        let p = hdfs_write_query(Address(1), &nodes, 3, 1e6).resolve().unwrap();
+        let mut src = idle_source(12);
+        let mut server = CloudTalkServer::new(ServerConfig::default());
+        let fingerprints = || FINGERPRINT_CALLS.with(|c| c.get());
+
+        // Miss: L1 lookup, (no L2,) insert — one fingerprint between them.
+        let before = fingerprints();
+        let miss = server.answer_problem(&p, &mut src, SimTime::ZERO).unwrap();
+        assert!(!miss.provenance.cache_hit);
+        assert_eq!(fingerprints() - before, 1);
+        assert_eq!(server.metrics().counter_named("cache.miss"), Some(1));
+
+        // Hit: one as well.
+        let snapshot = server.take_snapshot(&p.mentioned_addresses(), &mut src);
+        let now = SimTime::from_secs_f64(1.0);
+        let mut answer = || server.answer_with_snapshot(&p, &snapshot, now, false);
+        answer().unwrap();
+        let before = fingerprints();
+        let hit = answer().unwrap();
+        assert!(hit.provenance.cache_hit);
+        assert_eq!(fingerprints() - before, 1);
+
+        // Cache off: none at all.
+        let mut uncached = CloudTalkServer::new(ServerConfig {
+            cache: CacheConfig {
+                enabled: false,
+                ..CacheConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let before = fingerprints();
+        uncached
+            .answer_problem(&p, &mut src, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(fingerprints(), before);
+    }
+
+    #[test]
     fn snapshot_share_is_refcounted() {
         let mut server = CloudTalkServer::new(ServerConfig::default());
         let snapshot =
@@ -1940,10 +1979,22 @@ mod tests {
         assert_eq!(search.sim_end, answer.sim_end);
         // NullClock: host timestamps are identically zero (determinism).
         assert!(p.trace.spans.iter().all(|s| s.host_end_ns == 0));
+        // The report is a copy sized to its five spans, not the core's
+        // 16-span arena.
+        assert_eq!(p.trace.spans.len(), 5);
+        assert_eq!(p.trace.spans.capacity(), 5);
+
         // The metrics registry saw the same query.
         let m = server.metrics();
         assert_eq!(m.counter_named("server.queries_answered"), Some(1));
         assert_eq!(m.counter_named("server.rung_full"), Some(1));
+        // The arena is the core's, reset per answer: a second answer
+        // reports its own five spans, none of the first's.
+        let again = server
+            .answer_problem(&problem, &mut idle_source(4), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(again.provenance.trace.span_names(), names);
+        assert_eq!(again.provenance.trace.dropped, 0);
     }
 
     #[test]

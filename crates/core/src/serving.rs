@@ -106,6 +106,7 @@ use obs::{
 };
 
 use crate::aggregate::{FleetLayout, RackId};
+use crate::footprint::Footprint;
 use crate::qcache::{CacheStats, SharedCache, SharedMap};
 use crate::server::{
     sample_within_budget, Answer, DegradationRung, EvalCore, ServerConfig, ServerError,
@@ -434,12 +435,14 @@ impl ReservationLedger {
     }
 }
 
-/// A submitted, not-yet-processed query.
+/// A submitted, not-yet-processed query: the problem with its footprint
+/// and the home shard derived from it, both taken once at admission.
 struct Pending {
     tenant: TenantId,
     seq: u64,
     arrival: SimTime,
-    problem: Problem,
+    footprint: Footprint<'static>,
+    shard: usize,
     trace: Option<TraceCtx>,
 }
 
@@ -447,7 +450,7 @@ struct Pending {
 struct WaveItem {
     seq: u64,
     arrival: SimTime,
-    problem: Problem,
+    footprint: Footprint<'static>,
     snapshot: StatusSnapshot,
     shard: usize,
     trace: Option<TraceCtx>,
@@ -923,11 +926,14 @@ impl<S: StatusSource> ServingPlane<S> {
             .telemetry
             .as_ref()
             .and_then(|tel| tel.sampler.sample(tenant.0, seq));
+        let footprint = Footprint::shared(problem);
+        let shard = self.shard_of(&footprint);
         self.pending.push_back(Pending {
             tenant,
             seq,
             arrival,
-            problem,
+            footprint,
+            shard,
             trace,
         });
         Ok(seq)
@@ -951,15 +957,14 @@ impl<S: StatusSource> ServingPlane<S> {
 
     /// The shard a problem is routed to: the shard of its lowest
     /// mentioned in-fleet address (shard 0 for fleet-less problems).
-    fn shard_of(&self, problem: &Problem) -> usize {
-        let mut addrs = problem.mentioned_addresses();
-        addrs.sort_unstable_by_key(|a| a.0);
-        for a in addrs {
-            if let Some(r) = self.layout.rack_of(a) {
-                return (r.0 as usize / self.cfg.racks_per_shard).min(self.shards.len() - 1);
-            }
-        }
-        0
+    fn shard_of(&self, footprint: &Footprint<'_>) -> usize {
+        let home_rack = footprint
+            .sorted()
+            .iter()
+            .find_map(|&a| self.layout.rack_of(a));
+        home_rack.map_or(0, |r| {
+            (r.0 as usize / self.cfg.racks_per_shard).min(self.shards.len() - 1)
+        })
     }
 
     /// Merges `fresh` worker inserts into the shared L2 and — when any
@@ -1159,8 +1164,7 @@ impl<S: StatusSource> ServingPlane<S> {
             if let Some(open) = self.tenant_open.get_mut(&p.tenant) {
                 *open = open.saturating_sub(1);
             }
-            let shard = self.shard_of(&p.problem);
-            let snapshot = self.shards[shard].snapshot.clone();
+            let snapshot = self.shards[p.shard].snapshot.clone();
             let g = groups.entry(p.tenant).or_insert_with(|| Group {
                 tenant: p.tenant,
                 items: Vec::new(),
@@ -1168,9 +1172,9 @@ impl<S: StatusSource> ServingPlane<S> {
             g.items.push(WaveItem {
                 seq: p.seq,
                 arrival: p.arrival,
-                problem: p.problem,
+                footprint: p.footprint,
                 snapshot,
-                shard,
+                shard: p.shard,
                 trace: p.trace,
             });
         }
@@ -1295,11 +1299,15 @@ impl<S: StatusSource> ServingPlane<S> {
             // Publication invariant: strictly sorted, nothing lost or
             // shortened. A violation is a ledger conflict.
             let cur = self.ledger.current();
-            let sorted_ok = cur.entries().windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
-            let lost = requested.iter().any(|&(a, u)| {
-                !cur.entries().iter().any(|&(x, e)| x == a && e >= u)
-            });
-            if !sorted_ok || lost {
+            let entries = cur.entries();
+            let sorted_ok = entries.windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
+            // Sorted (just checked), so each request is one binary search.
+            let kept = |&(a, u): &(Address, SimTime)| {
+                entries
+                    .binary_search_by_key(&a.0, |e| e.0 .0)
+                    .is_ok_and(|i| entries[i].1 >= u)
+            };
+            if !sorted_ok || !requested.iter().all(kept) {
                 self.ledger.conflicts.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1365,8 +1373,12 @@ fn run_groups(
         for item in items {
             // Per-query RNG stream: identity-keyed, schedule-independent.
             let mut rng = stream_rng(root, derive_seed(u64::from(tenant.0), item.seq));
-            let (working, sampled) =
-                sample_within_budget(&item.problem, core.cfg().sample_budget, &mut rng);
+            // §4.3 sampling makes a new working problem, which needs a
+            // footprint of its own; otherwise admission's serves.
+            let sampled_footprint =
+                sample_within_budget(item.footprint.problem(), core.cfg().sample_budget, &mut rng)
+                    .map(Footprint::shared);
+            let working = sampled_footprint.as_ref().unwrap_or(&item.footprint);
             let result = {
                 // Visibility: published prior-wave reservations plus this
                 // tenant's own same-wave overlay.
@@ -1377,10 +1389,10 @@ fn run_groups(
                 let pred_ref: Option<&dyn Fn(Address) -> bool> =
                     if hold.is_some() { Some(&pred) } else { None };
                 core.answer_snapshot(
-                    &working,
+                    working,
                     &item.snapshot,
                     t_wave,
-                    sampled,
+                    sampled_footprint.is_some(),
                     pred_ref,
                     shed,
                     Some(shared),

@@ -1,0 +1,172 @@
+//! Pins the heuristic's allocation behaviour to its complexity claim: a
+//! candidate is scored from its variable's precomputed profile, so no
+//! per-candidate work touches the heap. With a warm scratch an evaluation
+//! allocates exactly the binding and the scores it returns, whatever the
+//! number of variables `n` and candidates `p`; a whole answer through the
+//! server's evaluation core adds only per-query buffers whose *count* does
+//! not depend on `n·p`. (Before, every candidate rebuilt two hash sets
+//! over the flows: `2·n·p` allocations, 1 800 for a 300-host write.)
+//!
+//! A counting `#[global_allocator]` wraps the system allocator, so this
+//! file holds exactly one `#[test]` — parallel tests would pollute the
+//! counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use cloudtalk::heuristic::{evaluate_query_scored_in, HeuristicConfig, HeuristicScratch};
+use cloudtalk::qcache::CacheConfig;
+use cloudtalk::server::{CloudTalkServer, ServerConfig};
+use cloudtalk::status::TableStatusSource;
+use cloudtalk_lang::builder::{hdfs_write_query, reduce_placement_query};
+use cloudtalk_lang::problem::{Address, Problem};
+use desim::SimTime;
+use estimator::{HostState, World};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// Only the measured thread is counted: the libtest harness thread can
+// allocate concurrently while the measured window is open.
+thread_local! {
+    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn count_alloc() {
+    if COUNTED.with(|c| c.get()) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` performs on this thread.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    COUNTED.with(|c| c.set(true));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    COUNTED.with(|c| c.set(false));
+    (after - before, out)
+}
+
+fn nodes(p: usize) -> Vec<Address> {
+    (2..2 + p as u32).map(Address).collect()
+}
+
+/// `(n, p, problem)`: 3-replica writes over 20 and 300 hosts, and 12
+/// reducers over 300.
+fn shapes() -> Vec<(usize, usize, Problem)> {
+    vec![
+        (
+            3,
+            20,
+            hdfs_write_query(Address(1), &nodes(20), 3, 1e6)
+                .resolve()
+                .unwrap(),
+        ),
+        (
+            3,
+            300,
+            hdfs_write_query(Address(1), &nodes(300), 3, 1e6)
+                .resolve()
+                .unwrap(),
+        ),
+        (
+            12,
+            300,
+            reduce_placement_query(&nodes(300), 12, 1e6)
+                .resolve()
+                .unwrap(),
+        ),
+    ]
+}
+
+#[test]
+fn warm_heuristic_allocations_do_not_grow_with_candidates() {
+    let hosts: Vec<Address> = (1..=302).map(Address).collect();
+    let mut world = World::uniform(&hosts, HostState::gbps_idle());
+    for (i, &a) in hosts.iter().enumerate() {
+        world.set(a, HostState::gbps_idle().with_up_load(0.1 * (i % 7) as f64));
+    }
+    let cfg = HeuristicConfig::default();
+
+    // The kernel: binding + scores, nothing else.
+    let mut scratch = HeuristicScratch::new();
+    for (n, p, problem) in shapes() {
+        let warm = evaluate_query_scored_in(&problem, &world, &cfg, &mut scratch);
+        let (allocs, again) =
+            allocs_of(|| evaluate_query_scored_in(&problem, &world, &cfg, &mut scratch));
+        assert_eq!(again, warm);
+        assert_eq!(
+            allocs, 2,
+            "n={n} p={p}: a warm evaluation allocates its binding and its scores only"
+        );
+    }
+
+    // A whole answer through the evaluation core (cache off, so every
+    // call evaluates; pools unsampled). What it allocates besides the
+    // kernel's two vectors — the footprint's address lists, the trace
+    // report — is a handful of buffers, a few more when a longer address
+    // list doubles its way up, never something per candidate.
+    let mut status = TableStatusSource::new();
+    for &a in &hosts {
+        status.set(a, world.get(a));
+    }
+    let mut server = CloudTalkServer::new(ServerConfig {
+        sample_budget: usize::MAX,
+        cache: CacheConfig {
+            enabled: false,
+            ..CacheConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let snapshot = server.take_snapshot(&hosts, &mut status);
+    let mut per_shape = Vec::new();
+    for (n, p, problem) in shapes() {
+        let warm = server
+            .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
+            .unwrap();
+        let (allocs, again) = allocs_of(|| {
+            server
+                .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
+                .unwrap()
+        });
+        assert_eq!(again, warm);
+        assert!(
+            allocs <= 16,
+            "n={n} p={p}: {allocs} allocations per answer, 2·n·p = {}",
+            2 * n * p
+        );
+        per_shape.push(allocs);
+    }
+    // 15× the candidates, 60× the candidate scorings: a few more buffer
+    // doublings, not thousands of hash sets.
+    assert!(
+        per_shape[1] <= per_shape[0] + 8 && per_shape[2] <= per_shape[0] + 8,
+        "allocations per answer by shape: {per_shape:?}"
+    );
+}

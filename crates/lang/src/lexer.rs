@@ -3,21 +3,30 @@
 //! Newlines are significant (they end statements, like `;`), so the lexer
 //! emits [`TokenKind::StatementEnd`] for both. Runs of blank separators are
 //! collapsed by the parser.
+//!
+//! One pass over the source bytes, no copies: identifier tokens are slices
+//! of the source, and IPv4 octets and integer literals are accumulated
+//! digit by digit as they are scanned.
 
 use crate::error::{LangError, Span};
 use crate::token::{Token, TokenKind};
 use crate::units::suffix_multiplier;
 
 /// Lexes a whole query into tokens (ending with a single [`TokenKind::Eof`]).
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
     Lexer::new(source).run()
 }
+
+/// Integer literals of at most this many digits are below 2^53, so the
+/// value accumulated while scanning converts to `f64` exactly — the same
+/// value `str::parse::<f64>` returns.
+const EXACT_F64_DIGITS: usize = 15;
 
 struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
 }
 
 impl<'a> Lexer<'a> {
@@ -26,67 +35,40 @@ impl<'a> Lexer<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            tokens: Vec::new(),
+            // Generated queries run at 4-5 source bytes per token; denser
+            // input grows the vector by doubling.
+            tokens: Vec::with_capacity(src.len() / 4 + 2),
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, LangError> {
+    fn run(mut self) -> Result<Vec<Token<'a>>, LangError> {
         while let Some(&b) = self.bytes.get(self.pos) {
             let start = self.pos;
             match b {
                 b' ' | b'\t' | b'\r' => self.pos += 1,
-                b'\n' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::StatementEnd, start);
-                }
-                b';' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::StatementEnd, start);
-                }
+                b'\n' | b';' => self.single(TokenKind::StatementEnd),
                 b'#' => {
                     // Comment to end of line.
                     while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
                         self.pos += 1;
                     }
                 }
-                b'(' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::LParen, start);
-                }
-                b')' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::RParen, start);
-                }
-                b'=' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::Equals, start);
-                }
-                b'+' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::Plus, start);
-                }
-                b'*' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::Star, start);
-                }
-                b'/' => {
-                    self.pos += 1;
-                    self.emit(TokenKind::Slash, start);
-                }
+                b'(' => self.single(TokenKind::LParen),
+                b')' => self.single(TokenKind::RParen),
+                b'=' => self.single(TokenKind::Equals),
+                b'+' => self.single(TokenKind::Plus),
+                b'*' => self.single(TokenKind::Star),
+                b'/' => self.single(TokenKind::Slash),
                 b'-' => {
                     if self.bytes.get(self.pos + 1) == Some(&b'>') {
                         self.pos += 2;
                         self.emit(TokenKind::Arrow, start);
                     } else {
-                        self.pos += 1;
-                        self.emit(TokenKind::Minus, start);
+                        self.single(TokenKind::Minus);
                     }
                 }
-                b'>' => {
-                    // The paper's text sometimes abbreviates `->` as `>`.
-                    self.pos += 1;
-                    self.emit(TokenKind::Arrow, start);
-                }
+                // The paper's text sometimes abbreviates `->` as `>`.
+                b'>' => self.single(TokenKind::Arrow),
                 b'0'..=b'9' => self.lex_number()?,
                 b'_' | b'a'..=b'z' | b'A'..=b'Z' => self.lex_ident(),
                 _ => {
@@ -106,11 +88,18 @@ impl<'a> Lexer<'a> {
         Ok(self.tokens)
     }
 
-    fn emit(&mut self, kind: TokenKind, start: usize) {
+    fn emit(&mut self, kind: TokenKind<'a>, start: usize) {
         self.tokens.push(Token {
             kind,
             span: Span::new(start, self.pos),
         });
+    }
+
+    /// Emits a one-byte token at the current position.
+    fn single(&mut self, kind: TokenKind<'a>) {
+        let start = self.pos;
+        self.pos += 1;
+        self.emit(kind, start);
     }
 
     fn lex_ident(&mut self) {
@@ -122,14 +111,15 @@ impl<'a> Lexer<'a> {
         {
             self.pos += 1;
         }
-        let text = self.src[start..self.pos].to_string();
-        self.emit(TokenKind::Ident(text), start);
+        self.emit(TokenKind::Ident(&self.src[start..self.pos]), start);
     }
 
     /// Lexes a number, a size-suffixed number (`256M`), or an IPv4 address.
     fn lex_number(&mut self) -> Result<(), LangError> {
         let start = self.pos;
-        self.eat_digits();
+        let mut groups = [0u64; 4];
+        (self.pos, groups[0]) = self.scan_digits(start);
+        let int_digits = self.pos - start;
 
         // Count dotted groups to distinguish floats from IPv4 addresses.
         let mut dots = 0;
@@ -138,30 +128,31 @@ impl<'a> Lexer<'a> {
             && self.bytes.get(probe + 1).is_some_and(u8::is_ascii_digit)
         {
             dots += 1;
-            probe += 1;
-            while self.bytes.get(probe).is_some_and(u8::is_ascii_digit) {
-                probe += 1;
+            let (end, value) = self.scan_digits(probe + 1);
+            probe = end;
+            if dots < groups.len() {
+                groups[dots] = value;
             }
         }
 
         if dots == 3 {
             self.pos = probe;
-            let text = &self.src[start..self.pos];
+            let invalid = |detail: std::fmt::Arguments<'_>| {
+                let text = &self.src[start..probe];
+                LangError::new(
+                    format!("invalid IPv4 address `{text}`{detail}"),
+                    Span::new(start, probe),
+                )
+            };
             let mut addr: u32 = 0;
-            for part in text.split('.') {
-                let octet: u32 = part.parse().map_err(|_| {
-                    LangError::new(
-                        format!("invalid IPv4 address `{text}`"),
-                        Span::new(start, self.pos),
-                    )
-                })?;
-                if octet > 255 {
-                    return Err(LangError::new(
-                        format!("invalid IPv4 address `{text}`: octet {octet} > 255"),
-                        Span::new(start, self.pos),
-                    ));
+            for octet in groups {
+                if octet > u64::from(u32::MAX) {
+                    return Err(invalid(format_args!("")));
                 }
-                addr = (addr << 8) | octet;
+                if octet > 255 {
+                    return Err(invalid(format_args!(": octet {octet} > 255")));
+                }
+                addr = (addr << 8) | octet as u32;
             }
             self.emit(TokenKind::Ipv4(addr), start);
             return Ok(());
@@ -169,8 +160,7 @@ impl<'a> Lexer<'a> {
 
         if dots >= 1 {
             // Float: consume exactly one fractional group.
-            self.pos += 1;
-            self.eat_digits();
+            (self.pos, _) = self.scan_digits(self.pos + 1);
             if dots > 1 {
                 // Two dotted groups (e.g. `1.2.3`) is neither float nor IPv4.
                 return Err(LangError::new(
@@ -180,9 +170,13 @@ impl<'a> Lexer<'a> {
             }
         }
 
-        let mut value: f64 = self.src[start..self.pos].parse().map_err(|_| {
-            LangError::new("malformed number", Span::new(start, self.pos))
-        })?;
+        let mut value: f64 = if dots == 0 && int_digits <= EXACT_F64_DIGITS {
+            groups[0] as f64
+        } else {
+            self.src[start..self.pos]
+                .parse()
+                .map_err(|_| LangError::new("malformed number", Span::new(start, self.pos)))?
+        };
 
         if let Some(&b) = self.bytes.get(self.pos) {
             if let Some(mult) = suffix_multiplier(b as char) {
@@ -209,10 +203,18 @@ impl<'a> Lexer<'a> {
         Ok(())
     }
 
-    fn eat_digits(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
+    /// Scans the run of ASCII digits starting at `from`: the position one
+    /// past it and its decimal value, saturating (a saturated value is too
+    /// large for an octet and has too many digits for the exact-integer
+    /// path, so it is never used as a number).
+    fn scan_digits(&self, from: usize) -> (usize, u64) {
+        let mut pos = from;
+        let mut value: u64 = 0;
+        while let Some(d) = self.bytes.get(pos).filter(|b| b.is_ascii_digit()) {
+            value = value.saturating_mul(10).saturating_add(u64::from(d - b'0'));
+            pos += 1;
         }
+        (pos, value)
     }
 }
 
@@ -220,7 +222,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -230,11 +232,11 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("A".into()),
+                TokenKind::Ident("A"),
                 TokenKind::Equals,
                 TokenKind::LParen,
-                TokenKind::Ident("vm2".into()),
-                TokenKind::Ident("vm3".into()),
+                TokenKind::Ident("vm2"),
+                TokenKind::Ident("vm3"),
                 TokenKind::RParen,
                 TokenKind::Eof,
             ]
@@ -283,9 +285,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::StatementEnd,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Eof,
             ]
         );

@@ -39,17 +39,17 @@ pub fn parse_query(source: &str) -> Result<Query, LangError> {
     Parser { tokens, pos: 0 }.parse()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn parse(mut self) -> Result<Query, LangError> {
         let mut statements = Vec::new();
         loop {
             self.skip_statement_ends();
-            if self.peek_kind() == &TokenKind::Eof {
+            if self.peek_kind() == TokenKind::Eof {
                 break;
             }
             statements.push(self.parse_statement()?);
@@ -69,7 +69,7 @@ impl Parser {
     fn parse_statement(&mut self) -> Result<Statement, LangError> {
         // Lookahead to classify: IDENT "=" … is a variable declaration.
         if matches!(self.peek_kind(), TokenKind::Ident(_))
-            && self.peek_kind_at(1) == &TokenKind::Equals
+            && self.peek_kind_at(1) == TokenKind::Equals
         {
             return Ok(Statement::VarDecl(self.parse_var_decl()?));
         }
@@ -82,15 +82,15 @@ impl Parser {
         self.expect(TokenKind::Equals)?;
         // Chained declarations: B = C = D = ( … ).
         while matches!(self.peek_kind(), TokenKind::Ident(_))
-            && self.peek_kind_at(1) == &TokenKind::Equals
+            && self.peek_kind_at(1) == TokenKind::Equals
         {
             names.push(self.expect_ident()?);
             self.expect(TokenKind::Equals)?;
         }
         self.expect(TokenKind::LParen)?;
         let mut values = Vec::new();
-        while self.peek_kind() != &TokenKind::RParen {
-            if self.peek_kind() == &TokenKind::Eof {
+        while self.peek_kind() != TokenKind::RParen {
+            if self.peek_kind() == TokenKind::Eof {
                 return Err(LangError::new(
                     "unclosed value pool: expected `)`",
                     self.peek_span(),
@@ -117,7 +117,7 @@ impl Parser {
         // Optional flow name: an identifier NOT followed by `->` (if it were,
         // that identifier is itself the source endpoint).
         let name = if matches!(self.peek_kind(), TokenKind::Ident(_))
-            && self.peek_kind_at(1) != &TokenKind::Arrow
+            && self.peek_kind_at(1) != TokenKind::Arrow
         {
             Some(self.expect_ident()?)
         } else {
@@ -170,11 +170,9 @@ impl Parser {
                 addr,
                 span: tok.span,
             }),
-            TokenKind::Ident(text) if text == "disk" => {
-                Ok(EndpointAst::Disk { span: tok.span })
-            }
+            TokenKind::Ident("disk") => Ok(EndpointAst::Disk { span: tok.span }),
             TokenKind::Ident(text) => Ok(EndpointAst::Name(Ident {
-                text,
+                text: text.to_string(),
                 span: tok.span,
             })),
             other => Err(LangError::new(
@@ -226,7 +224,7 @@ impl Parser {
     }
 
     fn parse_factor(&mut self) -> Result<Expr, LangError> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Number(value) => {
                 let tok = self.advance();
                 Ok(Expr::Literal {
@@ -241,7 +239,7 @@ impl Parser {
                 Ok(inner)
             }
             TokenKind::Ident(word) => {
-                let Some(attr) = RefAttr::from_keyword(&word) else {
+                let Some(attr) = RefAttr::from_keyword(word) else {
                     return Err(LangError::new(
                         format!("unknown reference `{word}` (expected st/e/sz/r/t)"),
                         self.peek_span(),
@@ -249,7 +247,7 @@ impl Parser {
                 };
                 let head = self.advance();
                 self.expect(TokenKind::LParen)?;
-                let flow = match self.peek_kind().clone() {
+                let flow = match self.peek_kind() {
                     TokenKind::Number(v) => {
                         let tok = self.advance();
                         if v.fract() != 0.0 || v < 1.0 {
@@ -281,29 +279,29 @@ impl Parser {
 
     // --- token plumbing -------------------------------------------------
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek_kind(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_kind_at(&self, offset: usize) -> &TokenKind {
+    fn peek_kind_at(&self, offset: usize) -> TokenKind<'a> {
         let idx = (self.pos + offset).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        self.tokens[idx].kind
     }
 
     fn peek_span(&self) -> Span {
         self.tokens[self.pos].span
     }
 
-    fn advance(&mut self) -> Token {
-        let tok = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'a> {
+        let tok = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         tok
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, LangError> {
-        if self.peek_kind() == &kind {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<Token<'a>, LangError> {
+        if self.peek_kind() == kind {
             Ok(self.advance())
         } else {
             Err(LangError::new(
@@ -318,11 +316,11 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<Ident, LangError> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Ident(text) => {
                 let tok = self.advance();
                 Ok(Ident {
-                    text,
+                    text: text.to_string(),
                     span: tok.span,
                 })
             }
@@ -334,7 +332,7 @@ impl Parser {
     }
 
     fn skip_statement_ends(&mut self) {
-        while self.peek_kind() == &TokenKind::StatementEnd {
+        while self.peek_kind() == TokenKind::StatementEnd {
             self.advance();
         }
     }

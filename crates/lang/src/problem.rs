@@ -252,15 +252,38 @@ impl Problem {
 
     /// All distinct addresses mentioned anywhere in the problem (fixed
     /// endpoints and candidate pools) — the set of status servers the
-    /// CloudTalk server may need to interrogate.
+    /// CloudTalk server may need to interrogate — in order of first
+    /// mention: pools in declaration order, then flow endpoints.
+    ///
+    /// The order is part of the contract: it is the order status servers
+    /// are interrogated in, and therefore the order the transport draws
+    /// its loss randomness in.
     pub fn mentioned_addresses(&self) -> Vec<Address> {
         let mut addrs: Vec<Address> = Vec::new();
+        // Small footprints dedup by scanning what is already there; once
+        // one outgrows that, mentions are appended raw and deduplicated
+        // by one sort at the end.
+        let mut scanning = true;
         let mut push = |a: Address| {
-            if a != Address::UNKNOWN && !addrs.contains(&a) {
+            if a == Address::UNKNOWN {
+                return;
+            }
+            if !scanning {
                 addrs.push(a);
+            } else if !addrs.contains(&a) {
+                addrs.push(a);
+                scanning = addrs.len() <= LINEAR_DEDUP_MAX;
             }
         };
-        for var in &self.vars {
+        for (i, var) in self.vars.iter().enumerate() {
+            // `B = C = (…)` gives every variable its own copy of one pool;
+            // a copy mentions nothing new.
+            if i > 0
+                && self.vars[i - 1].pool == var.pool
+                && self.vars[i - 1].candidates == var.candidates
+            {
+                continue;
+            }
             for value in &var.candidates {
                 if let Value::Addr(a) = value {
                     push(*a);
@@ -274,8 +297,34 @@ impl Problem {
                 }
             }
         }
+        if !scanning {
+            dedup_keeping_first(&mut addrs);
+        }
         addrs
     }
+}
+
+/// Distinct addresses up to which [`Problem::mentioned_addresses`]
+/// deduplicates by linear scan (a few cache lines, faster than sorting);
+/// beyond it the scan would be quadratic in the pool size.
+const LINEAR_DEDUP_MAX: usize = 32;
+
+/// Removes every repeat of an address, keeping first occurrences in their
+/// original order, in `O(n log n)`.
+fn dedup_keeping_first(addrs: &mut Vec<Address>) {
+    let mut keyed: Vec<(Address, usize)> = addrs.iter().copied().zip(0..).collect();
+    // Within a run of equal addresses the first mention sorts first.
+    keyed.sort_unstable();
+    let mut first = vec![false; addrs.len()];
+    let mut prev = None;
+    for (addr, at) in keyed {
+        if prev != Some(addr) {
+            first[at] = true;
+            prev = Some(addr);
+        }
+    }
+    let mut keep = first.into_iter();
+    addrs.retain(|_| keep.next().expect("one flag per mention"));
 }
 
 #[cfg(test)]

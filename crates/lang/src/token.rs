@@ -4,20 +4,22 @@ use std::fmt;
 
 use crate::error::Span;
 
-/// A lexical token with its source span.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+/// A lexical token with its source span. Borrows identifier text from
+/// the query source: lexing copies nothing.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// What kind of token this is, with any payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it appears in the source.
     pub span: Span,
 }
 
 /// The kinds of token the lexer produces.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum TokenKind<'a> {
     /// An identifier: flow names, variable names, symbolic hosts, keywords.
-    Ident(String),
+    /// A slice of the source text.
+    Ident(&'a str),
     /// A numeric literal, already scaled by any size suffix (`256M` → bytes).
     Number(f64),
     /// A dotted-quad IPv4 address literal.
@@ -44,7 +46,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Short human-readable description used in error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -67,7 +69,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.describe())
     }

@@ -107,7 +107,8 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
         flows: Vec::new(),
         distinct: true,
     };
-    let mut var_names: HashMap<String, VarId> = HashMap::new();
+    // Names are looked up as slices of the AST: nothing is cloned per use.
+    let mut var_names: HashMap<&str, VarId> = HashMap::new();
 
     // Pass 1: variables.
     for (pool, decl) in query.var_decls().enumerate() {
@@ -135,44 +136,51 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
                 }
             });
         }
-        for name in &decl.names {
-            if var_names.contains_key(&name.text) {
+        let last = decl.names.len().saturating_sub(1);
+        for (i, name) in decl.names.iter().enumerate() {
+            let id = VarId(problem.vars.len());
+            if var_names.insert(&name.text, id).is_some() {
                 return Err(LangError::new(
                     format!("variable `{}` declared twice", name.text),
                     name.span,
                 ));
             }
-            let id = VarId(problem.vars.len());
-            var_names.insert(name.text.clone(), id);
             problem.vars.push(Variable {
                 name: name.text.clone(),
-                candidates: candidates.clone(),
+                // Same-pool variables each own a copy; the last takes the
+                // original.
+                candidates: if i == last {
+                    std::mem::take(&mut candidates)
+                } else {
+                    candidates.clone()
+                },
                 pool,
             });
         }
     }
 
     // Pass 2: flow names (so references can be forward).
-    let mut flow_names: HashMap<String, FlowId> = HashMap::new();
+    let mut flow_names: HashMap<&str, FlowId> = HashMap::new();
     for (idx, flow) in query.flows().enumerate() {
         if let Some(name) = &flow.name {
-            if flow_names.contains_key(&name.text) {
+            if flow_names.insert(&name.text, FlowId(idx)).is_some() {
                 return Err(LangError::new(
                     format!("flow `{}` defined twice", name.text),
                     name.span,
                 ));
             }
-            if var_names.contains_key(&name.text) {
+            if var_names.contains_key(name.text.as_str()) {
                 return Err(LangError::new(
                     format!("`{}` is both a variable and a flow name", name.text),
                     name.span,
                 ));
             }
-            flow_names.insert(name.text.clone(), FlowId(idx));
         }
     }
 
     // Pass 3: flows.
+    let n_flows = query.flows().count();
+    problem.flows.reserve_exact(n_flows);
     for flow_def in query.flows() {
         let src = resolve_endpoint(&flow_def.src, &var_names, resolver)?;
         let dst = resolve_endpoint(&flow_def.dst, &var_names, resolver)?;
@@ -182,7 +190,6 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
                 flow_def.span,
             ));
         }
-        let n_flows = query.flows().count();
         let mut flow = Flow::new(flow_def.name.as_ref().map(|n| n.text.clone()), src, dst);
         for attr in &flow_def.attrs {
             let expr = resolve_expr(&attr.value, &flow_names, n_flows)?;
@@ -197,7 +204,7 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
 
 fn resolve_endpoint(
     ep: &EndpointAst,
-    vars: &HashMap<String, VarId>,
+    vars: &HashMap<&str, VarId>,
     resolver: &impl Resolver,
 ) -> Result<Endpoint, LangError> {
     Ok(match ep {
@@ -205,7 +212,7 @@ fn resolve_endpoint(
         EndpointAst::Addr { addr, .. } => Endpoint::Addr(Address(*addr)),
         EndpointAst::Disk { .. } => Endpoint::Disk,
         EndpointAst::Name(ident) => {
-            if let Some(var) = vars.get(&ident.text) {
+            if let Some(var) = vars.get(ident.text.as_str()) {
                 Endpoint::Var(*var)
             } else if let Some(addr) = resolver.resolve(&ident.text) {
                 Endpoint::Addr(addr)
@@ -224,14 +231,14 @@ fn resolve_endpoint(
 
 fn resolve_expr(
     expr: &Expr,
-    flows: &HashMap<String, FlowId>,
+    flows: &HashMap<&str, FlowId>,
     n_flows: usize,
 ) -> Result<ExprR, LangError> {
     Ok(match expr {
         Expr::Literal { value, .. } => ExprR::Literal(*value),
         Expr::Ref { attr, flow, span } => {
             let id = match flow {
-                FlowRef::Named(ident) => *flows.get(&ident.text).ok_or_else(|| {
+                FlowRef::Named(ident) => *flows.get(ident.text.as_str()).ok_or_else(|| {
                     LangError::new(
                         format!("reference to unknown flow `{}`", ident.text),
                         *span,

@@ -1,11 +1,16 @@
 //! Property tests: printing a random well-formed query and re-parsing it
-//! yields the same problem instance.
+//! yields the same problem instance; and the zero-copy lexer agrees with
+//! the owned-token lexer it replaced ([`reference_lexer`]) on that corpus,
+//! on noise, and on malformed input.
+
+mod reference_lexer;
 
 use cloudtalk_lang::ast::{
     Attr, AttrKind, BinOp, EndpointAst, Expr, FlowDef, FlowRef, Ident, Query, RefAttr, Statement,
     VarDecl,
 };
 use cloudtalk_lang::error::Span;
+use cloudtalk_lang::lexer::lex;
 use cloudtalk_lang::printer::print_query;
 use cloudtalk_lang::{parse_query, resolve, MapResolver};
 use proptest::prelude::*;
@@ -139,8 +144,80 @@ fn arb_literal_value(iter: &mut impl Iterator<Item = Expr>) -> Expr {
     strip(iter.next().unwrap_or_else(|| Expr::literal(1.0)))
 }
 
+/// Same tokens (kinds, payloads, spans) or the same error (message, span).
+fn assert_lexers_agree(input: &str) {
+    let new = lex(input).map(|tokens| {
+        tokens
+            .into_iter()
+            .map(|t| reference_lexer::Token {
+                kind: t.kind.into(),
+                span: t.span,
+            })
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(new, reference_lexer::lex(input), "input: {input:?}");
+}
+
+#[test]
+fn malformed_inputs_keep_their_diagnostics() {
+    // (input, message, span) as the owned-token front end reported them.
+    let cases = [
+        ("10.0.0.999", "invalid IPv4 address `10.0.0.999`: octet 999 > 255", Span::new(0, 10)),
+        (
+            "f a -> 10.0.0.99999999999 size 1",
+            "invalid IPv4 address `10.0.0.99999999999`",
+            Span::new(7, 25),
+        ),
+        ("1.2.3", "malformed number (expected float or dotted-quad IPv4)", Span::new(0, 5)),
+        ("100Mbps", "unexpected trailing characters after size suffix", Span::new(0, 5)),
+        ("12x", "unknown size suffix `x`", Span::new(2, 3)),
+        ("a @ b", "unexpected character `@`", Span::new(2, 3)),
+        ("A = (a b", "unclosed value pool: expected `)`", Span::new(8, 8)),
+    ];
+    for (input, message, span) in cases {
+        let err = parse_query(input).unwrap_err();
+        assert_eq!((err.message.as_str(), err.span), (message, span), "input: {input:?}");
+        if let Err(reference) = reference_lexer::lex(input) {
+            assert_eq!(err, reference, "input: {input:?}");
+        }
+    }
+    // Literals at the edges of the in-place number path.
+    for input in [
+        "999999999999999",
+        "1000000000000000",
+        "18446744073709551616K",
+        "007",
+        "2.50",
+        "0.1G",
+        "1.2.3.4.5",
+        "010.000.0.1",
+        "256M;1T\n3k",
+    ] {
+        assert_lexers_agree(input);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Old and new lexer agree on every printed query of the corpus.
+    #[test]
+    fn lexer_matches_reference_on_corpus(query in arb_query()) {
+        assert_lexers_agree(&print_query(&query));
+    }
+
+    /// …and on "almost valid" inputs, where numbers, addresses and
+    /// suffixes run into each other.
+    #[test]
+    fn lexer_matches_reference_on_fragments(parts in proptest::collection::vec(
+        proptest::sample::select(vec![
+            "A", "=", "(", ")", "->", ">", "-", "disk", "size", "256M", "1.5", "7", ".", "..",
+            "r(f1)", "10.0.0.1", "300.1.2.3", "0.0.0.0", "1.2.3", "9G", "3x", ";", "\n", "#c",
+            "_x1", "+", "*", "/",
+        ]), 0..24), glue in proptest::sample::select(vec!["", " "]))
+    {
+        assert_lexers_agree(&parts.join(glue));
+    }
 
     /// print → parse → print is a fixed point.
     #[test]
@@ -170,10 +247,11 @@ proptest! {
         prop_assert_eq!(p1, p2);
     }
 
-    /// The lexer never panics on arbitrary input.
+    /// The lexer never panics on arbitrary input, and fails exactly where
+    /// and how the reference does.
     #[test]
     fn lexer_total(input in "\\PC{0,200}") {
-        let _ = cloudtalk_lang::lexer::lex(&input);
+        assert_lexers_agree(&input);
     }
 
     /// The parser never panics on arbitrary input.

@@ -52,6 +52,15 @@ cargo run --release -q -p cloudtalk-bench --bin qps_storm -- --smoke
 echo "=== answer-cache equivalence (cache on == off bit-identical, 0 stale hits) ==="
 cargo test -q -p cloudtalk --test qcache_equiv
 
+echo "=== hint-path oracle equivalence (heuristic + footprint == quadratic references, bit-identical) ==="
+cargo test -q --test hint_path_equiv
+
+echo "=== lexer equivalence (zero-copy == owned-token reference: kinds, spans, diagnostics) ==="
+cargo test -q -p cloudtalk-lang --test roundtrip
+
+echo "=== heuristic allocation pin (warm evaluation = binding + scores, independent of n·p) ==="
+cargo test -q -p cloudtalk --test heuristic_alloc
+
 echo "=== canonicalisation regression (websearch memo classes/counters unchanged) ==="
 cargo test -q -p cloudtalk-apps --test canon_regression
 
@@ -104,6 +113,9 @@ EOF
 echo "=== obs hot paths allocation-free (trace arena + telemetry rings) ==="
 cargo test -q -p obs --test trace_alloc
 cargo test -q -p obs --test timeseries_alloc
+
+echo "=== benchmark smoke (digests equal across passes, cache-on == cache-off, two-worker replay identical, 0 stale hits, 0 ledger conflicts) ==="
+bash perf/run.sh --smoke
 
 echo "=== no stray prints in library crates (exporters own all output) ==="
 if grep -rn "println!\|eprintln!" crates/core/src crates/simnet/src; then
