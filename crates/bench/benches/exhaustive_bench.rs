@@ -27,7 +27,9 @@
 //! write query over the lopsided world — candidates/sec with pruning off,
 //! wall time with pruning on — asserting bit-identical winners first. Add
 //! `--json` to write the rows to `BENCH_exhaustive.json`, or `--smoke`
-//! (CI) to run only the equivalence assertions and skip the timing:
+//! (CI) to run only the equivalence assertions — and the check that the
+//! tie-heavy `fig3_daisy6_8addr` search stops inside 1 % of its space —
+//! and skip the timing:
 //!
 //! ```text
 //! cargo bench -p cloudtalk-bench --bench exhaustive_bench -- --delta --json
@@ -221,10 +223,12 @@ fn export_trace(path: &str) {
     )
     .expect("trace files are writable");
     println!(
-        "trace: {} spans ({} bindings evaluated, {} subtrees pruned) -> {path} (metrics -> {})",
+        "trace: {} spans ({} bindings evaluated, {} subtrees pruned, {} of them on ties) \
+         -> {path} (metrics -> {})",
         a.provenance.trace.spans.len(),
         a.provenance.search.enumerated,
-        a.provenance.search.pruned,
+        a.provenance.search.pruned + a.provenance.search.pruned_ties,
+        a.provenance.search.pruned_ties,
         mpath.as_deref().unwrap_or("-")
     );
 }
@@ -400,6 +404,25 @@ fn run_delta_comparison(smoke: bool, json: bool) {
         let world = lopsided_world(&problem.mentioned_addresses());
         assert_strategies_agree(query, problem, &world);
         println!("{query}: scratch and delta agree bit-for-bit");
+        if *query == "fig3_daisy6_8addr" {
+            // Every binding of this chain runs through a hot host and
+            // finishes with it: a search that walks the ties evaluates
+            // all 20 160 of them.
+            let opts = SearchOptions::new(1_000_000).eval(EvalStrategy::Delta);
+            let r = exhaustive_search_with(problem, &world, &opts).expect("feasible");
+            let space = exhaustive_search_with(problem, &world, &opts.prune(false))
+                .expect("feasible")
+                .evaluated;
+            assert!(
+                r.evaluated * 100 < space,
+                "{query}: pruned delta search evaluated {} of {space} bindings",
+                r.evaluated
+            );
+            println!(
+                "{query}: {} of {space} bindings evaluated, {} subtrees cut on ties",
+                r.evaluated, r.pruned_ties
+            );
+        }
     }
     if smoke {
         println!("smoke OK: winners and objectives are strategy-independent");

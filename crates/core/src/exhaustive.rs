@@ -10,40 +10,77 @@
 //!   `start + bytes / min(rate cap, residual capacity of its resources)`;
 //!   the maximum over those flows is an *admissible* lower bound on the
 //!   subtree's makespan (extra flows and sharing only slow things down).
-//!   Subtrees whose bound strictly exceeds the incumbent best are pruned.
-//! * The incumbent makespan is shared across workers through an
-//!   [`AtomicU64`] holding the `f64` bit pattern — for non-negative IEEE
-//!   floats the bit order equals the numeric order, so `fetch_min` on the
-//!   bits is `min` on the values.
+//!   The residual capacities are read from the [`World`] once per search
+//!   into a dense [`CapacityTable`]; no node hashes an address.
+//! * **Cut** — a subtree with bound `lb` is skipped when `lb > G` or
+//!   `lb >= L` (the two-part rule, below). `G` is the incumbent makespan
+//!   shared across workers through an [`AtomicU64`] holding the `f64` bit
+//!   pattern — for non-negative IEEE floats the bit order equals the
+//!   numeric order, so `fetch_min` on the bits is `min` on the values —
+//!   and `L` is the best makespan *this worker* has found so far.
+//! * **Seed** — before descending, `G` starts at the makespan of the §4.2
+//!   heuristic's binding (when that binding lies in the search space and
+//!   estimates), so subtrees through loaded hosts are cut from the first
+//!   node on, wherever the cool hosts sit in candidate order.
 //!
 //! Candidates are estimated through one of two [`EvalStrategy`]s. The
 //! seed `Scratch` path rebuilds the flow world per leaf; the `Delta` path
 //! keeps a [`DeltaEstimator`] warm across siblings, re-rating only the
 //! resource components whose flows moved and replaying the rest from a
-//! component cache. Delta mode also tightens pruning for free: a rated
-//! component whose flows are all determined by the current prefix and
-//! untouched since its rating is an exact admissible lower bound
-//! ([`DeltaEstimator::component_lower_bound`]), typically much sharper
-//! than the single-flow residual-capacity bound.
+//! component cache. Delta mode also sharpens the bound: a rated component
+//! whose flows are all determined by the current prefix, and which no
+//! still-open flow can join, will be replayed unchanged by every leaf
+//! below, so its finish time is not an estimate of the subtree's
+//! makespan from below but a part of it
+//! ([`DeltaEstimator::component_lower_bound`]). The search has such
+//! components rated the first time it stands on the prefix that
+//! determines them ([`DeltaEstimator::rate_prefix`]), so a prefix is cut
+//! where its bottleneck is fixed, not one leaf later.
 //!
-//! Determinism: pruning uses a strict `>` against the incumbent and the
-//! final cross-worker reduction uses a strict `<` scanning workers in
-//! first-variable order, so the winning binding (and its makespan, bit for
-//! bit) is always the one the plain sequential scan would have returned
-//! first — under either strategy, since delta estimates are bit-identical
-//! to scratch ones (pinned by `estimator/tests/delta_props.rs`). Only
-//! `evaluated` can differ — with `prune` on it depends on how fast the
-//! incumbent propagates between workers and how sharp the bounds are. The
-//! [`exhaustive_search`] convenience wrapper runs single-threaded with
-//! pruning, which is fully deterministic.
+//! Determinism — the winner is the binding the plain sequential scan
+//! returns: the first, in scan order, among those of least makespan. A
+//! leaf replaces a worker's best only on a strict `<`, and the final
+//! cross-worker reduction scans workers in first-variable order with a
+//! strict `<`. The two halves of the cut rule keep that winner for
+//! different reasons:
+//!
+//! * `lb >= L` compares against a leaf this worker has *already scanned*.
+//!   Every leaf behind `L` precedes the subtree in scan order, and no leaf
+//!   of the subtree is strictly better than `L`, so none of them could
+//!   have displaced it: the cut skips only leaves the scan would have
+//!   looked at and passed over. This is the half that ends a search on a
+//!   world full of ties — with `Delta`, where the component bound is an
+//!   exact finish time, equality fires as soon as a prefix's bottleneck
+//!   is rated (the flow bounds of `Scratch` sit a completion tolerance
+//!   below any makespan and tie only at zero bytes or zero capacity).
+//!   `L` starts at `INFINITY`, so before any leaf has landed the rule
+//!   cuts exactly the subtrees whose bound is infinite: a determined
+//!   flow with no capacity left stalls every leaf below.
+//! * `lb > G` compares against a makespan found *anywhere* — another
+//!   worker's chunk, later in scan order, or the heuristic's seed, which
+//!   is no scanned leaf at all. Such a value says nothing about order, so
+//!   equality must not cut: a subtree that merely ties `G` may hold the
+//!   first-found winner. Strictly worse subtrees hold no winner at all.
+//!
+//! Both rules apply under either strategy, whose estimates are
+//! bit-identical (pinned by `estimator/tests/delta_props.rs`), and at any
+//! thread count; `tests/search_tie_equiv.rs` holds the winner, bit for
+//! bit, against the unpruned single-thread scan. Only the effort counters
+//! differ — `evaluated` and the two cut counts depend on how sharp the
+//! bounds are and, with threads, on how fast `G` propagates.
+//! [`exhaustive_search`] runs single-threaded with pruning, which is fully
+//! deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cloudtalk_lang::ast::{AttrKind, RefAttr};
-use cloudtalk_lang::problem::{Binding, BoundEndpoint, Endpoint, ExprR, Problem};
+use cloudtalk_lang::problem::{Address, Binding, BoundEndpoint, Endpoint, ExprR, Problem, Value};
 use estimator::{
-    estimate_with, resolve_sizes_into, DeltaEstimator, DeltaStats, EstimatorScratch, World,
+    estimate_with, resolve_sizes_into, CapacityTable, DeltaEstimator, DeltaStats, EstimatorScratch,
+    Resource, World,
 };
+
+use crate::heuristic::{evaluate_query_scored_into, HeuristicConfig, HeuristicScratch};
 
 /// How the search evaluates candidate bindings.
 ///
@@ -73,11 +110,19 @@ pub struct ExhaustiveResult {
     /// Its estimated makespan, seconds.
     pub makespan: f64,
     /// Bindings evaluated (i.e. estimator calls; pruned leaves excluded).
+    /// With pruning on, far below the binding space wherever many
+    /// bindings share a bottleneck.
     pub evaluated: u64,
-    /// Subtrees cut by the admissible lower bound (0 with pruning off).
-    /// Each cut skips a whole suffix of the binding space, so this counts
-    /// pruning *decisions*, not skipped bindings.
+    /// Subtrees cut because their lower bound strictly exceeded the
+    /// shared incumbent (0 with pruning off). Each cut skips a whole
+    /// suffix of the binding space, so this counts pruning *decisions*,
+    /// not skipped bindings.
     pub pruned_subtrees: u64,
+    /// Subtrees cut only because their bound *equalled* the worker's own
+    /// best (or was infinite before any leaf had landed) — the cuts the
+    /// strict rule alone would not have made. Disjoint from
+    /// `pruned_subtrees`; their sum is every cut.
+    pub pruned_ties: u64,
     /// Delta-evaluation work counters, summed across workers (all zero
     /// under [`EvalStrategy::Scratch`]).
     pub delta: DeltaStats,
@@ -155,9 +200,10 @@ impl SearchOptions {
 }
 
 /// Reusable per-search state: the estimator scratch/delta worlds, the
-/// bound tables and the traversal buffers. Holding one of these across
-/// repeated [`exhaustive_search_in`] calls makes single-threaded searches
-/// allocation-free in steady state (pinned by `tests/search_alloc.rs`).
+/// bound tables, the seed incumbent's heuristic scratch and the traversal
+/// buffers. Holding one of these across repeated [`exhaustive_search_in`]
+/// calls makes single-threaded searches allocation-free in steady state
+/// (pinned by `tests/search_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct SearchWorkspace {
     scratch: EstimatorScratch,
@@ -165,6 +211,7 @@ pub struct SearchWorkspace {
     bounds: Bounder,
     local: Local,
     current: Binding,
+    seed: Seed,
 }
 
 impl SearchWorkspace {
@@ -235,6 +282,7 @@ pub fn exhaustive_search_in(
         bounds,
         local,
         current,
+        seed,
     } = ws;
 
     let n_vars = problem.vars.len();
@@ -247,16 +295,23 @@ pub fn exhaustive_search_in(
         out.makespan = e.makespan;
         out.evaluated = 1;
         out.pruned_subtrees = 0;
+        out.pruned_ties = 0;
         out.delta = DeltaStats::default();
         return Ok(());
     }
 
-    let have_bounds = opts.prune && bounds.build_into(problem);
+    let have_bounds = opts.prune && bounds.build_into(problem, world);
     // Delta evaluation needs the same static tables the scratch estimator
     // resolves per call; when that fails every estimate would fail too,
     // so falling back to Scratch changes nothing but the error path.
     let use_delta = opts.eval == EvalStrategy::Delta && delta.reset(problem, world).is_ok();
-    let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
+    // Without bounds nothing ever reads the incumbent.
+    let seeded = if have_bounds {
+        seed.makespan(problem, world, scratch)
+    } else {
+        f64::INFINITY
+    };
+    let incumbent = AtomicU64::new(seeded.to_bits());
     let ctx = Ctx {
         problem,
         world,
@@ -269,11 +324,11 @@ pub fn exhaustive_search_in(
     if threads <= 1 {
         local.reset();
         if use_delta {
-            search_rec_delta(ctx, delta, 0.0, local);
+            walk(ctx, delta, first, local);
             local.delta = delta.stats();
         } else {
             current.clear();
-            search_rec(ctx, scratch, current, 0.0, local);
+            walk(ctx, &mut ScratchWalker { scratch, current }, first, local);
         }
         return reduce_into(std::slice::from_ref(local), out);
     }
@@ -295,28 +350,16 @@ pub fn exhaustive_search_in(
                 if use_delta {
                     let mut de = DeltaEstimator::new(ctx.problem, ctx.world)
                         .expect("reset already succeeded on these inputs");
-                    let base_lb = match ctx.bounds {
-                        Some(b) => b.bound_at_depth(0, de.binding(), ctx.world, 0.0),
-                        None => 0.0,
-                    };
-                    for &value in mine {
-                        de.push(value);
-                        search_rec_delta(ctx, &mut de, base_lb, &mut local);
-                        de.pop();
-                    }
+                    walk(ctx, &mut de, mine, &mut local);
                     local.delta = de.stats();
                 } else {
                     let mut scratch = EstimatorScratch::new();
                     let mut current: Binding = Vec::with_capacity(n_vars);
-                    let base_lb = match ctx.bounds {
-                        Some(b) => b.bound_at_depth(0, &current, ctx.world, 0.0),
-                        None => 0.0,
+                    let mut walker = ScratchWalker {
+                        scratch: &mut scratch,
+                        current: &mut current,
                     };
-                    for &value in mine {
-                        current.push(value);
-                        search_rec(ctx, &mut scratch, &mut current, base_lb, &mut local);
-                        current.pop();
-                    }
+                    walk(ctx, &mut walker, mine, &mut local);
                 }
                 local
             }));
@@ -335,11 +378,13 @@ pub fn exhaustive_search_in(
 fn reduce_into(locals: &[Local], out: &mut ExhaustiveResult) -> Result<(), ExhaustiveError> {
     out.evaluated = 0;
     out.pruned_subtrees = 0;
+    out.pruned_ties = 0;
     out.delta = DeltaStats::default();
     let mut best: Option<usize> = None;
     for (k, local) in locals.iter().enumerate() {
         out.evaluated += local.evaluated;
         out.pruned_subtrees += local.pruned;
+        out.pruned_ties += local.pruned_ties;
         out.delta.merge(&local.delta);
         if local.has_best && best.is_none_or(|b| local.best_makespan < locals[b].best_makespan) {
             best = Some(k);
@@ -355,27 +400,114 @@ fn reduce_into(locals: &[Local], out: &mut ExhaustiveResult) -> Result<(), Exhau
     }
 }
 
+/// The seed incumbent's buffers: the §4.2 heuristic's scratch and the
+/// binding and scores it writes, kept so a warm search allocates nothing.
+#[derive(Debug, Default)]
+struct Seed {
+    heuristic: HeuristicScratch,
+    binding: Binding,
+    scores: Vec<f64>,
+}
+
+impl Seed {
+    /// Makespan of the heuristic's binding, or `INFINITY` when that
+    /// binding is no leaf of the search (the heuristic reuses values once
+    /// a pool runs out; the search never does) or does not estimate. Any
+    /// leaf's makespan is an upper bound on the optimum, which is all the
+    /// strict half of the cut rule needs of `G`.
+    fn makespan(
+        &mut self,
+        problem: &Problem,
+        world: &World,
+        scratch: &mut EstimatorScratch,
+    ) -> f64 {
+        // The heuristic requires non-empty pools; an empty one also
+        // leaves the search nothing to scan.
+        if problem.vars.iter().any(|v| v.candidates.is_empty()) {
+            return f64::INFINITY;
+        }
+        let binding = &mut self.binding;
+        evaluate_query_scored_into(
+            problem,
+            world,
+            &HeuristicConfig::default(),
+            &mut self.heuristic,
+            binding,
+            &mut self.scores,
+        );
+        let in_space = (0..binding.len()).all(|i| !clashes(problem, &binding[..i], i, binding[i]));
+        if !in_space {
+            return f64::INFINITY;
+        }
+        estimate_with(scratch, problem, binding, world).map_or(f64::INFINITY, |e| e.makespan)
+    }
+}
+
+/// Whether binding variable `var` to `value` repeats a value one of the
+/// already-bound `prefix` variables of its pool holds, in a problem that
+/// wants same-pool variables distinct.
+fn clashes(problem: &Problem, prefix: &[Value], var: usize, value: Value) -> bool {
+    problem.distinct
+        && prefix
+            .iter()
+            .enumerate()
+            .any(|(j, v)| problem.vars[j].pool == problem.vars[var].pool && *v == value)
+}
+
 /// Per-worker accumulation. The incumbent binding lives in a reused
 /// buffer (`clone_from`) so recording a new best in steady state does not
 /// allocate.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Local {
     has_best: bool,
+    /// `L` of the cut rule: `INFINITY` until a leaf lands.
     best_makespan: f64,
     best_binding: Binding,
     evaluated: u64,
     pruned: u64,
+    pruned_ties: u64,
     delta: DeltaStats,
+}
+
+impl Default for Local {
+    fn default() -> Self {
+        Local {
+            has_best: false,
+            best_makespan: f64::INFINITY,
+            best_binding: Binding::new(),
+            evaluated: 0,
+            pruned: 0,
+            pruned_ties: 0,
+            delta: DeltaStats::default(),
+        }
+    }
 }
 
 impl Local {
     fn reset(&mut self) {
-        self.has_best = false;
-        self.best_makespan = 0.0;
-        self.best_binding.clear();
-        self.evaluated = 0;
-        self.pruned = 0;
-        self.delta = DeltaStats::default();
+        let mut best_binding = std::mem::take(&mut self.best_binding);
+        best_binding.clear();
+        *self = Local {
+            best_binding,
+            ..Local::default()
+        };
+    }
+
+    /// The two-part cut rule (module docs), counting the cut it makes.
+    fn cuts(&mut self, lb: f64, incumbent: &AtomicU64) -> bool {
+        // Strict against the shared incumbent, which may come from
+        // anywhere in scan order …
+        if lb > f64::from_bits(incumbent.load(Ordering::Relaxed)) {
+            self.pruned += 1;
+            return true;
+        }
+        // … and `>=` against this worker's own best only: that leaf was
+        // scanned before the subtree, and nothing below beats it.
+        if lb >= self.best_makespan {
+            self.pruned_ties += 1;
+            return true;
+        }
+        false
     }
 
     /// Strict `<`: the earliest binding wins exact ties, matching the
@@ -399,90 +531,126 @@ struct Ctx<'a> {
     incumbent: &'a AtomicU64,
 }
 
-fn search_rec(
-    ctx: Ctx<'_>,
-    scratch: &mut EstimatorScratch,
-    current: &mut Binding,
-    lb: f64,
-    local: &mut Local,
-) {
-    let depth = current.len();
-    let mut lb = lb;
-    if let Some(b) = ctx.bounds {
-        lb = b.bound_at_depth(depth, current, ctx.world, lb);
-        // Strict `>`: a subtree whose bound merely *equals* the incumbent
-        // is still explored, preserving the sequential `evaluated` counts
-        // on worlds full of ties and the first-found winner on exact ties.
-        if lb > f64::from_bits(ctx.incumbent.load(Ordering::Relaxed)) {
-            local.pruned += 1;
-            return;
-        }
+/// What the traversal needs of a candidate evaluator: a partial binding it
+/// can extend and retract, and a makespan at the leaves.
+trait Walker {
+    /// The current (partial) binding.
+    fn binding(&self) -> &Binding;
+    /// Binds the next variable.
+    fn push(&mut self, value: Value);
+    /// Unbinds the last one.
+    fn pop(&mut self);
+    /// A lower bound the evaluator can give for every completion of the
+    /// current prefix (`0.0` when it knows none).
+    fn rated_bound(&mut self) -> f64;
+    /// Makespan of the (complete) binding; `None` when it does not
+    /// estimate.
+    fn makespan(&mut self, ctx: Ctx<'_>) -> Option<f64>;
+}
+
+/// [`EvalStrategy::Scratch`]: a plain binding, estimated from scratch.
+struct ScratchWalker<'a> {
+    scratch: &'a mut EstimatorScratch,
+    current: &'a mut Binding,
+}
+
+impl Walker for ScratchWalker<'_> {
+    fn binding(&self) -> &Binding {
+        self.current
     }
-    if depth == ctx.problem.vars.len() {
-        local.evaluated += 1;
-        if let Ok(e) = estimate_with(scratch, ctx.problem, current, ctx.world) {
-            local.offer(e.makespan, current, ctx.incumbent);
-        }
-        return;
+
+    fn push(&mut self, value: Value) {
+        self.current.push(value);
     }
-    let var = &ctx.problem.vars[depth];
-    for &value in &var.candidates {
-        if ctx.problem.distinct {
-            let clash = current
-                .iter()
-                .enumerate()
-                .any(|(j, v)| ctx.problem.vars[j].pool == var.pool && *v == value);
-            if clash {
-                continue;
-            }
-        }
-        current.push(value);
-        search_rec(ctx, scratch, current, lb, local);
-        current.pop();
+
+    fn pop(&mut self) {
+        self.current.pop();
+    }
+
+    fn rated_bound(&mut self) -> f64 {
+        0.0
+    }
+
+    fn makespan(&mut self, ctx: Ctx<'_>) -> Option<f64> {
+        estimate_with(self.scratch, ctx.problem, self.current, ctx.world)
+            .ok()
+            .map(|e| e.makespan)
     }
 }
 
-/// The delta twin of [`search_rec`]: the partial binding lives inside the
+/// [`EvalStrategy::Delta`]: the partial binding lives inside the
 /// [`DeltaEstimator`], descents are `push`/`pop` pairs against its undo
 /// log, and leaves re-rate only the components their last move touched.
-/// Pruning additionally folds in [`DeltaEstimator::component_lower_bound`]
-/// — exact finish times of already-rated untouched components, admissible
-/// because unbound flows can only join a component and max-min rates are
-/// monotone. The strict `>` cut keeps the winner identical even though
-/// the sharper bound prunes more.
-fn search_rec_delta(ctx: Ctx<'_>, de: &mut DeltaEstimator, lb: f64, local: &mut Local) {
-    let depth = de.depth();
+/// Its bound rates the components the prefix has just determined and
+/// takes the finish times of those no open flow can join
+/// ([`DeltaEstimator::component_lower_bound`]): every leaf below replays
+/// exactly those ratings, so the bound is part of each leaf's makespan.
+impl Walker for DeltaEstimator {
+    fn binding(&self) -> &Binding {
+        DeltaEstimator::binding(self)
+    }
+
+    fn push(&mut self, value: Value) {
+        DeltaEstimator::push(self, value);
+    }
+
+    fn pop(&mut self) {
+        DeltaEstimator::pop(self);
+    }
+
+    fn rated_bound(&mut self) -> f64 {
+        self.rate_prefix();
+        self.component_lower_bound()
+    }
+
+    fn makespan(&mut self, _: Ctx<'_>) -> Option<f64> {
+        self.estimate_summary().ok().map(|e| e.makespan)
+    }
+}
+
+/// Scans the subtrees under `firsts` — a contiguous run of the first
+/// variable's candidates — in order.
+fn walk<W: Walker>(ctx: Ctx<'_>, w: &mut W, firsts: &[Value], local: &mut Local) {
+    let base_lb = match ctx.bounds {
+        Some(b) => b.bound_at_depth(0, w.binding(), 0.0),
+        None => 0.0,
+    };
+    for &value in firsts {
+        w.push(value);
+        search_rec(ctx, w, base_lb, local);
+        w.pop();
+    }
+}
+
+fn search_rec<W: Walker>(ctx: Ctx<'_>, w: &mut W, lb: f64, local: &mut Local) {
+    let depth = w.binding().len();
     let mut lb = lb;
     if let Some(b) = ctx.bounds {
-        lb = b.bound_at_depth(depth, de.binding(), ctx.world, lb);
-        lb = lb.max(de.component_lower_bound());
-        if lb > f64::from_bits(ctx.incumbent.load(Ordering::Relaxed)) {
-            local.pruned += 1;
+        // The flow bounds cost a table read each; only a prefix they
+        // cannot cut is worth the evaluator's bound.
+        lb = b.bound_at_depth(depth, w.binding(), lb);
+        if local.cuts(lb, ctx.incumbent) {
+            return;
+        }
+        lb = lb.max(w.rated_bound());
+        if local.cuts(lb, ctx.incumbent) {
             return;
         }
     }
     if depth == ctx.problem.vars.len() {
         local.evaluated += 1;
-        if let Ok(e) = de.estimate_summary() {
-            local.offer(e.makespan, de.binding(), ctx.incumbent);
+        if let Some(makespan) = w.makespan(ctx) {
+            local.offer(makespan, w.binding(), ctx.incumbent);
         }
         return;
     }
-    let var = &ctx.problem.vars[depth];
-    for &value in &var.candidates {
-        if ctx.problem.distinct {
-            let clash = de
-                .binding()
-                .iter()
-                .enumerate()
-                .any(|(j, v)| ctx.problem.vars[j].pool == var.pool && *v == value);
-            if clash {
-                continue;
-            }
+    for &value in &ctx.problem.vars[depth].candidates {
+        if clashes(ctx.problem, w.binding(), depth, value) {
+            continue;
         }
-        de.push(value);
-        search_rec_delta(ctx, de, lb, local);
-        de.pop();
+        w.push(value);
+        search_rec(ctx, w, lb, local);
+        w.pop();
     }
 }
 
@@ -507,8 +675,9 @@ struct FlowLb {
 
 /// Admissible lower-bound machinery. `by_depth[d]` lists the flows whose
 /// endpoints become fully determined once the first `d` variables are
-/// bound, so each search node only scores its newly-fixed flows. Built
-/// into retained buffers so rebuilding for the same problem shape is
+/// bound, so each search node only scores its newly-fixed flows, against
+/// residual rates read from the world once per search. Built into
+/// retained buffers so rebuilding for the same problem shape is
 /// allocation-free.
 #[derive(Debug, Default)]
 struct Bounder {
@@ -516,13 +685,14 @@ struct Bounder {
     by_depth: Vec<Vec<usize>>,
     size_memo: Vec<Option<f64>>,
     sizes: Vec<f64>,
+    free: CapacityTable,
 }
 
 impl Bounder {
     /// (Re)builds the bound tables, returning `false` when some attribute
     /// cannot be resolved statically — the estimator would reject every
     /// binding of such a problem anyway, so the search just runs unpruned.
-    fn build_into(&mut self, problem: &Problem) -> bool {
+    fn build_into(&mut self, problem: &Problem, world: &World) -> bool {
         if resolve_sizes_into(problem, &mut self.size_memo, &mut self.sizes).is_err() {
             return false;
         }
@@ -590,41 +760,39 @@ impl Bounder {
                 cap,
             });
         }
+        self.free.rebuild(problem, world);
         true
     }
 
     /// Folds the flows newly determined at `depth` into `lb`.
-    fn bound_at_depth(&self, depth: usize, prefix: &Binding, world: &World, lb: f64) -> f64 {
+    fn bound_at_depth(&self, depth: usize, prefix: &Binding, lb: f64) -> f64 {
         self.by_depth[depth]
             .iter()
-            .fold(lb, |acc, &i| acc.max(self.flow_bound(i, prefix, world)))
+            .fold(lb, |acc, &i| acc.max(self.flow_bound(i, prefix)))
     }
 
     /// Best-case finish time of flow `i` under `prefix`: its rate can
     /// never exceed the residual capacity of any resource it touches (the
     /// same resources `estimate` charges it to), nor its constant cap.
-    fn flow_bound(&self, i: usize, prefix: &Binding, world: &World) -> f64 {
+    fn flow_bound(&self, i: usize, prefix: &Binding) -> f64 {
         let f = &self.flows[i];
+        let free = |a: Address, r: Resource| self.free.free(a, r);
         let mut rate = f.cap;
         match (f.src.bound(prefix), f.dst.bound(prefix)) {
             (BoundEndpoint::Host(a), BoundEndpoint::Host(b)) if a != b => {
-                rate = rate
-                    .min(world.get(a).up_free())
-                    .min(world.get(b).down_free());
+                rate = rate.min(free(a, Resource::Up)).min(free(b, Resource::Down));
             }
             (BoundEndpoint::Host(a), BoundEndpoint::Disk) => {
-                let s = world.get(a);
-                rate = rate.min((s.disk_write_capacity - s.disk_write_used).max(0.0));
+                rate = rate.min(free(a, Resource::DiskWrite));
             }
             (BoundEndpoint::Disk, BoundEndpoint::Host(b)) => {
-                let s = world.get(b);
-                rate = rate.min((s.disk_read_capacity - s.disk_read_used).max(0.0));
+                rate = rate.min(free(b, Resource::DiskRead));
             }
             (BoundEndpoint::Unknown, BoundEndpoint::Host(b)) => {
-                rate = rate.min(world.get(b).down_free());
+                rate = rate.min(free(b, Resource::Down));
             }
             (BoundEndpoint::Host(a), BoundEndpoint::Unknown) => {
-                rate = rate.min(world.get(a).up_free());
+                rate = rate.min(free(a, Resource::Up));
             }
             // Loopback, disk↔unknown etc. touch no shared resource.
             _ => {}
@@ -668,7 +836,9 @@ mod tests {
         let w = world(&[(2, 0.8)]);
         let r = exhaustive_search(&p, &w, 1000).unwrap();
         assert_eq!(r.binding, vec![Value::Addr(Address(3))]);
-        assert_eq!(r.evaluated, 2);
+        // The seed incumbent is the idle replica's makespan: the busy one
+        // is cut before it is estimated.
+        assert!(r.evaluated <= 2);
     }
 
     #[test]
@@ -677,8 +847,10 @@ mod tests {
         let p = hdfs_write_query(Address(1), &nodes, 3, 64.0 * MB)
             .resolve()
             .unwrap();
-        let r = exhaustive_search(&p, &world(&[]), 1000).unwrap();
-        // 4·3·2 = 24 distinct bindings.
+        let opts = SearchOptions::new(1000).prune(false);
+        let r = exhaustive_search_with(&p, &world(&[]), &opts).unwrap();
+        // 4·3·2 = 24 distinct bindings (counted unpruned: on this all-idle
+        // world every one of them ties).
         assert_eq!(r.evaluated, 24);
         let set: std::collections::HashSet<&Value> = r.binding.iter().collect();
         assert_eq!(set.len(), 3);
@@ -754,7 +926,7 @@ mod tests {
             let opts = SearchOptions::new(1000).threads(threads);
             let r = exhaustive_search_with(&p, &world(&[]), &opts).unwrap();
             assert_eq!(r.binding, vec![Value::Addr(Address(2))]);
-            assert_eq!(r.evaluated, 1);
+            assert!(r.evaluated <= 1);
         }
     }
 
@@ -872,7 +1044,11 @@ mod tests {
             pruned.evaluated,
             full.evaluated
         );
-        assert_eq!(full.pruned_subtrees, 0, "pruning off reports no cuts");
+        assert_eq!(
+            (full.pruned_subtrees, full.pruned_ties),
+            (0, 0),
+            "pruning off reports no cuts"
+        );
         assert!(
             pruned.pruned_subtrees > 0,
             "cuts must be counted when the bound fires"
@@ -903,6 +1079,10 @@ mod tests {
         );
         assert_eq!(delta.delta.estimates, delta.evaluated);
         assert!(delta.delta.components_rerated > 0);
+        assert!(
+            delta.pruned_ties > 0,
+            "the idle replicas tie, and exact component bounds see it"
+        );
         assert!(
             delta.evaluated <= scratch.evaluated,
             "the component bound may only tighten pruning: {} vs {}",

@@ -156,6 +156,24 @@ pub fn evaluate_query_scored_in(
     cfg: &HeuristicConfig,
     scratch: &mut HeuristicScratch,
 ) -> (Binding, Vec<f64>) {
+    let mut binding = Binding::new();
+    let mut scores = Vec::new();
+    evaluate_query_scored_into(problem, world, cfg, scratch, &mut binding, &mut scores);
+    (binding, scores)
+}
+
+/// [`evaluate_query_scored_in`] writing the binding and its scores into
+/// caller-held buffers (overwritten), so a warmed evaluation allocates
+/// nothing at all — the exhaustive search scores its seed incumbent this
+/// way.
+pub fn evaluate_query_scored_into(
+    problem: &Problem,
+    world: &World,
+    cfg: &HeuristicConfig,
+    scratch: &mut HeuristicScratch,
+    binding: &mut Binding,
+    scores: &mut Vec<f64>,
+) {
     let n = problem.vars.len();
     build_profiles(problem, scratch);
     let HeuristicScratch {
@@ -185,8 +203,10 @@ pub fn evaluate_query_scored_in(
     taken.iter_mut().for_each(HashSet::clear);
 
     // Every slot is overwritten below: `order` holds each variable once.
-    let mut binding: Binding = vec![Value::Disk; n];
-    let mut scores: Vec<f64> = vec![0.0; n];
+    binding.clear();
+    binding.resize(n, Value::Disk);
+    scores.clear();
+    scores.resize(n, 0.0);
     for &vi in order.iter() {
         let var = &problem.vars[vi];
         let profile = &profiles[vi];
@@ -226,7 +246,6 @@ pub fn evaluate_query_scored_in(
             pool_taken.insert(value);
         }
     }
-    (binding, scores)
 }
 
 /// Scores binding a variable to the server `addr`: the least-fit resource

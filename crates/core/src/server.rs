@@ -325,7 +325,10 @@ impl std::fmt::Display for Backend {
 /// Semantics per backend: the heuristic scores every candidate of every
 /// variable once (`enumerated` = Σ pool sizes, nothing pruned); the
 /// exhaustive backend counts estimator calls in `enumerated` and
-/// lower-bound subtree cuts in `pruned`; the packet-level backend counts
+/// lower-bound subtree cuts in `pruned` (bound strictly above the
+/// incumbent) and `pruned_ties` (bound equal to the worker's own best —
+/// why a search over a world full of ties is short); the packet-level
+/// backend counts
 /// completed simulations in `enumerated`, deadline-abandoned ones in
 /// `aborted`, and symmetry-cache answers in `memo_hits`/`memo_misses`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -336,8 +339,12 @@ pub struct SearchStats {
     pub space: u64,
     /// Candidates/bindings actually evaluated.
     pub enumerated: u64,
-    /// Subtrees cut by the exhaustive lower bound (0 for other backends).
+    /// Subtrees cut by the exhaustive lower bound strictly exceeding the
+    /// incumbent (0 for other backends).
     pub pruned: u64,
+    /// Subtrees the exhaustive search cut on a bound merely *equal* to its
+    /// own best so far (0 for other backends). Disjoint from `pruned`.
+    pub pruned_ties: u64,
     /// Packet simulations abandoned by the incumbent deadline.
     pub aborted: u64,
     /// Bindings answered from the packet-search symmetry cache.
@@ -1093,6 +1100,10 @@ impl EvalCore {
         };
         self.trace
             .set_arg(search_span, "enumerated", search.enumerated);
+        if backend == Backend::Exhaustive {
+            self.trace
+                .set_arg(search_span, "pruned_ties", search.pruned_ties);
+        }
         self.trace.end(search_span, t_evaluated);
 
         // The bind phase proper — recording the recommendation into a
@@ -1236,6 +1247,7 @@ impl EvalCore {
                     space,
                     enumerated: r.evaluated,
                     pruned: r.pruned_subtrees,
+                    pruned_ties: r.pruned_ties,
                     delta_components_rerated: r.delta.components_rerated,
                     delta_components_reused: r.delta.components_reused,
                     delta_flows_moved: r.delta.flows_moved,
@@ -2006,8 +2018,10 @@ mod tests {
             ..Default::default()
         };
         let mut server = CloudTalkServer::new(cfg);
+        let addrs: Vec<Address> = (1..=5).map(Address).collect();
+        let snapshot = server.take_snapshot(&addrs, &mut idle_source(5));
         let a = server
-            .answer_problem(&problem, &mut idle_source(5), SimTime::ZERO)
+            .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
             .unwrap();
         let p = &a.provenance;
         assert_eq!(p.backend, Backend::Exhaustive);
@@ -2017,6 +2031,23 @@ mod tests {
         assert!(p.search.enumerated >= 1 && p.search.enumerated <= 24);
         assert_eq!(p.search.aborted, 0);
         assert_eq!(p.search.memo_hits, 0);
+        // An idle fleet is all ties, and the trace says so: the search
+        // span carries the tie cuts next to the leaves evaluated.
+        assert!(p.search.pruned_ties > 0, "{:?}", p.search);
+        let span = p.trace.span("search").expect("search span");
+        assert_eq!(
+            span.args,
+            [
+                Some(("enumerated", p.search.enumerated)),
+                Some(("pruned_ties", p.search.pruned_ties))
+            ]
+        );
+        // A replay from the answer cache carries the same counters.
+        let again = server
+            .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
+            .unwrap();
+        assert!(again.provenance.cache_hit);
+        assert_eq!(&again.provenance, p);
     }
 
     #[test]

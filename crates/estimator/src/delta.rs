@@ -29,10 +29,14 @@
 //! scratch oracle. `crates/estimator/tests/delta_props.rs` pins this with
 //! `==` (not tolerance) comparisons.
 //!
-//! As a bonus, components whose member flows are all determined by the
-//! current binding *prefix* (and untouched since their last rating) give
-//! the search an admissible makespan lower bound for free — see
-//! [`component_lower_bound`](DeltaEstimator::component_lower_bound).
+//! A component whose member flows are all determined by the current
+//! binding *prefix*, and which no still-open flow can reach, is the same
+//! component at every leaf below — so its rating is a piece of each of
+//! those leaves' estimates, known before any of them is visited. That is
+//! the search's sharpest lower bound
+//! ([`component_lower_bound`](DeltaEstimator::component_lower_bound)),
+//! and [`rate_prefix`](DeltaEstimator::rate_prefix) lets the search ask
+//! for it the moment a prefix determines the component.
 
 use cloudtalk_lang::ast::AttrKind;
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, FlowId, Problem, Value};
@@ -79,6 +83,89 @@ impl DeltaStats {
     }
 }
 
+/// The residual rates of every address one search can mention: candidate
+/// pools and fixed flow endpoints, ascending by address, four rates per
+/// address (up, down, disk-read, disk-write — the order
+/// [`model::push_host_capacities`] emits, so `4 * slot` is the base index
+/// of a host's resource block). Read from the [`World`] hash map once per
+/// search; both the [`DeltaEstimator`] and the search's lower-bound walk
+/// index it from then on.
+#[derive(Clone, Debug, Default)]
+pub struct CapacityTable {
+    addrs: Vec<Address>,
+    capacities: Vec<f64>,
+}
+
+impl CapacityTable {
+    /// Re-reads the table for `problem` in `world`, reusing its buffers.
+    pub fn rebuild(&mut self, problem: &Problem, world: &World) {
+        self.addrs.clear();
+        for var in &problem.vars {
+            for val in &var.candidates {
+                if let Value::Addr(a) = val {
+                    self.addrs.push(*a);
+                }
+            }
+        }
+        for flow in &problem.flows {
+            for ep in [flow.src, flow.dst] {
+                if let Endpoint::Addr(a) = ep {
+                    self.addrs.push(a);
+                }
+            }
+        }
+        self.addrs.sort_unstable();
+        self.addrs.dedup();
+        // The exact arithmetic of the scratch path's first-touch table —
+        // same values, different (bijective) indexing, which max-min
+        // rating is insensitive to.
+        self.capacities.clear();
+        for &a in &self.addrs {
+            push_host_capacities(&world.get(a), &mut self.capacities);
+        }
+    }
+
+    /// Position of `addr` in the table.
+    ///
+    /// # Panics
+    /// If the problem the table was built for cannot mention `addr`.
+    pub fn slot(&self, addr: Address) -> usize {
+        self.addrs
+            .binary_search(&addr)
+            .expect("address registered at rebuild")
+    }
+
+    /// Residual rate of one of `addr`'s resources (same panic as
+    /// [`slot`](Self::slot)).
+    pub fn free(&self, addr: Address, resource: Resource) -> f64 {
+        self.capacities[4 * self.slot(addr) + resource as usize]
+    }
+}
+
+/// One of the four resources of a host, by its offset in the host's
+/// block of a [`CapacityTable`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Resource {
+    /// NIC transmit.
+    Up = 0,
+    /// NIC receive.
+    Down = 1,
+    /// Disk read.
+    DiskRead = 2,
+    /// Disk write.
+    DiskWrite = 3,
+}
+
+impl Resource {
+    /// The four resources, each at its offset.
+    const ALL: [Resource; 4] = [
+        Resource::Up,
+        Resource::Down,
+        Resource::DiskRead,
+        Resource::DiskWrite,
+    ];
+}
+
 /// One cached component rating: the member set (ascending), the member
 /// versions it was rated under, and the raw (pre-precedence) finish
 /// times. Valid for replay iff the current partition produces the same
@@ -93,6 +180,12 @@ struct CompCache {
     max_finish: f64,
     /// Max over members of the binding depth that determines them.
     max_depth: usize,
+    /// [`DeltaEstimator::clock`] at the rating.
+    rated_clock: u64,
+    /// Whether no flow the first `max_depth` variables leave open can
+    /// touch a resource of this component; worked out the first time a
+    /// bound is asked of this rating.
+    closed: Option<bool>,
 }
 
 /// Undo-log entry: what [`DeltaEstimator::pop`] must restore.
@@ -144,14 +237,25 @@ pub struct DeltaEstimator {
     var_flows_items: Vec<usize>,
     var_flows_start: Vec<usize>,
     determined_depth: Vec<usize>,
+    /// Whether binding the `d`-th variable determines some flow, by `d`.
+    determines_flows: Vec<bool>,
     total_bytes: f64,
-    // World→capacity table over every address the search can mention.
-    addrs: Vec<Address>,
-    capacities: Vec<f64>,
+    table: CapacityTable,
+    // What an unbound variable may still become: its pool, which table
+    // slots its candidates cover (`cand_words` bitset words per
+    // variable), and whether `disk` / any address is among them.
+    distinct: bool,
+    pool_of: Vec<usize>,
+    cand_words: usize,
+    cand_slots: Vec<u64>,
+    cand_disk: Vec<bool>,
+    cand_addr: Vec<bool>,
     // --- dynamic binding state ---
     values: Binding,
     log: Vec<LogEntry>,
     flow_version: Vec<u64>,
+    /// `clock` at each variable's last push, rebind or pop.
+    var_clock: Vec<u64>,
     clock: u64,
     // Per-flow usages, fixed stride 2 (a flow uses at most two resources).
     usage_buf: Vec<(ResourceIdx, f64)>,
@@ -233,42 +337,47 @@ impl DeltaEstimator {
         }
         self.var_flows_start.push(self.var_flows_items.len());
         self.determined_depth.clear();
+        self.determines_flows.clear();
+        self.determines_flows.resize(self.n_vars + 1, false);
         for &(src, dst) in &self.ends {
             let d = |e: Endpoint| e.as_var().map_or(0, |v| v.0 + 1);
-            self.determined_depth.push(d(src).max(d(dst)));
+            let depth = d(src).max(d(dst));
+            self.determined_depth.push(depth);
+            self.determines_flows[depth] = true;
         }
 
-        // Capacity table over every address a binding can mention, in
-        // sorted order so lookups are a binary search. Capacities use the
-        // exact same arithmetic as the scratch path's first-touch table —
-        // same values, different (bijective) indexing, which max-min
-        // rating is insensitive to.
-        self.addrs.clear();
-        for var in &problem.vars {
+        self.table.rebuild(problem, world);
+        self.distinct = problem.distinct;
+        self.pool_of.clear();
+        self.pool_of.extend(problem.vars.iter().map(|v| v.pool));
+        self.cand_words = self.table.addrs.len().div_ceil(64);
+        self.cand_slots.clear();
+        self.cand_slots.resize(self.n_vars * self.cand_words, 0);
+        self.cand_disk.clear();
+        self.cand_addr.clear();
+        for (v, var) in problem.vars.iter().enumerate() {
+            let bits = &mut self.cand_slots[v * self.cand_words..][..self.cand_words];
+            let (mut disk, mut addr) = (false, false);
             for val in &var.candidates {
-                if let Value::Addr(a) = val {
-                    self.addrs.push(*a);
+                match val {
+                    Value::Addr(a) => {
+                        let slot = self.table.slot(*a);
+                        bits[slot / 64] |= 1 << (slot % 64);
+                        addr = true;
+                    }
+                    Value::Disk => disk = true,
                 }
             }
-        }
-        for &(src, dst) in &self.ends {
-            for ep in [src, dst] {
-                if let Endpoint::Addr(a) = ep {
-                    self.addrs.push(a);
-                }
-            }
-        }
-        self.addrs.sort_unstable();
-        self.addrs.dedup();
-        self.capacities.clear();
-        for i in 0..self.addrs.len() {
-            push_host_capacities(&world.get(self.addrs[i]), &mut self.capacities);
+            self.cand_disk.push(disk);
+            self.cand_addr.push(addr);
         }
 
         // Dynamic state: empty binding, everything stale, cache cold.
         self.values.clear();
         self.log.clear();
         self.clock = 0;
+        self.var_clock.clear();
+        self.var_clock.resize(self.n_vars, 0);
         self.flow_version.clear();
         self.flow_version.resize(n, 0);
         self.usage_buf.clear();
@@ -325,6 +434,7 @@ impl DeltaEstimator {
     /// usage rebuild before the next estimate.
     fn touch_var(&mut self, var: usize) {
         self.clock += 1;
+        self.var_clock[var] = self.clock;
         let span = self.var_flows_start[var]..self.var_flows_start[var + 1];
         for &f in &self.var_flows_items[span] {
             self.flow_version[f] = self.clock;
@@ -373,65 +483,137 @@ impl DeltaEstimator {
         self.log.clear();
     }
 
-    /// Admissible makespan lower bound from already-rated components whose
-    /// member flows are all determined by the current binding *prefix* and
-    /// untouched since their rating.
+    /// Makespan lower bound from the rated components that every
+    /// completion of the current binding *prefix* will replay unchanged:
+    /// all members determined by the prefix, no variable of that prefix
+    /// touched since the rating, and the component *closed* — no flow the
+    /// prefix leaves open can still reach one of its resources, whatever
+    /// its variables are bound to (candidate pools, minus what
+    /// distinctness already rules out: the caller is taken to extend the
+    /// prefix only by values the problem allows).
     ///
-    /// Sound because (a) unchanged member versions mean the members' mutual
-    /// resource footprint is exactly as rated, (b) any not-yet-bound flow
-    /// can only *join* such a component and max-min rates are monotone —
-    /// more demands never speed up existing ones — and (c) the precedence
-    /// post-pass and the makespan `max` only raise finish times. A rated
-    /// component that stalled contributes `INFINITY`: every completion
-    /// under this prefix is impossible.
-    pub fn component_lower_bound(&self) -> f64 {
+    /// Such a component has the same members, usages and versions at every
+    /// leaf below, so the leaf replays this very rating from the cache,
+    /// and the precedence post-pass and the makespan `max` only raise
+    /// finish times: the bound is not merely admissible, it is a finish
+    /// time the leaf's estimate contains, bit for bit. (A component some
+    /// open flow could join would also bound the makespan in exact
+    /// arithmetic — max-min rates are monotone — but re-simulating it
+    /// with one more member splits its event steps differently, and the
+    /// last bit of a finish time can move either way. The search cuts on
+    /// equality, so only exact bounds will do.) A rated component that
+    /// stalled contributes `INFINITY`: every completion under this prefix
+    /// is impossible.
+    pub fn component_lower_bound(&mut self) -> f64 {
         let depth = self.values.len();
         let mut lb = 0.0f64;
-        for cc in &self.caches[..self.caches_used] {
-            let untouched = cc
-                .flows
+        for k in 0..self.caches_used {
+            let cc = &self.caches[k];
+            if cc.max_depth > depth || cc.max_finish <= lb {
+                continue;
+            }
+            let untouched = self.var_clock[..cc.max_depth]
                 .iter()
-                .zip(cc.versions.iter())
-                .all(|(&f, &v)| self.flow_version[f] == v);
-            if cc.max_depth <= depth && untouched {
-                lb = lb.max(cc.max_finish);
+                .all(|&c| c <= cc.rated_clock);
+            if !untouched {
+                continue;
+            }
+            let max_finish = cc.max_finish;
+            let closed = cc.closed.unwrap_or_else(|| self.is_closed(k));
+            self.caches[k].closed = Some(closed);
+            if closed {
+                lb = max_finish;
             }
         }
         lb
     }
 
-    /// Estimates the fully-bound problem, re-rating only components whose
-    /// members moved since the last estimate. Bit-identical to
-    /// [`crate::estimate_with`] on the same binding.
-    pub fn estimate_summary(&mut self) -> Result<EstimateSummary, EstimateError> {
-        if self.values.len() != self.n_vars {
-            return Err(EstimateError::BindingArity {
-                expected: self.n_vars,
-                got: self.values.len(),
-            });
+    /// Whether cached component `k` is closed under the first `max_depth`
+    /// bound variables (see
+    /// [`component_lower_bound`](Self::component_lower_bound)).
+    fn is_closed(&self, k: usize) -> bool {
+        let cc = &self.caches[k];
+        let depth = cc.max_depth;
+        let open = |g: &usize| self.determined_depth[*g] > depth;
+        cc.flows.iter().all(|&f| {
+            self.usage_buf[2 * f..2 * f + self.usage_len[f]]
+                .iter()
+                .all(|&(r, _)| {
+                    !(0..self.n)
+                        .filter(open)
+                        .any(|g| self.may_touch(g, r, depth))
+                })
+        })
+    }
+
+    /// Whether flow `g` could use resource `r` under some completion of
+    /// the first `depth` bound variables. Errs towards `true`.
+    fn may_touch(&self, g: usize, r: ResourceIdx, depth: usize) -> bool {
+        let slot = r / 4;
+        let addr = self.table.addrs[slot];
+        // What an endpoint can be: this host, `disk`, or something that
+        // puts the peer's traffic on its NIC (a host or "unknown").
+        let host = |e: Endpoint| match e {
+            Endpoint::Addr(a) => a == addr,
+            Endpoint::Var(v) if v.0 < depth => self.values[v.0] == Value::Addr(addr),
+            Endpoint::Var(v) => {
+                let word = self.cand_slots[v.0 * self.cand_words + slot / 64];
+                let taken = self.distinct
+                    && (0..depth).any(|j| {
+                        self.pool_of[j] == self.pool_of[v.0] && self.values[j] == Value::Addr(addr)
+                    });
+                word >> (slot % 64) & 1 == 1 && !taken
+            }
+            Endpoint::Disk | Endpoint::Unknown => false,
+        };
+        let disk = |e: Endpoint| match e {
+            Endpoint::Disk => true,
+            Endpoint::Var(v) if v.0 < depth => self.values[v.0] == Value::Disk,
+            Endpoint::Var(v) => self.cand_disk[v.0],
+            Endpoint::Addr(_) | Endpoint::Unknown => false,
+        };
+        let network = |e: Endpoint| match e {
+            Endpoint::Addr(_) | Endpoint::Unknown => true,
+            Endpoint::Var(v) if v.0 < depth => self.values[v.0] != Value::Disk,
+            Endpoint::Var(v) => self.cand_addr[v.0],
+            Endpoint::Disk => false,
+        };
+        let (src, dst) = self.ends[g];
+        match Resource::ALL[r % 4] {
+            Resource::Up => host(src) && network(dst),
+            Resource::Down => host(dst) && network(src),
+            Resource::DiskRead => host(dst) && disk(src),
+            Resource::DiskWrite => host(src) && disk(dst),
         }
-        self.stats.estimates += 1;
+    }
+
+    /// Brings the component cache up to date for the flows the first
+    /// `depth` variables determine (all of them at `depth == n_vars`):
+    /// rebuilds their stale usages, partitions them, and rates — or
+    /// replays — every component made of such flows only. Returns the
+    /// lowest flow that can never finish, if any.
+    fn rate_components(&mut self, depth: usize) -> Option<usize> {
         let n = self.n;
+        let determined_depth = &self.determined_depth;
+        // At a leaf every flow is determined; the per-flow depth checks
+        // below are for prefixes only.
+        let full = depth == self.n_vars;
 
         // Rebuild usages of touched flows from their bound endpoints.
         for f in 0..n {
-            if !self.usage_stale[f] {
+            if !self.usage_stale[f] || !(full || determined_depth[f] <= depth) {
                 continue;
             }
             self.usage_stale[f] = false;
             self.stats.flows_moved += 1;
             let (src, dst) = self.ends[f];
-            let addrs = &self.addrs;
+            let table = &self.table;
             let usage_buf = &mut self.usage_buf;
             let mut len = 0usize;
             push_flow_usages(
                 src.bound(&self.values),
                 dst.bound(&self.values),
-                |a| {
-                    4 * addrs
-                        .binary_search(&a)
-                        .expect("address registered at reset")
-                },
+                |a| 4 * table.slot(a),
                 |r, m| {
                     usage_buf[2 * f + len] = (r, m);
                     len += 1;
@@ -440,20 +622,37 @@ impl DeltaEstimator {
             self.usage_len[f] = len;
         }
 
-        // Partition into resource-connected components — the same
-        // canonical partition (min-member-ordered, ascending members) the
-        // scratch path computes.
+        // Partition into resource-connected components — at full depth
+        // the same canonical partition (min-member-ordered, ascending
+        // members) the scratch path computes. Flows the prefix leaves
+        // open use nothing yet; they stay tied to their rate group.
         let usage_buf = &self.usage_buf;
         let usage_len = &self.usage_len;
-        let usage_of = move |i: usize| &usage_buf[2 * i..2 * i + usage_len[i]];
+        let usage_of = move |i: usize| {
+            let len = if full || determined_depth[i] <= depth {
+                usage_len[i]
+            } else {
+                0
+            };
+            &usage_buf[2 * i..2 * i + len]
+        };
         let groups: &[Vec<usize>] = &self.groups[..self.n_groups];
-        partition_components(n, self.capacities.len(), &usage_of, groups, &mut self.part);
+        partition_components(
+            n,
+            self.table.capacities.len(),
+            &usage_of,
+            groups,
+            &mut self.part,
+        );
 
         // Rate each component: replay the cache when the member set and
         // every member version are unchanged, simulate otherwise.
         let mut stalled: Option<usize> = None;
         for c in 0..self.part.n_comps {
             let members: &[usize] = &self.part.members[c];
+            if !full && members.iter().any(|&f| determined_depth[f] > depth) {
+                continue;
+            }
             let min = members[0];
             let mut slot = self.cache_of[min];
             let hit = slot != usize::MAX && {
@@ -490,7 +689,7 @@ impl DeltaEstimator {
                     &self.caps,
                     &self.group_of,
                     groups,
-                    &self.capacities,
+                    &self.table.capacities,
                     &mut self.remaining,
                     &mut self.sim_finish,
                     &mut self.done,
@@ -527,15 +726,45 @@ impl DeltaEstimator {
                     .map(|&f| self.determined_depth[f])
                     .max()
                     .unwrap_or(0);
+                cc.rated_clock = self.clock;
+                cc.closed = None;
                 res
             };
             if let Some(s) = comp_stalled {
                 stalled = Some(stalled.map_or(s, |m: usize| m.min(s)));
             }
         }
-        if let Some(s) = stalled {
+        stalled
+    }
+
+    /// Rates, ahead of the leaves, the components the current prefix has
+    /// just determined, so that
+    /// [`component_lower_bound`](Self::component_lower_bound) knows a
+    /// prefix's bottleneck the first time the search stands on it rather
+    /// than one leaf later. The ratings land in the component cache and
+    /// the leaves below replay them, so the work is moved, not added.
+    pub fn rate_prefix(&mut self) {
+        let depth = self.values.len();
+        if depth < self.n_vars && self.determines_flows[depth] {
+            self.rate_components(depth);
+        }
+    }
+
+    /// Estimates the fully-bound problem, re-rating only components whose
+    /// members moved since the last estimate. Bit-identical to
+    /// [`crate::estimate_with`] on the same binding.
+    pub fn estimate_summary(&mut self) -> Result<EstimateSummary, EstimateError> {
+        if self.values.len() != self.n_vars {
+            return Err(EstimateError::BindingArity {
+                expected: self.n_vars,
+                got: self.values.len(),
+            });
+        }
+        self.stats.estimates += 1;
+        if let Some(s) = self.rate_components(self.n_vars) {
             return Err(EstimateError::Stalled(FlowId(s)));
         }
+        let n = self.n;
 
         // Precedence pass on a copy: `sim_finish` stays cache-owned raw
         // data; `finish` is the user-visible post-precedence view.

@@ -45,7 +45,7 @@ mod delta;
 mod model;
 mod world;
 
-pub use delta::{DeltaEstimator, DeltaStats};
+pub use delta::{CapacityTable, DeltaEstimator, DeltaStats, Resource};
 pub use model::{
     estimate, estimate_with, resolve_sizes_into, resolve_static_sizes, Estimate, EstimateError,
     EstimateSummary, EstimatorScratch,

@@ -152,6 +152,10 @@ fn drive(problem: &Problem, world: &World, seed: u64, steps: usize) -> Result<()
             de.rebind(var, val);
             mirror_log.push(MirrorOp::Rebind(var, mirror[var]));
             mirror[var] = val;
+        } else if roll < 80 {
+            // Rating a prefix ahead of its leaves only warms the cache:
+            // every later comparison must still hold to the bit.
+            de.rate_prefix();
         } else {
             check_step(&mut de, problem, &mirror, world)?;
             // `stats.estimates` counts served leaf estimates; partial
@@ -240,7 +244,7 @@ fn daisy_inner_move_rerates_one_component() {
     assert_eq!(second.makespan.to_bits(), scratch_b.makespan.to_bits());
 }
 
-/// The free lower bound: after popping back above a rated component whose
+/// The prefix bound: after popping back above a rated component whose
 /// flows are all determined by the remaining prefix, the bound is exactly
 /// that component's rating — and it never exceeds any reachable makespan.
 #[test]
@@ -264,5 +268,59 @@ fn component_lower_bound_is_admissible() {
         let m = de.estimate_summary().unwrap().makespan;
         assert!(lb <= m, "lb {lb} > makespan {m} for x3={a:?}");
         de.pop();
+    }
+}
+
+/// A prefix can be bounded before any leaf under it has been estimated,
+/// and the bound is the very finish time those leaves then report.
+#[test]
+fn rate_prefix_bounds_a_prefix_on_first_visit() {
+    let addrs: Vec<Address> = (1..=12).map(Address).collect();
+    let problem = daisy(&addrs);
+    let world = world_for(&problem, 11);
+    let mut de = DeltaEstimator::new(&problem, &world).unwrap();
+    de.push(Value::Addr(addrs[0]));
+    de.rate_prefix();
+    assert_eq!(
+        de.component_lower_bound(),
+        0.0,
+        "x1 alone determines no flow"
+    );
+    de.push(Value::Addr(addrs[1]));
+    assert_eq!(de.component_lower_bound(), 0.0, "nothing rated yet");
+    de.rate_prefix();
+    let lb = de.component_lower_bound();
+    assert_eq!(de.stats().components_rerated, 1, "f1 rated at the prefix");
+    for &a in &addrs[2..] {
+        de.push(Value::Addr(a));
+        de.estimate_summary().unwrap();
+        assert_eq!(lb.to_bits(), de.flow_finish()[0].to_bits(), "x3={a:?}");
+        de.pop();
+    }
+    // Every leaf replayed f1 and rated only its own f2.
+    assert_eq!(de.stats().components_reused, 10);
+    assert_eq!(de.stats().components_rerated, 11);
+}
+
+/// Only a component no open flow can join bounds its prefix. With
+/// same-pool variables free to repeat, `f2 x2 -> x3` may yet land on the
+/// NIC `f1` receives on, and re-rating `f1` in company can move the last
+/// bit of its finish time either way — so its lone rating bounds nothing.
+#[test]
+fn a_component_an_open_flow_can_join_bounds_nothing() {
+    let addrs: Vec<Address> = (1..=12).map(Address).collect();
+    let mut problem = daisy(&addrs);
+    let world = world_for(&problem, 11);
+    for (distinct, bounds) in [(true, true), (false, false)] {
+        problem.distinct = distinct;
+        let mut de = DeltaEstimator::new(&problem, &world).unwrap();
+        de.push(Value::Addr(addrs[0]));
+        de.push(Value::Addr(addrs[1]));
+        de.rate_prefix();
+        assert_eq!(
+            de.component_lower_bound() > 0.0,
+            bounds,
+            "distinct={distinct}"
+        );
     }
 }

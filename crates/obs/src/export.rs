@@ -67,7 +67,7 @@ pub fn chrome_trace_json(traces: &[(&str, &TraceReport)]) -> String {
             let dur = ns_to_us(span.sim_end.as_nanos() - span.sim_start.as_nanos());
             let host_ns = span.host_end_ns.saturating_sub(span.host_start_ns);
             let mut args = format!("\"host_ns\":{host_ns}");
-            if let Some((k, v)) = span.arg {
+            for (k, v) in span.args.iter().flatten() {
                 args.push_str(&format!(",\"{}\":{v}", escape(k)));
             }
             if span.parent != NO_PARENT {

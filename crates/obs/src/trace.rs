@@ -30,8 +30,9 @@ pub struct SpanRecord {
     pub host_start_ns: u64,
     /// Host-clock reading at close, nanoseconds.
     pub host_end_ns: u64,
-    /// Optional single key/value annotation (static key, integer value).
-    pub arg: Option<(&'static str, u64)>,
+    /// Up to two key/value annotations (static key, integer value), in
+    /// the order they were first set.
+    pub args: [Option<(&'static str, u64)>; 2],
 }
 
 /// Handle to an open span; returned by [`Trace::begin`], consumed by
@@ -148,7 +149,7 @@ impl Trace {
             sim_end: sim_now,
             host_start_ns: host,
             host_end_ns: host,
-            arg: None,
+            args: [None; 2],
         });
         self.stack.push(idx);
         SpanId(idx)
@@ -172,13 +173,17 @@ impl Trace {
         }
     }
 
-    /// Attaches a key/value annotation to an open-or-closed span.
+    /// Attaches a key/value annotation to an open-or-closed span. A span
+    /// holds two: setting a key again overwrites its value, and a third
+    /// distinct key replaces the second.
     #[inline]
     pub fn set_arg(&mut self, id: SpanId, key: &'static str, value: u64) {
         if id == SpanId::NONE {
             return;
         }
-        self.spans[id.0 as usize].arg = Some((key, value));
+        let args = &mut self.spans[id.0 as usize].args;
+        let slot = usize::from(args[0].is_some_and(|(k, _)| k != key));
+        args[slot] = Some((key, value));
     }
 
     /// Number of spans recorded so far.
@@ -295,7 +300,20 @@ mod tests {
         tr.end(b, t(6));
         let rep = tr.report();
         assert_eq!(rep.span_names(), vec!["b"]);
-        assert_eq!(rep.spans[0].arg, Some(("k", 3)));
+        assert_eq!(rep.spans[0].args, [Some(("k", 3)), None]);
+    }
+
+    #[test]
+    fn a_span_keeps_two_args() {
+        let mut tr = Trace::deterministic(1);
+        let s = tr.begin("search", t(0));
+        tr.set_arg(s, "enumerated", 7);
+        tr.set_arg(s, "pruned_ties", 5);
+        tr.set_arg(s, "enumerated", 8);
+        let expect = [Some(("enumerated", 8)), Some(("pruned_ties", 5))];
+        assert_eq!(tr.report().spans[0].args, expect);
+        tr.set_arg(s, "third", 1);
+        assert_eq!(tr.report().spans[0].args[1], Some(("third", 1)));
     }
 
     #[test]

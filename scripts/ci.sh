@@ -28,7 +28,10 @@ cargo bench --no-run --workspace
 echo "=== delta estimator equivalence (apply/undo vs scratch, bit-identical) ==="
 cargo test -q -p estimator --test delta_props
 
-echo "=== delta search smoke (scratch and delta agree on winner + objective) ==="
+echo "=== exact-search tie oracle (pruned == unpruned scratch scan bit-for-bit at 1/2/8 threads, pinned effort) ==="
+cargo test -q --test search_tie_equiv
+
+echo "=== delta search smoke (scratch and delta agree on winner + objective; daisy6_8addr evaluates < 1% of its space) ==="
 cargo bench -q -p cloudtalk-bench --bench exhaustive_bench -- --delta --smoke
 
 echo "=== pktsearch smoke ==="
