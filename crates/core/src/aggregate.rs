@@ -41,10 +41,58 @@
 //! its last merged state (ages growing, so freshness decays honestly)
 //! until a full snapshot re-primes it.
 //!
+//! # Change-driven sync: modelled versus executed
+//!
+//! The plane *models* a protocol in which every sync pulls every rack and
+//! every aggregator polls every one of its hosts; the ledger is charged
+//! exactly that, always (a 20 000-host fleet pays 2.84 MB of host-tier
+//! bytes per sync whatever happened). What a sync *executes* is
+//! proportional to what changed, whenever the source can say what that
+//! is:
+//!
+//! * **The change view.** [`StatusSource::drain_changed`] lists the
+//!   addresses whose answer may differ from last time; its contract is
+//!   that *a host not listed answers `poll_report` bit-identically to its
+//!   previous answer*. The plane owns its source and is the view's only
+//!   consumer. Each sync marks the listed hosts on their rack's
+//!   aggregators (primary and standby each keep their own marks, so one
+//!   that goes unrefreshed — partitioned, crashed, idle standby — catches
+//!   up on its next refresh; the marks are a flag per slot, bounded by
+//!   the rack). A source without a view (the default: anything whose
+//!   answers depend on time or on a simulation it does not own) gets
+//!   every host polled, as before; the plane takes the cheap path exactly
+//!   when the source offers the view, never by configuration.
+//! * **A clean rack is settled in O(1).** A rack skips the ladder when its
+//!   next trip is certain to end at rung 1 with an empty delta: none of
+//!   its hosts is marked, no `agg_*` fault entry names it (so the primary
+//!   answers the first pull, nothing restarts, no delayed delta is in
+//!   flight), the view is at the primary's stamp, the rack is at or below
+//!   the transport's loss knee (beyond it a gather draws randomness per
+//!   host) and every host answered the primary's last refresh (a silent
+//!   host is retried each sync). Its two freshness instants move to the
+//!   sync time and the pull, the reply header and the rack-local poll
+//!   round are charged in one batched ledger update; nothing is polled
+//!   and nothing is allocated. Silence therefore stays distinguishable
+//!   from "unchanged" by construction: any rack that *could* be silent is
+//!   never skipped.
+//! * **A dirty rack polls its marked hosts.** Under the same loss-free,
+//!   everyone-answered conditions an aggregator's refresh polls only the
+//!   marked hosts; the unmarked ones would answer what the snapshot
+//!   holds. Otherwise (new or restarted aggregator, a host missing, a
+//!   lossy rack, no change view) it scans the rack.
+//!
+//! Views, report ages, `stale_racks`, the ledger, every other
+//! `gather.agg.*` counter and the failover spans are bit-identical to the
+//! full scan's (`tests/status_sync_equiv.rs` runs the two side by side).
+//! How much a sync executed is reported separately:
+//! `gather.agg.racks_clean` / `gather.agg.hosts_repolled`, and the
+//! `clean_racks` / `dirty_hosts` arguments of the `agg.sync` span.
+//!
 //! # Failover ladder
 //!
-//! Each sync pulls every rack through an explicit ladder, faulted
-//! aggregators degrading exactly as hosts do today:
+//! Each sync takes every rack that is not settled (see above) through an
+//! explicit ladder, faulted aggregators degrading exactly as hosts do
+//! today:
 //!
 //! 1. **retry** the primary aggregator under the configured
 //!    [`RetryPolicy`] (with seeded jitter, so a thundering herd of
@@ -63,10 +111,17 @@
 //!
 //! Observability: the plane owns a `gather.agg.*` metrics registry
 //! (pulls, retries, deltas/fulls, failover and stale-delta-rejection
-//! counters) and records each sync's failover events as an `agg.sync`
-//! span tree ([`AggregationPlane::last_sync_trace`]).
+//! counters, clean racks and re-polled hosts) and records each sync's
+//! failover events as an `agg.sync` span tree
+//! ([`AggregationPlane::last_sync_trace`]).
+//!
+//! Per-rack state is dense: a rack's hosts are sorted once in the
+//! [`FleetLayout`], a host's index there is its *slot*, and aggregator
+//! snapshots and collector views are slot-indexed tables sharing that
+//! host list — a served report is one binary search of the fleet index
+//! plus an array index, a full resync is a copy.
 
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use cloudtalk_lang::problem::Address;
 use desim::rng::{stream_rng, DetRng};
@@ -76,7 +131,10 @@ use obs::{CounterId, MetricsRegistry, Trace, TraceReport};
 use crate::faults::FaultPlan;
 use crate::messages::OverheadLedger;
 use crate::status::{StatusReport, StatusSource};
-use crate::transport::{scatter_gather_retry, RetryPolicy, TransportConfig};
+use crate::transport::{
+    loss_probability, scatter_gather_changed, scatter_gather_retry, GatherOutcome, RetryPolicy,
+    TransportConfig,
+};
 
 /// Identifies one rack of the fleet (an index into the [`FleetLayout`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -85,8 +143,13 @@ pub struct RackId(pub u32);
 /// The fleet's host→rack assignment.
 #[derive(Clone, Debug, Default)]
 pub struct FleetLayout {
-    racks: Vec<Vec<Address>>,
-    by_addr: HashMap<Address, RackId>,
+    /// Each rack's hosts, sorted by address. A host's index in its rack
+    /// is its **slot**; every per-rack table of the plane (aggregator
+    /// snapshots, collector views) is indexed by it and shares this
+    /// allocation.
+    racks: Vec<Arc<[Address]>>,
+    /// Every host as `(address, rack, slot)`, sorted by address.
+    index: Vec<(Address, u32, u32)>,
 }
 
 impl FleetLayout {
@@ -97,21 +160,27 @@ impl FleetLayout {
     ///
     /// Panics if an address is assigned to two racks.
     pub fn grouped(racks: Vec<Vec<Address>>) -> Self {
-        let mut by_addr = HashMap::new();
-        let racks: Vec<Vec<Address>> = racks
+        let mut index = Vec::with_capacity(racks.iter().map(Vec::len).sum());
+        let racks: Vec<Arc<[Address]>> = racks
             .into_iter()
             .enumerate()
-            .map(|(i, mut hosts)| {
+            .map(|(rack, mut hosts)| {
                 hosts.sort_unstable_by_key(|a| a.0);
                 hosts.dedup();
-                for &a in &hosts {
-                    let prev = by_addr.insert(a, RackId(i as u32));
-                    assert!(prev.is_none(), "address {a:?} assigned to two racks");
-                }
-                hosts
+                index.extend(
+                    hosts
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, &a)| (a, rack as u32, slot as u32)),
+                );
+                hosts.into()
             })
             .collect();
-        FleetLayout { racks, by_addr }
+        index.sort_unstable_by_key(|e| e.0 .0);
+        if let Some(w) = index.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("address {:?} assigned to two racks", w[0].0);
+        }
+        FleetLayout { racks, index }
     }
 
     /// Packs `addrs` into consecutive racks of `hosts_per_rack`.
@@ -131,7 +200,7 @@ impl FleetLayout {
 
     /// Total number of hosts.
     pub fn host_count(&self) -> usize {
-        self.by_addr.len()
+        self.index.len()
     }
 
     /// The hosts of `rack`, sorted by address.
@@ -141,7 +210,15 @@ impl FleetLayout {
 
     /// The rack containing `addr`, if it is part of the fleet.
     pub fn rack_of(&self, addr: Address) -> Option<RackId> {
-        self.by_addr.get(&addr).copied()
+        self.slot_of(addr).map(|(rack, _)| rack)
+    }
+
+    /// The rack containing `addr` and its slot there
+    /// (`hosts(rack)[slot] == addr`), if it is part of the fleet.
+    pub fn slot_of(&self, addr: Address) -> Option<(RackId, usize)> {
+        let i = self.index.binary_search_by_key(&addr.0, |e| e.0 .0).ok()?;
+        let (_, rack, slot) = self.index[i];
+        Some((RackId(rack), slot as usize))
     }
 
     /// All rack ids, in order.
@@ -168,12 +245,66 @@ pub struct EpochStamp {
     pub epoch: u64,
 }
 
-/// One host entry of an aggregator's partial snapshot.
-#[derive(Clone, Copy, Debug)]
-struct SnapEntry {
-    report: StatusReport,
-    /// Epoch at which this entry last changed (for delta compression).
-    changed_at: u64,
+/// One rack's reports as a dense table: `reports[slot]` is what
+/// `hosts[slot]` last answered, `None` while it does not answer.
+#[derive(Clone, Debug, Default)]
+struct SlotTable {
+    /// The rack's hosts, sorted by address (shared with the layout).
+    hosts: Arc<[Address]>,
+    reports: Vec<Option<StatusReport>>,
+    /// Number of `Some` reports.
+    live: usize,
+}
+
+impl SlotTable {
+    fn empty(hosts: Arc<[Address]>) -> Self {
+        SlotTable {
+            reports: vec![None; hosts.len()],
+            hosts,
+            live: 0,
+        }
+    }
+
+    fn slot_of(&self, addr: Address) -> Option<usize> {
+        self.hosts.binary_search_by_key(&addr.0, |a| a.0).ok()
+    }
+
+    fn get(&self, addr: Address) -> Option<&StatusReport> {
+        self.reports[self.slot_of(addr)?].as_ref()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
+        self.hosts
+            .iter()
+            .zip(&self.reports)
+            .filter_map(|(&a, r)| Some((a, r.as_ref()?)))
+    }
+
+    /// Replaces the report at `slot`; `false` when it already held
+    /// exactly that.
+    fn put(&mut self, slot: usize, report: Option<StatusReport>) -> bool {
+        let held = &mut self.reports[slot];
+        if *held == report {
+            return false;
+        }
+        self.live = self.live + usize::from(report.is_some()) - usize::from(held.is_some());
+        *held = report;
+        true
+    }
+
+    fn clear(&mut self) {
+        self.reports.fill(None);
+        self.live = 0;
+    }
+
+    /// Becomes a copy of `other` (host table included).
+    fn copy_from(&mut self, other: &SlotTable) {
+        if !Arc::ptr_eq(&self.hosts, &other.hosts) {
+            self.hosts = Arc::clone(&other.hosts);
+        }
+        self.reports.clone_from(&other.reports);
+        self.live = other.live;
+    }
 }
 
 /// An aggregator's epoch-stamped partial snapshot of its rack.
@@ -186,11 +317,15 @@ pub struct PartialSnapshot {
     /// When the covered hosts were last successfully re-polled; served
     /// report ages grow from this instant.
     pub fresh_as_of: SimTime,
-    entries: BTreeMap<Address, SnapEntry>,
+    table: SlotTable,
+    /// Per slot, the epoch at which it last changed — a report replaced
+    /// or a host dropped — for delta compression (0: never since the
+    /// incarnation began).
+    touched_at: Vec<u64>,
 }
 
 impl PartialSnapshot {
-    fn new(rack: RackId, node: u32) -> Self {
+    fn new(rack: RackId, node: u32, hosts: Arc<[Address]>) -> Self {
         PartialSnapshot {
             rack,
             stamp: EpochStamp {
@@ -199,28 +334,29 @@ impl PartialSnapshot {
                 epoch: 0,
             },
             fresh_as_of: SimTime::ZERO,
-            entries: BTreeMap::new(),
+            touched_at: vec![0; hosts.len()],
+            table: SlotTable::empty(hosts),
         }
     }
 
     /// The report held for `addr`, if the host answered the last refresh.
     pub fn get(&self, addr: Address) -> Option<&StatusReport> {
-        self.entries.get(&addr).map(|e| &e.report)
+        self.table.get(addr)
     }
 
     /// Iterates entries in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
-        self.entries.iter().map(|(&a, e)| (a, &e.report))
+        self.table.iter()
     }
 
     /// Number of hosts with a live entry.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.table.live
     }
 
     /// Whether the snapshot holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.table.live == 0
     }
 }
 
@@ -265,19 +401,24 @@ pub enum DeltaAnswer {
 /// header per pull, not a body.
 #[derive(Clone, Debug)]
 pub struct RackAggregator {
-    hosts: Vec<Address>,
     snap: PartialSnapshot,
-    /// Hosts removed from the snapshot, by removal epoch. A host is in
-    /// `entries` or `gone` (or never seen), never both, so this stays
-    /// bounded by the rack size.
-    gone: BTreeMap<Address, u64>,
+    /// Hosts the source's change view listed since the last refresh.
+    /// `queued` (by slot) keeps each in at most once, so this never
+    /// outgrows the rack however long the aggregator goes unrefreshed.
+    pending: Vec<Address>,
+    queued: Vec<bool>,
+    /// Nothing vouches for the hosts outside `pending`: the aggregator is
+    /// new, or the source had no change view to offer. The next refresh
+    /// polls the whole rack.
+    scan_all: bool,
     transport: TransportConfig,
     rng: DetRng,
 }
 
 impl RackAggregator {
     /// Creates an aggregator for `rack` with process id `node` (must be
-    /// non-zero and unique across aggregators) over `hosts`.
+    /// non-zero and unique across aggregators) over `hosts` (sorted by
+    /// address here, duplicates dropped).
     ///
     /// # Panics
     ///
@@ -285,15 +426,29 @@ impl RackAggregator {
     pub fn new(
         rack: RackId,
         node: u32,
-        hosts: Vec<Address>,
+        mut hosts: Vec<Address>,
+        transport: TransportConfig,
+        seed: u64,
+    ) -> Self {
+        hosts.sort_unstable_by_key(|a| a.0);
+        hosts.dedup();
+        Self::over(rack, node, hosts.into(), transport, seed)
+    }
+
+    /// [`Self::new`] over an already sorted, shared host table.
+    fn over(
+        rack: RackId,
+        node: u32,
+        hosts: Arc<[Address]>,
         transport: TransportConfig,
         seed: u64,
     ) -> Self {
         assert!(node != 0, "node 0 is reserved for unprimed views");
         RackAggregator {
-            hosts,
-            snap: PartialSnapshot::new(rack, node),
-            gone: BTreeMap::new(),
+            pending: Vec::new(),
+            queued: vec![false; hosts.len()],
+            scan_all: true,
+            snap: PartialSnapshot::new(rack, node, hosts),
             transport,
             rng: stream_rng(seed, 0xA660_0000 | u64::from(node)),
         }
@@ -306,7 +461,7 @@ impl RackAggregator {
 
     /// The hosts this aggregator covers.
     pub fn hosts(&self) -> &[Address] {
-        &self.hosts
+        &self.snap.table.hosts
     }
 
     /// Re-polls every host of the rack through `source`, folding the
@@ -321,30 +476,87 @@ impl RackAggregator {
     ) -> bool {
         let outcome = scatter_gather_retry(
             source,
-            &self.hosts,
+            &self.snap.table.hosts,
             &self.transport,
             &mut self.rng,
             ledger,
         );
-        let next = self.snap.stamp.epoch + 1;
-        let mut changed = false;
-        for &(addr, report) in &outcome.replies {
-            let differs = self.snap.get(addr) != Some(&report);
-            if differs {
-                self.snap.entries.insert(
-                    addr,
-                    SnapEntry {
-                        report,
-                        changed_at: next,
-                    },
-                );
-                self.gone.remove(&addr);
-                changed = true;
-            }
+        self.scan_all = false;
+        self.clear_marks();
+        self.fold(&outcome, now)
+    }
+
+    fn clear_marks(&mut self) {
+        self.pending.clear();
+        self.queued.fill(false);
+    }
+
+    /// Notes that the source's change view listed the host at `slot`.
+    fn mark(&mut self, slot: usize) {
+        if !self.scan_all && !self.queued[slot] {
+            self.queued[slot] = true;
+            self.pending.push(self.snap.table.hosts[slot]);
         }
-        for &addr in &outcome.missing {
-            if self.snap.entries.remove(&addr).is_some() {
-                self.gone.insert(addr, next);
+    }
+
+    /// Whether a refresh may leave the hosts outside `pending` unpolled:
+    /// the change view covers them, each of them answered the last
+    /// refresh (a silent host is retried every time, which its silence
+    /// cannot stand in for — and a restarted aggregator has heard from
+    /// nobody), and the rack is below the loss knee (a lossy round draws
+    /// randomness for every host).
+    fn unmarked_are_known(&self) -> bool {
+        let n = self.hosts().len();
+        !self.scan_all && self.snap.table.live == n && loss_probability(n, &self.transport) == 0.0
+    }
+
+    /// [`Self::refresh`] at the cost of what changed: when
+    /// [`Self::unmarked_are_known`], only the marked hosts are polled —
+    /// the others would answer what the snapshot holds, so the snapshot,
+    /// the epoch and the ledger (still charged the whole rack's round)
+    /// come out exactly as the full scan leaves them. Returns how many
+    /// hosts the first round polled.
+    fn refresh_changed(
+        &mut self,
+        source: &mut impl StatusSource,
+        now: SimTime,
+        ledger: &mut OverheadLedger,
+    ) -> usize {
+        let n = self.hosts().len();
+        if !self.unmarked_are_known() {
+            self.refresh(source, now, ledger);
+            return n;
+        }
+        // Address order, like the scan this stands in for.
+        self.pending.sort_unstable_by_key(|a| a.0);
+        let polled = self.pending.len();
+        let outcome = scatter_gather_changed(
+            source,
+            &self.pending,
+            n - polled,
+            &self.transport,
+            &mut self.rng,
+            ledger,
+        );
+        self.clear_marks();
+        self.fold(&outcome, now);
+        polled
+    }
+
+    /// Folds a gather's replies and silences into the snapshot.
+    fn fold(&mut self, outcome: &GatherOutcome, now: SimTime) -> bool {
+        let next = self.snap.stamp.epoch + 1;
+        let heard = outcome.replies.iter().map(|&(a, r)| (a, Some(r)));
+        let silent = outcome.missing.iter().map(|&a| (a, None));
+        let mut changed = false;
+        for (addr, report) in heard.chain(silent) {
+            let slot = self
+                .snap
+                .table
+                .slot_of(addr)
+                .expect("gathers poll this rack's hosts only");
+            if self.snap.table.put(slot, report) {
+                self.snap.touched_at[slot] = next;
                 changed = true;
             }
         }
@@ -366,19 +578,20 @@ impl RackAggregator {
         {
             return DeltaAnswer::Full(self.snap.clone());
         }
-        let changed: Vec<(Address, StatusReport)> = self
-            .snap
-            .entries
-            .iter()
-            .filter(|(_, e)| e.changed_at > base.epoch)
-            .map(|(&a, e)| (a, e.report))
-            .collect();
-        let removed: Vec<Address> = self
-            .gone
-            .iter()
-            .filter(|(_, &at)| at > base.epoch)
-            .map(|(&a, _)| a)
-            .collect();
+        let mut changed = Vec::new();
+        let mut removed = Vec::new();
+        // At `base.epoch == cur.epoch` no slot can have changed since.
+        if base.epoch < cur.epoch {
+            let table = &self.snap.table;
+            for (slot, &at) in self.snap.touched_at.iter().enumerate() {
+                if at > base.epoch {
+                    match table.reports[slot] {
+                        Some(report) => changed.push((table.hosts[slot], report)),
+                        None => removed.push(table.hosts[slot]),
+                    }
+                }
+            }
+        }
         DeltaAnswer::Delta(SnapshotDelta {
             rack: self.snap.rack,
             base,
@@ -401,9 +614,9 @@ impl RackAggregator {
     pub fn restart(&mut self) {
         self.snap.stamp.incarnation += 1;
         self.snap.stamp.epoch = 0;
-        self.snap.entries.clear();
+        self.snap.table.clear();
+        self.snap.touched_at.fill(0);
         self.snap.fresh_as_of = SimTime::ZERO;
-        self.gone.clear();
     }
 }
 
@@ -432,6 +645,10 @@ impl MergeOutcome {
 }
 
 /// The collector's merged view of one rack.
+///
+/// The view is a slot table over the host set of the snapshot it was
+/// last resynced from ([`RackView::install_full`]); a default view
+/// covers no host until then.
 #[derive(Clone, Debug, Default)]
 pub struct RackView {
     /// Stamp of the last merged aggregator state (node 0 when unprimed
@@ -439,34 +656,44 @@ pub struct RackView {
     pub stamp: EpochStamp,
     /// Refresh instant of the merged data; served ages grow from here.
     pub fresh_as_of: SimTime,
-    entries: BTreeMap<Address, StatusReport>,
+    table: SlotTable,
 }
 
 impl RackView {
+    /// An unprimed view over `hosts`.
+    fn over(hosts: Arc<[Address]>) -> Self {
+        RackView {
+            table: SlotTable::empty(hosts),
+            ..RackView::default()
+        }
+    }
+
     /// The report held for `addr`.
     pub fn get(&self, addr: Address) -> Option<&StatusReport> {
-        self.entries.get(&addr)
+        self.table.get(addr)
     }
 
     /// Number of hosts with a report.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.table.live
     }
 
     /// Whether the view holds no reports.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.table.live == 0
     }
 
     /// Iterates reports in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
-        self.entries.iter().map(|(&a, r)| (a, r))
+        self.table.iter()
     }
 
     /// Merges `delta` under the epoch rules (see the module docs): the
     /// base stamp must match bit-for-bit; replays are idempotent no-ops;
     /// anything from another node, another incarnation, or across an
-    /// epoch gap is rejected without touching the view.
+    /// epoch gap is rejected without touching the view. (A delta that
+    /// passes names only hosts of the snapshot the view was resynced
+    /// from; an address outside that host set is ignored.)
     pub fn apply_delta(&mut self, delta: &SnapshotDelta) -> MergeOutcome {
         if delta.base.node != self.stamp.node
             || delta.base.incarnation != self.stamp.incarnation
@@ -481,11 +708,12 @@ impl RackView {
         if delta.base.epoch != self.stamp.epoch {
             return MergeOutcome::RejectedEpochGap;
         }
-        for &(addr, report) in &delta.changed {
-            self.entries.insert(addr, report);
-        }
-        for addr in &delta.removed {
-            self.entries.remove(addr);
+        let changed = delta.changed.iter().map(|&(a, r)| (a, Some(r)));
+        let removed = delta.removed.iter().map(|&a| (a, None));
+        for (addr, report) in changed.chain(removed) {
+            if let Some(slot) = self.table.slot_of(addr) {
+                self.table.put(slot, report);
+            }
         }
         self.stamp.epoch = delta.next_epoch;
         self.fresh_as_of = delta.fresh_as_of;
@@ -494,19 +722,28 @@ impl RackView {
 
     /// Replaces the view with a full snapshot (resync / failover).
     pub fn install_full(&mut self, snap: &PartialSnapshot) {
-        self.entries = snap
-            .entries
-            .iter()
-            .map(|(&a, e)| (a, e.report))
-            .collect();
+        self.table.copy_from(&snap.table);
         self.stamp = snap.stamp;
         self.fresh_as_of = snap.fresh_as_of;
     }
 
+    /// Replaces the view's reports with what a host bypass gathered at
+    /// `now`. Node 0: no aggregator state backs this view, so the next
+    /// successful aggregator pull resyncs in full.
+    fn install_bypass(&mut self, replies: &[(Address, StatusReport)], now: SimTime) {
+        self.table.clear();
+        for &(addr, report) in replies {
+            if let Some(slot) = self.table.slot_of(addr) {
+                self.table.put(slot, Some(report));
+            }
+        }
+        self.stamp = EpochStamp::default();
+        self.fresh_as_of = now;
+    }
+
     /// Whether the view's host table equals `snap`'s, entry for entry.
     pub fn matches(&self, snap: &PartialSnapshot) -> bool {
-        self.entries.len() == snap.entries.len()
-            && snap.iter().all(|(a, r)| self.entries.get(&a) == Some(r))
+        self.len() == snap.len() && snap.iter().all(|(a, r)| self.get(a) == Some(r))
     }
 }
 
@@ -568,6 +805,8 @@ struct PlaneMetricIds {
     rack_stale: CounterId,
     restarts_observed: CounterId,
     mid_push_crashes: CounterId,
+    racks_clean: CounterId,
+    hosts_repolled: CounterId,
 }
 
 impl PlaneMetricIds {
@@ -587,6 +826,8 @@ impl PlaneMetricIds {
             rack_stale: reg.counter("gather.agg.rack_stale"),
             restarts_observed: reg.counter("gather.agg.restarts_observed"),
             mid_push_crashes: reg.counter("gather.agg.mid_push_crashes"),
+            racks_clean: reg.counter("gather.agg.racks_clean"),
+            hosts_repolled: reg.counter("gather.agg.hosts_repolled"),
         }
     }
 }
@@ -620,20 +861,28 @@ pub struct AggregationPlane<S> {
     pull_attempts: Vec<u32>,
     serving_standby: Vec<bool>,
     stale_now: Vec<bool>,
+    /// Per rack: the ladder would certainly end at rung 1 with an empty
+    /// delta (see [`Self::is_settled`]). Computed when a rack leaves the
+    /// ladder, cleared when the change view lists one of its hosts.
+    settled: Vec<bool>,
+    /// Scratch: the addresses the source's change view listed this sync.
+    changed: Vec<Address>,
     last_trace: TraceReport,
 }
 
 impl<S: StatusSource> AggregationPlane<S> {
     /// Builds a plane over `layout`, collecting host data through
     /// `source` (wrap it in a [`crate::faults::FaultySource`] to inject
-    /// host-level faults underneath the aggregators).
+    /// host-level faults underneath the aggregators). The plane is the
+    /// sole consumer of the source's change view
+    /// ([`StatusSource::drain_changed`]).
     pub fn new(layout: FleetLayout, source: S, cfg: PlaneConfig) -> Self {
         let n = layout.rack_count();
         let mk = |rack: usize, node_base: u32| {
-            RackAggregator::new(
+            RackAggregator::over(
                 RackId(rack as u32),
                 node_base + rack as u32,
-                layout.hosts(RackId(rack as u32)).to_vec(),
+                Arc::clone(&layout.racks[rack]),
                 cfg.host_transport,
                 cfg.seed,
             )
@@ -650,7 +899,7 @@ impl<S: StatusSource> AggregationPlane<S> {
         AggregationPlane {
             primaries,
             standbys,
-            views: vec![RackView::default(); n],
+            views: layout.racks.iter().cloned().map(RackView::over).collect(),
             source,
             faults: FaultPlan::none(),
             now: SimTime::ZERO,
@@ -665,6 +914,8 @@ impl<S: StatusSource> AggregationPlane<S> {
             pull_attempts: vec![0; n],
             serving_standby: vec![false; n],
             stale_now: vec![false; n],
+            settled: vec![false; n],
+            changed: Vec::new(),
             last_trace: TraceReport::default(),
             layout,
             cfg,
@@ -676,6 +927,7 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// wrapped around the host source).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
+        self.settled.fill(false);
         self
     }
 
@@ -732,15 +984,18 @@ impl<S: StatusSource> AggregationPlane<S> {
     }
 
     /// Synchronizes the collector with the aggregator tier at `now`:
-    /// delivers (and epoch-checks) any delayed deltas, then pulls every
-    /// rack through the failover ladder. Idempotent per instant — polls
-    /// at an already-synced `now` reuse the merged views.
+    /// takes the source's change view, delivers (and epoch-checks) any
+    /// delayed deltas, then brings every rack up to `now` — a settled
+    /// rack in O(1), every other through the failover ladder. Idempotent
+    /// per instant — polls at an already-synced `now` reuse the merged
+    /// views.
     pub fn sync(&mut self, now: SimTime) {
         self.now = now;
         self.synced_at = Some(now);
         self.metrics.inc(self.ids.syncs, 1);
         let mut trace = Trace::deterministic(self.cfg.span_capacity);
         let root = trace.begin("agg.sync", now);
+        let tracked = self.mark_changed();
 
         // The network finally delivers deltas whose push a crash
         // interrupted. A delta that still matches its view (no successful
@@ -760,18 +1015,87 @@ impl<S: StatusSource> AggregationPlane<S> {
             }
         }
 
+        let (mut clean_racks, mut clean_hosts, mut repolled) = (0u64, 0u64, 0u64);
         for rack in 0..self.layout.rack_count() {
-            self.pull_rack(rack, now, &mut trace);
+            if self.settled[rack] {
+                // The clean-rack fast path. The ladder would pull the
+                // primary once, the primary would poll its rack and hear
+                // from every host what it already holds, and answer an
+                // empty delta that applies: two instants move, the
+                // exchange is charged below, no poll is executed.
+                let primary = &mut self.primaries[rack];
+                primary.snap.fresh_as_of = now;
+                self.views[rack].fresh_as_of = now;
+                self.pull_attempts[rack] += 1;
+                clean_racks += 1;
+                clean_hosts += primary.hosts().len() as u64;
+            } else {
+                repolled += self.pull_rack(rack, now, &mut trace) as u64;
+                self.settled[rack] = tracked && self.is_settled(rack);
+            }
         }
+        self.ledger.record_idle_racks(clean_racks, clean_hosts);
+        self.metrics.inc(self.ids.pulls, clean_racks);
+        self.metrics.inc(self.ids.deltas_applied, clean_racks);
+        self.metrics.inc(self.ids.racks_clean, clean_racks);
+        self.metrics.inc(self.ids.hosts_repolled, repolled);
+        trace.set_arg(root, "clean_racks", clean_racks);
+        trace.set_arg(root, "dirty_hosts", repolled);
 
         trace.end(root, now);
         self.last_trace = trace.into_report();
     }
 
-    /// One rack through the failover ladder.
-    fn pull_rack(&mut self, rack: usize, now: SimTime, trace: &mut Trace) {
+    /// Takes the source's change view and marks what it lists on the
+    /// aggregators that will have to re-poll it. `false` when the source
+    /// has no view to offer: every aggregator then scans its whole rack
+    /// at its next refresh and no rack counts as settled.
+    fn mark_changed(&mut self) -> bool {
+        self.changed.clear();
+        if !self.source.drain_changed(&mut self.changed) {
+            for agg in self.primaries.iter_mut().chain(&mut self.standbys) {
+                agg.scan_all = true;
+            }
+            self.settled.fill(false);
+            return false;
+        }
+        for &addr in &self.changed {
+            let Some((rack, slot)) = self.layout.slot_of(addr) else {
+                continue;
+            };
+            let rack = rack.0 as usize;
+            self.primaries[rack].mark(slot);
+            if let Some(standby) = self.standbys.get_mut(rack) {
+                standby.mark(slot);
+            }
+            self.settled[rack] = false;
+        }
+        true
+    }
+
+    /// Whether `rack`'s next trip down the ladder is certain to end at
+    /// rung 1 with an empty delta, *provided the change view lists none
+    /// of its hosts before then*: no aggregator-tier fault names the rack
+    /// (so the primary answers the first pull and no delayed delta is in
+    /// flight), the primary's refresh would poll nobody
+    /// ([`RackAggregator::unmarked_are_known`], nothing pending), and the
+    /// view is at the primary's stamp. Any rack that could be silent —
+    /// faulted, lossy, holding a host that did not answer — fails this
+    /// and keeps walking the ladder.
+    fn is_settled(&self, rack: usize) -> bool {
+        let primary = &self.primaries[rack];
+        !self.faults.agg_faulted(RackId(rack as u32))
+            && primary.unmarked_are_known()
+            && primary.pending.is_empty()
+            && self.views[rack].stamp == primary.stamp()
+    }
+
+    /// One rack through the failover ladder. Returns how many hosts were
+    /// polled (first rounds only).
+    fn pull_rack(&mut self, rack: usize, now: SimTime, trace: &mut Trace) -> usize {
         let rid = RackId(rack as u32);
         self.stale_now[rack] = false;
+        let mut polled = 0;
 
         // A crash window that has closed means the primary restarted with
         // empty state and a fresh incarnation (handled once per window).
@@ -801,7 +1125,7 @@ impl<S: StatusSource> AggregationPlane<S> {
             {
                 continue; // no reply within the timeout
             }
-            self.primaries[rack].refresh(&mut self.source, now, &mut self.ledger);
+            polled += self.primaries[rack].refresh_changed(&mut self.source, now, &mut self.ledger);
             let answer = self.primaries[rack].delta_since(self.views[rack].stamp);
             if self.faults.agg_crash_mid_push_at(rid, now) && !self.mid_push_fired[rack] {
                 // The reply is lost in flight and the aggregator dies
@@ -815,9 +1139,9 @@ impl<S: StatusSource> AggregationPlane<S> {
                 self.metrics.inc(self.ids.mid_push_crashes, 1);
                 continue;
             }
-            self.absorb_answer(rack, &answer);
+            self.absorb_answer(rack, false, &answer);
             self.serving_standby[rack] = false;
-            return;
+            return polled;
         }
 
         // Rung 2: the standby aggregator (its own node/incarnation
@@ -828,13 +1152,13 @@ impl<S: StatusSource> AggregationPlane<S> {
             trace.set_arg(span, "rung", 2);
             self.ledger.record_agg_pull();
             self.metrics.inc(self.ids.pulls, 1);
-            self.standbys[rack].refresh(&mut self.source, now, &mut self.ledger);
+            polled += self.standbys[rack].refresh_changed(&mut self.source, now, &mut self.ledger);
             let answer = self.standbys[rack].delta_since(self.views[rack].stamp);
-            self.absorb_answer(rack, &answer);
+            self.absorb_answer(rack, true, &answer);
             self.serving_standby[rack] = true;
             self.metrics.inc(self.ids.failover_standby, 1);
             trace.end(span, now);
-            return;
+            return polled;
         }
 
         // Rung 3: bypass the aggregator tier — ordinary scatter-gather
@@ -843,22 +1167,18 @@ impl<S: StatusSource> AggregationPlane<S> {
             let span = trace.begin("agg.failover", now);
             trace.set_arg(span, "rack", u64::from(rid.0));
             trace.set_arg(span, "rung", 3);
+            let hosts = self.layout.hosts(rid);
             let outcome = scatter_gather_retry(
                 &mut self.source,
-                self.layout.hosts(rid),
+                hosts,
                 &self.cfg.host_transport,
                 &mut self.rng,
                 &mut self.ledger,
             );
-            let view = &mut self.views[rack];
-            view.entries = outcome.replies.iter().copied().collect();
-            // Node 0: no aggregator state backs this view, so the next
-            // successful aggregator pull resyncs in full.
-            view.stamp = EpochStamp::default();
-            view.fresh_as_of = now;
+            self.views[rack].install_bypass(&outcome.replies, now);
             self.metrics.inc(self.ids.failover_bypass, 1);
             trace.end(span, now);
-            return;
+            return polled + hosts.len();
         }
 
         // Rung 4: the rack is stale. Keep serving the last merged view;
@@ -869,11 +1189,14 @@ impl<S: StatusSource> AggregationPlane<S> {
         trace.end(span, now);
         self.stale_now[rack] = true;
         self.metrics.inc(self.ids.rack_stale, 1);
+        polled
     }
 
-    /// Merges an aggregator's answer into the rack view, falling back to
-    /// a full install when a delta unexpectedly fails to apply.
-    fn absorb_answer(&mut self, rack: usize, answer: &DeltaAnswer) {
+    /// Merges the answer of `rack`'s primary — or, with `from_standby`,
+    /// its standby — into the rack view, falling back to a full install
+    /// from that same aggregator when a delta unexpectedly fails to
+    /// apply.
+    fn absorb_answer(&mut self, rack: usize, from_standby: bool, answer: &DeltaAnswer) {
         match answer {
             DeltaAnswer::Delta(d) => {
                 self.ledger
@@ -885,8 +1208,15 @@ impl<S: StatusSource> AggregationPlane<S> {
                 } else {
                     // Cannot happen through the pull path (the aggregator
                     // answers Full on any stamp mismatch), but a view must
-                    // never be left inconsistent: resync in full.
-                    let full = self.primaries[rack].full();
+                    // never be left inconsistent: resync in full from the
+                    // aggregator that answered — on rung 2 the primary is
+                    // the one that is down.
+                    let answering = if from_standby {
+                        &self.standbys[rack]
+                    } else {
+                        &self.primaries[rack]
+                    };
+                    let full = answering.full();
                     self.install_full(rack, &full);
                 }
             }
@@ -915,9 +1245,10 @@ impl<S: StatusSource> StatusSource for AggregationPlane<S> {
 
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         self.ensure_synced();
-        let rack = self.layout.rack_of(addr)?;
+        let (rack, slot) = self.layout.slot_of(addr)?;
+        // Every view of the plane is a slot table over its layout rack.
         let view = &self.views[rack.0 as usize];
-        let report = view.get(addr)?;
+        let report = view.table.reports[slot].as_ref()?;
         Some(StatusReport {
             state: report.state,
             age: report.age + self.now.saturating_since(view.fresh_as_of),
@@ -965,6 +1296,19 @@ mod tests {
         assert_eq!(l.hosts(RackId(1)), &[5, 6, 7, 8].map(Address));
         assert_eq!(l.rack_of(Address(6)), Some(RackId(1)));
         assert_eq!(l.rack_of(Address(99)), None);
+        assert_eq!(l.slot_of(Address(6)), Some((RackId(1), 1)));
+        assert_eq!(l.slot_of(Address(0)), None);
+        // Racks need not be given in address order.
+        let l = FleetLayout::grouped(vec![vec![Address(9), Address(2)], vec![Address(5)]]);
+        assert_eq!(l.hosts(RackId(0)), &[Address(2), Address(9)]);
+        assert_eq!(l.slot_of(Address(9)), Some((RackId(0), 1)));
+        assert_eq!(l.slot_of(Address(5)), Some((RackId(1), 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "assigned to two racks")]
+    fn layout_rejects_a_host_in_two_racks() {
+        FleetLayout::grouped(vec![vec![Address(1), Address(2)], vec![Address(2)]]);
     }
 
     #[test]
@@ -1222,6 +1566,40 @@ mod tests {
             plane.last_sync_trace().span("agg.failover").is_some(),
             "failover recorded in the sync span tree"
         );
+    }
+
+    #[test]
+    fn rejected_standby_delta_resyncs_from_the_standby() {
+        // The primary is crashed for good: rack 0 lives on its standby.
+        let plan = FaultPlan::none().agg_crash(RackId(0), Window::always());
+        let cfg = PlaneConfig {
+            standby: true,
+            ..PlaneConfig::default()
+        };
+        let mut plane = AggregationPlane::new(layout_3x4(), source(12), cfg).with_faults(plan);
+        plane.sync(SimTime::ZERO);
+        assert!(plane.on_standby(RackId(0)));
+        // The standby's answer is (forged to be) a delta across an epoch
+        // gap: it cannot apply, so the view resyncs in full — from the
+        // aggregator that answered, not from the primary, which is down
+        // and holds nothing.
+        let stamp = plane.view(RackId(0)).stamp;
+        let forged = SnapshotDelta {
+            rack: RackId(0),
+            base: EpochStamp {
+                epoch: stamp.epoch + 7,
+                ..stamp
+            },
+            next_epoch: stamp.epoch + 8,
+            fresh_as_of: SimTime::ZERO,
+            changed: Vec::new(),
+            removed: Vec::new(),
+        };
+        plane.absorb_answer(0, true, &DeltaAnswer::Delta(forged));
+        assert!(plane.primaries[0].full().is_empty());
+        assert_eq!(plane.view(RackId(0)).len(), 4);
+        assert!(plane.view(RackId(0)).matches(&plane.standbys[0].full()));
+        assert_eq!(plane.view(RackId(0)).stamp, plane.standbys[0].stamp());
     }
 
     #[test]

@@ -310,6 +310,32 @@ impl FaultPlan {
         self.agg_mid_push.get(&rack).is_some_and(|w| w.contains(now))
     }
 
+    /// Whether the plan holds any aggregator-tier entry for `rack`,
+    /// whatever its window: such a rack always walks the whole failover
+    /// ladder, it is never settled by the plane's clean-rack fast path.
+    pub fn agg_faulted(&self, rack: RackId) -> bool {
+        self.agg_crashed.contains_key(&rack)
+            || self.agg_partitioned.contains_key(&rack)
+            || self.agg_stragglers.contains_key(&rack)
+            || self.agg_mid_push.contains_key(&rack)
+    }
+
+    /// Every address a host-tier entry names, sorted, each once.
+    fn host_addresses(&self) -> Vec<Address> {
+        let mut named: Vec<Address> = self
+            .crashed
+            .keys()
+            .chain(self.partitioned.keys())
+            .chain(self.stragglers.keys())
+            .chain(self.stale.keys())
+            .chain(self.corrupt.keys())
+            .copied()
+            .collect();
+        named.sort_unstable_by_key(|a| a.0);
+        named.dedup();
+        named
+    }
+
     /// The crash window configured for `rack`'s primary aggregator, if
     /// any (restart handling keys off [`Window::ended_by`]).
     pub fn agg_crash_window(&self, rack: RackId) -> Option<Window> {
@@ -385,9 +411,17 @@ impl FaultPlan {
 /// exhausted. Stale faults serve either the inner source's reading aged
 /// by the configured lag, or — when a frozen world was attached with
 /// [`FaultySource::with_stale_world`] — the old reading itself.
+///
+/// Change view ([`StatusSource::drain_changed`]): the inner source's,
+/// plus — always — every address the plan names, because a window
+/// opening, an attempt counter or a frozen world can change such a host's
+/// answer without the inner source noticing. Hosts the plan does not name
+/// are passed straight through, so the inner view is exact for them.
 pub struct FaultySource<S> {
     inner: S,
     plan: FaultPlan,
+    /// `plan.host_addresses()`, computed once.
+    named: Vec<Address>,
     now: SimTime,
     stale_view: Option<World>,
     attempts: HashMap<Address, u32>,
@@ -398,6 +432,7 @@ impl<S> FaultySource<S> {
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         FaultySource {
             inner,
+            named: plan.host_addresses(),
             plan,
             now: SimTime::ZERO,
             stale_view: None,
@@ -488,6 +523,14 @@ impl<S: StatusSource> StatusSource for FaultySource<S> {
             report.state = kind.apply(report.state);
         }
         Some(report)
+    }
+
+    fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {
+        if !self.inner.drain_changed(changed) {
+            return false;
+        }
+        changed.extend_from_slice(&self.named);
+        true
     }
 }
 
@@ -588,6 +631,25 @@ mod tests {
         }
         assert!(f.poll_report(Address(4)).is_some());
         assert_eq!(f.plan().silenced_at(SimTime::ZERO).count(), 3);
+    }
+
+    #[test]
+    fn change_view_forwards_inner_and_always_lists_planned_hosts() {
+        let plan = FaultPlan::none()
+            .straggle(Address(3), 1)
+            .crash(Address(1), Window::always())
+            .corrupt(Address(3), Corruption::NanUsage);
+        let mut f = FaultySource::new(source(4), plan);
+        let mut changed = Vec::new();
+        assert!(f.drain_changed(&mut changed));
+        changed.clear();
+        // Nothing written since: only the planned hosts, each once.
+        assert!(f.drain_changed(&mut changed));
+        assert_eq!(changed, vec![Address(1), Address(3)]);
+        changed.clear();
+        f.inner_mut().set(Address(2), HostState::gbps_idle());
+        assert!(f.drain_changed(&mut changed));
+        assert_eq!(changed, vec![Address(2), Address(1), Address(3)]);
     }
 
     #[test]

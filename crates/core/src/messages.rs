@@ -121,6 +121,19 @@ impl OverheadLedger {
         self.agg_removals += removals;
     }
 
+    /// Records, in one step, `racks` idle collector↔aggregator exchanges
+    /// covering `hosts` hosts in total: per rack a pull, a header-only
+    /// reply and the aggregator's loss-free poll round of all its hosts —
+    /// what [`Self::record_agg_pull`], [`Self::record_round`]`(n, n)` and
+    /// [`Self::record_agg_reply`]`(0, 0)` add up to rack by rack.
+    pub fn record_idle_racks(&mut self, racks: u64, hosts: u64) {
+        self.agg_pulls += racks;
+        self.agg_replies += racks;
+        self.status_queries += hosts;
+        self.status_responses += hosts;
+        self.rounds += racks;
+    }
+
     /// First-round status-traffic bytes (the §5.5 numbers: each
     /// interrogated host counted once).
     pub fn status_bytes(&self) -> u64 {
@@ -288,6 +301,19 @@ mod tests {
         assert_eq!(ledger.status_bytes(), 10 * 64 + 8 * 78);
         assert_eq!(ledger.retry_bytes(), 2 * 64 + 2 * 78);
         assert_eq!(ledger.total_bytes(), ledger.status_bytes() + ledger.retry_bytes());
+    }
+
+    #[test]
+    fn idle_racks_batch_equals_rack_by_rack_accounting() {
+        let mut one_by_one = OverheadLedger::default();
+        for hosts in [40, 40, 7] {
+            one_by_one.record_agg_pull();
+            one_by_one.record_round(hosts, hosts);
+            one_by_one.record_agg_reply(0, 0);
+        }
+        let mut batched = OverheadLedger::default();
+        batched.record_idle_racks(3, 87);
+        assert_eq!(batched, one_by_one);
     }
 
     #[test]

@@ -70,12 +70,44 @@ pub trait StatusSource {
     fn take_sync_trace(&mut self) -> Option<obs::TraceReport> {
         None
     }
+
+    /// The source's **change view**: appends to `changed` every address
+    /// whose [`StatusSource::poll_report`] answer may differ from the one
+    /// it would have given when this method was last called (since
+    /// creation, on the first call) and returns `true` — or returns
+    /// `false` ("cannot prove anything, poll everyone"; `changed` is then
+    /// meaningless), which is the default.
+    ///
+    /// The contract a `true` carries: **a host not listed answers
+    /// `poll_report` bit-identically to its previous answer**, silence
+    /// included. Listing too much is always allowed, listing too little
+    /// never. A source whose answers depend on time or on state it does
+    /// not own ([`LaggedStatusSource`], [`NetSimStatusSource`]) keeps the
+    /// default. Draining consumes the view, so it has one consumer: the
+    /// [`crate::aggregate::AggregationPlane`] that owns the source, which
+    /// re-polls only what is listed and otherwise falls back to polling
+    /// every host.
+    fn drain_changed(&mut self, _changed: &mut Vec<Address>) -> bool {
+        false
+    }
 }
 
 /// A status source backed by an explicit table (tests, static scenarios).
+///
+/// Offers a change view ([`StatusSource::drain_changed`]). Until somebody
+/// first asks for it nothing is tracked — a table nobody drains pays
+/// nothing — and the first drain lists the whole table. From then on
+/// every `set` and every `silence` of a known address puts it in a *set*
+/// of changed addresses until the next drain: a flag per address, not a
+/// log, so the bookkeeping never outgrows the addresses ever written
+/// however many writes go undrained.
 #[derive(Clone, Debug, Default)]
 pub struct TableStatusSource {
     table: std::collections::HashMap<Address, HostState>,
+    /// Addresses written since the last drain (empty while untracked).
+    changed: std::collections::HashSet<Address>,
+    /// Whether the change view has a consumer yet.
+    tracked: bool,
 }
 
 impl TableStatusSource {
@@ -87,17 +119,36 @@ impl TableStatusSource {
     /// Sets the state reported for `addr`.
     pub fn set(&mut self, addr: Address, state: HostState) {
         self.table.insert(addr, state);
+        if self.tracked {
+            self.changed.insert(addr);
+        }
     }
 
     /// Removes `addr` so polls for it fail (simulating an unresponsive host).
     pub fn silence(&mut self, addr: Address) {
-        self.table.remove(&addr);
+        // An address not in the table already answers nothing: no change.
+        if self.table.remove(&addr).is_some() && self.tracked {
+            self.changed.insert(addr);
+        }
     }
 }
 
 impl StatusSource for TableStatusSource {
     fn poll(&mut self, addr: Address) -> Option<HostState> {
         self.table.get(&addr).copied()
+    }
+
+    /// The first call lists every address in the table (any other
+    /// answers nothing, then as before), later ones what was written
+    /// since the previous call — in no particular order.
+    fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {
+        if self.tracked {
+            changed.extend(self.changed.drain());
+        } else {
+            self.tracked = true;
+            changed.extend(self.table.keys());
+        }
+        true
     }
 }
 
@@ -209,6 +260,37 @@ mod tests {
         assert!(s.poll(Address(2)).is_none());
         s.silence(Address(1));
         assert!(s.poll(Address(1)).is_none());
+    }
+
+    #[test]
+    fn table_source_change_view_lists_each_written_address_once() {
+        let mut s = TableStatusSource::new();
+        s.set(Address(1), HostState::gbps_idle());
+        s.set(Address(2), HostState::gbps_idle());
+        s.set(Address(1), HostState::gbps_idle().with_up_load(0.5));
+        // Never set: answers nothing before and after.
+        s.silence(Address(9));
+        // The first drain lists the whole table, in no particular order.
+        let mut changed = Vec::new();
+        assert!(s.drain_changed(&mut changed));
+        changed.sort_unstable_by_key(|a| a.0);
+        assert_eq!(changed, vec![Address(1), Address(2)]);
+        // Drained: nothing is listed until something is written again,
+        // and a silenced host is a change like any other.
+        changed.clear();
+        assert!(s.drain_changed(&mut changed));
+        assert!(changed.is_empty());
+        s.silence(Address(2));
+        s.silence(Address(2));
+        assert!(s.drain_changed(&mut changed));
+        assert_eq!(changed, vec![Address(2)]);
+        assert!(s.poll(Address(2)).is_none());
+        // Sources that cannot prove anything say so.
+        let snapshot =
+            simnet::NetSim::new(Topology::single_switch(2, GBPS, TopoOptions::default()))
+                .load_snapshot();
+        let mut lagged = LaggedStatusSource::from_snapshot(snapshot);
+        assert!(!lagged.drain_changed(&mut changed));
     }
 
     #[test]

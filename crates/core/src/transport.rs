@@ -168,17 +168,26 @@ pub struct GatherOutcome {
 /// the single choke point between raw status reports and the estimator.
 /// Retry rounds (`retry = true`) account their traffic in the ledger's
 /// distinct retry counters so re-sends never inflate the §5.5 bytes.
+/// `unchanged` further hosts belong to the round without being polled
+/// (see [`scatter_gather_changed`]): queried and answered on the modelled
+/// wire, absent from `out`.
+#[allow(clippy::too_many_arguments)]
 fn gather_round(
     source: &mut impl StatusSource,
     addrs: &[Address],
+    unchanged: usize,
     cfg: &TransportConfig,
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
     out: &mut GatherOutcome,
     retry: bool,
 ) -> SimDuration {
-    let n = addrs.len();
+    let n = addrs.len() + unchanged;
     let loss_p = loss_probability(n, cfg);
+    assert!(
+        unchanged == 0 || loss_p == 0.0,
+        "a lossy round draws per host: it cannot skip any"
+    );
     let before = out.replies.len();
     for &addr in addrs {
         let lost = loss_p > 0.0 && rng.gen_bool(loss_p);
@@ -190,7 +199,7 @@ fn gather_round(
             _ => out.missing.push(addr),
         }
     }
-    let received = (out.replies.len() - before) as u64;
+    let received = (out.replies.len() - before + unchanged) as u64;
     if retry {
         ledger.record_retry_round(n as u64, received);
     } else {
@@ -216,6 +225,17 @@ pub fn scatter_gather(
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
 ) -> GatherOutcome {
+    first_round(source, addrs, 0, cfg, rng, ledger)
+}
+
+fn first_round(
+    source: &mut impl StatusSource,
+    addrs: &[Address],
+    unchanged: usize,
+    cfg: &TransportConfig,
+    rng: &mut DetRng,
+    ledger: &mut OverheadLedger,
+) -> GatherOutcome {
     let mut out = GatherOutcome {
         replies: Vec::with_capacity(addrs.len()),
         missing: Vec::new(),
@@ -223,7 +243,7 @@ pub fn scatter_gather(
         rounds: 1,
         elapsed: SimDuration::ZERO,
     };
-    out.elapsed = gather_round(source, addrs, cfg, rng, ledger, &mut out, false);
+    out.elapsed = gather_round(source, addrs, unchanged, cfg, rng, ledger, &mut out, false);
     out.first_round_missing = out.missing.len();
     out
 }
@@ -243,14 +263,38 @@ pub fn scatter_gather_retry(
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
 ) -> GatherOutcome {
-    let mut out = scatter_gather(source, addrs, cfg, rng, ledger);
+    scatter_gather_changed(source, addrs, 0, cfg, rng, ledger)
+}
+
+/// [`scatter_gather_retry`] over a fan-out of `addrs.len() + unchanged`
+/// hosts of which only `addrs` are polled. The caller vouches — from the
+/// source's change view ([`StatusSource::drain_changed`]) — that each of
+/// the `unchanged` others answers, and answers exactly what the caller
+/// already holds. The *modelled* exchange is the full one: the ledger is
+/// charged a query and a reply for every host and the timing is that of
+/// the whole round; only the polls whose result is known are not
+/// *executed*, and the outcome lists the polled hosts alone.
+///
+/// # Panics
+///
+/// Panics if `unchanged > 0` at a fan-out beyond the loss knee: a lossy
+/// round draws randomness per host, so none can be skipped.
+pub(crate) fn scatter_gather_changed(
+    source: &mut impl StatusSource,
+    addrs: &[Address],
+    unchanged: usize,
+    cfg: &TransportConfig,
+    rng: &mut DetRng,
+    ledger: &mut OverheadLedger,
+) -> GatherOutcome {
+    let mut out = first_round(source, addrs, unchanged, cfg, rng, ledger);
     for retry in 1..=cfg.retry.max_retries {
         if out.missing.is_empty() {
             break;
         }
         let targets = std::mem::take(&mut out.missing);
         out.elapsed += cfg.retry.backoff_before_jittered(retry, rng);
-        let round = gather_round(source, &targets, cfg, rng, ledger, &mut out, true);
+        let round = gather_round(source, &targets, 0, cfg, rng, ledger, &mut out, true);
         out.elapsed += round;
         out.rounds += 1;
     }

@@ -1,0 +1,166 @@
+//! Pins the change-driven status plane's cost claims to the heap:
+//!
+//! * a steady-state sync with nothing changed allocates a count that does
+//!   not depend on the number of racks (50 vs 500) — settled racks are
+//!   advanced in place, only the per-sync trace is built;
+//! * a `TableStatusSource` whose change view nobody drains stays bounded
+//!   by its table: 10⁶ writes over 1 000 hosts keep the bookkeeping at
+//!   O(hosts), because a written host is flagged, not logged (and before
+//!   the view's first drain nothing is kept at all).
+//!
+//! A counting `#[global_allocator]` wraps the system allocator, so this
+//! file holds exactly one `#[test]` — parallel tests would pollute the
+//! counters.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use cloudtalk::aggregate::{AggregationPlane, FleetLayout, PlaneConfig};
+use cloudtalk::status::{StatusSource, TableStatusSource};
+use cloudtalk_lang::problem::Address;
+use desim::SimTime;
+use estimator::HostState;
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+// Only the measured thread is counted: the libtest harness thread can
+// allocate concurrently while the measured window is open.
+thread_local! {
+    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn count_alloc(bytes: usize) {
+    if COUNTED.with(|c| c.get()) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes requested)` of `f` on this thread.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    COUNTED.with(|c| c.set(true));
+    let (a0, b0) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let out = f();
+    let (a1, b1) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    COUNTED.with(|c| c.set(false));
+    (a1 - a0, b1 - b0, out)
+}
+
+const HOSTS_PER_RACK: usize = 40;
+
+fn primed_plane(racks: usize) -> AggregationPlane<TableStatusSource> {
+    let addrs: Vec<Address> = (1..=(racks * HOSTS_PER_RACK) as u32).map(Address).collect();
+    let mut source = TableStatusSource::new();
+    for &a in &addrs {
+        source.set(a, HostState::gbps_idle());
+    }
+    let layout = FleetLayout::uniform(&addrs, HOSTS_PER_RACK);
+    let mut plane = AggregationPlane::new(layout, source, PlaneConfig::default());
+    plane.sync(SimTime::ZERO);
+    plane.sync(SimTime::from_secs_f64(1.0));
+    plane
+}
+
+#[test]
+fn idle_sync_allocations_ignore_rack_count_and_undrained_writes_stay_bounded() {
+    let idle_sync = |racks: usize| {
+        let mut plane = primed_plane(racks);
+        let (allocs, _, ()) = allocs_of(|| plane.sync(SimTime::from_secs_f64(2.0)));
+        assert_eq!(
+            plane.metrics().counter_named("gather.agg.racks_clean"),
+            Some(2 * racks as u64),
+            "both idle syncs settled every rack in place"
+        );
+        allocs
+    };
+    let (small, large) = (idle_sync(50), idle_sync(500));
+    assert_eq!(
+        small, large,
+        "an idle sync's allocations must not grow with the fleet"
+    );
+    assert!(
+        small <= 4,
+        "an idle sync builds its trace and nothing else: {small}"
+    );
+
+    // A million writes nobody drains: before anyone asks for the change
+    // view nothing is tracked, afterwards the bookkeeping is a set of the
+    // addresses written, not a log of the writes (4 MB here).
+    const HOSTS: u32 = 1_000;
+    let mut source = TableStatusSource::new();
+    for i in 0..HOSTS {
+        source.set(Address(i), HostState::gbps_idle());
+    }
+    let mut write_a_million = |source: &mut TableStatusSource| {
+        let (_, bytes, ()) = allocs_of(|| {
+            for i in 0..1_000_000u32 {
+                let load = f64::from(i % 10) / 10.0;
+                source.set(
+                    Address(i % HOSTS),
+                    HostState::gbps_idle().with_up_load(load),
+                );
+                if i % 7 == 0 {
+                    source.silence(Address((i / 7) % HOSTS));
+                }
+            }
+        });
+        bytes
+    };
+    assert_eq!(
+        write_a_million(&mut source),
+        0,
+        "no consumer, no bookkeeping"
+    );
+    let mut changed = Vec::new();
+    assert!(source.drain_changed(&mut changed));
+    assert!(
+        changed.len() <= HOSTS as usize,
+        "the first drain lists the table, not the writes"
+    );
+    let listing = u64::from(HOSTS) * std::mem::size_of::<Address>() as u64;
+    let bytes = write_a_million(&mut source);
+    assert!(
+        bytes <= 16 * listing,
+        "undrained writes must stay O(hosts): {bytes} B for a {listing} B listing"
+    );
+    changed.clear();
+    assert!(source.drain_changed(&mut changed));
+    assert_eq!(
+        changed.len(),
+        HOSTS as usize,
+        "each written host listed once"
+    );
+}

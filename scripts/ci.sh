@@ -22,6 +22,12 @@ cargo test -q -p cloudtalk --test agg_chaos
 echo "=== aggregate delta properties (round-trip, idempotence, stale rejection) ==="
 cargo test -q -p cloudtalk --test aggregate_props
 
+echo "=== status-sync oracle (change-driven plane == full scan: views, ages, stale set, ledger, counters, spans bit-identical) ==="
+cargo test -q --test status_sync_equiv
+
+echo "=== status-plane allocation pin (idle sync independent of rack count; undrained change view stays O(hosts)) ==="
+cargo test -q -p cloudtalk --test aggregate_alloc
+
 echo "=== benches compile ==="
 cargo bench --no-run --workspace
 
