@@ -10,32 +10,11 @@ cargo build --release --workspace
 echo "=== clippy ==="
 cargo clippy --workspace -- -D warnings
 
-echo "=== tests ==="
+echo "=== tests (every suite: the oracle, determinism, chaos and allocation-pin contracts all live here) ==="
 cargo test -q --workspace
-
-echo "=== chaos suite ==="
-cargo test -q -p cloudtalk --test chaos
-
-echo "=== aggregator chaos (crash / partition / straggle / crash-mid-push) ==="
-cargo test -q -p cloudtalk --test agg_chaos
-
-echo "=== aggregate delta properties (round-trip, idempotence, stale rejection) ==="
-cargo test -q -p cloudtalk --test aggregate_props
-
-echo "=== status-sync oracle (change-driven plane == full scan: views, ages, stale set, ledger, counters, spans bit-identical) ==="
-cargo test -q --test status_sync_equiv
-
-echo "=== status-plane allocation pin (idle sync independent of rack count; undrained change view stays O(hosts)) ==="
-cargo test -q -p cloudtalk --test aggregate_alloc
 
 echo "=== benches compile ==="
 cargo bench --no-run --workspace
-
-echo "=== delta estimator equivalence (apply/undo vs scratch, bit-identical) ==="
-cargo test -q -p estimator --test delta_props
-
-echo "=== exact-search tie oracle (pruned == unpruned scratch scan bit-for-bit at 1/2/8 threads, pinned effort) ==="
-cargo test -q --test search_tie_equiv
 
 echo "=== delta search smoke (scratch and delta agree on winner + objective; daisy6_8addr evaluates < 1% of its space) ==="
 cargo bench -q -p cloudtalk-bench --bench exhaustive_bench -- --delta --smoke
@@ -49,29 +28,8 @@ cargo run --release -q -p cloudtalk-bench --bin simnet_scale -- --smoke
 echo "=== fleet_scale smoke (hier view exact, >=10x collector bytes, deterministic) ==="
 cargo run --release -q -p cloudtalk-bench --bin fleet_scale -- --smoke
 
-echo "=== serving determinism (bit-identical answers at 1/2/8 workers) ==="
-cargo test -q -p cloudtalk --test serving_determinism
-
-echo "=== serving admission (typed Overloaded, bounded queues, shed contract) ==="
-cargo test -q -p cloudtalk --test serving_admission
-
 echo "=== qps_storm smoke (accepts load, 0 ledger conflicts, deterministic) ==="
 cargo run --release -q -p cloudtalk-bench --bin qps_storm -- --smoke
-
-echo "=== answer-cache equivalence (cache on == off bit-identical, 0 stale hits) ==="
-cargo test -q -p cloudtalk --test qcache_equiv
-
-echo "=== hint-path oracle equivalence (heuristic + footprint == quadratic references, bit-identical) ==="
-cargo test -q --test hint_path_equiv
-
-echo "=== lexer equivalence (zero-copy == owned-token reference: kinds, spans, diagnostics) ==="
-cargo test -q -p cloudtalk-lang --test roundtrip
-
-echo "=== heuristic allocation pin (warm evaluation = binding + scores, independent of n·p) ==="
-cargo test -q -p cloudtalk --test heuristic_alloc
-
-echo "=== canonicalisation regression (websearch memo classes/counters unchanged) ==="
-cargo test -q -p cloudtalk-apps --test canon_regression
 
 echo "=== cached storm smoke (hit rate >= 50%, bit-identical, 0 stale hits) ==="
 cargo run --release -q -p cloudtalk-bench --bin qps_storm -- --similarity 0.8 --smoke
@@ -119,9 +77,12 @@ print(f"telemetry OK: {len(stitched)} stitched traces across {len(lanes)} sample
       f"{slo.count('BREACH')} breach events")
 EOF
 
-echo "=== obs hot paths allocation-free (trace arena + telemetry rings) ==="
-cargo test -q -p obs --test trace_alloc
-cargo test -q -p obs --test timeseries_alloc
+echo "=== golden figures (13 deterministic run_all.sh outputs cmp-identical to crates/bench/golden/) ==="
+for f in crates/bench/golden/*.txt; do
+    bin="$(basename "$f" .txt)"
+    cargo run --release -q -p cloudtalk-bench --bin "$bin" | cmp - "$f" \
+        || { echo "error: $bin output drifted from $f"; exit 1; }
+done
 
 echo "=== benchmark smoke (digests equal across passes, cache-on == cache-off, two-worker replay identical, 0 stale hits, 0 ledger conflicts) ==="
 bash perf/run.sh --smoke
