@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use cloudtalk::server::{Answer, CloudTalkServer, ServerConfig, ServerError};
-use cloudtalk::status::{NetSimStatusSource, StatusSource};
+use cloudtalk::status::{host_state_from_load, StatusSource};
 use cloudtalk_lang::problem::{Address, Problem, Value};
 use desim::{SimDuration, SimTime};
 use estimator::HostState;
@@ -82,23 +82,14 @@ impl Cluster {
 
     fn ask_with(&mut self, problem: &Problem, reserve: bool) -> Result<Answer, ServerError> {
         let now = self.net.now();
-        match self.measurement_interval {
-            None => {
-                let mut source = NetSimStatusSource::new(&mut self.net);
-                self.server
-                    .answer_problem_with(problem, &mut source, now, reserve)
-            }
-            Some(interval) => {
-                let mut source = CachedNetSource {
-                    net: &mut self.net,
-                    cache: &mut self.status_cache,
-                    interval,
-                    now,
-                };
-                self.server
-                    .answer_problem_with(problem, &mut source, now, reserve)
-            }
-        }
+        let mut source = CachedNetSource {
+            net: &mut self.net,
+            cache: &mut self.status_cache,
+            interval: self.measurement_interval,
+            now,
+        };
+        self.server
+            .answer_problem_with(problem, &mut source, now, reserve)
     }
 
     /// Convenience: asks and maps the bound addresses back to hosts.
@@ -135,35 +126,31 @@ impl Cluster {
     }
 }
 
-/// Status source returning measurements at most `interval` old: a fresh
-/// reading is taken (and cached) only when the previous one has expired.
-struct CachedNetSource<'a> {
-    net: &'a mut NetSim,
-    cache: &'a mut HashMap<Address, (SimTime, HostState)>,
-    interval: SimDuration,
-    now: SimTime,
+/// The status servers of a simulated cluster: live reads of the network's
+/// per-host load (`interval` `None`), or measurements at most `interval`
+/// old — a fresh reading is taken, and cached, only when the previous one
+/// has expired.
+pub(crate) struct CachedNetSource<'a> {
+    pub net: &'a mut NetSim,
+    pub cache: &'a mut HashMap<Address, (SimTime, HostState)>,
+    pub interval: Option<SimDuration>,
+    pub now: SimTime,
 }
 
 impl StatusSource for CachedNetSource<'_> {
     fn poll(&mut self, addr: Address) -> Option<HostState> {
-        if let Some((at, state)) = self.cache.get(&addr) {
-            if self.now.saturating_since(*at) < self.interval {
-                return Some(*state);
+        if let Some(interval) = self.interval {
+            if let Some((at, state)) = self.cache.get(&addr) {
+                if self.now.saturating_since(*at) < interval {
+                    return Some(*state);
+                }
             }
         }
         let host = self.net.topology().host_by_addr(addr.0)?;
-        let load = self.net.host_load(host);
-        let state = HostState {
-            nic_up_capacity: load.nic_capacity,
-            nic_up_used: load.tx_bps,
-            nic_down_capacity: load.nic_capacity,
-            nic_down_used: load.rx_bps,
-            disk_read_capacity: load.disk_read_capacity,
-            disk_read_used: load.disk_read_bps,
-            disk_write_capacity: load.disk_write_capacity,
-            disk_write_used: load.disk_write_bps,
-        };
-        self.cache.insert(addr, (self.now, state));
+        let state = host_state_from_load(&self.net.host_load(host));
+        if self.interval.is_some() {
+            self.cache.insert(addr, (self.now, state));
+        }
         Some(state)
     }
 }

@@ -17,13 +17,14 @@
 use std::collections::HashMap;
 
 use cloudtalk::server::{Answer, CloudTalkServer, ServerConfig, ServerError};
-use cloudtalk::status::StatusSource;
 use cloudtalk_lang::problem::{Address, Problem};
 use desim::rng::derive_seed;
 use desim::{SimDuration, SimTime};
 use estimator::HostState;
 use simnet::topology::HostId;
 use simnet::NetSim;
+
+use crate::cluster::CachedNetSource;
 
 /// A cluster where every host runs its own CloudTalk server.
 pub struct FleetCluster {
@@ -98,11 +99,10 @@ impl FleetCluster {
         problem: &Problem,
     ) -> Result<Answer, ServerError> {
         let now = self.net.now();
-        let interval = self.measurement_interval;
-        let mut source = FleetSource {
+        let mut source = CachedNetSource {
             net: &mut self.net,
             cache: &mut self.status_cache,
-            interval,
+            interval: self.measurement_interval,
             now,
         };
         self.servers[client.0].answer_problem(problem, &mut source, now)
@@ -116,41 +116,6 @@ impl FleetCluster {
     /// Total queries answered across the whole fleet.
     pub fn fleet_queries(&self) -> u64 {
         self.servers.iter().map(|s| s.queries_answered()).sum()
-    }
-}
-
-struct FleetSource<'a> {
-    net: &'a mut NetSim,
-    cache: &'a mut HashMap<Address, (SimTime, HostState)>,
-    interval: Option<SimDuration>,
-    now: SimTime,
-}
-
-impl StatusSource for FleetSource<'_> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        if let Some(interval) = self.interval {
-            if let Some((at, state)) = self.cache.get(&addr) {
-                if self.now.saturating_since(*at) < interval {
-                    return Some(*state);
-                }
-            }
-        }
-        let host = self.net.topology().host_by_addr(addr.0)?;
-        let load = self.net.host_load(host);
-        let state = HostState {
-            nic_up_capacity: load.nic_capacity,
-            nic_up_used: load.tx_bps,
-            nic_down_capacity: load.nic_capacity,
-            nic_down_used: load.rx_bps,
-            disk_read_capacity: load.disk_read_capacity,
-            disk_read_used: load.disk_read_bps,
-            disk_write_capacity: load.disk_write_capacity,
-            disk_write_used: load.disk_write_bps,
-        };
-        if self.interval.is_some() {
-            self.cache.insert(addr, (self.now, state));
-        }
-        Some(state)
     }
 }
 

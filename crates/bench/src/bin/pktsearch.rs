@@ -164,7 +164,6 @@ fn server_for(
         obs: ObsConfig {
             tracing,
             host_timer: tracing,
-            ..Default::default()
         },
         ..Default::default()
     })

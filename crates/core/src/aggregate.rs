@@ -747,6 +747,9 @@ impl RackView {
     }
 }
 
+/// Span-arena capacity of the per-sync trace.
+const SYNC_SPAN_CAPACITY: usize = 64;
+
 /// Configuration of the collector tier.
 #[derive(Clone, Debug)]
 pub struct PlaneConfig {
@@ -765,8 +768,6 @@ pub struct PlaneConfig {
     /// Transport for aggregator→host refreshes and for the bypass rung.
     /// Fan-out is one rack, so the default knee keeps it loss-free.
     pub host_transport: TransportConfig,
-    /// Span-arena capacity of the per-sync trace.
-    pub span_capacity: usize,
     /// RNG seed (pull jitter, bypass transport; aggregator streams are
     /// derived from it per node).
     pub seed: u64,
@@ -782,7 +783,6 @@ impl Default for PlaneConfig {
             standby: false,
             bypass: false,
             host_transport: TransportConfig::default(),
-            span_capacity: 64,
             seed: 0,
         }
     }
@@ -993,7 +993,7 @@ impl<S: StatusSource> AggregationPlane<S> {
         self.now = now;
         self.synced_at = Some(now);
         self.metrics.inc(self.ids.syncs, 1);
-        let mut trace = Trace::deterministic(self.cfg.span_capacity);
+        let mut trace = Trace::deterministic(SYNC_SPAN_CAPACITY);
         let root = trace.begin("agg.sync", now);
         let tracked = self.mark_changed();
 

@@ -33,7 +33,6 @@ use std::collections::{HashMap, HashSet};
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, Problem, Value, VarId};
 use estimator::World;
 
-use crate::refine::{refine_binding, RefineConfig};
 use crate::score::{self, MAX_SCORE};
 
 /// Tuning knobs for the heuristic.
@@ -43,10 +42,6 @@ pub struct HeuristicConfig {
     pub weight: f64,
     /// Disable the priority pass (ablation; always on in the paper).
     pub priority_binding: bool,
-    /// Optional estimator-backed hill-climbing pass over the Listing-1
-    /// binding ([`crate::refine`]). `None` (the default) preserves the
-    /// paper's pure heuristic and its pinned outputs.
-    pub refine: Option<RefineConfig>,
 }
 
 impl Default for HeuristicConfig {
@@ -54,7 +49,6 @@ impl Default for HeuristicConfig {
         HeuristicConfig {
             weight: score::DEFAULT_WEIGHT,
             priority_binding: true,
-            refine: None,
         }
     }
 }
@@ -123,18 +117,8 @@ impl HeuristicScratch {
 
 /// Evaluates a query: binds every variable, minimising expected completion
 /// time per the Listing 1 heuristic. Always returns a complete binding.
-/// With [`HeuristicConfig::refine`] set, the binding is then hill-climbed
-/// against the flow-level estimator; the climb only ever keeps strictly
-/// better bindings and falls back to the heuristic answer when the
-/// baseline does not estimate.
 pub fn evaluate_query(problem: &Problem, world: &World, cfg: &HeuristicConfig) -> Binding {
-    let binding = evaluate_query_scored(problem, world, cfg).0;
-    if let Some(rc) = &cfg.refine {
-        if let Some(o) = refine_binding(problem, world, &binding, rc) {
-            return o.binding;
-        }
-    }
-    binding
+    evaluate_query_scored(problem, world, cfg).0
 }
 
 /// Like [`evaluate_query`], also returning each bound value's fitness

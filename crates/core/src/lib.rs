@@ -22,13 +22,14 @@
 //! * [`canon`] — canonical query fingerprinting: host equivalence
 //!   classes (shared with the pktsearch memoiser) and structural
 //!   problem hashes, the identity half of every answer-cache key.
-//! * [`qcache`] — the two-tier answer cache: per-worker L1 plus a
-//!   copy-on-write shared L2 keyed on (exact problem, snapshot epoch,
-//!   footprint-restricted reservation mask, rung, backend config);
+//! * [`qcache`] — the two-tier answer cache: per-worker L1 plus a shared
+//!   L2 (one tier type) keyed on (exact problem, snapshot epoch,
+//!   footprint-restricted reservation mask, rung, backend);
 //!   invalidation is epoch-driven, hits are bit-identical to misses.
 //! * [`sampling`] — §4.3: how many servers to sample for near-optimal
 //!   answers, plus the analytic n(d, p, confidence) calculator (Figure 4).
-//! * [`reservation`] — §5.5 pseudo-reservations preventing oscillation.
+//! * [`reservation`] — §5.5 pseudo-reservations preventing oscillation:
+//!   one [`Reservations`] value type behind both front doors.
 //! * [`server`] — [`server::CloudTalkServer`] tying it all together.
 //! * [`messages`] — wire-format sizes for the §5.5 overhead accounting,
 //!   hosted in the server's [`obs`] metrics registry.
@@ -39,9 +40,9 @@
 //!   of it via retry/backoff, staleness decay, and a
 //!   graceful-degradation ladder ([`server::DegradationRung`]).
 //! * [`serving`] — the multi-tenant serving plane: wave-batched
-//!   admission over sharded snapshots, a copy-on-write reservation
-//!   ledger with epoch reclamation, and load-shedding backpressure —
-//!   bit-identical answers at any worker count.
+//!   admission over sharded snapshots, per-tenant holds merged into one
+//!   published [`Reservations`] at wave close, and load-shedding
+//!   backpressure — bit-identical answers at any worker count.
 //! * [`aggregate`] — the hierarchical status plane for 100k+ hosts:
 //!   rack-level aggregators owning delta-compressed, epoch-stamped
 //!   partial snapshots, merged by an [`aggregate::AggregationPlane`]
@@ -101,7 +102,6 @@ pub mod messages;
 pub mod pkteval;
 pub mod pktsearch;
 pub mod qcache;
-pub mod refine;
 pub mod reservation;
 pub mod sampling;
 pub mod scalar;
@@ -127,7 +127,6 @@ pub use server::{
     Answer, Backend, CloudTalkServer, DegradationConfig, DegradationRung, EvalMethod, ObsConfig,
     PktBackendConfig, Provenance, SearchStats, ServerConfig, ServerError, StatusSnapshot,
 };
-pub use serving::{
-    CompletedQuery, LedgerStats, LedgerVersion, ServingConfig, ServingPlane, TenantId,
-};
-pub use status::{LaggedStatusSource, StatusReport, StatusSource, TableStatusSource};
+pub use reservation::Reservations;
+pub use serving::{CompletedQuery, LedgerStats, ServingConfig, ServingPlane, TenantId};
+pub use status::{StatusReport, StatusSource, TableStatusSource};

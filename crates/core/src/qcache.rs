@@ -31,9 +31,8 @@
 //!   unrelated churn;
 //! * the **degradation rung** and the **shed flag**, which select the
 //!   world view and can force the heuristic backend;
-//! * the configured **[`EvalMethod`]** and **[`EvalStrategy`]**, so a
-//!   core with a different backend config never replays another's
-//!   results.
+//! * the configured **[`EvalMethod`]**, so a core with a different
+//!   backend never replays another's results.
 //!
 //! Anything *not* in the key provably does not feed the search: the
 //! trace clock is deterministic, response-time arithmetic uses only
@@ -43,15 +42,17 @@
 //!
 //! # Tiers
 //!
+//! Both tiers are one private `Tier` type: entries bucketed by key hash,
+//! verified structurally, bounded, evicted first-in first-out.
+//!
 //! * **L1** — per-worker, owned by the worker's `EvalCore`. Insertions
 //!   are visible to the same worker immediately (within-wave repeats
-//!   hit). Bounded, deterministic FIFO eviction.
-//! * **L2** — owned by the serving plane and published copy-on-write
-//!   like the reservation ledger: the sequencer pins one immutable
-//!   `Arc` of the map at wave start, workers read it without any lock,
-//!   and fresh inserts are merged + dead epochs swept between waves.
-//!   In the steady state (all hits, no refresh) publishing is a no-op —
-//!   no clone, no allocation.
+//!   hit).
+//! * **L2** — owned by the serving plane's sequencer. Workers read it by
+//!   shared reference while a wave runs; fresh inserts are merged and
+//!   dead epochs swept in place between waves, when no worker exists to
+//!   hold a reference. In the steady state (all hits, no refresh)
+//!   publishing touches nothing.
 //!
 //! Hits are audited: every hit compares the entry's recorded epoch with
 //! the live snapshot's epoch and counts mismatches in `cache.stale_hit`.
@@ -60,11 +61,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cloudtalk_lang::problem::{Address, Binding, Problem};
 
-use crate::exhaustive::EvalStrategy;
 use crate::footprint::Footprint;
 use crate::pktsearch::PktArtifacts;
 use crate::server::{Backend, DegradationRung, EvalMethod, SearchStats};
@@ -79,10 +79,11 @@ pub struct CacheConfig {
     pub l1_entries: usize,
     /// Shared L2 capacity, entries (serving plane only).
     pub l2_entries: usize,
-    /// Per-worker capacity of the compiled-artifact cache (packet-level
-    /// programs + symmetry classes), entries.
-    pub artifact_entries: usize,
 }
+
+/// Per-worker capacity of the compiled-artifact cache (packet-level
+/// programs + symmetry classes), entries.
+const ARTIFACT_ENTRIES: usize = 64;
 
 impl Default for CacheConfig {
     fn default() -> Self {
@@ -90,7 +91,6 @@ impl Default for CacheConfig {
             enabled: true,
             l1_entries: 256,
             l2_entries: 4096,
-            artifact_entries: 64,
         }
     }
 }
@@ -137,20 +137,26 @@ impl CacheStats {
     }
 }
 
+/// The key's scalar components: everything but the problem and the
+/// reservation mask.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct KeyScalars {
+    epoch: u64,
+    rung: DegradationRung,
+    shed: bool,
+    method: EvalMethod,
+}
+
 /// Borrowed key components of one lookup, with the bucket hash both
 /// tiers and the insert share: the problem is fingerprinted once (by its
 /// [`Footprint`]) and the key hashed once, here. Nothing is allocated
 /// until an insert stores an entry.
 pub(crate) struct KeyParts<'a> {
     fp: &'a Footprint<'a>,
-    epoch: u64,
     /// Mentioned addresses currently reserved in the caller's view,
     /// sorted ascending.
     reserved: &'a [Address],
-    rung: DegradationRung,
-    shed: bool,
-    method: EvalMethod,
-    strategy: EvalStrategy,
+    scalars: KeyScalars,
     hash: u64,
 }
 
@@ -162,24 +168,21 @@ impl<'a> KeyParts<'a> {
         rung: DegradationRung,
         shed: bool,
         method: EvalMethod,
-        strategy: EvalStrategy,
     ) -> Self {
-        let mut h = DefaultHasher::new();
-        fp.fingerprint().hash(&mut h);
-        epoch.hash(&mut h);
-        reserved.hash(&mut h);
-        rung.hash(&mut h);
-        shed.hash(&mut h);
-        method.hash(&mut h);
-        strategy.hash(&mut h);
-        KeyParts {
-            fp,
+        let scalars = KeyScalars {
             epoch,
-            reserved,
             rung,
             shed,
             method,
-            strategy,
+        };
+        let mut h = DefaultHasher::new();
+        fp.fingerprint().hash(&mut h);
+        reserved.hash(&mut h);
+        scalars.hash(&mut h);
+        KeyParts {
+            fp,
+            reserved,
+            scalars,
             hash: h.finish(),
         }
     }
@@ -216,28 +219,14 @@ impl CachedSearch {
 pub(crate) struct Entry {
     hash: u64,
     problem: Arc<Problem>,
-    epoch: u64,
     reserved: Vec<Address>,
-    rung: DegradationRung,
-    shed: bool,
-    method: EvalMethod,
-    strategy: EvalStrategy,
-    /// Insertion sequence, for deterministic FIFO eviction.
+    scalars: KeyScalars,
+    /// Insertion sequence within its tier, for deterministic FIFO eviction.
     seq: u64,
-    pub value: Arc<CachedSearch>,
+    value: Arc<CachedSearch>,
 }
 
 impl Entry {
-    fn matches(&self, k: &KeyParts<'_>) -> bool {
-        self.epoch == k.epoch
-            && self.shed == k.shed
-            && self.rung == k.rung
-            && self.method == k.method
-            && self.strategy == k.strategy
-            && self.reserved == k.reserved
-            && *self.problem == *k.fp.problem()
-    }
-
     fn approx_bytes(&self) -> u64 {
         let key = std::mem::size_of::<Entry>()
             + self.reserved.len() * std::mem::size_of::<Address>()
@@ -247,14 +236,101 @@ impl Entry {
     }
 }
 
-/// The published L2 map: bucketed by key hash, verified structurally.
-pub(crate) type SharedMap = HashMap<u64, Vec<Entry>>;
+/// One cache tier — a worker's L1 or the plane's L2: entries bucketed by
+/// key hash and verified structurally, evicted first-in first-out.
+#[derive(Debug, Default)]
+pub(crate) struct Tier {
+    map: HashMap<u64, Vec<Entry>>,
+    /// FIFO of (bucket hash, entry seq) in insertion order.
+    order: VecDeque<(u64, u64)>,
+    seq: u64,
+    bytes: u64,
+}
 
-/// Looks `k` up in a pinned L2 view. Lock-free: the view is an
-/// immutable snapshot published before the wave started.
-pub(crate) fn lookup_shared(map: &SharedMap, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
-    let bucket = map.get(&k.hash)?;
-    bucket.iter().find(|e| e.matches(k)).map(|e| e.value.clone())
+impl Tier {
+    /// The stored entry under exactly this key, if any.
+    fn find(
+        &self,
+        hash: u64,
+        scalars: KeyScalars,
+        reserved: &[Address],
+        problem: &Problem,
+    ) -> Option<&Entry> {
+        self.map
+            .get(&hash)?
+            .iter()
+            .find(|e| e.scalars == scalars && e.reserved == reserved && *e.problem == *problem)
+    }
+
+    pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
+        self.find(k.hash, k.scalars, k.reserved, k.fp.problem())
+            .map(|e| e.value.clone())
+    }
+
+    /// Stores `e` as the tier's newest entry.
+    fn push(&mut self, mut e: Entry) {
+        e.seq = self.seq;
+        self.seq += 1;
+        self.bytes += e.approx_bytes();
+        self.order.push_back((e.hash, e.seq));
+        self.map.entry(e.hash).or_default().push(e);
+    }
+
+    /// Evicts oldest-first down to `cap` entries.
+    fn evict_to(&mut self, cap: usize) {
+        while self.order.len() > cap {
+            let (h, s) = self.order.pop_front().expect("order non-empty");
+            let bucket = self.map.get_mut(&h).expect("ordered entry is stored");
+            let i = bucket
+                .iter()
+                .position(|e| e.seq == s)
+                .expect("ordered entry is stored");
+            self.bytes -= bucket.swap_remove(i).approx_bytes();
+            if bucket.is_empty() {
+                self.map.remove(&h);
+            }
+        }
+    }
+
+    /// Drops every entry keyed on an epoch not in `live_epochs`; returns
+    /// how many.
+    fn sweep(&mut self, live_epochs: &[u64]) -> u64 {
+        let (map, bytes) = (&mut self.map, &mut self.bytes);
+        let mut dropped = 0;
+        map.retain(|_, bucket| {
+            bucket.retain(|e| {
+                let live = live_epochs.contains(&e.scalars.epoch);
+                if !live {
+                    dropped += 1;
+                    *bytes -= e.approx_bytes();
+                }
+                live
+            });
+            !bucket.is_empty()
+        });
+        if dropped > 0 {
+            self.order
+                .retain(|(h, s)| map.get(h).is_some_and(|b| b.iter().any(|e| e.seq == *s)));
+        }
+        dropped
+    }
+
+    /// Entries keyed on epochs not in `live_epochs`.
+    fn dead_entries(&self, live_epochs: &[u64]) -> usize {
+        self.map
+            .values()
+            .flatten()
+            .filter(|e| !live_epochs.contains(&e.scalars.epoch))
+            .count()
+    }
+
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
 }
 
 /// One fingerprint bucket of compiled artifacts: hash collisions are
@@ -265,11 +341,7 @@ type ArtifactBucket = Vec<(Arc<Problem>, Arc<PktArtifacts>)>;
 /// by an `EvalCore`; all mutation is single-threaded.
 pub(crate) struct QueryCache {
     cfg: CacheConfig,
-    map: HashMap<u64, Vec<Entry>>,
-    /// FIFO of (bucket hash, entry seq) in insertion order.
-    order: VecDeque<(u64, u64)>,
-    seq: u64,
-    bytes: u64,
+    l1: Tier,
     /// Entries inserted since the last [`QueryCache::take_fresh`]; the
     /// serving plane drains these into L2 between waves.
     fresh: Vec<Entry>,
@@ -277,19 +349,18 @@ pub(crate) struct QueryCache {
     /// verified against the exact problem.
     artifacts: HashMap<u64, ArtifactBucket>,
     artifact_order: VecDeque<u64>,
+    artifact_bytes: u64,
 }
 
 impl QueryCache {
     pub fn new(cfg: CacheConfig) -> Self {
         QueryCache {
             cfg,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            seq: 0,
-            bytes: 0,
+            l1: Tier::default(),
             fresh: Vec::new(),
             artifacts: HashMap::new(),
             artifact_order: VecDeque::new(),
+            artifact_bytes: 0,
         }
     }
 
@@ -298,8 +369,7 @@ impl QueryCache {
     }
 
     pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
-        let bucket = self.map.get(&k.hash)?;
-        bucket.iter().find(|e| e.matches(k)).map(|e| e.value.clone())
+        self.l1.lookup(k)
     }
 
     /// Stores a freshly computed search result under `k`. The entry (and
@@ -309,36 +379,17 @@ impl QueryCache {
         if !self.cfg.enabled || self.cfg.l1_entries == 0 {
             return;
         }
-        let hash = k.hash;
         let entry = Entry {
-            hash,
+            hash: k.hash,
             problem: k.fp.share(),
-            epoch: k.epoch,
             reserved: k.reserved.to_vec(),
-            rung: k.rung,
-            shed: k.shed,
-            method: k.method,
-            strategy: k.strategy,
-            seq: self.seq,
+            scalars: k.scalars,
+            seq: 0,
             value,
         };
-        self.seq += 1;
-        self.bytes += entry.approx_bytes();
         self.fresh.push(entry.clone());
-        self.order.push_back((hash, entry.seq));
-        self.map.entry(hash).or_default().push(entry);
-        while self.order.len() > self.cfg.l1_entries {
-            let (h, s) = self.order.pop_front().expect("order non-empty");
-            if let Some(bucket) = self.map.get_mut(&h) {
-                if let Some(i) = bucket.iter().position(|e| e.seq == s) {
-                    let dropped = bucket.swap_remove(i);
-                    self.bytes = self.bytes.saturating_sub(dropped.approx_bytes());
-                }
-                if bucket.is_empty() {
-                    self.map.remove(&h);
-                }
-            }
-        }
+        self.l1.push(entry);
+        self.l1.evict_to(self.cfg.l1_entries);
     }
 
     /// Drains the entries inserted since the last call (for L2 publish).
@@ -347,11 +398,11 @@ impl QueryCache {
     }
 
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.l1.len()
     }
 
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.l1.bytes() + self.artifact_bytes
     }
 
     /// Looks up compiled packet-level artifacts for `fp`'s problem.
@@ -365,22 +416,23 @@ impl QueryCache {
 
     /// Stores compiled artifacts for `fp`'s problem.
     pub fn insert_artifacts(&mut self, fp: &Footprint<'_>, artifacts: Arc<PktArtifacts>) {
-        if !self.cfg.enabled || self.cfg.artifact_entries == 0 {
+        if !self.cfg.enabled {
             return;
         }
         let hash = fp.fingerprint();
-        self.bytes += artifacts.approx_bytes();
+        self.artifact_bytes += artifacts.approx_bytes();
         self.artifacts
             .entry(hash)
             .or_default()
             .push((fp.share(), artifacts));
         self.artifact_order.push_back(hash);
-        while self.artifact_order.len() > self.cfg.artifact_entries {
+        while self.artifact_order.len() > ARTIFACT_ENTRIES {
             let h = self.artifact_order.pop_front().expect("order non-empty");
             if let Some(bucket) = self.artifacts.get_mut(&h) {
                 if !bucket.is_empty() {
                     let (_, dropped) = bucket.remove(0);
-                    self.bytes = self.bytes.saturating_sub(dropped.approx_bytes());
+                    self.artifact_bytes =
+                        self.artifact_bytes.saturating_sub(dropped.approx_bytes());
                 }
                 if bucket.is_empty() {
                     self.artifacts.remove(&h);
@@ -390,150 +442,72 @@ impl QueryCache {
     }
 }
 
-/// The shared L2: an immutable map behind a mutex-guarded `Arc`,
-/// published copy-on-write by the serving plane's sequencer. Workers
-/// never touch the mutex — they read the `Arc` the sequencer pinned
-/// before spawning them.
+/// The shared L2: one [`Tier`] owned by the serving plane's sequencer.
+/// Workers read it by shared reference for the length of a wave; fresh
+/// inserts are merged and dead epochs swept between waves, when nothing
+/// borrows it — the borrow checker, not a lock, keeps the two apart.
 pub(crate) struct SharedCache {
-    current: Mutex<Arc<SharedMap>>,
+    tier: Tier,
     cap: usize,
-    /// FIFO of (bucket hash, entry seq) mirroring the published map.
-    order: VecDeque<(u64, u64)>,
-    seq: u64,
-    len: usize,
-    bytes: u64,
     invalidated: u64,
 }
 
 impl SharedCache {
     pub fn new(cap: usize) -> Self {
         SharedCache {
-            current: Mutex::new(Arc::new(HashMap::new())),
+            tier: Tier::default(),
             cap,
-            order: VecDeque::new(),
-            seq: 0,
-            len: 0,
-            bytes: 0,
             invalidated: 0,
         }
     }
 
-    /// Pins the current published view (a reference-count bump).
-    pub fn pin(&self) -> Arc<SharedMap> {
-        self.current.lock().expect("shared cache poisoned").clone()
+    /// The tier as workers read it during a wave.
+    pub fn view(&self) -> &Tier {
+        &self.tier
     }
 
-    /// Merges freshly inserted entries and sweeps entries keyed on dead
-    /// epochs, then publishes the updated map. `sweep` should be true
-    /// when any shard refreshed since the last publish (epochs only die
-    /// on refresh, so sweeping otherwise is wasted work). Returns the
-    /// number of entries invalidated by the sweep. The steady-state
-    /// fast path — nothing fresh, nothing to sweep — publishes nothing
-    /// and allocates nothing.
+    /// Merges freshly inserted entries and — when `sweep` — drops entries
+    /// keyed on dead epochs, in place. `sweep` should be true when any
+    /// shard refreshed since the last publish (epochs only die on
+    /// refresh, so sweeping otherwise is wasted work). Returns the number
+    /// of entries invalidated by the sweep. The steady state — nothing
+    /// fresh, no refresh — touches nothing.
     pub fn publish(&mut self, fresh: Vec<Entry>, live_epochs: &[u64], sweep: bool) -> u64 {
-        let needs_sweep = sweep && {
-            let cur = self.current.lock().expect("shared cache poisoned");
-            cur.values()
-                .flatten()
-                .any(|e| !live_epochs.contains(&e.epoch))
+        let dropped = if sweep {
+            self.tier.sweep(live_epochs)
+        } else {
+            0
         };
-        if fresh.is_empty() && !needs_sweep {
-            return 0;
-        }
-
-        let mut map: SharedMap = {
-            let cur = self.current.lock().expect("shared cache poisoned");
-            (**cur).clone()
-        };
-        let mut dropped = 0u64;
-        if needs_sweep {
-            let order = &mut self.order;
-            let bytes = &mut self.bytes;
-            map.retain(|_, bucket| {
-                bucket.retain(|e| {
-                    let live = live_epochs.contains(&e.epoch);
-                    if !live {
-                        dropped += 1;
-                        *bytes = bytes.saturating_sub(e.approx_bytes());
-                        if let Some(i) = order.iter().position(|&(h, s)| h == e.hash && s == e.seq)
-                        {
-                            order.remove(i);
-                        }
-                    }
-                    live
-                });
-                !bucket.is_empty()
-            });
-        }
-        for mut e in fresh {
+        for e in fresh {
             // Skip entries another worker (or an earlier wave) already
             // published — first writer wins; values are bit-identical
             // by the determinism contract anyway.
-            if map
-                .get(&e.hash)
-                .is_some_and(|b| b.iter().any(|x| x.matches_entry(&e)))
-            {
-                continue;
-            }
-            e.seq = self.seq;
-            self.seq += 1;
-            self.bytes += e.approx_bytes();
-            self.order.push_back((e.hash, e.seq));
-            map.entry(e.hash).or_default().push(e);
-            self.len += 1;
-        }
-        while self.order.len() > self.cap {
-            let (h, s) = self.order.pop_front().expect("order non-empty");
-            if let Some(bucket) = map.get_mut(&h) {
-                if let Some(i) = bucket.iter().position(|e| e.seq == s) {
-                    let evicted = bucket.swap_remove(i);
-                    self.bytes = self.bytes.saturating_sub(evicted.approx_bytes());
-                }
-                if bucket.is_empty() {
-                    map.remove(&h);
-                }
+            let dup = self.tier.find(e.hash, e.scalars, &e.reserved, &e.problem);
+            if dup.is_none() {
+                self.tier.push(e);
             }
         }
-        self.len = self.order.len();
+        self.tier.evict_to(self.cap);
         self.invalidated += dropped;
-        *self.current.lock().expect("shared cache poisoned") = Arc::new(map);
         dropped
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.tier.len()
     }
 
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.tier.bytes()
     }
 
     pub fn invalidated(&self) -> u64 {
         self.invalidated
     }
 
-    /// Entries in the published map keyed on epochs not in
-    /// `live_epochs`. Zero after every drain — dead entries are swept
-    /// the same wave their epoch dies.
+    /// Entries keyed on epochs not in `live_epochs`. Zero after every
+    /// drain — dead entries are swept the same wave their epoch dies.
     pub fn dead_entries(&self, live_epochs: &[u64]) -> usize {
-        let cur = self.current.lock().expect("shared cache poisoned");
-        cur.values()
-            .flatten()
-            .filter(|e| !live_epochs.contains(&e.epoch))
-            .count()
-    }
-}
-
-impl Entry {
-    /// Key equality against another entry (for L2 dedup on publish).
-    fn matches_entry(&self, other: &Entry) -> bool {
-        self.epoch == other.epoch
-            && self.shed == other.shed
-            && self.rung == other.rung
-            && self.method == other.method
-            && self.strategy == other.strategy
-            && self.reserved == other.reserved
-            && *self.problem == *other.problem
+        self.tier.dead_entries(live_epochs)
     }
 }
 
@@ -560,15 +534,7 @@ mod tests {
         rung: DegradationRung,
         shed: bool,
     ) -> KeyParts<'a> {
-        KeyParts::new(
-            fp,
-            epoch,
-            reserved,
-            rung,
-            shed,
-            EvalMethod::Heuristic,
-            EvalStrategy::Delta,
-        )
+        KeyParts::new(fp, epoch, reserved, rung, shed, EvalMethod::Heuristic)
     }
 
     fn value(epoch: u64) -> Arc<CachedSearch> {
@@ -627,7 +593,7 @@ mod tests {
         let mut shared = SharedCache::new(16);
         assert_eq!(shared.publish(fresh.clone(), &[1], false), 0);
         assert_eq!(shared.len(), 1);
-        assert!(lookup_shared(&shared.pin(), &parts(&p, 1, &[])).is_some());
+        assert!(shared.view().lookup(&parts(&p, 1, &[])).is_some());
         // Re-publishing the same key is a dedup no-op.
         shared.publish(fresh, &[1], false);
         assert_eq!(shared.len(), 1);
@@ -636,7 +602,7 @@ mod tests {
         assert_eq!(shared.len(), 0);
         assert_eq!(shared.invalidated(), 1);
         assert_eq!(shared.dead_entries(&[2]), 0);
-        assert!(lookup_shared(&shared.pin(), &parts(&p, 1, &[])).is_none());
+        assert!(shared.view().lookup(&parts(&p, 1, &[])).is_none());
     }
 
     #[test]

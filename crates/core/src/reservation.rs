@@ -9,124 +9,92 @@
 //! onto it before any status feedback shows the load — the oscillation
 //! that blows the 99th-percentile write time up by 10×.
 //!
-//! Hot-path costs: `reserve` is one hash insert per *distinct* address
-//! (duplicates in one call collapse onto the same entry), and `purge` /
-//! `live_count` are O(1) whenever nothing has expired yet, thanks to a
-//! monotone *expiry frontier* — the minimum expiry across live entries.
-//! The serving plane purges per query wave, so the common case must not
-//! rescan the table (it used to be an O(n) retain per call).
-
-use std::collections::HashMap;
+//! The mechanism is one value type, [`Reservations`], wherever holds are
+//! kept: [`crate::server::CloudTalkServer`] owns one and edits it in
+//! place; the serving plane publishes one behind an `Arc` and gives every
+//! tenant of a wave a private one to record into, merged at wave close.
+//! Reading the holds into a query's reservation mask and recording an
+//! answer's addresses both happen in one place, `EvalCore`'s answer path.
+//!
+//! Live holds are bounded by the hosts one server recommends within the
+//! hold time (a few hundred at most on every workload this repo runs), so
+//! a sorted `Vec` with binary-search probes is the whole data structure.
 
 use cloudtalk_lang::problem::Address;
-use desim::{SimDuration, SimTime};
+use desim::SimTime;
 
-/// Tracks which hosts were recently recommended.
-#[derive(Clone, Debug)]
-pub struct ReservationTable {
-    hold: SimDuration,
-    expiry: HashMap<Address, SimTime>,
-    /// Lower bound on every live entry's expiry: no entry expires before
-    /// the frontier, so a purge at `now < frontier` has nothing to drop.
-    /// Extending an entry can leave the frontier conservative (too low),
-    /// never wrong; a full purge recomputes it exactly.
-    frontier: SimTime,
+/// Which hosts were recently recommended, and until when.
+///
+/// Entries are strictly sorted by address. An address has at most one
+/// entry, whose expiry only ever extends; the entry is live at `now` iff
+/// its expiry is later than `now`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Reservations {
+    entries: Vec<(Address, SimTime)>,
 }
 
-impl ReservationTable {
-    /// Creates a table holding reservations for `hold` (paper: 300 ms).
-    pub fn new(hold: SimDuration) -> Self {
-        ReservationTable {
-            hold,
-            expiry: HashMap::new(),
-            frontier: SimTime::MAX,
+impl Reservations {
+    /// No holds.
+    pub const fn new() -> Self {
+        Reservations {
+            entries: Vec::new(),
         }
     }
 
-    /// The configured hold time.
-    pub fn hold(&self) -> SimDuration {
-        self.hold
-    }
-
-    /// Marks `addrs` as in use from `now` until `now + hold`. Duplicate
-    /// addresses (within one call or across calls) share one entry whose
-    /// expiry only ever extends.
-    pub fn reserve(&mut self, addrs: impl IntoIterator<Item = Address>, now: SimTime) {
-        let until = now + self.hold;
-        let mut inserted = false;
-        for addr in addrs {
-            let e = self.expiry.entry(addr).or_insert(until);
-            if *e < until {
-                *e = until;
-            }
-            inserted = true;
-        }
-        // All entries from this call expire at `until`; the frontier only
-        // needs lowering when `until` undercuts it (reserving in the past
-        // relative to existing holds).
-        if inserted && until < self.frontier {
-            self.frontier = until;
+    /// Holds `addr` until `until`, or until its current expiry if that is
+    /// later.
+    pub fn reserve(&mut self, addr: Address, until: SimTime) {
+        match self.entries.binary_search_by_key(&addr, |e| e.0) {
+            Ok(i) => self.entries[i].1 = self.entries[i].1.max(until),
+            Err(i) => self.entries.insert(i, (addr, until)),
         }
     }
 
-    /// Whether `addr` is currently considered in use.
+    /// When the hold on `addr` ends, if there is an entry for it.
+    pub fn expiry(&self, addr: Address) -> Option<SimTime> {
+        let i = self.entries.binary_search_by_key(&addr, |e| e.0).ok()?;
+        Some(self.entries[i].1)
+    }
+
+    /// Whether `addr` is considered in use at `now`.
     pub fn is_reserved(&self, addr: Address, now: SimTime) -> bool {
-        if now < self.frontier {
-            // Fast path: nothing in the table has expired yet, so mere
-            // presence means live.
-            return self.expiry.contains_key(&addr);
-        }
-        self.expiry.get(&addr).is_some_and(|&e| e > now)
+        self.expiry(addr).is_some_and(|e| e > now)
     }
 
-    /// Drops expired entries. O(1) while `now` is below the expiry
-    /// frontier (nothing can have expired); a full O(n) sweep only runs
-    /// when at least one entry is actually due, and recomputes the exact
-    /// frontier for the next fast-path run.
+    /// Takes over every hold of `other`. Max-expiry merging is commutative
+    /// and associative: the result does not depend on merge order.
+    pub fn merge(&mut self, other: &Reservations) {
+        for &(addr, until) in &other.entries {
+            self.reserve(addr, until);
+        }
+    }
+
+    /// Drops the entries no longer live at `now`.
     pub fn purge(&mut self, now: SimTime) {
-        if now < self.frontier {
-            return;
-        }
-        self.expiry.retain(|_, &mut e| e > now);
-        self.frontier = self
-            .expiry
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(SimTime::MAX);
+        self.entries.retain(|&(_, e)| e > now);
     }
 
-    /// Number of live reservations at `now`. O(1) while `now` is below
-    /// the expiry frontier (every entry is live).
-    pub fn live_count(&self, now: SimTime) -> usize {
-        if now < self.frontier {
-            return self.expiry.len();
-        }
-        self.expiry.values().filter(|&&e| e > now).count()
+    /// The entries, strictly sorted by address.
+    pub fn entries(&self) -> &[(Address, SimTime)] {
+        &self.entries
     }
 
-    /// Entries currently stored, live or not (memory accounting; `purge`
-    /// brings this down to [`ReservationTable::live_count`]).
+    /// Entries stored, live or not ([`Reservations::purge`] drops the
+    /// rest).
     pub fn len(&self) -> usize {
-        self.expiry.len()
+        self.entries.len()
     }
 
-    /// Whether the table holds no entries at all.
+    /// Whether there are no entries at all.
     pub fn is_empty(&self) -> bool {
-        self.expiry.is_empty()
-    }
-}
-
-impl Default for ReservationTable {
-    /// The paper's 300 ms hold.
-    fn default() -> Self {
-        ReservationTable::new(SimDuration::from_millis(300))
+        self.entries.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::SimDuration;
 
     /// `x` milliseconds past the epoch.
     fn ms(x: u64) -> SimTime {
@@ -134,86 +102,58 @@ mod tests {
     }
 
     #[test]
-    fn reservation_expires_after_hold() {
-        let mut t = ReservationTable::default();
-        let now = SimTime::from_secs_f64(1.0);
-        t.reserve([Address(7)], now);
-        assert!(t.is_reserved(Address(7), now));
-        assert!(t.is_reserved(Address(7), now + SimDuration::from_millis(299)));
-        assert!(!t.is_reserved(Address(7), now + SimDuration::from_millis(300)));
-        assert!(!t.is_reserved(Address(8), now));
+    fn a_hold_is_live_strictly_before_its_expiry() {
+        let mut r = Reservations::new();
+        r.reserve(Address(7), ms(300));
+        assert!(r.is_reserved(Address(7), ms(0)));
+        assert!(r.is_reserved(Address(7), ms(299)));
+        assert!(!r.is_reserved(Address(7), ms(300)));
+        assert!(!r.is_reserved(Address(8), ms(0)));
     }
 
     #[test]
-    fn re_reservation_extends() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(1)], SimTime::ZERO);
-        t.reserve([Address(1)], SimTime::from_secs_f64(0.2));
-        assert!(t.is_reserved(Address(1), SimTime::from_secs_f64(0.4)));
+    fn expiry_only_extends() {
+        let mut r = Reservations::new();
+        r.reserve(Address(1), ms(300));
+        r.reserve(Address(1), ms(500));
+        r.reserve(Address(1), ms(400));
+        assert_eq!(r.len(), 1, "one entry per address");
+        assert_eq!(r.expiry(Address(1)), Some(ms(500)));
     }
 
     #[test]
-    fn earlier_reservation_never_shortens() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(1)], SimTime::from_secs_f64(1.0));
-        t.reserve([Address(1)], SimTime::from_secs_f64(0.5));
-        assert!(t.is_reserved(Address(1), SimTime::from_secs_f64(1.2)));
+    fn purge_drops_exactly_the_expired() {
+        let mut r = Reservations::new();
+        r.reserve(Address(2), ms(800));
+        r.reserve(Address(1), ms(300));
+        r.purge(ms(100));
+        assert_eq!(r.len(), 2, "nothing has expired yet");
+        r.purge(ms(300));
+        assert_eq!(r.entries(), [(Address(2), ms(800))]);
+        r.purge(ms(900));
+        assert!(r.is_empty());
     }
 
     #[test]
-    fn purge_drops_expired() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(1), Address(2)], SimTime::ZERO);
-        t.purge(SimTime::from_secs_f64(10.0));
-        assert_eq!(t.live_count(SimTime::from_secs_f64(10.0)), 0);
-        assert!(t.is_empty());
-        assert!(!t.is_reserved(Address(1), SimTime::ZERO), "purged entries are gone");
-    }
-
-    #[test]
-    fn duplicate_addresses_collapse_to_one_entry() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(3), Address(3), Address(3)], SimTime::ZERO);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.live_count(SimTime::ZERO), 1);
-    }
-
-    #[test]
-    fn purge_below_frontier_is_a_noop() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(1), Address(2)], SimTime::ZERO);
-        // Nothing expires before 300 ms: purge must keep both entries
-        // without rescanning (observable via len()).
-        t.purge(ms(100));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.live_count(ms(100)), 2);
-    }
-
-    #[test]
-    fn frontier_recovers_after_partial_expiry() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(1)], SimTime::ZERO); // expires at 300 ms
-        t.reserve([Address(2)], ms(500)); // expires at 800 ms
-        t.purge(ms(400));
-        assert_eq!(t.len(), 1, "only the first entry expired");
-        assert!(t.is_reserved(Address(2), ms(600)));
-        // The recomputed frontier keeps the fast path honest: a purge
-        // before 800 ms drops nothing, one after drops the rest.
-        t.purge(ms(700));
-        assert_eq!(t.len(), 1);
-        t.purge(ms(900));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn extending_keeps_stale_frontier_conservative() {
-        let mut t = ReservationTable::default();
-        t.reserve([Address(1)], SimTime::ZERO); // frontier 300 ms
-        t.reserve([Address(1)], ms(200)); // entry now 500 ms
-        // The frontier may still read 300 ms (conservative), so a purge at
-        // 400 ms takes the slow path — and must keep the extended entry.
-        t.purge(ms(400));
-        assert!(t.is_reserved(Address(1), ms(450)));
-        assert_eq!(t.live_count(ms(450)), 1);
+    fn merge_keeps_entries_sorted_and_takes_the_later_expiry() {
+        let mut a = Reservations::new();
+        a.reserve(Address(5), ms(300));
+        a.reserve(Address(1), ms(300));
+        let mut b = Reservations::new();
+        b.reserve(Address(3), ms(200));
+        b.reserve(Address(5), ms(100));
+        b.reserve(Address(1), ms(400));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        assert_eq!(
+            ab.entries(),
+            [
+                (Address(1), ms(400)),
+                (Address(3), ms(200)),
+                (Address(5), ms(300))
+            ]
+        );
+        b.merge(&a);
+        assert_eq!(ab, b, "merge order does not matter");
     }
 }

@@ -38,13 +38,12 @@ use crate::exhaustive::{
 };
 use crate::footprint::Footprint;
 use crate::heuristic::{evaluate_query_scored_in, HeuristicConfig, HeuristicScratch};
-use crate::refine::refine_binding;
 use crate::messages::{LedgerCounters, OverheadLedger};
 use crate::pktsearch::{
     pkt_prepare, pkt_search_prepared, MirrorTopology, PktSearchError, PktSearchOptions,
 };
-use crate::qcache::{CacheConfig, CachedSearch, KeyParts, QueryCache, SharedMap};
-use crate::reservation::ReservationTable;
+use crate::qcache::{CacheConfig, CachedSearch, KeyParts, QueryCache, Tier};
+use crate::reservation::Reservations;
 use crate::sampling::{sample_candidates, DEFAULT_SAMPLE_THRESHOLD};
 use crate::status::StatusSource;
 use crate::transport::{scatter_gather_retry, TransportConfig};
@@ -89,11 +88,6 @@ pub struct ServerConfig {
     pub reservation_hold: Option<SimDuration>,
     /// Evaluation backend.
     pub method: EvalMethod,
-    /// Candidate evaluation strategy for the exhaustive backend (and any
-    /// configured heuristic refiner). `Delta` re-rates only the resource
-    /// components a candidate moved and is bit-identical to `Scratch` —
-    /// the default, since it only trades CPU for the same answer.
-    pub eval_strategy: EvalStrategy,
     /// Whether to gather dynamic status data; with `false`, evaluation
     /// sees idle hosts everywhere (static/topology-only mode, §4).
     pub use_dynamic: bool,
@@ -122,7 +116,6 @@ impl Default for ServerConfig {
             sample_budget: DEFAULT_SAMPLE_THRESHOLD,
             reservation_hold: Some(SimDuration::from_millis(300)),
             method: EvalMethod::Heuristic,
-            eval_strategy: EvalStrategy::Delta,
             use_dynamic: true,
             degradation: DegradationConfig::default(),
             pkt: PktBackendConfig::default(),
@@ -149,17 +142,18 @@ pub struct ObsConfig {
     /// deterministic null clock. Host timestamps become run-dependent;
     /// simulated timestamps stay deterministic either way.
     pub host_timer: bool,
-    /// Span-arena capacity per query. Spans beyond this are counted in
-    /// [`obs::TraceReport::dropped`], never allocated.
-    pub span_capacity: usize,
 }
+
+/// Span-arena capacity per query: an answer records five spans. Spans
+/// beyond this are counted in [`obs::TraceReport::dropped`], never
+/// allocated.
+const SPAN_CAPACITY: usize = 16;
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             tracing: true,
             host_timer: false,
-            span_capacity: 16,
         }
     }
 }
@@ -182,10 +176,6 @@ pub struct PktBackendConfig {
     pub sim: pktsim::SimConfig,
     /// Worker threads for the binding fan-out.
     pub threads: usize,
-    /// Share simulation results across symmetry-equivalent bindings.
-    pub memoise: bool,
-    /// Abandon simulations that can no longer beat the incumbent.
-    pub early_abort: bool,
 }
 
 impl Default for PktBackendConfig {
@@ -194,8 +184,6 @@ impl Default for PktBackendConfig {
             mirror: None,
             sim: pktsim::SimConfig::default(),
             threads: 1,
-            memoise: true,
-            early_abort: true,
         }
     }
 }
@@ -580,12 +568,13 @@ impl ServerMetricIds {
 /// The evaluation core shared by the single-server front-end and the
 /// multi-tenant serving plane ([`crate::serving`]): configuration,
 /// metrics, overhead accounting, and the reusable search workspace. It
-/// answers problems against snapshots; *who* gathers snapshots, samples
-/// pools, supplies RNG streams, and tracks reservations is the
-/// front-end's concern — which is what lets the serving plane run one
-/// core per worker with per-query RNG streams and a shared copy-on-write
-/// reservation ledger, while [`CloudTalkServer`] keeps its sequential
-/// RNG stream and locked [`ReservationTable`].
+/// answers problems against snapshots — reading the caller's [`Holds`]
+/// into the reservation mask and recording the answer into them — while
+/// *who* gathers snapshots, samples pools, supplies RNG streams, and keeps
+/// the [`Reservations`] is the front-end's concern: the serving plane runs
+/// one core per worker with per-query RNG streams and per-tenant holds
+/// over a published set, [`CloudTalkServer`] keeps one sequential RNG
+/// stream and one set it edits in place.
 pub(crate) struct EvalCore {
     cfg: ServerConfig,
     metrics: MetricsRegistry,
@@ -610,8 +599,22 @@ pub(crate) struct EvalCore {
 /// A CloudTalk server instance.
 pub struct CloudTalkServer {
     core: EvalCore,
-    reservations: ReservationTable,
+    reservations: Reservations,
     rng: DetRng,
+}
+
+/// The holds one answer is evaluated under (§5.5): both sets are read
+/// into the query's reservation mask, and the answer's addresses are
+/// recorded into `own` when `record` is set. Ignored entirely when
+/// [`ServerConfig::reservation_hold`] is `None`.
+pub(crate) struct Holds<'a> {
+    /// Holds published by others (the serving plane's prior-wave ledger).
+    pub published: &'a Reservations,
+    /// The caller's own holds: the server's one set, or a tenant's
+    /// same-wave set.
+    pub own: &'a mut Reservations,
+    /// Whether the answer is a recommendation the client will act on.
+    pub record: bool,
 }
 
 impl EvalCore {
@@ -623,8 +626,8 @@ impl EvalCore {
         let qcache = QueryCache::new(cfg.cache);
         let trace = match (cfg.obs.tracing, cfg.obs.host_timer) {
             (false, _) => Trace::disabled(),
-            (true, false) => Trace::deterministic(cfg.obs.span_capacity),
-            (true, true) => Trace::timed(cfg.obs.span_capacity),
+            (true, false) => Trace::deterministic(SPAN_CAPACITY),
+            (true, true) => Trace::timed(SPAN_CAPACITY),
         };
         EvalCore {
             cfg,
@@ -664,10 +667,9 @@ impl EvalCore {
 impl CloudTalkServer {
     /// Creates a server.
     pub fn new(cfg: ServerConfig) -> Self {
-        let hold = cfg.reservation_hold.unwrap_or(SimDuration::ZERO);
         let rng = stream_rng(cfg.seed, 0xC10D);
         CloudTalkServer {
-            reservations: ReservationTable::new(hold),
+            reservations: Reservations::new(),
             rng,
             core: EvalCore::new(cfg),
         }
@@ -733,7 +735,6 @@ impl CloudTalkServer {
         now: SimTime,
         reserve: bool,
     ) -> Result<Answer, ServerError> {
-        self.reservations.purge(now);
         let (working, sampled) = self.maybe_sample(problem);
         let snapshot = self.take_snapshot(working.addrs(), source);
         self.answer_snapshot_inner(&working, &snapshot, now, reserve, sampled)
@@ -840,7 +841,6 @@ impl CloudTalkServer {
         now: SimTime,
         reserve: bool,
     ) -> Result<Answer, ServerError> {
-        self.reservations.purge(now);
         let (working, sampled) = self.maybe_sample(problem);
         self.answer_snapshot_inner(&working, snapshot, now, reserve, sampled)
     }
@@ -861,7 +861,6 @@ impl CloudTalkServer {
         source: &mut impl StatusSource,
         now: SimTime,
     ) -> Vec<Result<Answer, ServerError>> {
-        self.reservations.purge(now);
         let working: Vec<(Footprint<'_>, bool)> =
             problems.iter().map(|p| self.maybe_sample(p)).collect();
         let mut addrs: Vec<Address> = Vec::new();
@@ -890,8 +889,9 @@ impl CloudTalkServer {
         }
     }
 
-    /// Evaluation + reservation + answer assembly, shared by the direct
-    /// and snapshot paths. Assumes `purge` and sampling already happened.
+    /// Evaluation + reservation + answer assembly under the server's own
+    /// holds, shared by the direct and snapshot paths. Assumes sampling
+    /// already happened.
     fn answer_snapshot_inner(
         &mut self,
         working: &Footprint<'_>,
@@ -900,37 +900,23 @@ impl CloudTalkServer {
         reserve: bool,
         sampled: bool,
     ) -> Result<Answer, ServerError> {
-        let hold_on = self.core.cfg.reservation_hold.is_some();
-        let reservations = &self.reservations;
-        let pred = move |a: Address| reservations.is_reserved(a, now);
-        let answer = self.core.answer_snapshot(
-            working,
-            snapshot,
-            now,
-            sampled,
-            if hold_on { Some(&pred) } else { None },
-            false,
-            None,
-        )?;
-        if reserve && hold_on {
-            self.reservations.reserve(
-                answer.binding.iter().filter_map(|v| match v {
-                    Value::Addr(a) => Some(*a),
-                    Value::Disk => None,
-                }),
-                now,
-            );
-        }
-        Ok(answer)
+        self.reservations.purge(now);
+        let holds = Holds {
+            published: &Reservations::new(),
+            own: &mut self.reservations,
+            record: reserve,
+        };
+        self.core
+            .answer_snapshot(working, snapshot, now, sampled, holds, false, None)
     }
 }
 
 impl EvalCore {
-    /// Evaluation + answer assembly against a snapshot. Assumes sampling
-    /// already happened; reservations are the caller's job — `reserved`
-    /// is the caller's view of which hosts are currently held (`None`
-    /// disables the overlay entirely, the "Osc" configuration), and the
-    /// caller records the answer's bindings into its own table/ledger.
+    /// Evaluation + reservation + answer assembly against a snapshot.
+    /// Assumes sampling already happened. `holds` is the caller's view of
+    /// which hosts are currently held, and where the answer's addresses
+    /// are recorded; with [`ServerConfig::reservation_hold`] `None` (the
+    /// "Osc" configuration) it is neither read nor written.
     ///
     /// This is where the graceful-degradation ladder engages: the
     /// snapshot's freshness score picks a rung, and the rung picks both
@@ -939,8 +925,8 @@ impl EvalCore {
     /// additionally forces the heuristic backend (serving-plane load
     /// shedding) without touching the rung's data selection.
     ///
-    /// `shared` is an optional pinned view of the serving plane's L2
-    /// answer cache; the core always consults its own L1 first. On a
+    /// `shared` is an optional view of the serving plane's L2 answer
+    /// cache; the core always consults its own L1 first. On a
     /// hit the search phase is skipped and the cached (backend, stats,
     /// binding, scores) tuple is replayed through the identical
     /// trace/assembly path — the returned answer is bit-identical to
@@ -953,9 +939,9 @@ impl EvalCore {
         snapshot: &StatusSnapshot,
         now: SimTime,
         sampled: bool,
-        reserved: Option<&dyn Fn(Address) -> bool>,
+        holds: Holds<'_>,
         shed: bool,
-        shared: Option<&SharedMap>,
+        shared: Option<&Tier>,
     ) -> Result<Answer, ServerError> {
         let working = fp.problem();
         // A variable with an empty candidate pool can never be bound; fail
@@ -1021,34 +1007,30 @@ impl EvalCore {
             .fold(1u64, |acc, v| acc.saturating_mul(v.candidates.len() as u64));
 
         // The reservation mask: the footprint's addresses the caller's
-        // view holds, ascending. The predicate is asked here and nowhere
-        // else — the search overlays exactly this mask, so the mask (plus
-        // the snapshot epoch, rung, shed flag, and backend config) pins
-        // every input the search depends on, which is what makes it a
-        // sound cache key. The key stores the *configured* method: rung +
-        // shed determine the effective one.
-        let mask: Vec<Address> = match reserved {
-            Some(pred) => fp.sorted().iter().copied().filter(|&a| pred(a)).collect(),
+        // holds cover at `now`, ascending. The holds are read here and
+        // nowhere else — the search overlays exactly this mask, so the
+        // mask (plus the snapshot epoch, rung, shed flag, and backend
+        // config) pins every input the search depends on, which is what
+        // makes it a sound cache key. The key stores the *configured*
+        // method: rung + shed determine the effective one.
+        let hold = self.cfg.reservation_hold;
+        let held =
+            |a: &Address| holds.own.is_reserved(*a, now) || holds.published.is_reserved(*a, now);
+        let mask: Vec<Address> = match hold {
+            Some(_) => fp.sorted().iter().copied().filter(held).collect(),
             None => Vec::new(),
         };
-        let key = self.qcache.enabled().then(|| {
-            KeyParts::new(
-                fp,
-                snapshot.epoch(),
-                &mask,
-                rung,
-                shed,
-                self.cfg.method,
-                self.cfg.eval_strategy,
-            )
-        });
+        let key = self
+            .qcache
+            .enabled()
+            .then(|| KeyParts::new(fp, snapshot.epoch(), &mask, rung, shed, self.cfg.method));
         let cached = if let Some(key) = &key {
             match self.qcache.lookup(key) {
                 Some(v) => {
                     self.metrics.inc(self.ids.cache_l1_hit, 1);
                     Some(v)
                 }
-                None => match shared.and_then(|map| crate::qcache::lookup_shared(map, key)) {
+                None => match shared.and_then(|l2| l2.lookup(key)) {
                     Some(v) => {
                         self.metrics.inc(self.ids.cache_l2_hit, 1);
                         Some(v)
@@ -1106,10 +1088,16 @@ impl EvalCore {
         }
         self.trace.end(search_span, t_evaluated);
 
-        // The bind phase proper — recording the recommendation into a
-        // reservation table or ledger — happens in the caller, which owns
-        // that state; the span still marks the modelled instant.
+        // Bind: the recommended machines count as in use from `now` for
+        // the hold time, in the caller's own holds.
         let bind = self.trace.begin("bind", t_evaluated);
+        if let (Some(hold), true) = (hold, holds.record) {
+            for v in &binding {
+                if let Value::Addr(a) = v {
+                    holds.own.reserve(*a, now + hold);
+                }
+            }
+        }
         self.trace.end(bind, t_evaluated);
         self.trace.end(root, t_evaluated);
 
@@ -1207,37 +1195,24 @@ impl EvalCore {
         let world: &World = overlaid.as_ref().unwrap_or(base);
         Ok(match method {
             EvalMethod::Heuristic => {
-                let (mut b, mut s) =
+                let (b, s) =
                     evaluate_query_scored_in(working, world, &self.cfg.heuristic, &mut self.hs);
                 let enumerated = working
                     .vars
                     .iter()
                     .map(|v| v.candidates.len() as u64)
                     .sum();
-                let mut stats = SearchStats {
+                let stats = SearchStats {
                     space,
                     enumerated,
                     ..SearchStats::default()
                 };
-                if let Some(rc) = &self.cfg.heuristic.refine {
-                    if let Some(o) = refine_binding(working, world, &b, rc) {
-                        stats.enumerated += o.moves_tried;
-                        stats.delta_components_rerated = o.delta.components_rerated;
-                        stats.delta_components_reused = o.delta.components_reused;
-                        stats.delta_flows_moved = o.delta.flows_moved;
-                        stats.delta_max_undo_depth = o.delta.max_undo_depth;
-                        if o.binding != b {
-                            // The fitness scores describe the pre-refine
-                            // choices; a moved binding has none.
-                            s = vec![f64::INFINITY; b.len()];
-                        }
-                        b = o.binding;
-                    }
-                }
                 (Backend::Heuristic, stats, b, s)
             }
             EvalMethod::Exhaustive { limit } => {
-                let opts = SearchOptions::new(limit).eval(self.cfg.eval_strategy);
+                // Delta re-rates only the components a candidate moved and
+                // is bit-identical to Scratch: same answer, less CPU.
+                let opts = SearchOptions::new(limit).eval(EvalStrategy::Delta);
                 // Reuse this core's workspace: back-to-back searches (a
                 // serving-plane worker's steady state) are allocation-free.
                 let mut r = ExhaustiveResult::default();
@@ -1266,8 +1241,6 @@ impl EvalCore {
                     .ok_or(ServerError::MirrorMissing)?;
                 let opts = PktSearchOptions::new(limit)
                     .threads(self.cfg.pkt.threads)
-                    .memoise(self.cfg.pkt.memoise)
-                    .early_abort(self.cfg.pkt.early_abort)
                     .sim(self.cfg.pkt.sim);
                 // Compiled artifacts (PktProgram + symmetry classes) are
                 // pure functions of (problem, mirror); reuse them across
@@ -1565,6 +1538,48 @@ mod tests {
             .answer_problem(&p, &mut src, SimTime::from_secs_f64(1.0))
             .unwrap();
         assert_eq!(a1.binding, a2.binding);
+    }
+
+    #[test]
+    fn server_and_one_tenant_plane_record_the_same_holds() {
+        use crate::aggregate::FleetLayout;
+        use crate::serving::{ServingConfig, ServingPlane, TenantId};
+        // Three writes over one pool at one wave-close instant against the
+        // same status data: both front doors run the one bind step, so
+        // they recommend the same machines and hold them until the same
+        // instants.
+        let addrs: Vec<Address> = (1..=12).map(Address).collect();
+        let p = hdfs_write_query(Address(1), &addrs[1..], 3, 1e6)
+            .resolve()
+            .unwrap();
+        let t_wave = SimTime::ZERO + SimDuration::from_millis(5);
+
+        let mut server = CloudTalkServer::new(ServerConfig::default());
+        let snapshot = server.take_snapshot(&addrs, &mut idle_source(12));
+        let direct: Vec<Binding> = (0..3)
+            .map(|_| {
+                let a = server.answer_with_snapshot(&p, &snapshot, t_wave, true);
+                a.unwrap().binding
+            })
+            .collect();
+
+        let cfg = ServingConfig {
+            wave_quantum: SimDuration::from_millis(5),
+            ..ServingConfig::default()
+        };
+        let mut plane = ServingPlane::new(cfg, FleetLayout::uniform(&addrs, 4), idle_source(12));
+        for _ in 0..3 {
+            plane.submit(TenantId(0), p.clone(), SimTime::ZERO).unwrap();
+        }
+        let waved: Vec<Binding> = plane
+            .run_until(t_wave)
+            .into_iter()
+            .map(|c| c.result.unwrap().binding)
+            .collect();
+
+        assert_eq!(direct, waved);
+        assert_eq!(server.reservations, *plane.ledger_version());
+        assert_eq!(server.reservations.len(), 9, "three disjoint replica sets");
     }
 
     #[test]

@@ -27,15 +27,14 @@
 //!   scratch is reused query after query — the steady-state search loop
 //!   allocates nothing (pinned by `tests/search_alloc.rs` at the
 //!   workspace layer).
-//! * **Copy-on-write reservation ledger with epoch reclamation** — the
-//!   single locked [`crate::reservation::ReservationTable`] is replaced
-//!   by immutable [`LedgerVersion`]s behind `Arc`s. Workers *pin* the
-//!   epoch they read and answer the whole wave against that frozen
-//!   version plus a tenant-private overlay; the sequencer publishes new
-//!   versions (a pointer swap) while workers run, and retired versions
-//!   are reclaimed only once no worker pin references them. Readers
-//!   never block writers: both sides touch the shared pointer for
-//!   nanoseconds and do all real work on their own version.
+//! * **One published set of holds** — prior waves' reservations are a
+//!   [`Reservations`] value behind an `Arc`. A wave's workers read it by
+//!   shared reference and record each tenant's answers into a
+//!   tenant-private [`Reservations`]; the sequencer merges those into the
+//!   published set once the wave has joined. `Arc::make_mut` makes that
+//!   an in-place edit unless somebody still holds a version handed out
+//!   earlier ([`ServingPlane::ledger_version`]), whose copy then stays as
+//!   it was. No lock, no pin: a worker cannot outlive the wave's borrow.
 //! * **Admission control with backpressure** — per-tenant queues are
 //!   bounded ([`ServingConfig::tenant_queue_depth`]); a full queue or a
 //!   plane running behind its virtual schedule by more than
@@ -68,35 +67,25 @@
 //!
 //! * wave membership comes from arrival timestamps, not from when a
 //!   thread got scheduled;
-//! * the visible reservation set is the published ledger version at wave
-//!   close (reservations from strictly earlier waves, merged with
-//!   commutative max-expiry) plus the tenant's own same-wave overlay —
-//!   never another tenant's same-wave reservations;
+//! * the visible reservation set is the published holds at wave close
+//!   (reservations from strictly earlier waves, merged with commutative
+//!   max-expiry) plus the tenant's own same-wave holds — never another
+//!   tenant's same-wave reservations;
 //! * per-query sampling randomness is a dedicated
 //!   [`desim::rng::stream_rng`] stream keyed by `(tenant, seq)`;
 //! * shedding is a per-wave decision derived from wave *size* (open-loop
 //!   arrivals), not from thread timing.
 //!
-//! Mid-wave ledger publications are restricted to *purges* of entries
-//! that expired before the wave-close instant — invisible to every
-//! wave query, whose reservation checks all evaluate at wave close.
-//!
-//! # Epoch reclamation safety
-//!
-//! A retired [`LedgerVersion`] with epoch `e` is freed only when no
-//! worker pin equals `e`. Workers pin before the version pointer can
-//! advance past them (pin and publish both happen on the sequencer
-//! thread, pins strictly before that wave's publications) and unpin only
-//! after their last read, so a freed version is unreachable. Conflicts
-//! (a reservation lost or shortened by a merge) are checked on every
-//! publication and counted in [`LedgerStats::conflicts`] — the invariant
+//! Holds that expired by the wave-close instant are purged *before* the
+//! wave runs — invisible to every wave query, whose reservation checks
+//! all evaluate at wave close. Lost or shortened holds are checked for on
+//! every merge and counted in [`LedgerStats::conflicts`] — the invariant
 //! tests assert the count stays zero.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use cloudtalk_lang::problem::{Address, Problem, Value};
+use cloudtalk_lang::problem::{Address, Problem};
 use desim::rng::{derive_seed, stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use obs::{
@@ -107,9 +96,10 @@ use obs::{
 
 use crate::aggregate::{FleetLayout, RackId};
 use crate::footprint::Footprint;
-use crate::qcache::{CacheStats, SharedCache, SharedMap};
+use crate::qcache::{CacheStats, SharedCache, Tier};
+use crate::reservation::Reservations;
 use crate::server::{
-    sample_within_budget, Answer, DegradationRung, EvalCore, ServerConfig, ServerError,
+    sample_within_budget, Answer, DegradationRung, EvalCore, Holds, ServerConfig, ServerError,
     StatusSnapshot,
 };
 use crate::status::StatusSource;
@@ -198,12 +188,6 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Width of one telemetry window (time-series bucket).
     pub window: SimDuration,
-    /// Per-worker ring depth in windows; also bounds how far completions
-    /// may lag the wave clock before being drop-counted.
-    pub ring_windows: usize,
-    /// Tenant classes (label dimension): a tenant belongs to class
-    /// `tenant.0 % tenant_classes`.
-    pub tenant_classes: usize,
     /// Trace sampling rate: keep roughly 1 query in `sample_every`
     /// (0 disables sampling, 1 samples everything). The sampled set is a
     /// pure hash of `(seed, tenant, seq)` — identical at any worker
@@ -211,8 +195,6 @@ pub struct TelemetryConfig {
     pub sample_every: u64,
     /// Declarative SLOs evaluated against every finalised window.
     pub slos: Vec<SloSpec>,
-    /// Sliding horizon (in evaluated windows) for SLO burn rates.
-    pub slo_horizon: usize,
     /// Flight-recorder ring capacities.
     pub recorder: RecorderCfg,
 }
@@ -222,15 +204,21 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             window: SimDuration::from_millis(20),
-            ring_windows: 64,
-            tenant_classes: 4,
             sample_every: 64,
             slos: Vec::new(),
-            slo_horizon: 60,
             recorder: RecorderCfg::default(),
         }
     }
 }
+
+/// Per-worker ring depth in windows; also bounds how far completions may
+/// lag the wave clock before being drop-counted.
+const RING_WINDOWS: usize = 64;
+/// Tenant classes (the telemetry label dimension): a tenant belongs to
+/// class `tenant.0 % TENANT_CLASSES`.
+const TENANT_CLASSES: usize = 4;
+/// Sliding horizon (in evaluated windows) for SLO burn rates.
+const SLO_HORIZON: usize = 60;
 
 impl TelemetryConfig {
     /// An enabled config with the default shape — callers then tune
@@ -275,164 +263,19 @@ pub struct CompletedQuery {
     pub snapshot_epoch: u64,
 }
 
-/// One immutable published state of the reservation ledger.
-///
-/// Entries are strictly sorted by address with max-merged expiries; a
-/// version never changes after publication — updates build a new version
-/// and swap the shared pointer.
-#[derive(Debug)]
-pub struct LedgerVersion {
-    epoch: u64,
-    entries: Vec<(Address, SimTime)>,
-}
-
-impl LedgerVersion {
-    /// The version's epoch (0 = the empty initial version).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The reservation entries, strictly sorted by address.
-    pub fn entries(&self) -> &[(Address, SimTime)] {
-        &self.entries
-    }
-
-    /// Whether `addr` is reserved at `now` in this version.
-    pub fn is_reserved(&self, addr: Address, now: SimTime) -> bool {
-        self.entries
-            .binary_search_by_key(&addr.0, |e| e.0 .0)
-            .map(|i| self.entries[i].1 > now)
-            .unwrap_or(false)
-    }
-}
-
-/// Observable state of the copy-on-write reservation ledger.
+/// Observable state of the published holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LedgerStats {
-    /// Epoch of the currently published version.
+    /// Waves that have merged holds into the published set so far.
     pub epoch: u64,
-    /// Live reservation entries in the current version.
+    /// Entries in the published set.
     pub live_entries: usize,
-    /// Retired versions not yet reclaimed (still pinned, or awaiting the
-    /// next reclamation pass).
-    pub retired_versions: usize,
-    /// Retired versions reclaimed so far.
-    pub reclaimed: u64,
     /// Same-wave reservations of one address by *different* tenants
     /// (merged commutatively by max expiry — counted, not a conflict).
     pub collisions: u64,
-    /// Lost or shortened reservations detected at publication — an
+    /// Lost or shortened reservations detected after a merge — an
     /// invariant violation. Always 0 in a correct plane.
     pub conflicts: u64,
-}
-
-/// Pin sentinel: the worker holds no version.
-const UNPINNED: u64 = u64::MAX;
-
-/// The copy-on-write reservation ledger (see the module docs for the
-/// epoch-reclamation protocol).
-struct ReservationLedger {
-    current: Mutex<Arc<LedgerVersion>>,
-    retired: Mutex<Vec<Arc<LedgerVersion>>>,
-    pins: Vec<AtomicU64>,
-    reclaimed: AtomicU64,
-    collisions: AtomicU64,
-    conflicts: AtomicU64,
-}
-
-impl ReservationLedger {
-    fn new(workers: usize) -> Self {
-        ReservationLedger {
-            current: Mutex::new(Arc::new(LedgerVersion {
-                epoch: 0,
-                entries: Vec::new(),
-            })),
-            retired: Mutex::new(Vec::new()),
-            pins: (0..workers).map(|_| AtomicU64::new(UNPINNED)).collect(),
-            reclaimed: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-        }
-    }
-
-    /// The currently published version.
-    fn current(&self) -> Arc<LedgerVersion> {
-        Arc::clone(&self.current.lock().expect("ledger lock"))
-    }
-
-    /// Pins `worker` to the current version and returns it. The pin
-    /// keeps the version (and anything retired at its epoch) from being
-    /// reclaimed until [`ReservationLedger::unpin`].
-    fn pin(&self, worker: usize) -> Arc<LedgerVersion> {
-        let guard = self.current.lock().expect("ledger lock");
-        let v = Arc::clone(&guard);
-        self.pins[worker].store(v.epoch, Ordering::SeqCst);
-        v
-    }
-
-    fn unpin(&self, worker: usize) {
-        self.pins[worker].store(UNPINNED, Ordering::SeqCst);
-    }
-
-    /// Publishes `entries` as the next epoch; the previous version moves
-    /// to the retired list until no pin references it.
-    fn publish(&self, entries: Vec<(Address, SimTime)>) -> u64 {
-        let mut cur = self.current.lock().expect("ledger lock");
-        let next = Arc::new(LedgerVersion {
-            epoch: cur.epoch + 1,
-            entries,
-        });
-        let epoch = next.epoch;
-        let old = std::mem::replace(&mut *cur, next);
-        drop(cur);
-        self.retired.lock().expect("ledger lock").push(old);
-        epoch
-    }
-
-    /// Publishes a purged version when anything has expired by `now`.
-    /// Safe mid-wave: entries expired before the wave-close instant are
-    /// invisible to every wave query (all reservation checks evaluate at
-    /// wave close), so answers are unaffected.
-    fn publish_purged(&self, now: SimTime) -> bool {
-        let cur = self.current();
-        if cur.entries.iter().all(|&(_, e)| e > now) {
-            return false;
-        }
-        let entries = cur
-            .entries
-            .iter()
-            .copied()
-            .filter(|&(_, e)| e > now)
-            .collect();
-        self.publish(entries);
-        true
-    }
-
-    /// Frees retired versions no pin references. Returns how many.
-    fn reclaim(&self) -> usize {
-        let mut retired = self.retired.lock().expect("ledger lock");
-        let before = retired.len();
-        retired.retain(|v| {
-            self.pins
-                .iter()
-                .any(|p| p.load(Ordering::SeqCst) == v.epoch)
-        });
-        let freed = before - retired.len();
-        self.reclaimed.fetch_add(freed as u64, Ordering::Relaxed);
-        freed
-    }
-
-    fn stats(&self) -> LedgerStats {
-        let cur = self.current();
-        LedgerStats {
-            epoch: cur.epoch,
-            live_entries: cur.entries.len(),
-            retired_versions: self.retired.lock().expect("ledger lock").len(),
-            reclaimed: self.reclaimed.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// A submitted, not-yet-processed query: the problem with its footprint
@@ -465,10 +308,9 @@ struct Group {
 }
 
 /// A worker's finished tenant group: the completions and the tenant's
-/// reservation overlay to merge into the ledger.
+/// same-wave holds to merge into the published set.
 struct GroupDone {
-    tenant: TenantId,
-    overlay: Vec<(Address, SimTime)>,
+    holds: Reservations,
     completed: Vec<CompletedQuery>,
 }
 
@@ -625,7 +467,11 @@ pub struct ServingPlane<S> {
     collector: EvalCore,
     shards: Vec<Shard>,
     workers: Vec<WorkerSlot>,
-    ledger: ReservationLedger,
+    /// Holds published by earlier waves, and what merging them has seen.
+    ledger: Arc<Reservations>,
+    ledger_epoch: u64,
+    ledger_collisions: u64,
+    ledger_conflicts: u64,
     l2: SharedCache,
     pending: VecDeque<Pending>,
     tenant_open: HashMap<TenantId, usize>,
@@ -668,15 +514,15 @@ impl<S: StatusSource> ServingPlane<S> {
             );
             let spec = RingSpec {
                 width: tel_cfg.window,
-                buckets: tel_cfg.ring_windows.max(1),
-                classes: tel_cfg.tenant_classes.max(1),
+                buckets: RING_WINDOWS,
+                classes: TENANT_CLASSES,
                 shards: nshards,
                 bounds: LATENCY_BOUNDS_US,
             };
             Some(TelemetryState {
                 sampler: TraceSampler::new(cfg.seed, tel_cfg.sample_every),
                 hub: WindowHub::new(spec),
-                slo: SloTracker::new(tel_cfg.slos.clone(), tel_cfg.slo_horizon),
+                slo: SloTracker::new(tel_cfg.slos.clone(), SLO_HORIZON),
                 recorder: FlightRecorder::new(tel_cfg.recorder),
                 gathers: VecDeque::new(),
                 gather_cap: (4 * nshards).max(8),
@@ -715,7 +561,6 @@ impl<S: StatusSource> ServingPlane<S> {
                     .map(|tel| RingRecorder::new(*tel.hub.spec())),
             })
             .collect();
-        let ledger = ReservationLedger::new(cfg.workers);
         let l2 = SharedCache::new(if cfg.server.cache.enabled {
             cfg.server.cache.l2_entries
         } else {
@@ -727,7 +572,10 @@ impl<S: StatusSource> ServingPlane<S> {
             collector,
             shards,
             workers,
-            ledger,
+            ledger: Arc::new(Reservations::new()),
+            ledger_epoch: 0,
+            ledger_collisions: 0,
+            ledger_conflicts: 0,
             l2,
             pending: VecDeque::new(),
             tenant_open: HashMap::new(),
@@ -768,15 +616,21 @@ impl<S: StatusSource> ServingPlane<S> {
         self.virtual_lag
     }
 
-    /// The currently published reservation-ledger version.
-    pub fn ledger_version(&self) -> Arc<LedgerVersion> {
-        self.ledger.current()
+    /// The currently published holds. The returned version never changes:
+    /// later waves edit a copy while it is held.
+    pub fn ledger_version(&self) -> Arc<Reservations> {
+        Arc::clone(&self.ledger)
     }
 
-    /// Ledger observability: epoch, live entries, retirement/reclaim and
-    /// collision/conflict counts.
+    /// Ledger observability: epoch, live entries and collision/conflict
+    /// counts.
     pub fn ledger_stats(&self) -> LedgerStats {
-        self.ledger.stats()
+        LedgerStats {
+            epoch: self.ledger_epoch,
+            live_entries: self.ledger.len(),
+            collisions: self.ledger_collisions,
+            conflicts: self.ledger_conflicts,
+        }
     }
 
     /// The snapshot epoch of every shard, in shard order. These are the
@@ -1110,6 +964,11 @@ impl<S: StatusSource> ServingPlane<S> {
             members.push(self.pending.pop_front().expect("peeked"));
         }
 
+        // Expire published holds. Entries that end by `t_wave` are
+        // invisible to every query of this wave (all reservation checks
+        // evaluate at `t_wave`), so dropping them first changes no answer.
+        Arc::make_mut(&mut self.ledger).purge(t_wave);
+
         // Refresh due shards — each on its own cadence, through the
         // shared source. A slow gather only delays *this* shard's data.
         // A refresh moves the shard's snapshot epoch, which orphans every
@@ -1137,15 +996,13 @@ impl<S: StatusSource> ServingPlane<S> {
             }
         }
 
+        for slot in &mut self.workers {
+            slot.avail = slot.avail.max(t_wave);
+        }
         if members.is_empty() {
-            // Idle wave: expire published reservations, reclaim, and
-            // sweep answer-cache entries orphaned by any refresh above —
-            // epochs die on refresh whether or not queries arrived.
-            self.ledger.publish_purged(t_wave);
-            self.ledger.reclaim();
-            for slot in &mut self.workers {
-                slot.avail = slot.avail.max(t_wave);
-            }
+            // Idle wave: sweep answer-cache entries orphaned by any
+            // refresh above — epochs die on refresh whether or not
+            // queries arrived.
             self.publish_cache(Vec::new(), refreshed);
             self.update_lag(t_wave);
             self.telemetry_close_wave(t_wave, &[]);
@@ -1185,9 +1042,6 @@ impl<S: StatusSource> ServingPlane<S> {
         // `service_time`; the worker computes actual completions as it
         // drains (cache hits cost `hit_service_time`), so its real
         // cursor can only run at or ahead of the estimate.
-        for slot in &mut self.workers {
-            slot.avail = slot.avail.max(t_wave);
-        }
         let mut est: Vec<SimTime> = self.workers.iter().map(|s| s.avail).collect();
         let mut work: Vec<Vec<Group>> = (0..self.cfg.workers).map(|_| Vec::new()).collect();
         for (_, g) in groups {
@@ -1202,17 +1056,13 @@ impl<S: StatusSource> ServingPlane<S> {
         }
 
         // Execute: real threads, one per busy worker, each owning its
-        // long-lived core. The sequencer thread does mid-wave ledger
-        // housekeeping while workers run.
-        let hold = self.cfg.server.reservation_hold;
-        let seed = self.cfg.seed;
-        let service = self.cfg.service_time;
-        let hit_service = self.cfg.hit_service_time;
-        let ledger = &self.ledger;
-        // Pin the published L2 view once for the whole wave: workers
-        // read this immutable map lock-free; fresh results they compute
-        // are merged and republished only after the wave joins.
-        let shared_view = self.l2.pin();
+        // long-lived core. What workers share — the published holds and
+        // the L2 tier — they only read, by references that end with the
+        // scope; everything they produce comes back through the join and
+        // is merged below, on this thread.
+        let cfg = &self.cfg;
+        let published: &Reservations = &self.ledger;
+        let shared = self.l2.view();
         let mut done: Vec<GroupDone> = Vec::new();
         let mut cursors: Vec<Option<SimTime>> = vec![None; self.workers.len()];
         std::thread::scope(|scope| {
@@ -1222,28 +1072,15 @@ impl<S: StatusSource> ServingPlane<S> {
                     handles.push(None);
                     continue;
                 }
-                // Pin before any of this wave's publications can retire
-                // the version the worker is about to read.
-                let pinned = ledger.pin(wi);
                 let core = &mut slot.core;
                 let ring = slot.ring.as_mut();
                 let start = slot.avail;
-                let shared = &shared_view;
                 handles.push(Some(scope.spawn(move || {
                     run_groups(
-                        core, ring, groups, &pinned, shared, wave, wi, t_wave, start, service,
-                        hit_service, hold, shed, seed,
+                        core, ring, groups, published, shared, cfg, wave, wi, t_wave, start, shed,
                     )
                 })));
             }
-            // Mid-wave: purge expired entries and publish. The retired
-            // version stays pinned by the running workers, so reclaim
-            // keeps it; this is the path that makes epoch pinning real
-            // rather than ceremonial. Purged entries expired before
-            // t_wave, which no wave query can observe (all reservation
-            // checks evaluate at t_wave).
-            ledger.publish_purged(t_wave);
-            ledger.reclaim();
             for (wi, h) in handles.into_iter().enumerate() {
                 if let Some(h) = h {
                     let (groups_done, cursor) = h.join().expect("serving worker panicked");
@@ -1268,53 +1105,29 @@ impl<S: StatusSource> ServingPlane<S> {
         }
         self.publish_cache(fresh, refreshed);
 
-        // Merge tenant overlays into the published ledger in tenant
-        // order. Max-expiry merge is commutative, so the merged version
-        // is independent of which workers ran which tenants.
-        done.sort_by_key(|g| g.tenant);
-        let base = self.ledger.current();
-        let mut entries = base.entries().to_vec();
-        let mut touched: HashMap<Address, TenantId> = HashMap::new();
-        let mut requested: Vec<(Address, SimTime)> = Vec::new();
+        // Merge the tenants' holds into the published set. Max-expiry
+        // merge is commutative, so the result is independent of which
+        // workers ran which tenants. An address several tenants of the
+        // wave were recommended is a collision: counted, and held until
+        // the latest of their expiries.
+        let mut wave_holds = Reservations::new();
         for g in &done {
-            for &(addr, until) in &g.overlay {
-                requested.push((addr, until));
-                if let Some(prev) = touched.insert(addr, g.tenant) {
-                    if prev != g.tenant {
-                        self.ledger.collisions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                match entries.binary_search_by_key(&addr.0, |e| e.0 .0) {
-                    Ok(i) => {
-                        if entries[i].1 < until {
-                            entries[i].1 = until;
-                        }
-                    }
-                    Err(i) => entries.insert(i, (addr, until)),
-                }
+            wave_holds.merge(&g.holds);
+        }
+        if !wave_holds.is_empty() {
+            let requested: usize = done.iter().map(|g| g.holds.len()).sum();
+            self.ledger_collisions += (requested - wave_holds.len()) as u64;
+            let ledger = Arc::make_mut(&mut self.ledger);
+            ledger.merge(&wave_holds);
+            self.ledger_epoch += 1;
+            // Merge invariant: strictly sorted, nothing lost or shortened.
+            // A violation is a ledger conflict.
+            let sorted = ledger.entries().windows(2).all(|w| w[0].0 < w[1].0);
+            let kept = |&(a, until): &(_, SimTime)| ledger.expiry(a) >= Some(until);
+            if !sorted || !done.iter().all(|g| g.holds.entries().iter().all(kept)) {
+                self.ledger_conflicts += 1;
             }
         }
-        if !requested.is_empty() {
-            self.ledger.publish(entries);
-            // Publication invariant: strictly sorted, nothing lost or
-            // shortened. A violation is a ledger conflict.
-            let cur = self.ledger.current();
-            let entries = cur.entries();
-            let sorted_ok = entries.windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
-            // Sorted (just checked), so each request is one binary search.
-            let kept = |&(a, u): &(Address, SimTime)| {
-                entries
-                    .binary_search_by_key(&a.0, |e| e.0 .0)
-                    .is_ok_and(|i| entries[i].1 >= u)
-            };
-            if !sorted_ok || !requested.iter().all(kept) {
-                self.ledger.conflicts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        for wi in 0..self.workers.len() {
-            self.ledger.unpin(wi);
-        }
-        self.ledger.reclaim();
 
         // Completions in deterministic (tenant, seq) order.
         let mut completed: Vec<CompletedQuery> =
@@ -1330,10 +1143,13 @@ impl<S: StatusSource> ServingPlane<S> {
                 (c.completion - c.arrival).as_micros_f64(),
             );
         }
-        let stats = self.ledger.stats();
-        self.metrics.gauge_set(self.ids.epoch, stats.epoch as f64);
-        self.metrics
-            .gauge_set(self.ids.ledger_live, stats.live_entries as f64);
+        #[allow(clippy::cast_precision_loss)]
+        {
+            self.metrics
+                .gauge_set(self.ids.epoch, self.ledger_epoch as f64);
+            self.metrics
+                .gauge_set(self.ids.ledger_live, self.ledger.len() as f64);
+        }
         self.telemetry_close_wave(t_wave, &completed);
         out.append(&mut completed);
     }
@@ -1341,34 +1157,34 @@ impl<S: StatusSource> ServingPlane<S> {
 
 /// Evaluates a worker's assigned tenant groups for one wave, advancing
 /// the worker's virtual cursor from `start` as it goes (hits cost
-/// `hit_service`, everything else `service`) and returning the final
-/// cursor. *Answers* stay pure with respect to scheduling — they depend
-/// only on the query identities, the pinned ledger version, the pinned
-/// L2 cache view, the shard snapshots and the shed flag; the cursor
-/// feeds completion times, which (like `worker`) are scheduling facts.
+/// `hit_service_time`, everything else `service_time`) and returning the
+/// final cursor. *Answers* stay pure with respect to scheduling — they
+/// depend only on the query identities, the published holds, the L2 tier
+/// as it stood when the wave began, the shard snapshots and the shed
+/// flag; the cursor feeds completion times, which (like `worker`) are
+/// scheduling facts.
 #[allow(clippy::too_many_arguments)]
 fn run_groups(
     core: &mut EvalCore,
     mut ring: Option<&mut RingRecorder>,
     groups: Vec<Group>,
-    pinned: &LedgerVersion,
-    shared: &SharedMap,
+    published: &Reservations,
+    shared: &Tier,
+    cfg: &ServingConfig,
     wave: u64,
     worker: usize,
     t_wave: SimTime,
     start: SimTime,
-    service: SimDuration,
-    hit_service: SimDuration,
-    hold: Option<SimDuration>,
     shed: bool,
-    seed: u64,
 ) -> (Vec<GroupDone>, SimTime) {
-    let root = derive_seed(seed, QUERY_STREAM_SALT);
+    let root = derive_seed(cfg.seed, QUERY_STREAM_SALT);
     let mut out = Vec::with_capacity(groups.len());
     let mut cursor = start;
     for g in groups {
         let Group { tenant, items } = g;
-        let mut overlay: Vec<(Address, SimTime)> = Vec::new();
+        // Visibility: the published prior-wave holds plus this tenant's
+        // own same-wave ones.
+        let mut holds = Reservations::new();
         let mut completed = Vec::with_capacity(items.len());
         for item in items {
             // Per-query RNG stream: identity-keyed, schedule-independent.
@@ -1379,43 +1195,26 @@ fn run_groups(
                 sample_within_budget(item.footprint.problem(), core.cfg().sample_budget, &mut rng)
                     .map(Footprint::shared);
             let working = sampled_footprint.as_ref().unwrap_or(&item.footprint);
-            let result = {
-                // Visibility: published prior-wave reservations plus this
-                // tenant's own same-wave overlay.
-                let pred = |a: Address| {
-                    overlay.iter().any(|&(x, e)| x == a && e > t_wave)
-                        || pinned.is_reserved(a, t_wave)
-                };
-                let pred_ref: Option<&dyn Fn(Address) -> bool> =
-                    if hold.is_some() { Some(&pred) } else { None };
-                core.answer_snapshot(
-                    working,
-                    &item.snapshot,
-                    t_wave,
-                    sampled_footprint.is_some(),
-                    pred_ref,
-                    shed,
-                    Some(shared),
-                )
-            };
+            let result = core.answer_snapshot(
+                working,
+                &item.snapshot,
+                t_wave,
+                sampled_footprint.is_some(),
+                Holds {
+                    published,
+                    own: &mut holds,
+                    record: true,
+                },
+                shed,
+                Some(shared),
+            );
             let hit = matches!(&result, Ok(a) if a.provenance.cache_hit);
-            cursor += if hit { hit_service } else { service };
+            cursor += if hit {
+                cfg.hit_service_time
+            } else {
+                cfg.service_time
+            };
             let completion = cursor;
-            if let (Ok(a), Some(h)) = (&result, hold) {
-                let until = t_wave + h;
-                for v in &a.binding {
-                    if let Value::Addr(addr) = v {
-                        match overlay.iter_mut().find(|e| e.0 == *addr) {
-                            Some(e) => {
-                                if e.1 < until {
-                                    e.1 = until;
-                                }
-                            }
-                            None => overlay.push((*addr, until)),
-                        }
-                    }
-                }
-            }
             // Telemetry tap: record into this worker's exclusively-owned
             // ring (lock-free by ownership; the sequencer drains it only
             // between waves). Never touches the answer.
@@ -1453,11 +1252,7 @@ fn run_groups(
                 snapshot_epoch,
             });
         }
-        out.push(GroupDone {
-            tenant,
-            overlay,
-            completed,
-        });
+        out.push(GroupDone { holds, completed });
     }
     (out, cursor)
 }
@@ -1599,42 +1394,30 @@ mod tests {
     }
 
     #[test]
-    fn ledger_epochs_advance_and_reclaim() {
+    fn a_version_handed_out_before_a_publish_is_unchanged_after_it() {
         let (layout, src) = fleet();
         let mut plane = ServingPlane::new(cfg(2), layout, src);
-        plane.submit(TenantId(0), rack_query(0), SimTime::ZERO).unwrap();
+        let v0 = plane.ledger_version();
+        plane
+            .submit(TenantId(0), rack_query(0), SimTime::ZERO)
+            .unwrap();
         plane.run_until(SimTime::from_secs_f64(0.01));
         let s1 = plane.ledger_stats();
-        assert!(s1.epoch >= 1, "reservations published: {s1:?}");
+        assert_eq!(s1.epoch, 1, "one wave merged holds: {s1:?}");
         assert!(s1.live_entries > 0);
         assert_eq!(s1.conflicts, 0);
-        assert_eq!(s1.retired_versions, 0, "no pins → everything reclaimed");
-        // Entries strictly sorted by address.
-        let v = plane.ledger_version();
-        assert!(v.entries().windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
-        // The 300 ms hold expires; a later idle wave purges it.
+        let v1 = plane.ledger_version();
+        assert!(v0.is_empty(), "the version handed out earlier did not move");
+        assert_eq!(v1.len(), s1.live_entries);
+        assert!(v1.entries().windows(2).all(|w| w[0].0 < w[1].0));
+        // The 300 ms hold expires; a later wave purges it — in a copy,
+        // while `v1` is held.
         plane.run_until(SimTime::from_secs_f64(0.5));
         let s2 = plane.ledger_stats();
         assert_eq!(s2.live_entries, 0, "{s2:?}");
-        assert!(s2.reclaimed >= s1.reclaimed);
+        assert_eq!(s2.epoch, 1, "a purge is not a merge");
         assert_eq!(s2.conflicts, 0);
-    }
-
-    #[test]
-    fn ledger_pins_block_reclaim_until_released() {
-        let ledger = ReservationLedger::new(2);
-        let v0 = ledger.pin(0);
-        assert_eq!(v0.epoch(), 0);
-        ledger.publish(vec![(Address(1), SimTime::from_secs_f64(1.0))]);
-        ledger.reclaim();
-        assert_eq!(ledger.stats().retired_versions, 1, "epoch 0 still pinned");
-        ledger.unpin(0);
-        ledger.reclaim();
-        let s = ledger.stats();
-        assert_eq!(s.retired_versions, 0);
-        assert_eq!(s.reclaimed, 1);
-        assert_eq!(s.epoch, 1);
-        drop(v0);
+        assert_eq!(v1.len(), s1.live_entries);
     }
 
     fn telemetry_cfg(workers: usize, sample_every: u64, slos: Vec<obs::SloSpec>) -> ServingConfig {

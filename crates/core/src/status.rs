@@ -47,8 +47,7 @@ pub trait StatusSource {
 
     /// Like [`StatusSource::poll`], but also reporting the measurement's
     /// age. Sources that always serve live data (the default) report
-    /// `age == 0`; decorators such as
-    /// [`crate::faults::FaultySource`] and [`LaggedStatusSource`]
+    /// `age == 0`; decorators such as [`crate::faults::FaultySource`]
     /// override this to serve stale readings.
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         self.poll(addr).map(StatusReport::fresh)
@@ -56,10 +55,9 @@ pub trait StatusSource {
 
     /// Moves the source's notion of "now" to `now` before a gather.
     /// Stateless sources (the default) ignore this; time-aware sources —
-    /// an [`crate::aggregate::AggregationPlane`] syncing its racks, a
-    /// [`LaggedStatusSource`] aging its reports — use it so a serving
-    /// plane's shard refresh sees state as of the wave clock rather than
-    /// as of construction time.
+    /// an [`crate::aggregate::AggregationPlane`] syncing its racks — use
+    /// it so a serving plane's shard refresh sees state as of the wave
+    /// clock rather than as of construction time.
     fn advance_to(&mut self, _now: SimTime) {}
 
     /// Takes the span report of the collection work behind the most
@@ -82,7 +80,7 @@ pub trait StatusSource {
     /// `poll_report` bit-identically to its previous answer**, silence
     /// included. Listing too much is always allowed, listing too little
     /// never. A source whose answers depend on time or on state it does
-    /// not own ([`LaggedStatusSource`], [`NetSimStatusSource`]) keeps the
+    /// not own ([`NetSimStatusSource`]) keeps the
     /// default. Draining consumes the view, so it has one consumer: the
     /// [`crate::aggregate::AggregationPlane`] that owns the source, which
     /// re-polls only what is listed and otherwise falls back to polling
@@ -175,7 +173,7 @@ impl StatusSource for NetSimStatusSource<'_> {
 }
 
 /// Converts a simnet per-host load sample into the estimator's host state.
-fn host_state_from_load(load: &simnet::engine::HostLoad) -> HostState {
+pub fn host_state_from_load(load: &simnet::engine::HostLoad) -> HostState {
     HostState {
         nic_up_capacity: load.nic_capacity,
         nic_up_used: load.tx_bps,
@@ -185,63 +183,6 @@ fn host_state_from_load(load: &simnet::engine::HostLoad) -> HostState {
         disk_read_used: load.disk_read_bps,
         disk_write_capacity: load.disk_write_capacity,
         disk_write_used: load.disk_write_bps,
-    }
-}
-
-/// A status source serving from a frozen [`simnet::LoadSnapshot`]: every
-/// poll answers with the cluster state as it was when the snapshot was
-/// captured, aged accordingly. This models a status-collection pipeline
-/// whose reports lag the live simulation — advance the `NetSim`, keep the
-/// old snapshot, and the CloudTalk server sees yesterday's loads with
-/// honest `age` metadata.
-#[derive(Clone, Debug)]
-pub struct LaggedStatusSource {
-    snapshot: simnet::LoadSnapshot,
-    now: SimTime,
-}
-
-impl LaggedStatusSource {
-    /// Captures the current state of `net` as the data this source will
-    /// keep serving.
-    pub fn capture(net: &mut simnet::NetSim) -> Self {
-        LaggedStatusSource {
-            snapshot: net.load_snapshot(),
-            now: net.now(),
-        }
-    }
-
-    /// Wraps an existing snapshot.
-    pub fn from_snapshot(snapshot: simnet::LoadSnapshot) -> Self {
-        let now = snapshot.taken_at();
-        LaggedStatusSource { snapshot, now }
-    }
-
-    /// Sets the current time, so served reports carry the right age.
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    /// Age the reports served at the configured current time.
-    pub fn lag(&self) -> SimDuration {
-        self.snapshot.age_at(self.now)
-    }
-}
-
-impl StatusSource for LaggedStatusSource {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.snapshot.get(addr.0).map(host_state_from_load)
-    }
-
-    fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
-        let state = self.poll(addr)?;
-        Some(StatusReport {
-            state,
-            age: self.lag(),
-        })
-    }
-
-    fn advance_to(&mut self, now: SimTime) {
-        self.set_now(now);
     }
 }
 
@@ -286,11 +227,8 @@ mod tests {
         assert_eq!(changed, vec![Address(2)]);
         assert!(s.poll(Address(2)).is_none());
         // Sources that cannot prove anything say so.
-        let snapshot =
-            simnet::NetSim::new(Topology::single_switch(2, GBPS, TopoOptions::default()))
-                .load_snapshot();
-        let mut lagged = LaggedStatusSource::from_snapshot(snapshot);
-        assert!(!lagged.drain_changed(&mut changed));
+        let mut net = NetSim::new(Topology::single_switch(2, GBPS, TopoOptions::default()));
+        assert!(!NetSimStatusSource::new(&mut net).drain_changed(&mut changed));
     }
 
     #[test]
@@ -321,33 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn lagged_source_serves_old_state_with_age() {
-        let topo = Topology::single_switch(3, GBPS, TopoOptions::default());
-        let mut net = NetSim::new(topo);
-        let hosts = net.hosts();
-        let addr0 = Address(net.topology().host(hosts[0]).addr);
-        net.start(TransferSpec::network(hosts[0], hosts[1], GBPS)); // 1 s of payload
-        let mut lagged = LaggedStatusSource::capture(&mut net);
-
-        // The transfer finishes; live state goes idle, the lagged source
-        // keeps reporting the old busy reading with a growing age.
-        net.run_until_idle();
-        lagged.set_now(net.now());
-        assert!(lagged.lag() > SimDuration::ZERO);
-        let rep = lagged.poll_report(addr0).unwrap();
-        assert!(rep.state.nic_up_used > 0.0, "serves the old busy reading");
-        assert_eq!(rep.age, lagged.lag());
-
-        let mut live = NetSimStatusSource::new(&mut net);
-        assert_eq!(live.poll(addr0).unwrap().nic_up_used, 0.0, "live is idle");
-        assert!(lagged.poll_report(Address(0xFFFF_FFFF)).is_none());
-    }
-
-    #[test]
     fn status_reports_identical_across_engine_modes() {
         // Status collection must be oblivious to the engine's rate
-        // maintenance strategy: mid-simulation snapshots and live polls
-        // serve bit-identical readings in both modes.
+        // maintenance strategy: mid-simulation and final live polls serve
+        // bit-identical readings in both modes.
         use simnet::EngineMode;
 
         let collect = |mode: EngineMode| {
@@ -357,31 +272,27 @@ mod tests {
             net.start(TransferSpec::network(hosts[0], hosts[3], 2e8));
             net.start(TransferSpec::network(hosts[1], hosts[3], 5e8));
             net.start(TransferSpec::pipeline(hosts[2], &[hosts[4], hosts[5]], 3e8));
-            net.advance_to(net.now() + SimDuration::from_secs_f64(0.3));
-            let lagged = LaggedStatusSource::capture(&mut net);
-            net.run_until_idle();
-            let mut readings = Vec::new();
             let addrs: Vec<Address> = net
                 .hosts()
                 .iter()
                 .map(|&h| Address(net.topology().host(h).addr))
                 .collect();
-            let mut lagged = lagged;
-            lagged.set_now(net.now());
-            for &a in &addrs {
-                let rep = lagged.poll_report(a).unwrap();
-                readings.push((
-                    rep.age,
-                    rep.state.nic_up_used.to_bits(),
-                    rep.state.nic_down_used.to_bits(),
-                    rep.state.disk_write_used.to_bits(),
-                ));
-            }
-            let mut live = NetSimStatusSource::new(&mut net);
-            for &a in &addrs {
-                let s = live.poll(a).unwrap();
-                readings.push((SimDuration::ZERO, s.nic_up_used.to_bits(), 0, 0));
-            }
+            let mut readings = Vec::new();
+            let mut poll_all = |net: &mut NetSim| {
+                let mut live = NetSimStatusSource::new(net);
+                for &a in &addrs {
+                    let s = live.poll(a).unwrap();
+                    readings.push((
+                        s.nic_up_used.to_bits(),
+                        s.nic_down_used.to_bits(),
+                        s.disk_write_used.to_bits(),
+                    ));
+                }
+            };
+            net.advance_to(net.now() + SimDuration::from_secs_f64(0.3));
+            poll_all(&mut net);
+            net.run_until_idle();
+            poll_all(&mut net);
             readings
         };
         assert_eq!(

@@ -144,7 +144,6 @@ proptest! {
         let cfg = HeuristicConfig {
             weight,
             priority_binding: priority,
-            refine: None,
         };
         let b = evaluate_query(&p, &w, &cfg);
         prop_assert_eq!(b.len(), 4);

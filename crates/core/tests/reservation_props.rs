@@ -1,0 +1,189 @@
+//! Property suite pinning [`Reservations`] — the one store of §5.5 holds —
+//! to the `HashMap` table it replaced, kept below as the oracle: random
+//! `reserve` / `purge` / `is_reserved` / `merge` at non-monotone times,
+//! with duplicate addresses inside one call and reservations made in the
+//! past. After every step both agree on what is stored and on who is held
+//! when; the new store's entries are strictly sorted; and no expiry ever
+//! shortens.
+
+use std::collections::HashMap;
+
+use cloudtalk::reservation::Reservations;
+use cloudtalk_lang::problem::Address;
+use desim::rng::stream_rng;
+use desim::{SimDuration, SimTime};
+use proptest::prelude::*;
+use rand::Rng;
+
+/// The table `CloudTalkServer` used before `Reservations`: a hash map plus
+/// a monotone expiry frontier. Test-target oracle only.
+mod oracle {
+    use super::*;
+
+    #[derive(Clone, Debug)]
+    pub struct ReservationTable {
+        hold: SimDuration,
+        expiry: HashMap<Address, SimTime>,
+        /// Lower bound on every live entry's expiry: no entry expires
+        /// before the frontier, so a purge at `now < frontier` has nothing
+        /// to drop. Extending an entry can leave the frontier conservative
+        /// (too low), never wrong; a full purge recomputes it exactly.
+        frontier: SimTime,
+    }
+
+    impl ReservationTable {
+        pub fn new(hold: SimDuration) -> Self {
+            ReservationTable {
+                hold,
+                expiry: HashMap::new(),
+                frontier: SimTime::MAX,
+            }
+        }
+
+        pub fn reserve(&mut self, addrs: impl IntoIterator<Item = Address>, now: SimTime) {
+            let until = now + self.hold;
+            let mut inserted = false;
+            for addr in addrs {
+                let e = self.expiry.entry(addr).or_insert(until);
+                if *e < until {
+                    *e = until;
+                }
+                inserted = true;
+            }
+            if inserted && until < self.frontier {
+                self.frontier = until;
+            }
+        }
+
+        pub fn is_reserved(&self, addr: Address, now: SimTime) -> bool {
+            if now < self.frontier {
+                return self.expiry.contains_key(&addr);
+            }
+            self.expiry.get(&addr).is_some_and(|&e| e > now)
+        }
+
+        pub fn purge(&mut self, now: SimTime) {
+            if now < self.frontier {
+                return;
+            }
+            self.expiry.retain(|_, &mut e| e > now);
+            self.frontier = self.expiry.values().copied().min().unwrap_or(SimTime::MAX);
+        }
+
+        pub fn live_count(&self, now: SimTime) -> usize {
+            if now < self.frontier {
+                return self.expiry.len();
+            }
+            self.expiry.values().filter(|&&e| e > now).count()
+        }
+
+        pub fn len(&self) -> usize {
+            self.expiry.len()
+        }
+    }
+}
+
+const HOLD: SimDuration = SimDuration::from_millis(300);
+/// Few addresses and a two-second clock: entries collide, extend and
+/// expire within one short run.
+const ADDRS: u32 = 12;
+const CLOCK_MS: u64 = 2_000;
+
+/// One `reserve` call: the instant and the (possibly repeating) addresses.
+type Call = (SimTime, Vec<Address>);
+
+fn random_call(rng: &mut impl Rng) -> Call {
+    let now = SimTime::ZERO + SimDuration::from_millis(rng.gen_range(0..CLOCK_MS));
+    let n = rng.gen_range(0..5usize);
+    (
+        now,
+        (0..n).map(|_| Address(rng.gen_range(0..ADDRS))).collect(),
+    )
+}
+
+/// Applies one call to both stores.
+fn reserve(table: &mut oracle::ReservationTable, r: &mut Reservations, (now, addrs): &Call) {
+    table.reserve(addrs.iter().copied(), *now);
+    for &a in addrs {
+        r.reserve(a, *now + HOLD);
+    }
+}
+
+fn check(
+    table: &oracle::ReservationTable,
+    r: &Reservations,
+    rng: &mut impl Rng,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        r.entries().windows(2).all(|w| w[0].0 < w[1].0),
+        "entries not strictly sorted: {:?}",
+        r.entries()
+    );
+    prop_assert_eq!(r.len(), table.len(), "stored entries");
+    prop_assert_eq!(r.is_empty(), table.len() == 0);
+    for _ in 0..4 {
+        let at = SimTime::ZERO + SimDuration::from_millis(rng.gen_range(0..CLOCK_MS + 400));
+        for a in (0..ADDRS).map(Address) {
+            prop_assert_eq!(
+                r.is_reserved(a, at),
+                table.is_reserved(a, at),
+                "{:?} at {}",
+                a,
+                at
+            );
+        }
+        let live = r.entries().iter().filter(|&&(_, e)| e > at).count();
+        prop_assert_eq!(live, table.live_count(at), "live set at {}", at);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn reservations_match_the_hash_map_table(seed in any::<u64>(), steps in 5usize..80) {
+        let mut rng = stream_rng(seed, 0x4E5E);
+        let mut table = oracle::ReservationTable::new(HOLD);
+        let mut r = Reservations::new();
+        for _ in 0..steps {
+            let before = r.clone();
+            let op = rng.gen_range(0..10u32);
+            match op {
+                0..=4 => reserve(&mut table, &mut r, &random_call(&mut rng)),
+                5..=6 => {
+                    let now = SimTime::ZERO + SimDuration::from_millis(rng.gen_range(0..CLOCK_MS));
+                    table.purge(now);
+                    r.purge(now);
+                    for &(a, e) in before.entries() {
+                        prop_assert_eq!(r.expiry(a), (e > now).then_some(e), "purge at {}", now);
+                    }
+                }
+                _ => {
+                    // Merging another store in is replaying the calls that
+                    // built it: max-expiry is commutative and associative.
+                    let calls: Vec<Call> =
+                        (0..rng.gen_range(0..4)).map(|_| random_call(&mut rng)).collect();
+                    let mut other = Reservations::new();
+                    for (now, addrs) in &calls {
+                        for &a in addrs {
+                            other.reserve(a, *now + HOLD);
+                        }
+                        table.reserve(addrs.iter().copied(), *now);
+                    }
+                    r.merge(&other);
+                    for &(a, e) in other.entries() {
+                        prop_assert!(r.expiry(a) >= Some(e), "merge lost or shortened {:?}", a);
+                    }
+                }
+            }
+            // Only a purge removes an entry, and nothing shortens one.
+            if !(5..=6).contains(&op) {
+                for &(a, e) in before.entries() {
+                    prop_assert!(r.expiry(a) >= Some(e), "{:?} lost or shortened", a);
+                }
+            }
+            check(&table, &r, &mut rng)?;
+        }
+    }
+}

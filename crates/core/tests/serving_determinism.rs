@@ -12,9 +12,8 @@
 //!   accepted/rejected split and the wave assignment of every query are
 //!   worker-count independent.
 //! * **Conflict-free ledger at every epoch**: after every drain step the
-//!   published ledger version is strictly sorted by address,
-//!   `conflicts == 0`, and every retired version has been reclaimed
-//!   (no worker pins survive a wave).
+//!   published holds are strictly sorted by address and
+//!   `conflicts == 0`.
 
 use cloudtalk::aggregate::FleetLayout;
 use cloudtalk::serving::{ServingConfig, ServingPlane, TelemetryConfig, TenantId};
@@ -80,17 +79,11 @@ fn check_ledger<S: cloudtalk::status::StatusSource>(
 ) -> Result<(), TestCaseError> {
     let stats = plane.ledger_stats();
     prop_assert_eq!(stats.conflicts, 0, "ledger conflict: {:?}", stats);
-    prop_assert_eq!(
-        stats.retired_versions,
-        0,
-        "unreclaimed versions with no pins: {:?}",
-        stats
-    );
     let v = plane.ledger_version();
     prop_assert!(
         v.entries().windows(2).all(|w| w[0].0 .0 < w[1].0 .0),
         "ledger entries not strictly sorted at epoch {}",
-        v.epoch()
+        stats.epoch
     );
     Ok(())
 }

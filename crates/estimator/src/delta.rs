@@ -10,15 +10,14 @@
 //! * all binding-independent work (sizes, starts, transfer offsets, rate
 //!   caps/couplings, groups, the transfer-precedence order, the
 //!   world→capacity table) is resolved **once per search**;
-//! * each [`push`](DeltaEstimator::push) / [`rebind`](DeltaEstimator::rebind)
-//!   records an undo entry and bumps a version counter on exactly the
-//!   flows whose endpoints mention the touched variable;
+//! * each [`push`](DeltaEstimator::push) bumps a version counter on exactly
+//!   the flows whose endpoints mention the bound variable;
 //! * at a leaf, only the usages of touched flows are rebuilt, flows are
 //!   partitioned into resource-connected components (the independence
 //!   boundary of `simnet::sharing`), and a component is re-simulated
 //!   **only if** some member's version changed or its membership moved —
 //!   otherwise its cached finish times are replayed;
-//! * [`pop`](DeltaEstimator::pop) undoes the top of the log, restoring
+//! * [`pop`](DeltaEstimator::pop) unbinds the deepest variable, restoring
 //!   the exact previous binding (and version state) on backtrack.
 //!
 //! Bit-identity with the scratch path is by construction, not by luck:
@@ -188,24 +187,12 @@ struct CompCache {
     closed: Option<bool>,
 }
 
-/// Undo-log entry: what [`DeltaEstimator::pop`] must restore.
-#[derive(Clone, Copy, Debug)]
-enum LogEntry {
-    /// A variable was bound at the then-current depth.
-    Push,
-    /// `var` was re-bound in place; `prev` is the value to restore.
-    Rebind {
-        var: usize,
-        prev: Value,
-    },
-}
-
 /// Incremental estimator holding one rated base world per search.
 ///
 /// Build with [`new`](DeltaEstimator::new) (or re-arm a reused instance
 /// with [`reset`](DeltaEstimator::reset) — all buffers keep their
 /// capacity, so steady-state searches allocate nothing). Then drive the
-/// binding with `push`/`rebind`/`pop` and ask for
+/// binding with `push`/`pop` and ask for
 /// [`estimate_summary`](DeltaEstimator::estimate_summary) at leaves.
 ///
 /// `new`/`reset` fail with the same [`EstimateError`] the scratch path
@@ -252,9 +239,8 @@ pub struct DeltaEstimator {
     cand_addr: Vec<bool>,
     // --- dynamic binding state ---
     values: Binding,
-    log: Vec<LogEntry>,
     flow_version: Vec<u64>,
-    /// `clock` at each variable's last push, rebind or pop.
+    /// `clock` at each variable's last push or pop.
     var_clock: Vec<u64>,
     clock: u64,
     // Per-flow usages, fixed stride 2 (a flow uses at most two resources).
@@ -285,8 +271,7 @@ impl DeltaEstimator {
     }
 
     /// Re-arms this estimator for a new search, reusing every buffer.
-    /// Clears the binding, the undo log, the component cache, and the
-    /// stats; resolves all static tables for `problem`/`world`.
+    /// Clears the binding, the component cache, and the stats; resolves all static tables for `problem`/`world`.
     pub fn reset(&mut self, problem: &Problem, world: &World) -> Result<(), EstimateError> {
         let n = problem.flows.len();
         self.n = n;
@@ -374,7 +359,6 @@ impl DeltaEstimator {
 
         // Dynamic state: empty binding, everything stale, cache cold.
         self.values.clear();
-        self.log.clear();
         self.clock = 0;
         self.var_clock.clear();
         self.var_clock.resize(self.n_vars, 0);
@@ -447,40 +431,20 @@ impl DeltaEstimator {
         debug_assert!(self.values.len() < self.n_vars, "push past full binding");
         let var = self.values.len();
         self.values.push(value);
-        self.log.push(LogEntry::Push);
-        self.stats.max_undo_depth = self.stats.max_undo_depth.max(self.log.len() as u64);
+        self.stats.max_undo_depth = self.stats.max_undo_depth.max(self.values.len() as u64);
         self.touch_var(var);
     }
 
-    /// Re-binds an already-bound variable in place (hill-climbing moves).
-    pub fn rebind(&mut self, var: usize, value: Value) {
-        let prev = std::mem::replace(&mut self.values[var], value);
-        self.log.push(LogEntry::Rebind { var, prev });
-        self.stats.max_undo_depth = self.stats.max_undo_depth.max(self.log.len() as u64);
-        self.touch_var(var);
-    }
-
-    /// Undoes the most recent [`push`](Self::push)/[`rebind`](Self::rebind).
+    /// Undoes the most recent [`push`](Self::push).
     pub fn pop(&mut self) {
-        let e = self.log.pop().expect("pop on an empty undo log");
+        let var = self
+            .values
+            .len()
+            .checked_sub(1)
+            .expect("pop on an empty binding");
         self.stats.undos += 1;
-        match e {
-            LogEntry::Push => {
-                let var = self.values.len() - 1;
-                self.touch_var(var);
-                self.values.pop();
-            }
-            LogEntry::Rebind { var, prev } => {
-                self.values[var] = prev;
-                self.touch_var(var);
-            }
-        }
-    }
-
-    /// Forgets the undo history (the current binding becomes the new
-    /// baseline). Used when a hill-climber accepts a move for good.
-    pub fn commit(&mut self) {
-        self.log.clear();
+        self.touch_var(var);
+        self.values.pop();
     }
 
     /// Makespan lower bound from the rated components that every

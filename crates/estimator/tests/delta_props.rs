@@ -1,6 +1,6 @@
 //! Property suite pinning the [`DeltaEstimator`] to the scratch oracle:
-//! random candidate sequences with interleaved apply/undo (push, rebind,
-//! pop) against three query topologies must produce **bit-identical**
+//! random candidate sequences with interleaved apply/undo (push, pop)
+//! against three query topologies must produce **bit-identical**
 //! `Estimate`s — `==` on every field plus raw-bit checks on makespan and
 //! finish times, never an EPS band — at every step, mirroring
 //! `simnet/tests/engine_oracle_props.rs`.
@@ -92,13 +92,6 @@ fn world_for(problem: &Problem, seed: u64) -> World {
     w
 }
 
-/// Mirror-side record of one applied operation, so pops can be replayed
-/// against the plain `Vec<Value>` binding.
-enum MirrorOp {
-    Push,
-    Rebind(usize, Value),
-}
-
 /// One delta-vs-scratch comparison at the current (possibly partial)
 /// binding. Partial bindings must error identically (`BindingArity`);
 /// full bindings must agree on the entire `Estimate` — and on the raw
@@ -128,7 +121,6 @@ fn drive(problem: &Problem, world: &World, seed: u64, steps: usize) -> Result<()
     let mut de = DeltaEstimator::new(problem, world).expect("statically supported problem");
     let n_vars = problem.vars.len();
     let mut mirror: Vec<Value> = Vec::new();
-    let mut mirror_log: Vec<MirrorOp> = Vec::new();
     let cand = |v: usize, k: usize| problem.vars[v].candidates[k % problem.vars[v].candidates.len()];
     let mut estimates = 0u64;
     for _ in 0..steps {
@@ -137,22 +129,10 @@ fn drive(problem: &Problem, world: &World, seed: u64, steps: usize) -> Result<()
             let val = cand(mirror.len(), rng.gen_range(0..64usize));
             de.push(val);
             mirror.push(val);
-            mirror_log.push(MirrorOp::Push);
-        } else if roll < 55 && !mirror_log.is_empty() {
+        } else if roll < 60 && !mirror.is_empty() {
             de.pop();
-            match mirror_log.pop().expect("non-empty") {
-                MirrorOp::Push => {
-                    mirror.pop();
-                }
-                MirrorOp::Rebind(var, prev) => mirror[var] = prev,
-            }
-        } else if roll < 72 && !mirror.is_empty() {
-            let var = rng.gen_range(0..mirror.len());
-            let val = cand(var, rng.gen_range(0..64usize));
-            de.rebind(var, val);
-            mirror_log.push(MirrorOp::Rebind(var, mirror[var]));
-            mirror[var] = val;
-        } else if roll < 80 {
+            mirror.pop();
+        } else if roll < 70 {
             // Rating a prefix ahead of its leaves only warms the cache:
             // every later comparison must still hold to the bit.
             de.rate_prefix();
@@ -170,7 +150,6 @@ fn drive(problem: &Problem, world: &World, seed: u64, steps: usize) -> Result<()
         let val = cand(mirror.len(), rng.gen_range(0..64usize));
         de.push(val);
         mirror.push(val);
-        mirror_log.push(MirrorOp::Push);
     }
     check_step(&mut de, problem, &mirror, world)?;
     estimates += 1;

@@ -349,7 +349,6 @@ proptest! {
         let cfg = HeuristicConfig {
             priority_binding: knobs & 1 == 0,
             weight: if knobs & 2 == 0 { 2.0 } else { 0.6 },
-            refine: None,
         };
         // One scratch across problems of different shapes: nothing of an
         // earlier problem may leak into a later answer.
