@@ -61,10 +61,22 @@ pub fn query_latency(
     leaves: &[HostId],
     deployment: &Deployment,
 ) -> f64 {
-    let mut sim = PktSim::new(topo.clone(), cfg);
+    query_latency_on(&mut PktSim::new(topo.clone(), cfg), frontend, leaves, deployment)
+}
+
+/// [`query_latency`] on a caller-owned simulator, rewound first: a
+/// placement enumeration keeps one simulator (its port tables and route
+/// cache) for all its candidates instead of building one per candidate.
+fn query_latency_on(
+    sim: &mut PktSim,
+    frontend: HostId,
+    leaves: &[HostId],
+    deployment: &Deployment,
+) -> f64 {
+    sim.reset();
     match deployment {
         Deployment::SingleAggregator { aggregator } => {
-            let r = gather(&mut sim, leaves, *aggregator, RESPONSE_BYTES, SimTime::ZERO);
+            let r = gather(sim, leaves, *aggregator, RESPONSE_BYTES, SimTime::ZERO);
             if *aggregator == frontend {
                 return r.finish.as_secs_f64();
             }
@@ -80,8 +92,7 @@ pub fn query_latency(
                 (aggregators.0, leaves[..half].to_vec()),
                 (aggregators.1, leaves[half..].to_vec()),
             ];
-            two_level_query(&mut sim, frontend, &groups, RESPONSE_BYTES, SimTime::ZERO)
-                .as_secs_f64()
+            two_level_query(sim, frontend, &groups, RESPONSE_BYTES, SimTime::ZERO).as_secs_f64()
         }
     }
 }
@@ -125,103 +136,68 @@ pub fn sweep_load(
     qps: f64,
     n_queries: usize,
 ) -> LoadPoint {
+    assert!(!leaves.is_empty(), "non-empty");
     let mut sim = PktSim::new(topo.clone(), cfg);
     let spacing = SimDuration::from_secs_f64(1.0 / qps);
-    let mut latencies: Vec<f64> = Vec::with_capacity(n_queries);
-
-    // All queries' leaf->aggregator flows are scheduled up front; the
-    // aggregator->frontend stage is launched as each query's gather ends.
-    struct Pending {
-        at: SimTime,
-        stage1: Vec<pktsim::FlowIdx>,
-        stage2: Option<pktsim::FlowIdx>,
-        groups: Vec<(HostId, usize)>, // aggregator, leaf count
-        done: Option<SimTime>,
-    }
-    let groups: Vec<(HostId, Vec<HostId>)> = match deployment {
-        Deployment::SingleAggregator { aggregator } => {
-            vec![(*aggregator, leaves.to_vec())]
-        }
+    let groups: Vec<(HostId, &[HostId])> = match deployment {
+        Deployment::SingleAggregator { aggregator } => vec![(*aggregator, leaves)],
         Deployment::TwoLevel { aggregators } => {
-            let half = leaves.len() / 2;
-            vec![
-                (aggregators.0, leaves[..half].to_vec()),
-                (aggregators.1, leaves[half..].to_vec()),
-            ]
+            let (a, b) = leaves.split_at(leaves.len() / 2);
+            vec![(aggregators.0, a), (aggregators.1, b)]
         }
     };
 
-    let mut queries: Vec<Pending> = Vec::with_capacity(n_queries);
+    // All queries' leaf->aggregator flows are scheduled up front, query by
+    // query: on this fresh simulator stage-1 flow `f` belongs to query
+    // `f / leaves.len()`.
+    let arrival = |q: usize| SimTime::ZERO + spacing * q as u64;
     for q in 0..n_queries {
-        let at = SimTime::ZERO + spacing * q as u64;
-        let mut stage1 = Vec::new();
-        let mut ginfo = Vec::new();
         for (agg, ls) in &groups {
             for (li, &leaf) in ls.iter().enumerate() {
                 // Deterministic per-(query, leaf) search-time stagger.
                 let jitter_ns = desim::rng::derive_seed(q as u64, li as u64)
                     % (LEAF_COMPUTE_MAX * 1e9) as u64;
-                let start = at + SimDuration::from_nanos(jitter_ns);
-                stage1.push(sim.add_flow(leaf, *agg, RESPONSE_BYTES, start));
+                let start = arrival(q) + SimDuration::from_nanos(jitter_ns);
+                sim.add_flow(leaf, *agg, RESPONSE_BYTES, start);
             }
-            ginfo.push((*agg, ls.len()));
         }
-        queries.push(Pending {
-            at,
-            stage1,
-            stage2: None,
-            groups: ginfo,
-            done: None,
-        });
     }
+    let stage1_flows = n_queries * leaves.len();
+    let mut stage1_left = vec![leaves.len(); n_queries];
+    // The query behind each stage-2 flow, in launch order (they follow the
+    // stage-1 flows in the simulator's numbering).
+    let mut stage2_query: Vec<usize> = Vec::with_capacity(n_queries);
+    let mut done: Vec<Option<SimTime>> = vec![None; n_queries];
 
-    // Drive to completion, launching stage 2 per query as stage 1 drains.
-    loop {
-        let mut progressed = false;
-        for q in queries.iter_mut() {
-            if q.done.is_some() {
+    // Drive to completion, launching the aggregator->frontend stage of a
+    // query at the instant its last gather flow finishes.
+    let mut pending = n_queries;
+    let mut seen = 0;
+    while pending > 0 && sim.step() {
+        while let Some(&f) = sim.completed().get(seen) {
+            seen += 1;
+            if f.0 >= stage1_flows {
+                done[stage2_query[f.0 - stage1_flows]] = sim.finish_time(f);
+                pending -= 1;
                 continue;
             }
-            if q.stage2.is_none() {
-                let stage1_done = q
-                    .stage1
-                    .iter()
-                    .map(|&f| sim.finish_time(f))
-                    .collect::<Option<Vec<_>>>();
-                if let Some(finishes) = stage1_done {
-                    let last = finishes.into_iter().max().expect("non-empty");
-                    let combined: u64 = q
-                        .groups
-                        .iter()
-                        .map(|&(_, n)| RESPONSE_BYTES * n as u64)
-                        .sum();
-                    // Model the upward stage as one flow from the last
-                    // aggregator (both halves must arrive at the frontend;
-                    // using the slower one preserves the tail).
-                    let agg = q.groups.last().expect("non-empty").0;
-                    q.stage2 = Some(sim.add_flow(agg, frontend, combined, last));
-                    progressed = true;
-                }
-            } else if let Some(f) = q.stage2 {
-                if let Some(t) = sim.finish_time(f) {
-                    q.done = Some(t);
-                    progressed = true;
-                }
+            let q = f.0 / leaves.len();
+            stage1_left[q] -= 1;
+            if stage1_left[q] == 0 {
+                // Model the upward stage as one flow from the last
+                // aggregator (both halves must arrive at the frontend;
+                // using the slower one preserves the tail).
+                let agg = groups.last().expect("non-empty").0;
+                let combined = RESPONSE_BYTES * leaves.len() as u64;
+                sim.add_flow(agg, frontend, combined, sim.now());
+                stage2_query.push(q);
             }
-        }
-        if queries.iter().all(|q| q.done.is_some()) {
-            break;
-        }
-        if !progressed && !sim.step() {
-            break;
         }
     }
 
-    for q in &queries {
-        if let Some(done) = q.done {
-            latencies.push((done - q.at).as_secs_f64());
-        }
-    }
+    let mut latencies: Vec<f64> = (0..n_queries)
+        .filter_map(|q| done[q].map(|t| (t - arrival(q)).as_secs_f64()))
+        .collect();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mean = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
     let p99 = latencies
@@ -263,6 +239,7 @@ pub fn place_aggregators(
     leaves: &[HostId],
     candidates: &[HostId],
 ) -> PlacementSearch {
+    let mut sim = PktSim::new(topo.clone(), cfg);
     let mut best: Option<((HostId, HostId), f64)> = None;
     let mut worst: Option<((HostId, HostId), f64)> = None;
     let mut evaluated = 0usize;
@@ -271,9 +248,8 @@ pub fn place_aggregators(
             if a1 == a2 {
                 continue;
             }
-            let lat = query_latency(
-                topo,
-                cfg,
+            let lat = query_latency_on(
+                &mut sim,
                 frontend,
                 leaves,
                 &Deployment::TwoLevel { aggregators: (a1, a2) },
@@ -287,9 +263,8 @@ pub fn place_aggregators(
             }
         }
     }
-    let single = query_latency(
-        topo,
-        cfg,
+    let single = query_latency_on(
+        &mut sim,
         frontend,
         leaves,
         &Deployment::SingleAggregator {

@@ -45,10 +45,9 @@ struct Scenario {
 }
 
 /// Full scale: 80 leaves over a two-tier fabric, 12 aggregator
-/// candidates drawn 3-per-rack from 4 leaf-free racks (so symmetry
-/// collapses the 132 ordered pairs into 16 equivalence classes — a
-/// candidate co-racked with a pinned leaf or frontend would be its own
-/// class).
+/// candidates drawn 3-per-rack from 4 leaf-free racks. The frontend pins
+/// rack 0 and the other three candidate racks are interchangeable, so
+/// symmetry collapses the 132 ordered pairs into 5 equivalence classes.
 fn full_scenario() -> Scenario {
     let topo = Topology::two_tier(12, 10, GBPS, f64::INFINITY, TopoOptions::default());
     let hosts = topo.host_ids();
@@ -95,6 +94,57 @@ fn smoke_scenario() -> Scenario {
         pairs,
         threads: worker_threads(4),
     }
+}
+
+/// CI-sized rack symmetry: 12 leaves over a two-tier fabric, 3 candidates
+/// in each of 4 racks, frontend in rack 0 — the full scenario's class
+/// structure (5 classes over 132 ordered pairs) at a size the memo-off
+/// scan finishes in well under a second.
+fn rack_smoke_scenario() -> Scenario {
+    let topo = Topology::two_tier(7, 4, GBPS, f64::INFINITY, TopoOptions::default());
+    let hosts = topo.host_ids();
+    let frontend = hosts[0];
+    let leaves: Vec<HostId> = hosts[16..28].to_vec();
+    let candidates: Vec<HostId> = [1usize, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]
+        .iter()
+        .map(|&i| hosts[i])
+        .collect();
+    let problem = aggregator_placement_query(&topo, frontend, &leaves, &candidates);
+    let pairs = candidates.len() * (candidates.len() - 1);
+    Scenario {
+        mirror: MirrorTopology::new(topo),
+        problem,
+        pairs,
+        threads: 1,
+    }
+}
+
+/// Fails unless the memoised search returns the unmemoised winner bit for
+/// bit while simulating at most one binding per rack-symmetric class.
+fn rack_symmetry_smoke() {
+    let s = rack_smoke_scenario();
+    let n_cands = s.problem.vars[0].candidates.len() as u64;
+    let opts = PktSearchOptions::new(n_cands * n_cands);
+    let (off, _) = run_arm(&s, &opts.memoise(false));
+    let (on, _) = run_arm(&s, &opts);
+    assert_eq!(on.binding, off.binding, "rack symmetry changed the winner");
+    assert_eq!(
+        on.makespan.to_bits(),
+        off.makespan.to_bits(),
+        "rack symmetry changed the makespan"
+    );
+    let sims = on.evaluated + on.aborted;
+    assert!(sims <= 5, "{sims} simulations for 5 rack-symmetric classes");
+    println!(
+        "\nrack symmetry (two-tier, {} ordered pairs): memo off {} sims, memo on {} sims + {} memo hits; \
+         winner ({}) makespan {:.4}s — bit-identical",
+        s.pairs,
+        off.evaluated + off.aborted,
+        sims,
+        on.memo_hits,
+        fmt_binding(&on.binding),
+        on.makespan
+    );
 }
 
 /// The unoptimised reference: enumerate bindings in declaration order and
@@ -318,7 +368,9 @@ fn main() {
         fmt_binding(&base_binding),
         base_makespan
     );
-    if !smoke {
+    if smoke {
+        rack_symmetry_smoke();
+    } else {
         assert!(
             best_speedup >= 5.0,
             "acceptance: end-to-end speedup {best_speedup:.1}x < 5x"

@@ -8,10 +8,13 @@
 //!   relation over candidate hosts. Two hosts are interchangeable when
 //!   an automorphism of the mirrored topology can swap them (same rack,
 //!   identical access-link capacity and latency) and neither is pinned
-//!   by a fixed endpoint of the query. The packet-level memoiser keys
-//!   its per-binding cache on the induced [`CanonKey`]; the answer
-//!   cache reuses the same classes to report how collapsed a tenant mix
-//!   is (`cache.shapes`).
+//!   by a fixed endpoint of the query; the answer cache reuses these
+//!   classes to report how collapsed a tenant mix is (`cache.shapes`).
+//!   The packet-level memoiser keys its per-binding cache on the
+//!   [`CanonKey`], which knows a second relation: whole *racks* are
+//!   interchangeable when they have equal [`RackShape`]s and hold no
+//!   pinned address, so a binding is canonical up to a permutation of
+//!   such racks as well as of the hosts inside each.
 //! * **Problem fingerprints** — structural hashes of a resolved
 //!   [`Problem`]. [`fingerprint_problem`] hashes the *exact* problem
 //!   (addresses included) and is the first component of every
@@ -31,16 +34,49 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use cloudtalk_lang::ast::AttrKind;
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, ExprR, Problem, Value};
 
-/// Class id of a binding position bound to `Value::Disk`. Host classes
-/// are dense from zero, so the max id can never collide with it.
+/// Class id of a binding position bound to `Value::Disk`. Class ids are
+/// dense from zero, so the max id can never collide with it.
 pub const DISK_CLASS: u32 = u32::MAX;
 
-/// One position of a canonical binding key: the host's equivalence class
-/// plus the index of the first position bound to the *same* value (self
-/// for first occurrences). The equality pattern distinguishes `(h, h)`
-/// from `(h, h')` even when `h` and `h'` share a class — the former
-/// shares one NIC, the latter does not.
-pub type CanonKey = Vec<(u32, u32)>;
+/// One position of a canonical binding key: the class of the value's
+/// rack, the first position bound into the *same rack*, the kind of host
+/// within it, and the first position bound to the *same value* (both
+/// "first" indices are the position's own for first occurrences). The two
+/// equality patterns are what the classes cannot say: `(h, h)` shares one
+/// NIC and `(h, h')` does not even when `h` and `h'` are interchangeable,
+/// and two hosts of one rack share an uplink that hosts of two
+/// interchangeable racks do not.
+pub type CanonKey = Vec<[u32; 4]>;
+
+/// What makes a rack interchangeable with another: two racks with equal
+/// shapes, neither holding a pinned address, can be swapped whole by a
+/// topology automorphism. Whoever describes the mirror must only offer a
+/// shape for a rack whose hosts all hang off one top-of-rack switch that
+/// has a single further link, to `parent`, in a mirror with unique routes
+/// (a tree) — with equal-cost multipath the route of a flow depends on
+/// the ids of the switches it crosses, which a swap changes.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct RackShape {
+    /// The switch the rack's top-of-rack switch hangs off.
+    pub parent: usize,
+    /// Capacity (bit pattern) and latency (ns) of the link to it.
+    pub uplink: (u64, u64),
+    /// Capacity and latency of every host access link in the rack, sorted.
+    pub hosts: Vec<(u64, u64)>,
+}
+
+/// Where a candidate address sits in both relations.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Host-level class: same rack, same access link, not pinned.
+    class: u32,
+    /// The rack itself (dense index), for the same-rack pattern.
+    rack: u32,
+    /// Class of the rack: shared by interchangeable racks.
+    rack_class: u32,
+    /// Kind of host, whatever its rack: same access link, not pinned.
+    kind: u32,
+}
 
 /// The topology equivalence classes of a query's candidate hosts.
 ///
@@ -48,28 +84,62 @@ pub type CanonKey = Vec<(u32, u32)>;
 /// see [`HostClasses::build`] for the exact relation.
 #[derive(Clone, Debug)]
 pub struct HostClasses {
-    /// Class of each candidate address.
-    class_of: HashMap<Address, u32>,
-    /// Number of classes assigned (ids are dense from zero).
+    slots: HashMap<Address, Slot>,
+    /// Number of host-level classes assigned (ids are dense from zero).
     classes: u32,
+}
+
+/// Hands out dense ids: one per distinct key, or a fresh one on demand.
+struct Interner<K> {
+    ids: HashMap<K, u32>,
+    next: u32,
+}
+
+impl<K: Hash + Eq> Interner<K> {
+    fn new() -> Self {
+        Interner {
+            ids: HashMap::new(),
+            next: 0,
+        }
+    }
+
+    fn fresh(&mut self) -> u32 {
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// The id of `key`; `None` always gets an id of its own.
+    fn id(&mut self, key: Option<K>) -> u32 {
+        let Some(key) = key else { return self.fresh() };
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        let id = self.fresh();
+        self.ids.insert(key, id);
+        id
+    }
 }
 
 impl HostClasses {
     /// Assigns classes to every candidate address of `problem`. The
-    /// caller describes the topology through `describe`: it returns a
-    /// hashable descriptor of the host behind an address — hosts with
-    /// equal descriptors are interchangeable — or `None` when the
-    /// address is not in the described topology. Pinned addresses
-    /// (fixed endpoints of the query) and undescribed addresses get
-    /// singleton classes regardless of their descriptor: an
-    /// automorphism must map a pinned host to itself.
+    /// caller describes the topology through two closures. `describe`
+    /// returns the rack an address sits in and a hashable descriptor of
+    /// its access link — hosts of one rack with equal descriptors are
+    /// interchangeable — or `None` when the address is not in the
+    /// described topology. `rack_shape` returns the [`RackShape`] of a
+    /// rack, or `None` for a rack that must keep its identity. Pinned
+    /// addresses (fixed endpoints of the query) and undescribed addresses
+    /// get singleton classes regardless of their descriptor, and a rack
+    /// holding a pinned address keeps its identity regardless of its
+    /// shape: an automorphism must map a pinned host to itself.
     ///
     /// Ids are assigned in candidate declaration order, so they are
     /// stable across runs and thread counts.
-    pub fn build<D, F>(problem: &Problem, describe: F) -> HostClasses
+    pub fn build<D, F, G>(problem: &Problem, describe: F, rack_shape: G) -> HostClasses
     where
-        D: Hash + Eq,
-        F: Fn(Address) -> Option<D>,
+        D: Hash + Eq + Clone,
+        F: Fn(Address) -> Option<(usize, D)>,
+        G: Fn(usize) -> Option<RackShape>,
     {
         let mut pinned: Vec<Address> = Vec::new();
         for flow in &problem.flows {
@@ -81,43 +151,58 @@ impl HostClasses {
                 }
             }
         }
-        let mut class_of: HashMap<Address, u32> = HashMap::new();
-        let mut interned: HashMap<D, u32> = HashMap::new();
-        let mut next = 0u32;
+        let pinned_racks: Vec<usize> = pinned
+            .iter()
+            .filter_map(|&a| describe(a).map(|(rack, _)| rack))
+            .collect();
+
+        let mut slots: HashMap<Address, Slot> = HashMap::new();
+        let mut classes = Interner::new();
+        let mut kinds = Interner::new();
+        let mut rack_ids = Interner::new();
+        let mut rack_classes = Interner::new();
+        // Class of each rack seen so far, by its dense index.
+        let mut class_of_rack: Vec<u32> = Vec::new();
         for var in &problem.vars {
             for value in &var.candidates {
                 let Value::Addr(a) = value else { continue };
-                if class_of.contains_key(a) {
+                if slots.contains_key(a) {
                     continue;
                 }
-                let id = match describe(*a) {
-                    Some(key) if !pinned.contains(a) => *interned.entry(key).or_insert_with(|| {
-                        let id = next;
-                        next += 1;
-                        id
-                    }),
-                    // Pinned (or undescribed) hosts are singleton classes.
-                    _ => {
-                        let id = next;
-                        next += 1;
-                        id
-                    }
+                // An undescribed host is in a rack of its own.
+                let described = describe(*a);
+                let topo_rack = described.as_ref().map(|(rack, _)| *rack);
+                let rack = rack_ids.id(topo_rack);
+                if rack as usize == class_of_rack.len() {
+                    let shape = topo_rack
+                        .filter(|r| !pinned_racks.contains(r))
+                        .and_then(&rack_shape);
+                    class_of_rack.push(rack_classes.id(shape));
+                }
+                let rack_class = class_of_rack[rack as usize];
+                // Pinned (or undescribed) hosts are singleton classes.
+                let free = described.filter(|_| !pinned.contains(a));
+                let slot = Slot {
+                    class: classes.id(free.clone()),
+                    rack,
+                    rack_class,
+                    kind: kinds.id(free.map(|(_, link)| link)),
                 };
-                class_of.insert(*a, id);
+                slots.insert(*a, slot);
             }
         }
         HostClasses {
-            class_of,
-            classes: next,
+            slots,
+            classes: classes.next,
         }
     }
 
-    /// The class of a candidate address, if it was classified.
+    /// The host-level class of a candidate address, if it was classified.
     pub fn class_of(&self, a: Address) -> Option<u32> {
-        self.class_of.get(&a).copied()
+        self.slots.get(&a).map(|s| s.class)
     }
 
-    /// Number of distinct classes.
+    /// Number of distinct host-level classes.
     pub fn classes(&self) -> u32 {
         self.classes
     }
@@ -126,19 +211,31 @@ impl HostClasses {
     /// address that was not a candidate of the problem the classes were
     /// built from.
     pub fn key(&self, binding: &Binding) -> CanonKey {
+        let slot = |v: &Value| match v {
+            Value::Addr(a) => Some(self.slots[a]),
+            Value::Disk => None,
+        };
         binding
             .iter()
             .enumerate()
             .map(|(i, v)| {
-                let class = match v {
-                    Value::Addr(a) => self.class_of[a],
-                    Value::Disk => DISK_CLASS,
-                };
-                let first = binding[..i].iter().position(|w| w == v).unwrap_or(i) as u32;
-                (class, first)
+                let first = first_like(binding, i, |w| w == v);
+                match slot(v) {
+                    Some(s) => {
+                        let same_rack = |w: &Value| slot(w).is_some_and(|t| t.rack == s.rack);
+                        [s.rack_class, first_like(binding, i, same_rack), s.kind, first]
+                    }
+                    None => [DISK_CLASS, first, DISK_CLASS, first],
+                }
             })
             .collect()
     }
+}
+
+/// The first position of `binding` that is `like` position `i` (which is
+/// like itself).
+fn first_like(binding: &Binding, i: usize, like: impl Fn(&Value) -> bool) -> u32 {
+    binding[..i].iter().position(like).unwrap_or(i) as u32
 }
 
 /// All five attribute kinds, in the order `Flow` stores them.
@@ -300,16 +397,16 @@ mod tests {
         // Hosts 1-4 are all "identical" per the descriptor; queries over
         // {1,2} and {3,4} are isomorphic, so their shapes collide while
         // their exact fingerprints do not.
-        let describe = |a: Address| (a.0 <= 4).then_some(0u8);
+        let describe = |a: Address| (a.0 <= 4).then_some((0usize, 0u8));
         let p1 = two_var_problem(vec![Address(1)], vec![Address(2)], 1e4);
         let p2 = two_var_problem(vec![Address(3)], vec![Address(4)], 1e4);
-        let c1 = HostClasses::build(&p1, describe);
-        let c2 = HostClasses::build(&p2, describe);
+        let c1 = HostClasses::build(&p1, describe, |_| None);
+        let c2 = HostClasses::build(&p2, describe, |_| None);
         assert_ne!(fingerprint_problem(&p1), fingerprint_problem(&p2));
         assert_eq!(shape_hash(&p1, &c1), shape_hash(&p2, &c2));
         // A different flow size is a different shape.
         let p3 = two_var_problem(vec![Address(1)], vec![Address(2)], 5e4);
-        let c3 = HostClasses::build(&p3, describe);
+        let c3 = HostClasses::build(&p3, describe, |_| None);
         assert_ne!(shape_hash(&p1, &c1), shape_hash(&p3, &c3));
     }
 
@@ -319,7 +416,7 @@ mod tests {
         let x = b.variable("x", vec![Address(1), Address(2), Address(3)]);
         b.flow("f").from_addr(Address(1)).to_var(x).size(1e4);
         let p = b.resolve().unwrap();
-        let classes = HostClasses::build(&p, |_| Some(0u8));
+        let classes = HostClasses::build(&p, |_| Some((0usize, 0u8)), |_| None);
         // Address 1 is pinned by the fixed src endpoint: its class must
         // differ from the interchangeable pair {2, 3}.
         let c1 = classes.class_of(Address(1)).unwrap();
@@ -333,11 +430,96 @@ mod tests {
     #[test]
     fn canon_key_tracks_equality_pattern() {
         let p = two_var_problem(vec![Address(1), Address(2)], vec![Address(1), Address(2)], 1e4);
-        let classes = HostClasses::build(&p, |_| Some(0u8));
+        let classes = HostClasses::build(&p, |_| Some((0usize, 0u8)), |_| None);
         let same = classes.key(&vec![Value::Addr(Address(1)), Value::Addr(Address(1))]);
         let diff = classes.key(&vec![Value::Addr(Address(1)), Value::Addr(Address(2))]);
         assert_ne!(same, diff, "(h, h) and (h, h') must not share a key");
         let diff2 = classes.key(&vec![Value::Addr(Address(2)), Value::Addr(Address(1))]);
         assert_eq!(diff, diff2, "isomorphic distinct pairs share a key");
+    }
+
+    /// Synthetic mirror for the rack relation: address `a` sits in rack
+    /// `a / 10` behind a unit access link.
+    fn by_tens(a: Address) -> Option<(usize, u8)> {
+        Some(((a.0 / 10) as usize, 0))
+    }
+
+    fn shape(parent: usize, uplink: u64, hosts: usize) -> Option<RackShape> {
+        Some(RackShape {
+            parent,
+            uplink: (uplink, 10),
+            hosts: vec![(1, 10); hosts],
+        })
+    }
+
+    /// Keys of every ordered distinct pair over `pool`, as a set.
+    fn pair_keys(classes: &HostClasses, pool: &[Address]) -> std::collections::HashSet<CanonKey> {
+        let mut keys = std::collections::HashSet::new();
+        for &a in pool {
+            for &b in pool {
+                if a != b {
+                    keys.insert(classes.key(&vec![Value::Addr(a), Value::Addr(b)]));
+                }
+            }
+        }
+        keys
+    }
+
+    /// Two candidates in each of racks 1, 2 and 3.
+    fn three_racks() -> (Problem, Vec<Address>) {
+        let pool: Vec<Address> = [10, 11, 20, 21, 30, 31].map(Address).to_vec();
+        (two_var_problem(pool.clone(), pool.clone(), 1e4), pool)
+    }
+
+    #[test]
+    fn racks_of_equal_shape_are_interchangeable() {
+        let (p, pool) = three_racks();
+        let classes = HostClasses::build(&p, by_tens, |_| shape(0, 40, 4));
+        // Host-level classes still tell the racks apart…
+        assert_eq!(classes.classes(), 3);
+        // …the keys do not: one for "same rack", one for "two racks".
+        assert_eq!(pair_keys(&classes, &pool).len(), 2);
+        let key = |a: u32, b: u32| classes.key(&vec![Value::Addr(Address(a)), Value::Addr(Address(b))]);
+        assert_eq!(key(10, 20), key(30, 21));
+        assert_eq!(key(10, 20), key(20, 10), "(rX, rY) == (rY, rX)");
+        assert_eq!(key(10, 11), key(31, 30));
+        assert_ne!(key(10, 11), key(10, 20), "sharing an uplink is not crossing two");
+        // Without shapes every rack keeps its identity: 3 same-rack keys
+        // plus 6 ordered cross-rack ones, as before the rack relation.
+        let plain = HostClasses::build(&p, by_tens, |_| None);
+        assert_eq!(pair_keys(&plain, &pool).len(), 9);
+    }
+
+    #[test]
+    fn a_different_uplink_parent_or_host_set_keeps_a_rack_apart() {
+        let (p, pool) = three_racks();
+        let odd_rack_3 = |odd: Option<RackShape>| {
+            let classes = HostClasses::build(&p, by_tens, |rack| {
+                if rack == 3 { odd.clone() } else { shape(0, 40, 4) }
+            });
+            pair_keys(&classes, &pool).len()
+        };
+        // Racks 1 and 2 collapse (same-rack, cross-rack); rack 3 adds its
+        // own same-rack key and both orders against the collapsed pair.
+        assert_eq!(odd_rack_3(shape(0, 40, 4)), 2, "control: all alike");
+        assert_eq!(odd_rack_3(shape(0, 10, 4)), 5, "slower uplink");
+        assert_eq!(odd_rack_3(shape(7, 40, 4)), 5, "another parent switch");
+        assert_eq!(odd_rack_3(shape(0, 40, 3)), 5, "one host fewer");
+        assert_eq!(odd_rack_3(None), 5, "no shape offered");
+    }
+
+    #[test]
+    fn a_pinned_address_pins_its_rack() {
+        // Address 32 is a fixed endpoint, not a candidate: rack 3 can no
+        // longer trade places with racks 1 and 2, whatever its shape.
+        let pool: Vec<Address> = [10, 11, 20, 21, 30, 31].map(Address).to_vec();
+        let mut b = QueryBuilder::new();
+        let x = b.variable("x", pool.clone());
+        let y = b.variable("y", pool.clone());
+        b.flow("f").from_var(x).to_var(y).size(1e4);
+        b.flow("g").from_addr(Address(32)).to_var(x).size(1e4);
+        let p = b.resolve().unwrap();
+        let classes = HostClasses::build(&p, by_tens, |_| shape(0, 40, 4));
+        assert_eq!(pair_keys(&classes, &pool).len(), 5);
     }
 }

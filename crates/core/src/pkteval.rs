@@ -32,7 +32,7 @@ use cloudtalk_lang::ast::{AttrKind, RefAttr};
 use cloudtalk_lang::problem::{Address, Binding, BoundEndpoint, Endpoint, Problem};
 use desim::SimTime;
 use estimator::{resolve_static_sizes, EstimateError};
-use pktsim::{FlowIdx, PktSim, SimConfig};
+use pktsim::{PktSim, SimConfig};
 use simnet::topology::{HostId, Topology};
 
 /// Result of a packet-level evaluation.
@@ -227,9 +227,16 @@ pub fn pkt_evaluate_program(
         return Err(PktEvalError::Unsupported(NO_NETWORK_FLOWS));
     }
 
-    let mut sim_flow: Vec<Option<FlowIdx>> = vec![None; n];
+    debug_assert!(sim.completed().is_empty(), "`sim` must be empty");
+    // Program flow behind each simulator flow, in the order they are added
+    // (the simulator is empty, so that is its own flow numbering).
+    let mut owner: Vec<usize> = Vec::with_capacity(n);
     let mut finished: Vec<Option<f64>> = vec![None; n];
     let mut launched = vec![false; n];
+    // Query flows still unfinished, and how much of the simulator's
+    // completion list has been read.
+    let mut left = n;
+    let mut seen = 0;
 
     // Launch everything whose dependencies are already met.
     let mut progress = true;
@@ -257,36 +264,32 @@ pub fn pkt_evaluate_program(
             progress = true;
             match endpoints[i] {
                 Some((src, dst)) => {
-                    sim_flow[i] = Some(sim.add_flow(src, dst, prog.sizes[i].ceil() as u64, at));
+                    let f = sim.add_flow(src, dst, prog.sizes[i].ceil() as u64, at);
+                    debug_assert_eq!(f.0, owner.len());
+                    owner.push(i);
                 }
                 None => {
                     // Non-network flow: instant for dependency purposes.
                     finished[i] = Some(at.as_secs_f64());
+                    left -= 1;
                 }
             }
         }
         // Drive the simulation, collecting finishes.
         loop {
-            let mut any_new = false;
-            let mut all_done = true;
-            for i in 0..n {
-                if finished[i].is_none() {
-                    if let Some(fi) = sim_flow[i] {
-                        if let Some(t) = sim.finish_time(fi) {
-                            finished[i] = Some(t.as_secs_f64());
-                            any_new = true;
-                            continue;
-                        }
-                    }
-                    all_done = false;
-                }
+            let newly = &sim.completed()[seen..];
+            for &f in newly {
+                let t = sim.finish_time(f).expect("listed as completed");
+                finished[owner[f.0]] = Some(t.as_secs_f64());
             }
-            if all_done {
+            left -= newly.len();
+            seen += newly.len();
+            if left == 0 {
                 // Every query flow finished: stray in-flight events (e.g.
                 // trailing ACKs) cannot change the makespan — skip them.
                 break 'outer;
             }
-            if any_new {
+            if !newly.is_empty() {
                 progress = true;
                 break;
             }

@@ -25,10 +25,16 @@
 //!   topology equivalence class of their chosen hosts. Two hosts are
 //!   interchangeable when they sit in the same rack behind access links
 //!   of identical capacity and latency and neither is pinned by a fixed
-//!   endpoint of the query; swapping them is a topology automorphism, and
-//!   the simulator is deterministic, so isomorphic bindings produce
-//!   bit-identical makespans and can share one cached simulation result.
-//!   Only *completed* runs are cached (an aborted run has no makespan).
+//!   endpoint of the query; two *racks* are interchangeable when the
+//!   mirror is a tree, their top-of-rack switches hang off the same
+//!   parent through identical uplinks, they hold the same multiset of
+//!   host access links and no pinned address lives in either (see
+//!   [`host_classes`]). Swapping either is a topology automorphism that
+//!   fixes every pinned endpoint, and the simulator is deterministic and
+//!   never orders by host or port index, so isomorphic bindings produce
+//!   bit-identical makespans and can share one cached simulation result:
+//!   one simulation per rack-symmetric class. A completed run caches its
+//!   makespan, an abandoned one the bound it exceeded.
 //! * **Simulator reuse** — each worker owns a single [`PktSim`] that is
 //!   [`PktSim::reset`] between bindings, keeping ports and the route
 //!   cache warm instead of allocating the world per candidate.
@@ -39,9 +45,9 @@ use std::sync::Mutex;
 
 use cloudtalk_lang::problem::{Address, Binding, Problem};
 use pktsim::{PktSim, SimConfig};
-use simnet::topology::{HostId, Topology};
+use simnet::topology::{HostId, LinkId, NodeKind, Topology};
 
-use crate::canon::{CanonKey, HostClasses};
+use crate::canon::{CanonKey, HostClasses, RackShape};
 use crate::pkteval::{pkt_evaluate_program, PktEvalError, PktEvalOutcome, PktProgram};
 
 /// The provider's simulated mirror of (part of) its datacenter: the
@@ -194,23 +200,83 @@ enum MemoEntry {
     ExceedsBound(f64),
 }
 
-/// Builds the host equivalence classes of `problem` over `mirror`: two
-/// addresses share a class iff their hosts sit in the same rack behind
-/// access links of identical capacity and latency *and* neither appears
-/// as a fixed endpoint of the query (a fixed endpoint is pinned: an
-/// automorphism must map it to itself, so it cannot be swapped).
+/// Builds the symmetry classes of `problem` over `mirror`. Two addresses
+/// share a host class iff their hosts sit in the same rack behind access
+/// links of identical capacity and latency *and* neither appears as a
+/// fixed endpoint of the query (a fixed endpoint is pinned: an
+/// automorphism must map it to itself, so it cannot be swapped). Two
+/// racks are interchangeable iff [`rack_shapes`] gives them equal shapes
+/// and neither holds a pinned address.
 pub fn host_classes(problem: &Problem, mirror: &MirrorTopology) -> HostClasses {
-    HostClasses::build(problem, |a| {
-        mirror.addr_to_host.get(&a).map(|&h| {
-            let host = mirror.topo.host(h);
-            let link = mirror.topo.link(host.access_link);
-            (
-                host.rack,
-                link.capacity_bps.to_bits(),
-                link.latency.as_nanos(),
-            )
-        })
-    })
+    let link_key = |l: LinkId| {
+        let link = mirror.topo.link(l);
+        (link.capacity_bps.to_bits(), link.latency.as_nanos())
+    };
+    let shapes = rack_shapes(&mirror.topo, link_key);
+    HostClasses::build(
+        problem,
+        |a| {
+            mirror.addr_to_host.get(&a).map(|&h| {
+                let host = mirror.topo.host(h);
+                (host.rack, link_key(host.access_link))
+            })
+        },
+        |rack| shapes.get(&rack).cloned(),
+    )
+}
+
+/// The shape of every rack of `topo` that a topology automorphism could
+/// swap with a rack of equal shape. Racks are only ever offered when
+/// `topo` is a tree (`link_count + 1 == node_count`; it is connected, or
+/// routing would refuse it): routes are then unique, so the ECMP
+/// tie-break — a hash over switch and link *ids*, which a swap changes —
+/// never runs. On `vl2` it does, and no rack gets
+/// a shape. Within a tree, a rack qualifies when all its hosts hang off
+/// one top-of-rack switch whose only other link leads to a parent switch;
+/// the subtree under that link is then described completely by the
+/// uplink and the multiset of host access links, and two such subtrees
+/// under the *same* parent can trade places.
+fn rack_shapes(
+    topo: &Topology,
+    link_key: impl Fn(LinkId) -> (u64, u64),
+) -> HashMap<usize, RackShape> {
+    let mut shapes = HashMap::new();
+    if topo.link_count() + 1 != topo.node_count() {
+        return shapes;
+    }
+    let mut racks: HashMap<usize, Vec<HostId>> = HashMap::new();
+    for h in topo.host_ids() {
+        racks.entry(topo.host(h).rack).or_default().push(h);
+    }
+    for (rack, hosts) in racks {
+        let far_end = |h: HostId| {
+            let (host, link) = (topo.host(h), topo.link(topo.host(h).access_link));
+            if link.a == host.node { link.b } else { link.a }
+        };
+        let tor = far_end(hosts[0]);
+        let leaf_of_tor =
+            |&h: &HostId| far_end(h) == tor && topo.neighbours(topo.host(h).node).len() == 1;
+        let in_rack = |node| matches!(topo.node_kind(node), NodeKind::Host(h) if topo.host(h).rack == rack);
+        let mut uplinks = topo.neighbours(tor).iter().filter(|(peer, _)| !in_rack(*peer));
+        let (Some(&(parent, uplink)), None) = (uplinks.next(), uplinks.next()) else {
+            continue;
+        };
+        if !hosts.iter().all(leaf_of_tor) || topo.node_kind(parent) != NodeKind::Switch {
+            continue;
+        }
+        let access = hosts.iter().map(|&h| topo.host(h).access_link);
+        let mut host_links: Vec<(u64, u64)> = access.map(&link_key).collect();
+        host_links.sort_unstable();
+        shapes.insert(
+            rack,
+            RackShape {
+                parent: parent.0,
+                uplink: link_key(uplink),
+                hosts: host_links,
+            },
+        );
+    }
+    shapes
 }
 
 /// Binding-independent artifacts of a packet-level search: the compiled

@@ -9,10 +9,18 @@
 //! candidate rack is shared with the pinned frontend and another is not,
 //! so equivalence classes have genuinely different makespans and the
 //! tie-break discipline is exercised across class boundaries.
+//!
+//! The memoiser additionally treats whole racks as interchangeable (see
+//! `cloudtalk::canon`); [`rack_layout`] and the random draws below are
+//! where that is checked against the unmemoised scan — a rack swap that
+//! was *not* a symmetry of the simulation would show up as a different
+//! winner or a makespan off by a bit.
 
 use std::sync::Arc;
 
-use cloudtalk::pktsearch::{pkt_search, MirrorTopology, PktSearchOptions};
+use std::collections::HashSet;
+
+use cloudtalk::pktsearch::{host_classes, pkt_search, MirrorTopology, PktSearchOptions};
 use cloudtalk::server::{
     CloudTalkServer, DegradationRung, EvalMethod, PktBackendConfig, ServerConfig,
 };
@@ -20,6 +28,7 @@ use cloudtalk::status::TableStatusSource;
 use cloudtalk_lang::ast::{AttrKind, BinOp, Expr, FlowRef, RefAttr};
 use cloudtalk_lang::builder::QueryBuilder;
 use cloudtalk_lang::problem::{Address, Problem};
+use proptest::prelude::*;
 use cloudtalk_lang::Span;
 use desim::SimTime;
 use estimator::HostState;
@@ -51,17 +60,16 @@ fn t_sum(lo: usize, hi: usize) -> Expr {
     expr
 }
 
-/// Two-aggregator fan-in over a 4-rack fabric. Candidates span two
-/// racks: hosts 1–2 share rack 0 with the (pinned) frontend, hosts 4–5
-/// sit alone in rack 1, so the search sees two equivalence classes with
-/// different makespans plus within-class ties.
-fn scenario() -> (MirrorTopology, Problem) {
-    let topo = Topology::two_tier(4, 4, GBPS, f64::INFINITY, TopoOptions::default());
-    let hosts = topo.host_ids();
-    let frontend = hosts[0];
-    let leaves: Vec<HostId> = hosts[8..16].to_vec();
-    let candidates = [hosts[1], hosts[2], hosts[4], hosts[5]];
-
+/// Two-aggregator fan-in: each half of `leaves` sends `leaf_bytes` to
+/// its aggregator, which forwards the gathered bytes to `frontend` once
+/// its half is in. Both aggregators draw from `candidates`.
+fn placement(
+    topo: Topology,
+    frontend: HostId,
+    leaves: &[HostId],
+    candidates: &[HostId],
+    leaf_bytes: f64,
+) -> (MirrorTopology, Problem) {
     let addr = |h: HostId| Address(topo.host(h).addr);
     let mut b = QueryBuilder::new();
     let aggs = b.variable_group(
@@ -75,7 +83,7 @@ fn scenario() -> (MirrorTopology, Problem) {
             b.flow(format!("g{g}_{}", leaf.0))
                 .from_addr(addr(leaf))
                 .to_var(aggs[g])
-                .size(LEAF_BYTES);
+                .size(leaf_bytes);
         }
     }
     let mut lo = 1;
@@ -84,12 +92,121 @@ fn scenario() -> (MirrorTopology, Problem) {
         b.flow(format!("up{g}"))
             .from_var(aggs[g])
             .to_addr(addr(frontend))
-            .size(LEAF_BYTES * half_leaves.len() as f64)
+            .size(leaf_bytes * half_leaves.len() as f64)
             .attr(AttrKind::Transfer, t_sum(lo, hi));
         lo = hi + 1;
     }
     let problem = b.resolve().expect("builder query is structurally valid");
     (MirrorTopology::new(topo), problem)
+}
+
+/// Two-aggregator fan-in over a 4-rack fabric. Candidates span two
+/// racks: hosts 1–2 share rack 0 with the (pinned) frontend, hosts 4–5
+/// sit alone in rack 1, so the search sees two equivalence classes with
+/// different makespans plus within-class ties.
+fn scenario() -> (MirrorTopology, Problem) {
+    let topo = Topology::two_tier(4, 4, GBPS, f64::INFINITY, TopoOptions::default());
+    let hosts = topo.host_ids();
+    let candidates = [hosts[1], hosts[2], hosts[4], hosts[5]];
+    placement(topo, hosts[0], &hosts[8..16], &candidates, LEAF_BYTES)
+}
+
+/// The §5.4 layout in small: the frontend pins rack 0, candidates sit two
+/// to a rack in racks 0–3 (racks 1–3 interchangeable), twelve leaves fill
+/// racks 4–6. 56 ordered pairs, 5 canonical keys.
+fn rack_layout() -> (MirrorTopology, Problem) {
+    let topo = Topology::two_tier(7, 4, GBPS, f64::INFINITY, TopoOptions::default());
+    let hosts = topo.host_ids();
+    let candidates: Vec<HostId> = [1usize, 2, 4, 5, 8, 9, 12, 13].iter().map(|&i| hosts[i]).collect();
+    placement(topo, hosts[0], &hosts[16..28], &candidates, LEAF_BYTES)
+}
+
+/// Memoisation on and off agree on the winner and its makespan, bit for
+/// bit, at every thread count with early-abort on and off; and a serial
+/// memoised search simulates exactly one binding per canonical key.
+fn memo_changes_nothing_but_work(
+    mirror: &MirrorTopology,
+    problem: &Problem,
+) -> Result<(), TestCaseError> {
+    let classes = host_classes(problem, mirror);
+    let pool = &problem.vars[0].candidates;
+    let mut keys = HashSet::new();
+    for &a in pool {
+        for &b in pool {
+            if a != b {
+                keys.insert(classes.key(&vec![a, b]));
+            }
+        }
+    }
+    for threads in [1usize, 2, 8] {
+        for early_abort in [false, true] {
+            let opts = PktSearchOptions::new(100).threads(threads).early_abort(early_abort);
+            let off = pkt_search(problem, mirror, &opts.memoise(false)).expect("search succeeds");
+            let on = pkt_search(problem, mirror, &opts).expect("search succeeds");
+            let arm = format!("threads={threads} abort={early_abort}");
+            prop_assert_eq!(&on.binding, &off.binding, "winner differs ({})", arm);
+            prop_assert_eq!(on.makespan.to_bits(), off.makespan.to_bits(), "makespan ({})", arm);
+            if threads == 1 {
+                prop_assert_eq!(
+                    (on.evaluated + on.aborted) as usize,
+                    keys.len(),
+                    "one simulation per key ({})",
+                    arm
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn interchangeable_racks_share_simulations_not_answers() {
+    let (mirror, problem) = rack_layout();
+    memo_changes_nothing_but_work(&mirror, &problem).expect("memo on == memo off");
+    let r = pkt_search(&problem, &mirror, &PktSearchOptions::new(100).early_abort(false))
+        .expect("search succeeds");
+    assert_eq!(r.evaluated, 5, "(r0,r0) (r0,rX) (rX,r0) (rX,rX) (rX,rY)");
+    assert_eq!(r.memo_hits, 51);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random two-tier fabrics, with the frontend, the leaves and the
+    /// candidate pool dropped anywhere (on top of each other too) and now
+    /// and then one slow NIC: whatever the rack relation makes of it, the
+    /// memoised search answers as the unmemoised one does.
+    #[test]
+    fn rack_symmetry_is_sound_on_random_layouts(
+        racks in 3usize..9,
+        per_rack in 2usize..6,
+        frontend in 0usize..1000,
+        leaves in proptest::collection::vec(0usize..1000, 2..9),
+        pool in proptest::collection::vec(0usize..1000, 2..7),
+        slow_nic in proptest::option::of(0usize..1000),
+    ) {
+        let mut topo = Topology::two_tier(racks, per_rack, GBPS, f64::INFINITY, TopoOptions::default());
+        let hosts = topo.host_ids();
+        let pick = |i: usize| hosts[i % hosts.len()];
+        let distinct = |picks: &[usize]| {
+            let mut out: Vec<HostId> = Vec::new();
+            for &i in picks {
+                if !out.contains(&pick(i)) {
+                    out.push(pick(i));
+                }
+            }
+            out
+        };
+        let (leaves, pool) = (distinct(&leaves), distinct(&pool));
+        if leaves.len() < 2 || pool.len() < 2 {
+            return Err(TestCaseError::reject("two leaves and two candidates"));
+        }
+        if let Some(i) = slow_nic {
+            topo.set_nic(pick(i), GBPS / 10.0);
+        }
+        let (mirror, problem) = placement(topo, pick(frontend), &leaves, &pool, 20.0 * 1024.0);
+        memo_changes_nothing_but_work(&mirror, &problem)?;
+    }
 }
 
 #[test]

@@ -8,7 +8,12 @@
 //!
 //! * [`sim::PktSim`] — event-driven simulation over a [`simnet::Topology`]:
 //!   output-queued switch ports with drop-tail buffers (50 packets by
-//!   default, as in §5.4), per-hop serialisation + propagation delay.
+//!   default, as in §5.4), per-hop serialisation + propagation delay. The
+//!   paper runs htsim *inside* CloudTalk, so this loop's speed is query
+//!   latency: events fire in one `(time, scheduling order)` total order
+//!   out of a calendar that holds a lane per busy port and armed timer,
+//!   not an entry per packet in flight (see [`sim`]), and
+//!   [`sim::PktSim::completed`] tells a driver what each step finished.
 //! * [`tcp`] — TCP Reno endpoints: slow start, congestion avoidance,
 //!   triple-duplicate-ACK fast retransmit, retransmission timeouts with
 //!   exponential backoff and a 200 ms minimum RTO (the parameter that

@@ -4,10 +4,41 @@
 //! serialiser running at the link rate. Packets carry their flow id and a
 //! hop index into the flow's precomputed path; switches forward, end hosts
 //! terminate (data → cumulative ACK back, ACK → sender window logic).
+//!
+//! # Event order: a calendar of lanes
+//!
+//! Every event has a [`Key`] — its fire time, then a sequence number drawn
+//! from one counter at the moment it is scheduled — and events fire in key
+//! order, so equal timestamps resolve in scheduling order. That total order
+//! is the simulator's whole notion of "what happens next"; where the
+//! pending events *live* is free, and most of them need no priority queue:
+//!
+//! * **Wire lanes.** A port's packets in flight are scheduled at
+//!   `now + latency` with `now` non-decreasing, so their keys already
+//!   ascend: they wait in the port's `wire` FIFO and only the head is in
+//!   the calendar.
+//! * **Serialisers.** A port has at most one `TxDone` pending.
+//! * **Timers.** A flow's retransmission timer is the field `rto`; in the
+//!   calendar it is represented by at most one live *stand-in* (`armed`).
+//!   Restarting the timer just overwrites `rto` — a stand-in that pops
+//!   before the deadline it stands for re-arms itself at the current one,
+//!   and one that finds the timer disarmed is dropped. Only a restart that
+//!   moves the deadline *earlier* (an ACK resetting the backoff) pushes a
+//!   new stand-in; the superseded one is recognised by its key and dropped
+//!   when it pops. Neither a re-arm nor a drop is an event: both happen
+//!   inside [`PktSim::step`] on the way to the next real one.
+//!
+//! The calendar is therefore a heap of 24-byte entries whose size is the
+//! number of busy ports + armed timers + unstarted flows, not the number
+//! of packets in flight — and because every key is drawn exactly where the
+//! single global event heap this replaced drew it, the order events fire
+//! in is that heap's order (`tests/calendar_equiv.rs` holds the old core
+//! as the oracle).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-use desim::{EventHandle, EventQueue, SimDuration, SimTime};
+use desim::{SimDuration, SimTime};
 use simnet::routing::Router;
 use simnet::topology::{HostId, LinkDir, Topology};
 
@@ -31,40 +62,65 @@ pub enum TrafficClass {
     Lossless,
 }
 
+/// An event's place in the total order: fire time, then the sequence
+/// number drawn when it was scheduled.
+type Key = (SimTime, u64);
+
+/// Where a calendar entry's event lives.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Lane {
+    /// This flow starts.
+    Start(u32),
+    /// The head packet of this port's queue finished serialising.
+    TxDone(u32),
+    /// The head packet of this port's wire reaches the far end.
+    Wire(u32),
+    /// Stand-in for this flow's retransmission timer.
+    Rto(u32),
+}
+
+/// 16 bytes: a packet's wire size is [`SimConfig::ack_size`] or
+/// [`SimConfig::mss`] by `is_ack`.
 #[derive(Clone, Copy, Debug)]
 struct Packet {
-    flow: usize,
     /// Data sequence number, or cumulative ACK value for ACK packets.
     seq: u64,
-    is_ack: bool,
+    flow: u32,
     /// Index of the next port (into the flow's path) after the current one.
-    hop: usize,
-    size: u32,
+    hop: u16,
+    is_ack: bool,
 }
 
 struct PortState {
     queue: VecDeque<Packet>,
+    /// Packets crossing the link, each with the key of its arrival; keys
+    /// ascend, and the head's is in the calendar.
+    wire: VecDeque<(Key, Packet)>,
     busy: bool,
-    rate_bps: f64,
+    /// Time to serialise a data packet and an ACK at the link rate.
+    ser: [SimDuration; 2],
     latency: SimDuration,
 }
 
-struct Flow {
-    path: Vec<usize>,
-    rpath: Vec<usize>,
-    tcp: TcpState,
-    finish: Option<SimTime>,
-    rto: Option<EventHandle>,
-    class: TrafficClass,
+impl PortState {
+    fn ser(&self, pkt: &Packet) -> SimDuration {
+        self.ser[pkt.is_ack as usize]
+    }
 }
 
-enum Event {
-    Start(usize),
-    /// The head packet of this port finished serialising.
-    TxDone(usize),
-    /// A packet arrived at the far end of the port it just crossed.
-    Arrive(Packet),
-    Rto(usize),
+struct Flow {
+    /// Where the flow's ports sit in [`PktSim::paths`]: `hops` of the
+    /// forward path from `path`, then as many of the reverse path.
+    path: u32,
+    hops: u16,
+    tcp: TcpState,
+    finish: Option<SimTime>,
+    /// Key of the pending retransmission timeout, if the timer is running.
+    rto: Option<Key>,
+    /// Key of the flow's live stand-in in the calendar (never later than
+    /// `rto`); calendar entries for this flow under any other key are stale.
+    armed: Option<Key>,
+    class: TrafficClass,
 }
 
 /// The packet-level simulator.
@@ -72,10 +128,14 @@ pub struct PktSim {
     topo: Topology,
     router: Router,
     cfg: SimConfig,
-    queue: EventQueue<Event>,
+    calendar: BinaryHeap<Reverse<(Key, Lane)>>,
+    next_seq: u64,
     now: SimTime,
     ports: Vec<PortState>,
     flows: Vec<Flow>,
+    /// Every flow's forward and reverse port path, end to end.
+    paths: Vec<u32>,
+    completed: Vec<FlowIdx>,
     stats: Stats,
 }
 
@@ -88,8 +148,10 @@ impl PktSim {
             for _ in 0..2 {
                 ports.push(PortState {
                     queue: VecDeque::new(),
+                    wire: VecDeque::new(),
                     busy: false,
-                    rate_bps: link.capacity_bps,
+                    ser: [cfg.mss, cfg.ack_size]
+                        .map(|bytes| SimDuration::from_secs_f64(bytes as f64 / link.capacity_bps)),
                     latency: link.latency,
                 });
             }
@@ -98,10 +160,13 @@ impl PktSim {
             topo,
             router: Router::new(),
             cfg,
-            queue: EventQueue::new(),
+            calendar: BinaryHeap::new(),
+            next_seq: 0,
             now: SimTime::ZERO,
             ports,
             flows: Vec::new(),
+            paths: Vec::new(),
+            completed: Vec::new(),
             stats: Stats::default(),
         }
     }
@@ -113,19 +178,25 @@ impl PktSim {
 
     /// Rewinds the simulator to an empty, time-zero state over the same
     /// topology, keeping every allocation that is worth keeping: the port
-    /// table, each port's queue buffer, the event queue's slab, and — most
-    /// importantly — the router's route cache, so repeated evaluations of
-    /// different flow sets over one topology stop paying BFS per flow.
+    /// table, each port's queue and wire buffers, the calendar, the
+    /// completion list, and — most importantly — the router's route cache,
+    /// so repeated evaluations of different flow sets over one topology
+    /// stop paying BFS per flow.
     ///
     /// After `reset` the simulator behaves exactly like a freshly
-    /// constructed one: flows, stats, and pending events are gone.
+    /// constructed one: flows, stats, and pending events are gone and the
+    /// sequence counter is back at zero.
     pub fn reset(&mut self) {
-        self.queue.clear();
+        self.calendar.clear();
+        self.next_seq = 0;
         self.now = SimTime::ZERO;
         self.flows.clear();
+        self.paths.clear();
+        self.completed.clear();
         self.stats = Stats::default();
         for port in &mut self.ports {
             port.queue.clear();
+            port.wire.clear();
             port.busy = false;
         }
     }
@@ -158,23 +229,35 @@ impl PktSim {
     ) -> FlowIdx {
         let id = self.flows.len();
         let hash = id as u64;
-        let path = self.port_path(src, dst, hash);
-        let rpath = self.port_path(dst, src, hash);
+        let path = self.paths.len();
+        self.push_port_path(src, dst, hash);
+        let hops = self.paths.len() - path;
+        self.push_port_path(dst, src, hash);
+        debug_assert_eq!(self.paths.len() - path, 2 * hops, "shortest paths are symmetric");
         self.flows.push(Flow {
-            path,
-            rpath,
+            path: path as u32,
+            hops: hops as u16,
             tcp: TcpState::new(bytes, self.cfg.mss, self.cfg.init_cwnd, self.cfg.init_ssthresh),
             finish: None,
             rto: None,
+            armed: None,
             class,
         });
-        self.queue.push(start.max_of(self.now), Event::Start(id));
+        self.schedule(start.max_of(self.now), Lane::Start(id as u32));
         FlowIdx(id)
     }
 
     /// When `flow` finished, if it has.
     pub fn finish_time(&self, flow: FlowIdx) -> Option<SimTime> {
         self.flows[flow.0].finish
+    }
+
+    /// Every finished flow, in completion order. One event completes at
+    /// most one flow, so a driver that remembers how much of this it has
+    /// read learns what each [`PktSim::step`] finished without polling
+    /// every flow's [`PktSim::finish_time`].
+    pub fn completed(&self) -> &[FlowIdx] {
+        &self.completed
     }
 
     /// Retransmission count of a flow.
@@ -189,18 +272,54 @@ impl PktSim {
 
     /// Processes a single event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.queue.pop() else {
+        if self.next_event_time().is_none() {
             return false;
-        };
-        debug_assert!(t >= self.now);
-        self.now = t;
-        match ev {
-            Event::Start(f) => self.on_start(f),
-            Event::TxDone(port) => self.on_tx_done(port),
-            Event::Arrive(pkt) => self.on_arrive(pkt),
-            Event::Rto(f) => self.on_rto(f),
+        }
+        let Reverse(((at, _), lane)) = self.calendar.pop().expect("peeked above");
+        debug_assert!(at >= self.now);
+        self.now = at;
+        match lane {
+            Lane::Start(f) => self.on_start(f as usize),
+            Lane::TxDone(port) => self.on_tx_done(port as usize),
+            Lane::Wire(port) => {
+                let wire = &mut self.ports[port as usize].wire;
+                let (_, pkt) = wire.pop_front().expect("Wire implies a packet in flight");
+                if let Some(&(next, _)) = wire.front() {
+                    self.post(next, lane);
+                }
+                self.on_arrive(pkt);
+            }
+            Lane::Rto(f) => {
+                self.flows[f as usize].armed = None;
+                self.on_rto(f as usize);
+            }
         }
         true
+    }
+
+    /// Fire time of the next event, after settling the timer stand-ins in
+    /// front of it: a superseded one is dropped, a live one whose timer was
+    /// restarted (or disarmed) since it was pushed moves to the current
+    /// deadline (or goes). What is left at the head of the calendar is a
+    /// real event.
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        loop {
+            let &Reverse((key, lane)) = self.calendar.peek()?;
+            let Lane::Rto(f) = lane else {
+                return Some(key.0);
+            };
+            let flow = &mut self.flows[f as usize];
+            if flow.armed == Some(key) {
+                if flow.rto == flow.armed {
+                    return Some(key.0);
+                }
+                flow.armed = flow.rto;
+                if let Some(deadline) = flow.rto {
+                    self.post(deadline, lane);
+                }
+            }
+            self.calendar.pop();
+        }
     }
 
     /// Runs until no events remain; returns the finish time of the last
@@ -212,10 +331,7 @@ impl PktSim {
 
     /// Runs until `deadline`, leaving later events queued.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
+        while self.next_event_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
         self.now = self.now.max_of(deadline);
@@ -223,68 +339,91 @@ impl PktSim {
 
     /// True if all flows completed.
     pub fn all_complete(&self) -> bool {
-        self.flows.iter().all(|f| f.finish.is_some())
+        self.completed.len() == self.flows.len()
+    }
+
+    /// Draws the key of an event scheduled now to fire at `at`.
+    fn key_at(&mut self, at: SimTime) -> Key {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (at, seq)
+    }
+
+    /// Puts `lane` in the calendar under a key already drawn.
+    fn post(&mut self, key: Key, lane: Lane) {
+        self.calendar.push(Reverse((key, lane)));
+    }
+
+    /// Schedules the event at the head of `lane` to fire at `at`.
+    fn schedule(&mut self, at: SimTime, lane: Lane) {
+        let key = self.key_at(at);
+        self.post(key, lane);
     }
 
     // --- event handlers ---------------------------------------------------
 
     fn on_start(&mut self, f: usize) {
-        if self.flows[f].path.is_empty() {
+        if self.flows[f].hops == 0 {
             // Loopback: complete instantly.
-            self.flows[f].finish = Some(self.now);
+            self.complete(f);
             return;
         }
         self.pump(f);
     }
 
+    fn complete(&mut self, f: usize) {
+        let flow = &mut self.flows[f];
+        // Duplicate ACKs trailing the final one can fast-retransmit a
+        // packet one past the end, whose ACK completes the flow again: the
+        // finish time moves, the flow is reported once.
+        if flow.finish.is_none() {
+            self.completed.push(FlowIdx(f));
+        }
+        flow.finish = Some(self.now);
+        flow.rto = None;
+    }
+
     fn on_tx_done(&mut self, port: usize) {
         // The head packet leaves the wire-side of the port now.
-        let pkt = self.ports[port]
-            .queue
-            .pop_front()
-            .expect("TxDone implies a head packet");
-        let latency = self.ports[port].latency;
-        self.queue.push(self.now + latency, Event::Arrive(pkt));
-        if let Some(next) = self.ports[port].queue.front() {
-            let ser = serialize_time(next.size, self.ports[port].rate_bps);
-            self.queue.push(self.now + ser, Event::TxDone(port));
-        } else {
-            self.ports[port].busy = false;
+        let arrive = self.key_at(self.now + self.ports[port].latency);
+        let p = &mut self.ports[port];
+        let pkt = p.queue.pop_front().expect("TxDone implies a head packet");
+        let wire_was_idle = p.wire.is_empty();
+        p.wire.push_back((arrive, pkt));
+        let next_tx = p.queue.front().map(|next| self.now + p.ser(next));
+        p.busy = next_tx.is_some();
+        if wire_was_idle {
+            self.post(arrive, Lane::Wire(port as u32));
+        }
+        if let Some(at) = next_tx {
+            self.schedule(at, Lane::TxDone(port as u32));
         }
     }
 
     fn on_arrive(&mut self, mut pkt: Packet) {
-        let flow = pkt.flow;
-        let path_len = if pkt.is_ack {
-            self.flows[flow].rpath.len()
-        } else {
-            self.flows[flow].path.len()
-        };
-        if pkt.hop < path_len {
+        let f = pkt.flow as usize;
+        let flow = &mut self.flows[f];
+        let rpath = (flow.path + flow.hops as u32) as usize;
+        if pkt.hop < flow.hops {
             // Still inside the network: forward out of the next port.
-            let port = if pkt.is_ack {
-                self.flows[flow].rpath[pkt.hop]
-            } else {
-                self.flows[flow].path[pkt.hop]
-            };
+            let path = if pkt.is_ack { rpath } else { flow.path as usize };
+            let port = self.paths[path + pkt.hop as usize];
             pkt.hop += 1;
-            self.enqueue(port, pkt);
+            self.enqueue(port as usize, pkt);
             return;
         }
         // Terminated at an end host.
         if pkt.is_ack {
-            self.on_sender_ack(flow, pkt.seq);
+            self.on_sender_ack(f, pkt.seq);
         } else {
-            let ack = self.flows[flow].tcp.on_data(pkt.seq);
             let ack_pkt = Packet {
-                flow,
-                seq: ack,
-                is_ack: true,
+                seq: flow.tcp.on_data(pkt.seq),
+                flow: pkt.flow,
                 hop: 1,
-                size: self.cfg.ack_size,
+                is_ack: true,
             };
-            let first = self.flows[flow].rpath[0];
-            self.enqueue(first, ack_pkt);
+            let first = self.paths[rpath];
+            self.enqueue(first as usize, ack_pkt);
         }
     }
 
@@ -299,12 +438,7 @@ impl PktSim {
                 self.send_data(f, seq);
                 self.restart_rto(f);
             }
-            AckAction::Complete => {
-                self.flows[f].finish = Some(self.now);
-                if let Some(h) = self.flows[f].rto.take() {
-                    self.queue.cancel(h);
-                }
-            }
+            AckAction::Complete => self.complete(f),
         }
     }
 
@@ -328,7 +462,7 @@ impl PktSim {
         if sendable.is_empty() {
             return;
         }
-        let highest = *sendable.last().expect("non-empty") + 1;
+        let highest = sendable.end;
         for seq in sendable {
             self.send_data(f, seq);
         }
@@ -340,21 +474,17 @@ impl PktSim {
 
     fn send_data(&mut self, f: usize, seq: u64) {
         let pkt = Packet {
-            flow: f,
             seq,
-            is_ack: false,
+            flow: f as u32,
             hop: 1,
-            size: self.cfg.mss,
+            is_ack: false,
         };
-        let first = self.flows[f].path[0];
-        self.enqueue(first, pkt);
+        let first = self.paths[self.flows[f].path as usize];
+        self.enqueue(first as usize, pkt);
         self.stats.data_sent += 1;
     }
 
     fn restart_rto(&mut self, f: usize) {
-        if let Some(h) = self.flows[f].rto.take() {
-            self.queue.cancel(h);
-        }
         let backoff = self.flows[f].tcp.rto_backoff as u64;
         let base = self
             .cfg
@@ -373,13 +503,20 @@ impl PktSim {
             0
         };
         let rto = base + SimDuration::from_nanos(base.as_nanos() / 1_000_000 * jitter_ppm);
-        let h = self.queue.push(self.now + rto, Event::Rto(f));
-        self.flows[f].rto = Some(h);
+        let key = self.key_at(self.now + rto);
+        let flow = &mut self.flows[f];
+        flow.rto = Some(key);
+        // The live stand-in re-arms itself when it pops early; only a
+        // deadline *ahead* of it needs a stand-in of its own.
+        if flow.armed.is_none_or(|armed| key < armed) {
+            flow.armed = Some(key);
+            self.post(key, Lane::Rto(f as u32));
+        }
     }
 
     fn enqueue(&mut self, port: usize, pkt: Packet) {
         let lossless =
-            self.cfg.pfc || self.flows[pkt.flow].class == TrafficClass::Lossless;
+            self.cfg.pfc || self.flows[pkt.flow as usize].class == TrafficClass::Lossless;
         let p = &mut self.ports[port];
         if !lossless && p.queue.len() >= self.cfg.buffer_pkts {
             self.stats.drops += 1;
@@ -389,28 +526,22 @@ impl PktSim {
         p.queue.push_back(pkt);
         if !p.busy {
             p.busy = true;
-            let ser = serialize_time(pkt.size, p.rate_bps);
-            self.queue.push(self.now + ser, Event::TxDone(port));
+            let at = self.now + p.ser(&pkt);
+            self.schedule(at, Lane::TxDone(port as u32));
         }
     }
 
-    fn port_path(&mut self, src: HostId, dst: HostId, hash: u64) -> Vec<usize> {
-        self.router
-            .route(&self.topo, src, dst, hash)
-            .into_iter()
-            .map(|hop| {
-                2 * hop.link.0
-                    + match hop.dir {
-                        LinkDir::Forward => 0,
-                        LinkDir::Backward => 1,
-                    }
-            })
-            .collect()
+    /// Appends the ports of the route from `src` to `dst` to `paths`.
+    fn push_port_path(&mut self, src: HostId, dst: HostId, hash: u64) {
+        let route = self.router.route_ref(&self.topo, src, dst, hash);
+        self.paths.extend(route.iter().map(|hop| {
+            let dir = match hop.dir {
+                LinkDir::Forward => 0,
+                LinkDir::Backward => 1,
+            };
+            (2 * hop.link.0 + dir) as u32
+        }));
     }
-}
-
-fn serialize_time(bytes: u32, rate_bps: f64) -> SimDuration {
-    SimDuration::from_secs_f64(bytes as f64 / rate_bps)
 }
 
 #[cfg(test)]
@@ -562,29 +693,82 @@ mod tests {
 
     #[test]
     fn reset_reproduces_fresh_sim_bit_for_bit() {
-        let mut fresh_times = Vec::new();
-        for round in 0..2 {
-            let mut sim = star(20, SimConfig::default());
+        // Three different flow sets: a 19-way incast, the same with other
+        // sizes, and pairwise traffic with staggered starts — so what a
+        // reset must forget (timers, lanes, sequence numbers) differs from
+        // what the next run sets up.
+        let load = |sim: &mut PktSim, round: u64| -> Vec<FlowIdx> {
             let h = sim.topology().host_ids();
-            for i in 0..19 {
-                sim.add_flow(h[i], h[19], 20_000 + (i as u64 + round) * 1000, SimTime::ZERO);
+            (0..19)
+                .map(|i| {
+                    let bytes = 20_000 + (i as u64 + round) * 1000;
+                    if round == 2 {
+                        let start = SimTime::from_nanos(i as u64 * 700_000);
+                        sim.add_flow(h[i], h[(i + 7) % 20], 4 * bytes, start)
+                    } else {
+                        sim.add_flow(h[i], h[19], bytes, SimTime::ZERO)
+                    }
+                })
+                .collect()
+        };
+        let outcome = |sim: &mut PktSim, round: u64| {
+            let flows = load(sim, round);
+            let mut steps = 0u64;
+            while sim.step() {
+                steps += 1;
             }
-            fresh_times.push(sim.run_until_idle().unwrap());
-        }
+            let finishes: Vec<_> = flows.iter().map(|&f| sim.finish_time(f)).collect();
+            (steps, finishes, sim.completed().to_vec(), sim.stats().drops_per_port.clone())
+        };
 
-        let mut sim = star(20, SimConfig::default());
-        for round in 0..2u64 {
-            sim.reset();
-            let h = sim.topology().host_ids();
-            for i in 0..19 {
-                sim.add_flow(h[i], h[19], 20_000 + (i as u64 + round) * 1000, SimTime::ZERO);
-            }
-            let t = sim.run_until_idle().unwrap();
+        let mut reused = star(20, SimConfig::default());
+        for round in [0, 1, 2, 0] {
+            reused.reset();
+            let fresh = outcome(&mut star(20, SimConfig::default()), round);
             assert_eq!(
-                t, fresh_times[round as usize],
-                "reset run {round} diverged from a fresh simulator"
+                outcome(&mut reused, round),
+                fresh,
+                "reset run of flow set {round} diverged from a fresh simulator"
             );
         }
+    }
+
+    /// White-box view of the lazy timer: an ACK after a timeout restarts
+    /// the RTO *ahead* of the armed stand-in, so a second entry is pushed
+    /// and the first goes stale; stale entries never fire, and a drained
+    /// simulator has dropped them all.
+    #[test]
+    fn superseded_stand_ins_are_dropped_not_fired() {
+        let mut sim = star(31, SimConfig::default().with_buffer(8));
+        let h = sim.topology().host_ids();
+        for i in 0..30 {
+            sim.add_flow(h[i], h[30], 60_000, SimTime::ZERO);
+        }
+        let stand_ins = |sim: &PktSim, f: u32| {
+            sim.calendar
+                .iter()
+                .filter(|e| e.0 .1 == Lane::Rto(f))
+                .count()
+        };
+        let mut most = 0;
+        while sim.step() {
+            for (f, flow) in sim.flows.iter().enumerate() {
+                let n = stand_ins(&sim, f as u32);
+                most = most.max(n);
+                // The live stand-in is in the calendar, at or before the
+                // deadline it stands for.
+                assert!(flow.armed.is_none() || n > 0);
+                match (flow.rto, flow.armed) {
+                    (Some(rto), Some(armed)) => assert!(armed <= rto),
+                    (Some(_), None) => panic!("a running timer has no stand-in"),
+                    (None, _) => {}
+                }
+            }
+        }
+        assert!(most >= 2, "no restart ever overtook its stand-in");
+        assert!(sim.stats().timeouts > 0);
+        assert!(sim.calendar.is_empty(), "stale stand-ins outlived the run");
+        assert!(sim.all_complete());
     }
 
     #[test]

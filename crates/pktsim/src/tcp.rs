@@ -67,13 +67,14 @@ impl TcpState {
         self.next_seq - self.snd_una
     }
 
-    /// Sequence numbers the sender may transmit now (new data only).
+    /// Sequence numbers the sender may transmit now (new data only);
+    /// empty when the window is shut.
     ///
     /// Window: `snd_una + cwnd` bounds the highest in-flight sequence.
-    pub fn sendable(&self) -> Vec<u64> {
+    pub fn sendable(&self) -> std::ops::Range<u64> {
         let wnd = self.cwnd.floor().max(1.0) as u64;
         let window_end = (self.snd_una + wnd).min(self.total_pkts);
-        (self.next_seq..window_end).collect()
+        self.next_seq..window_end.max(self.next_seq)
     }
 
     /// Receiver side: a data packet arrived; returns the cumulative ACK to
@@ -283,9 +284,13 @@ mod tests {
     #[test]
     fn sendable_respects_window() {
         let f = flow(100);
-        assert_eq!(f.sendable(), vec![0, 1]); // init cwnd 2
+        assert_eq!(f.sendable().collect::<Vec<_>>(), vec![0, 1]); // init cwnd 2
         let mut f2 = flow(1);
         f2.cwnd = 10.0;
-        assert_eq!(f2.sendable(), vec![0], "never beyond total");
+        assert_eq!(f2.sendable().collect::<Vec<_>>(), vec![0], "never beyond total");
+        // A shut window is an empty range, not a backwards one.
+        let mut f3 = flow(100);
+        f3.note_sent(5);
+        assert_eq!(f3.sendable(), 5..5);
     }
 }

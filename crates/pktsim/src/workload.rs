@@ -38,11 +38,17 @@ pub fn gather(
         .iter()
         .map(|&s| sim.add_flow(s, sink, response_bytes, at))
         .collect();
-    // Run until all our flows are done.
-    while flows.iter().any(|&f| sim.finish_time(f).is_none()) {
+    // Run until all our flows are done: they are the newest in `sim`, so
+    // every completion from `first` up is one of ours.
+    let first = flows.first().map_or(0, |f| f.0);
+    let mut seen = sim.completed().len();
+    let mut left = flows.len();
+    while left > 0 {
         if !sim.step() {
             panic!("simulation drained before gather completed");
         }
+        left -= sim.completed()[seen..].iter().filter(|f| f.0 >= first).count();
+        seen = sim.completed().len();
     }
     let finishes: Vec<SimTime> = flows
         .iter()
@@ -73,40 +79,40 @@ pub fn two_level_query(
     at: SimTime,
 ) -> SimTime {
     // Stage 1: add every group's leaf flows up front so the gathers
-    // overlap in time.
-    let stage1: Vec<(HostId, Vec<FlowIdx>, u64)> = groups
-        .iter()
-        .map(|(agg, leaves)| {
-            let flows: Vec<FlowIdx> = leaves
-                .iter()
-                .map(|&leaf| sim.add_flow(leaf, *agg, response_bytes, at))
-                .collect();
-            let combined = response_bytes * leaves.len() as u64;
-            (*agg, flows, combined)
-        })
-        .collect();
+    // overlap in time. The flows are consecutive in `sim`, so `owner` maps
+    // a completion back to its group by offset from the first.
+    let mut seen = sim.completed().len();
+    let mut owner: Vec<usize> = Vec::new();
+    let mut base = usize::MAX;
+    for (g, (agg, leaves)) in groups.iter().enumerate() {
+        assert!(!leaves.is_empty(), "non-empty group");
+        for &leaf in leaves {
+            base = base.min(sim.add_flow(leaf, *agg, response_bytes, at).0);
+            owner.push(g);
+        }
+    }
+    let mut left: Vec<usize> = groups.iter().map(|(_, leaves)| leaves.len()).collect();
     // Stage 2: launch each aggregator's upward flow the moment its own
-    // gather completes.
-    let mut stage2: Vec<Option<FlowIdx>> = vec![None; stage1.len()];
-    loop {
-        for (i, (agg, flows, combined)) in stage1.iter().enumerate() {
-            if stage2[i].is_none() {
-                let finishes: Option<Vec<SimTime>> =
-                    flows.iter().map(|&f| sim.finish_time(f)).collect();
-                if let Some(fs) = finishes {
-                    let last = fs.into_iter().max().expect("non-empty group");
-                    stage2[i] = Some(sim.add_flow(*agg, frontend, *combined, last));
+    // gather completes — the instant its last leaf flow finishes, which is
+    // the step that just ran.
+    let mut stage2: Vec<Option<FlowIdx>> = vec![None; groups.len()];
+    let mut pending = groups.len();
+    while pending > 0 {
+        if !sim.step() {
+            panic!("simulation drained before aggregation completed");
+        }
+        while let Some(&done) = sim.completed().get(seen) {
+            seen += 1;
+            if stage2.contains(&Some(done)) {
+                pending -= 1;
+            } else if let Some(&g) = done.0.checked_sub(base).and_then(|i| owner.get(i)) {
+                left[g] -= 1;
+                if left[g] == 0 {
+                    let (agg, leaves) = &groups[g];
+                    let combined = response_bytes * leaves.len() as u64;
+                    stage2[g] = Some(sim.add_flow(*agg, frontend, combined, sim.now()));
                 }
             }
-        }
-        let done = stage2
-            .iter()
-            .all(|s| s.is_some_and(|f| sim.finish_time(f).is_some()));
-        if done {
-            break;
-        }
-        if !sim.step() && stage2.iter().any(|s| s.is_none()) {
-            panic!("simulation drained before aggregation completed");
         }
     }
     stage2

@@ -1,8 +1,12 @@
 //! Route computation: BFS shortest paths with deterministic ECMP.
 //!
-//! Routes are computed lazily per `(src, dst)` host pair and cached. When
+//! Routes are computed lazily per `(src, dst, ECMP bucket)` and cached. When
 //! several shortest paths exist (VL2 core), one is picked by hashing a
 //! caller-supplied flow discriminator, mirroring per-flow ECMP hashing.
+//! The BFS behind a route depends on the destination alone — in fact on the
+//! switch the destination hangs off, one hop short of it — so its result,
+//! every node's hop distance to that switch, is cached too, and a route that
+//! misses the cache is a walk down an existing field.
 
 use std::collections::HashMap;
 
@@ -22,6 +26,12 @@ pub struct Hop {
 #[derive(Default)]
 pub struct Router {
     cache: HashMap<(NodeId, NodeId, u64), Vec<Hop>>,
+    /// Hop distance of every node to each anchor routed towards so far. A
+    /// destination with a single link is, for every other node, one hop
+    /// beyond its neighbour: all hosts of a switch share the switch's
+    /// field, so the cache holds one field per switch with hosts, not one
+    /// per host.
+    fields: HashMap<NodeId, Vec<Dist>>,
 }
 
 impl Router {
@@ -48,9 +58,17 @@ impl Router {
             return &[];
         }
         let bucket = flow_hash % ECMP_BUCKETS;
-        self.cache
-            .entry((s, d, bucket))
-            .or_insert_with(|| shortest_path(topo, s, d, bucket))
+        let fields = &mut self.fields;
+        self.cache.entry((s, d, bucket)).or_insert_with(|| {
+            let anchor = match topo.neighbours(d) {
+                [(only, _)] => *only,
+                _ => d,
+            };
+            let field = fields
+                .entry(anchor)
+                .or_insert_with(|| distance_field(topo, anchor));
+            walk(topo, field, anchor, s, d, bucket)
+        })
     }
 
     /// Number of hops on the (any) shortest path between two hosts —
@@ -62,34 +80,53 @@ impl Router {
 
 const ECMP_BUCKETS: u64 = 64;
 
-/// BFS shortest path; ties broken by a deterministic hash of
-/// `(tie_break, node)` so different flows spread over the ECMP fan.
-fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId, tie_break: u64) -> Vec<Hop> {
-    let n = topo.node_count();
-    let mut dist = vec![usize::MAX; n];
+/// A hop distance. Every routed-to destination keeps one per node, so it
+/// is as narrow as a datacenter's diameter allows.
+type Dist = u16;
+const UNREACHED: Dist = Dist::MAX;
+
+/// Hop distance of every node to `anchor`, by BFS from it so that a walk
+/// towards smaller distances moves forward.
+fn distance_field(topo: &Topology, anchor: NodeId) -> Vec<Dist> {
+    let mut dist = vec![UNREACHED; topo.node_count()];
     let mut queue = std::collections::VecDeque::new();
-    dist[dst.0] = 0;
-    queue.push_back(dst);
-    // BFS from the destination so parent pointers point forward.
+    dist[anchor.0] = 0;
+    queue.push_back(anchor);
     while let Some(node) = queue.pop_front() {
         for &(peer, _) in topo.neighbours(node) {
-            if dist[peer.0] == usize::MAX {
+            if dist[peer.0] == UNREACHED {
                 dist[peer.0] = dist[node.0] + 1;
+                assert_ne!(dist[peer.0], UNREACHED, "topology diameter overflows");
                 queue.push_back(peer);
             }
         }
     }
-    assert_ne!(dist[src.0], usize::MAX, "topology is disconnected");
+    dist
+}
 
-    // Walk from src towards dst, at each step choosing among neighbours
-    // one hop closer; ties resolved by hash for ECMP spreading.
-    let mut hops = Vec::with_capacity(dist[src.0]);
+/// Walks from `src` to `dst` down `field`, the distance field of `anchor`
+/// — `dst` itself, or the only neighbour it can be reached through — at
+/// each step choosing among neighbours one hop closer to `dst`; ties broken
+/// by a deterministic hash of `(tie_break, node)` so different flows spread
+/// over the ECMP fan.
+fn walk(
+    topo: &Topology,
+    field: &[Dist],
+    anchor: NodeId,
+    src: NodeId,
+    dst: NodeId,
+    tie_break: u64,
+) -> Vec<Hop> {
+    assert_ne!(field[src.0], UNREACHED, "topology is disconnected");
+    let beyond = u32::from(anchor != dst);
+    let dist = |n: NodeId| if n == dst { 0 } else { u32::from(field[n.0]) + beyond };
+    let mut hops = Vec::with_capacity(dist(src) as usize);
     let mut node = src;
     while node != dst {
         let next = topo
             .neighbours(node)
             .iter()
-            .filter(|(peer, _)| dist[peer.0] + 1 == dist[node.0])
+            .filter(|(peer, _)| dist(*peer) + 1 == dist(node))
             .min_by_key(|(peer, link)| mix(tie_break, peer.0 as u64, link.0 as u64))
             .copied()
             .expect("BFS guarantees a next hop");
@@ -172,6 +209,32 @@ mod tests {
             distinct.len() > 1,
             "ECMP should use more than one core path"
         );
+    }
+
+    /// The cached, switch-anchored distance fields change where a route
+    /// comes from, never the route: every host pair on every ECMP bucket
+    /// equals a fresh BFS from the destination itself and a walk down it.
+    #[test]
+    fn cached_fields_route_like_a_fresh_bfs() {
+        for t in [
+            Topology::vl2(8, 2, crate::GBPS, TopoOptions::default()),
+            Topology::two_tier(4, 3, crate::GBPS, crate::GBPS, TopoOptions::default()),
+        ] {
+            let mut r = Router::new();
+            for a in t.host_ids() {
+                for b in t.host_ids() {
+                    for bucket in 0..ECMP_BUCKETS {
+                        let (s, d) = (t.host(a).node, t.host(b).node);
+                        let fresh = if a == b {
+                            Vec::new()
+                        } else {
+                            walk(&t, &distance_field(&t, d), d, s, d, bucket)
+                        };
+                        assert_eq!(r.route_ref(&t, a, b, bucket), &fresh[..], "{a:?}->{b:?} #{bucket}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
