@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use std::collections::HashSet;
 
+use cloudtalk::pkteval::pkt_evaluate;
 use cloudtalk::pktsearch::{host_classes, pkt_search, MirrorTopology, PktSearchOptions};
 use cloudtalk::server::{
     CloudTalkServer, DegradationRung, EvalMethod, PktBackendConfig, ServerConfig,
@@ -27,11 +28,12 @@ use cloudtalk::server::{
 use cloudtalk::status::TableStatusSource;
 use cloudtalk_lang::ast::{AttrKind, BinOp, Expr, FlowRef, RefAttr};
 use cloudtalk_lang::builder::QueryBuilder;
-use cloudtalk_lang::problem::{Address, Problem};
+use cloudtalk_lang::problem::{Address, Binding, Problem};
 use proptest::prelude::*;
 use cloudtalk_lang::Span;
 use desim::SimTime;
 use estimator::HostState;
+use pktsim::SimConfig;
 use simnet::topology::{HostId, TopoOptions, Topology};
 use simnet::GBPS;
 
@@ -121,13 +123,63 @@ fn rack_layout() -> (MirrorTopology, Problem) {
     placement(topo, hosts[0], &hosts[16..28], &candidates, LEAF_BYTES)
 }
 
-/// Memoisation on and off agree on the winner and its makespan, bit for
-/// bit, at every thread count with early-abort on and off; and a serial
-/// memoised search simulates exactly one binding per canonical key.
+/// What the serial no-memo no-abort search is itself held to: a recursion
+/// over [`pkt_evaluate`] that shares no code with the search — nested
+/// loops, the same-pool clash skip, first-found strict `<`, one fresh
+/// simulator per binding.
+fn plain_scan(mirror: &MirrorTopology, problem: &Problem) -> Option<(Binding, f64)> {
+    fn rec(
+        mirror: &MirrorTopology,
+        problem: &Problem,
+        current: &mut Binding,
+        best: &mut Option<(Binding, f64)>,
+    ) {
+        let idx = current.len();
+        if idx == problem.vars.len() {
+            let sim = SimConfig::default();
+            let run = pkt_evaluate(problem, current, mirror.topology(), mirror.addr_to_host(), sim);
+            if let Ok(r) = run {
+                if best.as_ref().is_none_or(|(_, b)| r.makespan < *b) {
+                    *best = Some((current.clone(), r.makespan));
+                }
+            }
+            return;
+        }
+        let var = &problem.vars[idx];
+        for &value in &var.candidates {
+            let clash = problem.distinct
+                && current
+                    .iter()
+                    .enumerate()
+                    .any(|(j, v)| problem.vars[j].pool == var.pool && *v == value);
+            if clash {
+                continue;
+            }
+            current.push(value);
+            rec(mirror, problem, current, best);
+            current.pop();
+        }
+    }
+    let mut best = None;
+    rec(mirror, problem, &mut Binding::new(), &mut best);
+    best
+}
+
+/// The serial no-memo no-abort search is the plain scan; memoisation on
+/// and off agree on the winner and its makespan, bit for bit, at every
+/// thread count with early-abort on and off; and a serial memoised search
+/// simulates exactly one binding per canonical key.
 fn memo_changes_nothing_but_work(
     mirror: &MirrorTopology,
     problem: &Problem,
 ) -> Result<(), TestCaseError> {
+    let serial = PktSearchOptions::new(100).memoise(false).early_abort(false);
+    let golden = pkt_search(problem, mirror, &serial).expect("search succeeds");
+    prop_assert_eq!(
+        plain_scan(mirror, problem).map(|(b, m)| (b, m.to_bits())),
+        Some((golden.binding, golden.makespan.to_bits())),
+        "serial full scan differs from the plain recursion"
+    );
     let classes = host_classes(problem, mirror);
     let pool = &problem.vars[0].candidates;
     let mut keys = HashSet::new();
@@ -219,6 +271,11 @@ fn every_configuration_matches_the_serial_full_scan_bit_for_bit() {
     )
     .expect("serial full scan succeeds");
     assert!(golden.makespan.is_finite());
+    assert_eq!(
+        plain_scan(&mirror, &problem).map(|(b, m)| (b, m.to_bits())),
+        Some((golden.binding.clone(), golden.makespan.to_bits())),
+        "serial full scan differs from the plain recursion"
+    );
 
     for threads in [1usize, 2, 8] {
         for memoise in [false, true] {

@@ -18,8 +18,8 @@ use cloudtalk::exhaustive::{
 use cloudtalk_lang::builder::{
     hdfs_read_query, hdfs_write_query, reduce_placement_query, QueryBuilder,
 };
-use cloudtalk_lang::problem::{Address, Problem, Value};
-use estimator::{HostState, World};
+use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
+use estimator::{estimate, HostState, World};
 
 const MB: f64 = 1024.0 * 1024.0;
 const LIMIT: u64 = 1_000_000;
@@ -222,12 +222,65 @@ fn oracle(problem: &Problem, world: &World) -> Result<ExhaustiveResult, Exhausti
     exhaustive_search_with(problem, world, &opts)
 }
 
+/// What the oracle itself is held to: a recursion over
+/// [`estimator::estimate`] that shares no code with the search — nested
+/// loops, the same-pool clash skip, first-found strict `<`.
+fn plain_scan(problem: &Problem, world: &World) -> Result<(Binding, f64), ExhaustiveError> {
+    fn rec(
+        problem: &Problem,
+        world: &World,
+        current: &mut Binding,
+        best: &mut Option<(Binding, f64)>,
+    ) {
+        let idx = current.len();
+        if idx == problem.vars.len() {
+            if let Ok(e) = estimate(problem, current, world) {
+                if best.as_ref().is_none_or(|(_, b)| e.makespan < *b) {
+                    *best = Some((current.clone(), e.makespan));
+                }
+            }
+            return;
+        }
+        let var = &problem.vars[idx];
+        for &value in &var.candidates {
+            let clash = problem.distinct
+                && current
+                    .iter()
+                    .enumerate()
+                    .any(|(j, v)| problem.vars[j].pool == var.pool && *v == value);
+            if clash {
+                continue;
+            }
+            current.push(value);
+            rec(problem, world, current, best);
+            current.pop();
+        }
+    }
+    let mut best = None;
+    rec(problem, world, &mut Binding::new(), &mut best);
+    best.ok_or(ExhaustiveError::NoFeasibleBinding)
+}
+
 /// Binding and makespan bits, or the error.
 fn outcome(
     r: &Result<ExhaustiveResult, ExhaustiveError>,
 ) -> Result<(&[Value], u64), &ExhaustiveError> {
     r.as_ref()
         .map(|r| (r.binding.as_slice(), r.makespan.to_bits()))
+}
+
+#[test]
+fn the_oracle_is_the_plain_recursive_scan() {
+    for (pname, problem, _) in problems() {
+        for (wname, world) in worlds(&problem) {
+            let plain = plain_scan(&problem, &world);
+            assert_eq!(
+                outcome(&oracle(&problem, &world)),
+                plain.as_ref().map(|(b, m)| (b.as_slice(), m.to_bits())),
+                "{pname}/{wname}"
+            );
+        }
+    }
 }
 
 #[test]
