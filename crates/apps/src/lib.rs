@@ -13,16 +13,12 @@
 //!   evaluated on the packet-level simulator (incast-dominated).
 //! * [`cluster`] — the shared harness tying a [`simnet::NetSim`] to a
 //!   [`cloudtalk::CloudTalkServer`].
-//! * [`fleet`] — the fully distributed deployment: one CloudTalk server
-//!   per host, with per-server reservation state (§5.5 usage patterns).
 
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod fleet;
 pub mod hdfs;
 pub mod mapreduce;
 pub mod websearch;
 
 pub use cluster::Cluster;
-pub use fleet::FleetCluster;

@@ -46,7 +46,7 @@ use cloudtalk::exhaustive::{
 use cloudtalk::server::{CloudTalkServer, EvalMethod, ObsConfig, ServerConfig};
 use cloudtalk::status::TableStatusSource;
 use cloudtalk_bench::{flag_present, flag_value, row, write_trace};
-use cloudtalk_lang::builder::{hdfs_write_query, QueryBuilder};
+use cloudtalk_lang::builder::{daisy_chain_query, hdfs_write_query, QueryBuilder};
 use cloudtalk_lang::problem::{Address, Binding, Problem};
 use desim::SimTime;
 use estimator::{estimate, HostState, World};
@@ -240,22 +240,9 @@ fn export_trace(path: &str) {
 /// variable at depth `d` dirties at most two of the `n_vars - 1`
 /// components.
 fn daisy_chain(addrs: &[Address], n_vars: usize) -> Problem {
-    let mut b = QueryBuilder::new();
-    let names: Vec<String> = (1..=n_vars).map(|i| format!("x{i}")).collect();
-    let vars = b.variable_group(names, addrs.iter().copied());
-    let mut prev = None;
-    for i in 0..n_vars - 1 {
-        let f = b
-            .flow(format!("f{}", i + 1))
-            .from_var(vars[i])
-            .to_var(vars[i + 1]);
-        let f = match prev {
-            None => f.size(100.0 * 1024.0 * 1024.0),
-            Some(h) => f.size_of(h).transfer_of(h),
-        };
-        prev = Some(f.handle());
-    }
-    b.resolve().expect("well-formed")
+    daisy_chain_query(addrs, n_vars, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed")
 }
 
 /// The fig3 chain with hop `i` carried by `shards[i]` parallel transfers

@@ -16,30 +16,10 @@ use cloudtalk::server::{CloudTalkServer, DegradationRung, ServerConfig};
 use cloudtalk::status::TableStatusSource;
 use cloudtalk::transport::{loss_probability, RetryPolicy, TransportConfig};
 use cloudtalk_bench::{mean, random_state, scaled, LoadDist};
-use cloudtalk_lang::builder::QueryBuilder;
+use cloudtalk_lang::builder::daisy_chain_query;
 use cloudtalk_lang::problem::{Address, Problem};
 use desim::SimTime;
 use estimator::{estimate, World};
-
-fn daisy_query(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
-}
 
 fn source_from(world: &World) -> TableStatusSource {
     let mut s = TableStatusSource::new();
@@ -103,7 +83,9 @@ fn run(
 
 fn main() {
     let addrs: Vec<Address> = (1..=20).map(Address).collect();
-    let problem = daisy_query(&addrs);
+    let problem = daisy_chain_query(&addrs, 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed");
     let states = scaled(200, 20);
 
     let mut rng = desim::rng::stream_rng(7, 0xC4A05);

@@ -18,34 +18,16 @@
 use cloudtalk::exhaustive::exhaustive_search;
 use cloudtalk::heuristic::{evaluate_query, HeuristicConfig};
 use cloudtalk_bench::{mean, percentile, random_binding, random_state, scaled, LoadDist};
-use cloudtalk_lang::builder::QueryBuilder;
-use cloudtalk_lang::problem::{Address, Problem};
+use cloudtalk_lang::builder::daisy_chain_query;
+use cloudtalk_lang::problem::Address;
 use desim::rng::stream_rng;
 use estimator::estimate;
 
-fn daisy_query(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
-}
-
 fn main() {
     let addrs: Vec<Address> = (1..=20).map(Address).collect();
-    let problem = daisy_query(&addrs);
+    let problem = daisy_chain_query(&addrs, 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed");
     // The paper ran 100k states; scale down by default so the binary
     // finishes in about a minute (exhaustive = 6840 estimates per state).
     let states = scaled(2000, 50);
@@ -104,17 +86,4 @@ fn low_percentile(xs: &[f64], p: f64) -> f64 {
     }
     let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
     v[rank.clamp(1, v.len()) - 1]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn daisy_query_shape() {
-        let addrs: Vec<Address> = (1..=20).map(Address).collect();
-        let p = daisy_query(&addrs);
-        assert_eq!(p.vars.len(), 3);
-        assert_eq!(p.flows.len(), 2);
-    }
 }

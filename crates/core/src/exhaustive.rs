@@ -1,10 +1,10 @@
 //! Exhaustive query evaluation (paper §5.1's accuracy baseline — "we
 //! contrast the results of our algorithm against an exhaustive evaluation
-//! of all possible solutions"), implemented as a parallel branch-and-bound
-//! search:
+//! of all possible solutions"), implemented as a branch-and-bound over the
+//! shared binding walk (`crate::walk` — the enumeration, the threads, the
+//! two-part cut rule `lb > G` / `lb >= L` and the argument that neither
+//! changes the winner live there). This module is what the walk is given:
 //!
-//! * **Branch** — the first variable's candidates are split into
-//!   contiguous chunks, one per worker thread ([`SearchOptions::threads`]).
 //! * **Bound** — every flow whose endpoints are already fixed by the
 //!   partial binding cannot finish before
 //!   `start + bytes / min(rate cap, residual capacity of its resources)`;
@@ -12,16 +12,11 @@
 //!   subtree's makespan (extra flows and sharing only slow things down).
 //!   The residual capacities are read from the [`World`] once per search
 //!   into a dense [`CapacityTable`]; no node hashes an address.
-//! * **Cut** — a subtree with bound `lb` is skipped when `lb > G` or
-//!   `lb >= L` (the two-part rule, below). `G` is the incumbent makespan
-//!   shared across workers through an [`AtomicU64`] holding the `f64` bit
-//!   pattern — for non-negative IEEE floats the bit order equals the
-//!   numeric order, so `fetch_min` on the bits is `min` on the values —
-//!   and `L` is the best makespan *this worker* has found so far.
-//! * **Seed** — before descending, `G` starts at the makespan of the §4.2
-//!   heuristic's binding (when that binding lies in the search space and
-//!   estimates), so subtrees through loaded hosts are cut from the first
-//!   node on, wherever the cool hosts sit in candidate order.
+//! * **Seed** — before descending, the incumbent `G` starts at the
+//!   makespan of the §4.2 heuristic's binding (when that binding lies in
+//!   the search space and estimates), so subtrees through loaded hosts are
+//!   cut from the first node on, wherever the cool hosts sit in candidate
+//!   order.
 //!
 //! Candidates are estimated through one of two [`EvalStrategy`]s. The
 //! seed `Scratch` path rebuilds the flow world per leaf; the `Delta` path
@@ -35,43 +30,22 @@
 //! ([`DeltaEstimator::component_lower_bound`]). The search has such
 //! components rated the first time it stands on the prefix that
 //! determines them ([`DeltaEstimator::rate_prefix`]), so a prefix is cut
-//! where its bottleneck is fixed, not one leaf later.
+//! where its bottleneck is fixed, not one leaf later. That is also why
+//! the tie half of the cut rule ends a `Delta` search on a world full of
+//! ties — the component bound is an exact finish time, so equality fires
+//! as soon as a prefix's bottleneck is rated — while the flow bounds of
+//! `Scratch` sit a completion tolerance below any makespan and tie only
+//! at zero bytes or zero capacity.
 //!
-//! Determinism — the winner is the binding the plain sequential scan
-//! returns: the first, in scan order, among those of least makespan. A
-//! leaf replaces a worker's best only on a strict `<`, and the final
-//! cross-worker reduction scans workers in first-variable order with a
-//! strict `<`. The two halves of the cut rule keep that winner for
-//! different reasons:
-//!
-//! * `lb >= L` compares against a leaf this worker has *already scanned*.
-//!   Every leaf behind `L` precedes the subtree in scan order, and no leaf
-//!   of the subtree is strictly better than `L`, so none of them could
-//!   have displaced it: the cut skips only leaves the scan would have
-//!   looked at and passed over. This is the half that ends a search on a
-//!   world full of ties — with `Delta`, where the component bound is an
-//!   exact finish time, equality fires as soon as a prefix's bottleneck
-//!   is rated (the flow bounds of `Scratch` sit a completion tolerance
-//!   below any makespan and tie only at zero bytes or zero capacity).
-//!   `L` starts at `INFINITY`, so before any leaf has landed the rule
-//!   cuts exactly the subtrees whose bound is infinite: a determined
-//!   flow with no capacity left stalls every leaf below.
-//! * `lb > G` compares against a makespan found *anywhere* — another
-//!   worker's chunk, later in scan order, or the heuristic's seed, which
-//!   is no scanned leaf at all. Such a value says nothing about order, so
-//!   equality must not cut: a subtree that merely ties `G` may hold the
-//!   first-found winner. Strictly worse subtrees hold no winner at all.
-//!
-//! Both rules apply under either strategy, whose estimates are
-//! bit-identical (pinned by `estimator/tests/delta_props.rs`), and at any
-//! thread count; `tests/search_tie_equiv.rs` holds the winner, bit for
-//! bit, against the unpruned single-thread scan. Only the effort counters
-//! differ — `evaluated` and the two cut counts depend on how sharp the
-//! bounds are and, with threads, on how fast `G` propagates.
-//! [`exhaustive_search`] runs single-threaded with pruning, which is fully
-//! deterministic.
+//! Both strategies' estimates are bit-identical (pinned by
+//! `estimator/tests/delta_props.rs`), so the winner is the same under
+//! either and at any thread count; `tests/search_tie_equiv.rs` holds it,
+//! bit for bit, against a plain recursion over the estimator. Only the
+//! effort counters differ. [`exhaustive_search`] runs single-threaded with
+//! pruning, which is fully deterministic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::BorrowMut;
+use std::sync::atomic::AtomicU64;
 
 use cloudtalk_lang::ast::{AttrKind, RefAttr};
 use cloudtalk_lang::problem::{Address, Binding, BoundEndpoint, Endpoint, ExprR, Problem, Value};
@@ -81,6 +55,7 @@ use estimator::{
 };
 
 use crate::heuristic::{evaluate_query_scored_into, HeuristicConfig, HeuristicScratch};
+use crate::walk::{clashes, search, space_guard, Local, Walker};
 
 /// How the search evaluates candidate bindings.
 ///
@@ -262,19 +237,12 @@ pub fn exhaustive_search_in(
     ws: &mut SearchWorkspace,
     out: &mut ExhaustiveResult,
 ) -> Result<(), ExhaustiveError> {
-    // Upper-bound the space before committing — this runs before any
-    // estimator (or even bound-table) work, so a `TooLarge` query is
-    // rejected in O(|vars|) no matter how pathological its flows are.
-    let mut space: u128 = 1;
-    for var in &problem.vars {
-        space = space.saturating_mul(var.candidates.len() as u128);
-        if space > opts.limit as u128 {
-            return Err(ExhaustiveError::TooLarge {
-                space,
-                limit: opts.limit,
-            });
-        }
-    }
+    // Before any estimator (or even bound-table) work, so a `TooLarge`
+    // query is rejected in O(|vars|) no matter how pathological its flows.
+    space_guard(problem, opts.limit).map_err(|space| ExhaustiveError::TooLarge {
+        space,
+        limit: opts.limit,
+    })?;
 
     let SearchWorkspace {
         scratch,
@@ -285,119 +253,65 @@ pub fn exhaustive_search_in(
         seed,
     } = ws;
 
-    let n_vars = problem.vars.len();
-    if n_vars == 0 {
-        // No variables: a single empty binding.
-        current.clear();
-        let e = estimate_with(scratch, problem, current, world)
-            .map_err(|_| ExhaustiveError::NoFeasibleBinding)?;
-        out.binding.clear();
-        out.makespan = e.makespan;
-        out.evaluated = 1;
-        out.pruned_subtrees = 0;
-        out.pruned_ties = 0;
-        out.delta = DeltaStats::default();
-        return Ok(());
-    }
-
-    let have_bounds = opts.prune && bounds.build_into(problem, world);
+    let prune = opts.prune && bounds.build_into(problem, world);
     // Delta evaluation needs the same static tables the scratch estimator
     // resolves per call; when that fails every estimate would fail too,
-    // so falling back to Scratch changes nothing but the error path.
-    let use_delta = opts.eval == EvalStrategy::Delta && delta.reset(problem, world).is_ok();
+    // so falling back to Scratch changes nothing but the error path. A
+    // problem with no variables has no sibling to carry anything over to.
+    let use_delta = opts.eval == EvalStrategy::Delta
+        && !problem.vars.is_empty()
+        && delta.reset(problem, world).is_ok();
     // Without bounds nothing ever reads the incumbent.
-    let seeded = if have_bounds {
+    let seeded = if prune {
         seed.makespan(problem, world, scratch)
     } else {
         f64::INFINITY
     };
-    let incumbent = AtomicU64::new(seeded.to_bits());
-    let ctx = Ctx {
-        problem,
-        world,
-        bounds: if have_bounds { Some(&*bounds) } else { None },
-        incumbent: &incumbent,
-    };
 
-    let first = &problem.vars[0].candidates;
-    let threads = opts.threads.max(1).min(first.len().max(1));
-    if threads <= 1 {
-        local.reset();
-        if use_delta {
-            walk(ctx, delta, first, local);
-            local.delta = delta.stats();
-        } else {
-            current.clear();
-            walk(ctx, &mut ScratchWalker { scratch, current }, first, local);
-        }
-        return reduce_into(std::slice::from_ref(local), out);
-    }
-
-    let locals: Vec<Local> = std::thread::scope(|s| {
-        // Contiguous chunks keep the first-variable order intact, so
-        // scanning workers in spawn order below reproduces the
-        // sequential first-found tie-break.
-        let chunk = first.len() / threads;
-        let extra = first.len() % threads;
-        let mut lo = 0usize;
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let hi = lo + chunk + usize::from(w < extra);
-            let mine = &first[lo..hi];
-            lo = hi;
-            handles.push(s.spawn(move || {
-                let mut local = Local::default();
-                if use_delta {
-                    let mut de = DeltaEstimator::new(ctx.problem, ctx.world)
-                        .expect("reset already succeeded on these inputs");
-                    walk(ctx, &mut de, mine, &mut local);
-                    local.delta = de.stats();
-                } else {
-                    let mut scratch = EstimatorScratch::new();
-                    let mut current: Binding = Vec::with_capacity(n_vars);
-                    let mut walker = ScratchWalker {
-                        scratch: &mut scratch,
-                        current: &mut current,
-                    };
-                    walk(ctx, &mut walker, mine, &mut local);
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    reduce_into(&locals, out)
-}
-
-/// Folds per-worker results into `out`, scanning workers in first-variable
-/// order with a strict `<` so ties resolve to the sequential first-found
-/// winner.
-fn reduce_into(locals: &[Local], out: &mut ExhaustiveResult) -> Result<(), ExhaustiveError> {
-    out.evaluated = 0;
-    out.pruned_subtrees = 0;
-    out.pruned_ties = 0;
+    // The caller's walker borrows the workspace's buffers; worker threads
+    // build their own.
+    let bounds = &*bounds;
     out.delta = DeltaStats::default();
-    let mut best: Option<usize> = None;
-    for (k, local) in locals.iter().enumerate() {
-        out.evaluated += local.evaluated;
-        out.pruned_subtrees += local.pruned;
-        out.pruned_ties += local.pruned_ties;
-        out.delta.merge(&local.delta);
-        if local.has_best && best.is_none_or(|b| local.best_makespan < locals[b].best_makespan) {
-            best = Some(k);
+    if use_delta {
+        let mut own = DeltaWalker {
+            bounds,
+            de: &mut *delta,
+        };
+        let spawn = || DeltaWalker {
+            bounds,
+            de: DeltaEstimator::new(problem, world).expect("reset already succeeded on these inputs"),
+        };
+        let later = search(problem, opts.threads, prune, seeded, local, &mut own, spawn);
+        for stats in later.iter().map(|w| w.de.stats()).chain([delta.stats()]) {
+            out.delta.merge(&stats);
         }
+    } else {
+        current.clear();
+        let mut own = ScratchWalker {
+            problem,
+            world,
+            bounds,
+            scratch: &mut *scratch,
+            current: std::mem::take(current),
+        };
+        let spawn = || ScratchWalker {
+            problem,
+            world,
+            bounds,
+            scratch: EstimatorScratch::new(),
+            current: Binding::with_capacity(problem.vars.len()),
+        };
+        search(problem, opts.threads, prune, seeded, local, &mut own, spawn);
+        *current = own.current;
     }
-    match best {
-        Some(k) => {
-            out.binding.clone_from(&locals[k].best_binding);
-            out.makespan = locals[k].best_makespan;
-            Ok(())
-        }
-        None => Err(ExhaustiveError::NoFeasibleBinding),
-    }
+
+    out.evaluated = local.leaves;
+    out.pruned_subtrees = local.pruned;
+    out.pruned_ties = local.pruned_ties;
+    let (binding, makespan) = local.best().ok_or(ExhaustiveError::NoFeasibleBinding)?;
+    out.binding.clone_from(binding);
+    out.makespan = makespan;
+    Ok(())
 }
 
 /// The seed incumbent's buffers: the §4.2 heuristic's scratch and the
@@ -443,120 +357,20 @@ impl Seed {
     }
 }
 
-/// Whether binding variable `var` to `value` repeats a value one of the
-/// already-bound `prefix` variables of its pool holds, in a problem that
-/// wants same-pool variables distinct.
-fn clashes(problem: &Problem, prefix: &[Value], var: usize, value: Value) -> bool {
-    problem.distinct
-        && prefix
-            .iter()
-            .enumerate()
-            .any(|(j, v)| problem.vars[j].pool == problem.vars[var].pool && *v == value)
-}
-
-/// Per-worker accumulation. The incumbent binding lives in a reused
-/// buffer (`clone_from`) so recording a new best in steady state does not
-/// allocate.
-#[derive(Debug)]
-struct Local {
-    has_best: bool,
-    /// `L` of the cut rule: `INFINITY` until a leaf lands.
-    best_makespan: f64,
-    best_binding: Binding,
-    evaluated: u64,
-    pruned: u64,
-    pruned_ties: u64,
-    delta: DeltaStats,
-}
-
-impl Default for Local {
-    fn default() -> Self {
-        Local {
-            has_best: false,
-            best_makespan: f64::INFINITY,
-            best_binding: Binding::new(),
-            evaluated: 0,
-            pruned: 0,
-            pruned_ties: 0,
-            delta: DeltaStats::default(),
-        }
-    }
-}
-
-impl Local {
-    fn reset(&mut self) {
-        let mut best_binding = std::mem::take(&mut self.best_binding);
-        best_binding.clear();
-        *self = Local {
-            best_binding,
-            ..Local::default()
-        };
-    }
-
-    /// The two-part cut rule (module docs), counting the cut it makes.
-    fn cuts(&mut self, lb: f64, incumbent: &AtomicU64) -> bool {
-        // Strict against the shared incumbent, which may come from
-        // anywhere in scan order …
-        if lb > f64::from_bits(incumbent.load(Ordering::Relaxed)) {
-            self.pruned += 1;
-            return true;
-        }
-        // … and `>=` against this worker's own best only: that leaf was
-        // scanned before the subtree, and nothing below beats it.
-        if lb >= self.best_makespan {
-            self.pruned_ties += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Strict `<`: the earliest binding wins exact ties, matching the
-    /// sequential scan.
-    fn offer(&mut self, makespan: f64, binding: &Binding, incumbent: &AtomicU64) {
-        if !self.has_best || makespan < self.best_makespan {
-            self.has_best = true;
-            self.best_makespan = makespan;
-            self.best_binding.clone_from(binding);
-            incumbent.fetch_min(makespan.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// Read-only search context shared by all workers.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
+/// [`EvalStrategy::Scratch`]: a plain binding, estimated from scratch. `S`
+/// is the workspace's scratch, borrowed (the caller's walker), or a worker
+/// thread's own.
+struct ScratchWalker<'a, S> {
     problem: &'a Problem,
     world: &'a World,
-    bounds: Option<&'a Bounder>,
-    incumbent: &'a AtomicU64,
+    bounds: &'a Bounder,
+    scratch: S,
+    current: Binding,
 }
 
-/// What the traversal needs of a candidate evaluator: a partial binding it
-/// can extend and retract, and a makespan at the leaves.
-trait Walker {
-    /// The current (partial) binding.
-    fn binding(&self) -> &Binding;
-    /// Binds the next variable.
-    fn push(&mut self, value: Value);
-    /// Unbinds the last one.
-    fn pop(&mut self);
-    /// A lower bound the evaluator can give for every completion of the
-    /// current prefix (`0.0` when it knows none).
-    fn rated_bound(&mut self) -> f64;
-    /// Makespan of the (complete) binding; `None` when it does not
-    /// estimate.
-    fn makespan(&mut self, ctx: Ctx<'_>) -> Option<f64>;
-}
-
-/// [`EvalStrategy::Scratch`]: a plain binding, estimated from scratch.
-struct ScratchWalker<'a> {
-    scratch: &'a mut EstimatorScratch,
-    current: &'a mut Binding,
-}
-
-impl Walker for ScratchWalker<'_> {
+impl<S: BorrowMut<EstimatorScratch>> Walker for ScratchWalker<'_, S> {
     fn binding(&self) -> &Binding {
-        self.current
+        &self.current
     }
 
     fn push(&mut self, value: Value) {
@@ -567,90 +381,56 @@ impl Walker for ScratchWalker<'_> {
         self.current.pop();
     }
 
-    fn rated_bound(&mut self) -> f64 {
-        0.0
+    fn quick_bound(&self, lb: f64) -> f64 {
+        self.bounds.bound_at(&self.current, lb)
     }
 
-    fn makespan(&mut self, ctx: Ctx<'_>) -> Option<f64> {
-        estimate_with(self.scratch, ctx.problem, self.current, ctx.world)
+    fn score(&mut self, _: &AtomicU64) -> Option<f64> {
+        estimate_with(self.scratch.borrow_mut(), self.problem, &self.current, self.world)
             .ok()
             .map(|e| e.makespan)
     }
 }
 
 /// [`EvalStrategy::Delta`]: the partial binding lives inside the
-/// [`DeltaEstimator`], descents are `push`/`pop` pairs against its undo
-/// log, and leaves re-rate only the components their last move touched.
-/// Its bound rates the components the prefix has just determined and
+/// [`DeltaEstimator`] (`D`: the workspace's, borrowed, or a worker
+/// thread's own), descents are `push`/`pop` pairs against its undo log,
+/// and leaves re-rate only the components their last move touched. Its
+/// rated bound rates the components the prefix has just determined and
 /// takes the finish times of those no open flow can join
 /// ([`DeltaEstimator::component_lower_bound`]): every leaf below replays
 /// exactly those ratings, so the bound is part of each leaf's makespan.
-impl Walker for DeltaEstimator {
+struct DeltaWalker<'a, D> {
+    bounds: &'a Bounder,
+    de: D,
+}
+
+impl<D: BorrowMut<DeltaEstimator>> Walker for DeltaWalker<'_, D> {
     fn binding(&self) -> &Binding {
-        DeltaEstimator::binding(self)
+        self.de.borrow().binding()
     }
 
     fn push(&mut self, value: Value) {
-        DeltaEstimator::push(self, value);
+        self.de.borrow_mut().push(value);
     }
 
     fn pop(&mut self) {
-        DeltaEstimator::pop(self);
+        self.de.borrow_mut().pop();
+    }
+
+    fn quick_bound(&self, lb: f64) -> f64 {
+        self.bounds.bound_at(self.binding(), lb)
     }
 
     fn rated_bound(&mut self) -> f64 {
-        self.rate_prefix();
-        self.component_lower_bound()
+        let de = self.de.borrow_mut();
+        de.rate_prefix();
+        de.component_lower_bound()
     }
 
-    fn makespan(&mut self, _: Ctx<'_>) -> Option<f64> {
-        self.estimate_summary().ok().map(|e| e.makespan)
-    }
-}
-
-/// Scans the subtrees under `firsts` — a contiguous run of the first
-/// variable's candidates — in order.
-fn walk<W: Walker>(ctx: Ctx<'_>, w: &mut W, firsts: &[Value], local: &mut Local) {
-    let base_lb = match ctx.bounds {
-        Some(b) => b.bound_at_depth(0, w.binding(), 0.0),
-        None => 0.0,
-    };
-    for &value in firsts {
-        w.push(value);
-        search_rec(ctx, w, base_lb, local);
-        w.pop();
-    }
-}
-
-fn search_rec<W: Walker>(ctx: Ctx<'_>, w: &mut W, lb: f64, local: &mut Local) {
-    let depth = w.binding().len();
-    let mut lb = lb;
-    if let Some(b) = ctx.bounds {
-        // The flow bounds cost a table read each; only a prefix they
-        // cannot cut is worth the evaluator's bound.
-        lb = b.bound_at_depth(depth, w.binding(), lb);
-        if local.cuts(lb, ctx.incumbent) {
-            return;
-        }
-        lb = lb.max(w.rated_bound());
-        if local.cuts(lb, ctx.incumbent) {
-            return;
-        }
-    }
-    if depth == ctx.problem.vars.len() {
-        local.evaluated += 1;
-        if let Some(makespan) = w.makespan(ctx) {
-            local.offer(makespan, w.binding(), ctx.incumbent);
-        }
-        return;
-    }
-    for &value in &ctx.problem.vars[depth].candidates {
-        if clashes(ctx.problem, w.binding(), depth, value) {
-            continue;
-        }
-        w.push(value);
-        search_rec(ctx, w, lb, local);
-        w.pop();
+    fn score(&mut self, _: &AtomicU64) -> Option<f64> {
+        let estimate = self.de.borrow_mut().estimate_summary();
+        estimate.ok().map(|e| e.makespan)
     }
 }
 
@@ -764,9 +544,9 @@ impl Bounder {
         true
     }
 
-    /// Folds the flows newly determined at `depth` into `lb`.
-    fn bound_at_depth(&self, depth: usize, prefix: &Binding, lb: f64) -> f64 {
-        self.by_depth[depth]
+    /// Folds the flows `prefix`'s last variable newly determines into `lb`.
+    fn bound_at(&self, prefix: &Binding, lb: f64) -> f64 {
+        self.by_depth[prefix.len()]
             .iter()
             .fold(lb, |acc, &i| acc.max(self.flow_bound(i, prefix)))
     }

@@ -17,8 +17,10 @@
 //! * [`exhaustive`] — brute-force search over all bindings, scored by the
 //!   flow-level estimator; the accuracy baseline of §5.1.
 //! * [`pkteval`] — the packet-level evaluation backend (§5.4 web search).
-//! * [`pktsearch`] — the packet-level *search* backend: parallel binding
+//! * [`pktsearch`] — the packet-level *search* backend: the same binding
 //!   enumeration with symmetry memoisation and incumbent early-abort.
+//!   (Both searches are evaluators handed to one private walk, which also
+//!   holds the crate's only thread spawn.)
 //! * [`canon`] — canonical query fingerprinting: host equivalence
 //!   classes (shared with the pktsearch memoiser) and structural
 //!   problem hashes, the identity half of every answer-cache key.
@@ -110,6 +112,7 @@ pub mod server;
 pub mod serving;
 pub mod status;
 pub mod transport;
+mod walk;
 
 pub use aggregate::{
     AggregationPlane, DeltaAnswer, EpochStamp, FleetLayout, MergeOutcome, PartialSnapshot,

@@ -6,19 +6,16 @@
 //! is "quite slow", so enumerating a binding space at packet fidelity is
 //! only affordable with the optimisations implemented here:
 //!
-//! * **Parallel fan-out** — the first variable's candidates are split
-//!   into contiguous chunks, one per worker thread, exactly like
-//!   [`crate::exhaustive`]; the final reduction scans workers in chunk
-//!   order with a strict `<`, so the winning binding (and its makespan,
-//!   bit for bit) is always the one the plain sequential scan would have
-//!   found first, at any thread count.
-//! * **Incumbent early-abort** — workers share the best makespan so far
-//!   through an [`AtomicU64`] holding the `f64` bit pattern (for
-//!   non-negative IEEE floats bit order equals numeric order, so
-//!   `fetch_min` on bits is `min` on values). Each simulation runs with
-//!   the incumbent as its deadline and is abandoned the moment simulated
-//!   time passes it with query flows unfinished — the binding's true
-//!   makespan is then *strictly greater* than the incumbent, hence
+//! * **Parallel fan-out** — the enumeration is the shared binding walk
+//!   (`crate::walk`): contiguous first-variable chunks, one per worker,
+//!   folded in chunk order with a strict `<`, so the winning binding (and
+//!   its makespan, bit for bit) is always the one the plain sequential
+//!   scan would have found first, at any thread count. This module is the
+//!   walker: what a leaf costs and what may be skipped.
+//! * **Incumbent early-abort** — each simulation runs with the walk's
+//!   shared incumbent as its deadline and is abandoned the moment
+//!   simulated time passes it with query flows unfinished — the binding's
+//!   true makespan is then *strictly greater* than the incumbent, hence
 //!   strictly greater than the final best, so it can neither win nor tie.
 //!   Hopeless bindings cost a fraction of a full run.
 //! * **Symmetry memoisation** — bindings are canonicalised by the
@@ -43,12 +40,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use cloudtalk_lang::problem::{Address, Binding, Problem};
+use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
 use pktsim::{PktSim, SimConfig};
 use simnet::topology::{HostId, LinkId, NodeKind, Topology};
 
 use crate::canon::{CanonKey, HostClasses, RackShape};
 use crate::pkteval::{pkt_evaluate_program, PktEvalError, PktEvalOutcome, PktProgram};
+use crate::walk::{search, space_guard, Local, Walker};
 
 /// The provider's simulated mirror of (part of) its datacenter: the
 /// topology the packet-level backend evaluates bindings against, plus the
@@ -328,20 +326,13 @@ pub fn pkt_search(
 ) -> Result<PktSearchResult, PktSearchError> {
     // Space guard first: a TooLarge query is rejected in O(|vars|)
     // without compiling anything.
-    space_guard(problem, opts.limit)?;
+    guard(problem, opts.limit)?;
     let artifacts = pkt_prepare(problem, mirror)?;
     pkt_search_prepared(problem, mirror, opts, &artifacts)
 }
 
-fn space_guard(problem: &Problem, limit: u64) -> Result<(), PktSearchError> {
-    let mut space: u128 = 1;
-    for var in &problem.vars {
-        space = space.saturating_mul(var.candidates.len() as u128);
-        if space > limit as u128 {
-            return Err(PktSearchError::TooLarge { space, limit });
-        }
-    }
-    Ok(())
+fn guard(problem: &Problem, limit: u64) -> Result<(), PktSearchError> {
+    space_guard(problem, limit).map_err(|space| PktSearchError::TooLarge { space, limit })
 }
 
 /// [`pkt_search`] with the binding-independent artifacts already
@@ -355,230 +346,152 @@ pub fn pkt_search_prepared(
     opts: &PktSearchOptions,
     artifacts: &PktArtifacts,
 ) -> Result<PktSearchResult, PktSearchError> {
-    space_guard(problem, opts.limit)?;
-    let prog = &artifacts.prog;
-
-    let n_vars = problem.vars.len();
-    if n_vars == 0 {
-        let mut sim = PktSim::new(mirror.topo.clone(), opts.sim);
-        let out = pkt_evaluate_program(prog, &Vec::new(), &mut sim, &mirror.addr_to_host, None)?;
-        let PktEvalOutcome::Completed(r) = out else {
-            unreachable!("no deadline was set")
-        };
-        return Ok(PktSearchResult {
-            binding: Vec::new(),
-            makespan: r.makespan,
-            evaluated: 1,
-            aborted: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-        });
-    }
-
-    let canon = opts.memoise.then_some(&artifacts.classes);
+    guard(problem, opts.limit)?;
     let memo: Mutex<HashMap<CanonKey, MemoEntry>> = Mutex::new(HashMap::new());
-    let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
-    let ctx = Ctx {
-        problem,
-        prog,
+    let walker = || PktWalker {
+        prog: &artifacts.prog,
         mirror,
-        canon,
+        canon: opts.memoise.then_some(&artifacts.classes),
         memo: &memo,
-        incumbent: &incumbent,
         early_abort: opts.early_abort,
+        sim: PktSim::new(mirror.topo.clone(), opts.sim),
+        current: Binding::with_capacity(problem.vars.len()),
+        effort: Effort::default(),
+        failed: None,
+    };
+    let (mut local, mut own) = (Local::default(), walker());
+    // Nothing is known of the optimum beforehand, and a simulation knows
+    // no bound short of running: no seed, no pruning.
+    let later = search(problem, opts.threads, false, f64::INFINITY, &mut local, &mut own, walker);
+    let total = |count: fn(&Effort) -> u64| -> u64 {
+        later.iter().chain([&own]).map(|w| count(&w.effort)).sum()
     };
 
-    let first = &problem.vars[0].candidates;
-    let threads = opts.threads.max(1).min(first.len().max(1));
-    let locals: Vec<Local> = if threads <= 1 {
-        let mut local = Local::default();
-        let mut sim = PktSim::new(mirror.topo.clone(), opts.sim);
-        let mut current: Binding = Vec::with_capacity(n_vars);
-        search_rec(ctx, &mut sim, &mut current, &mut local);
-        vec![local]
-    } else {
-        std::thread::scope(|s| {
-            // Contiguous chunks keep the first-variable order intact, so
-            // scanning workers in spawn order below reproduces the
-            // sequential first-found tie-break.
-            let chunk = first.len() / threads;
-            let extra = first.len() % threads;
-            let mut lo = 0usize;
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let hi = lo + chunk + usize::from(w < extra);
-                let mine = &first[lo..hi];
-                lo = hi;
-                let sim_cfg = opts.sim;
-                handles.push(s.spawn(move || {
-                    let mut local = Local::default();
-                    let mut sim = PktSim::new(ctx.mirror.topo.clone(), sim_cfg);
-                    let mut current: Binding = Vec::with_capacity(n_vars);
-                    for &value in mine {
-                        current.push(value);
-                        search_rec(ctx, &mut sim, &mut current, &mut local);
-                        current.pop();
-                    }
-                    local
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pktsearch worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut best: Option<(f64, Binding)> = None;
-    let mut evaluated = 0u64;
-    let mut aborted = 0u64;
-    let mut memo_hits = 0u64;
-    let mut memo_misses = 0u64;
-    for local in locals {
-        evaluated += local.evaluated;
-        aborted += local.aborted;
-        memo_hits += local.memo_hits;
-        memo_misses += local.memo_misses;
-        if let Some((m, b)) = local.best {
-            if best.as_ref().is_none_or(|(bm, _)| m < *bm) {
-                best = Some((m, b));
-            }
-        }
-    }
-
-    match best {
-        Some((makespan, binding)) => Ok(PktSearchResult {
-            binding,
+    match local.best() {
+        Some((binding, makespan)) => Ok(PktSearchResult {
+            binding: binding.clone(),
             makespan,
-            evaluated,
-            aborted,
-            memo_hits,
-            memo_misses,
+            evaluated: total(|e| e.evaluated),
+            aborted: total(|e| e.aborted),
+            memo_hits: total(|e| e.memo_hits),
+            memo_misses: total(|e| e.memo_misses),
         }),
-        None => Err(PktSearchError::NoFeasibleBinding),
+        // A query with no variables *is* its one binding: what that
+        // binding cannot simulate, the query cannot.
+        None => Err(match own.failed {
+            Some(e) if problem.vars.is_empty() => PktSearchError::Eval(e),
+            _ => PktSearchError::NoFeasibleBinding,
+        }),
     }
 }
 
-/// Per-worker accumulation.
+/// What a walker counts beside the walk: [`PktSearchResult`]'s counters.
 #[derive(Default)]
-struct Local {
-    best: Option<(f64, Binding)>,
+struct Effort {
     evaluated: u64,
     aborted: u64,
     memo_hits: u64,
     memo_misses: u64,
 }
 
-impl Local {
-    /// Records a binding's exact score, keeping the first-found minimum
-    /// (strict `<`) and publishing it to the shared incumbent.
-    fn score(&mut self, makespan: f64, binding: &Binding, incumbent: &AtomicU64) {
-        if self.best.as_ref().is_none_or(|(b, _)| makespan < *b) {
-            self.best = Some((makespan, binding.clone()));
-            incumbent.fetch_min(makespan.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// Read-only search context shared by all workers.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    problem: &'a Problem,
+/// One worker's evaluator: its own simulator, reset between bindings, and
+/// what all workers share — the compiled program, the symmetry classes
+/// and the cache they key.
+struct PktWalker<'a> {
     prog: &'a PktProgram,
     mirror: &'a MirrorTopology,
     canon: Option<&'a HostClasses>,
     memo: &'a Mutex<HashMap<CanonKey, MemoEntry>>,
-    incumbent: &'a AtomicU64,
     early_abort: bool,
+    sim: PktSim,
+    current: Binding,
+    effort: Effort,
+    /// Why the last binding that could not be simulated could not.
+    failed: Option<PktEvalError>,
 }
 
-fn search_rec(ctx: Ctx<'_>, sim: &mut PktSim, current: &mut Binding, local: &mut Local) {
-    let depth = current.len();
-    if depth == ctx.problem.vars.len() {
-        evaluate_leaf(ctx, sim, current, local);
-        return;
-    }
-    let var = &ctx.problem.vars[depth];
-    for &value in &var.candidates {
-        if ctx.problem.distinct {
-            let clash = current
-                .iter()
-                .enumerate()
-                .any(|(j, v)| ctx.problem.vars[j].pool == var.pool && *v == value);
-            if clash {
-                continue;
-            }
-        }
-        current.push(value);
-        search_rec(ctx, sim, current, local);
-        current.pop();
-    }
-}
-
-fn evaluate_leaf(ctx: Ctx<'_>, sim: &mut PktSim, binding: &Binding, local: &mut Local) {
-    // Symmetry cache: isomorphic bindings simulate bit-identically, so a
-    // cached `Exact` makespan is *exact*, not approximate — winners stay
-    // bit-identical with memoisation on or off. An `ExceedsBound` entry
-    // discards the whole class without simulating (see [`MemoEntry`]).
-    let key = ctx.canon.map(|c| c.key(binding));
-    if let Some(k) = &key {
-        let cached = ctx.memo.lock().expect("memo poisoned").get(k).copied();
-        match cached {
-            Some(MemoEntry::Exact(m)) => {
-                local.memo_hits += 1;
-                local.score(m, binding, ctx.incumbent);
-                return;
-            }
-            Some(MemoEntry::ExceedsBound(_)) => {
-                local.memo_hits += 1;
-                return;
-            }
-            None => local.memo_misses += 1,
-        }
+impl Walker for PktWalker<'_> {
+    fn binding(&self) -> &Binding {
+        &self.current
     }
 
-    sim.reset();
-    let deadline = if ctx.early_abort {
-        let inc = f64::from_bits(ctx.incumbent.load(Ordering::Relaxed));
-        inc.is_finite().then_some(inc)
-    } else {
-        None
-    };
-    match pkt_evaluate_program(ctx.prog, binding, sim, &ctx.mirror.addr_to_host, deadline) {
-        Ok(PktEvalOutcome::Completed(r)) => {
-            local.evaluated += 1;
-            if let Some(k) = key {
-                // Exact results always overwrite: an `ExceedsBound` left
-                // by a concurrent worker is strictly less informative.
-                ctx.memo
-                    .lock()
-                    .expect("memo poisoned")
-                    .insert(k, MemoEntry::Exact(r.makespan));
+    fn push(&mut self, value: Value) {
+        self.current.push(value);
+    }
+
+    fn pop(&mut self) {
+        self.current.pop();
+    }
+
+    fn score(&mut self, incumbent: &AtomicU64) -> Option<f64> {
+        // Symmetry cache: isomorphic bindings simulate bit-identically, so a
+        // cached `Exact` makespan is *exact*, not approximate — winners stay
+        // bit-identical with memoisation on or off. An `ExceedsBound` entry
+        // discards the whole class without simulating (see [`MemoEntry`]).
+        let key = self.canon.map(|c| c.key(&self.current));
+        if let Some(k) = &key {
+            let cached = self.memo.lock().expect("memo poisoned").get(k).copied();
+            match cached {
+                Some(MemoEntry::Exact(m)) => {
+                    self.effort.memo_hits += 1;
+                    return Some(m);
+                }
+                Some(MemoEntry::ExceedsBound(_)) => {
+                    self.effort.memo_hits += 1;
+                    return None;
+                }
+                None => self.effort.memo_misses += 1,
             }
-            local.score(r.makespan, binding, ctx.incumbent);
         }
-        Ok(PktEvalOutcome::DeadlineExceeded) => {
-            // Strictly worse than the incumbent, hence than the final
-            // best: cannot win, cannot tie. Score +inf by not scoring.
-            local.aborted += 1;
-            if let (Some(k), Some(d)) = (key, deadline) {
-                // Remember the proof, not just the failure: the class's
-                // makespan strictly exceeds `d`, so siblings skip their
-                // own doomed simulation. Never downgrade an entry —
-                // `Exact` beats any bound, a larger bound beats a smaller.
-                let mut memo = ctx.memo.lock().expect("memo poisoned");
-                match memo.get(&k).copied() {
-                    Some(MemoEntry::Exact(_)) => {}
-                    Some(MemoEntry::ExceedsBound(prev)) if prev >= d => {}
-                    _ => {
-                        memo.insert(k, MemoEntry::ExceedsBound(d));
+
+        self.sim.reset();
+        let deadline = if self.early_abort {
+            let inc = f64::from_bits(incumbent.load(Ordering::Relaxed));
+            inc.is_finite().then_some(inc)
+        } else {
+            None
+        };
+        let hosts = &self.mirror.addr_to_host;
+        match pkt_evaluate_program(self.prog, &self.current, &mut self.sim, hosts, deadline) {
+            Ok(PktEvalOutcome::Completed(r)) => {
+                self.effort.evaluated += 1;
+                if let Some(k) = key {
+                    // Exact results always overwrite: an `ExceedsBound` left
+                    // by a concurrent worker is strictly less informative.
+                    self.memo
+                        .lock()
+                        .expect("memo poisoned")
+                        .insert(k, MemoEntry::Exact(r.makespan));
+                }
+                Some(r.makespan)
+            }
+            Ok(PktEvalOutcome::DeadlineExceeded) => {
+                // Strictly worse than the incumbent, hence than the final
+                // best: cannot win, cannot tie. Score +inf by not scoring.
+                self.effort.aborted += 1;
+                if let (Some(k), Some(d)) = (key, deadline) {
+                    // Remember the proof, not just the failure: the class's
+                    // makespan strictly exceeds `d`, so siblings skip their
+                    // own doomed simulation. Never downgrade an entry —
+                    // `Exact` beats any bound, a larger bound beats a smaller.
+                    let mut memo = self.memo.lock().expect("memo poisoned");
+                    match memo.get(&k).copied() {
+                        Some(MemoEntry::Exact(_)) => {}
+                        Some(MemoEntry::ExceedsBound(prev)) if prev >= d => {}
+                        _ => {
+                            memo.insert(k, MemoEntry::ExceedsBound(d));
+                        }
                     }
                 }
+                None
+            }
+            // Per-binding degeneracy (e.g. a Disk value turning the whole
+            // query disk-only): this binding is infeasible, skip it.
+            Err(e) => {
+                self.failed = Some(e);
+                None
             }
         }
-        // Per-binding degeneracy (e.g. a Disk value turning the whole
-        // query disk-only): this binding is infeasible, skip it.
-        Err(_) => {}
     }
 }
 
@@ -672,6 +585,23 @@ mod tests {
             err,
             PktSearchError::Eval(PktEvalError::UnknownAddress(Address(0xDEAD)))
         );
+    }
+
+    #[test]
+    fn a_query_without_variables_is_its_one_binding() {
+        let m = mirror(4);
+        let mut b = QueryBuilder::new();
+        b.flow("f").from_addr(addr_of(&m, 0)).to_addr(addr_of(&m, 1)).size(1e4);
+        let r = pkt_search(&b.resolve().unwrap(), &m, &PktSearchOptions::new(100)).unwrap();
+        assert!(r.binding.is_empty() && r.makespan > 0.0);
+        assert_eq!((r.evaluated, r.aborted, r.memo_hits), (1, 0, 0));
+
+        // Nothing for a packet simulator to measure: the query's error,
+        // not "no feasible binding" — there was nothing to choose.
+        let mut b = QueryBuilder::new();
+        b.flow("f").from_addr(addr_of(&m, 0)).to_disk().size(1e4);
+        let err = pkt_search(&b.resolve().unwrap(), &m, &PktSearchOptions::new(100)).unwrap_err();
+        assert!(matches!(err, PktSearchError::Eval(PktEvalError::Unsupported(_))), "{err:?}");
     }
 
     #[test]

@@ -53,9 +53,11 @@
 //! [`ServingConfig::service_time`] of modelled worker time (paper §5.1:
 //! ~0.45 ms parse + evaluate), workers drain their assigned tenant
 //! groups sequentially, and a query's reported latency is its virtual
-//! completion minus its arrival. Real `std::thread::scope` threads do
-//! the actual evaluation work — the virtual clock decides *scheduling*
-//! (which worker, what completion time), not *results*. This is what
+//! completion minus its arrival. Real threads do the actual evaluation
+//! work — the sequencer's own for the first busy worker of a wave, a
+//! scoped one per further busy worker (`walk::fan_out`) — and the virtual
+//! clock decides *scheduling* (which worker, what completion time), not
+//! *results*. This is what
 //! lets the `qps_storm` bench measure 1→8 worker scaling on any host,
 //! including single-core CI runners.
 //!
@@ -103,6 +105,7 @@ use crate::server::{
     StatusSnapshot,
 };
 use crate::status::StatusSource;
+use crate::walk::fan_out;
 
 /// A tenant of the serving plane. Tenants are the unit of queue
 /// bounding, of same-wave reservation visibility, and of worker
@@ -1055,44 +1058,31 @@ impl<S: StatusSource> ServingPlane<S> {
             work[wi].push(g);
         }
 
-        // Execute: real threads, one per busy worker, each owning its
-        // long-lived core. What workers share — the published holds and
-        // the L2 tier — they only read, by references that end with the
-        // scope; everything they produce comes back through the join and
-        // is merged below, on this thread.
+        // Execute: one job per busy worker, each owning its long-lived
+        // core — the first on this thread, a spawned thread only from the
+        // second on. What workers share — the published holds and the L2
+        // tier — they only read, by references that end with the fan-out;
+        // everything they produce comes back through it and is merged
+        // below, on this thread, in worker-index order.
         let cfg = &self.cfg;
         let published: &Reservations = &self.ledger;
         let shared = self.l2.view();
-        let mut done: Vec<GroupDone> = Vec::new();
-        let mut cursors: Vec<Option<SimTime>> = vec![None; self.workers.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers.len());
-            for ((wi, slot), groups) in self.workers.iter_mut().enumerate().zip(work) {
-                if groups.is_empty() {
-                    handles.push(None);
-                    continue;
-                }
-                let core = &mut slot.core;
-                let ring = slot.ring.as_mut();
-                let start = slot.avail;
-                handles.push(Some(scope.spawn(move || {
-                    run_groups(
-                        core, ring, groups, published, shared, cfg, wave, wi, t_wave, start, shed,
-                    )
-                })));
-            }
-            for (wi, h) in handles.into_iter().enumerate() {
-                if let Some(h) = h {
-                    let (groups_done, cursor) = h.join().expect("serving worker panicked");
-                    done.extend(groups_done);
-                    cursors[wi] = Some(cursor);
-                }
+        let busy = self.workers.iter_mut().enumerate().zip(work);
+        let mut jobs = busy.filter(|(_, groups)| !groups.is_empty()).map(|((wi, slot), groups)| {
+            let (core, ring, start) = (&mut slot.core, slot.ring.as_mut(), slot.avail);
+            move || {
+                let ran = run_groups(
+                    core, ring, groups, published, shared, cfg, wave, wi, t_wave, start, shed,
+                );
+                (wi, ran)
             }
         });
-        for (slot, cursor) in self.workers.iter_mut().zip(cursors) {
-            if let Some(c) = cursor {
-                slot.avail = c;
-            }
+        let first = jobs.next().expect("a wave with members has a busy worker");
+        let (head, tail) = fan_out(first, jobs);
+        let mut done: Vec<GroupDone> = Vec::new();
+        for (wi, (groups_done, cursor)) in std::iter::once(head).chain(tail) {
+            done.extend(groups_done);
+            self.workers[wi].avail = cursor;
         }
         self.update_lag(t_wave);
 

@@ -19,8 +19,8 @@ use cloudtalk::faults::{FaultPlan, Window};
 use cloudtalk::server::{CloudTalkServer, DegradationRung, ServerConfig};
 use cloudtalk::status::{StatusSource, TableStatusSource};
 use cloudtalk::transport::TransportConfig;
-use cloudtalk_lang::builder::QueryBuilder;
-use cloudtalk_lang::problem::{Address, Problem, Value};
+use cloudtalk_lang::builder::daisy_chain_query;
+use cloudtalk_lang::problem::{Address, Value};
 use desim::rng::stream_rng;
 use desim::SimTime;
 use estimator::HostState;
@@ -62,27 +62,6 @@ fn source(seed: u64) -> TableStatusSource {
         s.set(a, st);
     }
     s
-}
-
-/// Daisy-chain query over the whole fleet (fig3 shape).
-fn daisy_problem(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
 }
 
 fn server(seed: u64) -> CloudTalkServer {
@@ -142,7 +121,10 @@ fn run_fault(
     victim: RackId,
     cfg: PlaneConfig,
 ) -> (cloudtalk::server::Answer, AggregationPlane<TableStatusSource>) {
-    let problem = daisy_problem(&addrs());
+    // The fig3 daisy chain over the whole fleet.
+    let problem = daisy_chain_query(&addrs(), 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed");
     let mut plane = plane(seed, cfg).with_faults(fault.plan(victim));
     plane.sync(SimTime::ZERO);
     // The world keeps moving after the fault opens: one host per rack

@@ -12,72 +12,15 @@
 //! file holds exactly one `#[test]` — parallel tests would pollute the
 //! counters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use cloudtalk::aggregate::{AggregationPlane, FleetLayout, PlaneConfig};
 use cloudtalk::status::{StatusSource, TableStatusSource};
 use cloudtalk_lang::problem::Address;
 use desim::SimTime;
 use estimator::HostState;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently while the measured window is open.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc(bytes: usize) {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
+use testkit::allocs_of;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// `(allocations, bytes requested)` of `f` on this thread.
-fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
-    COUNTED.with(|c| c.set(true));
-    let (a0, b0) = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    let out = f();
-    let (a1, b1) = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    COUNTED.with(|c| c.set(false));
-    (a1 - a0, b1 - b0, out)
-}
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 const HOSTS_PER_RACK: usize = 40;
 

@@ -13,7 +13,7 @@ use cloudtalk::faults::{FaultIntensity, FaultPlan, FaultySource, Window};
 use cloudtalk::server::{CloudTalkServer, DegradationRung, ServerConfig};
 use cloudtalk::status::TableStatusSource;
 use cloudtalk::transport::{RetryPolicy, TransportConfig};
-use cloudtalk_lang::builder::QueryBuilder;
+use cloudtalk_lang::builder::daisy_chain_query;
 use cloudtalk_lang::problem::{Address, Problem, Value};
 use desim::rng::stream_rng;
 use desim::{SimDuration, SimTime};
@@ -26,23 +26,9 @@ const SEEDS: [u64; 3] = [11, 29, 47];
 /// The fig3 daisy chain: three variables over the full fleet,
 /// `f1 x1 -> x2 size 100M; f2 x2 -> x3 size sz(f1) transfer t(f1)`.
 fn daisy_problem(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
+    daisy_chain_query(addrs, 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed")
 }
 
 fn addrs() -> Vec<Address> {

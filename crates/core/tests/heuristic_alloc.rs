@@ -11,9 +11,6 @@
 //! file holds exactly one `#[test]` — parallel tests would pollute the
 //! counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use cloudtalk::heuristic::{evaluate_query_scored_in, HeuristicConfig, HeuristicScratch};
 use cloudtalk::qcache::CacheConfig;
 use cloudtalk::server::{CloudTalkServer, ServerConfig};
@@ -22,56 +19,10 @@ use cloudtalk_lang::builder::{hdfs_write_query, reduce_placement_query};
 use cloudtalk_lang::problem::{Address, Problem};
 use desim::SimTime;
 use estimator::{HostState, World};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently while the measured window is open.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
+use testkit::allocs_of;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` performs on this thread.
-fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    COUNTED.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    let after = ALLOCS.load(Ordering::Relaxed);
-    COUNTED.with(|c| c.set(false));
-    (after - before, out)
-}
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 fn nodes(p: usize) -> Vec<Address> {
     (2..2 + p as u32).map(Address).collect()
@@ -118,7 +69,7 @@ fn warm_heuristic_allocations_do_not_grow_with_candidates() {
     let mut scratch = HeuristicScratch::new();
     for (n, p, problem) in shapes() {
         let warm = evaluate_query_scored_in(&problem, &world, &cfg, &mut scratch);
-        let (allocs, again) =
+        let (allocs, _, again) =
             allocs_of(|| evaluate_query_scored_in(&problem, &world, &cfg, &mut scratch));
         assert_eq!(again, warm);
         assert_eq!(
@@ -150,7 +101,7 @@ fn warm_heuristic_allocations_do_not_grow_with_candidates() {
         let warm = server
             .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
             .unwrap();
-        let (allocs, again) = allocs_of(|| {
+        let (allocs, _, again) = allocs_of(|| {
             server
                 .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
                 .unwrap()

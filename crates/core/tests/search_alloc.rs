@@ -8,84 +8,23 @@
 //! file holds exactly one `#[test]` — parallel tests would pollute the
 //! counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use cloudtalk::exhaustive::{
     exhaustive_search_in, exhaustive_search_with, EvalStrategy, ExhaustiveResult, SearchOptions,
     SearchWorkspace,
 };
-use cloudtalk_lang::builder::QueryBuilder;
-use cloudtalk_lang::problem::{Address, Problem};
+use cloudtalk_lang::builder::daisy_chain_query;
+use cloudtalk_lang::problem::Address;
 use estimator::{HostState, World};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently (channel/parking internals) while the measured
-// window is open, which made a process-wide count flake.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The Figure-3 daisy chain with transfer precedence: `f1 x1 -> x2;
-/// f2 x2 -> x3 size sz(f1) transfer t(f1)`.
-fn daisy_query(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
-}
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 #[test]
 fn delta_search_is_allocation_free_after_warmup() {
     let addrs: Vec<Address> = (1..=7).map(Address).collect();
-    let problem = daisy_query(&addrs);
+    let problem = daisy_chain_query(&addrs, 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed");
     let mut world = World::uniform(&addrs, HostState::gbps_idle());
     // Lopsided loads: bindings land on differently-shaped components and
     // the incumbent tightens mid-search, exercising pruning paths.
@@ -113,20 +52,18 @@ fn delta_search_is_allocation_free_after_warmup() {
 
     // Measured: the identical search replays the identical allocation
     // pattern — which, with warm buffers, must be empty.
-    COUNTED.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let mut acc = 0.0f64;
-    for _ in 0..3 {
-        exhaustive_search_in(&problem, &world, &opts, &mut ws, &mut out).expect("feasible");
-        acc += out.makespan;
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (allocs, _, acc) = testkit::allocs_of(|| {
+        let mut acc = 0.0f64;
+        for _ in 0..3 {
+            exhaustive_search_in(&problem, &world, &opts, &mut ws, &mut out).expect("feasible");
+            acc += out.makespan;
+        }
+        acc
+    });
     assert!(acc > 0.0, "searches must be non-trivial");
     assert_eq!(out.binding, fresh.binding, "warm reruns agree with fresh");
     assert_eq!(
-        after - before,
-        0,
-        "delta-rated search allocated {} times after warm-up",
-        after - before
+        allocs, 0,
+        "delta-rated search allocated {allocs} times after warm-up"
     );
 }

@@ -11,82 +11,21 @@
 //! hot estimator loop must stay allocation-free with tracing enabled,
 //! which is what lets the server leave tracing on by default.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use cloudtalk_lang::builder::QueryBuilder;
-use cloudtalk_lang::problem::{Address, Problem, Value};
+use cloudtalk_lang::builder::daisy_chain_query;
+use cloudtalk_lang::problem::{Address, Value};
 use desim::SimTime;
 use estimator::{estimate, estimate_with, EstimatorScratch, HostState, World};
 use obs::{ManualClock, Trace};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently (channel/parking internals) while the measured
-// window is open, which made a process-wide count flake.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The Figure-3 daisy chain: `f1 x1 -> x2 size 100M; f2 x2 -> x3
-/// size sz(f1) transfer t(f1)`.
-fn daisy_query(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
-}
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 #[test]
 fn estimate_with_is_allocation_free_after_warmup() {
     let addrs: Vec<Address> = (1..=8).map(Address).collect();
-    let problem = daisy_query(&addrs);
+    let problem = daisy_chain_query(&addrs, 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed");
     let mut world = World::uniform(&addrs, HostState::gbps_idle());
     // Non-uniform loads so different bindings exercise different resource
     // tables and round counts.
@@ -133,11 +72,9 @@ fn estimate_with_is_allocation_free_after_warmup() {
 
     // Measured sweep: the same workload must perform zero allocations,
     // with a span recorded around every inner estimator sweep.
-    COUNTED.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
     let mut acc = 0.0f64;
     let mut spans_recorded = 0usize;
-    for i in 0..addrs.len() {
+    let (allocs, _, ()) = testkit::allocs_of(|| for i in 0..addrs.len() {
         trace.reset();
         let sweep = trace.begin("estimate_sweep", SimTime::ZERO);
         for j in 0..addrs.len() {
@@ -156,14 +93,8 @@ fn estimate_with_is_allocation_free_after_warmup() {
         trace.set_arg(sweep, "outer_index", i as u64);
         trace.end(sweep, SimTime::ZERO);
         spans_recorded += trace.len();
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    });
     assert!(acc > 0.0, "estimates must be non-trivial");
     assert_eq!(spans_recorded, addrs.len(), "one span per outer sweep");
-    assert_eq!(
-        after - before,
-        0,
-        "estimate_with allocated {} times after warm-up",
-        after - before
-    );
+    assert_eq!(allocs, 0, "estimate_with allocated {allocs} times after warm-up");
 }

@@ -10,7 +10,7 @@
 //! the same canonical inputs, so nothing may diverge, ever — not even in
 //! the last mantissa bit.
 
-use cloudtalk_lang::builder::{hdfs_write_query, QueryBuilder};
+use cloudtalk_lang::builder::{daisy_chain_query, hdfs_write_query, QueryBuilder};
 use cloudtalk_lang::problem::{Address, Problem, Value};
 use desim::rng::stream_rng;
 use estimator::{estimate, DeltaEstimator, HostState, World};
@@ -22,23 +22,9 @@ const NIC: f64 = 125e6;
 /// Figure-3 daisy chain: two resource-disjoint components linked only by
 /// a `transfer` precedence — the delta path's best case.
 fn daisy(addrs: &[Address]) -> Problem {
-    let mut b = QueryBuilder::new();
-    let vars = b.variable_group(
-        ["x1".into(), "x2".into(), "x3".into()],
-        addrs.iter().copied(),
-    );
-    let f1 = b
-        .flow("f1")
-        .from_var(vars[0])
-        .to_var(vars[1])
-        .size(100.0 * 1024.0 * 1024.0);
-    let h1 = f1.handle();
-    b.flow("f2")
-        .from_var(vars[1])
-        .to_var(vars[2])
-        .size_of(h1)
-        .transfer_of(h1);
-    b.resolve().expect("well-formed")
+    daisy_chain_query(addrs, 3, 100.0 * 1024.0 * 1024.0)
+        .resolve()
+        .expect("well-formed")
 }
 
 /// Everything else the estimator supports in one query: deadlines, disk

@@ -346,6 +346,26 @@ pub fn hdfs_write_query(
     b
 }
 
+/// Builds the all-variable daisy chain of Figure 3 over `n_vars` hops
+/// drawn from one pool: `f1 x1 -> x2 size <bytes>`, then
+/// `f_i x_i -> x_{i+1} size sz(f_{i-1}) transfer t(f_{i-1})`. Each hop is
+/// its own rate component, linked to the last only by transfer precedence.
+pub fn daisy_chain_query(pool: &[Address], n_vars: usize, bytes: f64) -> QueryBuilder {
+    let mut b = QueryBuilder::new();
+    let names: Vec<String> = (1..=n_vars).map(|i| format!("x{i}")).collect();
+    let vars = b.variable_group(names, pool.iter().copied());
+    let mut prev = None;
+    for (i, hop) in vars.windows(2).enumerate() {
+        let f = b.flow(format!("f{}", i + 1)).from_var(hop[0]).to_var(hop[1]);
+        let f = match prev {
+            None => f.size(bytes),
+            Some(h) => f.size_of(h).transfer_of(h),
+        };
+        prev = Some(f.handle());
+    }
+    b
+}
+
 /// Builds the §5.3 HDFS replica-read query: `src = (replica…); f1 src -> reader size block`.
 pub fn hdfs_read_query(reader: Address, replicas: &[Address], block_bytes: f64) -> QueryBuilder {
     let mut b = QueryBuilder::new();
@@ -437,6 +457,14 @@ mod tests {
         let reparsed = parse_query(&text).unwrap();
         assert_eq!(reparsed.flows().count(), 1);
         assert_eq!(reparsed.var_decls().count(), 1);
+    }
+
+    #[test]
+    fn daisy_query_shape() {
+        let addrs: Vec<Address> = (1..=20).map(Address).collect();
+        let p = daisy_chain_query(&addrs, 3, 100.0 * MB).resolve().unwrap();
+        assert_eq!(p.vars.len(), 3);
+        assert_eq!(p.flows.len(), 2);
     }
 
     #[test]

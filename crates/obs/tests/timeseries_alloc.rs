@@ -9,52 +9,11 @@
 //! file holds exactly one `#[test]` — parallel tests would pollute the
 //! counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use desim::{SimDuration, SimTime};
 use obs::{QueryRecord, RingRecorder, RingSpec, WindowData};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently (channel/parking internals) while the measured
-// window is open, which made a process-wide count flake.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 const BOUNDS: &[f64] = &[100.0, 500.0, 1_000.0, 5_000.0, 25_000.0, 100_000.0];
 
@@ -116,13 +75,9 @@ fn warm_ring_record_and_drain_are_allocation_free() {
     }
 
     // Measured: identical work must not allocate.
-    COUNTED.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let mut checksum = 0u64;
-    for w in 4..260 {
-        checksum += wave(&mut rings, &mut scratch, w);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (allocs, _, checksum) = testkit::allocs_of(|| {
+        (4..260).map(|w| wave(&mut rings, &mut scratch, w)).sum::<u64>()
+    });
 
     assert!(checksum > 0);
     assert!(
@@ -130,9 +85,7 @@ fn warm_ring_record_and_drain_are_allocation_free() {
         "lagged records must be drop-counted"
     );
     assert_eq!(
-        after - before,
-        0,
-        "warm telemetry ring path allocated {} times over 256 waves",
-        after - before
+        allocs, 0,
+        "warm telemetry ring path allocated {allocs} times over 256 waves"
     );
 }

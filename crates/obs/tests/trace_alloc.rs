@@ -9,52 +9,11 @@
 //! file holds exactly one `#[test]` — parallel tests would pollute the
 //! counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use desim::{SimDuration, SimTime};
 use obs::{ManualClock, MetricsRegistry, Trace};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently (channel/parking internals) while the measured
-// window is open, which made a process-wide count flake.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 fn t(ns: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(ns)
@@ -108,29 +67,26 @@ fn warm_trace_and_registry_are_allocation_free() {
 
     // Measured: identical work must not allocate, including arena-overflow
     // drops, resets, and reads back out of the registry.
-    COUNTED.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
     let mut checksum = 0u64;
-    for i in 0..256 {
-        record_query(&mut trace, &mut reg, &ids, i);
-        // Overflow the 16-span arena: drops are counted, never grown.
-        for _ in 0..20 {
-            let s = trace.begin("overflow", t(i));
-            trace.end(s, t(i));
+    let (allocs, _, ()) = testkit::allocs_of(|| {
+        for i in 0..256 {
+            record_query(&mut trace, &mut reg, &ids, i);
+            // Overflow the 16-span arena: drops are counted, never grown.
+            for _ in 0..20 {
+                let s = trace.begin("overflow", t(i));
+                trace.end(s, t(i));
+            }
+            checksum += reg.counter_value(ids.queries) + trace.len() as u64;
+            checksum += reg.counter_named("overhead.bytes").unwrap_or(0);
+            checksum += reg.histogram_value(ids.rounds).total();
         }
-        checksum += reg.counter_value(ids.queries) + trace.len() as u64;
-        checksum += reg.counter_named("overhead.bytes").unwrap_or(0);
-        checksum += reg.histogram_value(ids.rounds).total();
-    }
-    reg.reset();
-    let after = ALLOCS.load(Ordering::Relaxed);
+        reg.reset();
+    });
 
     assert!(checksum > 0);
     assert!(trace.len() <= 16, "arena must stay within capacity");
     assert_eq!(
-        after - before,
-        0,
-        "warm observability path allocated {} times over 256 queries",
-        after - before
+        allocs, 0,
+        "warm observability path allocated {allocs} times over 256 queries"
     );
 }

@@ -13,79 +13,38 @@
 //! `crates/simnet/tests/engine_alloc.rs`), so this file holds exactly one
 //! `#[test]` — parallel tests would pollute the counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use desim::SimTime;
 use pktsim::{PktSim, SimConfig};
 use simnet::topology::{TopoOptions, Topology};
 use simnet::GBPS;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently while the measured window is open.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 #[test]
 fn warm_gather_steps_without_allocating() {
     let topo = Topology::two_tier(12, 10, GBPS, f64::INFINITY, TopoOptions::default());
     let hosts = topo.host_ids();
     let mut sim = PktSim::new(topo, SimConfig::default().with_pfc());
-    let gather = |sim: &mut PktSim, counted: bool| {
+    let gather = |sim: &mut PktSim| {
         sim.reset();
         for &leaf in &hosts[40..90] {
             sim.add_flow(leaf, hosts[1], 10 * 1024, SimTime::ZERO);
         }
-        COUNTED.with(|c| c.set(counted));
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let mut steps = 0u64;
-        while sim.step() {
-            steps += 1;
-        }
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        COUNTED.with(|c| c.set(false));
+        let (allocs, _, steps) = testkit::allocs_of(|| {
+            let mut steps = 0u64;
+            while sim.step() {
+                steps += 1;
+            }
+            steps
+        });
         assert_eq!(sim.completed().len(), 50);
         assert_eq!(sim.stats().drops, 0);
         (steps, allocs)
     };
 
-    let (warm_steps, _) = gather(&mut sim, false);
-    let (steps, allocs) = gather(&mut sim, true);
+    let (warm_steps, _) = gather(&mut sim);
+    let (steps, allocs) = gather(&mut sim);
     assert_eq!(steps, warm_steps, "reset replays the run");
     assert!(steps > 5_000, "a real run: {steps} events");
     assert_eq!(allocs, 0, "{allocs} heap allocations in {steps} steps");

@@ -46,7 +46,6 @@
 //! load snapshots ([`NetSim::host_load`]) expose exactly what a CloudTalk
 //! status server would measure on that machine.
 
-use std::collections::HashMap;
 use std::mem;
 
 use desim::{EventHandle, EventQueue, SimDuration, SimTime};
@@ -204,43 +203,6 @@ pub struct HostLoad {
     pub disk_write_capacity: f64,
     /// Current disk write usage, bytes/second.
     pub disk_write_bps: f64,
-}
-
-/// A frozen all-hosts load capture, keyed by host address.
-///
-/// Produced by [`NetSim::load_snapshot`]; served later (while the
-/// simulation has moved on) to model status reports that lag reality.
-#[derive(Clone, Debug)]
-pub struct LoadSnapshot {
-    taken_at: SimTime,
-    loads: HashMap<u32, HostLoad>,
-}
-
-impl LoadSnapshot {
-    /// When the snapshot was captured.
-    pub fn taken_at(&self) -> SimTime {
-        self.taken_at
-    }
-
-    /// The captured load of the host with address `addr`, if it exists.
-    pub fn get(&self, addr: u32) -> Option<&HostLoad> {
-        self.loads.get(&addr)
-    }
-
-    /// How old the snapshot is at `now`.
-    pub fn age_at(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.taken_at)
-    }
-
-    /// Number of hosts captured.
-    pub fn len(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.loads.is_empty()
-    }
 }
 
 /// How the engine recomputes rates after a mutation.
@@ -730,25 +692,6 @@ impl NetSim {
             disk_read_bps: self.usage[disk_base],
             disk_write_capacity: h.disk.write_bps,
             disk_write_bps: self.usage[disk_base + 1],
-        }
-    }
-
-    /// Captures the load of **every** host at the current simulated time.
-    ///
-    /// This is the hook for modelling *stale* status reports: capture a
-    /// snapshot, let the simulation advance, and serve status polls from
-    /// the old snapshot — readers observe the cluster as it was
-    /// `now − taken_at` ago, exactly the lag a slow status-collection
-    /// pipeline would introduce.
-    pub fn load_snapshot(&mut self) -> LoadSnapshot {
-        let hosts: Vec<HostId> = (0..self.topo.host_count()).map(HostId).collect();
-        let loads = hosts
-            .iter()
-            .map(|&h| (self.topo.host(h).addr, self.host_load(h)))
-            .collect();
-        LoadSnapshot {
-            taken_at: self.now,
-            loads,
         }
     }
 
@@ -1447,29 +1390,6 @@ mod tests {
     }
 
     #[test]
-    fn load_snapshot_freezes_past_state() {
-        let mut net = star(3);
-        let h = net.hosts();
-        let busy_addr = net.topology().host(h[0]).addr;
-        let t = net.start(TransferSpec::network(h[0], h[1], GBPS)); // 1 s of payload
-        let snap = net.load_snapshot();
-        assert_eq!(snap.len(), 3);
-        assert!(!snap.is_empty());
-        assert!((snap.get(busy_addr).unwrap().tx_bps - GBPS).abs() < 1e-3);
-        // The world moves on; the snapshot does not.
-        net.run_until_idle();
-        assert_eq!(net.rate(t), None);
-        assert!(
-            net.host_load(h[0]).tx_bps.abs() < 1e-9,
-            "live load is idle again"
-        );
-        assert!((snap.get(busy_addr).unwrap().tx_bps - GBPS).abs() < 1e-3);
-        assert!(snap.age_at(net.now()) > SimDuration::ZERO);
-        assert_eq!(snap.age_at(snap.taken_at()), SimDuration::ZERO);
-        assert!(snap.get(0xFFFF_FFFF).is_none());
-    }
-
-    #[test]
     fn host_load_includes_disk_usage() {
         let mut net = star(2);
         let h = net.hosts();
@@ -1686,9 +1606,9 @@ mod tests {
             for &id in &ids {
                 rates.push(net.rate(id).map(f64::to_bits));
             }
-            let snap = net.load_snapshot();
+            let loads: Vec<HostLoad> = h.iter().map(|&host| net.host_load(host)).collect();
             completions.extend(net.advance_to(SimTime::from_secs_f64(30.0)));
-            (completions, rates, snap, net.now())
+            (completions, rates, loads, net.now())
         };
         let mut inc = mk(EngineMode::Incremental);
         let mut orc = mk(EngineMode::FullRecompute);
@@ -1697,12 +1617,8 @@ mod tests {
         assert_eq!(ci, co, "completion streams diverge");
         assert_eq!(ri, ro, "rates diverge");
         assert_eq!(ni, no);
-        assert_eq!(si.taken_at(), so.taken_at());
-        for host in inc.hosts() {
-            let addr = inc.topology().host(host).addr;
-            let a = si.get(addr).unwrap();
-            let b = so.get(addr).unwrap();
-            assert_eq!(a.tx_bps.to_bits(), b.tx_bps.to_bits(), "host {addr}");
+        for (host, (a, b)) in si.iter().zip(&so).enumerate() {
+            assert_eq!(a.tx_bps.to_bits(), b.tx_bps.to_bits(), "host {host}");
             assert_eq!(a.rx_bps.to_bits(), b.rx_bps.to_bits());
             assert_eq!(a.disk_read_bps.to_bits(), b.disk_read_bps.to_bits());
             assert_eq!(a.disk_write_bps.to_bits(), b.disk_write_bps.to_bits());

@@ -18,54 +18,13 @@
 //! metrics are read back through the registry — proving that tracing and
 //! metric reads stay off the heap too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use desim::SimDuration;
 use obs::{ManualClock, Trace};
 use simnet::topology::TopoOptions;
 use simnet::{HostId, NetSim, Topology, TransferSpec, GBPS};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Only the measured thread is counted: the libtest harness thread can
-// allocate concurrently (channel/parking internals) while the measured
-// window is open, which made a process-wide count flake.
-thread_local! {
-    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn count_alloc() {
-    if COUNTED.with(|c| c.get()) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 /// The seven specs one churn cycle starts: five plain finite transfers, a
 /// pipeline, and an unbounded inelastic stream. Seven starts per cycle is
@@ -142,20 +101,19 @@ fn engine_steady_state_is_allocation_free() {
     // Measured: the same churn must perform zero heap allocations —
     // including the per-cycle span recording and metric reads.
     net.reset_stats();
-    COUNTED.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
     let mut measured_done = 0;
     let mut spans_recorded = 0usize;
-    for specs in measured_specs {
-        trace.reset();
-        let cycle_span = trace.begin("churn_cycle", net.now());
-        measured_done += churn_cycle(&mut net, &mut completions, specs);
-        trace.set_arg(cycle_span, "completions", measured_done as u64);
-        trace.end(cycle_span, net.now());
-        spans_recorded += trace.len();
-    }
-    let rated = net.metrics().counter_named("engine.demands_rated");
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (allocs, _, rated) = testkit::allocs_of(|| {
+        for specs in measured_specs {
+            trace.reset();
+            let cycle_span = trace.begin("churn_cycle", net.now());
+            measured_done += churn_cycle(&mut net, &mut completions, specs);
+            trace.set_arg(cycle_span, "completions", measured_done as u64);
+            trace.end(cycle_span, net.now());
+            spans_recorded += trace.len();
+        }
+        net.metrics().counter_named("engine.demands_rated")
+    });
     let stats = net.stats();
     // 6 finite starts per cycle, at most one removed by the cancel.
     assert!(measured_done >= 32 * 5, "cycles must complete their transfers");
@@ -164,9 +122,7 @@ fn engine_steady_state_is_allocation_free() {
     assert_eq!(spans_recorded, 32, "one span per measured cycle");
     assert!(rated.unwrap() > 0, "registry read must see allocator work");
     assert_eq!(
-        after - before,
-        0,
-        "engine steady state allocated {} times over 32 churn cycles ({stats:?})",
-        after - before
+        allocs, 0,
+        "engine steady state allocated {allocs} times over 32 churn cycles ({stats:?})"
     );
 }

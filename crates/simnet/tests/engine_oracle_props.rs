@@ -115,11 +115,10 @@ fn run(mode: EngineMode, topo: Topology, ops: &[Op]) -> (Trace, u64) {
                 trace.next = net.next_completion_time();
             }
             Op::Snapshot => {
-                let snap = net.load_snapshot();
                 let mut loads: Vec<(u32, [u64; 4])> = Vec::new();
                 for h in net.hosts() {
                     let addr = net.topology().host(h).addr;
-                    let l = snap.get(addr).expect("host in snapshot");
+                    let l = net.host_load(h);
                     loads.push((
                         addr,
                         [
@@ -130,7 +129,7 @@ fn run(mode: EngineMode, topo: Topology, ops: &[Op]) -> (Trace, u64) {
                         ],
                     ));
                 }
-                trace.snapshots.push((snap.taken_at(), loads));
+                trace.snapshots.push((net.now(), loads));
             }
         }
         // Rates and progress of every transfer ever started, after every op.

@@ -93,4 +93,15 @@ if grep -rn "println!\|eprintln!" crates/core/src crates/simnet/src; then
     exit 1
 fi
 
+echo "=== one fan-out (threads are spawned in core::walk and nowhere else; a worker's panic keeps its own payload) ==="
+spawners="$(grep -rlE 'thread::scope\(|thread::spawn\(|\.spawn\(' crates/*/src || true)"
+if [ "$spawners" != "crates/core/src/walk.rs" ]; then
+    echo "error: threads spawned outside crates/core/src/walk.rs:"; echo "$spawners"
+    exit 1
+fi
+if grep -rn "worker panicked" crates/; then
+    echo "error: a join that replaces the worker's panic payload — use walk::fan_out"
+    exit 1
+fi
+
 echo "ci: all green"

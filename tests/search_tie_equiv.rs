@@ -16,7 +16,7 @@ use cloudtalk::exhaustive::{
     exhaustive_search_with, EvalStrategy, ExhaustiveError, ExhaustiveResult, SearchOptions,
 };
 use cloudtalk_lang::builder::{
-    hdfs_read_query, hdfs_write_query, reduce_placement_query, QueryBuilder,
+    daisy_chain_query, hdfs_read_query, hdfs_write_query, reduce_placement_query, QueryBuilder,
 };
 use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
 use estimator::{estimate, HostState, World};
@@ -28,25 +28,10 @@ fn addrs(range: std::ops::RangeInclusive<u32>) -> Vec<Address> {
     range.map(Address).collect()
 }
 
-/// The fig3 daisy chain over `n_vars` hops: `f1 x1 -> x2 size <bytes>`,
-/// then `f_i x_i -> x_{i+1} size sz(f_{i-1}) transfer t(f_{i-1})`.
 fn daisy_chain(pool: &[Address], n_vars: usize, bytes: f64) -> Problem {
-    let mut b = QueryBuilder::new();
-    let names: Vec<String> = (1..=n_vars).map(|i| format!("x{i}")).collect();
-    let vars = b.variable_group(names, pool.iter().copied());
-    let mut prev = None;
-    for i in 0..n_vars - 1 {
-        let f = b
-            .flow(format!("f{}", i + 1))
-            .from_var(vars[i])
-            .to_var(vars[i + 1]);
-        let f = match prev {
-            None => f.size(bytes),
-            Some(h) => f.size_of(h).transfer_of(h),
-        };
-        prev = Some(f.handle());
-    }
-    b.resolve().expect("well-formed")
+    daisy_chain_query(pool, n_vars, bytes)
+        .resolve()
+        .expect("well-formed")
 }
 
 /// The fig3 chain with hop `i` carried by `shards[i]` parallel transfers
