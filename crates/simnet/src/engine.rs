@@ -398,9 +398,9 @@ pub struct NetSim {
 }
 
 impl NetSim {
-    /// Creates an incremental simulator over `topo` at time zero.
+    /// Creates a simulator over `topo` at time zero.
     pub fn new(topo: Topology) -> Self {
-        Self::with_mode(topo, EngineMode::Incremental)
+        Self::with_mode(topo, EngineMode::FullRecompute)
     }
 
     /// Creates a simulator with an explicit [`EngineMode`].
@@ -1148,6 +1148,12 @@ impl NetSim {
             }
         }
         sorted.sort_unstable();
+        if sorted.is_empty() {
+            // Nothing to rate, and `remove_slot` already zeroed the usage
+            // of every resource its last user left.
+            self.scratch.sorted = sorted;
+            return;
+        }
         self.metrics
             .gauge_max(self.ids.max_component, sorted.len() as f64);
 
@@ -1470,7 +1476,10 @@ mod tests {
 
     #[test]
     fn components_merge_on_start_and_split_on_removal() {
-        let mut net = star(6);
+        let mut net = NetSim::with_mode(
+            Topology::single_switch(6, GBPS, TopoOptions::default()),
+            EngineMode::Incremental,
+        );
         let h = net.hosts();
         // Two disjoint pairs → two components.
         let a = net.start(TransferSpec::network(h[0], h[1], f64::INFINITY));
