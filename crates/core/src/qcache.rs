@@ -342,8 +342,9 @@ type ArtifactBucket = Vec<(Arc<Problem>, Arc<PktArtifacts>)>;
 pub(crate) struct QueryCache {
     cfg: CacheConfig,
     l1: Tier,
-    /// Entries inserted since the last [`QueryCache::take_fresh`]; the
-    /// serving plane drains these into L2 between waves.
+    /// Entries inserted for publication since the last
+    /// [`QueryCache::take_fresh`]; the serving plane drains these into L2
+    /// between waves.
     fresh: Vec<Entry>,
     /// Compiled packet-level artifacts keyed by problem fingerprint,
     /// verified against the exact problem.
@@ -372,10 +373,12 @@ impl QueryCache {
         self.l1.lookup(k)
     }
 
-    /// Stores a freshly computed search result under `k`. The entry (and
-    /// the L2 entry after it) shares the footprint's problem: no copy
-    /// when the front end owns the problem, one when it borrowed it.
-    pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>) {
+    /// Stores a freshly computed search result under `k`, and — when
+    /// `publish`, i.e. an L2 will drain it — queues a copy for
+    /// [`QueryCache::take_fresh`]. The entry (and the L2 entry after it)
+    /// shares the footprint's problem: no copy when the front end owns the
+    /// problem, one when it borrowed it.
+    pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>, publish: bool) {
         if !self.cfg.enabled || self.cfg.l1_entries == 0 {
             return;
         }
@@ -387,7 +390,9 @@ impl QueryCache {
             seq: 0,
             value,
         };
-        self.fresh.push(entry.clone());
+        if publish {
+            self.fresh.push(entry.clone());
+        }
         self.l1.push(entry);
         self.l1.evict_to(self.cfg.l1_entries);
     }
@@ -551,7 +556,7 @@ mod tests {
     fn key_components_all_matter() {
         let mut c = QueryCache::new(CacheConfig::default());
         let p = Footprint::shared(problem(10));
-        c.insert(&parts(&p, 1, &[]), value(1));
+        c.insert(&parts(&p, 1, &[]), value(1), false);
         assert!(c.lookup(&parts(&p, 1, &[])).is_some());
         // Epoch, reservation mask, rung, shed, and problem all miss.
         assert!(c.lookup(&parts(&p, 2, &[])).is_none());
@@ -577,7 +582,7 @@ mod tests {
         let mut c = QueryCache::new(cfg);
         let ps: Vec<Footprint<'_>> = (0..3).map(|i| Footprint::shared(problem(20 + i))).collect();
         for p in &ps {
-            c.insert(&parts(p, 1, &[]), value(1));
+            c.insert(&parts(p, 1, &[]), value(1), false);
         }
         assert_eq!(c.len(), 2);
         assert!(c.lookup(&parts(&ps[0], 1, &[])).is_none(), "oldest evicted");
@@ -588,7 +593,7 @@ mod tests {
     fn shared_publish_sweeps_dead_epochs_and_dedups() {
         let mut l1 = QueryCache::new(CacheConfig::default());
         let p = Footprint::shared(problem(30));
-        l1.insert(&parts(&p, 1, &[]), value(1));
+        l1.insert(&parts(&p, 1, &[]), value(1), true);
         let fresh = l1.take_fresh();
         let mut shared = SharedCache::new(16);
         assert_eq!(shared.publish(fresh.clone(), &[1], false), 0);
@@ -613,7 +618,7 @@ mod tests {
         };
         let mut c = QueryCache::new(cfg);
         let p = Footprint::shared(problem(40));
-        c.insert(&parts(&p, 1, &[]), value(1));
+        c.insert(&parts(&p, 1, &[]), value(1), false);
         assert_eq!(c.len(), 0);
         assert!(c.lookup(&parts(&p, 1, &[])).is_none());
     }

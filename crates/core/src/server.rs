@@ -737,7 +737,9 @@ impl CloudTalkServer {
     ) -> Result<Answer, ServerError> {
         let (working, sampled) = self.maybe_sample(problem);
         let snapshot = self.take_snapshot(working.addrs(), source);
-        self.answer_snapshot_inner(&working, &snapshot, now, reserve, sampled)
+        // The snapshot dies with this call and its epoch is in the cache
+        // key, so no later answer could hit an entry stored here.
+        self.answer_snapshot_inner(&working, &snapshot, now, reserve, sampled, false)
     }
 
     /// Gathers status for `addrs` once into an immutable snapshot.
@@ -842,7 +844,7 @@ impl CloudTalkServer {
         reserve: bool,
     ) -> Result<Answer, ServerError> {
         let (working, sampled) = self.maybe_sample(problem);
-        self.answer_snapshot_inner(&working, snapshot, now, reserve, sampled)
+        self.answer_snapshot_inner(&working, snapshot, now, reserve, sampled, true)
     }
 
     /// Answers a batch of pre-resolved problems with **one** scatter-gather
@@ -874,7 +876,7 @@ impl CloudTalkServer {
         let snapshot = self.take_snapshot(&addrs, source);
         working
             .iter()
-            .map(|(w, sampled)| self.answer_snapshot_inner(w, &snapshot, now, true, *sampled))
+            .map(|(w, sampled)| self.answer_snapshot_inner(w, &snapshot, now, true, *sampled, true))
             .collect()
     }
 
@@ -899,6 +901,7 @@ impl CloudTalkServer {
         now: SimTime,
         reserve: bool,
         sampled: bool,
+        keyed: bool,
     ) -> Result<Answer, ServerError> {
         self.reservations.purge(now);
         let holds = Holds {
@@ -907,7 +910,7 @@ impl CloudTalkServer {
             record: reserve,
         };
         self.core
-            .answer_snapshot(working, snapshot, now, sampled, holds, false, None)
+            .answer_snapshot(working, snapshot, now, sampled, holds, false, keyed, None)
     }
 }
 
@@ -925,8 +928,12 @@ impl EvalCore {
     /// additionally forces the heuristic backend (serving-plane load
     /// shedding) without touching the rung's data selection.
     ///
-    /// `shared` is an optional view of the serving plane's L2 answer
-    /// cache; the core always consults its own L1 first. On a
+    /// `keyed` says whether the caller holds `snapshot` across answers: the
+    /// epoch is part of the cache key, so an answer against a snapshot
+    /// gathered for it alone could only store what nothing will look up,
+    /// and skips the cache. `shared` is an optional view of the serving
+    /// plane's L2 answer cache, whose publish step also collects what this
+    /// answer inserts; the core always consults its own L1 first. On a
     /// hit the search phase is skipped and the cached (backend, stats,
     /// binding, scores) tuple is replayed through the identical
     /// trace/assembly path — the returned answer is bit-identical to
@@ -941,6 +948,7 @@ impl EvalCore {
         sampled: bool,
         holds: Holds<'_>,
         shed: bool,
+        keyed: bool,
         shared: Option<&Tier>,
     ) -> Result<Answer, ServerError> {
         let working = fp.problem();
@@ -1020,9 +1028,7 @@ impl EvalCore {
             Some(_) => fp.sorted().iter().copied().filter(held).collect(),
             None => Vec::new(),
         };
-        let key = self
-            .qcache
-            .enabled()
+        let key = (keyed && self.qcache.enabled())
             .then(|| KeyParts::new(fp, snapshot.epoch(), &mask, rung, shed, self.cfg.method));
         let cached = if let Some(key) = &key {
             match self.qcache.lookup(key) {
@@ -1069,6 +1075,7 @@ impl EvalCore {
                         binding_scores: binding_scores.clone(),
                         epoch: snapshot.epoch(),
                     }),
+                    shared.is_some(),
                 );
                 #[allow(clippy::cast_precision_loss)]
                 {
@@ -1713,22 +1720,27 @@ mod tests {
         let mut server = CloudTalkServer::new(ServerConfig::default());
         let fingerprints = || FINGERPRINT_CALLS.with(|c| c.get());
 
-        // Miss: L1 lookup, (no L2,) insert — one fingerprint between them.
+        // A snapshot gathered for the one answer is neither keyed nor stored.
         let before = fingerprints();
-        let miss = server.answer_problem(&p, &mut src, SimTime::ZERO).unwrap();
-        assert!(!miss.provenance.cache_hit);
-        assert_eq!(fingerprints() - before, 1);
-        assert_eq!(server.metrics().counter_named("cache.miss"), Some(1));
+        let unkeyed = server.answer_problem(&p, &mut src, SimTime::ZERO).unwrap();
+        assert!(!unkeyed.provenance.cache_hit);
+        assert_eq!(fingerprints(), before);
+        assert_eq!(server.metrics().counter_named("cache.miss"), Some(0));
 
-        // Hit: one as well.
+        // A held snapshot — miss: L1 lookup, (no L2,) insert, one
+        // fingerprint between them. Hit: one as well.
         let snapshot = server.take_snapshot(&p.mentioned_addresses(), &mut src);
         let now = SimTime::from_secs_f64(1.0);
         let mut answer = || server.answer_with_snapshot(&p, &snapshot, now, false);
-        answer().unwrap();
+        let before = fingerprints();
+        let miss = answer().unwrap();
+        assert!(!miss.provenance.cache_hit);
+        assert_eq!(fingerprints() - before, 1);
         let before = fingerprints();
         let hit = answer().unwrap();
         assert!(hit.provenance.cache_hit);
         assert_eq!(fingerprints() - before, 1);
+        assert_eq!(server.metrics().counter_named("cache.miss"), Some(1));
 
         // Cache off: none at all.
         let mut uncached = CloudTalkServer::new(ServerConfig {
@@ -1743,6 +1755,26 @@ mod tests {
             .answer_problem(&p, &mut src, SimTime::ZERO)
             .unwrap();
         assert_eq!(fingerprints(), before);
+    }
+
+    #[test]
+    fn the_single_server_cache_stays_bounded() {
+        // Neither door of a server that never publishes may accumulate:
+        // L1 holds at most its capacity and nothing waits for an L2.
+        let mut src = idle_source(12);
+        let mut server = CloudTalkServer::new(ServerConfig::default());
+        let snapshot = server.take_snapshot(&(1..12).map(Address).collect::<Vec<_>>(), &mut src);
+        let nodes: Vec<Address> = (2..12).map(Address).collect();
+        for i in 0..5_000 {
+            let p = hdfs_write_query(Address(1), &nodes, 3, 1e6 + f64::from(i))
+                .resolve()
+                .unwrap();
+            server.answer_problem(&p, &mut src, SimTime::ZERO).unwrap();
+            let held = server.answer_with_snapshot(&p, &snapshot, SimTime::ZERO, false);
+            assert!(!held.unwrap().provenance.cache_hit, "problem {i} is distinct");
+        }
+        assert_eq!(server.core.qcache.len(), CacheConfig::default().l1_entries);
+        assert!(server.core.cache_take_fresh().is_empty());
     }
 
     #[test]

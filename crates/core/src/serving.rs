@@ -1196,6 +1196,7 @@ fn run_groups(
                     record: true,
                 },
                 shed,
+                true,
                 Some(shared),
             );
             let hit = matches!(&result, Ok(a) if a.provenance.cache_hit);

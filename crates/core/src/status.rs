@@ -257,47 +257,4 @@ mod tests {
         assert_eq!(rep.state, HostState::gbps_idle());
         assert!(s.poll_report(Address(2)).is_none());
     }
-
-    #[test]
-    fn status_reports_identical_across_engine_modes() {
-        // Status collection must be oblivious to the engine's rate
-        // maintenance strategy: mid-simulation and final live polls serve
-        // bit-identical readings in both modes.
-        use simnet::EngineMode;
-
-        let collect = |mode: EngineMode| {
-            let topo = Topology::two_tier(2, 3, GBPS, 2.0 * GBPS, TopoOptions::default());
-            let mut net = NetSim::with_mode(topo, mode);
-            let hosts = net.hosts();
-            net.start(TransferSpec::network(hosts[0], hosts[3], 2e8));
-            net.start(TransferSpec::network(hosts[1], hosts[3], 5e8));
-            net.start(TransferSpec::pipeline(hosts[2], &[hosts[4], hosts[5]], 3e8));
-            let addrs: Vec<Address> = net
-                .hosts()
-                .iter()
-                .map(|&h| Address(net.topology().host(h).addr))
-                .collect();
-            let mut readings = Vec::new();
-            let mut poll_all = |net: &mut NetSim| {
-                let mut live = NetSimStatusSource::new(net);
-                for &a in &addrs {
-                    let s = live.poll(a).unwrap();
-                    readings.push((
-                        s.nic_up_used.to_bits(),
-                        s.nic_down_used.to_bits(),
-                        s.disk_write_used.to_bits(),
-                    ));
-                }
-            };
-            net.advance_to(net.now() + SimDuration::from_secs_f64(0.3));
-            poll_all(&mut net);
-            net.run_until_idle();
-            poll_all(&mut net);
-            readings
-        };
-        assert_eq!(
-            collect(EngineMode::Incremental),
-            collect(EngineMode::FullRecompute)
-        );
-    }
 }

@@ -2,8 +2,7 @@
 //! random candidate sequences with interleaved apply/undo (push, pop)
 //! against three query topologies must produce **bit-identical**
 //! `Estimate`s — `==` on every field plus raw-bit checks on makespan and
-//! finish times, never an EPS band — at every step, mirroring
-//! `simnet/tests/engine_oracle_props.rs`.
+//! finish times, never an EPS band — at every step.
 //!
 //! This is the correctness bar of delta-rated candidate evaluation: both
 //! paths rate a component with the same per-component simulation code on

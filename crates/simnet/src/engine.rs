@@ -7,20 +7,15 @@
 //! ([`crate::sharing`]); between changes every transfer progresses
 //! linearly, so completions can be scheduled exactly.
 //!
-//! # Incremental, component-aware rate maintenance
+//! # One global pass per mutation
 //!
-//! Max-min fairness has a locality property the engine exploits: two
-//! transfers can only influence each other's rates if they are connected
-//! through a chain of shared resources. The engine therefore maintains the
-//! partition of active transfers into *resource-connected components*
-//! (merged on `start`, lazily re-split after removals) and, on each
-//! mutation, re-rates only the dirty component(s) against a compact
-//! per-component capacity view. Untouched components keep their rates,
-//! their scheduled completion events, and their contribution to per-host
-//! load — so the cost of an event is proportional to the size of the
-//! component it touches, not to the total number of flows.
-//!
-//! Three further mechanisms keep the per-event cost down:
+//! `start`, `cancel` and every completion mark the rates dirty; the next
+//! read re-rates *every* live transfer with one allocator call over the
+//! global capacities, demands in start order. On the clusters the paper
+//! uses (≤ 301 hosts, pipelines and shuffles that are one
+//! resource-connected component anyway) that is cheaper than maintaining
+//! a partition of the flows to re-rate less — measured, see DESIGN.md
+//! "Rate engine". Three mechanisms keep an event cheap:
 //!
 //! * completions live in a cancellable ETA priority queue
 //!   ([`desim::EventQueue`]); only transfers whose rate actually changed
@@ -30,16 +25,6 @@
 //!   or it is queried — `advance_to` never walks the flow table;
 //! * transfers are slab-allocated with generation-tagged ids, so `cancel`
 //!   and lookup are O(1) and the steady state allocates nothing.
-//!
-//! [`EngineMode::FullRecompute`] retains the global-recompute behaviour as
-//! an oracle: it shares this event loop, settle arithmetic, and ETA
-//! quantisation, differing only in re-rating *everything* on every
-//! mutation. Per-component re-rating performs the identical floating-point
-//! operations on each component as a global run does (demands are ordered
-//! by start sequence in both, and the allocator's arithmetic never mixes
-//! values across disconnected components), so the two modes produce
-//! bit-identical completion streams — asserted by the property suite and
-//! the `simnet_scale --smoke` CI gate.
 //!
 //! Applications drive time explicitly: [`NetSim::advance_to`] moves the
 //! clock and returns the transfers that completed on the way. Per-host
@@ -205,21 +190,10 @@ pub struct HostLoad {
     pub disk_write_bps: f64,
 }
 
-/// How the engine recomputes rates after a mutation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EngineMode {
-    /// Re-rate only the resource-connected component(s) a mutation touched.
-    #[default]
-    Incremental,
-    /// Re-rate every active transfer on every mutation — the original
-    /// global behaviour, retained as a correctness oracle and baseline.
-    FullRecompute,
-}
-
 /// Counters describing the work the engine has performed.
 ///
-/// Read with [`NetSim::stats`]; the incremental/oracle scaling bench and
-/// the allocator-invocation regression tests are built on these. The
+/// Read with [`NetSim::stats`]; the allocator-invocation regression test
+/// and the benchmark's per-layer numbers are built on these. The
 /// counters live in the engine's [`MetricsRegistry`] (see
 /// [`NetSim::metrics`]) under the `engine.*` names; this struct is the
 /// by-value snapshot reconstructed from it.
@@ -227,17 +201,13 @@ pub enum EngineMode {
 pub struct EngineStats {
     /// Invocations of the max-min allocator.
     pub allocator_calls: u64,
-    /// Total demands passed to the allocator (Σ component sizes rated).
+    /// Total demands passed to the allocator.
     pub demands_rated: u64,
     /// Completion-queue events processed.
     pub events: u64,
     /// Progress settlements (rate changes applied to a running transfer).
     pub settles: u64,
-    /// Component merges performed by `start`.
-    pub merges: u64,
-    /// Extra components produced by lazy re-splits (repartition fan-out).
-    pub splits: u64,
-    /// Largest component (or global batch, in oracle mode) ever rated.
+    /// Largest batch of live transfers ever rated.
     pub max_component: usize,
 }
 
@@ -251,8 +221,6 @@ struct EngineMetricIds {
     demands_rated: CounterId,
     events: CounterId,
     settles: CounterId,
-    merges: CounterId,
-    splits: CounterId,
     max_component: GaugeId,
 }
 
@@ -263,15 +231,10 @@ impl EngineMetricIds {
             demands_rated: reg.counter("engine.demands_rated"),
             events: reg.counter("engine.events"),
             settles: reg.counter("engine.settles"),
-            merges: reg.counter("engine.merges"),
-            splits: reg.counter("engine.splits"),
             max_component: reg.gauge("engine.max_component"),
         }
     }
 }
-
-/// Sentinel for "not a member of any component".
-const NO_COMP: u32 = u32::MAX;
 
 /// Slab slot for an active (or vacant) transfer.
 struct Active {
@@ -290,10 +253,6 @@ struct Active {
     last_sync: SimTime,
     rate: f64,
     started: SimTime,
-    /// Owning component, or `NO_COMP` (loopback transfers; oracle mode).
-    comp: u32,
-    /// Index of this slot inside `comp`'s member list.
-    member_pos: u32,
     /// Pending completion event, if one is scheduled.
     event: Option<EventHandle>,
 }
@@ -312,19 +271,9 @@ impl Active {
             last_sync: SimTime::ZERO,
             rate: 0.0,
             started: SimTime::ZERO,
-            comp: NO_COMP,
-            member_pos: 0,
             event: None,
         }
     }
-}
-
-/// A resource-connected component of active transfers.
-struct Component {
-    /// Member slots, unordered (positions tracked in `Active::member_pos`).
-    members: Vec<u32>,
-    dirty: bool,
-    live: bool,
 }
 
 /// Reusable buffers for the engine hot path. Every vector reaches its
@@ -337,36 +286,10 @@ struct EngineScratch {
     /// Demand pool reused across allocator calls.
     demands: Vec<Demand>,
     rates: Vec<f64>,
-    /// `(seq, slot)` members of the component being rated, in start order.
+    /// `(seq, slot)` of the live transfers being rated, in start order.
     sorted: Vec<(u64, u32)>,
     /// Event batch drained at one timestamp.
     batch: Vec<(u64, u32)>,
-    /// Members of the component being repartitioned, in start order.
-    part: Vec<(u64, u32)>,
-    /// Union-find parents over local member indices.
-    uf: Vec<u32>,
-    /// Local member index → sub-component ordinal.
-    sub_of: Vec<u32>,
-    /// Union-find root → sub-component ordinal (first-occurrence order).
-    root_sub: Vec<u32>,
-    /// CSR offsets and items bucketing members by sub-component.
-    sub_start: Vec<u32>,
-    sub_cursor: Vec<u32>,
-    sub_items: Vec<u32>,
-    /// First member touching each resource (epoch-stamped).
-    res_first: Vec<u32>,
-    res_first_mark: Vec<u64>,
-    /// Global resource → dense per-component index (epoch-stamped).
-    res_dense: Vec<u32>,
-    res_dense_mark: Vec<u64>,
-    epoch: u64,
-    /// Per-component capacity view and its dense → global mapping.
-    cap_view: Vec<f64>,
-    comp_res: Vec<ResourceIdx>,
-    /// Members being moved during a component merge.
-    moved: Vec<u32>,
-    /// Distinct neighbour components seen while starting a transfer.
-    neigh: Vec<u32>,
 }
 
 /// The fluid network/disk simulator.
@@ -380,18 +303,10 @@ pub struct NetSim {
     free_slots: Vec<u32>,
     next_seq: u64,
     live_count: usize,
-    comps: Vec<Component>,
-    free_comps: Vec<u32>,
-    dirty_comps: Vec<u32>,
-    /// Number of live transfers using each resource.
-    res_users: Vec<u32>,
-    /// Component owning each resource (valid only while `res_users > 0`).
-    res_comp: Vec<u32>,
     /// Completion ETAs; payload is the transfer's slot.
     queue: EventQueue<u32>,
-    mode: EngineMode,
-    /// Oracle-mode pending-recompute flag (unused incrementally).
-    global_dirty: bool,
+    /// Set by every mutation of the live set; cleared by the next pass.
+    dirty: bool,
     scratch: EngineScratch,
     metrics: MetricsRegistry,
     ids: EngineMetricIds,
@@ -400,11 +315,6 @@ pub struct NetSim {
 impl NetSim {
     /// Creates a simulator over `topo` at time zero.
     pub fn new(topo: Topology) -> Self {
-        Self::with_mode(topo, EngineMode::FullRecompute)
-    }
-
-    /// Creates a simulator with an explicit [`EngineMode`].
-    pub fn with_mode(topo: Topology, mode: EngineMode) -> Self {
         let n_res = 2 * topo.link_count() + 2 * topo.host_count();
         let mut capacities = vec![0.0; n_res];
         for l in 0..topo.link_count() {
@@ -430,23 +340,12 @@ impl NetSim {
             free_slots: Vec::new(),
             next_seq: 0,
             live_count: 0,
-            comps: Vec::new(),
-            free_comps: Vec::new(),
-            dirty_comps: Vec::new(),
-            res_users: vec![0; n_res],
-            res_comp: vec![NO_COMP; n_res],
             queue: EventQueue::new(),
-            mode,
-            global_dirty: false,
+            dirty: false,
             scratch: EngineScratch::default(),
             metrics,
             ids,
         }
-    }
-
-    /// The engine's rate-maintenance mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
     }
 
     /// Work counters accumulated since construction (or the last
@@ -457,8 +356,6 @@ impl NetSim {
             demands_rated: self.metrics.counter_value(self.ids.demands_rated),
             events: self.metrics.counter_value(self.ids.events),
             settles: self.metrics.counter_value(self.ids.settles),
-            merges: self.metrics.counter_value(self.ids.merges),
-            splits: self.metrics.counter_value(self.ids.splits),
             max_component: self.metrics.gauge_value(self.ids.max_component) as usize,
         }
     }
@@ -472,12 +369,6 @@ impl NetSim {
     /// Zeroes the work counters (handles stay valid; allocation-free).
     pub fn reset_stats(&mut self) {
         self.metrics.reset();
-    }
-
-    /// Number of live resource-connected components (always 0 in oracle
-    /// mode, which does not maintain the decomposition).
-    pub fn component_count(&self) -> usize {
-        self.comps.iter().filter(|c| c.live).count()
     }
 
     /// The underlying topology.
@@ -495,7 +386,7 @@ impl NetSim {
         self.now
     }
 
-    /// Starts a transfer, marking the touched component for re-rating.
+    /// Starts a transfer, marking the rates for recomputation.
     pub fn start(&mut self, spec: TransferSpec) -> TransferId {
         assert!(spec.bytes >= 0.0, "transfer bytes must be non-negative");
         let seq = self.next_seq;
@@ -514,37 +405,21 @@ impl NetSim {
             t.last_sync = now;
             t.rate = 0.0;
             t.started = now;
-            t.comp = NO_COMP;
-            t.member_pos = 0;
             t.event = None;
+            if t.usages.is_empty() {
+                // Loopback-style transfer: nothing in the topology
+                // constrains it, so its rate is fixed for life — the value
+                // the allocator would assign, so a recompute never re-keys
+                // it.
+                let raw = match t.inelastic {
+                    Some(want) => t.cap.map_or(want, |c| want.min(c)),
+                    None => t.cap.unwrap_or(f64::INFINITY),
+                };
+                t.rate = if raw.is_finite() { raw } else { LOCAL_RATE };
+            }
         }
         self.live_count += 1;
-        if self.slots[slot as usize].usages.is_empty() {
-            // Loopback-style transfer: nothing in the topology constrains
-            // it, so its rate is fixed for life. Both modes assign the same
-            // value the global allocator would, so oracle recomputes never
-            // re-key it.
-            let t = &mut self.slots[slot as usize];
-            let raw = match t.inelastic {
-                Some(want) => t.cap.map_or(want, |c| want.min(c)),
-                None => t.cap.unwrap_or(f64::INFINITY),
-            };
-            t.rate = if raw.is_finite() { raw } else { LOCAL_RATE };
-            if matches!(self.mode, EngineMode::FullRecompute) {
-                self.global_dirty = true;
-            }
-        } else {
-            match self.mode {
-                EngineMode::Incremental => self.attach_to_component(slot),
-                EngineMode::FullRecompute => {
-                    for k in 0..self.slots[slot as usize].usages.len() {
-                        let r = self.slots[slot as usize].usages[k].0;
-                        self.res_users[r] += 1;
-                    }
-                    self.global_dirty = true;
-                }
-            }
-        }
+        self.dirty = true;
         // Schedules the completion event when one is already determined:
         // loopback transfers (rate fixed above) and zero-byte transfers
         // (which complete at `now` regardless of rate).
@@ -554,8 +429,8 @@ impl NetSim {
 
     /// Cancels an active transfer (no completion is recorded).
     ///
-    /// Returns `true` if it was active. O(1): the slot is recycled and only
-    /// the transfer's own component is marked for re-rating.
+    /// Returns `true` if it was active. O(1): the slot is recycled and the
+    /// rates are marked for recomputation.
     pub fn cancel(&mut self, id: TransferId) -> bool {
         match self.lookup(id) {
             Some(slot) => {
@@ -615,8 +490,8 @@ impl NetSim {
         out.clear();
         loop {
             // One invalidation check per step: `ensure_rates` both re-rates
-            // dirty components and (via re-keying) repairs the ETA queue,
-            // so peeking it afterwards is exact.
+            // and (via re-keying) repairs the ETA queue, so peeking it
+            // afterwards is exact.
             self.ensure_rates();
             let next = match self.queue.peek_time() {
                 Some(at) if at <= t => at,
@@ -722,8 +597,7 @@ impl NetSim {
         (t.live && t.generation == generation).then_some(slot)
     }
 
-    /// Removes a live transfer: releases its resources, detaches it from
-    /// its component (marking the remainder dirty), recycles the slot.
+    /// Removes a live transfer: marks the rates dirty, recycles the slot.
     fn remove_slot(&mut self, slot: u32) {
         let s = slot as usize;
         if let Some(h) = self.slots[s].event.take() {
@@ -731,33 +605,7 @@ impl NetSim {
         }
         self.slots[s].live = false;
         self.slots[s].generation = self.slots[s].generation.wrapping_add(1);
-        for k in 0..self.slots[s].usages.len() {
-            let r = self.slots[s].usages[k].0;
-            self.res_users[r] -= 1;
-            if self.res_users[r] == 0 {
-                // Last user gone: nothing will re-rate this resource, so
-                // its load must drop to zero here.
-                self.usage[r] = 0.0;
-                self.res_comp[r] = NO_COMP;
-            }
-        }
-        let c = self.slots[s].comp;
-        self.slots[s].comp = NO_COMP;
-        if c != NO_COMP {
-            let pos = self.slots[s].member_pos as usize;
-            self.comps[c as usize].members.swap_remove(pos);
-            if let Some(&moved) = self.comps[c as usize].members.get(pos) {
-                self.slots[moved as usize].member_pos = pos as u32;
-            }
-            if self.comps[c as usize].members.is_empty() {
-                self.free_comp(c);
-            } else {
-                self.mark_dirty(c);
-            }
-        }
-        if matches!(self.mode, EngineMode::FullRecompute) {
-            self.global_dirty = true;
-        }
+        self.dirty = true;
         self.free_slots.push(slot);
         self.live_count -= 1;
     }
@@ -795,351 +643,22 @@ impl NetSim {
         coalesce_usages(usages);
     }
 
-    // --- component maintenance -------------------------------------------
-
-    fn alloc_comp(&mut self) -> u32 {
-        if let Some(c) = self.free_comps.pop() {
-            let comp = &mut self.comps[c as usize];
-            debug_assert!(comp.members.is_empty());
-            comp.live = true;
-            comp.dirty = false;
-            c
-        } else {
-            self.comps.push(Component {
-                members: Vec::new(),
-                dirty: false,
-                live: true,
-            });
-            (self.comps.len() - 1) as u32
-        }
-    }
-
-    fn free_comp(&mut self, c: u32) {
-        let comp = &mut self.comps[c as usize];
-        debug_assert!(comp.members.is_empty());
-        comp.live = false;
-        comp.dirty = false;
-        self.free_comps.push(c);
-    }
-
-    fn mark_dirty(&mut self, c: u32) {
-        let comp = &mut self.comps[c as usize];
-        if !comp.dirty {
-            comp.dirty = true;
-            self.dirty_comps.push(c);
-        }
-    }
-
-    fn install_member(&mut self, comp: u32, slot: u32) {
-        let pos = self.comps[comp as usize].members.len() as u32;
-        self.comps[comp as usize].members.push(slot);
-        {
-            let t = &mut self.slots[slot as usize];
-            t.comp = comp;
-            t.member_pos = pos;
-        }
-        for &(r, _) in &self.slots[slot as usize].usages {
-            self.res_comp[r] = comp;
-        }
-    }
-
-    /// Registers a freshly started transfer's resources and unions every
-    /// component it bridges into one (smaller merged into larger), marking
-    /// the result dirty.
-    fn attach_to_component(&mut self, slot: u32) {
-        let mut neigh = mem::take(&mut self.scratch.neigh);
-        neigh.clear();
-        for k in 0..self.slots[slot as usize].usages.len() {
-            let r = self.slots[slot as usize].usages[k].0;
-            if self.res_users[r] > 0 {
-                let c = self.res_comp[r];
-                debug_assert!(self.comps[c as usize].live);
-                if !neigh.contains(&c) {
-                    neigh.push(c);
-                }
-            }
-            self.res_users[r] += 1;
-        }
-        let target = if neigh.is_empty() {
-            self.alloc_comp()
-        } else {
-            let mut target = neigh[0];
-            for &c in &neigh[1..] {
-                if self.comps[c as usize].members.len() > self.comps[target as usize].members.len()
-                {
-                    target = c;
-                }
-            }
-            for &c in &neigh {
-                if c != target {
-                    self.merge_into(c, target);
-                }
-            }
-            target
-        };
-        self.install_member(target, slot);
-        self.mark_dirty(target);
-        self.scratch.neigh = neigh;
-    }
-
-    /// Moves every member of `src` into `dst` and frees `src`.
-    fn merge_into(&mut self, src: u32, dst: u32) {
-        let mut moved = mem::take(&mut self.scratch.moved);
-        moved.clear();
-        moved.extend_from_slice(&self.comps[src as usize].members);
-        self.comps[src as usize].members.clear();
-        self.free_comp(src);
-        for &s in &moved {
-            self.install_member(dst, s);
-        }
-        self.metrics.inc(self.ids.merges, 1);
-        self.scratch.moved = moved;
-    }
-
     // --- rate maintenance -------------------------------------------------
 
+    /// Re-rates every live transfer if the live set changed since the last
+    /// pass: demands in start order, one allocator call over the global
+    /// capacities, then settle + re-key exactly the transfers whose rate
+    /// changed bit-wise and rebuild per-resource usage.
     fn ensure_rates(&mut self) {
-        match self.mode {
-            EngineMode::Incremental => self.rerate_dirty_components(),
-            EngineMode::FullRecompute => self.rerate_all(),
-        }
-    }
-
-    fn rerate_dirty_components(&mut self) {
-        // Index loop: repartitioning allocates/frees components but never
-        // marks new ones dirty, so the list only shrinks semantically.
-        let mut i = 0;
-        while i < self.dirty_comps.len() {
-            let c = self.dirty_comps[i];
-            i += 1;
-            // Stale entries: the component was freed (emptied or merged
-            // away) after being queued, or its slot was reused by a clean
-            // successor. The flag, cleared on free, disambiguates.
-            if !self.comps[c as usize].live || !self.comps[c as usize].dirty {
-                continue;
-            }
-            self.comps[c as usize].dirty = false;
-            self.repartition_and_rerate(c);
-        }
-        self.dirty_comps.clear();
-    }
-
-    /// Splits a dirty component into its true resource-connected parts
-    /// (removals may have disconnected it) and re-rates each part.
-    fn repartition_and_rerate(&mut self, c: u32) {
-        // Snapshot the members in start order; the old component dissolves.
-        let mut part = mem::take(&mut self.scratch.part);
-        part.clear();
-        for k in 0..self.comps[c as usize].members.len() {
-            let s = self.comps[c as usize].members[k];
-            part.push((self.slots[s as usize].seq, s));
-        }
-        self.comps[c as usize].members.clear();
-        self.free_comp(c);
-        part.sort_unstable();
-        let m = part.len();
-
-        // Union-find over local indices: all members touching a resource
-        // unite with the first member that touched it.
-        let mut uf = mem::take(&mut self.scratch.uf);
-        uf.clear();
-        uf.extend(0..m as u32);
-        if self.scratch.res_first_mark.len() < self.capacities.len() {
-            self.scratch.res_first_mark.resize(self.capacities.len(), 0);
-            self.scratch.res_first.resize(self.capacities.len(), 0);
-        }
-        self.scratch.epoch += 1;
-        let epoch = self.scratch.epoch;
-        for (i_local, &(_, s)) in part.iter().enumerate() {
-            for &(r, _) in &self.slots[s as usize].usages {
-                if self.scratch.res_first_mark[r] == epoch {
-                    let first = self.scratch.res_first[r];
-                    union(&mut uf, i_local as u32, first);
-                } else {
-                    self.scratch.res_first_mark[r] = epoch;
-                    self.scratch.res_first[r] = i_local as u32;
-                }
-            }
-        }
-
-        // Number the sub-components in first-occurrence (start) order.
-        let mut sub_of = mem::take(&mut self.scratch.sub_of);
-        let mut root_sub = mem::take(&mut self.scratch.root_sub);
-        sub_of.clear();
-        root_sub.clear();
-        root_sub.resize(m, u32::MAX);
-        let mut n_subs: u32 = 0;
-        for i_local in 0..m {
-            let root = find(&mut uf, i_local as u32) as usize;
-            if root_sub[root] == u32::MAX {
-                root_sub[root] = n_subs;
-                n_subs += 1;
-            }
-            sub_of.push(root_sub[root]);
-        }
-
-        if n_subs == 1 {
-            // Fast path: still one component.
-            let nc = self.alloc_comp();
-            for &(_, s) in part.iter() {
-                self.install_member(nc, s);
-            }
-            self.scratch.part = part;
-            self.scratch.uf = uf;
-            self.scratch.sub_of = sub_of;
-            self.scratch.root_sub = root_sub;
-            self.rerate_component(nc);
+        if !mem::take(&mut self.dirty) {
             return;
         }
-        self.metrics.inc(self.ids.splits, (n_subs - 1) as u64);
-
-        // Bucket members by sub-component (stable counting sort preserves
-        // start order within each bucket).
-        let mut sub_start = mem::take(&mut self.scratch.sub_start);
-        let mut sub_cursor = mem::take(&mut self.scratch.sub_cursor);
-        let mut sub_items = mem::take(&mut self.scratch.sub_items);
-        sub_start.clear();
-        sub_start.resize(n_subs as usize + 1, 0);
-        for &sub in &sub_of {
-            sub_start[sub as usize + 1] += 1;
-        }
-        for k in 1..sub_start.len() {
-            sub_start[k] += sub_start[k - 1];
-        }
-        sub_cursor.clear();
-        sub_cursor.extend_from_slice(&sub_start[..n_subs as usize]);
-        sub_items.clear();
-        sub_items.resize(m, 0);
-        for (i_local, &sub) in sub_of.iter().enumerate() {
-            sub_items[sub_cursor[sub as usize] as usize] = i_local as u32;
-            sub_cursor[sub as usize] += 1;
-        }
-
-        for sub in 0..n_subs as usize {
-            let nc = self.alloc_comp();
-            for k in sub_start[sub]..sub_start[sub + 1] {
-                let i_local = sub_items[k as usize] as usize;
-                let s = part[i_local].1;
-                self.install_member(nc, s);
-            }
-            self.rerate_component(nc);
-        }
-
-        self.scratch.part = part;
-        self.scratch.uf = uf;
-        self.scratch.sub_of = sub_of;
-        self.scratch.root_sub = root_sub;
-        self.scratch.sub_start = sub_start;
-        self.scratch.sub_cursor = sub_cursor;
-        self.scratch.sub_items = sub_items;
-    }
-
-    /// Re-rates one component against a compact capacity view of exactly
-    /// the resources its members touch, then settles/re-keys the members
-    /// whose rate changed and rebuilds this component's resource usage.
-    ///
-    /// Demands are ordered by start sequence and resources enter the view
-    /// in first-touch order, so the allocator performs, value for value,
-    /// the same floating-point operations it would on this component's
-    /// slice of a global recompute — the basis for oracle bit-identity.
-    fn rerate_component(&mut self, c: u32) {
-        let mut sorted = mem::take(&mut self.scratch.sorted);
-        sorted.clear();
-        for k in 0..self.comps[c as usize].members.len() {
-            let s = self.comps[c as usize].members[k];
-            sorted.push((self.slots[s as usize].seq, s));
-        }
-        sorted.sort_unstable();
-        self.metrics
-            .gauge_max(self.ids.max_component, sorted.len() as f64);
-
-        let mut demands = mem::take(&mut self.scratch.demands);
-        let mut cap_view = mem::take(&mut self.scratch.cap_view);
-        let mut comp_res = mem::take(&mut self.scratch.comp_res);
-        cap_view.clear();
-        comp_res.clear();
-        if self.scratch.res_dense_mark.len() < self.capacities.len() {
-            self.scratch.res_dense_mark.resize(self.capacities.len(), 0);
-            self.scratch.res_dense.resize(self.capacities.len(), 0);
-        }
-        self.scratch.epoch += 1;
-        let epoch = self.scratch.epoch;
-        for (k, &(_, s)) in sorted.iter().enumerate() {
-            if demands.len() <= k {
-                demands.push(Demand::elastic(Vec::new()));
-            }
-            let d = &mut demands[k];
-            d.usages.clear();
-            let t = &self.slots[s as usize];
-            d.cap = t.cap;
-            d.inelastic = t.inelastic;
-            for &(r, mult) in &t.usages {
-                let dense = if self.scratch.res_dense_mark[r] == epoch {
-                    self.scratch.res_dense[r]
-                } else {
-                    self.scratch.res_dense_mark[r] = epoch;
-                    let idx = cap_view.len() as u32;
-                    self.scratch.res_dense[r] = idx;
-                    cap_view.push(self.capacities[r]);
-                    comp_res.push(r);
-                    idx
-                };
-                d.usages.push((dense as usize, mult));
-            }
-        }
-
-        let n = sorted.len();
-        max_min_rates_into(
-            &mut self.scratch.sharing,
-            &cap_view,
-            &demands[..n],
-            &mut self.scratch.rates,
-        );
-        self.metrics.inc(self.ids.allocator_calls, 1);
-        self.metrics.inc(self.ids.demands_rated, n as u64);
-
-        let rates = mem::take(&mut self.scratch.rates);
-        for (k, &(_, s)) in sorted.iter().enumerate() {
-            let new_rate = if rates[k].is_finite() {
-                rates[k]
-            } else {
-                LOCAL_RATE
-            };
-            if new_rate.to_bits() != self.slots[s as usize].rate.to_bits() {
-                self.settle(s);
-                self.slots[s as usize].rate = new_rate;
-                self.rekey(s);
-            }
-        }
-
-        // Rebuild usage over exactly this component's resources. Members
-        // accumulate in start order, matching a global rebuild's
-        // per-resource addition sequence bit for bit.
-        for &r in &comp_res {
-            self.usage[r] = 0.0;
-        }
-        for &(_, s) in &sorted {
-            let t = &self.slots[s as usize];
-            for &(r, mult) in &t.usages {
-                self.usage[r] += t.rate * mult;
-            }
-        }
-
-        self.scratch.rates = rates;
-        self.scratch.sorted = sorted;
-        self.scratch.demands = demands;
-        self.scratch.cap_view = cap_view;
-        self.scratch.comp_res = comp_res;
-    }
-
-    /// Oracle: one global allocator call over every live transfer, sharing
-    /// the incremental path's demand ordering, settle logic, ETA
-    /// quantisation, and usage-rebuild arithmetic.
-    fn rerate_all(&mut self) {
-        if !self.global_dirty {
+        if self.live_count == 0 {
+            // Nothing to rate: every load reads zero, without an allocator
+            // call.
+            self.usage.fill(0.0);
             return;
         }
-        self.global_dirty = false;
         let mut sorted = mem::take(&mut self.scratch.sorted);
         sorted.clear();
         for (s, t) in self.slots.iter().enumerate() {
@@ -1148,12 +667,6 @@ impl NetSim {
             }
         }
         sorted.sort_unstable();
-        if sorted.is_empty() {
-            // Nothing to rate, and `remove_slot` already zeroed the usage
-            // of every resource its last user left.
-            self.scratch.sorted = sorted;
-            return;
-        }
         self.metrics
             .gauge_max(self.ids.max_component, sorted.len() as f64);
 
@@ -1192,9 +705,7 @@ impl NetSim {
                 self.rekey(s);
             }
         }
-        for u in self.usage.iter_mut() {
-            *u = 0.0;
-        }
+        self.usage.fill(0.0);
         for &(_, s) in &sorted {
             let t = &self.slots[s as usize];
             for &(r, mult) in &t.usages {
@@ -1257,26 +768,6 @@ impl NetSim {
         };
         let handle = self.queue.push(at, slot);
         self.slots[slot as usize].event = Some(handle);
-    }
-}
-
-// --- union-find over local member indices --------------------------------
-
-fn find(uf: &mut [u32], mut x: u32) -> u32 {
-    // Path halving.
-    while uf[x as usize] != x {
-        let grand = uf[uf[x as usize] as usize];
-        uf[x as usize] = grand;
-        x = grand;
-    }
-    x
-}
-
-fn union(uf: &mut [u32], a: u32, b: u32) {
-    let ra = find(uf, a);
-    let rb = find(uf, b);
-    if ra != rb {
-        uf[rb as usize] = ra;
     }
 }
 
@@ -1475,56 +966,10 @@ mod tests {
     }
 
     #[test]
-    fn components_merge_on_start_and_split_on_removal() {
-        let mut net = NetSim::with_mode(
-            Topology::single_switch(6, GBPS, TopoOptions::default()),
-            EngineMode::Incremental,
-        );
-        let h = net.hosts();
-        // Two disjoint pairs → two components.
-        let a = net.start(TransferSpec::network(h[0], h[1], f64::INFINITY));
-        let b = net.start(TransferSpec::network(h[2], h[3], f64::INFINITY));
-        net.rate(a).unwrap();
-        assert_eq!(net.component_count(), 2);
-        // A coupled two-segment transfer sending from both h0 and h2
-        // shares h0's and h2's uplinks with the two pairs, uniting them.
-        // (Resources are directional, so a plain h1→h2 flow would touch
-        // h1-tx/h2-rx — disjoint from both pairs.)
-        let bridge = net.start(TransferSpec {
-            segments: vec![
-                Segment::Net {
-                    src: h[0],
-                    dst: h[4],
-                },
-                Segment::Net {
-                    src: h[2],
-                    dst: h[5],
-                },
-            ],
-            bytes: f64::INFINITY,
-            cap: None,
-            inelastic_rate: None,
-        });
-        net.rate(bridge).unwrap();
-        assert_eq!(net.component_count(), 1);
-        assert!(net.stats().merges >= 1);
-        // Cancelling the bridge lazily splits the component again.
-        net.cancel(bridge);
-        net.rate(a).unwrap(); // forces the dirty re-rate
-        assert_eq!(net.component_count(), 2);
-        assert!(net.stats().splits >= 1);
-        net.cancel(a);
-        net.cancel(b);
-        net.rate(a); // drains dirty bookkeeping; both components vanished
-        assert_eq!(net.component_count(), 0);
-        assert_eq!(net.active_count(), 0);
-    }
-
-    #[test]
     fn allocator_runs_once_per_completion_event() {
         // Regression for the historical double invalidation in the
         // advance loop (`ensure_rates` + `next_completion_time` both
-        // recomputing): with K sequential completions in one component the
+        // recomputing): with K sequential completions the
         // allocator must run exactly once for the initial ramp-up and once
         // per rate-changing completion — not twice.
         let mut net = star(3);
@@ -1538,7 +983,7 @@ mod tests {
         // it.
         let m = net.metrics();
         // Call 1: initial ramp-up. Call 2: survivor re-rate after the first
-        // completion. The second completion empties the component — no
+        // completion. The second completion empties the live set — no
         // further allocator work.
         assert_eq!(
             m.counter_named("engine.allocator_calls"),
@@ -1581,61 +1026,6 @@ mod tests {
         let usages = &net.slots[slot as usize].usages;
         assert!(usages.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(usages.iter().any(|&(_, m)| m == 2.0));
-    }
-
-    #[test]
-    fn oracle_mode_matches_incremental_bitwise() {
-        // Scripted mixed scenario: pipelines, UDP blasts, caps, cancels and
-        // partial advances across rack boundaries must produce identical
-        // completion streams, rates, and snapshots in both modes.
-        let mk = |mode| {
-            NetSim::with_mode(
-                Topology::two_tier(3, 4, GBPS, 2.0 * GBPS, TopoOptions::default()),
-                mode,
-            )
-        };
-        let script = |net: &mut NetSim| {
-            let h = net.hosts();
-            let mut completions = Vec::new();
-            let mut rates = Vec::new();
-            let mut ids = Vec::new();
-            ids.push(net.start(TransferSpec::network(h[0], h[5], 3e8)));
-            ids.push(net.start(TransferSpec::pipeline(h[1], &[h[4], h[8]], 2e8)));
-            ids.push(net.start(
-                TransferSpec::network(h[2], h[5], f64::INFINITY).with_inelastic(0.8 * GBPS),
-            ));
-            completions.extend(net.advance_to(SimTime::from_secs_f64(0.7)));
-            ids.push(net.start(TransferSpec::network(h[6], h[5], 5e8).with_cap(0.3 * GBPS)));
-            ids.push(net.start(TransferSpec::read_and_send(h[3], h[9], 4e8)));
-            ids.push(net.start(TransferSpec::network(h[7], h[7], 1e8)));
-            completions.extend(net.advance_to(SimTime::from_secs_f64(1.9)));
-            net.cancel(ids[2]);
-            ids.push(net.start(TransferSpec::send_and_store(h[10], h[0], 6e8)));
-            completions.extend(net.advance_to(SimTime::from_secs_f64(4.0)));
-            for &id in &ids {
-                rates.push(net.rate(id).map(f64::to_bits));
-            }
-            let loads: Vec<HostLoad> = h.iter().map(|&host| net.host_load(host)).collect();
-            completions.extend(net.advance_to(SimTime::from_secs_f64(30.0)));
-            (completions, rates, loads, net.now())
-        };
-        let mut inc = mk(EngineMode::Incremental);
-        let mut orc = mk(EngineMode::FullRecompute);
-        let (ci, ri, si, ni) = script(&mut inc);
-        let (co, ro, so, no) = script(&mut orc);
-        assert_eq!(ci, co, "completion streams diverge");
-        assert_eq!(ri, ro, "rates diverge");
-        assert_eq!(ni, no);
-        for (host, (a, b)) in si.iter().zip(&so).enumerate() {
-            assert_eq!(a.tx_bps.to_bits(), b.tx_bps.to_bits(), "host {host}");
-            assert_eq!(a.rx_bps.to_bits(), b.rx_bps.to_bits());
-            assert_eq!(a.disk_read_bps.to_bits(), b.disk_read_bps.to_bits());
-            assert_eq!(a.disk_write_bps.to_bits(), b.disk_write_bps.to_bits());
-        }
-        // The incremental run must actually have exploited locality
-        // (asserted on the exported metrics).
-        let rated = |net: &NetSim| net.metrics().counter_named("engine.demands_rated").unwrap();
-        assert!(rated(&inc) <= rated(&orc));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod sharing;
 pub mod topology;
 pub mod traffic;
 
-pub use engine::{Completion, EngineMode, EngineStats, NetSim, TransferId, TransferSpec};
+pub use engine::{Completion, EngineStats, NetSim, TransferId, TransferSpec};
 pub use topology::{HostId, LinkId, NodeId, Topology};
 
 /// One gigabit per second, in bytes per second (the unit used throughout).

@@ -22,9 +22,6 @@ cargo bench -q -p cloudtalk-bench --bench exhaustive_bench -- --delta --smoke
 echo "=== pktsearch smoke ==="
 cargo run --release -q -p cloudtalk-bench --bin pktsearch -- --smoke
 
-echo "=== simnet_scale smoke (incremental == oracle, bit-identical) ==="
-cargo run --release -q -p cloudtalk-bench --bin simnet_scale -- --smoke
-
 echo "=== fleet_scale smoke (hier view exact, >=10x collector bytes, deterministic) ==="
 cargo run --release -q -p cloudtalk-bench --bin fleet_scale -- --smoke
 
@@ -101,6 +98,12 @@ if [ "$spawners" != "crates/core/src/walk.rs" ]; then
 fi
 if grep -rn "worker panicked" crates/; then
     echo "error: a join that replaces the worker's panic payload — use walk::fan_out"
+    exit 1
+fi
+
+echo "=== one rate engine (simnet re-rates in one global pass; no mode, no component layer) ==="
+if grep -rnE 'EngineMode|with_mode\(|FullRecompute|component_count|repartition_and_rerate' crates src tests examples; then
+    echo "error: a second rating strategy is back in the tree"
     exit 1
 fi
 
