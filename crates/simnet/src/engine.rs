@@ -37,7 +37,7 @@ use desim::{EventHandle, EventQueue, SimDuration, SimTime};
 use obs::{CounterId, GaugeId, MetricsRegistry};
 
 use crate::routing::Router;
-use crate::sharing::{coalesce_usages, max_min_rates_into, Demand, ResourceIdx, SharingScratch};
+use crate::sharing::{coalesce_usages, max_min_rates_into, Demand, SharingScratch};
 use crate::topology::{HostId, LinkDir, Topology};
 use crate::LOCAL_RATE;
 
@@ -236,16 +236,14 @@ impl EngineMetricIds {
     }
 }
 
-/// Slab slot for an active (or vacant) transfer.
+/// Slab slot for an active (or vacant) transfer. What the allocator reads
+/// of it — usage list, cap, inelastic rate — lives in its [`Demand`] in
+/// `NetSim::demands`, nowhere else.
 struct Active {
     /// Monotonic start sequence: demand ordering and the ECMP flow hash.
     seq: u64,
     generation: u32,
     live: bool,
-    /// Sorted, duplicate-free `(resource, multiplicity)` usages.
-    usages: Vec<(ResourceIdx, f64)>,
-    cap: Option<f64>,
-    inelastic: Option<f64>,
     bytes: f64,
     /// Bytes moved as of `last_sync`; progress since then is implied by
     /// `rate` (lazy settlement).
@@ -263,9 +261,6 @@ impl Active {
             seq: 0,
             generation: 0,
             live: false,
-            usages: Vec::new(),
-            cap: None,
-            inelastic: None,
             bytes: 0.0,
             done_at_sync: 0.0,
             last_sync: SimTime::ZERO,
@@ -283,11 +278,10 @@ impl Active {
 #[derive(Default)]
 struct EngineScratch {
     sharing: SharingScratch,
-    /// Demand pool reused across allocator calls.
-    demands: Vec<Demand>,
     rates: Vec<f64>,
-    /// `(seq, slot)` of the live transfers being rated, in start order.
-    sorted: Vec<(u64, u32)>,
+    /// Demands of finished transfers; their usage vectors keep their
+    /// capacity for the next `start`.
+    spare: Vec<Demand>,
     /// Event batch drained at one timestamp.
     batch: Vec<(u64, u32)>,
 }
@@ -302,7 +296,11 @@ pub struct NetSim {
     slots: Vec<Active>,
     free_slots: Vec<u32>,
     next_seq: u64,
-    live_count: usize,
+    /// Slots of the live transfers in start order, kept across events: a
+    /// start appends (`seq` is monotone), a removal deletes one entry.
+    live: Vec<u32>,
+    /// `demands[k]` is the allocator's view of `live[k]`.
+    demands: Vec<Demand>,
     /// Completion ETAs; payload is the transfer's slot.
     queue: EventQueue<u32>,
     /// Set by every mutation of the live set; cleared by the next pass.
@@ -339,7 +337,8 @@ impl NetSim {
             slots: Vec::new(),
             free_slots: Vec::new(),
             next_seq: 0,
-            live_count: 0,
+            live: Vec::new(),
+            demands: Vec::new(),
             queue: EventQueue::new(),
             dirty: false,
             scratch: EngineScratch::default(),
@@ -392,33 +391,32 @@ impl NetSim {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.alloc_slot();
-        self.build_usages(&spec, seq, slot);
+        let demand = self.build_demand(&spec, seq);
         let now = self.now;
         {
             let t = &mut self.slots[slot as usize];
             t.seq = seq;
             t.live = true;
-            t.cap = spec.cap;
-            t.inelastic = spec.inelastic_rate;
             t.bytes = spec.bytes;
             t.done_at_sync = 0.0;
             t.last_sync = now;
             t.rate = 0.0;
             t.started = now;
             t.event = None;
-            if t.usages.is_empty() {
+            if demand.usages.is_empty() {
                 // Loopback-style transfer: nothing in the topology
                 // constrains it, so its rate is fixed for life — the value
                 // the allocator would assign, so a recompute never re-keys
                 // it.
-                let raw = match t.inelastic {
-                    Some(want) => t.cap.map_or(want, |c| want.min(c)),
-                    None => t.cap.unwrap_or(f64::INFINITY),
+                let raw = match demand.inelastic {
+                    Some(want) => demand.cap.map_or(want, |c| want.min(c)),
+                    None => demand.cap.unwrap_or(f64::INFINITY),
                 };
                 t.rate = if raw.is_finite() { raw } else { LOCAL_RATE };
             }
         }
-        self.live_count += 1;
+        self.live.push(slot);
+        self.demands.push(demand);
         self.dirty = true;
         // Schedules the completion event when one is already determined:
         // loopback transfers (rate fixed above) and zero-byte transfers
@@ -572,7 +570,7 @@ impl NetSim {
 
     /// Number of currently active transfers.
     pub fn active_count(&self) -> usize {
-        self.live_count
+        self.live.len()
     }
 
     // --- slab management --------------------------------------------------
@@ -597,33 +595,45 @@ impl NetSim {
         (t.live && t.generation == generation).then_some(slot)
     }
 
-    /// Removes a live transfer: marks the rates dirty, recycles the slot.
+    /// Position of a live slot in `live` / `demands` (start order is `seq`
+    /// order, so a binary search finds it).
+    fn live_index(&self, slot: u32) -> usize {
+        let seq = self.slots[slot as usize].seq;
+        self.live
+            .binary_search_by_key(&seq, |&s| self.slots[s as usize].seq)
+            .expect("live transfer is listed")
+    }
+
+    /// Removes a live transfer: marks the rates dirty, recycles the slot
+    /// and its demand.
     fn remove_slot(&mut self, slot: u32) {
         let s = slot as usize;
         if let Some(h) = self.slots[s].event.take() {
             self.queue.cancel(h);
         }
+        let k = self.live_index(slot);
+        self.live.remove(k);
+        self.scratch.spare.push(self.demands.remove(k));
         self.slots[s].live = false;
         self.slots[s].generation = self.slots[s].generation.wrapping_add(1);
         self.dirty = true;
         self.free_slots.push(slot);
-        self.live_count -= 1;
     }
 
     // --- demand assembly --------------------------------------------------
 
-    /// Builds the transfer's coalesced usage list in place (the slot's
+    /// Builds the transfer's demand — sorted, duplicate-free
+    /// `(resource, multiplicity)` usages — in a recycled one (its usage
     /// vector keeps its capacity across reuse). The start sequence doubles
     /// as the ECMP flow discriminator.
-    fn build_usages(&mut self, spec: &TransferSpec, flow_hash: u64, slot: u32) {
+    fn build_demand(&mut self, spec: &TransferSpec, flow_hash: u64) -> Demand {
         let disk_base = 2 * self.topo.link_count();
-        let NetSim {
-            topo,
-            router,
-            slots,
-            ..
-        } = self;
-        let usages = &mut slots[slot as usize].usages;
+        let spare = self.scratch.spare.pop();
+        let mut demand = spare.unwrap_or_else(|| Demand::elastic(Vec::new()));
+        demand.cap = spec.cap;
+        demand.inelastic = spec.inelastic_rate;
+        let NetSim { topo, router, .. } = self;
+        let usages = &mut demand.usages;
         usages.clear();
         for seg in &spec.segments {
             match *seg {
@@ -641,64 +651,40 @@ impl NetSim {
             }
         }
         coalesce_usages(usages);
+        demand
     }
 
     // --- rate maintenance -------------------------------------------------
 
     /// Re-rates every live transfer if the live set changed since the last
-    /// pass: demands in start order, one allocator call over the global
-    /// capacities, then settle + re-key exactly the transfers whose rate
+    /// pass: one allocator call over the global capacities and the warm
+    /// demand list, then settle + re-key exactly the transfers whose rate
     /// changed bit-wise and rebuild per-resource usage.
     fn ensure_rates(&mut self) {
         if !mem::take(&mut self.dirty) {
             return;
         }
-        if self.live_count == 0 {
+        let n = self.live.len();
+        if n == 0 {
             // Nothing to rate: every load reads zero, without an allocator
             // call.
             self.usage.fill(0.0);
             return;
         }
-        let mut sorted = mem::take(&mut self.scratch.sorted);
-        sorted.clear();
-        for (s, t) in self.slots.iter().enumerate() {
-            if t.live {
-                sorted.push((t.seq, s as u32));
-            }
-        }
-        sorted.sort_unstable();
-        self.metrics
-            .gauge_max(self.ids.max_component, sorted.len() as f64);
-
-        let mut demands = mem::take(&mut self.scratch.demands);
-        for (k, &(_, s)) in sorted.iter().enumerate() {
-            if demands.len() <= k {
-                demands.push(Demand::elastic(Vec::new()));
-            }
-            let d = &mut demands[k];
-            let t = &self.slots[s as usize];
-            d.usages.clear();
-            d.usages.extend_from_slice(&t.usages);
-            d.cap = t.cap;
-            d.inelastic = t.inelastic;
-        }
-        let n = sorted.len();
+        self.metrics.gauge_max(self.ids.max_component, n as f64);
         max_min_rates_into(
             &mut self.scratch.sharing,
             &self.capacities,
-            &demands[..n],
+            &self.demands,
             &mut self.scratch.rates,
         );
         self.metrics.inc(self.ids.allocator_calls, 1);
         self.metrics.inc(self.ids.demands_rated, n as u64);
 
-        let rates = mem::take(&mut self.scratch.rates);
-        for (k, &(_, s)) in sorted.iter().enumerate() {
-            let new_rate = if rates[k].is_finite() {
-                rates[k]
-            } else {
-                LOCAL_RATE
-            };
+        for k in 0..n {
+            let s = self.live[k];
+            let rate = self.scratch.rates[k];
+            let new_rate = if rate.is_finite() { rate } else { LOCAL_RATE };
             if new_rate.to_bits() != self.slots[s as usize].rate.to_bits() {
                 self.settle(s);
                 self.slots[s as usize].rate = new_rate;
@@ -706,15 +692,12 @@ impl NetSim {
             }
         }
         self.usage.fill(0.0);
-        for &(_, s) in &sorted {
-            let t = &self.slots[s as usize];
-            for &(r, mult) in &t.usages {
-                self.usage[r] += t.rate * mult;
+        for (&s, d) in self.live.iter().zip(&self.demands) {
+            let rate = self.slots[s as usize].rate;
+            for &(r, mult) in &d.usages {
+                self.usage[r] += rate * mult;
             }
         }
-        self.scratch.rates = rates;
-        self.scratch.sorted = sorted;
-        self.scratch.demands = demands;
     }
 
     // --- progress + scheduling -------------------------------------------
@@ -1023,7 +1006,7 @@ mod tests {
         assert!((r - 0.5 * GBPS).abs() < 1e-3, "doubled hop halves rate: {r}");
         // The usage list is sorted and duplicate-free.
         let slot = net.lookup(id).unwrap();
-        let usages = &net.slots[slot as usize].usages;
+        let usages = &net.demands[net.live_index(slot)].usages;
         assert!(usages.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(usages.iter().any(|&(_, m)| m == 2.0));
     }
