@@ -33,7 +33,7 @@
 
 use std::mem;
 
-use desim::{EventHandle, EventQueue, SimDuration, SimTime};
+use desim::{SimDuration, SimTime};
 use obs::{CounterId, GaugeId, MetricsRegistry};
 
 use crate::routing::Router;
@@ -251,8 +251,8 @@ struct Active {
     last_sync: SimTime,
     rate: f64,
     started: SimTime,
-    /// Pending completion event, if one is scheduled.
-    event: Option<EventHandle>,
+    /// Scheduled completion time, if one is determined.
+    eta: Option<SimTime>,
 }
 
 impl Active {
@@ -266,7 +266,7 @@ impl Active {
             last_sync: SimTime::ZERO,
             rate: 0.0,
             started: SimTime::ZERO,
-            event: None,
+            eta: None,
         }
     }
 }
@@ -282,8 +282,8 @@ struct EngineScratch {
     /// Demands of finished transfers; their usage vectors keep their
     /// capacity for the next `start`.
     spare: Vec<Demand>,
-    /// Event batch drained at one timestamp.
-    batch: Vec<(u64, u32)>,
+    /// Slots completing at one timestamp, in start order.
+    batch: Vec<u32>,
 }
 
 /// The fluid network/disk simulator.
@@ -301,8 +301,10 @@ pub struct NetSim {
     live: Vec<u32>,
     /// `demands[k]` is the allocator's view of `live[k]`.
     demands: Vec<Demand>,
-    /// Completion ETAs; payload is the transfer's slot.
-    queue: EventQueue<u32>,
+    /// The earliest `eta` of a live transfer, as of the last pass; a
+    /// re-key outside a pass makes it `next_stale` until the next read.
+    next: Option<SimTime>,
+    next_stale: bool,
     /// Set by every mutation of the live set; cleared by the next pass.
     dirty: bool,
     scratch: EngineScratch,
@@ -339,7 +341,8 @@ impl NetSim {
             next_seq: 0,
             live: Vec::new(),
             demands: Vec::new(),
-            queue: EventQueue::new(),
+            next: None,
+            next_stale: false,
             dirty: false,
             scratch: EngineScratch::default(),
             metrics,
@@ -402,7 +405,7 @@ impl NetSim {
             t.last_sync = now;
             t.rate = 0.0;
             t.started = now;
-            t.event = None;
+            t.eta = None;
             if demand.usages.is_empty() {
                 // Loopback-style transfer: nothing in the topology
                 // constrains it, so its rate is fixed for life — the value
@@ -464,7 +467,11 @@ impl NetSim {
     /// The earliest upcoming completion time, if any transfer is finite.
     pub fn next_completion_time(&mut self) -> Option<SimTime> {
         self.ensure_rates();
-        self.queue.peek_time()
+        if mem::take(&mut self.next_stale) {
+            let etas = self.live.iter().filter_map(|&s| self.slots[s as usize].eta);
+            self.next = etas.min();
+        }
+        self.next
     }
 
     /// Advances the clock to `t`, processing completions on the way.
@@ -487,29 +494,24 @@ impl NetSim {
         assert!(t >= self.now, "cannot advance into the past");
         out.clear();
         loop {
-            // One invalidation check per step: `ensure_rates` both re-rates
-            // and (via re-keying) repairs the ETA queue, so peeking it
-            // afterwards is exact.
-            self.ensure_rates();
-            let next = match self.queue.peek_time() {
+            // One invalidation check per step: it re-rates, re-keys and
+            // with that repairs the cached minimum, so the read is exact.
+            let next = match self.next_completion_time() {
                 Some(at) if at <= t => at,
                 _ => break,
             };
             debug_assert!(next >= self.now, "event scheduled in the past");
             self.now = next;
-            // Drain every event at this instant and process in start order,
-            // so simultaneous completions are deterministic regardless of
-            // how re-keying interleaved their queue insertions.
+            // Every transfer due at this instant, processed in start order
+            // (the order of `live`), so simultaneous completions are
+            // deterministic.
             let mut batch = mem::take(&mut self.scratch.batch);
             batch.clear();
-            while self.queue.peek_time() == Some(next) {
-                let (_, slot) = self.queue.pop().expect("peeked event exists");
-                self.slots[slot as usize].event = None;
-                batch.push((self.slots[slot as usize].seq, slot));
-            }
-            batch.sort_unstable();
+            let due = |&&s: &&u32| self.slots[s as usize].eta == Some(next);
+            batch.extend(self.live.iter().filter(due));
             self.metrics.inc(self.ids.events, batch.len() as u64);
-            for &(_, slot) in batch.iter() {
+            for &slot in batch.iter() {
+                self.slots[slot as usize].eta = None;
                 self.settle(slot);
                 let tr = &self.slots[slot as usize];
                 if tr.bytes - tr.done_at_sync <= 1e-6 {
@@ -608,9 +610,6 @@ impl NetSim {
     /// and its demand.
     fn remove_slot(&mut self, slot: u32) {
         let s = slot as usize;
-        if let Some(h) = self.slots[s].event.take() {
-            self.queue.cancel(h);
-        }
         let k = self.live_index(slot);
         self.live.remove(k);
         self.scratch.spare.push(self.demands.remove(k));
@@ -669,6 +668,8 @@ impl NetSim {
             // Nothing to rate: every load reads zero, without an allocator
             // call.
             self.usage.fill(0.0);
+            self.next = None;
+            self.next_stale = false;
             return;
         }
         self.metrics.gauge_max(self.ids.max_component, n as f64);
@@ -681,6 +682,7 @@ impl NetSim {
         self.metrics.inc(self.ids.allocator_calls, 1);
         self.metrics.inc(self.ids.demands_rated, n as u64);
 
+        let mut next: Option<SimTime> = None;
         for k in 0..n {
             let s = self.live[k];
             let rate = self.scratch.rates[k];
@@ -690,7 +692,12 @@ impl NetSim {
                 self.slots[s as usize].rate = new_rate;
                 self.rekey(s);
             }
+            if let Some(eta) = self.slots[s as usize].eta {
+                next = Some(next.map_or(eta, |m| m.min(eta)));
+            }
         }
+        self.next = next;
+        self.next_stale = false;
         self.usage.fill(0.0);
         for (&s, d) in self.live.iter().zip(&self.demands) {
             let rate = self.slots[s as usize].rate;
@@ -719,21 +726,22 @@ impl NetSim {
         t.last_sync = now;
     }
 
-    /// Reschedules a transfer's completion event from its settled progress
+    /// Recomputes a transfer's completion time from its settled progress
     /// and current rate. Infinite transfers and stalled (zero-rate)
-    /// transfers carry no event.
+    /// transfers carry none. Outside a pass this leaves the cached minimum
+    /// stale (a pass recomputes it after its last re-key).
     fn rekey(&mut self, slot: u32) {
-        if let Some(h) = self.slots[slot as usize].event.take() {
-            self.queue.cancel(h);
-        }
-        let t = &self.slots[slot as usize];
-        debug_assert_eq!(t.last_sync, self.now, "rekey requires settled progress");
+        self.next_stale = true;
+        let now = self.now;
+        let t = &mut self.slots[slot as usize];
+        debug_assert_eq!(t.last_sync, now, "rekey requires settled progress");
+        t.eta = None;
         if !t.bytes.is_finite() {
             return;
         }
         let remaining = t.bytes - t.done_at_sync;
-        let at = if remaining <= 1e-6 {
-            self.now
+        t.eta = Some(if remaining <= 1e-6 {
+            now
         } else if t.rate <= 0.0 {
             return;
         } else {
@@ -747,10 +755,8 @@ impl NetSim {
             // remainder is sub-nanosecond.
             let nanos = ((remaining / t.rate) * 1e9).ceil();
             let d = SimDuration::from_nanos(nanos as u64);
-            self.now + d.max(SimDuration::from_nanos(1))
-        };
-        let handle = self.queue.push(at, slot);
-        self.slots[slot as usize].event = Some(handle);
+            now + d.max(SimDuration::from_nanos(1))
+        });
     }
 }
 
