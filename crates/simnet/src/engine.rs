@@ -291,7 +291,10 @@ pub struct NetSim {
     topo: Topology,
     router: Router,
     capacities: Vec<f64>,
+    /// Per-resource load, totalled by the first `host_load` after a pass
+    /// (`usage_stale` until then).
     usage: Vec<f64>,
+    usage_stale: bool,
     now: SimTime,
     slots: Vec<Active>,
     free_slots: Vec<u32>,
@@ -335,6 +338,7 @@ impl NetSim {
             router: Router::new(),
             capacities,
             usage,
+            usage_stale: false,
             now: SimTime::ZERO,
             slots: Vec::new(),
             free_slots: Vec::new(),
@@ -548,6 +552,15 @@ impl NetSim {
     /// The instantaneous I/O load of `host` — what its status server reports.
     pub fn host_load(&mut self, host: HostId) -> HostLoad {
         self.ensure_rates();
+        if mem::take(&mut self.usage_stale) {
+            self.usage.fill(0.0);
+            for (&s, d) in self.live.iter().zip(&self.demands) {
+                let rate = self.slots[s as usize].rate;
+                for &(r, mult) in &d.usages {
+                    self.usage[r] += rate * mult;
+                }
+            }
+        }
         let h = self.topo.host(host);
         let link = h.access_link;
         let l = self.topo.link(link);
@@ -658,16 +671,15 @@ impl NetSim {
     /// Re-rates every live transfer if the live set changed since the last
     /// pass: one allocator call over the global capacities and the warm
     /// demand list, then settle + re-key exactly the transfers whose rate
-    /// changed bit-wise and rebuild per-resource usage.
+    /// changed bit-wise. Per-resource usage is left to whoever reads it.
     fn ensure_rates(&mut self) {
         if !mem::take(&mut self.dirty) {
             return;
         }
+        self.usage_stale = true;
         let n = self.live.len();
         if n == 0 {
-            // Nothing to rate: every load reads zero, without an allocator
-            // call.
-            self.usage.fill(0.0);
+            // Nothing to rate, and no allocator call.
             self.next = None;
             self.next_stale = false;
             return;
@@ -698,13 +710,6 @@ impl NetSim {
         }
         self.next = next;
         self.next_stale = false;
-        self.usage.fill(0.0);
-        for (&s, d) in self.live.iter().zip(&self.demands) {
-            let rate = self.slots[s as usize].rate;
-            for &(r, mult) in &d.usages {
-                self.usage[r] += rate * mult;
-            }
-        }
     }
 
     // --- progress + scheduling -------------------------------------------
