@@ -82,18 +82,30 @@ pub const MAX_INELASTIC_FRACTION: f64 = 0.98;
 pub struct SharingScratch {
     /// Residual capacity per resource.
     remaining: Vec<f64>,
-    /// Indices of elastic demands not yet frozen at a final rate.
-    unfrozen: Vec<usize>,
+    /// Elastic demands not yet frozen at a final rate, in input order.
+    unfrozen: Vec<Span>,
+    /// The usages of every demand that entered the filling loop, back to
+    /// back: a round walks one array instead of one heap block per demand.
+    flat: Vec<(ResourceIdx, f64)>,
     /// Dense per-resource total multiplicity among unfrozen groups.
     /// `0.0` doubles as the "untouched this round" sentinel (loads are
     /// sums of strictly positive multiplicities).
     load: Vec<f64>,
-    /// Resources with non-zero load this round (for sparse resets).
+    /// Resources with non-zero load this round.
     touched: Vec<ResourceIdx>,
-    /// Dense bottleneck flags, only ever set for touched resources.
-    bottleneck: Vec<bool>,
+    /// Dense per-resource equal share, valid for this round's touched
+    /// resources.
+    share: Vec<f64>,
     /// Per-demand aggregation of inelastic usages.
     per_res: Vec<(ResourceIdx, f64)>,
+}
+
+/// An unfrozen demand and where its usages sit in `SharingScratch::flat`.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    demand: u32,
+    start: u32,
+    end: u32,
 }
 
 /// Computes max-min fair rates for `demands` over `capacities`.
@@ -134,10 +146,13 @@ pub fn max_min_rates(capacities: &[f64], demands: &[Demand]) -> Vec<f64> {
 /// Allocation-free form of [`max_min_rates`]: writes one rate per demand
 /// into `rates` (cleared first), reusing `scratch` buffers across calls.
 ///
-/// Produces bit-identical results to the original allocator: the water
-/// level is an order-independent minimum and the bottleneck set is used
-/// only for membership tests, so replacing the per-round hash map with
-/// dense vectors changes no arithmetic.
+/// Bit-identical to the plain progressive-filling loop kept under
+/// `tests/reference_sharing/` (`tests/sharing_equiv.rs` holds it to that):
+/// every sum, quotient, subtraction and comparison is taken in that loop's
+/// order. What differs is how often memory is walked — a round computes
+/// each touched resource's share once, and one pass over the flat usage
+/// array both freezes this round's demands and counts the survivors' loads
+/// for the next.
 pub fn max_min_rates_into(
     scratch: &mut SharingScratch,
     capacities: &[f64],
@@ -147,12 +162,20 @@ pub fn max_min_rates_into(
     rates.clear();
     rates.resize(demands.len(), 0.0);
 
-    let remaining = &mut scratch.remaining;
+    let SharingScratch {
+        remaining,
+        unfrozen,
+        flat,
+        load,
+        touched,
+        share,
+        per_res,
+    } = scratch;
     remaining.clear();
     remaining.extend_from_slice(capacities);
-    if scratch.load.len() < capacities.len() {
-        scratch.load.resize(capacities.len(), 0.0);
-        scratch.bottleneck.resize(capacities.len(), false);
+    if load.len() < capacities.len() {
+        load.resize(capacities.len(), 0.0);
+        share.resize(capacities.len(), 0.0);
     }
 
     // Phase 1: inelastic demands, greedy in input order. Multiplicities
@@ -160,7 +183,6 @@ pub fn max_min_rates_into(
     // resource twice is clipped against its *total* usage there.
     for (i, d) in demands.iter().enumerate() {
         if let Some(want) = d.inelastic {
-            let per_res = &mut scratch.per_res;
             per_res.clear();
             for &(r, mult) in &d.usages {
                 if mult <= 0.0 {
@@ -187,112 +209,112 @@ pub fn max_min_rates_into(
     }
 
     // Phase 2: elastic demands via progressive filling. Groups with no
-    // usages are unconstrained and never enter the loop.
-    let unfrozen = &mut scratch.unfrozen;
+    // usages are unconstrained and never enter the loop; the others are
+    // flattened, and the first round's loads counted, in input order.
+    for &r in touched.iter() {
+        load[r] = 0.0; // only after a round that froze nothing
+    }
+    touched.clear();
     unfrozen.clear();
+    flat.clear();
+    let mut capped = 0usize;
     for (i, d) in demands.iter().enumerate() {
         if d.inelastic.is_some() {
             continue;
         }
         if d.usages.iter().all(|&(_, m)| m <= 0.0) {
             rates[i] = d.cap.unwrap_or(f64::INFINITY);
-        } else {
-            unfrozen.push(i);
+            continue;
         }
+        let start = flat.len();
+        flat.extend_from_slice(&d.usages);
+        count_loads(&d.usages, load, touched);
+        capped += d.cap.is_some() as usize;
+        unfrozen.push(Span {
+            demand: i as u32,
+            start: start as u32,
+            end: flat.len() as u32,
+        });
     }
 
     while !unfrozen.is_empty() {
-        // Total multiplicity per resource among unfrozen groups.
-        for &r in &scratch.touched {
-            scratch.load[r] = 0.0;
-            scratch.bottleneck[r] = false;
-        }
-        scratch.touched.clear();
-        for &i in unfrozen.iter() {
-            for &(r, mult) in &demands[i].usages {
-                if mult > 0.0 {
-                    if scratch.load[r] == 0.0 {
-                        scratch.touched.push(r);
-                    }
-                    scratch.load[r] += mult;
-                }
-            }
-        }
-        // Water level: the lowest per-resource equal share.
+        // Water level: the lowest per-resource equal share. Taking a share
+        // hands its load back, so the decide pass below counts the next
+        // round's loads into zeroes.
         let mut level = f64::INFINITY;
-        for &r in &scratch.touched {
-            let share = (remaining[r] / scratch.load[r]).max(0.0);
-            if share < level {
-                level = share;
+        for &r in touched.iter() {
+            let s = (remaining[r] / load[r]).max(0.0);
+            share[r] = s;
+            load[r] = 0.0;
+            if s < level {
+                level = s;
             }
         }
-        // Any cap below the level freezes first.
-        let min_cap = unfrozen
-            .iter()
-            .filter_map(|&i| demands[i].cap)
-            .fold(f64::INFINITY, f64::min);
-
-        if min_cap <= level {
-            // Freeze all capped groups whose cap is at/below the level.
-            let mut froze = false;
-            unfrozen.retain(|&i| {
-                match demands[i].cap {
-                    Some(cap) if cap <= level => {
-                        rates[i] = cap;
-                        for &(r, mult) in &demands[i].usages {
-                            remaining[r] = (remaining[r] - cap * mult).max(0.0);
-                        }
-                        froze = true;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-            debug_assert!(froze, "min_cap <= level implies at least one freeze");
-            continue;
-        }
-
-        // Freeze every group using a bottleneck resource at the level.
+        touched.clear();
+        // Any cap at or below the level freezes first, alone; otherwise
+        // every group using a bottleneck resource freezes at the level.
         //
-        // The comparison is EXACT (bit-wise), not tolerance-banded: the
-        // level is itself one of the computed shares, so the argmin always
-        // freezes and the loop still terminates in ≤ n rounds. Exactness
-        // is what makes per-component progressive filling bit-identical
-        // to a global run — a tolerance band would let a share that is
-        // mathematically equal but a few ULPs above the level (computed
-        // through a different operation order in another component)
-        // freeze at the *other* component's level, coupling components
-        // at the last mantissa bit.
-        for &r in &scratch.touched {
-            if (remaining[r] / scratch.load[r]).max(0.0) <= level {
-                scratch.bottleneck[r] = true;
+        // The bottleneck comparison is EXACT (bit-wise), not
+        // tolerance-banded: the level is itself one of the shares, so the
+        // argmin always freezes and the loop terminates in ≤ n rounds. A
+        // tolerance band would let a share that is mathematically equal
+        // but a few ULPs above the level freeze at another resource's
+        // level, coupling unrelated flows at the last mantissa bit.
+        let cap_of = |s: &Span| demands[s.demand as usize].cap;
+        let by_cap = capped > 0 && {
+            let caps = unfrozen.iter().filter_map(cap_of);
+            caps.fold(f64::INFINITY, f64::min) <= level
+        };
+        let before = unfrozen.len();
+        let mut kept = 0;
+        capped = 0;
+        for k in 0..before {
+            let span = unfrozen[k];
+            let cap = cap_of(&span);
+            let usages = &flat[span.start as usize..span.end as usize];
+            let frozen_at = if by_cap {
+                cap.filter(|&cap| cap <= level)
+            } else {
+                let at_level = |&(r, mult): &(ResourceIdx, f64)| mult > 0.0 && share[r] <= level;
+                usages.iter().any(at_level).then_some(level)
+            };
+            match frozen_at {
+                Some(rate) => {
+                    rates[span.demand as usize] = rate;
+                    for &(r, mult) in usages {
+                        remaining[r] = (remaining[r] - rate * mult).max(0.0);
+                    }
+                }
+                None => {
+                    count_loads(usages, load, touched);
+                    capped += cap.is_some() as usize;
+                    unfrozen[kept] = span;
+                    kept += 1;
+                }
             }
         }
-        let bottleneck = &scratch.bottleneck;
-        let mut froze = false;
-        unfrozen.retain(|&i| {
-            let uses_bottleneck = demands[i]
-                .usages
-                .iter()
-                .any(|&(r, mult)| mult > 0.0 && bottleneck[r]);
-            if uses_bottleneck {
-                rates[i] = level;
-                for &(r, mult) in &demands[i].usages {
-                    remaining[r] = (remaining[r] - level * mult).max(0.0);
-                }
-                froze = true;
-                false
-            } else {
-                true
-            }
-        });
-        debug_assert!(froze, "progressive filling must freeze each round");
-        if !froze {
+        unfrozen.truncate(kept);
+        debug_assert!(kept < before, "progressive filling must freeze each round");
+        if kept == before {
             // Defensive: avoid an infinite loop if float trouble strikes.
-            for &i in unfrozen.iter() {
-                rates[i] = level;
+            for span in unfrozen.iter() {
+                rates[span.demand as usize] = level;
             }
             break;
+        }
+    }
+}
+
+/// Adds a demand's positive multiplicities to the per-resource loads,
+/// listing each resource the first time it is touched.
+#[inline]
+fn count_loads(usages: &[(ResourceIdx, f64)], load: &mut [f64], touched: &mut Vec<ResourceIdx>) {
+    for &(r, mult) in usages {
+        if mult > 0.0 {
+            if load[r] == 0.0 {
+                touched.push(r);
+            }
+            load[r] += mult;
         }
     }
 }
@@ -470,6 +492,22 @@ mod tests {
     fn zero_capacity_resource_gives_zero_rate() {
         let rates = max_min_rates(&[0.0], &[Demand::elastic(vec![(0, 1.0)])]);
         assert_eq!(rates, vec![0.0]);
+    }
+
+    #[test]
+    fn unbounded_resources_leave_demands_unconstrained() {
+        // No finite share and no cap left to freeze on: the level is
+        // infinite and the round freezes at it (the loop this kernel
+        // replaced never left that round).
+        let rates = max_min_rates(
+            &[f64::INFINITY, 10.0],
+            &[
+                Demand::elastic(vec![(0, 1.0)]),
+                Demand::capped(vec![(0, 2.0)], 7.0),
+                Demand::elastic(vec![(0, 1.0), (1, 1.0)]),
+            ],
+        );
+        assert_eq!(rates, vec![f64::INFINITY, 7.0, 10.0]);
     }
 
     #[test]
