@@ -128,6 +128,7 @@ pub fn run_copy_experiment(
     let mut in_flight: std::collections::HashMap<TransferId, OpProgress> =
         std::collections::HashMap::new();
     let mut records = Vec::new();
+    let mut done = Vec::new();
 
     loop {
         let t_start = starts.peek_time();
@@ -137,11 +138,13 @@ pub fn run_copy_experiment(
             cluster.net.next_completion_time()
         };
         match (t_start, t_net) {
-            (Some(ts), tn) if tn.is_none_or(|t| ts <= t) => {
+            // On a tie the completions go first: advancing to `ts` would
+            // return them here, where nobody records them.
+            (Some(ts), tn) if tn.is_none_or(|t| ts < t) => {
                 // A server begins its next copy.
                 let (_, idx) = starts.pop().expect("peeked");
                 if cluster.now() < ts {
-                    let done = cluster.net.advance_to(ts);
+                    cluster.net.advance_into(ts, &mut done);
                     debug_assert!(done.is_empty(), "no op transfers complete before ts");
                 }
                 let progress = begin_op(fs, exp, cluster.now(), idx, &mut rng);
@@ -151,7 +154,8 @@ pub fn run_copy_experiment(
                 in_flight.insert(tid, prog);
             }
             (_, Some(tn)) => {
-                for completion in cluster.net.advance_to(tn) {
+                cluster.net.advance_into(tn, &mut done);
+                for completion in &done {
                     let Some(prog) = in_flight.remove(&completion.id) else {
                         continue; // background traffic, not ours
                     };
@@ -356,6 +360,40 @@ mod tests {
             cloudtalk <= vanilla,
             "CloudTalk {cloudtalk:.2}s should not lose to vanilla {vanilla:.2}s"
         );
+    }
+
+    #[test]
+    fn a_start_at_the_instant_of_a_completion_loses_no_copy() {
+        // Copies far below one tick's worth of bytes take exactly one
+        // nanosecond (the engine's one-tick floor) and think times
+        // truncate to 0 or 1 ns, so some server's start falls on the very
+        // instant another's copy completes, with the clock still behind
+        // both. The start used to win that tie and advance the clock
+        // through the completion, whose record was dropped.
+        let mut c = cluster(8);
+        let hosts = c.net.hosts();
+        let t0 = c.now();
+        let exp = CopyExperiment {
+            active: hosts.clone(),
+            ops_per_server: 2,
+            think_max: 2e-9,
+            file_bytes: 0.01,
+            kind: OpKind::Write,
+            policy: Policy::Vanilla,
+            seed: 7,
+        };
+        let records = run_copy_experiment(&mut c, &mut Hdfs::new(), &exp);
+        // Initial starts are all queued up front: one at `t0` (done a tick
+        // later) and one a tick after `t0` make the tie.
+        let first_start = |h: HostId| {
+            let own = records.iter().filter(|r| r.server == h);
+            own.map(|r| r.start).min().expect("every server copies")
+        };
+        let tick = SimDuration::from_nanos(1);
+        assert!(hosts.iter().any(|&h| first_start(h) == t0), "no start at t0");
+        assert!(hosts.iter().any(|&h| first_start(h) == t0 + tick), "no tie");
+        assert_eq!(records.len(), 16, "every copy is recorded");
+        assert_eq!(c.net.active_count(), 0);
     }
 
     #[test]

@@ -245,6 +245,7 @@ pub fn run_sort_job_on(
     let mut sync: Option<SimTime> = None;
     let mut speculative_launched = 0usize;
     let mut map_durations: Vec<f64> = Vec::new();
+    let mut done = Vec::new();
 
     macro_rules! all_done {
         () => {
@@ -264,7 +265,8 @@ pub fn run_sort_job_on(
 
         // Network completions strictly before the next control event.
         if t_net.is_some_and(|tn| tn <= next) {
-            for completion in cluster.net.advance_to(next) {
+            cluster.net.advance_into(next, &mut done);
+            for completion in &done {
                 let Some(tag) = io.remove(&completion.id) else {
                     continue;
                 };
@@ -335,10 +337,10 @@ pub fn run_sort_job_on(
                 }
             }
             if cluster.now() < next {
-                cluster.net.advance_to(next);
+                cluster.net.advance_into(next, &mut done);
             }
         } else {
-            cluster.net.advance_to(next);
+            cluster.net.advance_into(next, &mut done);
         }
 
         // Control events at `next`.
@@ -350,7 +352,6 @@ pub fn run_sort_job_on(
                     heartbeat(
                         cluster,
                         cfg,
-                        job,
                         &nodes,
                         node,
                         &mut maps,
@@ -358,7 +359,6 @@ pub fn run_sort_job_on(
                         &mut map_slots_free,
                         &mut reduce_slots_free,
                         &mut io,
-                        &mut events,
                         &mut rng,
                         &map_durations,
                         &mut speculative_launched,
@@ -478,7 +478,6 @@ fn start_fetch(
 fn heartbeat(
     cluster: &mut Cluster,
     cfg: &MrConfig,
-    _job: &SortJob,
     nodes: &[HostId],
     node: HostId,
     maps: &mut [MapTask],
@@ -486,7 +485,6 @@ fn heartbeat(
     map_slots_free: &mut HashMap<HostId, usize>,
     reduce_slots_free: &mut HashMap<HostId, usize>,
     io: &mut HashMap<TransferId, IoTag>,
-    events: &mut EventQueue<Event>,
     rng: &mut DetRng,
     map_durations: &[f64],
     speculative_launched: &mut usize,
@@ -551,7 +549,7 @@ fn heartbeat(
                 }
             };
             if let Some((task, source)) = pick {
-                launch_map(cluster, io, events, maps, task, node, source, split_bytes, cfg);
+                launch_map(cluster, io, maps, task, node, source, split_bytes);
                 *map_slots_free.get_mut(&node).expect("known node") -= 1;
             }
         } else if cfg.speculative && !map_durations.is_empty() {
@@ -574,7 +572,7 @@ fn heartbeat(
                 } else {
                     maps[task].holders[0]
                 };
-                launch_map(cluster, io, events, maps, task, node, source, split_bytes, cfg);
+                launch_map(cluster, io, maps, task, node, source, split_bytes);
                 *map_slots_free.get_mut(&node).expect("known node") -= 1;
                 *speculative_launched += 1;
             }
@@ -663,20 +661,16 @@ fn heartbeat(
             }
         }
     }
-    let _ = rng;
 }
 
-#[allow(clippy::too_many_arguments)]
 fn launch_map(
     cluster: &mut Cluster,
     io: &mut HashMap<TransferId, IoTag>,
-    _events: &mut EventQueue<Event>,
     maps: &mut [MapTask],
     task: usize,
     node: HostId,
     source: HostId,
     split_bytes: f64,
-    _cfg: &MrConfig,
 ) {
     maps[task].attempts.push(node);
     if maps[task].stage == MapStage::Pending {

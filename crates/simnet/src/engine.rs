@@ -15,16 +15,21 @@
 //! uses (≤ 301 hosts, pipelines and shuffles that are one
 //! resource-connected component anyway) that is cheaper than maintaining
 //! a partition of the flows to re-rate less — measured, see DESIGN.md
-//! "Rate engine". Three mechanisms keep an event cheap:
+//! "Rate engine". An event pays for that call and for little else:
 //!
-//! * completions live in a cancellable ETA priority queue
-//!   ([`desim::EventQueue`]); only transfers whose rate actually changed
-//!   (bit-wise) are re-keyed;
+//! * the start-ordered live list and its demands are kept across events —
+//!   a start appends, a removal deletes one entry — so a pass hands them
+//!   to the allocator as they stand;
+//! * each transfer carries its completion time and a pass, which visits
+//!   every live transfer anyway, keeps the earliest; only transfers whose
+//!   rate actually changed (bit-wise) are re-keyed;
+//! * per-resource load is totalled by the first [`NetSim::host_load`]
+//!   after a pass, not by the pass;
 //! * progress accounting is lazy: each transfer carries the bytes done as
 //!   of its last rate change and is *settled* only when its rate changes
-//!   or it is queried — `advance_to` never walks the flow table;
-//! * transfers are slab-allocated with generation-tagged ids, so `cancel`
-//!   and lookup are O(1) and the steady state allocates nothing.
+//!   or it completes;
+//! * transfers are slab-allocated with generation-tagged ids, so lookup is
+//!   O(1) and the steady state allocates nothing.
 //!
 //! Applications drive time explicitly: [`NetSim::advance_to`] moves the
 //! clock and returns the transfers that completed on the way. Per-host
@@ -434,8 +439,8 @@ impl NetSim {
 
     /// Cancels an active transfer (no completion is recorded).
     ///
-    /// Returns `true` if it was active. O(1): the slot is recycled and the
-    /// rates are marked for recomputation.
+    /// Returns `true` if it was active. The slot is recycled and the rates
+    /// are marked for recomputation.
     pub fn cancel(&mut self, id: TransferId) -> bool {
         match self.lookup(id) {
             Some(slot) => {
@@ -740,15 +745,11 @@ impl NetSim {
         let now = self.now;
         let t = &mut self.slots[slot as usize];
         debug_assert_eq!(t.last_sync, now, "rekey requires settled progress");
-        t.eta = None;
-        if !t.bytes.is_finite() {
-            return;
-        }
         let remaining = t.bytes - t.done_at_sync;
-        t.eta = Some(if remaining <= 1e-6 {
-            now
-        } else if t.rate <= 0.0 {
-            return;
+        t.eta = if remaining <= 1e-6 {
+            Some(now)
+        } else if !t.bytes.is_finite() || t.rate <= 0.0 {
+            None
         } else {
             // Round the transfer time UP to the next nanosecond tick.
             // Truncating (as `SimDuration::from_secs_f64` does) would
@@ -760,8 +761,8 @@ impl NetSim {
             // remainder is sub-nanosecond.
             let nanos = ((remaining / t.rate) * 1e9).ceil();
             let d = SimDuration::from_nanos(nanos as u64);
-            now + d.max(SimDuration::from_nanos(1))
-        });
+            Some(now + d.max(SimDuration::from_nanos(1)))
+        };
     }
 }
 

@@ -1,7 +1,7 @@
 //! Pins the zero-allocation invariant of the engine's steady state: once
-//! warm (route cache populated, slab/scratch/queue at their high-water
-//! capacity), a start → advance → complete → cancel churn cycle must not
-//! touch the heap. This extends the estimator's counting-allocator test
+//! warm (route cache populated, slab, live list, demand pool and scratch at
+//! their high-water capacity), a start → advance → complete → cancel churn
+//! cycle must not touch the heap. This extends the estimator's counting-allocator test
 //! (`crates/estimator/tests/alloc_free.rs`) to the simulation engine
 //! itself, as pinned down in the incremental-engine rework.
 //!
@@ -21,15 +21,16 @@
 use desim::SimDuration;
 use obs::{ManualClock, Trace};
 use simnet::topology::TopoOptions;
-use simnet::{HostId, NetSim, Topology, TransferSpec, GBPS};
+use simnet::{HostId, NetSim, Topology, TransferId, TransferSpec, GBPS};
 
 #[global_allocator]
 static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
-/// The seven specs one churn cycle starts: five plain finite transfers, a
-/// pipeline, and an unbounded inelastic stream. Seven starts per cycle is
-/// coprime with the 64 ECMP buckets, so a 64-cycle warm-up visits every
-/// route-cache entry the measured cycles can reach.
+/// The nine specs one churn cycle starts: a burst of seven (five plain
+/// finite transfers, a pipeline, an unbounded inelastic stream) and two
+/// started while the burst drains. Nine starts per cycle is coprime with
+/// the 64 ECMP buckets, so a 64-cycle warm-up visits every route-cache
+/// entry the measured cycles can reach.
 fn cycle_specs(h: &[HostId], cycle: usize) -> Vec<TransferSpec> {
     let payload = GBPS * (0.2 + 0.05 * (cycle % 4) as f64);
     vec![
@@ -40,12 +41,16 @@ fn cycle_specs(h: &[HostId], cycle: usize) -> Vec<TransferSpec> {
         TransferSpec::read_and_send(h[5], h[0], payload),
         TransferSpec::network(h[7], h[1], f64::INFINITY).with_inelastic(0.3 * GBPS),
         TransferSpec::network(h[2], h[6], payload),
+        TransferSpec::network(h[4], h[3], payload * 0.5),
+        TransferSpec::send_and_store(h[1], h[7], payload),
     ]
 }
 
-/// One churn cycle: the burst of starts, a mid-flight cancel that dirties
-/// a live component, then drive every finite transfer to completion and
-/// tear down the background stream. Returns completions observed.
+/// One churn cycle: the burst of starts, mid-flight cancels of the head of
+/// the live list and of an entry in the middle of it, then drive every
+/// finite transfer to completion — starting the two late transfers on the
+/// way, so appends interleave with removals from anywhere in the list —
+/// and tear down the background stream. Returns completions observed.
 fn churn_cycle(
     net: &mut NetSim,
     completions: &mut Vec<simnet::Completion>,
@@ -53,21 +58,25 @@ fn churn_cycle(
 ) -> usize {
     let mut specs = specs.into_iter();
     let mut done = 0;
-    let a = net.start(specs.next().unwrap());
-    for _ in 0..4 {
-        net.start(specs.next().unwrap());
+    let mut burst = [TransferId(0); 7];
+    for id in &mut burst {
+        *id = net.start(specs.next().unwrap());
     }
-    let udp = net.start(specs.next().unwrap());
-    net.start(specs.next().unwrap());
-    // Partial progress, then a cancel that dirties a live component.
+    let udp = burst[5];
+    // Partial progress, then the cancels that dirty the rates.
     let mid = net.now() + SimDuration::from_secs_f64(0.05);
     net.advance_into(mid, completions);
     done += completions.len();
-    assert!(net.cancel(a) || net.progress(a).is_none());
+    for gone in [burst[0], burst[3]] {
+        assert!(net.cancel(gone) || net.progress(gone).is_none());
+    }
     // Drain all finite transfers.
     while let Some(t) = net.next_completion_time() {
         net.advance_into(t, completions);
         done += completions.len();
+        if let Some(late) = specs.next() {
+            net.start(late);
+        }
     }
     assert!(net.cancel(udp));
     done
@@ -80,8 +89,8 @@ fn engine_steady_state_is_allocation_free() {
     let mut completions: Vec<simnet::Completion> = Vec::new();
 
     // Warm-up: 64 cycles walk the full ECMP bucket space for every
-    // (src, dst) pair the cycle uses, and push every slab, queue,
-    // component, and scratch vector to its high-water capacity.
+    // (src, dst) pair the cycle uses, and push the slab, the live list,
+    // the demand pool and every scratch vector to its high-water capacity.
     let mut warm_done = 0;
     for cycle in 0..64 {
         warm_done += churn_cycle(&mut net, &mut completions, cycle_specs(&hosts, cycle));
@@ -115,8 +124,8 @@ fn engine_steady_state_is_allocation_free() {
         net.metrics().counter_named("engine.demands_rated")
     });
     let stats = net.stats();
-    // 6 finite starts per cycle, at most one removed by the cancel.
-    assert!(measured_done >= 32 * 5, "cycles must complete their transfers");
+    // 8 finite starts per cycle, at most two removed by the cancels.
+    assert!(measured_done >= 32 * 6, "cycles must complete their transfers");
     assert!(stats.allocator_calls > 0, "rates were recomputed: {stats:?}");
     assert!(stats.events > 0);
     assert_eq!(spans_recorded, 32, "one span per measured cycle");

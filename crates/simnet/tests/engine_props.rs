@@ -13,7 +13,15 @@
 //!   rate equals a from-scratch [`max_min_rates`] over demands this file
 //!   builds from the specs alone. That check shares the allocator with the
 //!   engine (`sharing_props` covers it) and none of its bookkeeping:
-//!   routing, usage coalescing, slab, dirty flag, settle and re-key.
+//!   routing, usage coalescing, slab, dirty flag, settle and re-key;
+//! * looking steers nothing: the same ops with every host's load, every
+//!   rate and the next completion time read after each op, and with none
+//!   of them read outside a snapshot, give the same completion stream,
+//!   snapshots, final loads and progress bits — what the engine derives
+//!   lazily (the cached earliest ETA, per-resource load) is a function of
+//!   the passes alone. Both replays re-rate after every op: *when* passes
+//!   run is not unobservable (two passes at one instant can split a
+//!   progress sum one pass leaves whole), so that is held equal.
 //!
 //! Not asserted: "every finite transfer completes" — an unbounded
 //! inelastic blast legitimately starves an elastic flow.
@@ -274,6 +282,71 @@ struct Trace {
     end: SimTime,
 }
 
+/// What a run leaves behind, whether or not anyone looked on the way.
+#[derive(PartialEq, Debug)]
+struct Outcome {
+    cancels: Vec<bool>,
+    completions: Vec<Completion>,
+    snapshots: Vec<Vec<[u64; 4]>>,
+    progress: Vec<Option<u64>>,
+    loads: Vec<[u64; 4]>,
+    active_at_end: usize,
+}
+
+fn load_bits(net: &mut NetSim) -> Vec<[u64; 4]> {
+    let loads = net.hosts().into_iter().map(|h| net.host_load(h));
+    loads
+        .map(|l| [l.tx_bps, l.rx_bps, l.disk_read_bps, l.disk_write_bps].map(f64::to_bits))
+        .collect()
+}
+
+/// Applies `ops`, re-rating after each (one `rate` read), and runs an hour
+/// past the last one. With `watch`, everything a caller can read is read
+/// after every op; without, loads are read at snapshots only and the next
+/// completion time never.
+fn run_watched(topo: Topology, ops: &[Op], watch: bool) -> Outcome {
+    let mut net = NetSim::new(topo);
+    let mut ids: Vec<TransferId> = Vec::new();
+    let mut cancels = Vec::new();
+    let mut completions = Vec::new();
+    let mut snapshots = Vec::new();
+    let mut buf = Vec::new();
+    for op in ops {
+        match op {
+            Op::Start(spec) => ids.push(net.start(spec.clone())),
+            Op::Cancel(k) => cancels.push(net.cancel(ids[*k])),
+            Op::Advance(d) => {
+                let t = net.now() + *d;
+                net.advance_into(t, &mut buf);
+                completions.extend(buf.iter().copied());
+            }
+            Op::Snapshot => snapshots.push(load_bits(&mut net)),
+        }
+        net.rate(ids[0]);
+        if watch {
+            load_bits(&mut net);
+            for &id in &ids {
+                net.rate(id);
+            }
+            net.next_completion_time();
+        }
+    }
+    let end = net.now() + SimDuration::from_secs_f64(3600.0);
+    net.advance_into(end, &mut buf);
+    completions.extend(buf.iter().copied());
+    Outcome {
+        cancels,
+        completions,
+        snapshots,
+        progress: ids
+            .iter()
+            .map(|&id| net.progress(id).map(f64::to_bits))
+            .collect(),
+        loads: load_bits(&mut net),
+        active_at_end: net.active_count(),
+    }
+}
+
 fn topo_for(pick: u8) -> Topology {
     match pick % 3 {
         0 => Topology::single_switch(8, GBPS, TopoOptions::default()),
@@ -297,5 +370,20 @@ proptest! {
         let first = run(topo_for(topo_pick), topo_pick == 0, &ops);
         let replay = run(topo_for(topo_pick), topo_pick == 0, &ops);
         prop_assert_eq!(first, replay);
+    }
+
+    /// Reading loads, rates and the next completion time after every op
+    /// changes nothing a run that hardly looked can tell.
+    #[test]
+    fn looking_steers_nothing(
+        seed in any::<u64>(),
+        steps in 20usize..120,
+        topo_pick in 0u8..3,
+    ) {
+        let n_hosts = topo_for(topo_pick).host_count();
+        let ops = gen_ops(seed, steps, n_hosts);
+        let watched = run_watched(topo_for(topo_pick), &ops, true);
+        let unwatched = run_watched(topo_for(topo_pick), &ops, false);
+        prop_assert_eq!(watched, unwatched);
     }
 }

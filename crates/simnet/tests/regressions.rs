@@ -21,6 +21,24 @@ fn sub_nanosecond_slivers_terminate() {
     let _ = (a, b);
 }
 
+/// A sliver re-keyed with nothing else in its batch leaves the rates
+/// clean, so the re-key itself must tell the engine that its earliest
+/// completion moved — or `advance_to` spins on the instant it just served.
+#[test]
+fn a_sliver_alone_in_its_batch_moves_the_next_completion() {
+    let topo = Topology::single_switch(2, GBPS, TopoOptions::default());
+    let mut net = NetSim::new(topo);
+    let h = net.hosts();
+    // Petabytes: after one rate change the long transfer's banked progress
+    // lands an ulp (about a byte) short of its size at the computed ETA.
+    let bytes = 3.14159e15 * 2.11;
+    net.start(TransferSpec::network(h[0], h[1], bytes));
+    net.start(TransferSpec::network(h[0], h[1], bytes / 3.0));
+    let done = net.advance_to(SimTime::from_secs_f64(1e9));
+    assert_eq!(done.len(), 2);
+    assert_eq!(net.stats().events, 3, "the long transfer needs a second event");
+}
+
 /// An inelastic demand listing the same resource twice must be clipped
 /// against its *total* usage there (found by proptest).
 #[test]

@@ -107,4 +107,15 @@ if grep -rnE 'EngineMode|with_mode\(|FullRecompute|component_count|repartition_a
     exit 1
 fi
 
+echo "=== one kernel, no queue (progressive filling lives in sharing.rs, its reference only under tests/; simnet finds completions without an EventQueue) ==="
+if grep -rn "EventQueue" crates/simnet/src; then
+    echo "error: crates/simnet/src mentions EventQueue — completions are per-transfer ETAs plus one cached minimum"
+    exit 1
+fi
+fillers="$(grep -rlw 'unfrozen' crates/*/src src || true)"
+if [ "$fillers" != "crates/simnet/src/sharing.rs" ]; then
+    echo "error: a progressive-filling loop outside crates/simnet/src/sharing.rs:"; echo "$fillers"
+    exit 1
+fi
+
 echo "ci: all green"
