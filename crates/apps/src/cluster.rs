@@ -10,8 +10,9 @@ use std::collections::HashMap;
 use cloudtalk::server::{Answer, CloudTalkServer, ServerConfig, ServerError};
 use cloudtalk::status::{host_state_from_load, StatusSource};
 use cloudtalk_lang::problem::{Address, Problem, Value};
-use desim::{SimDuration, SimTime};
+use desim::{EventQueue, SimDuration, SimTime};
 use estimator::HostState;
+use simnet::engine::Completion;
 use simnet::topology::HostId;
 use simnet::NetSim;
 
@@ -123,6 +124,29 @@ impl Cluster {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.net.now()
+    }
+
+    /// One co-simulation step of a driver's calendar and the fluid network.
+    ///
+    /// Advances the clock to the earlier of the next control event in
+    /// `events` and the next transfer completion, fills `done` with the
+    /// transfers that complete at that instant (none when an event came
+    /// first) and returns the instant; `None` when neither source has
+    /// anything left. The caller handles `done` first and then drains
+    /// `events.pop_at(t)`, which also takes what the completion handlers
+    /// scheduled for `t`: at a tie the completions are always seen first,
+    /// and nothing completes on the way to an event unrecorded.
+    pub fn step<E>(
+        &mut self,
+        events: &EventQueue<E>,
+        done: &mut Vec<Completion>,
+    ) -> Option<SimTime> {
+        let t = match (events.peek_time(), self.net.next_completion_time()) {
+            (Some(event), Some(completion)) => event.min(completion),
+            (event, completion) => event.or(completion)?,
+        };
+        self.net.advance_into(t, done);
+        Some(t)
     }
 }
 

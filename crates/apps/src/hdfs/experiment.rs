@@ -7,8 +7,11 @@
 //!
 //! The driver interleaves per-server operation state machines with the
 //! fluid network: operation starts are scheduled on a [`desim`] event
-//! queue, transfers complete inside [`simnet::NetSim`], and each finished
-//! file copy is recorded with start/finish times.
+//! queue, transfers complete inside [`simnet::NetSim`], the two advance
+//! together through [`Cluster::step`], and each finished file copy is
+//! recorded with start/finish times.
+
+use std::collections::HashMap;
 
 use desim::rng::{stream_rng, DetRng};
 use desim::{EventQueue, SimDuration, SimTime};
@@ -105,146 +108,134 @@ enum PendingBlock {
     Write,
 }
 
+/// What every operation of one experiment shares.
+struct CopyDriver<'a> {
+    exp: &'a CopyExperiment,
+    cfg: HdfsConfig,
+    /// Blocks per copied file, and the bytes of each.
+    n_blocks: usize,
+    block_bytes: f64,
+    datanodes: Vec<HostId>,
+    rng: DetRng,
+    /// The block each operation is moving right now.
+    in_flight: HashMap<TransferId, OpProgress>,
+}
+
 /// Runs the copy experiment, returning one record per completed copy.
 pub fn run_copy_experiment(
     cluster: &mut Cluster,
     fs: &mut Hdfs,
     exp: &CopyExperiment,
 ) -> Vec<OpRecord> {
-    let mut rng = stream_rng(exp.seed, 0xC0B1);
-    let cfg = HdfsConfig {
-        block_bytes: HdfsConfig::default().block_bytes,
-        ..Default::default()
+    let cfg = HdfsConfig::default();
+    let n_blocks = Hdfs::blocks_for(&cfg, exp.file_bytes);
+    let mut driver = CopyDriver {
+        exp,
+        cfg,
+        n_blocks,
+        block_bytes: exp.file_bytes / n_blocks as f64,
+        datanodes: cluster.net.hosts(),
+        rng: stream_rng(exp.seed, 0xC0B1),
+        in_flight: HashMap::new(),
     };
-    let datanodes = cluster.net.hosts();
 
     let mut starts: EventQueue<usize> = EventQueue::new();
     let mut ops_left: Vec<usize> = vec![exp.ops_per_server; exp.active.len()];
     for idx in 0..exp.active.len() {
-        let think = rng.gen_range(0.0..=exp.think_max);
+        let think = driver.rng.gen_range(0.0..=exp.think_max);
         starts.push(cluster.now() + SimDuration::from_secs_f64(think), idx);
     }
 
-    let mut in_flight: std::collections::HashMap<TransferId, OpProgress> =
-        std::collections::HashMap::new();
     let mut records = Vec::new();
     let mut done = Vec::new();
-
-    loop {
-        let t_start = starts.peek_time();
-        let t_net = if in_flight.is_empty() {
-            None
-        } else {
-            cluster.net.next_completion_time()
+    // Until the last copy is recorded — not until the network is idle, which
+    // would wait for background transfers that are none of the experiment's.
+    while !(starts.is_empty() && driver.in_flight.is_empty()) {
+        let Some(t) = cluster.step(&starts, &mut done) else {
+            break;
         };
-        match (t_start, t_net) {
-            // On a tie the completions go first: advancing to `ts` would
-            // return them here, where nobody records them.
-            (Some(ts), tn) if tn.is_none_or(|t| ts < t) => {
-                // A server begins its next copy.
-                let (_, idx) = starts.pop().expect("peeked");
-                if cluster.now() < ts {
-                    cluster.net.advance_into(ts, &mut done);
-                    debug_assert!(done.is_empty(), "no op transfers complete before ts");
+        for completion in &done {
+            let Some(prog) = driver.in_flight.remove(&completion.id) else {
+                continue; // background traffic, not ours
+            };
+            if prog.blocks_left.is_empty() {
+                let idx = prog.server_idx;
+                records.push(OpRecord {
+                    server: exp.active[idx],
+                    start: prog.op_start,
+                    finish: completion.finished,
+                });
+                if ops_left[idx] > 0 {
+                    let think = driver.rng.gen_range(0.0..=exp.think_max);
+                    starts.push(t + SimDuration::from_secs_f64(think), idx);
                 }
-                let progress = begin_op(fs, exp, cluster.now(), idx, &mut rng);
-                ops_left[idx] -= 1;
-                let (tid, prog) = launch_next_block(cluster, fs, exp, &cfg, &datanodes, progress, &mut rng)
-                    .expect("new ops have at least one block");
-                in_flight.insert(tid, prog);
+            } else {
+                driver.launch_next_block(cluster, fs, prog);
             }
-            (_, Some(tn)) => {
-                cluster.net.advance_into(tn, &mut done);
-                for completion in &done {
-                    let Some(prog) = in_flight.remove(&completion.id) else {
-                        continue; // background traffic, not ours
-                    };
-                    if prog.blocks_left.is_empty() {
-                        let idx = prog.server_idx;
-                        records.push(OpRecord {
-                            server: exp.active[idx],
-                            start: prog.op_start,
-                            finish: completion.finished,
-                        });
-                        if ops_left[idx] > 0 {
-                            let think = rng.gen_range(0.0..=exp.think_max);
-                            starts.push(
-                                completion.finished + SimDuration::from_secs_f64(think),
-                                idx,
-                            );
-                        }
-                    } else {
-                        let (tid, p) =
-                            launch_next_block(cluster, fs, exp, &cfg, &datanodes, prog, &mut rng)
-                                .expect("blocks_left non-empty implies another launch");
-                        in_flight.insert(tid, p);
-                    }
-                }
-            }
-            (_, None) => break,
+        }
+        // Servers begin their next copy.
+        while let Some(idx) = starts.pop_at(t) {
+            let progress = driver.begin_op(fs, t, idx);
+            ops_left[idx] -= 1;
+            driver.launch_next_block(cluster, fs, progress);
         }
     }
     records
 }
 
-fn begin_op(
-    fs: &mut Hdfs,
-    exp: &CopyExperiment,
-    now: SimTime,
-    server_idx: usize,
-    rng: &mut DetRng,
-) -> OpProgress {
-    let cfg = HdfsConfig::default();
-    let n_blocks = Hdfs::blocks_for(&cfg, exp.file_bytes);
-    let blocks_left = match exp.kind {
-        OpKind::Write => std::iter::repeat_with(|| PendingBlock::Write)
-            .take(n_blocks)
-            .collect(),
-        OpKind::Read => {
-            // Pick a random existing file and read its blocks in order.
-            let names = fs.file_names();
-            let name = &names[rng.gen_range(0..names.len())];
-            fs.file_blocks(name)
-                .expect("file exists")
-                .iter()
-                .map(|&b| PendingBlock::Read(b))
-                .collect()
+impl CopyDriver<'_> {
+    fn begin_op(&mut self, fs: &Hdfs, now: SimTime, server_idx: usize) -> OpProgress {
+        let blocks_left = match self.exp.kind {
+            OpKind::Write => std::iter::repeat_with(|| PendingBlock::Write)
+                .take(self.n_blocks)
+                .collect(),
+            OpKind::Read => {
+                // Pick a random existing file and read its blocks in order.
+                let names = fs.file_names();
+                let name = &names[self.rng.gen_range(0..names.len())];
+                fs.file_blocks(name)
+                    .expect("file exists")
+                    .iter()
+                    .map(|&b| PendingBlock::Read(b))
+                    .collect()
+            }
+        };
+        OpProgress {
+            server_idx,
+            op_start: now,
+            blocks_left,
         }
-    };
-    OpProgress {
-        server_idx,
-        op_start: now,
-        blocks_left,
     }
-}
 
-fn launch_next_block(
-    cluster: &mut Cluster,
-    fs: &mut Hdfs,
-    exp: &CopyExperiment,
-    cfg: &HdfsConfig,
-    datanodes: &[HostId],
-    mut prog: OpProgress,
-    rng: &mut DetRng,
-) -> Option<(TransferId, OpProgress)> {
-    let block = prog.blocks_left.pop()?;
-    let server = exp.active[prog.server_idx];
-    let n_blocks = Hdfs::blocks_for(cfg, exp.file_bytes);
-    let block_bytes = exp.file_bytes / n_blocks as f64;
-    let tid = match block {
-        PendingBlock::Write => {
-            let replicas = place_write(cluster, cfg, server, datanodes, exp.policy, rng);
-            let tid = start_block_write(cluster, block_bytes, server, &replicas);
-            fs.commit_block(&format!("w-{:?}-{}", server, cluster.now()), replicas);
-            tid
-        }
-        PendingBlock::Read(b) => {
-            let replicas: Vec<HostId> = fs.replicas(b).to_vec();
-            let replica = place_read(cluster, cfg, server, &replicas, exp.policy, rng);
-            start_block_read(cluster, block_bytes, server, replica)
-        }
-    };
-    Some((tid, prog))
+    /// Starts the transfer of `prog`'s next block; there must be one (a new
+    /// operation has at least one, a finished one is recorded instead).
+    fn launch_next_block(&mut self, cluster: &mut Cluster, fs: &mut Hdfs, mut prog: OpProgress) {
+        let block = prog.blocks_left.pop().expect("a block is left to move");
+        let server = self.exp.active[prog.server_idx];
+        let policy = self.exp.policy;
+        let tid = match block {
+            PendingBlock::Write => {
+                let replicas = place_write(
+                    cluster,
+                    &self.cfg,
+                    server,
+                    &self.datanodes,
+                    policy,
+                    &mut self.rng,
+                );
+                let tid = start_block_write(cluster, self.block_bytes, server, &replicas);
+                fs.commit_block(&format!("w-{:?}-{}", server, cluster.now()), replicas);
+                tid
+            }
+            PendingBlock::Read(b) => {
+                let replicas: Vec<HostId> = fs.replicas(b).to_vec();
+                let replica =
+                    place_read(cluster, &self.cfg, server, &replicas, policy, &mut self.rng);
+                start_block_read(cluster, self.block_bytes, server, replica)
+            }
+        };
+        self.in_flight.insert(tid, prog);
+    }
 }
 
 /// Mean duration in seconds.

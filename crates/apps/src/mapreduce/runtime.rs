@@ -5,6 +5,8 @@ use std::collections::HashMap;
 use cloudtalk_lang::builder::{map_placement_query, reduce_placement_query};
 use desim::rng::{stream_rng, DetRng};
 use desim::{EventQueue, SimDuration, SimTime};
+use rand::seq::SliceRandom;
+use rand::Rng;
 use simnet::engine::{Segment, TransferId, TransferSpec};
 use simnet::topology::HostId;
 
@@ -96,47 +98,23 @@ pub struct JobResult {
     pub shuffle_secs: Vec<f64>,
     /// Speculative attempts launched.
     pub speculative_launched: usize,
-    /// When the last map task finished, seconds.
-    pub maps_done_secs: f64,
-    /// Per-reducer `(node index, placed at, shuffle end)` diagnostics.
-    pub reduce_trace: Vec<(usize, f64, f64)>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum MapStage {
-    Pending,
-    Reading,
-    Computing,
-    Spilling,
-    Done,
 }
 
 struct MapTask {
     /// Nodes holding a replica of this split (HDFS replication).
     holders: Vec<HostId>,
-    stage: MapStage,
-    /// Nodes currently running an attempt of this task.
+    /// Nodes that were given an attempt of this task.
     attempts: Vec<HostId>,
     /// The node whose attempt completed first.
     winner: Option<HostId>,
+    /// When the first attempt was launched; `None` while the task is pending.
     started: Option<SimTime>,
-    finished: Option<SimTime>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ReduceStage {
-    Pending,
-    Shuffling,
-    Computing,
-    Writing,
-    Done,
 }
 
 struct ReduceTask {
+    /// Where the task was placed; `None` while it is pending.
     node: Option<HostId>,
-    stage: ReduceStage,
     fetches_pending: usize,
-    fetches_started: usize,
     shuffle_start: Option<SimTime>,
     shuffle_end: Option<SimTime>,
     skipped: u32,
@@ -170,533 +148,440 @@ pub fn run_sort_job_on(
     job: &SortJob,
     nodes: &[HostId],
 ) -> JobResult {
-    let nodes = nodes.to_vec();
-    let n_nodes = nodes.len();
-    let mut rng = stream_rng(cfg.seed, 0x4D52);
-
-    // Input: every node generated `input_per_node` bytes of randomwriter
-    // data into HDFS, so each split has `replication` replicas: one local
-    // to its generator plus the rest on random nodes ("Optimisations are
-    // disabled during input generation", §5.3).
-    let splits_per_node = ((job.input_per_node / job.split_bytes).ceil() as usize).max(1);
-    let split_bytes = job.input_per_node / splits_per_node as f64;
-    let replication = 3.min(n_nodes);
-    let mut maps: Vec<MapTask> = Vec::new();
-    for &generator in &nodes {
-        for _ in 0..splits_per_node {
-            let mut holders = vec![generator];
-            while holders.len() < replication {
-                use rand::Rng;
-                let pick = nodes[rng.gen_range(0..n_nodes)];
-                if !holders.contains(&pick) {
-                    holders.push(pick);
-                }
-            }
-            maps.push(MapTask {
-                holders,
-                stage: MapStage::Pending,
-                attempts: Vec::new(),
-                winner: None,
-                started: None,
-                finished: None,
-            });
-        }
-    }
-    let n_maps = maps.len();
-    let map_out_bytes = split_bytes; // sort: shuffle everything
-    let fetch_bytes = map_out_bytes / job.n_reducers as f64;
-
-    let mut reduces: Vec<ReduceTask> = (0..job.n_reducers)
-        .map(|_| ReduceTask {
-            node: None,
-            stage: ReduceStage::Pending,
-            fetches_pending: n_maps,
-            fetches_started: 0,
-            shuffle_start: None,
-            shuffle_end: None,
-            skipped: 0,
-            output_done: None,
-        })
-        .collect();
-
-    let mut map_slots_free: HashMap<HostId, usize> =
-        nodes.iter().map(|&h| (h, cfg.map_slots)).collect();
-    let mut reduce_slots_free: HashMap<HostId, usize> =
-        nodes.iter().map(|&h| (h, cfg.reduce_slots)).collect();
-
-    let mut events: EventQueue<Event> = EventQueue::new();
     let t0 = cluster.now();
-    // Stagger heartbeats across the interval in a seeded random order, so
-    // first-asker-wins assignment does not systematically favour (or
-    // punish) low-index nodes.
-    let mut hb_order: Vec<usize> = (0..n_nodes).collect();
-    {
-        use rand::seq::SliceRandom;
-        hb_order.shuffle(&mut rng);
-    }
-    for (slot, &i) in hb_order.iter().enumerate() {
-        let offset = cfg.heartbeat_secs * (slot as f64 / n_nodes as f64);
-        events.push(t0 + SimDuration::from_secs_f64(offset), Event::Heartbeat(i));
-    }
+    let mut run = JobRun::new(cluster, cfg, job, nodes);
+    run.run(cluster);
 
-    let mut io: HashMap<TransferId, IoTag> = HashMap::new();
-    let hdfs_cfg = HdfsConfig::default();
-    let mut finish: Option<SimTime> = None;
-    let mut sync: Option<SimTime> = None;
-    let mut speculative_launched = 0usize;
-    let mut map_durations: Vec<f64> = Vec::new();
-    let mut done = Vec::new();
-
-    macro_rules! all_done {
-        () => {
-            reduces.iter().all(|r| r.stage == ReduceStage::Done)
-        };
-    }
-
-    'outer: loop {
-        let t_ev = events.peek_time();
-        let t_net = cluster.net.next_completion_time();
-        let next = match (t_ev, t_net) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => break,
-        };
-
-        // Network completions strictly before the next control event.
-        if t_net.is_some_and(|tn| tn <= next) {
-            cluster.net.advance_into(next, &mut done);
-            for completion in &done {
-                let Some(tag) = io.remove(&completion.id) else {
-                    continue;
-                };
-                match tag {
-                    IoTag::MapRead { task, node } => {
-                        if maps[task].winner.is_some() {
-                            // Lost to a speculative twin; release the slot.
-                            map_slots_free.entry(node).and_modify(|s| *s += 1);
-                            continue;
-                        }
-                        maps[task].stage = MapStage::Computing;
-                        events.push(
-                            completion.finished
-                                + SimDuration::from_secs_f64(cfg.map_cpu_secs),
-                            Event::MapCpuDone { task, node },
-                        );
-                    }
-                    IoTag::MapSpill { task, node } => {
-                        if maps[task].winner.is_some() {
-                            continue;
-                        }
-                        maps[task].winner = Some(node);
-                        maps[task].stage = MapStage::Done;
-                        maps[task].finished = Some(completion.finished);
-                        if let Some(s) = maps[task].started {
-                            map_durations.push((completion.finished - s).as_secs_f64());
-                        }
-                        map_slots_free
-                            .entry(node)
-                            .and_modify(|s| *s += 1);
-                        // Feed every placed reducer its partition.
-                        for ri in 0..reduces.len() {
-                            if reduces[ri].node.is_some() {
-                                start_fetch(
-                                    cluster, &mut io, &mut reduces, ri, task, &maps,
-                                    fetch_bytes,
-                                );
-                            }
-                        }
-                    }
-                    IoTag::Fetch { reduce } => {
-                        let r = &mut reduces[reduce];
-                        r.fetches_pending -= 1;
-                        if r.fetches_pending == 0 {
-                            r.shuffle_end = Some(completion.finished);
-                            r.stage = ReduceStage::Computing;
-                            events.push(
-                                completion.finished
-                                    + SimDuration::from_secs_f64(cfg.reduce_cpu_secs),
-                                Event::ReduceCpuDone { task: reduce },
-                            );
-                        }
-                    }
-                    IoTag::Output { reduce } => {
-                        reduces[reduce].output_done = Some(completion.finished);
-                        reduces[reduce].stage = ReduceStage::Done;
-                        if all_done!() {
-                            sync = Some(
-                                reduces
-                                    .iter()
-                                    .filter_map(|r| r.output_done)
-                                    .max()
-                                    .expect("all reduces have outputs"),
-                            );
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            if cluster.now() < next {
-                cluster.net.advance_into(next, &mut done);
-            }
-        } else {
-            cluster.net.advance_into(next, &mut done);
-        }
-
-        // Control events at `next`.
-        while events.peek_time() == Some(next) {
-            let (_, ev) = events.pop().expect("peeked");
-            match ev {
-                Event::Heartbeat(node_idx) => {
-                    let node = nodes[node_idx];
-                    heartbeat(
-                        cluster,
-                        cfg,
-                        &nodes,
-                        node,
-                        &mut maps,
-                        &mut reduces,
-                        &mut map_slots_free,
-                        &mut reduce_slots_free,
-                        &mut io,
-                        &mut rng,
-                        &map_durations,
-                        &mut speculative_launched,
-                        split_bytes,
-                        fetch_bytes,
-                    );
-                    events.push(
-                        next + SimDuration::from_secs_f64(cfg.heartbeat_secs),
-                        Event::Heartbeat(node_idx),
-                    );
-                }
-                Event::MapCpuDone { task, node } => {
-                    if maps[task].winner.is_some() {
-                        map_slots_free.entry(node).and_modify(|s| *s += 1);
-                        continue;
-                    }
-                    maps[task].stage = MapStage::Spilling;
-                    let tid = cluster
-                        .net
-                        .start(TransferSpec::disk_write(node, map_out_bytes));
-                    io.insert(tid, IoTag::MapSpill { task, node });
-                }
-                Event::ReduceCpuDone { task } => {
-                    let node = reduces[task].node.expect("computing reduce is placed");
-                    reduces[task].stage = ReduceStage::Writing;
-                    if finish.is_none()
-                        && reduces
-                            .iter()
-                            .all(|r| matches!(r.stage, ReduceStage::Writing | ReduceStage::Done))
-                    {
-                        finish = Some(next);
-                    }
-                    let out_bytes = n_maps as f64 * fetch_bytes;
-                    let tid = if cfg.replicate_output {
-                        let policy = match cfg.policy {
-                            SchedPolicy::Vanilla => HdfsPolicy::Vanilla,
-                            SchedPolicy::CloudTalk => HdfsPolicy::CloudTalk,
-                        };
-                        let replicas =
-                            place_write(cluster, &hdfs_cfg, node, &nodes, policy, &mut rng);
-                        start_block_write(cluster, out_bytes, node, &replicas)
-                    } else {
-                        cluster.net.start(TransferSpec::disk_write(node, out_bytes))
-                    };
-                    io.insert(tid, IoTag::Output { reduce: task });
-                    reduce_slots_free.entry(node).and_modify(|s| *s += 1);
-                }
-            }
-        }
-    }
-
-    let finish_t = finish.unwrap_or_else(|| cluster.now());
-    let sync_t = sync.unwrap_or(finish_t);
-    let maps_done = maps
-        .iter()
-        .filter_map(|m| m.finished)
-        .max()
-        .unwrap_or(t0);
+    let finish_t = run.finish.unwrap_or_else(|| cluster.now());
+    let sync_t = run.sync.unwrap_or(finish_t);
     JobResult {
         finish_secs: (finish_t - t0).as_secs_f64(),
         sync_secs: (sync_t - t0).as_secs_f64(),
-        shuffle_secs: reduces
+        shuffle_secs: run
+            .reduces
             .iter()
             .filter_map(|r| match (r.shuffle_start, r.shuffle_end) {
                 (Some(s), Some(e)) => Some((e - s).as_secs_f64()),
                 _ => None,
             })
             .collect(),
-        speculative_launched,
-        maps_done_secs: (maps_done - t0).as_secs_f64(),
-        reduce_trace: reduces
-            .iter()
-            .map(|r| {
-                (
-                    r.node
-                        .and_then(|n| nodes.iter().position(|&x| x == n))
-                        .unwrap_or(usize::MAX),
-                    r.shuffle_start.map_or(-1.0, |s| (s - t0).as_secs_f64()),
-                    r.shuffle_end.map_or(-1.0, |e| (e - t0).as_secs_f64()),
-                )
-            })
-            .collect(),
+        speculative_launched: run.speculative_launched,
     }
 }
 
-fn start_fetch(
-    cluster: &mut Cluster,
-    io: &mut HashMap<TransferId, IoTag>,
-    reduces: &mut [ReduceTask],
-    reduce: usize,
-    map: usize,
-    maps: &[MapTask],
-    fetch_bytes: f64,
-) {
-    let src = maps[map].winner.expect("fetch only from finished maps");
-    let dst = reduces[reduce].node.expect("fetch only for placed reduce");
-    if reduces[reduce].shuffle_start.is_none() {
-        reduces[reduce].shuffle_start = Some(cluster.now());
-        reduces[reduce].stage = ReduceStage::Shuffling;
-    }
-    reduces[reduce].fetches_started += 1;
-    let spec = TransferSpec {
-        segments: vec![
-            Segment::DiskRead(src),
-            Segment::Net { src, dst },
-            Segment::DiskWrite(dst),
-        ],
-        bytes: fetch_bytes,
-        cap: None,
-        inelastic_rate: None,
-    };
-    let tid = cluster.net.start(spec);
-    io.insert(tid, IoTag::Fetch { reduce });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn heartbeat(
-    cluster: &mut Cluster,
-    cfg: &MrConfig,
-    nodes: &[HostId],
-    node: HostId,
-    maps: &mut [MapTask],
-    reduces: &mut [ReduceTask],
-    map_slots_free: &mut HashMap<HostId, usize>,
-    reduce_slots_free: &mut HashMap<HostId, usize>,
-    io: &mut HashMap<TransferId, IoTag>,
-    rng: &mut DetRng,
-    map_durations: &[f64],
-    speculative_launched: &mut usize,
+/// One job in flight: the JobTracker's tables, the TaskTrackers' slots and
+/// the calendar of control events.
+struct JobRun<'a> {
+    cfg: &'a MrConfig,
+    nodes: Vec<HostId>,
+    maps: Vec<MapTask>,
+    reduces: Vec<ReduceTask>,
+    /// Free slots per TaskTracker, indexed by `HostId.0`.
+    map_slots_free: Vec<usize>,
+    reduce_slots_free: Vec<usize>,
+    /// What each transfer in flight is doing for the job.
+    io: HashMap<TransferId, IoTag>,
+    events: EventQueue<Event>,
+    rng: DetRng,
     split_bytes: f64,
+    /// One map's partition for one reducer (sort: everything is shuffled).
     fetch_bytes: f64,
-) {
-    // --- map assignment (one per heartbeat) ----------------------------
-    if map_slots_free.get(&node).copied().unwrap_or(0) > 0 {
-        let pending: Vec<usize> = (0..maps.len())
-            .filter(|&i| maps[i].stage == MapStage::Pending)
-            .collect();
-        if !pending.is_empty() {
-            // (task index, replica to read from).
-            let pick: Option<(usize, HostId)> = match cfg.policy {
-                SchedPolicy::Vanilla => {
-                    // Data-local first (read the local replica), else the
-                    // first pending split from a random replica.
-                    pending
-                        .iter()
-                        .copied()
-                        .find(|&i| maps[i].holders.contains(&node))
-                        .map(|i| (i, node))
-                        .or_else(|| {
-                            use rand::Rng;
-                            let i = pending[0];
-                            let hs = &maps[i].holders;
-                            Some((i, hs[rng.gen_range(0..hs.len())]))
-                        })
+    /// Durations of the maps completed so far (the speculation baseline).
+    map_durations: Vec<f64>,
+    speculative_launched: usize,
+    /// Reduces that have not finished computing yet.
+    reduces_computing: usize,
+    /// When the last reduce handed its output to storage.
+    finish: Option<SimTime>,
+    /// When the last output was durable.
+    sync: Option<SimTime>,
+}
+
+impl<'a> JobRun<'a> {
+    fn new(cluster: &Cluster, cfg: &'a MrConfig, job: &SortJob, nodes: &[HostId]) -> Self {
+        let nodes = nodes.to_vec();
+        let n_nodes = nodes.len();
+        let mut rng = stream_rng(cfg.seed, 0x4D52);
+
+        // Input: every node generated `input_per_node` bytes of randomwriter
+        // data into HDFS, so each split has `replication` replicas: one local
+        // to its generator plus the rest on random nodes ("Optimisations are
+        // disabled during input generation", §5.3).
+        let splits_per_node = ((job.input_per_node / job.split_bytes).ceil() as usize).max(1);
+        let split_bytes = job.input_per_node / splits_per_node as f64;
+        let replication = 3.min(n_nodes);
+        let mut maps: Vec<MapTask> = Vec::new();
+        for &generator in &nodes {
+            for _ in 0..splits_per_node {
+                let mut holders = vec![generator];
+                while holders.len() < replication {
+                    let pick = nodes[rng.gen_range(0..n_nodes)];
+                    if !holders.contains(&pick) {
+                        holders.push(pick);
+                    }
                 }
-                SchedPolicy::CloudTalk => {
-                    // §5.3: "The possible values for variable X are nodes
-                    // which store a data split that must be processed by a
-                    // pending map task" — then take any pending task with
-                    // input at the recommended location.
-                    let holders: Vec<_> = {
-                        let mut hs: Vec<HostId> = pending
+                maps.push(MapTask {
+                    holders,
+                    attempts: Vec::new(),
+                    winner: None,
+                    started: None,
+                });
+            }
+        }
+        let reduces = (0..job.n_reducers)
+            .map(|_| ReduceTask {
+                node: None,
+                fetches_pending: maps.len(),
+                shuffle_start: None,
+                shuffle_end: None,
+                skipped: 0,
+                output_done: None,
+            })
+            .collect();
+
+        // Stagger heartbeats across the interval in a seeded random order, so
+        // first-asker-wins assignment does not systematically favour (or
+        // punish) low-index nodes.
+        let mut events = EventQueue::new();
+        let mut hb_order: Vec<usize> = (0..n_nodes).collect();
+        hb_order.shuffle(&mut rng);
+        for (slot, &i) in hb_order.iter().enumerate() {
+            let offset = cfg.heartbeat_secs * (slot as f64 / n_nodes as f64);
+            let at = cluster.now() + SimDuration::from_secs_f64(offset);
+            events.push(at, Event::Heartbeat(i));
+        }
+
+        let n_hosts = cluster.net.topology().host_count();
+        JobRun {
+            cfg,
+            nodes,
+            maps,
+            reduces,
+            map_slots_free: vec![cfg.map_slots; n_hosts],
+            reduce_slots_free: vec![cfg.reduce_slots; n_hosts],
+            io: HashMap::new(),
+            events,
+            rng,
+            split_bytes,
+            fetch_bytes: split_bytes / job.n_reducers as f64,
+            map_durations: Vec::new(),
+            speculative_launched: 0,
+            reduces_computing: job.n_reducers,
+            finish: None,
+            sync: None,
+        }
+    }
+
+    /// Steps the calendar and the network together until every reduce's
+    /// output is durable. Heartbeats re-arm themselves, so the calendar
+    /// never runs dry before that.
+    fn run(&mut self, cluster: &mut Cluster) {
+        let hdfs_cfg = HdfsConfig::default();
+        let mut done = Vec::new();
+        while let Some(t) = cluster.step(&self.events, &mut done) {
+            for completion in &done {
+                let Some(tag) = self.io.remove(&completion.id) else {
+                    continue;
+                };
+                match tag {
+                    IoTag::MapRead { task, node } => {
+                        if self.maps[task].winner.is_some() {
+                            // Lost to a speculative twin; release the slot.
+                            self.map_slots_free[node.0] += 1;
+                            continue;
+                        }
+                        self.events.push(
+                            t + SimDuration::from_secs_f64(self.cfg.map_cpu_secs),
+                            Event::MapCpuDone { task, node },
+                        );
+                    }
+                    IoTag::MapSpill { task, node } => {
+                        // Winner or loser, the attempt is over.
+                        self.map_slots_free[node.0] += 1;
+                        if self.maps[task].winner.is_some() {
+                            continue;
+                        }
+                        self.maps[task].winner = Some(node);
+                        if let Some(s) = self.maps[task].started {
+                            self.map_durations.push((t - s).as_secs_f64());
+                        }
+                        // Feed every placed reducer its partition.
+                        for ri in 0..self.reduces.len() {
+                            if self.reduces[ri].node.is_some() {
+                                self.start_fetch(cluster, ri, task);
+                            }
+                        }
+                    }
+                    IoTag::Fetch { reduce } => {
+                        let r = &mut self.reduces[reduce];
+                        r.fetches_pending -= 1;
+                        if r.fetches_pending == 0 {
+                            r.shuffle_end = Some(t);
+                            self.events.push(
+                                t + SimDuration::from_secs_f64(self.cfg.reduce_cpu_secs),
+                                Event::ReduceCpuDone { task: reduce },
+                            );
+                        }
+                    }
+                    IoTag::Output { reduce } => {
+                        self.reduces[reduce].output_done = Some(t);
+                        if self.reduces.iter().all(|r| r.output_done.is_some()) {
+                            self.sync = self.reduces.iter().filter_map(|r| r.output_done).max();
+                            return;
+                        }
+                    }
+                }
+            }
+
+            while let Some(ev) = self.events.pop_at(t) {
+                match ev {
+                    Event::Heartbeat(node_idx) => {
+                        self.heartbeat(cluster, node_idx);
+                        self.events.push(
+                            t + SimDuration::from_secs_f64(self.cfg.heartbeat_secs),
+                            Event::Heartbeat(node_idx),
+                        );
+                    }
+                    Event::MapCpuDone { task, node } => {
+                        if self.maps[task].winner.is_some() {
+                            self.map_slots_free[node.0] += 1;
+                            continue;
+                        }
+                        // Sort: a map's output is as large as its input.
+                        let spill = TransferSpec::disk_write(node, self.split_bytes);
+                        let tid = cluster.net.start(spill);
+                        self.io.insert(tid, IoTag::MapSpill { task, node });
+                    }
+                    Event::ReduceCpuDone { task } => {
+                        let node = self.reduces[task].node.expect("computing reduce is placed");
+                        self.reduces_computing -= 1;
+                        if self.reduces_computing == 0 {
+                            self.finish = Some(t);
+                        }
+                        let out_bytes = self.maps.len() as f64 * self.fetch_bytes;
+                        let tid = if self.cfg.replicate_output {
+                            let policy = match self.cfg.policy {
+                                SchedPolicy::Vanilla => HdfsPolicy::Vanilla,
+                                SchedPolicy::CloudTalk => HdfsPolicy::CloudTalk,
+                            };
+                            let replicas = place_write(
+                                cluster,
+                                &hdfs_cfg,
+                                node,
+                                &self.nodes,
+                                policy,
+                                &mut self.rng,
+                            );
+                            start_block_write(cluster, out_bytes, node, &replicas)
+                        } else {
+                            cluster.net.start(TransferSpec::disk_write(node, out_bytes))
+                        };
+                        self.io.insert(tid, IoTag::Output { reduce: task });
+                        self.reduce_slots_free[node.0] += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Starts reducer `reduce`'s fetch of finished map `map`'s partition.
+    fn start_fetch(&mut self, cluster: &mut Cluster, reduce: usize, map: usize) {
+        let src = self.maps[map]
+            .winner
+            .expect("fetch only from finished maps");
+        let r = &mut self.reduces[reduce];
+        let dst = r.node.expect("fetch only for placed reduce");
+        r.shuffle_start.get_or_insert(cluster.now());
+        let spec = TransferSpec {
+            segments: vec![
+                Segment::DiskRead(src),
+                Segment::Net { src, dst },
+                Segment::DiskWrite(dst),
+            ],
+            bytes: self.fetch_bytes,
+            cap: None,
+            inelastic_rate: None,
+        };
+        let tid = cluster.net.start(spec);
+        self.io.insert(tid, IoTag::Fetch { reduce });
+    }
+
+    /// One TaskTracker heartbeat: the JobTracker hands `nodes[node_idx]` at
+    /// most one map and one reduce task.
+    fn heartbeat(&mut self, cluster: &mut Cluster, node_idx: usize) {
+        let cfg = self.cfg;
+        let node = self.nodes[node_idx];
+        // --- map assignment (one per heartbeat) ----------------------------
+        if self.map_slots_free[node.0] > 0 {
+            let maps = &self.maps;
+            let pending: Vec<usize> = (0..maps.len())
+                .filter(|&i| maps[i].started.is_none())
+                .collect();
+            if !pending.is_empty() {
+                // (task index, replica to read from).
+                let (task, source): (usize, HostId) = match cfg.policy {
+                    SchedPolicy::Vanilla => {
+                        // Data-local first (read the local replica), else the
+                        // first pending split from a random replica.
+                        let local = pending
+                            .iter()
+                            .copied()
+                            .find(|&i| maps[i].holders.contains(&node));
+                        match local {
+                            Some(i) => (i, node),
+                            None => {
+                                let i = pending[0];
+                                let hs = &maps[i].holders;
+                                (i, hs[self.rng.gen_range(0..hs.len())])
+                            }
+                        }
+                    }
+                    SchedPolicy::CloudTalk => {
+                        // §5.3: "The possible values for variable X are nodes
+                        // which store a data split that must be processed by a
+                        // pending map task" — then take any pending task with
+                        // input at the recommended location.
+                        let mut holders: Vec<HostId> = pending
                             .iter()
                             .flat_map(|&i| maps[i].holders.iter().copied())
                             .collect();
-                        hs.sort_unstable();
-                        hs.dedup();
-                        hs
-                    };
-                    let pool: Vec<_> = holders.iter().map(|&h| cluster.addr(h)).collect();
-                    let q = map_placement_query(cluster.addr(node), &pool, split_bytes);
-                    let problem = q.resolve().expect("map query well-formed");
-                    match cluster.ask_hosts_advisory(&problem) {
-                        Ok(best) => pending
-                            .iter()
-                            .copied()
-                            .find(|&i| maps[i].holders.contains(&best[0]))
-                            .map(|i| (i, best[0]))
-                            .or_else(|| {
-                                let i = pending[0];
-                                Some((i, maps[i].holders[0]))
-                            }),
-                        Err(_) => {
-                            let i = pending[0];
-                            Some((i, maps[i].holders[0]))
-                        }
+                        holders.sort_unstable();
+                        holders.dedup();
+                        let pool: Vec<_> = holders.iter().map(|&h| cluster.addr(h)).collect();
+                        let q = map_placement_query(cluster.addr(node), &pool, self.split_bytes);
+                        let problem = q.resolve().expect("map query well-formed");
+                        let best = cluster.ask_hosts_advisory(&problem).ok().map(|b| b[0]);
+                        best.and_then(|b| {
+                            let at_best = |&i: &usize| maps[i].holders.contains(&b);
+                            pending.iter().copied().find(at_best).map(|i| (i, b))
+                        })
+                        .unwrap_or((pending[0], maps[pending[0]].holders[0]))
                     }
-                }
-            };
-            if let Some((task, source)) = pick {
-                launch_map(cluster, io, maps, task, node, source, split_bytes);
-                *map_slots_free.get_mut(&node).expect("known node") -= 1;
-            }
-        } else if cfg.speculative && !map_durations.is_empty() {
-            // Stragglers: duplicate the slowest over-median running map.
-            let mut sorted = map_durations.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let median = sorted[sorted.len() / 2];
-            let threshold = median * cfg.spec_factor;
-            let candidate = (0..maps.len()).find(|&i| {
-                maps[i].winner.is_none()
-                    && maps[i].attempts.len() == 1
-                    && !maps[i].attempts.contains(&node)
-                    && maps[i]
-                        .started
-                        .is_some_and(|s| (cluster.now() - s).as_secs_f64() > threshold)
-            });
-            if let Some(task) = candidate {
-                let source = if maps[task].holders.contains(&node) {
-                    node
-                } else {
-                    maps[task].holders[0]
                 };
-                launch_map(cluster, io, maps, task, node, source, split_bytes);
-                *map_slots_free.get_mut(&node).expect("known node") -= 1;
-                *speculative_launched += 1;
+                self.launch_map(cluster, task, node, source);
+            } else if cfg.speculative && !self.map_durations.is_empty() {
+                // Stragglers: duplicate the slowest over-median running map.
+                let mut sorted = self.map_durations.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                let median = sorted[sorted.len() / 2];
+                let threshold = median * cfg.spec_factor;
+                let now = cluster.now();
+                let candidate = maps.iter().position(|m| {
+                    m.winner.is_none()
+                        && m.attempts.len() == 1
+                        && !m.attempts.contains(&node)
+                        && m.started
+                            .is_some_and(|s| (now - s).as_secs_f64() > threshold)
+                });
+                if let Some(task) = candidate {
+                    let source = if maps[task].holders.contains(&node) {
+                        node
+                    } else {
+                        maps[task].holders[0]
+                    };
+                    self.launch_map(cluster, task, node, source);
+                    self.speculative_launched += 1;
+                }
             }
         }
-    }
 
-    // --- reduce assignment (at most one per heartbeat) ------------------
-    if reduce_slots_free.get(&node).copied().unwrap_or(0) > 0 {
-        let pending: Vec<usize> = (0..reduces.len())
-            .filter(|&i| reduces[i].stage == ReduceStage::Pending)
-            .collect();
-        if let Some(&first) = pending.first() {
-            let assign = match cfg.policy {
-                SchedPolicy::Vanilla => true,
-                SchedPolicy::CloudTalk => {
-                    // Rotate the candidate pool so the asking node comes
-                    // first: the heuristic breaks score ties in pool order,
-                    // so a node as fit as the best is recommended work
-                    // when *it* asks (otherwise equally-idle high-index
-                    // nodes would never appear in S and the starvation
-                    // override would push tasks onto loaded machines).
-                    let rot = nodes.iter().position(|&h| h == node).unwrap_or(0);
-                    let pool: Vec<_> = nodes[rot..]
-                        .iter()
-                        .chain(&nodes[..rot])
-                        .map(|&h| cluster.addr(h))
-                        .collect();
-                    let q = reduce_placement_query(&pool, pending.len(), 1e9);
-                    let problem = q.resolve().expect("reduce query well-formed");
-                    // Advisory: only the asking node may act on the answer,
-                    // and only when its recommended fitness is competitive
-                    // ("its fitness is evaluated after receiving a
-                    // response", §5.3) — pool exhaustion can force weak
-                    // nodes into the answer set, and those should wait.
-                    match cluster.ask_advisory(&problem) {
-                        Ok(answer) => {
-                            let mine = answer
-                                .binding
-                                .iter()
-                                .zip(&answer.binding_scores)
-                                .find(|(v, _)| {
-                                    matches!(v, cloudtalk_lang::problem::Value::Addr(a)
-                                        if cluster.host(*a) == Some(node))
-                                })
-                                .map(|(_, s)| *s);
-                            let best = answer
-                                .binding_scores
-                                .iter()
-                                .copied()
-                                .fold(f64::NEG_INFINITY, f64::max);
-                            let fit = match mine {
-                                Some(s) if s.is_infinite() || best.is_infinite() => {
-                                    s.is_infinite()
+        // --- reduce assignment (at most one per heartbeat) ------------------
+        if self.reduce_slots_free[node.0] > 0 {
+            let pending: Vec<usize> = (0..self.reduces.len())
+                .filter(|&i| self.reduces[i].node.is_none())
+                .collect();
+            if let Some(&task) = pending.first() {
+                let assign = match cfg.policy {
+                    SchedPolicy::Vanilla => true,
+                    SchedPolicy::CloudTalk => {
+                        // Rotate the candidate pool so the asking node comes
+                        // first: the heuristic breaks score ties in pool order,
+                        // so a node as fit as the best is recommended work
+                        // when *it* asks (otherwise equally-idle high-index
+                        // nodes would never appear in S and the starvation
+                        // override would push tasks onto loaded machines).
+                        let pool: Vec<_> = self.nodes[node_idx..]
+                            .iter()
+                            .chain(&self.nodes[..node_idx])
+                            .map(|&h| cluster.addr(h))
+                            .collect();
+                        let q = reduce_placement_query(&pool, pending.len(), 1e9);
+                        let problem = q.resolve().expect("reduce query well-formed");
+                        // Advisory: only the asking node may act on the answer,
+                        // and only when its recommended fitness is competitive
+                        // ("its fitness is evaluated after receiving a
+                        // response", §5.3) — pool exhaustion can force weak
+                        // nodes into the answer set, and those should wait.
+                        match cluster.ask_advisory(&problem) {
+                            Ok(answer) => {
+                                let mine = answer
+                                    .binding
+                                    .iter()
+                                    .zip(&answer.binding_scores)
+                                    .find(|(v, _)| {
+                                        matches!(v, cloudtalk_lang::problem::Value::Addr(a)
+                                            if cluster.host(*a) == Some(node))
+                                    })
+                                    .map(|(_, s)| *s);
+                                let best = answer
+                                    .binding_scores
+                                    .iter()
+                                    .copied()
+                                    .fold(f64::NEG_INFINITY, f64::max);
+                                let fit = match mine {
+                                    Some(s) if s.is_infinite() || best.is_infinite() => {
+                                        s.is_infinite()
+                                    }
+                                    Some(s) => s >= 0.8 * best,
+                                    None => false,
+                                };
+                                if fit {
+                                    true
+                                } else {
+                                    let r = &mut self.reduces[task];
+                                    r.skipped += 1;
+                                    // One "round" of skips ≈ every node declining once.
+                                    r.skipped > cfg.starvation_limit * self.nodes.len() as u32
                                 }
-                                Some(s) => s >= 0.8 * best,
-                                None => false,
-                            };
-                            if fit {
-                                true
-                            } else {
-                                reduces[first].skipped += 1;
-                                // One "round" of skips ≈ every node declining once.
-                                reduces[first].skipped
-                                    > cfg.starvation_limit * nodes.len() as u32
                             }
+                            Err(_) => true,
                         }
-                        Err(_) => true,
                     }
+                };
+                if assign {
+                    self.reduces[task].node = Some(node);
+                    self.reduce_slots_free[node.0] -= 1;
+                    // Fetch everything already finished.
+                    for m in 0..self.maps.len() {
+                        if self.maps[m].winner.is_some() {
+                            self.start_fetch(cluster, task, m);
+                        }
+                    }
+                    // Degenerate case: zero maps (not possible for sort jobs,
+                    // but keep the invariant).
+                    debug_assert!(self.reduces[task].fetches_pending > 0);
                 }
-            };
-            if assign {
-                let task = first;
-                reduces[task].node = Some(node);
-                reduces[task].stage = ReduceStage::Shuffling;
-                *reduce_slots_free.get_mut(&node).expect("known node") -= 1;
-                // Fetch everything already finished.
-                let ready: Vec<usize> = (0..maps.len())
-                    .filter(|&i| maps[i].winner.is_some())
-                    .collect();
-                for m in ready {
-                    start_fetch(cluster, io, reduces, task, m, maps, fetch_bytes);
-                }
-                // Degenerate case: zero maps (not possible for sort jobs,
-                // but keep the invariant).
-                debug_assert!(reduces[task].fetches_pending > 0);
             }
         }
     }
-}
 
-fn launch_map(
-    cluster: &mut Cluster,
-    io: &mut HashMap<TransferId, IoTag>,
-    maps: &mut [MapTask],
-    task: usize,
-    node: HostId,
-    source: HostId,
-    split_bytes: f64,
-) {
-    maps[task].attempts.push(node);
-    if maps[task].stage == MapStage::Pending {
-        maps[task].stage = MapStage::Reading;
-        maps[task].started = Some(cluster.now());
+    /// Starts an attempt of map `task` on `node`, reading the split from
+    /// `source`, and takes one of `node`'s map slots for it.
+    fn launch_map(&mut self, cluster: &mut Cluster, task: usize, node: HostId, source: HostId) {
+        let m = &mut self.maps[task];
+        m.attempts.push(node);
+        m.started.get_or_insert(cluster.now());
+        let spec = if source == node {
+            // Data-local: read the split from the local disk.
+            TransferSpec::disk_read(node, self.split_bytes)
+        } else {
+            // Remote: the chosen replica's disk + network into this node.
+            TransferSpec::read_and_send(source, node, self.split_bytes)
+        };
+        let tid = cluster.net.start(spec);
+        self.io.insert(tid, IoTag::MapRead { task, node });
+        self.map_slots_free[node.0] -= 1;
     }
-    let spec = if source == node {
-        // Data-local: read the split from the local disk.
-        TransferSpec::disk_read(node, split_bytes)
-    } else {
-        // Remote: the chosen replica's disk + network into this node.
-        TransferSpec {
-            segments: vec![
-                Segment::DiskRead(source),
-                Segment::Net {
-                    src: source,
-                    dst: node,
-                },
-            ],
-            bytes: split_bytes,
-            cap: None,
-            inelastic_rate: None,
-        }
-    };
-    let tid = cluster.net.start(spec);
-    io.insert(tid, IoTag::MapRead { task, node });
 }
 
 #[cfg(test)]
@@ -807,6 +692,53 @@ mod tests {
             (r.finish_secs, r.sync_secs)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn every_map_slot_is_free_or_running_an_attempt_at_job_exit() {
+        // Node 0's disk is slow to write only, so its two attempts read and
+        // compute on time and then crawl through their spills (done at
+        // ≈ 2.55 s and 3.05 s) while speculative twins elsewhere start late,
+        // spill fast and win (≈ 2.31 s and 2.63 s), well before the reduces'
+        // 3 s of CPU let the job exit. A loser at the spill stage hands its
+        // slot back like a loser at any other.
+        let mut topo = Topology::single_switch(4, GBPS, TopoOptions::default());
+        let slow_writes = simnet::disk::DiskModel {
+            write_bps: 30e6,
+            ..Default::default()
+        };
+        topo.set_disk(HostId(0), slow_writes);
+        let mut c = Cluster::new(topo, ServerConfig::default());
+        let cfg = MrConfig {
+            spec_factor: 1.2,
+            reduce_cpu_secs: 3.0,
+            ..Default::default()
+        };
+        let job = SortJob {
+            input_per_node: 64.0 * MB,
+            n_reducers: 2,
+            split_bytes: 32.0 * MB,
+        };
+        let nodes = c.net.hosts();
+        let mut run = JobRun::new(&c, &cfg, &job, &nodes);
+        run.run(&mut c);
+        assert!(run.speculative_launched > 0, "no twin, nothing to lose");
+
+        let mut running = vec![0; nodes.len()];
+        for tag in run.io.values() {
+            if let IoTag::MapRead { node, .. } | IoTag::MapSpill { node, .. } = tag {
+                running[node.0] += 1;
+            }
+        }
+        while let Some((_, ev)) = run.events.pop() {
+            if let Event::MapCpuDone { node, .. } = ev {
+                running[node.0] += 1;
+            }
+        }
+        for node in nodes {
+            let free = run.map_slots_free[node.0];
+            assert_eq!(free + running[node.0], cfg.map_slots, "{node:?}");
+        }
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl PktProgram {
         self.sizes.len()
     }
 
-    /// Number of variables the binding must cover.
-    pub fn var_count(&self) -> usize {
-        self.n_vars
-    }
-
     /// Rough heap footprint of the compiled program, used by the answer
     /// cache's `cache.bytes` accounting. Deliberately approximate: the
     /// gauge exists to spot runaway growth, not to bill memory.

@@ -608,11 +608,6 @@ impl<S: StatusSource> ServingPlane<S> {
         self.pending.len()
     }
 
-    /// Virtual time up to which waves have been processed.
-    pub fn processed_until(&self) -> SimTime {
-        SimTime::ZERO + self.cfg.wave_quantum * self.next_wave
-    }
-
     /// How far the workers' virtual schedule currently runs behind the
     /// wave clock (the admission-control signal).
     pub fn virtual_lag(&self) -> SimDuration {

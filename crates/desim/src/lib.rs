@@ -9,14 +9,17 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, so
 //!   event ordering is exact and runs are bit-for-bit reproducible.
-//! * [`EventQueue`] — a cancellable priority queue of typed events with
-//!   deterministic FIFO tie-breaking at equal timestamps.
+//! * [`EventQueue`] — a binary heap of typed events keyed by `(time, push
+//!   order)`: FIFO at equal timestamps, [`EventQueue::pop_at`] drains one
+//!   instant, nothing is cancelled (a re-armed timer keeps its deadline in
+//!   the simulator's own state and lets the stale entry fire as a no-op).
 //! * [`rng`] — seed-derivation utilities so every component draws from an
 //!   independent, reproducible random stream.
 //!
 //! The kernel deliberately does *not* own the event loop: each simulator
 //! owns its world state and drives `EventQueue::pop` itself, which keeps
-//! borrows simple and avoids callback-ownership knots.
+//! borrows simple and avoids callback-ownership knots (`apps::Cluster::step`
+//! is where the HDFS and MapReduce drivers' queues meet the fluid network).
 //!
 //! # Examples
 //!
@@ -39,5 +42,5 @@ mod queue;
 pub mod rng;
 mod time;
 
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

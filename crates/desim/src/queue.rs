@@ -1,43 +1,18 @@
-//! Cancellable event priority queue with deterministic tie-breaking.
+//! Event priority queue with deterministic tie-breaking.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Opaque handle identifying a scheduled event, used for cancellation.
-///
-/// Packs a slab slot index (low 32 bits) and that slot's generation at
-/// schedule time (high 32 bits): once the event fires or is cancelled the
-/// slot's generation advances, so a stale handle can never cancel a later
-/// event that happens to reuse the slot.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventHandle(u64);
-
-impl EventHandle {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventHandle((generation as u64) << 32 | slot as u64)
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    event: E,
-}
+/// A heap entry, ordered by its `(time, push order)` key alone. `BinaryHeap`
+/// is a max-heap, so the key is reversed: the earliest time pops first and
+/// equal times resolve in insertion order, whatever the heap's internals.
+struct Entry<E>(Reverse<(SimTime, u64)>, E);
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.0 == other.0
     }
 }
 
@@ -51,29 +26,13 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. Equal timestamps resolve in insertion order, which keeps
-        // runs deterministic regardless of heap internals.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        self.0.cmp(&other.0)
     }
 }
 
-/// Per-slot bookkeeping. A slot is owned by exactly one heap entry from
-/// `push` until that entry leaves the heap (pop, or removal during
-/// compaction), so liveness is a single flag — no hashing per operation.
-#[derive(Clone, Copy)]
-struct Slot {
-    generation: u32,
-    live: bool,
-}
-
-/// A deterministic min-priority queue of timed events.
-///
-/// Events scheduled for the same instant pop in insertion (FIFO) order.
-/// Cancellation is lazy — cancelled events stay in the heap until popped
-/// or compacted away — but the heap is compacted whenever cancelled
-/// entries outnumber live ones, so memory stays proportional to the number
-/// of *live* events even under adversarial schedule/cancel churn.
+/// A deterministic min-priority queue of timed events: a binary heap keyed
+/// by `(time, push order)`, so events scheduled for the same instant pop in
+/// insertion (FIFO) order.
 ///
 /// # Examples
 ///
@@ -81,25 +40,17 @@ struct Slot {
 /// use desim::{EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// let h = q.push(SimTime::from_nanos(5), "a");
-/// q.push(SimTime::from_nanos(5), "b");
-/// q.cancel(h);
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "b")));
-/// assert!(q.pop().is_none());
+/// let t = SimTime::from_nanos(5);
+/// q.push(t, "a");
+/// q.push(t, "b");
+/// q.push(SimTime::from_nanos(9), "c");
+/// assert_eq!([q.pop_at(t), q.pop_at(t), q.pop_at(t)], [Some("a"), Some("b"), None]);
+/// assert_eq!(q.pop(), Some((SimTime::from_nanos(9), "c")));
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Events scheduled and neither popped nor cancelled.
-    live: usize,
-    /// Cancelled entries still sitting in the heap.
-    cancelled: usize,
 }
-
-/// Below this many cancelled entries compaction is not worth the rebuild.
-const COMPACT_MIN: usize = 64;
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -113,156 +64,40 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            cancelled: 0,
         }
     }
 
-    /// Schedules `event` to fire at `at` and returns a cancellation handle.
-    pub fn push(&mut self, at: SimTime, event: E) -> EventHandle {
-        let seq = self.next_seq;
+    /// Schedules `event` to fire at `at`.
+    pub fn push(&mut self, at: SimTime, event: E) {
+        self.heap.push(Entry(Reverse((at, self.next_seq)), event));
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].live = true;
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    generation: 0,
-                    live: true,
-                });
-                s
-            }
-        };
-        self.heap.push(Entry {
-            at,
-            seq,
-            slot,
-            event,
-        });
-        self.live += 1;
-        EventHandle::new(slot, self.slots[slot as usize].generation)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending (and is now dropped),
-    /// `false` if it had already fired or been cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        let idx = handle.slot();
-        match self.slots.get_mut(idx) {
-            Some(slot) if slot.live && slot.generation == handle.generation() => {
-                slot.live = false;
-                self.live -= 1;
-                self.cancelled += 1;
-                self.maybe_compact();
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let was_live = self.slots[entry.slot as usize].live;
-            self.release(entry.slot);
-            if was_live {
-                self.live -= 1;
-                return Some((entry.at, entry.event));
-            }
-            self.cancelled -= 1;
-        }
-        None
+        let Entry(Reverse((at, _)), event) = self.heap.pop()?;
+        Some((at, event))
+    }
+
+    /// Removes and returns the earliest pending event if it is due exactly at
+    /// `t`; a `while let` drain also takes what its handlers schedule for `t`.
+    pub fn pop_at(&mut self, t: SimTime) -> Option<E> {
+        (self.peek_time() == Some(t)).then(|| self.heap.pop().expect("peeked").1)
     }
 
     /// Returns the timestamp of the earliest pending event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].live {
-                return Some(entry.at);
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            self.release(entry.slot);
-            self.cancelled -= 1;
-        }
-        None
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Entry(Reverse((at, _)), _)| *at)
     }
 
-    /// Returns the number of pending (non-cancelled) events.
+    /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Entries physically in the heap, cancelled ones included — a
-    /// diagnostic for the compaction policy (always `< 2·len() +`
-    /// a small constant).
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for slot in &mut self.slots {
-            if slot.live {
-                slot.live = false;
-            }
-            // Advance every generation so handles from before the clear can
-            // never cancel events scheduled after it.
-            slot.generation = slot.generation.wrapping_add(1);
-        }
-        self.free.clear();
-        self.free.extend((0..self.slots.len() as u32).rev());
-        self.live = 0;
-        self.cancelled = 0;
-    }
-
-    /// Returns `slot` to the free list, invalidating outstanding handles.
-    fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.live = false;
-        s.generation = s.generation.wrapping_add(1);
-        self.free.push(slot);
-    }
-
-    /// Rebuilds the heap without its cancelled entries once they outnumber
-    /// the live ones. Amortised O(1) per operation: a compaction of n
-    /// entries is paid for by the ≥ n/2 cancellations since the last one.
-    ///
-    /// The rebuild is allocation-free: survivors are retained in place in
-    /// the heap's own backing vector and re-heapified, so a queue at its
-    /// high-water capacity compacts without touching the allocator.
-    fn maybe_compact(&mut self) {
-        if self.cancelled < COMPACT_MIN || self.cancelled <= self.live {
-            return;
-        }
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        entries.retain(|entry| {
-            let s = &mut slots[entry.slot as usize];
-            if s.live {
-                true
-            } else {
-                // Inline `release`: the slot is already dead, so just
-                // invalidate outstanding handles and recycle it.
-                s.generation = s.generation.wrapping_add(1);
-                free.push(entry.slot);
-                false
-            }
-        });
-        self.heap = BinaryHeap::from(entries);
-        self.cancelled = 0;
+        self.heap.is_empty()
     }
 }
 
@@ -276,133 +111,50 @@ mod tests {
         q.push(SimTime::from_nanos(30), 3);
         q.push(SimTime::from_nanos(10), 1);
         q.push(SimTime::from_nanos(20), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
         let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.push(SimTime::from_nanos(7), i);
-        }
+        (0..100).for_each(|i| q.push(SimTime::from_nanos(7), i));
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_nanos(1), "a");
-        q.push(SimTime::from_nanos(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel must report false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "b")));
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle::new(99, 0)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn stale_handle_cannot_cancel_slot_reuse() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_nanos(1), "a");
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), "a")));
-        // "b" reuses slot 0; the stale handle for "a" must not touch it.
-        q.push(SimTime::from_nanos(2), "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "b")));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_nanos(1), "a");
-        q.push(SimTime::from_nanos(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "b")));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
-        let h1 = q.push(SimTime::ZERO, 1);
+        q.push(SimTime::ZERO, 1);
         q.push(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
-        q.cancel(h1);
+        q.pop();
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
     }
 
     #[test]
-    fn clear_empties_queue() {
+    fn pop_at_drains_one_instant_and_what_its_handlers_push_for_it() {
+        let (t1, t2) = (SimTime::from_nanos(1), SimTime::from_nanos(2));
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.push(SimTime::ZERO, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_invalidates_outstanding_handles() {
-        let mut q = EventQueue::new();
-        let h = q.push(SimTime::ZERO, 1);
-        q.clear();
-        q.push(SimTime::ZERO, 2);
-        assert!(!q.cancel(h), "pre-clear handle must not cancel a new event");
-        assert_eq!(q.pop(), Some((SimTime::ZERO, 2)));
-    }
-
-    #[test]
-    fn schedule_cancel_churn_keeps_heap_bounded() {
-        // The RTO-restart pattern: every push is followed by a cancel of
-        // the previous event. Without compaction the heap would hold every
-        // cancelled entry until its timestamp pops; with it, heap size must
-        // stay within a constant factor of the live count.
-        let mut q = EventQueue::new();
-        let mut handles: Vec<EventHandle> = (0..10u64)
-            .map(|i| q.push(SimTime::from_nanos(1 << 40 | i), i))
-            .collect();
-        for round in 0..100_000u64 {
-            for h in handles.iter_mut() {
-                assert!(q.cancel(*h));
-                *h = q.push(SimTime::from_nanos(1 << 40 | round), round);
+        q.push(t2, 9);
+        q.push(t1, 0);
+        assert_eq!(q.pop_at(t2), None, "the head is earlier than t2");
+        assert_eq!(q.pop_at(SimTime::ZERO), None, "nothing is due before t1");
+        let mut seen = Vec::new();
+        while let Some(e) = q.pop_at(t1) {
+            seen.push(e);
+            if e < 3 {
+                q.push(t2, 10 + e);
+                q.push(t1, e + 1);
             }
-            assert!(
-                q.heap_len() <= 2 * q.len() + 2 * COMPACT_MIN,
-                "heap grew unboundedly: {} entries for {} live events",
-                q.heap_len(),
-                q.len()
-            );
         }
-        assert_eq!(q.len(), 10);
-        // Slots are recycled, not leaked: 10 live + a bounded surplus from
-        // entries awaiting compaction.
-        assert!(q.slots.len() <= 2 * 10 + 2 * COMPACT_MIN, "{}", q.slots.len());
-    }
-
-    #[test]
-    fn compaction_preserves_order_and_fifo_ties() {
-        let mut q = EventQueue::new();
-        // Interleave survivors with doomed events until compaction fires.
-        let mut doomed = Vec::new();
-        for i in 0..200u64 {
-            q.push(SimTime::from_nanos(100 + i), i as i64);
-            doomed.push(q.push(SimTime::from_nanos(50), -(i as i64)));
-        }
-        for h in doomed {
-            assert!(q.cancel(h));
-        }
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..200).map(|i| i as i64).collect::<Vec<_>>());
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        assert_eq!(q.len(), 4, "the later events stay queued");
+        assert_eq!([q.pop_at(t2), q.pop_at(t2)], [Some(9), Some(10)]);
     }
 }

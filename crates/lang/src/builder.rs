@@ -116,14 +116,6 @@ impl QueryBuilder {
         FlowBuilder { builder: self, id }
     }
 
-    /// Returns the handle for a previously defined flow by name.
-    pub fn flow_handle(&self, name: &str) -> Option<FlowHandle> {
-        self.flows
-            .iter()
-            .position(|f| f.name.as_ref().is_some_and(|n| n.text == name))
-            .map(FlowHandle)
-    }
-
     /// Assembles the AST query.
     pub fn build(&self) -> Query {
         let mut statements: Vec<Statement> = Vec::new();

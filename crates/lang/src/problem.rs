@@ -86,14 +86,6 @@ impl Endpoint {
             _ => None,
         }
     }
-
-    /// Returns the fixed address if this endpoint is one.
-    pub fn as_addr(self) -> Option<Address> {
-        match self {
-            Endpoint::Addr(a) => Some(a),
-            _ => None,
-        }
-    }
 }
 
 /// A resolved attribute expression.
@@ -237,19 +229,6 @@ pub struct Problem {
 }
 
 impl Problem {
-    /// Looks up a variable by name.
-    pub fn var_by_name(&self, name: &str) -> Option<VarId> {
-        self.vars.iter().position(|v| v.name == name).map(VarId)
-    }
-
-    /// Looks up a flow by name.
-    pub fn flow_by_name(&self, name: &str) -> Option<FlowId> {
-        self.flows
-            .iter()
-            .position(|f| f.name.as_deref() == Some(name))
-            .map(FlowId)
-    }
-
     /// All distinct addresses mentioned anywhere in the problem (fixed
     /// endpoints and candidate pools) — the set of status servers the
     /// CloudTalk server may need to interrogate — in order of first

@@ -53,7 +53,7 @@ pub use clock::{HostClock, ManualClock, MonotonicClock, NullClock};
 pub use export::{chrome_trace_json, metrics_dump};
 pub use metrics::{quantile_from_counts, CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use recorder::{FlightRecorder, PostmortemBundle, RecorderCfg, StitchedTrace};
-pub use sample::{TraceCtx, TraceSampler, NO_SPAN};
+pub use sample::{TraceCtx, TraceSampler};
 pub use slo::{SloEvent, SloEventKind, SloKind, SloSpec, SloStats, SloTracker};
 pub use timeseries::{
     ClassWindow, QueryRecord, RingRecorder, RingSpec, WindowData, WindowHub, WindowSummary,

@@ -15,39 +15,20 @@
 
 use desim::rng::derive_seed;
 
-/// Root span id used when a context has not yet bound a parent span.
-pub const NO_SPAN: u32 = u32::MAX;
-
 /// Trace context carried by a sampled query from admission to completion.
 ///
 /// `trace_id` names the end-to-end trace (unique per `(tenant, seq)` for a
-/// fixed sampler seed); `parent` is the span id of the enclosing stage, so
-/// a component can attach its spans under the caller's.
+/// fixed sampler seed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
     /// 64-bit trace id, stable across runs and worker counts.
     pub trace_id: u64,
-    /// Span id of the enclosing stage in the current lane ([`NO_SPAN`] at
-    /// the root).
-    pub parent: u32,
 }
 
 impl TraceCtx {
     /// A root context for a freshly sampled query.
     pub fn root(trace_id: u64) -> Self {
-        TraceCtx {
-            trace_id,
-            parent: NO_SPAN,
-        }
-    }
-
-    /// The same trace with `parent` rebound to `span` — used when handing
-    /// the context down one stage.
-    pub fn child_of(self, span: u32) -> Self {
-        TraceCtx {
-            trace_id: self.trace_id,
-            parent: span,
-        }
+        TraceCtx { trace_id }
     }
 }
 
@@ -137,14 +118,5 @@ mod tests {
             assert_ne!(id, 0);
             assert!(seen.insert(id), "duplicate trace id for seq {q}");
         }
-    }
-
-    #[test]
-    fn child_of_rebinds_parent_only() {
-        let ctx = TraceCtx::root(42);
-        assert_eq!(ctx.parent, NO_SPAN);
-        let c = ctx.child_of(3);
-        assert_eq!(c.trace_id, 42);
-        assert_eq!(c.parent, 3);
     }
 }

@@ -103,13 +103,6 @@ impl SloSpec {
         Self::named(SloKind::DegradedRate, threshold)
     }
 
-    /// Scopes the spec to one tenant class.
-    pub fn for_class(mut self, class: usize) -> Self {
-        self.class = Some(class);
-        self.name = format!("{}.class{}", self.kind.label(), class);
-        self
-    }
-
     /// Parses the `--slo` flag grammar: `p50=|p99=|p999=` followed by a
     /// duration (`25ms`, `800us`), or `shed=|error=|degraded=` followed by
     /// a rate (`1%` or `0.01`). Several specs separated by commas.

@@ -53,11 +53,6 @@ impl RingSpec {
     pub fn window_of(&self, t: SimTime) -> u64 {
         t.as_nanos() / self.width.as_nanos().max(1)
     }
-
-    /// The start instant of window `w`.
-    pub fn window_start(&self, w: u64) -> SimTime {
-        SimTime::from_nanos(w.saturating_mul(self.width.as_nanos()))
-    }
 }
 
 /// One completed query, as recorded into a [`RingRecorder`].
@@ -416,11 +411,6 @@ impl WindowHub {
     /// The hub's ring shape.
     pub fn spec(&self) -> &RingSpec {
         &self.spec
-    }
-
-    /// First window not yet summarised.
-    pub fn next_window(&self) -> u64 {
-        self.next
     }
 
     /// Summarises every window strictly before `until` (the first window

@@ -1,16 +1,17 @@
 //! The packet simulator's event core as it was before the calendar of
 //! lanes: every packet in flight, every serialiser and every armed timer is
-//! one entry of a single global `desim::EventQueue<Event>`, and a restarted
-//! RTO is an eager cancel + push. Moved here verbatim (only `pump` reads the
-//! sendable range's `.end` now that `TcpState::sendable` returns a range)
-//! and kept as the oracle `calendar_equiv` compares `pktsim::PktSim`
-//! against, event for event.
+//! one entry of a single global queue, and a restarted RTO is an eager
+//! cancel + push. Moved here verbatim (only `pump` reads the sendable
+//! range's `.end` now that `TcpState::sendable` returns a range) and kept
+//! as the oracle `calendar_equiv` compares `pktsim::PktSim` against, event
+//! for event. The queue is the private [`Calendar`] below: `desim`'s queue
+//! does not cancel, and nothing but this oracle needs it to.
 
 #![allow(dead_code)]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-use desim::{EventHandle, EventQueue, SimDuration, SimTime};
+use desim::{SimDuration, SimTime};
 use pktsim::config::SimConfig;
 use pktsim::stats::Stats;
 use pktsim::tcp::{AckAction, TcpState};
@@ -54,12 +55,43 @@ enum Event {
     Rto(usize),
 }
 
+/// The key an event was scheduled under; cancelling removes that entry.
+type EventHandle = (SimTime, u64);
+
+/// Events ordered by `(time, push order)`: the earliest pops first, equal
+/// times in insertion order, and a cancelled event is gone at once.
+struct Calendar {
+    events: BTreeMap<EventHandle, Event>,
+    next_seq: u64,
+}
+
+impl Calendar {
+    fn push(&mut self, at: SimTime, event: Event) -> EventHandle {
+        let key = (at, self.next_seq);
+        self.next_seq += 1;
+        self.events.insert(key, event);
+        key
+    }
+
+    fn cancel(&mut self, handle: EventHandle) {
+        self.events.remove(&handle);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.events.pop_first().map(|((at, _), event)| (at, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.events.keys().next().map(|&(at, _)| at)
+    }
+}
+
 /// The packet-level simulator.
 pub struct PktSim {
     topo: Topology,
     router: Router,
     cfg: SimConfig,
-    queue: EventQueue<Event>,
+    queue: Calendar,
     now: SimTime,
     ports: Vec<PortState>,
     flows: Vec<Flow>,
@@ -85,7 +117,10 @@ impl PktSim {
             topo,
             router: Router::new(),
             cfg,
-            queue: EventQueue::new(),
+            queue: Calendar {
+                events: BTreeMap::new(),
+                next_seq: 0,
+            },
             now: SimTime::ZERO,
             ports,
             flows: Vec::new(),
@@ -100,14 +135,14 @@ impl PktSim {
 
     /// Rewinds the simulator to an empty, time-zero state over the same
     /// topology, keeping every allocation that is worth keeping: the port
-    /// table, each port's queue buffer, the event queue's slab, and — most
-    /// importantly — the router's route cache, so repeated evaluations of
-    /// different flow sets over one topology stop paying BFS per flow.
+    /// table, each port's queue buffer and — most importantly — the router's
+    /// route cache, so repeated evaluations of different flow sets over one
+    /// topology stop paying BFS per flow.
     ///
     /// After `reset` the simulator behaves exactly like a freshly
     /// constructed one: flows, stats, and pending events are gone.
     pub fn reset(&mut self) {
-        self.queue.clear();
+        self.queue.events.clear();
         self.now = SimTime::ZERO;
         self.flows.clear();
         self.stats = Stats::default();

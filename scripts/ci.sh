@@ -118,4 +118,19 @@ if [ "$fillers" != "crates/simnet/src/sharing.rs" ]; then
     exit 1
 fi
 
+echo "=== one calendar, one co-simulation step (desim's queue is a heap and a counter; the app drivers meet the network in Cluster::step) ==="
+if grep -rnE 'EventHandle|fn cancel|heap_len|COMPACT_MIN' crates/desim/src; then
+    echo "error: cancellation machinery is back in crates/desim/src — a simulator that re-arms timers keeps the deadline in its own state"
+    exit 1
+fi
+steppers="$(grep -rl 'next_completion_time' crates/apps/src || true)"
+if [ "$steppers" != "crates/apps/src/cluster.rs" ]; then
+    echo "error: next_completion_time read outside crates/apps/src/cluster.rs — drivers advance through Cluster::step:"; echo "$steppers"
+    exit 1
+fi
+if grep -rnE 'too_many_arguments|macro_rules!' crates/apps/src; then
+    echo "error: a driver's state is threaded through arguments or a macro again — keep it in the driver's struct"
+    exit 1
+fi
+
 echo "ci: all green"
