@@ -699,11 +699,11 @@ mod tests {
         let m = mirror(4);
         let src = addr_of(&m, 0);
         let mut p = Problem {
-            vars: vec![Variable {
-                name: "x".into(),
-                candidates: vec![Value::Disk, Value::Addr(addr_of(&m, 1))],
-                pool: 0,
-            }],
+            vars: vec![Variable::new(
+                "x",
+                vec![Value::Disk, Value::Addr(addr_of(&m, 1))],
+                0,
+            )],
             flows: vec![],
             distinct: true,
         };

@@ -123,7 +123,7 @@ pub fn filter_candidates(
             .collect();
         if kept.is_empty() {
             return Err(ScalarError::NoFeasibleCandidate {
-                variable: var.name.clone(),
+                variable: var.name.to_string(),
             });
         }
         var.candidates = kept;

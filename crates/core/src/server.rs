@@ -956,7 +956,7 @@ impl EvalCore {
         // with a typed error instead of panicking deep in the evaluator.
         if let Some(v) = working.vars.iter().find(|v| v.candidates.is_empty()) {
             return Err(ServerError::EmptyCandidates {
-                var: v.name.clone(),
+                var: v.name.to_string(),
             });
         }
 

@@ -53,11 +53,7 @@ fn build_problem(
             if candidates.is_empty() {
                 candidates.push(Value::Addr(Address(1)));
             }
-            Variable {
-                name: format!("x{i}"),
-                candidates,
-                pool: usize::from(pool % 2),
-            }
+            Variable::new(format!("x{i}"), candidates, usize::from(pool % 2))
         })
         .collect();
 
@@ -67,7 +63,7 @@ fn build_problem(
         .enumerate()
         .map(|(i, &(src, dst, size_mb, start, rate_sel, transfer_sel))| {
             let mut f = Flow::new(
-                Some(format!("f{i}")),
+                Some(format!("f{i}").into()),
                 endpoint(src, n_vars, n_addrs),
                 endpoint(dst, n_vars, n_addrs),
             );

@@ -5,6 +5,7 @@
 //! validator can report precise diagnostics.
 
 use crate::error::Span;
+use crate::name::Name;
 
 /// A parsed CloudTalk query: the representation of one *problem instance*.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -15,7 +16,7 @@ pub struct Query {
 
 impl Query {
     /// Iterates over the variable declarations in the query.
-    pub fn var_decls(&self) -> impl Iterator<Item = &VarDecl> {
+    pub fn var_decls(&self) -> impl Iterator<Item = &VarDecl> + Clone {
         self.statements.iter().filter_map(|s| match s {
             Statement::VarDecl(d) => Some(d),
             Statement::Flow(_) => None,
@@ -23,7 +24,7 @@ impl Query {
     }
 
     /// Iterates over the flow definitions in the query.
-    pub fn flows(&self) -> impl Iterator<Item = &FlowDef> {
+    pub fn flows(&self) -> impl Iterator<Item = &FlowDef> + Clone {
         self.statements.iter().filter_map(|s| match s {
             Statement::Flow(f) => Some(f),
             Statement::VarDecl(_) => None,
@@ -80,15 +81,15 @@ impl FlowDef {
 /// An identifier with its span.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Ident {
-    /// The identifier text.
-    pub text: String,
+    /// The identifier text, stored in place.
+    pub text: Name,
     /// Where it appears.
     pub span: Span,
 }
 
 impl Ident {
     /// Creates an identifier with a dummy span (for synthesized ASTs).
-    pub fn synthetic(text: impl Into<String>) -> Self {
+    pub fn synthetic(text: impl Into<Name>) -> Self {
         Ident {
             text: text.into(),
             span: Span::DUMMY,
@@ -253,7 +254,7 @@ impl FlowRef {
     /// Human-readable form for diagnostics and printing.
     pub fn display(&self) -> String {
         match self {
-            FlowRef::Named(ident) => ident.text.clone(),
+            FlowRef::Named(ident) => ident.text.to_string(),
             FlowRef::Index { index, .. } => index.to_string(),
         }
     }

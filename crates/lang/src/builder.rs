@@ -2,9 +2,9 @@
 //!
 //! CloudTalk-enabled applications (HDFS, MapReduce, web search) build their
 //! queries through [`QueryBuilder`] rather than string formatting: the
-//! builder emits a well-formed AST, can render canonical query text (what
-//! would go over the wire to the real CloudTalk server), and resolves
-//! directly into a [`Problem`].
+//! builder keeps well-formed declarations and flow definitions, renders
+//! them as canonical query text (what would go over the wire to the real
+//! CloudTalk server), and resolves them directly into a [`Problem`].
 //!
 //! # Examples
 //!
@@ -23,14 +23,12 @@
 //! assert!(text.contains("f1 A -> 10.0.0.1 size 256M"));
 //! ```
 
-use crate::ast::{
-    Attr, AttrKind, EndpointAst, Expr, FlowDef, FlowRef, Ident, Query, RefAttr, Statement,
-    VarDecl,
-};
+use crate::ast::{Attr, AttrKind, EndpointAst, Expr, FlowDef, FlowRef, Ident, RefAttr, VarDecl};
 use crate::error::{LangError, Span};
-use crate::printer::print_query;
+use crate::name::Name;
+use crate::printer::print_parts;
 use crate::problem::{Address, Problem};
-use crate::validate::{resolve, MapResolver};
+use crate::validate::{resolve_parts, MapResolver};
 
 /// Handle to a declared variable.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,7 +42,7 @@ pub struct FlowHandle(usize);
 #[derive(Default)]
 pub struct QueryBuilder {
     decls: Vec<VarDecl>,
-    var_names: Vec<String>,
+    var_names: Vec<Name>,
     flows: Vec<FlowDef>,
     next_flow_id: usize,
 }
@@ -74,7 +72,7 @@ impl QueryBuilder {
         names: impl IntoIterator<Item = String>,
         pool: impl IntoIterator<Item = Address>,
     ) -> Vec<VarHandle> {
-        let names: Vec<String> = names.into_iter().collect();
+        let names: Vec<Ident> = names.into_iter().map(Ident::synthetic).collect();
         let values: Vec<EndpointAst> = pool
             .into_iter()
             .map(|a| EndpointAst::Addr {
@@ -85,10 +83,10 @@ impl QueryBuilder {
         let mut handles = Vec::with_capacity(names.len());
         for name in &names {
             handles.push(VarHandle(self.var_names.len()));
-            self.var_names.push(name.clone());
+            self.var_names.push(name.text.clone());
         }
         self.decls.push(VarDecl {
-            names: names.into_iter().map(Ident::synthetic).collect(),
+            names,
             values,
             span: Span::DUMMY,
         });
@@ -97,11 +95,11 @@ impl QueryBuilder {
 
     /// Starts defining a named flow; finish it with the [`FlowBuilder`]
     /// endpoint and attribute methods.
-    pub fn flow(&mut self, name: impl Into<String>) -> FlowBuilder<'_> {
+    pub fn flow(&mut self, name: impl Into<Name>) -> FlowBuilder<'_> {
         let id = self.next_flow_id;
         self.next_flow_id += 1;
         self.flows.push(FlowDef {
-            name: Some(Ident::synthetic(name.into())),
+            name: Some(Ident::synthetic(name)),
             src: EndpointAst::Addr {
                 addr: 0,
                 span: Span::DUMMY,
@@ -116,21 +114,9 @@ impl QueryBuilder {
         FlowBuilder { builder: self, id }
     }
 
-    /// Assembles the AST query.
-    pub fn build(&self) -> Query {
-        let mut statements: Vec<Statement> = Vec::new();
-        for decl in &self.decls {
-            statements.push(Statement::VarDecl(decl.clone()));
-        }
-        for flow in &self.flows {
-            statements.push(Statement::Flow(flow.clone()));
-        }
-        Query { statements }
-    }
-
     /// Renders the canonical query text (the wire representation).
     pub fn text(&self) -> String {
-        print_query(&self.build())
+        print_parts(self.decls.iter(), self.flows.iter())
     }
 
     /// Resolves the built query into a problem instance.
@@ -138,7 +124,7 @@ impl QueryBuilder {
     /// Builder queries only use literal addresses, so no name resolution
     /// is needed; errors indicate a structurally invalid query.
     pub fn resolve(&self) -> Result<Problem, LangError> {
-        resolve(&self.build(), &MapResolver::new())
+        resolve_parts(self.decls.iter(), self.flows.iter(), &MapResolver::new())
     }
 }
 
@@ -248,17 +234,18 @@ impl FlowBuilder<'_> {
         self.attr(AttrKind::End, Expr::literal(secs))
     }
 
-    /// Sets an arbitrary attribute expression.
+    /// Sets an arbitrary attribute expression; setting a kind again
+    /// replaces its earlier value.
     pub fn attr(mut self, kind: AttrKind, value: Expr) -> Self {
-        debug_assert!(
-            self.def().attrs.iter().all(|a| a.kind != kind),
-            "attribute {kind:?} set twice"
-        );
-        self.def().attrs.push(Attr {
-            kind,
-            value,
-            span: Span::DUMMY,
-        });
+        let attrs = &mut self.def().attrs;
+        match attrs.iter_mut().find(|a| a.kind == kind) {
+            Some(attr) => attr.value = value,
+            None => attrs.push(Attr {
+                kind,
+                value,
+                span: Span::DUMMY,
+            }),
+        }
         self
     }
 
@@ -422,7 +409,7 @@ pub fn map_placement_query(worker: Address, holders: &[Address], bytes: f64) -> 
         kind: AttrKind::Rate,
         value: Expr::Ref {
             attr: RefAttr::Rate,
-            flow: FlowRef::Named(Ident::synthetic("f2".to_string())),
+            flow: FlowRef::Named(Ident::synthetic("f2")),
             span: Span::DUMMY,
         },
         span: Span::DUMMY,
@@ -514,5 +501,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn the_wire_text_resolves_to_what_the_builder_resolves_to() {
+        let nodes: Vec<Address> = (2..9).map(Address).collect();
+        // A setter called again replaces the earlier value: one entry per
+        // kind, so the text and the problem cannot disagree.
+        let mut twice = QueryBuilder::new();
+        let x = twice.variable("x", nodes.iter().copied());
+        let f1 = twice.flow("f1").from_disk().to_var(x).size(1.0).size(2.0);
+        let f1 = f1.handle();
+        twice
+            .flow("f2")
+            .from_var(x)
+            .to_addr(Address(1))
+            .rate(5.0)
+            .size_of(f1)
+            .rate_of(f1);
+        assert!(twice.text().contains("f1 disk -> x size 2\n"), "{}", twice.text());
+
+        for b in [
+            twice,
+            hdfs_write_query(Address(1), &nodes, 3, 256.0 * MB),
+            reduce_placement_query(&nodes, 4, 64.0 * MB),
+            map_placement_query(Address(1), &nodes[..3], 128.0 * MB),
+            daisy_chain_query(&nodes, 4, 100.0 * MB),
+        ] {
+            let text = b.text();
+            let reparsed = crate::validate::resolve(
+                &parse_query(&text).unwrap_or_else(|e| panic!("{e}: {text}")),
+                &crate::validate::MapResolver::new(),
+            )
+            .unwrap();
+            assert_eq!(reparsed, b.resolve().unwrap(), "{text}");
+        }
     }
 }

@@ -21,6 +21,8 @@
 //! * [`builder`] — a programmatic [`builder::QueryBuilder`] used by the
 //!   CloudTalk-enabled applications, guaranteeing well-formed queries.
 //! * [`printer`] — canonical pretty-printing; `parse(print(q)) == q`.
+//! * [`name`] — [`Name`], identifier text stored in place: the AST and the
+//!   problem own their names without a heap allocation each.
 //! * [`units`] — byte-size / rate literal suffixes (`256M`, `1G`).
 //!
 //! # Examples
@@ -38,6 +40,7 @@ pub mod ast;
 pub mod builder;
 pub mod error;
 pub mod lexer;
+pub mod name;
 pub mod parser;
 pub mod printer;
 pub mod problem;
@@ -47,6 +50,7 @@ pub mod validate;
 
 pub use ast::Query;
 pub use error::{LangError, Span};
+pub use name::Name;
 pub use parser::parse_query;
 pub use problem::{Address, Endpoint, Problem};
 pub use validate::{resolve, MapResolver, Resolver};

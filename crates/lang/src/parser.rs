@@ -46,7 +46,9 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn parse(mut self) -> Result<Query, LangError> {
-        let mut statements = Vec::new();
+        // Every statement but the last is followed by a separator.
+        let ends = self.tokens.iter().filter(|tok| tok.kind == TokenKind::StatementEnd).count();
+        let mut statements = Vec::with_capacity(ends + 1);
         loop {
             self.skip_statement_ends();
             if self.peek_kind() == TokenKind::Eof {
@@ -78,7 +80,10 @@ impl<'a> Parser<'a> {
 
     fn parse_var_decl(&mut self) -> Result<VarDecl, LangError> {
         let start_span = self.peek_span();
-        let mut names = vec![self.expect_ident()?];
+        // `B = C = D = (` names one variable per `=`.
+        let chained = self.count_until(TokenKind::LParen, |kind| kind == TokenKind::Equals);
+        let mut names = Vec::with_capacity(chained);
+        names.push(self.expect_ident()?);
         self.expect(TokenKind::Equals)?;
         // Chained declarations: B = C = D = ( … ).
         while matches!(self.peek_kind(), TokenKind::Ident(_))
@@ -88,7 +93,8 @@ impl<'a> Parser<'a> {
             self.expect(TokenKind::Equals)?;
         }
         self.expect(TokenKind::LParen)?;
-        let mut values = Vec::new();
+        // An endpoint is one token.
+        let mut values = Vec::with_capacity(self.count_until(TokenKind::RParen, |_| true));
         while self.peek_kind() != TokenKind::RParen {
             if self.peek_kind() == TokenKind::Eof {
                 return Err(LangError::new(
@@ -172,7 +178,7 @@ impl<'a> Parser<'a> {
             }),
             TokenKind::Ident("disk") => Ok(EndpointAst::Disk { span: tok.span }),
             TokenKind::Ident(text) => Ok(EndpointAst::Name(Ident {
-                text: text.to_string(),
+                text: text.into(),
                 span: tok.span,
             })),
             other => Err(LangError::new(
@@ -320,7 +326,7 @@ impl<'a> Parser<'a> {
             TokenKind::Ident(text) => {
                 let tok = self.advance();
                 Ok(Ident {
-                    text: text.to_string(),
+                    text: text.into(),
                     span: tok.span,
                 })
             }
@@ -329,6 +335,20 @@ impl<'a> Parser<'a> {
                 self.peek_span(),
             )),
         }
+    }
+
+    /// How many tokens from here up to the first `stop` (or the end of the
+    /// statement) satisfy `counted`: what a list about to be parsed will
+    /// hold, so its vector is sized once.
+    fn count_until(&self, stop: TokenKind<'_>, counted: impl Fn(TokenKind<'a>) -> bool) -> usize {
+        self.tokens[self.pos..]
+            .iter()
+            .map(|tok| tok.kind)
+            .take_while(|&kind| {
+                kind != stop && kind != TokenKind::StatementEnd && kind != TokenKind::Eof
+            })
+            .filter(|&kind| counted(kind))
+            .count()
     }
 
     fn skip_statement_ends(&mut self) {

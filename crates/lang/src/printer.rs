@@ -14,10 +14,7 @@ use crate::units::{format_bytes, format_number};
 /// Renders a query in canonical form, one statement per line.
 pub fn print_query(query: &Query) -> String {
     let mut out = String::new();
-    for (i, stmt) in query.statements.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
+    for stmt in &query.statements {
         match stmt {
             Statement::VarDecl(decl) => print_var_decl(&mut out, decl),
             Statement::Flow(flow) => print_flow(&mut out, flow),
@@ -26,7 +23,26 @@ pub fn print_query(query: &Query) -> String {
     out
 }
 
+/// [`print_query`] of the query that declares `decls`, then defines `flows`.
+pub(crate) fn print_parts<'a>(
+    decls: impl Iterator<Item = &'a VarDecl>,
+    flows: impl Iterator<Item = &'a FlowDef>,
+) -> String {
+    let mut out = String::new();
+    decls.for_each(|decl| print_var_decl(&mut out, decl));
+    flows.for_each(|flow| print_flow(&mut out, flow));
+    out
+}
+
+/// Starts a statement on a line of its own.
+fn start_line(out: &mut String) {
+    if !out.is_empty() {
+        out.push('\n');
+    }
+}
+
 fn print_var_decl(out: &mut String, decl: &VarDecl) {
+    start_line(out);
     for name in &decl.names {
         let _ = write!(out, "{} = ", name.text);
     }
@@ -41,6 +57,7 @@ fn print_var_decl(out: &mut String, decl: &VarDecl) {
 }
 
 fn print_flow(out: &mut String, flow: &FlowDef) {
+    start_line(out);
     if let Some(name) = &flow.name {
         let _ = write!(out, "{} ", name.text);
     }

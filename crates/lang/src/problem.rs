@@ -8,6 +8,7 @@
 use std::fmt;
 
 use crate::ast::{AttrKind, BinOp, RefAttr};
+use crate::name::Name;
 
 /// An opaque server address (rendered as a dotted quad, like the IPv4
 /// addresses the real system uses).
@@ -57,12 +58,23 @@ pub enum Value {
 #[derive(Clone, PartialEq, Debug)]
 pub struct Variable {
     /// The variable's name as written in the query.
-    pub name: String,
+    pub name: Name,
     /// Candidate values, in declaration order.
     pub candidates: Vec<Value>,
     /// Pool id: variables declared together (`B = C = (…)`) share one and
     /// are bound to distinct values by default (paper §4.1).
     pub pool: usize,
+}
+
+impl Variable {
+    /// Creates a variable over `candidates`, in pool `pool`.
+    pub fn new(name: impl Into<Name>, candidates: Vec<Value>, pool: usize) -> Self {
+        Variable {
+            name: name.into(),
+            candidates,
+            pool,
+        }
+    }
 }
 
 /// A resolved flow endpoint.
@@ -135,7 +147,7 @@ impl ExprR {
 #[derive(Clone, PartialEq, Debug)]
 pub struct Flow {
     /// The flow's name, if it had one.
-    pub name: Option<String>,
+    pub name: Option<Name>,
     /// Data source.
     pub src: Endpoint,
     /// Data destination.
@@ -147,7 +159,7 @@ pub struct Flow {
 
 impl Flow {
     /// Creates a flow with no attributes.
-    pub fn new(name: Option<String>, src: Endpoint, dst: Endpoint) -> Self {
+    pub fn new(name: Option<Name>, src: Endpoint, dst: Endpoint) -> Self {
         Flow {
             name,
             src,
@@ -352,11 +364,11 @@ mod tests {
     #[test]
     fn mentioned_addresses_dedup_and_skip_unknown() {
         let mut p = Problem {
-            vars: vec![Variable {
-                name: "X".into(),
-                candidates: vec![Value::Addr(Address(1)), Value::Addr(Address(2)), Value::Disk],
-                pool: 0,
-            }],
+            vars: vec![Variable::new(
+                "X",
+                vec![Value::Addr(Address(1)), Value::Addr(Address(2)), Value::Disk],
+                0,
+            )],
             flows: vec![],
             distinct: true,
         };

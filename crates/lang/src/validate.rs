@@ -12,8 +12,9 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::ast::{AttrKind, EndpointAst, Expr, FlowRef, Query};
+use crate::ast::{AttrKind, EndpointAst, Expr, FlowDef, FlowRef, Query, RefAttr, VarDecl};
 use crate::error::{LangError, Span};
+use crate::name::Name;
 use crate::problem::{Address, Endpoint, ExprR, Flow, FlowId, Problem, Value, VarId, Variable};
 
 /// Resolves symbolic endpoint names to addresses.
@@ -102,16 +103,41 @@ impl Resolver for InterningResolver {
 /// assert_eq!(problem.flows.len(), 1);
 /// ```
 pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangError> {
+    resolve_parts(query.var_decls(), query.flows(), resolver)
+}
+
+/// [`resolve`] over a query's declarations and flows wherever they are
+/// kept: the statements of a parsed [`Query`], or the two lists of a
+/// [`crate::builder::QueryBuilder`]. Every vector of the problem is sized
+/// once, and names are compared in place: nothing is cloned, hashed or
+/// allocated per identifier.
+pub(crate) fn resolve_parts<'a>(
+    decls: impl Iterator<Item = &'a VarDecl> + Clone,
+    flows: impl Iterator<Item = &'a FlowDef> + Clone,
+    resolver: &impl Resolver,
+) -> Result<Problem, LangError> {
+    let n_vars = decls.clone().map(|d| d.names.len()).sum();
+    let n_flows = flows.clone().count();
+    let var_names = NameIndex::new(
+        decls
+            .clone()
+            .flat_map(|d| d.names.iter().map(|n| Some(&n.text))),
+        n_vars,
+    );
+    // Flow names are indexed before any flow is resolved, so references
+    // can be forward.
+    let flow_names = NameIndex::new(
+        flows.clone().map(|f| f.name.as_ref().map(|n| &n.text)),
+        n_flows,
+    );
     let mut problem = Problem {
-        vars: Vec::new(),
-        flows: Vec::new(),
+        vars: Vec::with_capacity(n_vars),
+        flows: Vec::with_capacity(n_flows),
         distinct: true,
     };
-    // Names are looked up as slices of the AST: nothing is cloned per use.
-    let mut var_names: HashMap<&str, VarId> = HashMap::new();
 
     // Pass 1: variables.
-    for (pool, decl) in query.var_decls().enumerate() {
+    for (pool, decl) in decls.enumerate() {
         let mut candidates = Vec::with_capacity(decl.values.len());
         for value in &decl.values {
             candidates.push(match value {
@@ -138,8 +164,7 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
         }
         let last = decl.names.len().saturating_sub(1);
         for (i, name) in decl.names.iter().enumerate() {
-            let id = VarId(problem.vars.len());
-            if var_names.insert(&name.text, id).is_some() {
+            if var_names.first_repeat == Some(problem.vars.len()) {
                 return Err(LangError::new(
                     format!("variable `{}` declared twice", name.text),
                     name.span,
@@ -159,17 +184,16 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
         }
     }
 
-    // Pass 2: flow names (so references can be forward).
-    let mut flow_names: HashMap<&str, FlowId> = HashMap::new();
-    for (idx, flow) in query.flows().enumerate() {
+    // Pass 2: flow names.
+    for (idx, flow) in flows.clone().enumerate() {
         if let Some(name) = &flow.name {
-            if flow_names.insert(&name.text, FlowId(idx)).is_some() {
+            if flow_names.first_repeat == Some(idx) {
                 return Err(LangError::new(
                     format!("flow `{}` defined twice", name.text),
                     name.span,
                 ));
             }
-            if var_names.contains_key(name.text.as_str()) {
+            if var_names.find(&name.text).is_some() {
                 return Err(LangError::new(
                     format!("`{}` is both a variable and a flow name", name.text),
                     name.span,
@@ -179,9 +203,8 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
     }
 
     // Pass 3: flows.
-    let n_flows = query.flows().count();
-    problem.flows.reserve_exact(n_flows);
-    for flow_def in query.flows() {
+    let mut size_refs = false;
+    for flow_def in flows.clone() {
         let src = resolve_endpoint(&flow_def.src, &var_names, resolver)?;
         let dst = resolve_endpoint(&flow_def.dst, &var_names, resolver)?;
         if src == Endpoint::Disk && dst == Endpoint::Disk {
@@ -193,18 +216,95 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
         let mut flow = Flow::new(flow_def.name.as_ref().map(|n| n.text.clone()), src, dst);
         for attr in &flow_def.attrs {
             let expr = resolve_expr(&attr.value, &flow_names, n_flows)?;
+            if attr.kind == AttrKind::Size {
+                expr.for_each_ref(&mut |of, _| size_refs |= of == RefAttr::Size);
+            }
             flow.set_attr(attr.kind, expr);
         }
         problem.flows.push(flow);
     }
 
-    check_size_cycles(&problem)?;
+    // Only a `size` that mentions `sz(…)` can close a cycle; most queries
+    // have none and skip the walk and its scratch.
+    if size_refs {
+        if let Err((closing, at)) = check_size_cycles(&problem.flows) {
+            let name = match &problem.flows[at].name {
+                Some(name) => name.to_string(),
+                None => format!("#{at}"),
+            };
+            let span = flows.clone().nth(closing).map_or(Span::DUMMY, |f| f.span);
+            return Err(LangError::new(
+                format!("cyclic `size` reference involving flow `{name}`"),
+                span,
+            ));
+        }
+    }
     Ok(problem)
 }
 
-fn resolve_endpoint(
+/// Up to this many names of one kind — variables, or flows — a lookup
+/// scans them: a few cache lines, cheaper than hashing one name. A query
+/// with more gets a sorted index instead, so resolving stays
+/// `O(n log n)` in the length of whatever text a tenant sends.
+const SCAN_MAX: usize = 32;
+
+/// Name → position in declaration order, over the variables or the flows
+/// of one query.
+struct NameIndex<'a, I> {
+    /// Every position's name in order; `None` is an unnamed flow.
+    names: I,
+    /// `(name, position)` sorted; empty while the names are few enough to
+    /// scan.
+    sorted: Vec<(&'a Name, usize)>,
+    /// The first position, in declaration order, whose name repeats an
+    /// earlier one.
+    first_repeat: Option<usize>,
+}
+
+impl<'a, I: Iterator<Item = Option<&'a Name>> + Clone> NameIndex<'a, I> {
+    fn new(names: I, count: usize) -> Self {
+        let mut sorted = Vec::new();
+        let first_repeat = if count <= SCAN_MAX {
+            let earlier = |(at, name): &(usize, Option<&Name>)| {
+                name.is_some() && names.clone().take(*at).any(|n| n == *name)
+            };
+            names.clone().enumerate().find(earlier).map(|(at, _)| at)
+        } else {
+            sorted.extend(
+                names
+                    .clone()
+                    .enumerate()
+                    .filter_map(|(at, name)| Some((name?, at))),
+            );
+            sorted.sort_unstable();
+            // Equal names are neighbours, earliest first.
+            sorted
+                .windows(2)
+                .filter(|pair| pair[0].0 == pair[1].0)
+                .map(|pair| pair[1].1)
+                .min()
+        };
+        NameIndex {
+            names,
+            sorted,
+            first_repeat,
+        }
+    }
+
+    /// The position `name` was declared at. Only meaningful once the
+    /// caller has rejected `first_repeat`.
+    fn find(&self, name: &Name) -> Option<usize> {
+        if self.sorted.is_empty() {
+            return self.names.clone().position(|n| n == Some(name));
+        }
+        let at = self.sorted.binary_search_by(|(n, _)| (*n).cmp(name)).ok()?;
+        Some(self.sorted[at].1)
+    }
+}
+
+fn resolve_endpoint<'a>(
     ep: &EndpointAst,
-    vars: &HashMap<&str, VarId>,
+    vars: &NameIndex<'a, impl Iterator<Item = Option<&'a Name>> + Clone>,
     resolver: &impl Resolver,
 ) -> Result<Endpoint, LangError> {
     Ok(match ep {
@@ -212,8 +312,8 @@ fn resolve_endpoint(
         EndpointAst::Addr { addr, .. } => Endpoint::Addr(Address(*addr)),
         EndpointAst::Disk { .. } => Endpoint::Disk,
         EndpointAst::Name(ident) => {
-            if let Some(var) = vars.get(ident.text.as_str()) {
-                Endpoint::Var(*var)
+            if let Some(var) = vars.find(&ident.text) {
+                Endpoint::Var(VarId(var))
             } else if let Some(addr) = resolver.resolve(&ident.text) {
                 Endpoint::Addr(addr)
             } else {
@@ -229,16 +329,16 @@ fn resolve_endpoint(
     })
 }
 
-fn resolve_expr(
+fn resolve_expr<'a>(
     expr: &Expr,
-    flows: &HashMap<&str, FlowId>,
+    flows: &NameIndex<'a, impl Iterator<Item = Option<&'a Name>> + Clone>,
     n_flows: usize,
 ) -> Result<ExprR, LangError> {
     Ok(match expr {
         Expr::Literal { value, .. } => ExprR::Literal(*value),
         Expr::Ref { attr, flow, span } => {
             let id = match flow {
-                FlowRef::Named(ident) => *flows.get(ident.text.as_str()).ok_or_else(|| {
+                FlowRef::Named(ident) => flows.find(&ident.text).ok_or_else(|| {
                     LangError::new(
                         format!("reference to unknown flow `{}`", ident.text),
                         *span,
@@ -253,10 +353,10 @@ fn resolve_expr(
                             *span,
                         ));
                     }
-                    FlowId(index - 1)
+                    index - 1
                 }
             };
-            ExprR::Ref(*attr, id)
+            ExprR::Ref(*attr, FlowId(id))
         }
         Expr::Binary { op, lhs, rhs } => ExprR::Binary(
             *op,
@@ -267,61 +367,44 @@ fn resolve_expr(
 }
 
 /// Rejects cyclic `size` references (`sz(f)` chains must be a DAG; a flow's
-/// size depending on itself has no solution).
-fn check_size_cycles(problem: &Problem) -> Result<(), LangError> {
+/// size depending on itself has no solution). The error is `(closing, at)`:
+/// flow `closing`'s size refers back to flow `at`, which is still being
+/// walked.
+fn check_size_cycles(flows: &[Flow]) -> Result<(), (usize, usize)> {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
         White,
         Grey,
         Black,
     }
-    let n = problem.flows.len();
-    let mut marks = vec![Mark::White; n];
 
-    fn visit(problem: &Problem, marks: &mut [Mark], idx: usize) -> Result<(), LangError> {
+    fn visit(flows: &[Flow], marks: &mut [Mark], idx: usize) -> Result<(), (usize, usize)> {
         marks[idx] = Mark::Grey;
-        if let Some(expr) = problem.flows[idx].attr(AttrKind::Size) {
-            let mut cycle: Option<usize> = None;
+        if let Some(expr) = flows[idx].attr(AttrKind::Size) {
+            // A reference back into the walk is reported before any other
+            // is followed.
+            let mut found = Ok(());
             expr.for_each_ref(&mut |attr, flow| {
-                if attr == crate::ast::RefAttr::Size {
-                    match marks[flow.0] {
-                        Mark::Grey => cycle = Some(flow.0),
-                        Mark::White => {
-                            // Recurse below (collected first to keep closure simple).
-                        }
-                        Mark::Black => {}
-                    }
+                if attr == RefAttr::Size && marks[flow.0] == Mark::Grey {
+                    found = Err((idx, flow.0));
                 }
             });
-            if let Some(at) = cycle {
-                let name = problem.flows[at]
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| format!("#{at}"));
-                return Err(LangError::new(
-                    format!("cyclic `size` reference involving flow `{name}`"),
-                    Span::DUMMY,
-                ));
-            }
-            let mut targets = Vec::new();
+            found?;
             expr.for_each_ref(&mut |attr, flow| {
-                if attr == crate::ast::RefAttr::Size && marks[flow.0] == Mark::White {
-                    targets.push(flow.0);
+                if found.is_ok() && attr == RefAttr::Size && marks[flow.0] == Mark::White {
+                    found = visit(flows, marks, flow.0);
                 }
             });
-            for t in targets {
-                if marks[t] == Mark::White {
-                    visit(problem, marks, t)?;
-                }
-            }
+            found?;
         }
         marks[idx] = Mark::Black;
         Ok(())
     }
 
-    for i in 0..n {
+    let mut marks = vec![Mark::White; flows.len()];
+    for i in 0..flows.len() {
         if marks[i] == Mark::White {
-            visit(problem, &mut marks, i)?;
+            visit(flows, &mut marks, i)?;
         }
     }
     Ok(())
@@ -404,8 +487,51 @@ mod tests {
 
     #[test]
     fn size_self_cycle_rejected() {
-        let err = intern("f1 a -> b size sz(f2)\nf2 b -> c size sz(f1)").unwrap_err();
+        let src = "f1 a -> b size sz(f2)\nf2 b -> c size sz(f1)";
+        let err = intern(src).unwrap_err();
         assert!(err.message.contains("cyclic"));
+        // Located at the flow whose `sz(…)` closes the cycle.
+        assert_eq!(&src[err.span.start..err.span.end], "f2 b -> c size sz(f1)");
+    }
+
+    #[test]
+    fn a_query_too_long_to_scan_resolves_like_a_short_one() {
+        // Past `SCAN_MAX` names lookups go through the sorted index; ids,
+        // forward references and both duplicate reports must not change.
+        let n = 3 * SCAN_MAX;
+        let mut src = String::new();
+        for i in 0..n {
+            src.push_str(&format!("v{i} = (10.0.0.{} 10.0.1.{})\n", i + 1, i + 1));
+        }
+        for i in 0..n {
+            // Each flow names the next one, the last the first: all but one
+            // reference is forward.
+            src.push_str(&format!("f{i} v{i} -> v{} rate r(f{})\n", n - 1 - i, (i + 1) % n));
+        }
+        let p = intern(&src).unwrap();
+        assert_eq!((p.vars.len(), p.flows.len()), (n, n));
+        for (i, flow) in p.flows.iter().enumerate() {
+            assert_eq!(flow.src, Endpoint::Var(VarId(i)));
+            assert_eq!(flow.dst, Endpoint::Var(VarId(n - 1 - i)));
+            assert_eq!(
+                flow.attr(AttrKind::Rate),
+                Some(&ExprR::Ref(RefAttr::Rate, FlowId((i + 1) % n)))
+            );
+        }
+
+        // The first repeat in source order is the one reported, though two
+        // later names repeat as well.
+        let repeat_var = src.replacen("v40 =", "v7 =", 1).replacen("v90 =", "v3 =", 1);
+        let err = intern(&repeat_var).unwrap_err();
+        assert!(err.message.contains("`v7` declared twice"), "{err}");
+        assert!(err.span.start > src.find("v39 =").unwrap());
+        let repeat_flow = src.replacen("\nf50 ", "\nf9 ", 1).replacen("\nf80 ", "\nf2 ", 1);
+        let err = intern(&repeat_flow).unwrap_err();
+        assert!(err.message.contains("`f9` defined twice"), "{err}");
+        let both = src.replacen("\nf70 ", "\nv5 ", 1);
+        assert!(intern(&both).unwrap_err().message.contains("both a variable and a flow"));
+        let unknown = src.replacen("r(f33)", "r(f333)", 1);
+        assert!(intern(&unknown).unwrap_err().message.contains("unknown flow `f333`"));
     }
 
     #[test]

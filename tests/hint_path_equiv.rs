@@ -283,11 +283,8 @@ fn random_problem(rng: &mut DetRng) -> Problem {
                 own.push(Value::Addr(Address(rng.gen_range(1..=universe))));
                 own.swap_remove(0);
             }
-            problem.vars.push(Variable {
-                name: format!("v{}", problem.vars.len()),
-                candidates: own,
-                pool,
-            });
+            let name = format!("v{}", problem.vars.len());
+            problem.vars.push(Variable::new(name, own, pool));
         }
     }
     let n_vars = problem.vars.len();
@@ -307,7 +304,7 @@ fn random_problem(rng: &mut DetRng) -> Problem {
         }
         problem
             .flows
-            .push(Flow::new(Some(format!("f{i}")), src, dst));
+            .push(Flow::new(Some(format!("f{i}").into()), src, dst));
     }
     problem
 }
