@@ -28,11 +28,11 @@
 //! of the problems before treating a probe as a hit (the answer cache
 //! stores the full `Arc<Problem>` alongside the hash for exactly this).
 
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 use cloudtalk_lang::ast::AttrKind;
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, ExprR, Problem, Value};
+use cloudtalk_lang::{WordHasher, WordMap};
 
 /// Class id of a binding position bound to `Value::Disk`. Class ids are
 /// dense from zero, so the max id can never collide with it.
@@ -84,21 +84,21 @@ struct Slot {
 /// see [`HostClasses::build`] for the exact relation.
 #[derive(Clone, Debug)]
 pub struct HostClasses {
-    slots: HashMap<Address, Slot>,
+    slots: WordMap<Address, Slot>,
     /// Number of host-level classes assigned (ids are dense from zero).
     classes: u32,
 }
 
 /// Hands out dense ids: one per distinct key, or a fresh one on demand.
 struct Interner<K> {
-    ids: HashMap<K, u32>,
+    ids: WordMap<K, u32>,
     next: u32,
 }
 
 impl<K: Hash + Eq> Interner<K> {
     fn new() -> Self {
         Interner {
-            ids: HashMap::new(),
+            ids: WordMap::default(),
             next: 0,
         }
     }
@@ -156,7 +156,7 @@ impl HostClasses {
             .filter_map(|&a| describe(a).map(|(rack, _)| rack))
             .collect();
 
-        let mut slots: HashMap<Address, Slot> = HashMap::new();
+        let mut slots: WordMap<Address, Slot> = WordMap::default();
         let mut classes = Interner::new();
         let mut kinds = Interner::new();
         let mut rack_ids = Interner::new();
@@ -255,8 +255,17 @@ const ATTR_KINDS: [AttrKind; 5] = [
 /// consumers must back the hash with a structural equality check.
 pub fn fingerprint_problem(problem: &Problem) -> u64 {
     #[cfg(test)]
-    FINGERPRINT_CALLS.with(|c| c.set(c.get() + 1));
-    let mut h = DefaultHasher::new();
+    {
+        FINGERPRINT_CALLS.with(|c| c.set(c.get() + 1));
+        if ONE_BUCKET.load(std::sync::atomic::Ordering::SeqCst) {
+            return 0;
+        }
+    }
+    exact_hash(problem)
+}
+
+fn exact_hash(problem: &Problem) -> u64 {
+    let mut h = WordHasher::default();
     hash_problem(problem, AddrToken::Exact, &mut h);
     h.finish()
 }
@@ -268,13 +277,21 @@ thread_local! {
     pub(crate) static FINGERPRINT_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// While set, every fingerprint and every answer-cache key hashes to zero,
+/// on every thread: all probes land in one bucket and only the structural
+/// comparison tells entries apart. Tests of the hash itself call
+/// `exact_hash`, which does not look.
+#[cfg(test)]
+pub(crate) static ONE_BUCKET: std::sync::atomic::AtomicBool =
+    std::sync::atomic::AtomicBool::new(false);
+
 /// Address-blind shape hash: every address is replaced by its host
 /// class (unclassified addresses hash as themselves, pinning them).
 /// Isomorphic queries — the same application shape bound over
 /// interchangeable hosts — collide, which makes the hash a workload
 /// statistic, *not* a cache key.
 pub fn shape_hash(problem: &Problem, classes: &HostClasses) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = WordHasher::default();
     hash_problem(
         problem,
         |a| match classes.class_of(a) {
@@ -387,9 +404,30 @@ mod tests {
         let p1 = two_var_problem(vec![Address(1), Address(2)], vec![Address(3)], 1e4);
         let p2 = two_var_problem(vec![Address(1), Address(2)], vec![Address(4)], 1e4);
         let p3 = two_var_problem(vec![Address(1), Address(2)], vec![Address(3)], 2e4);
-        assert_eq!(fingerprint_problem(&p1), fingerprint_problem(&p1.clone()));
-        assert_ne!(fingerprint_problem(&p1), fingerprint_problem(&p2));
-        assert_ne!(fingerprint_problem(&p1), fingerprint_problem(&p3));
+        assert_eq!(exact_hash(&p1), exact_hash(&p1.clone()));
+        assert_ne!(exact_hash(&p1), exact_hash(&p2));
+        assert_ne!(exact_hash(&p1), exact_hash(&p3));
+    }
+
+    #[test]
+    fn ten_thousand_distinct_problems_keep_their_fingerprints_apart() {
+        // Neighbours in every field the hash folds: pool addresses, the
+        // fixed endpoint, literal bits, the flow's name.
+        let mut seen = std::collections::BTreeSet::new();
+        let mut problems = 0u32;
+        for a in 1..=25u32 {
+            for b in 1..=20u32 {
+                for (size, name) in (1..=20u32).map(|k| (f64::from(k) * 1e6, format!("f{}", k % 5))) {
+                    let mut q = QueryBuilder::new();
+                    let x = q.variable("x", [Address(a), Address(a + 1), Address(0x0A00_0000 + b)]);
+                    q.flow(name).from_var(x).to_addr(Address(b << 8)).size(size);
+                    seen.insert(exact_hash(&q.resolve().unwrap()));
+                    problems += 1;
+                }
+            }
+        }
+        assert_eq!(problems, 10_000);
+        assert!(seen.len() >= 9_990, "{} distinct fingerprints", seen.len());
     }
 
     #[test]
@@ -402,7 +440,7 @@ mod tests {
         let p2 = two_var_problem(vec![Address(3)], vec![Address(4)], 1e4);
         let c1 = HostClasses::build(&p1, describe, |_| None);
         let c2 = HostClasses::build(&p2, describe, |_| None);
-        assert_ne!(fingerprint_problem(&p1), fingerprint_problem(&p2));
+        assert_ne!(exact_hash(&p1), exact_hash(&p2));
         assert_eq!(shape_hash(&p1, &c1), shape_hash(&p2, &c2));
         // A different flow size is a different shape.
         let p3 = two_var_problem(vec![Address(1)], vec![Address(2)], 5e4);

@@ -59,11 +59,12 @@
 //! Because the epoch is *in* the key this counter must stay zero; the
 //! equivalence suite and the storm bench assert exactly that.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use cloudtalk_lang::problem::{Address, Binding, Problem};
+use cloudtalk_lang::{WordHasher, WordMap};
 
 use crate::footprint::Footprint;
 use crate::pktsearch::PktArtifacts;
@@ -175,10 +176,14 @@ impl<'a> KeyParts<'a> {
             shed,
             method,
         };
-        let mut h = DefaultHasher::new();
+        let mut h = WordHasher::default();
         fp.fingerprint().hash(&mut h);
         reserved.hash(&mut h);
         scalars.hash(&mut h);
+        #[cfg(test)]
+        if crate::canon::ONE_BUCKET.load(std::sync::atomic::Ordering::SeqCst) {
+            h = WordHasher::default();
+        }
         KeyParts {
             fp,
             reserved,
@@ -240,7 +245,7 @@ impl Entry {
 /// key hash and verified structurally, evicted first-in first-out.
 #[derive(Debug, Default)]
 pub(crate) struct Tier {
-    map: HashMap<u64, Vec<Entry>>,
+    map: WordMap<u64, Vec<Entry>>,
     /// FIFO of (bucket hash, entry seq) in insertion order.
     order: VecDeque<(u64, u64)>,
     seq: u64,
@@ -348,7 +353,7 @@ pub(crate) struct QueryCache {
     fresh: Vec<Entry>,
     /// Compiled packet-level artifacts keyed by problem fingerprint,
     /// verified against the exact problem.
-    artifacts: HashMap<u64, ArtifactBucket>,
+    artifacts: WordMap<u64, ArtifactBucket>,
     artifact_order: VecDeque<u64>,
     artifact_bytes: u64,
 }
@@ -359,7 +364,7 @@ impl QueryCache {
             cfg,
             l1: Tier::default(),
             fresh: Vec::new(),
-            artifacts: HashMap::new(),
+            artifacts: WordMap::default(),
             artifact_order: VecDeque::new(),
             artifact_bytes: 0,
         }

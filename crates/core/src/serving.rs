@@ -1337,6 +1337,57 @@ mod tests {
     }
 
     #[test]
+    fn answers_do_not_depend_on_where_a_key_hashes() {
+        // With every fingerprint and cache key forced into one bucket, a
+        // probe is decided by the structural comparison alone. Repeat-heavy
+        // traffic over three refresh epochs must answer exactly as with
+        // honest hashing — cache on or off, at 1, 2 and 8 workers — and
+        // never replay an entry from a dead epoch.
+        struct OneBucket;
+        impl Drop for OneBucket {
+            fn drop(&mut self) {
+                crate::canon::ONE_BUCKET.store(false, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        let run = |workers: usize, cache: bool| {
+            let (layout, src) = fleet();
+            let mut c = cfg(workers);
+            c.snapshot_refresh = SimDuration::from_millis(20);
+            c.server.cache.enabled = cache;
+            let mut plane = ServingPlane::new(c, layout, src);
+            let mut done = Vec::new();
+            for wave in 0..12u64 {
+                let at = SimTime::ZERO + SimDuration::from_millis(5 * wave);
+                for t in 0..6u32 {
+                    plane.submit(TenantId(t), rack_query((t + wave as u32) % 3), at).unwrap();
+                }
+                done.extend(plane.run_until(at));
+                assert_eq!(plane.cache_stats().stale_hits, 0);
+                assert_eq!(plane.cache_stats().l2_dead, 0);
+            }
+            done.extend(plane.run_until(SimTime::from_secs_f64(0.2)));
+            done.sort_by_key(|c| (c.tenant, c.seq));
+            let answers: Vec<_> = done
+                .into_iter()
+                .map(|c| (c.tenant, c.seq, c.result.expect("answered")))
+                .collect();
+            (answers, plane.cache_stats().hits())
+        };
+        for workers in [1usize, 2, 8] {
+            let (honest, honest_hits) = run(workers, true);
+            assert_eq!(honest.len(), 72);
+            assert!(honest_hits > 0, "the schedule must exercise the cache");
+
+            crate::canon::ONE_BUCKET.store(true, std::sync::atomic::Ordering::SeqCst);
+            let _reset = OneBucket;
+            let (cached, hits) = run(workers, true);
+            assert_eq!(hits, honest_hits, "{workers} workers");
+            assert_eq!(cached, honest, "{workers} workers, cache on");
+            assert_eq!(run(workers, false).0, honest, "{workers} workers, cache off");
+        }
+    }
+
+    #[test]
     fn tenant_queue_is_bounded() {
         let (layout, src) = fleet();
         let mut plane = ServingPlane::new(

@@ -24,6 +24,9 @@
 //! * [`name`] — [`Name`], identifier text stored in place: the AST and the
 //!   problem own their names without a heap allocation each.
 //! * [`units`] — byte-size / rate literal suffixes (`256M`, `1G`).
+//! * [`hash`] — [`WordHasher`], the one hasher of the query path, and the
+//!   maps built on it; defined beside [`Address`] so that every table
+//!   keyed by one can use it.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@
 pub mod ast;
 pub mod builder;
 pub mod error;
+pub mod hash;
 pub mod lexer;
 pub mod name;
 pub mod parser;
@@ -50,6 +54,7 @@ pub mod validate;
 
 pub use ast::Query;
 pub use error::{LangError, Span};
+pub use hash::{BuildWordHasher, WordHasher, WordMap, WordSet};
 pub use name::Name;
 pub use parser::parse_query;
 pub use problem::{Address, Endpoint, Problem};
