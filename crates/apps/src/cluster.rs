@@ -5,11 +5,11 @@
 //! processes inside our virtual machine" — i.e. the CloudTalk server reads
 //! the same per-host load the hypervisor would see.
 
-use std::collections::HashMap;
 
 use cloudtalk::server::{Answer, CloudTalkServer, ServerConfig, ServerError};
 use cloudtalk::status::{host_state_from_load, StatusSource};
 use cloudtalk_lang::problem::{Address, Problem, Value};
+use cloudtalk_lang::WordMap;
 use desim::{EventQueue, SimDuration, SimTime};
 use estimator::HostState;
 use simnet::engine::Completion;
@@ -25,7 +25,7 @@ pub struct Cluster {
     pub server: CloudTalkServer,
     /// Status servers measure periodically; `None` = instantaneous reads.
     measurement_interval: Option<SimDuration>,
-    status_cache: HashMap<Address, (SimTime, HostState)>,
+    status_cache: WordMap<Address, (SimTime, HostState)>,
 }
 
 impl Cluster {
@@ -35,7 +35,7 @@ impl Cluster {
             net: NetSim::new(topo),
             server: CloudTalkServer::new(server_cfg),
             measurement_interval: None,
-            status_cache: HashMap::new(),
+            status_cache: WordMap::default(),
         }
     }
 
@@ -156,7 +156,7 @@ impl Cluster {
 /// has expired.
 pub(crate) struct CachedNetSource<'a> {
     pub net: &'a mut NetSim,
-    pub cache: &'a mut HashMap<Address, (SimTime, HostState)>,
+    pub cache: &'a mut WordMap<Address, (SimTime, HostState)>,
     pub interval: Option<SimDuration>,
     pub now: SimTime,
 }

@@ -11,8 +11,7 @@
 //! together through [`Cluster::step`], and each finished file copy is
 //! recorded with start/finish times.
 
-use std::collections::HashMap;
-
+use cloudtalk_lang::WordMap;
 use desim::rng::{stream_rng, DetRng};
 use desim::{EventQueue, SimDuration, SimTime};
 use rand::Rng;
@@ -118,7 +117,7 @@ struct CopyDriver<'a> {
     datanodes: Vec<HostId>,
     rng: DetRng,
     /// The block each operation is moving right now.
-    in_flight: HashMap<TransferId, OpProgress>,
+    in_flight: WordMap<TransferId, OpProgress>,
 }
 
 /// Runs the copy experiment, returning one record per completed copy.
@@ -136,7 +135,7 @@ pub fn run_copy_experiment(
         block_bytes: exp.file_bytes / n_blocks as f64,
         datanodes: cluster.net.hosts(),
         rng: stream_rng(exp.seed, 0xC0B1),
-        in_flight: HashMap::new(),
+        in_flight: WordMap::default(),
     };
 
     let mut starts: EventQueue<usize> = EventQueue::new();

@@ -1,8 +1,8 @@
 //! The MapReduce event-driven runtime.
 
-use std::collections::HashMap;
 
 use cloudtalk_lang::builder::{map_placement_query, reduce_placement_query};
+use cloudtalk_lang::WordMap;
 use desim::rng::{stream_rng, DetRng};
 use desim::{EventQueue, SimDuration, SimTime};
 use rand::seq::SliceRandom;
@@ -180,7 +180,7 @@ struct JobRun<'a> {
     map_slots_free: Vec<usize>,
     reduce_slots_free: Vec<usize>,
     /// What each transfer in flight is doing for the job.
-    io: HashMap<TransferId, IoTag>,
+    io: WordMap<TransferId, IoTag>,
     events: EventQueue<Event>,
     rng: DetRng,
     split_bytes: f64,
@@ -259,7 +259,7 @@ impl<'a> JobRun<'a> {
             reduces,
             map_slots_free: vec![cfg.map_slots; n_hosts],
             reduce_slots_free: vec![cfg.reduce_slots; n_hosts],
-            io: HashMap::new(),
+            io: WordMap::default(),
             events,
             rng,
             split_bytes,

@@ -23,9 +23,10 @@
 //! [`FaultPlan::seeded`] derives one reproducibly from a `u64` seed, so a
 //! failing chaos case replays bit-for-bit.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cloudtalk_lang::problem::Address;
+use cloudtalk_lang::WordMap;
 use desim::rng::stream_rng;
 use desim::{SimDuration, SimTime};
 use estimator::{HostState, World};
@@ -196,11 +197,11 @@ impl Default for FaultIntensity {
 /// [`StatusSource`] in a [`FaultySource`] to apply it.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    crashed: HashMap<Address, Window>,
-    partitioned: HashMap<Address, Window>,
-    stragglers: HashMap<Address, u32>,
-    stale: HashMap<Address, SimDuration>,
-    corrupt: HashMap<Address, Corruption>,
+    crashed: WordMap<Address, Window>,
+    partitioned: WordMap<Address, Window>,
+    stragglers: WordMap<Address, u32>,
+    stale: WordMap<Address, SimDuration>,
+    corrupt: WordMap<Address, Corruption>,
     // Aggregator-tier faults (BTreeMaps: iterated during the sync ladder,
     // so ordering must be deterministic).
     agg_crashed: BTreeMap<RackId, Window>,
@@ -424,7 +425,7 @@ pub struct FaultySource<S> {
     named: Vec<Address>,
     now: SimTime,
     stale_view: Option<World>,
-    attempts: HashMap<Address, u32>,
+    attempts: WordMap<Address, u32>,
 }
 
 impl<S> FaultySource<S> {
@@ -436,7 +437,7 @@ impl<S> FaultySource<S> {
             plan,
             now: SimTime::ZERO,
             stale_view: None,
-            attempts: HashMap::new(),
+            attempts: WordMap::default(),
         }
     }
 

@@ -28,9 +28,8 @@
 //! expected time. A [`HeuristicScratch`] kept across calls makes a warmed
 //! evaluation allocate only the binding and the scores it returns.
 
-use std::collections::{HashMap, HashSet};
-
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, Problem, Value, VarId};
+use cloudtalk_lang::{WordMap, WordSet};
 use estimator::World;
 
 use crate::score::{self, MAX_SCORE};
@@ -99,13 +98,13 @@ const RX: u8 = 2;
 pub struct HeuristicScratch {
     profiles: Vec<VarProfile>,
     /// Which directions each `(variable, network peer)` pair was seen in.
-    peers: HashMap<(usize, Endpoint), u8>,
+    peers: WordMap<(usize, Endpoint), u8>,
     /// Binding order: priority variables first, then declaration order.
     order: Vec<usize>,
     /// Whether a variable went into `order` with the priority ones.
     prioritised: Vec<bool>,
     /// Values already taken, per pool (distinct-by-default semantics).
-    taken: Vec<HashSet<Value>>,
+    taken: Vec<WordSet<Value>>,
 }
 
 impl HeuristicScratch {
@@ -183,8 +182,8 @@ pub fn evaluate_query_scored_into(
     order.extend((0..n).filter(|&i| !prioritised[i]));
 
     let pools = problem.vars.iter().map(|v| v.pool).max().map_or(0, |m| m + 1);
-    taken.resize_with(pools, HashSet::new);
-    taken.iter_mut().for_each(HashSet::clear);
+    taken.resize_with(pools, WordSet::default);
+    taken.iter_mut().for_each(WordSet::clear);
 
     // Every slot is overwritten below: `order` holds each variable once.
     binding.clear();
@@ -393,7 +392,7 @@ mod tests {
             .unwrap();
         let w = world_with(&[(2, 0.95), (3, 0.95), (4, 0.95)]);
         let b = evaluate_query(&p, &w, &HeuristicConfig::default());
-        let set: HashSet<&Value> = b.iter().collect();
+        let set: std::collections::HashSet<&Value> = b.iter().collect();
         assert_eq!(set.len(), 3, "replicas must be distinct: {b:?}");
         for v in &b {
             assert!(
@@ -472,7 +471,7 @@ mod tests {
         let w = world_with(&[]);
         let b = evaluate_query(&p, &w, &HeuristicConfig::default());
         assert_eq!(b.len(), 4);
-        let distinct: HashSet<&Value> = b.iter().collect();
+        let distinct: std::collections::HashSet<&Value> = b.iter().collect();
         assert_eq!(distinct.len(), 2, "both nodes used");
     }
 

@@ -26,10 +26,9 @@
 //!   incumbent at that deadline can discard the binding without finishing
 //!   the simulation.
 
-use std::collections::HashMap;
-
 use cloudtalk_lang::ast::{AttrKind, RefAttr};
 use cloudtalk_lang::problem::{Address, Binding, BoundEndpoint, Endpoint, Problem};
+use cloudtalk_lang::WordMap;
 use desim::SimTime;
 use estimator::{resolve_static_sizes, EstimateError};
 use pktsim::{PktSim, SimConfig};
@@ -186,7 +185,7 @@ pub fn pkt_evaluate_program(
     prog: &PktProgram,
     binding: &Binding,
     sim: &mut PktSim,
-    addr_to_host: &HashMap<Address, HostId>,
+    addr_to_host: &WordMap<Address, HostId>,
     deadline: Option<f64>,
 ) -> Result<PktEvalOutcome, PktEvalError> {
     if binding.len() != prog.n_vars {
@@ -323,7 +322,7 @@ pub fn pkt_evaluate(
     problem: &Problem,
     binding: &Binding,
     topo: &Topology,
-    addr_to_host: &HashMap<Address, HostId>,
+    addr_to_host: &WordMap<Address, HostId>,
     cfg: SimConfig,
 ) -> Result<PktEvalResult, PktEvalError> {
     let prog = PktProgram::compile(problem)?;
@@ -341,9 +340,9 @@ mod tests {
     use simnet::topology::TopoOptions;
     use simnet::GBPS;
 
-    fn setup(n: usize) -> (Topology, HashMap<Address, HostId>) {
+    fn setup(n: usize) -> (Topology, WordMap<Address, HostId>) {
         let topo = Topology::single_switch(n, GBPS, TopoOptions::default());
-        let map: HashMap<Address, HostId> = topo
+        let map: WordMap<Address, HostId> = topo
             .host_ids()
             .into_iter()
             .map(|h| (Address(topo.host(h).addr), h))

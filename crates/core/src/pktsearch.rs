@@ -36,11 +36,11 @@
 //!   [`PktSim::reset`] between bindings, keeping ports and the route
 //!   cache warm instead of allocating the world per candidate.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
+use cloudtalk_lang::WordMap;
 use pktsim::{PktSim, SimConfig};
 use simnet::topology::{HostId, LinkId, NodeKind, Topology};
 
@@ -54,7 +54,7 @@ use crate::walk::{search, space_guard, Local, Walker};
 #[derive(Clone, Debug)]
 pub struct MirrorTopology {
     topo: Topology,
-    addr_to_host: HashMap<Address, HostId>,
+    addr_to_host: WordMap<Address, HostId>,
 }
 
 impl MirrorTopology {
@@ -74,7 +74,7 @@ impl MirrorTopology {
     }
 
     /// The address → simulated-host mapping.
-    pub fn addr_to_host(&self) -> &HashMap<Address, HostId> {
+    pub fn addr_to_host(&self) -> &WordMap<Address, HostId> {
         &self.addr_to_host
     }
 }
@@ -237,12 +237,12 @@ pub fn host_classes(problem: &Problem, mirror: &MirrorTopology) -> HostClasses {
 fn rack_shapes(
     topo: &Topology,
     link_key: impl Fn(LinkId) -> (u64, u64),
-) -> HashMap<usize, RackShape> {
-    let mut shapes = HashMap::new();
+) -> WordMap<usize, RackShape> {
+    let mut shapes = WordMap::default();
     if topo.link_count() + 1 != topo.node_count() {
         return shapes;
     }
-    let mut racks: HashMap<usize, Vec<HostId>> = HashMap::new();
+    let mut racks: WordMap<usize, Vec<HostId>> = WordMap::default();
     for h in topo.host_ids() {
         racks.entry(topo.host(h).rack).or_default().push(h);
     }
@@ -347,7 +347,7 @@ pub fn pkt_search_prepared(
     artifacts: &PktArtifacts,
 ) -> Result<PktSearchResult, PktSearchError> {
     guard(problem, opts.limit)?;
-    let memo: Mutex<HashMap<CanonKey, MemoEntry>> = Mutex::new(HashMap::new());
+    let memo: Mutex<WordMap<CanonKey, MemoEntry>> = Mutex::new(WordMap::default());
     let walker = || PktWalker {
         prog: &artifacts.prog,
         mirror,
@@ -401,7 +401,7 @@ struct PktWalker<'a> {
     prog: &'a PktProgram,
     mirror: &'a MirrorTopology,
     canon: Option<&'a HostClasses>,
-    memo: &'a Mutex<HashMap<CanonKey, MemoEntry>>,
+    memo: &'a Mutex<WordMap<CanonKey, MemoEntry>>,
     early_abort: bool,
     sim: PktSim,
     current: Binding,

@@ -11,9 +11,8 @@
 //! [`Requirement`] filters a problem's candidate pools down to hosts that
 //! can actually host the task, *before* the I/O heuristic ranks them.
 
-use std::collections::HashMap;
-
 use cloudtalk_lang::problem::{Address, Problem, Value};
+use cloudtalk_lang::WordMap;
 
 /// Free scalar resources on one host.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -43,7 +42,7 @@ impl ScalarState {
 /// Per-host scalar resource inventory.
 #[derive(Clone, Debug, Default)]
 pub struct ScalarTable {
-    hosts: HashMap<Address, ScalarState>,
+    hosts: WordMap<Address, ScalarState>,
 }
 
 impl ScalarTable {

@@ -21,11 +21,10 @@
 //! snapshot, and [`CloudTalkServer::answer_with_snapshot`] does the same
 //! for a single query when the caller manages snapshot lifetime itself.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
-use cloudtalk_lang::{parse_query, resolve, LangError, MapResolver};
+use cloudtalk_lang::{parse_query, resolve, LangError, MapResolver, WordMap};
 use desim::rng::{stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use estimator::{HostState, World};
@@ -787,7 +786,7 @@ impl EvalCore {
             );
             self.lc.absorb(&mut self.metrics, &gather);
             let mut world = World::new();
-            let mut ages = HashMap::with_capacity(outcome.replies.len());
+            let mut ages = WordMap::with_capacity_and_hasher(outcome.replies.len(), Default::default());
             let mut decay_sum = 0.0;
             for (addr, report) in &outcome.replies {
                 world.set(*addr, report.state);
@@ -818,7 +817,7 @@ impl EvalCore {
             // (synthetic) data is by definition fresh.
             StatusSnapshot {
                 world: Arc::new(World::uniform(addrs, HostState::gbps_idle())),
-                ages: Arc::new(HashMap::new()),
+                ages: Arc::new(WordMap::default()),
                 elapsed: SimDuration::ZERO,
                 interrogated: addrs.len(),
                 missing: 0,
@@ -1352,7 +1351,7 @@ pub struct StatusSnapshot {
     world: Arc<World>,
     /// Per-host report age, for hosts that answered. Static-mode
     /// snapshots have no entries (their data is synthetic, age 0).
-    ages: Arc<HashMap<Address, SimDuration>>,
+    ages: Arc<WordMap<Address, SimDuration>>,
     elapsed: SimDuration,
     interrogated: usize,
     missing: usize,
@@ -1603,6 +1602,49 @@ mod tests {
         assert!(a.sampled);
         // 19 sampled candidates + the fixed client address.
         assert!(a.interrogated <= 20, "interrogated {}", a.interrogated);
+    }
+
+    #[test]
+    fn a_pool_of_colliding_addresses_answers_within_the_sample_budget() {
+        use std::hash::BuildHasher;
+        // The address hash is not keyed, so a tenant can name hosts that
+        // agree in the low 16 bits of it and start in one bucket of any
+        // table up to 65 536 wide. The tables built from a query's
+        // addresses hold the sample budget at most, so all that buys is a
+        // slower probe of a few dozen entries: the answer is the same as
+        // over well-spread addresses.
+        let hasher = cloudtalk_lang::BuildWordHasher::default();
+        let low16 = |a: &Address| hasher.hash_one(a) & 0xFFFF;
+        let colliding: Vec<Address> = (2u32..)
+            .map(Address)
+            .filter(|a| low16(a) == low16(&Address(2)))
+            .take(100)
+            .collect();
+        let spread: Vec<Address> = (2..102).map(Address).collect();
+
+        let answer = |nodes: &[Address]| {
+            let world = World::uniform(nodes, HostState::gbps_idle());
+            assert!(nodes.iter().all(|&a| world.knows(a)));
+            assert!(!world.knows(Address(1)));
+            let mut src = TableStatusSource::new();
+            for (i, &a) in nodes.iter().enumerate() {
+                src.set(a, HostState::gbps_idle().with_up_load(0.1 * (i % 7) as f64));
+            }
+            src.set(Address(1), HostState::gbps_idle());
+            let p = hdfs_write_query(Address(1), nodes, 3, 1e6).resolve().unwrap();
+            let cfg = ServerConfig {
+                sample_budget: 30,
+                ..Default::default()
+            };
+            let a = CloudTalkServer::new(cfg)
+                .answer_problem(&p, &mut src, SimTime::ZERO)
+                .unwrap();
+            assert!(a.sampled && a.interrogated <= 31, "interrogated {}", a.interrogated);
+            // Positions in the pool, so the two fleets compare.
+            let at = |v: &Value| nodes.iter().position(|&n| Value::Addr(n) == *v);
+            (a.binding.iter().map(at).collect::<Vec<_>>(), a.binding_scores)
+        };
+        assert_eq!(answer(&colliding), answer(&spread));
     }
 
     #[test]

@@ -84,10 +84,11 @@
 //! every merge and counted in [`LedgerStats::conflicts`] — the invariant
 //! tests assert the count stays zero.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use cloudtalk_lang::problem::{Address, Problem};
+use cloudtalk_lang::WordMap;
 use desim::rng::{derive_seed, stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use obs::{
@@ -477,8 +478,8 @@ pub struct ServingPlane<S> {
     ledger_conflicts: u64,
     l2: SharedCache,
     pending: VecDeque<Pending>,
-    tenant_open: HashMap<TenantId, usize>,
-    tenant_seq: HashMap<TenantId, u64>,
+    tenant_open: WordMap<TenantId, usize>,
+    tenant_seq: WordMap<TenantId, u64>,
     next_wave: u64,
     last_arrival: SimTime,
     virtual_lag: SimDuration,
@@ -581,8 +582,8 @@ impl<S: StatusSource> ServingPlane<S> {
             ledger_conflicts: 0,
             l2,
             pending: VecDeque::new(),
-            tenant_open: HashMap::new(),
-            tenant_seq: HashMap::new(),
+            tenant_open: WordMap::default(),
+            tenant_seq: WordMap::default(),
             next_wave: 0,
             last_arrival: SimTime::ZERO,
             virtual_lag: SimDuration::ZERO,

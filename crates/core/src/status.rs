@@ -8,6 +8,7 @@
 //! snapshots; tests use an explicit table.
 
 use cloudtalk_lang::problem::Address;
+use cloudtalk_lang::{WordMap, WordSet};
 use desim::{SimDuration, SimTime};
 use estimator::HostState;
 
@@ -101,9 +102,9 @@ pub trait StatusSource {
 /// however many writes go undrained.
 #[derive(Clone, Debug, Default)]
 pub struct TableStatusSource {
-    table: std::collections::HashMap<Address, HostState>,
+    table: WordMap<Address, HostState>,
     /// Addresses written since the last drain (empty while untracked).
-    changed: std::collections::HashSet<Address>,
+    changed: WordSet<Address>,
     /// Whether the change view has a consumer yet.
     tracked: bool,
 }

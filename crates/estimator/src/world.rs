@@ -6,9 +6,8 @@
 //! nothing is received from a status server, we assume that a particular
 //! address is under heavy I/O load").
 
-use std::collections::HashMap;
-
 use cloudtalk_lang::problem::Address;
+use cloudtalk_lang::WordMap;
 
 /// One host's I/O state as known to the estimator.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -148,7 +147,7 @@ impl HostState {
 /// Per-host state for every address the estimator may encounter.
 #[derive(Clone, Debug, Default)]
 pub struct World {
-    hosts: HashMap<Address, HostState>,
+    hosts: WordMap<Address, HostState>,
 }
 
 impl World {
