@@ -5,7 +5,6 @@
 //! processes inside our virtual machine" — i.e. the CloudTalk server reads
 //! the same per-host load the hypervisor would see.
 
-
 use cloudtalk::server::{Answer, CloudTalkServer, ServerConfig, ServerError};
 use cloudtalk::status::{host_state_from_load, StatusSource};
 use cloudtalk_lang::problem::{Address, Problem, Value};

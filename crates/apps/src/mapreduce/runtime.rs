@@ -1,6 +1,5 @@
 //! The MapReduce event-driven runtime.
 
-
 use cloudtalk_lang::builder::{map_placement_query, reduce_placement_query};
 use cloudtalk_lang::WordMap;
 use desim::rng::{stream_rng, DetRng};

@@ -417,7 +417,8 @@ mod tests {
         let mut problems = 0u32;
         for a in 1..=25u32 {
             for b in 1..=20u32 {
-                for (size, name) in (1..=20u32).map(|k| (f64::from(k) * 1e6, format!("f{}", k % 5))) {
+                for k in 1..=20u32 {
+                    let (size, name) = (f64::from(k) * 1e6, format!("f{}", k % 5));
                     let mut q = QueryBuilder::new();
                     let x = q.variable("x", [Address(a), Address(a + 1), Address(0x0A00_0000 + b)]);
                     q.flow(name).from_var(x).to_addr(Address(b << 8)).size(size);

@@ -786,7 +786,8 @@ impl EvalCore {
             );
             self.lc.absorb(&mut self.metrics, &gather);
             let mut world = World::new();
-            let mut ages = WordMap::with_capacity_and_hasher(outcome.replies.len(), Default::default());
+            let mut ages =
+                WordMap::with_capacity_and_hasher(outcome.replies.len(), Default::default());
             let mut decay_sum = 0.0;
             for (addr, report) in &outcome.replies {
                 world.set(*addr, report.state);
@@ -1631,7 +1632,9 @@ mod tests {
                 src.set(a, HostState::gbps_idle().with_up_load(0.1 * (i % 7) as f64));
             }
             src.set(Address(1), HostState::gbps_idle());
-            let p = hdfs_write_query(Address(1), nodes, 3, 1e6).resolve().unwrap();
+            let p = hdfs_write_query(Address(1), nodes, 3, 1e6)
+                .resolve()
+                .unwrap();
             let cfg = ServerConfig {
                 sample_budget: 30,
                 ..Default::default()
@@ -1639,10 +1642,12 @@ mod tests {
             let a = CloudTalkServer::new(cfg)
                 .answer_problem(&p, &mut src, SimTime::ZERO)
                 .unwrap();
-            assert!(a.sampled && a.interrogated <= 31, "interrogated {}", a.interrogated);
+            assert!(a.sampled);
+            assert!(a.interrogated <= 31, "interrogated {}", a.interrogated);
             // Positions in the pool, so the two fleets compare.
             let at = |v: &Value| nodes.iter().position(|&n| Value::Addr(n) == *v);
-            (a.binding.iter().map(at).collect::<Vec<_>>(), a.binding_scores)
+            let positions: Vec<_> = a.binding.iter().map(at).collect();
+            (positions, a.binding_scores)
         };
         assert_eq!(answer(&colliding), answer(&spread));
     }

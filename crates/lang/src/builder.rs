@@ -519,7 +519,8 @@ mod tests {
             .rate(5.0)
             .size_of(f1)
             .rate_of(f1);
-        assert!(twice.text().contains("f1 disk -> x size 2\n"), "{}", twice.text());
+        let text = twice.text();
+        assert!(text.contains("f1 disk -> x size 2\n"), "{text}");
 
         for b in [
             twice,

@@ -40,7 +40,9 @@ impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            self.fold(u64::from_le_bytes(chunk.try_into().expect("chunks of eight")));
+            self.fold(u64::from_le_bytes(
+                chunk.try_into().expect("chunks of eight"),
+            ));
         }
         let tail = chunks.remainder();
         if !tail.is_empty() {
@@ -112,7 +114,8 @@ mod tests {
         // (500 racks of 40) must pile up in neither.
         let b = BuildWordHasher::default();
         let strided = |stride: u32| (0..256u32).map(move |i| 0x0A00_0001 + i * stride);
-        let fleet = (0..500u32).flat_map(|rack| (1..=40u32).map(move |h| 0x0A00_0000 + rack * 256 + h));
+        let fleet =
+            (0..500u32).flat_map(|rack| (1..=40u32).map(move |h| 0x0A00_0000 + rack * 256 + h));
         let patterns: [Vec<u32>; 4] = [
             strided(1).collect(),
             strided(256).collect(),
@@ -129,8 +132,19 @@ mod tests {
                 tags.insert(h >> 57);
             }
             let worst = load.values().max().copied().unwrap_or(0);
-            assert!(worst <= 4, "{} keys from {:#x}: {worst} in one bucket", keys.len(), keys[0]);
-            assert!(tags.len() >= 100, "{} keys from {:#x}: {} tags", keys.len(), keys[0], tags.len());
+            assert!(
+                worst <= 4,
+                "{} keys from {:#x}: {worst} in one bucket",
+                keys.len(),
+                keys[0]
+            );
+            assert!(
+                tags.len() >= 100,
+                "{} keys from {:#x}: {} tags",
+                keys.len(),
+                keys[0],
+                tags.len()
+            );
         }
     }
 }

@@ -26,7 +26,10 @@ pub struct Name(Repr);
 enum Repr {
     /// The first `len` bytes of `buf` are the text — always a whole `str`,
     /// since `From<&str>` is the only writer.
-    Inline { len: u8, buf: [u8; Name::INLINE_CAP] },
+    Inline {
+        len: u8,
+        buf: [u8; Name::INLINE_CAP],
+    },
     /// Text longer than the inline capacity.
     Heap(Box<str>),
 }
@@ -155,7 +158,10 @@ mod tests {
     #[test]
     fn is_the_size_of_the_string_it_replaces() {
         assert_eq!(std::mem::size_of::<Name>(), std::mem::size_of::<String>());
-        assert_eq!(std::mem::size_of::<Option<Name>>(), std::mem::size_of::<Name>());
+        assert_eq!(
+            std::mem::size_of::<Option<Name>>(),
+            std::mem::size_of::<Name>()
+        );
     }
 
     #[test]
@@ -165,7 +171,10 @@ mod tests {
             let name = Name::from(text.as_str());
             assert_eq!(name.as_str(), text);
             assert_eq!(Name::from(text.clone()), name);
-            assert_eq!(matches!(name.0, Repr::Inline { .. }), len <= Name::INLINE_CAP);
+            assert_eq!(
+                matches!(name.0, Repr::Inline { .. }),
+                len <= Name::INLINE_CAP
+            );
         }
     }
 }

@@ -47,7 +47,11 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn parse(mut self) -> Result<Query, LangError> {
         // Every statement but the last is followed by a separator.
-        let ends = self.tokens.iter().filter(|tok| tok.kind == TokenKind::StatementEnd).count();
+        let ends = self
+            .tokens
+            .iter()
+            .filter(|tok| tok.kind == TokenKind::StatementEnd)
+            .count();
         let mut statements = Vec::with_capacity(ends + 1);
         loop {
             self.skip_statement_ends();

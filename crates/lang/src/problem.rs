@@ -366,7 +366,11 @@ mod tests {
         let mut p = Problem {
             vars: vec![Variable::new(
                 "X",
-                vec![Value::Addr(Address(1)), Value::Addr(Address(2)), Value::Disk],
+                vec![
+                    Value::Addr(Address(1)),
+                    Value::Addr(Address(2)),
+                    Value::Disk,
+                ],
                 0,
             )],
             flows: vec![],

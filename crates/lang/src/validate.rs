@@ -506,7 +506,11 @@ mod tests {
         for i in 0..n {
             // Each flow names the next one, the last the first: all but one
             // reference is forward.
-            src.push_str(&format!("f{i} v{i} -> v{} rate r(f{})\n", n - 1 - i, (i + 1) % n));
+            src.push_str(&format!(
+                "f{i} v{i} -> v{} rate r(f{})\n",
+                n - 1 - i,
+                (i + 1) % n
+            ));
         }
         let p = intern(&src).unwrap();
         assert_eq!((p.vars.len(), p.flows.len()), (n, n));
@@ -521,17 +525,23 @@ mod tests {
 
         // The first repeat in source order is the one reported, though two
         // later names repeat as well.
-        let repeat_var = src.replacen("v40 =", "v7 =", 1).replacen("v90 =", "v3 =", 1);
+        let repeat_var = src
+            .replacen("v40 =", "v7 =", 1)
+            .replacen("v90 =", "v3 =", 1);
         let err = intern(&repeat_var).unwrap_err();
         assert!(err.message.contains("`v7` declared twice"), "{err}");
         assert!(err.span.start > src.find("v39 =").unwrap());
-        let repeat_flow = src.replacen("\nf50 ", "\nf9 ", 1).replacen("\nf80 ", "\nf2 ", 1);
+        let repeat_flow = src
+            .replacen("\nf50 ", "\nf9 ", 1)
+            .replacen("\nf80 ", "\nf2 ", 1);
         let err = intern(&repeat_flow).unwrap_err();
         assert!(err.message.contains("`f9` defined twice"), "{err}");
         let both = src.replacen("\nf70 ", "\nv5 ", 1);
-        assert!(intern(&both).unwrap_err().message.contains("both a variable and a flow"));
+        let err = intern(&both).unwrap_err();
+        assert!(err.message.contains("both a variable and a flow"), "{err}");
         let unknown = src.replacen("r(f33)", "r(f333)", 1);
-        assert!(intern(&unknown).unwrap_err().message.contains("unknown flow `f333`"));
+        let err = intern(&unknown).unwrap_err();
+        assert!(err.message.contains("unknown flow `f333`"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,11 @@ fn chain(prefix: &str, refs: bool) -> QueryBuilder {
     let x = b.variable(format!("{prefix}x"), hosts(20));
     let mut prev = None;
     for i in 0..6 {
-        let f = b.flow(format!("{prefix}{i}")).from_var(x).to_disk().size(BLOCK);
+        let f = b
+            .flow(format!("{prefix}{i}"))
+            .from_var(x)
+            .to_disk()
+            .size(BLOCK);
         let f = match prev {
             Some(p) if refs => f.rate_of(p).transfer_of(p),
             _ => f,
@@ -57,13 +61,27 @@ fn the_front_end_allocates_per_list_not_per_identifier() {
     // when this was written; 58 and 53 with a `String` per identifier).
     let h = hosts(21);
     let (from_text, from_builder) = allocs(&hdfs_write_query(h[0], &h[1..], 3, BLOCK));
-    assert!(from_text <= 20, "text → Problem allocated {from_text} times");
-    assert!(from_builder <= 8, "QueryBuilder::resolve allocated {from_builder} times");
+    assert!(
+        from_text <= 20,
+        "text → Problem allocated {from_text} times"
+    );
+    assert!(
+        from_builder <= 8,
+        "QueryBuilder::resolve allocated {from_builder} times"
+    );
 
     // Neither count moves with how many identifiers the query has, nor
     // with how long they are while they fit in place.
     let plain = allocs(&chain("f", false));
-    assert_eq!(allocs(&chain("f", true)), plain, "grew with identifier count");
+    assert_eq!(
+        allocs(&chain("f", true)),
+        plain,
+        "grew with identifier count"
+    );
     let long = "f".repeat(Name::INLINE_CAP - 1);
-    assert_eq!(allocs(&chain(&long, true)), plain, "grew with identifier length");
+    assert_eq!(
+        allocs(&chain(&long, true)),
+        plain,
+        "grew with identifier length"
+    );
 }

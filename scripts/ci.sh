@@ -133,4 +133,21 @@ if grep -rnE 'too_many_arguments|macro_rules!' crates/apps/src; then
     exit 1
 fi
 
+echo "=== names in place, one hasher (no String per identifier, no deep clone to resolve a builder, no SipHash over addresses, ids or already-mixed keys) ==="
+for where in "Ident crates/lang/src/ast.rs" "Variable crates/lang/src/problem.rs" "Flow crates/lang/src/problem.rs"; do
+    set -- $where
+    if sed -n "/^pub struct $1 {/,/^}/p" "$2" | grep -n "String"; then
+        echo "error: $2: struct $1 holds a String again — identifier text is a lang::Name"
+        exit 1
+    fi
+done
+if grep -nE 'fn build\(|\.build\(\)' crates/lang/src/builder.rs; then
+    echo "error: QueryBuilder assembles a copy of itself again — resolve and text read its own declarations and flows"
+    exit 1
+fi
+if grep -rnE 'DefaultHasher|RandomState|Hash(Map|Set)<(Address|u64|TenantId|TransferId)' crates/*/src src | grep -v '^crates/bench/'; then
+    echo "error: a default-hasher table or SipHash fingerprint is back — use cloudtalk_lang::{WordHasher, WordMap, WordSet}"
+    exit 1
+fi
+
 echo "ci: all green"
