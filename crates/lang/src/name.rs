@@ -106,12 +106,6 @@ impl PartialEq for Name {
 
 impl Eq for Name {}
 
-impl PartialEq<str> for Name {
-    fn eq(&self, other: &str) -> bool {
-        self.as_bytes() == other.as_bytes()
-    }
-}
-
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
         self.as_bytes() == other.as_bytes()

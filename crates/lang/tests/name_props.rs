@@ -29,7 +29,7 @@ proptest! {
         prop_assert_eq!(&*na, a.as_str());
         prop_assert_eq!(Name::from(a.clone()), na.clone());
         prop_assert_eq!(Name::from(&a), na.clone());
-        prop_assert!(na == a.as_str() && na == *a.as_str());
+        prop_assert!(na == a.as_str());
 
         prop_assert_eq!(na == nb, a == b);
         prop_assert_eq!(na.cmp(&nb), a.cmp(&b));
