@@ -93,8 +93,8 @@ use desim::rng::{derive_seed, stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use obs::{
     CounterId, FlightRecorder, GaugeId, HistogramId, MetricsRegistry, PostmortemBundle,
-    QueryRecord, RecorderCfg, RingRecorder, RingSpec, SloEvent, SloEventKind, SloSpec, SloTracker,
-    StitchedTrace, Trace, TraceCtx, TraceReport, TraceSampler, WindowHub,
+    QueryRecord, RingRecorder, RingSpec, SloEventKind, SloSpec, SloTracker, StitchedTrace, Trace,
+    TraceCtx, TraceReport, TraceSampler, WindowData,
 };
 
 use crate::aggregate::{FleetLayout, RackId};
@@ -187,7 +187,7 @@ impl Default for ServingConfig {
 /// SLO tracking, deterministic trace sampling, and the flight recorder.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Master switch. Off: no rings are allocated and the wave path does
+    /// Master switch. Off: no ring is allocated and the wave path does
     /// no telemetry work at all.
     pub enabled: bool,
     /// Width of one telemetry window (time-series bucket).
@@ -199,8 +199,6 @@ pub struct TelemetryConfig {
     pub sample_every: u64,
     /// Declarative SLOs evaluated against every finalised window.
     pub slos: Vec<SloSpec>,
-    /// Flight-recorder ring capacities.
-    pub recorder: RecorderCfg,
 }
 
 impl Default for TelemetryConfig {
@@ -210,13 +208,12 @@ impl Default for TelemetryConfig {
             window: SimDuration::from_millis(20),
             sample_every: 64,
             slos: Vec::new(),
-            recorder: RecorderCfg::default(),
         }
     }
 }
 
-/// Per-worker ring depth in windows; also bounds how far completions may
-/// lag the wave clock before being drop-counted.
+/// Telemetry ring depth in windows; also bounds how far completions may
+/// lag the ring's horizon before being drop-counted.
 const RING_WINDOWS: usize = 64;
 /// Tenant classes (the telemetry label dimension): a tenant belongs to
 /// class `tenant.0 % TENANT_CLASSES`.
@@ -262,9 +259,9 @@ pub struct CompletedQuery {
     /// The sampled set and the trace ids are pure functions of
     /// `(seed, tenant, seq)` — identical at any worker count.
     pub trace: Option<TraceCtx>,
-    /// Epoch of the shard snapshot this query was answered against
-    /// (stitches the query to its collector gather).
-    pub snapshot_epoch: u64,
+    /// The query's home shard, whose snapshot answered it (stitches the
+    /// query to that shard's collector gather).
+    pub shard: usize,
 }
 
 /// Observable state of the published holds.
@@ -328,12 +325,10 @@ struct Shard {
 }
 
 /// One virtual worker: a long-lived evaluation core (scratch reused
-/// across queries), its virtual availability time, and — with telemetry
-/// on — its exclusively-owned time-series ring.
+/// across queries) and its virtual availability time.
 struct WorkerSlot {
     core: EvalCore,
     avail: SimTime,
-    ring: Option<RingRecorder>,
 }
 
 /// Handles to the plane's own registered metrics.
@@ -389,15 +384,11 @@ impl ServingMetricIds {
     }
 }
 
-/// One shard gather, retained so a sampled query can be stitched to the
-/// collection work behind its snapshot. `epoch` is the snapshot epoch the
-/// gather produced (globally unique per collector), `collector` a
-/// synthesized span lane for the gather itself, and `agg` the aggregation
-/// plane's own sync trace when the status source records one.
+/// A shard's current gather, kept so a sampled query can be stitched to
+/// the collection work behind its snapshot: when the gather ran, and the
+/// aggregation plane's own sync trace when the status source records one.
 struct GatherRecord {
-    shard: usize,
-    epoch: u64,
-    collector: TraceReport,
+    at: SimTime,
     agg: Option<TraceReport>,
 }
 
@@ -405,43 +396,79 @@ struct GatherRecord {
 /// [`TelemetryConfig::enabled`]).
 struct TelemetryState {
     sampler: TraceSampler,
-    hub: WindowHub,
+    ring: RingRecorder,
     slo: SloTracker,
     recorder: FlightRecorder,
-    gathers: VecDeque<GatherRecord>,
-    gather_cap: usize,
+    /// Indexed by shard.
+    gathers: Vec<GatherRecord>,
 }
 
 impl TelemetryState {
-    /// Synthesizes the collector lane for one shard gather and retains it
-    /// together with the source's own sync trace (the aggregator lane).
-    fn record_gather(
+    /// Finalises every window before `until` (`None`: every window
+    /// recorded so far), evaluates the SLOs against each, and retains the
+    /// summaries and events in the flight recorder.
+    fn close_windows(
         &mut self,
-        shard: usize,
-        at: SimTime,
-        snapshot: &StatusSnapshot,
-        agg: Option<TraceReport>,
+        until: Option<u64>,
+        metrics: &mut MetricsRegistry,
+        ids: &ServingMetricIds,
     ) {
-        let mut tr = Trace::deterministic(4);
-        let root = tr.begin("gather", at);
-        tr.set_arg(root, "rounds", u64::from(snapshot.rounds()));
-        let s = tr.begin("status_bytes", at);
-        tr.set_arg(s, "bytes", snapshot.gather_ledger().status_bytes());
-        tr.end(s, at + snapshot.elapsed());
-        tr.end(root, at + snapshot.elapsed());
-        if self.gathers.len() == self.gather_cap {
-            self.gathers.pop_front();
+        let TelemetryState { ring, slo, recorder, .. } = self;
+        let width = ring.spec().width;
+        let mut events = Vec::new();
+        let mut windows = 0u64;
+        let mut close = |w: u64, data: &WindowData| {
+            let summary = data.summarize(w, width);
+            slo.evaluate(&summary, &mut events);
+            recorder.push_window(summary);
+            windows += 1;
+        };
+        match until {
+            Some(until) => ring.collect(until, &mut close),
+            None => ring.flush(&mut close),
         }
-        self.gathers.push_back(GatherRecord {
-            shard,
-            epoch: snapshot.epoch(),
-            collector: tr.into_report(),
-            agg,
-        });
+        let mut breaches = 0u64;
+        for e in events {
+            breaches += u64::from(e.kind == SloEventKind::Breach);
+            recorder.push_event(e);
+        }
+        metrics.inc(ids.tel_windows, windows);
+        metrics.inc(ids.tel_breaches, breaches);
+        #[allow(clippy::cast_precision_loss)]
+        metrics.gauge_set(ids.tel_ring_dropped, ring.dropped() as f64);
     }
+}
 
-    fn gather_for_epoch(&self, epoch: u64) -> Option<&GatherRecord> {
-        self.gathers.iter().rev().find(|g| g.epoch == epoch)
+/// The collector lane of a stitched trace: the gather that produced
+/// `snapshot`, synthesised from its ledger.
+fn collector_lane(at: SimTime, snapshot: &StatusSnapshot) -> TraceReport {
+    let mut tr = Trace::deterministic(4);
+    let root = tr.begin("gather", at);
+    tr.set_arg(root, "rounds", u64::from(snapshot.rounds()));
+    let s = tr.begin("status_bytes", at);
+    tr.set_arg(s, "bytes", snapshot.gather_ledger().status_bytes());
+    tr.end(s, at + snapshot.elapsed());
+    tr.end(root, at + snapshot.elapsed());
+    tr.into_report()
+}
+
+/// The telemetry record of one completion.
+fn query_record(c: &CompletedQuery) -> QueryRecord {
+    QueryRecord {
+        class: c.tenant.0 as usize % TENANT_CLASSES,
+        shard: c.shard,
+        latency_us: (c.completion - c.arrival).as_micros_f64(),
+        error: c.result.is_err(),
+        shed: c.shed,
+        hit: matches!(&c.result, Ok(a) if a.provenance.cache_hit),
+        rung: match &c.result {
+            Ok(a) => match a.provenance.rung {
+                DegradationRung::Full => 0,
+                DegradationRung::FreshSubset => 1,
+                DegradationRung::AssumeBusy => 2,
+            },
+            Err(_) => 2,
+        },
     }
 }
 
@@ -525,11 +552,10 @@ impl<S: StatusSource> ServingPlane<S> {
             };
             Some(TelemetryState {
                 sampler: TraceSampler::new(cfg.seed, tel_cfg.sample_every),
-                hub: WindowHub::new(spec),
+                ring: RingRecorder::new(spec),
                 slo: SloTracker::new(tel_cfg.slos.clone(), SLO_HORIZON),
-                recorder: FlightRecorder::new(tel_cfg.recorder),
-                gathers: VecDeque::new(),
-                gather_cap: (4 * nshards).max(8),
+                recorder: FlightRecorder::default(),
+                gathers: Vec::with_capacity(nshards),
             })
         } else {
             None
@@ -547,7 +573,10 @@ impl<S: StatusSource> ServingPlane<S> {
             let snapshot = collector.gather_snapshot(&addrs, &mut source, &mut rng);
             if let Some(tel) = &mut telemetry {
                 let agg = source.take_sync_trace();
-                tel.record_gather(si, SimTime::ZERO, &snapshot, agg);
+                tel.gathers.push(GatherRecord {
+                    at: SimTime::ZERO,
+                    agg,
+                });
             }
             shards.push(Shard {
                 addrs,
@@ -560,9 +589,6 @@ impl<S: StatusSource> ServingPlane<S> {
             .map(|_| WorkerSlot {
                 core: EvalCore::new(cfg.server.clone()),
                 avail: SimTime::ZERO,
-                ring: telemetry
-                    .as_ref()
-                    .map(|tel| RingRecorder::new(*tel.hub.spec())),
             })
             .collect();
         let l2 = SharedCache::new(if cfg.server.cache.enabled {
@@ -662,56 +688,27 @@ impl<S: StatusSource> ServingPlane<S> {
     /// Telemetry counters: finalised windows, SLO breaches, stitched
     /// traces, and ring drops. All zero when telemetry is off.
     pub fn telemetry_stats(&self) -> TelemetryStats {
-        match &self.telemetry {
-            Some(tel) => TelemetryStats {
-                windows: tel.recorder.windows_seen(),
-                breaches: tel.recorder.breaches(),
-                sampled_traces: tel.recorder.traces_seen(),
-                ring_dropped: self
-                    .workers
-                    .iter()
-                    .filter_map(|w| w.ring.as_ref())
-                    .map(|r| r.dropped())
-                    .sum(),
-            },
-            None => TelemetryStats::default(),
+        TelemetryStats {
+            windows: self.metrics.counter_value(self.ids.tel_windows),
+            breaches: self.metrics.counter_value(self.ids.tel_breaches),
+            sampled_traces: self.metrics.counter_value(self.ids.tel_sampled),
+            ring_dropped: self.telemetry.as_ref().map_or(0, |t| t.ring.dropped()),
         }
     }
 
-    /// Finalises every telemetry window still buffered in the worker
-    /// rings (including windows ahead of the wave clock reached by
-    /// lagging completions) and renders the flight recorder's postmortem
-    /// bundle: Chrome JSON of the stitched traces, per-window metrics
-    /// text, and the SLO timeline. `None` when telemetry is off.
+    /// Finalises every telemetry window still buffered in the ring
+    /// (including windows ahead of the wave clock reached by lagging
+    /// completions) and renders the flight recorder's postmortem bundle:
+    /// Chrome JSON of the stitched traces, per-window metrics text, and
+    /// the SLO timeline. `None` when telemetry is off.
     ///
     /// Meant for end-of-run (or on-breach) dumps: flushed windows are
     /// final, so completions of *later* waves landing in a flushed window
     /// are drop-counted rather than merged.
     pub fn telemetry_dump(&mut self) -> Option<PostmortemBundle> {
         let tel = self.telemetry.as_mut()?;
-        let mut rings: Vec<&mut RingRecorder> = self
-            .workers
-            .iter_mut()
-            .filter_map(|w| w.ring.as_mut())
-            .collect();
-        let TelemetryState { hub, slo, recorder, .. } = tel;
-        let mut events: Vec<SloEvent> = Vec::new();
-        let mut windows = 0u64;
-        hub.flush(&mut rings, |s| {
-            slo.evaluate(&s, &mut events);
-            recorder.push_window(s);
-            windows += 1;
-        });
-        let breaches: u64 = events
-            .iter()
-            .filter(|e| e.kind == obs::SloEventKind::Breach)
-            .count() as u64;
-        for e in events {
-            recorder.push_event(e);
-        }
-        self.metrics.inc(self.ids.tel_windows, windows);
-        self.metrics.inc(self.ids.tel_breaches, breaches);
-        Some(recorder.dump())
+        tel.close_windows(None, &mut self.metrics, &self.ids);
+        Some(tel.recorder.dump())
     }
 
     /// A merged snapshot of every registry on the plane: the plane's own
@@ -849,18 +846,18 @@ impl<S: StatusSource> ServingPlane<S> {
     }
 
     /// Sequencer-side telemetry step at every wave close (idle waves
-    /// included): stitches sampled completions into end-to-end traces,
-    /// then scrapes every worker ring, finalising each window the wave
-    /// clock has passed and evaluating the SLOs against it.
+    /// included): records each completion into the ring, stitches sampled
+    /// ones into end-to-end traces, then finalises each window the wave
+    /// clock has passed and evaluates the SLOs against it.
     ///
-    /// Soundness of the scrape discipline: completions never precede
-    /// their wave's close instant and wave closes are monotone, so once
-    /// the clock passes a window's end no later wave can record into it —
-    /// windows strictly before `window_of(t_wave)` are final.
+    /// Soundness of the close: completions never precede their wave's
+    /// close instant and wave closes are monotone, so once the clock
+    /// passes a window's end no later wave can record into it — windows
+    /// strictly before `window_of(t_wave)` are final.
     fn telemetry_close_wave(&mut self, t_wave: SimTime, completed: &[CompletedQuery]) {
         let ServingPlane {
             telemetry,
-            workers,
+            shards,
             metrics,
             ids,
             cfg,
@@ -870,12 +867,14 @@ impl<S: StatusSource> ServingPlane<S> {
             return;
         };
 
-        // Stitch each sampled completion: admission lane (synthesised),
-        // the collector gather + aggregator sync behind its snapshot
-        // epoch, the worker's service span, and the answer's own
-        // evaluation spans.
+        // Record every completion, in (tenant, seq) order, and stitch
+        // each sampled one: admission lane (synthesised), the collector
+        // gather + aggregator sync behind its shard's snapshot, the
+        // worker's service span, and the answer's own evaluation spans.
         let mut sampled = 0u64;
         for c in completed {
+            let rec = query_record(c);
+            tel.ring.record(c.completion, &rec);
             let Some(ctx) = c.trace else { continue };
             let mut lanes: Vec<(String, TraceReport)> = Vec::with_capacity(5);
             let mut adm = Trace::deterministic(2);
@@ -884,21 +883,20 @@ impl<S: StatusSource> ServingPlane<S> {
             adm.set_arg(span, "seq", c.seq);
             adm.end(span, t_wave);
             lanes.push(("admission".to_string(), adm.into_report()));
-            if let Some(g) = tel.gather_for_epoch(c.snapshot_epoch) {
-                lanes.push((format!("collector/shard{}", g.shard), g.collector.clone()));
-                if let Some(agg) = &g.agg {
-                    lanes.push(("aggregator".to_string(), agg.clone()));
-                }
+            let gather = &tel.gathers[c.shard];
+            let lane = collector_lane(gather.at, &shards[c.shard].snapshot);
+            lanes.push((format!("collector/shard{}", c.shard), lane));
+            if let Some(agg) = &gather.agg {
+                lanes.push(("aggregator".to_string(), agg.clone()));
             }
-            let hit = matches!(&c.result, Ok(a) if a.provenance.cache_hit);
-            let served = if hit {
+            let served = if rec.hit {
                 cfg.hit_service_time
             } else {
                 cfg.service_time
             };
             let mut wk = Trace::deterministic(2);
             let span = wk.begin("serve", c.completion - served);
-            wk.set_arg(span, "hit", u64::from(hit));
+            wk.set_arg(span, "hit", u64::from(rec.hit));
             wk.end(span, c.completion);
             lanes.push((format!("worker{}", c.worker), wk.into_report()));
             if let Ok(a) = &c.result {
@@ -908,49 +906,16 @@ impl<S: StatusSource> ServingPlane<S> {
             }
             tel.recorder.push_trace(StitchedTrace {
                 trace_id: ctx.trace_id,
-                tenant: c.tenant.0,
-                seq: c.seq,
-                wave: c.wave,
-                worker: c.worker as u32,
                 lanes,
             });
             sampled += 1;
         }
-        if sampled > 0 {
-            metrics.inc(ids.tel_sampled, sampled);
-        }
+        metrics.inc(ids.tel_sampled, sampled);
 
-        // Scrape: drain every finalised window from the worker rings into
-        // the hub scratch, summarise, evaluate SLOs, and feed the flight
-        // recorder. Runs on idle waves too so quiet periods still close
-        // their windows.
-        let until = tel.hub.spec().window_of(t_wave);
-        let mut rings: Vec<&mut RingRecorder> =
-            workers.iter_mut().filter_map(|w| w.ring.as_mut()).collect();
-        let TelemetryState { hub, slo, recorder, .. } = tel;
-        let mut events: Vec<SloEvent> = Vec::new();
-        let mut windows = 0u64;
-        hub.collect(&mut rings, until, |summary| {
-            slo.evaluate(&summary, &mut events);
-            recorder.push_window(summary);
-            windows += 1;
-        });
-        let mut breaches = 0u64;
-        for e in events {
-            if e.kind == SloEventKind::Breach {
-                breaches += 1;
-            }
-            recorder.push_event(e);
-        }
-        if windows > 0 {
-            metrics.inc(ids.tel_windows, windows);
-        }
-        if breaches > 0 {
-            metrics.inc(ids.tel_breaches, breaches);
-        }
-        let dropped: u64 = rings.iter().map(|r| r.dropped()).sum();
-        #[allow(clippy::cast_precision_loss)]
-        metrics.gauge_set(ids.tel_ring_dropped, dropped as f64);
+        // Runs on idle waves too so quiet periods still close their
+        // windows.
+        let until = tel.ring.spec().window_of(t_wave);
+        tel.close_windows(Some(until), metrics, ids);
     }
 
     /// Evaluates wave `wave` at its close instant `t_wave`.
@@ -989,7 +954,7 @@ impl<S: StatusSource> ServingPlane<S> {
                     refreshed = true;
                     if let Some(tel) = telemetry {
                         let agg = source.take_sync_trace();
-                        tel.record_gather(si, t_wave, &shard.snapshot, agg);
+                        tel.gathers[si] = GatherRecord { at: t_wave, agg };
                     }
                 }
             }
@@ -1065,10 +1030,10 @@ impl<S: StatusSource> ServingPlane<S> {
         let shared = self.l2.view();
         let busy = self.workers.iter_mut().enumerate().zip(work);
         let mut jobs = busy.filter(|(_, groups)| !groups.is_empty()).map(|((wi, slot), groups)| {
-            let (core, ring, start) = (&mut slot.core, slot.ring.as_mut(), slot.avail);
+            let (core, start) = (&mut slot.core, slot.avail);
             move || {
                 let ran = run_groups(
-                    core, ring, groups, published, shared, cfg, wave, wi, t_wave, start, shed,
+                    core, groups, published, shared, cfg, wave, wi, t_wave, start, shed,
                 );
                 (wi, ran)
             }
@@ -1152,7 +1117,6 @@ impl<S: StatusSource> ServingPlane<S> {
 #[allow(clippy::too_many_arguments)]
 fn run_groups(
     core: &mut EvalCore,
-    mut ring: Option<&mut RingRecorder>,
     groups: Vec<Group>,
     published: &Reservations,
     shared: &Tier,
@@ -1202,30 +1166,6 @@ fn run_groups(
                 cfg.service_time
             };
             let completion = cursor;
-            // Telemetry tap: record into this worker's exclusively-owned
-            // ring (lock-free by ownership; the sequencer drains it only
-            // between waves). Never touches the answer.
-            if let Some(ring) = ring.as_deref_mut() {
-                let spec = *ring.spec();
-                let rec = QueryRecord {
-                    class: tenant.0 as usize % spec.classes,
-                    shard: item.shard,
-                    latency_us: (completion - item.arrival).as_micros_f64(),
-                    error: result.is_err(),
-                    shed,
-                    hit,
-                    rung: match &result {
-                        Ok(a) => match a.provenance.rung {
-                            DegradationRung::Full => 0,
-                            DegradationRung::FreshSubset => 1,
-                            DegradationRung::AssumeBusy => 2,
-                        },
-                        Err(_) => 2,
-                    },
-                };
-                ring.record(completion, &rec);
-            }
-            let snapshot_epoch = item.snapshot.epoch();
             completed.push(CompletedQuery {
                 tenant,
                 seq: item.seq,
@@ -1236,7 +1176,7 @@ fn run_groups(
                 shed,
                 result,
                 trace: item.trace,
-                snapshot_epoch,
+                shard: item.shard,
             });
         }
         out.push(GroupDone { holds, completed });
@@ -1514,6 +1454,67 @@ mod tests {
         }
         assert!(bundle.metrics_text.contains("p99_us="));
         assert!(bundle.slo_text.contains("BREACH"), "{}", bundle.slo_text);
+    }
+
+    /// Parses `(window, total)` from every `window N … total=T` line.
+    fn window_totals(metrics_text: &str) -> Vec<(u64, u64)> {
+        metrics_text
+            .lines()
+            .filter_map(|l| l.strip_prefix("window "))
+            .map(|l| {
+                let w = l.split(' ').next().unwrap().parse().unwrap();
+                let t = l.split("total=").nth(1).unwrap().split(' ').next().unwrap();
+                (w, t.parse().unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn telemetry_dump_mid_run_loses_no_later_window() {
+        // One overloaded worker, cache off, 20 queries per 5 ms wave:
+        // completions lag the wave clock by ~100 ms, so a mid-run dump
+        // finalises windows the next waves still complete into. Those
+        // late records must be dropped and counted on arrival — and every
+        // later window must still hold all of its completions.
+        let (layout, src) = fleet();
+        let mut c = telemetry_cfg(1, 0, Vec::new());
+        c.server.cache.enabled = false;
+        let mut plane = ServingPlane::new(c, layout, src);
+        let width = SimDuration::from_millis(10).as_nanos();
+        let mut horizon = None;
+        let mut per_window: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut late = 0u64;
+        for wave in 0..=400u64 {
+            let at = SimTime::ZERO + SimDuration::from_millis(5 * wave);
+            for t in 0..20u32 {
+                let _ = plane.submit(TenantId(t), rack_query(t % 4), at);
+            }
+            for done in plane.run_until(at + SimDuration::from_millis(5)) {
+                let w = done.completion.as_nanos() / width;
+                match horizon {
+                    Some(h) if w <= h => late += 1,
+                    Some(_) => *per_window.entry(w).or_insert(0) += 1,
+                    None => {}
+                }
+            }
+            if wave == 100 {
+                let first = plane.telemetry_dump().expect("telemetry is on");
+                horizon = window_totals(&first.metrics_text).last().map(|&(w, _)| w);
+            }
+        }
+        let horizon = horizon.expect("the first dump finalised windows");
+        assert!(late > 0, "the schedule must complete into a flushed window");
+        let second = plane.telemetry_dump().expect("telemetry is on");
+        let held: Vec<(u64, u64)> = window_totals(&second.metrics_text)
+            .into_iter()
+            .filter(|&(w, _)| w > horizon)
+            .collect();
+        assert!(held.len() > 64, "the recorder keeps more than one ring span");
+        for (w, total) in held {
+            let want = per_window.get(&w).copied().unwrap_or(0);
+            assert_eq!(total, want, "window {w}");
+        }
+        assert_eq!(plane.telemetry_stats().ring_dropped, late);
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //!
 //! The continuous-telemetry layer builds on those three:
 //!
-//! * [`timeseries`] — per-worker [`RingRecorder`]s of fixed-width
-//!   sim-time windows (alloc-free hot path), merged by a [`WindowHub`]
-//!   into per-window p50/p99/p999, rates, and per-class/per-shard
-//!   counts.
+//! * [`timeseries`] — one [`RingRecorder`] of fixed-width sim-time
+//!   windows (alloc-free record and close), summarised per window into
+//!   p50/p99/p999, rates, and per-class/per-shard counts.
 //! * [`slo`] — declarative [`SloSpec`]s evaluated per window with
 //!   burn-rate accounting, emitting typed [`SloEvent`]s on transitions.
 //! * [`sample`] — a deterministic hash-based [`TraceSampler`] minting
@@ -52,10 +51,8 @@ pub mod trace;
 pub use clock::{HostClock, ManualClock, MonotonicClock, NullClock};
 pub use export::{chrome_trace_json, metrics_dump};
 pub use metrics::{quantile_from_counts, CounterId, GaugeId, HistogramId, MetricsRegistry};
-pub use recorder::{FlightRecorder, PostmortemBundle, RecorderCfg, StitchedTrace};
+pub use recorder::{FlightRecorder, PostmortemBundle, StitchedTrace};
 pub use sample::{TraceCtx, TraceSampler};
-pub use slo::{SloEvent, SloEventKind, SloKind, SloSpec, SloStats, SloTracker};
-pub use timeseries::{
-    ClassWindow, QueryRecord, RingRecorder, RingSpec, WindowData, WindowHub, WindowSummary,
-};
+pub use slo::{SloEvent, SloEventKind, SloKind, SloSpec, SloTracker};
+pub use timeseries::{ClassWindow, QueryRecord, RingRecorder, RingSpec, WindowData, WindowSummary};
 pub use trace::{SpanId, SpanRecord, Trace, TraceReport, NO_PARENT};

@@ -27,39 +27,17 @@ use crate::trace::TraceReport;
 pub struct StitchedTrace {
     /// Deterministic trace id minted by the sampler.
     pub trace_id: u64,
-    /// Tenant that issued the query.
-    pub tenant: u32,
-    /// Per-tenant sequence number.
-    pub seq: u64,
-    /// Wave index the query executed in.
-    pub wave: u64,
-    /// Worker that served it.
-    pub worker: u32,
     /// `(lane label, spans)` pairs — e.g. `admission`, `collector/shard3`,
     /// `aggregator`, `worker2`.
     pub lanes: Vec<(String, TraceReport)>,
 }
 
-/// Ring capacities for the recorder.
-#[derive(Clone, Copy, Debug)]
-pub struct RecorderCfg {
-    /// Window summaries retained.
-    pub windows: usize,
-    /// Stitched traces retained.
-    pub traces: usize,
-    /// SLO events retained.
-    pub events: usize,
-}
-
-impl Default for RecorderCfg {
-    fn default() -> Self {
-        RecorderCfg {
-            windows: 128,
-            traces: 32,
-            events: 128,
-        }
-    }
-}
+/// Window summaries retained.
+const WINDOWS: usize = 128;
+/// Stitched traces retained.
+const TRACES: usize = 32;
+/// SLO events retained.
+const EVENTS: usize = 128;
 
 /// A rendered postmortem, ready to write to disk.
 #[derive(Clone, Debug)]
@@ -74,89 +52,36 @@ pub struct PostmortemBundle {
 }
 
 /// Bounded rings of recent telemetry, dumpable at any time.
+#[derive(Default)]
 pub struct FlightRecorder {
-    cfg: RecorderCfg,
     windows: VecDeque<WindowSummary>,
     traces: VecDeque<StitchedTrace>,
     events: VecDeque<SloEvent>,
-    windows_seen: u64,
-    traces_seen: u64,
-    breaches: u64,
+}
+
+/// Appends `x`, evicting the oldest entry once `q` holds `cap`.
+fn push_bounded<T>(q: &mut VecDeque<T>, cap: usize, x: T) {
+    if q.len() == cap {
+        q.pop_front();
+    }
+    q.push_back(x);
 }
 
 impl FlightRecorder {
-    /// A recorder with ring capacities from `cfg`.
-    pub fn new(cfg: RecorderCfg) -> Self {
-        FlightRecorder {
-            windows: VecDeque::with_capacity(cfg.windows.min(1024)),
-            traces: VecDeque::with_capacity(cfg.traces.min(1024)),
-            events: VecDeque::with_capacity(cfg.events.min(1024)),
-            cfg,
-            windows_seen: 0,
-            traces_seen: 0,
-            breaches: 0,
-        }
-    }
-
     /// Retains a finalised window summary, evicting the oldest past
     /// capacity.
     pub fn push_window(&mut self, s: WindowSummary) {
-        if self.windows.len() == self.cfg.windows {
-            self.windows.pop_front();
-        }
-        self.windows.push_back(s);
-        self.windows_seen += 1;
+        push_bounded(&mut self.windows, WINDOWS, s);
     }
 
     /// Retains a stitched trace, evicting the oldest past capacity.
     pub fn push_trace(&mut self, t: StitchedTrace) {
-        if self.traces.len() == self.cfg.traces {
-            self.traces.pop_front();
-        }
-        self.traces.push_back(t);
-        self.traces_seen += 1;
+        push_bounded(&mut self.traces, TRACES, t);
     }
 
-    /// Retains an SLO event; breach events bump the breach counter.
+    /// Retains an SLO event, evicting the oldest past capacity.
     pub fn push_event(&mut self, e: SloEvent) {
-        if e.kind == SloEventKind::Breach {
-            self.breaches += 1;
-        }
-        if self.events.len() == self.cfg.events {
-            self.events.pop_front();
-        }
-        self.events.push_back(e);
-    }
-
-    /// Breach events observed over the recorder's lifetime.
-    pub fn breaches(&self) -> u64 {
-        self.breaches
-    }
-
-    /// Window summaries observed over the recorder's lifetime (retained
-    /// or evicted).
-    pub fn windows_seen(&self) -> u64 {
-        self.windows_seen
-    }
-
-    /// Stitched traces observed over the recorder's lifetime.
-    pub fn traces_seen(&self) -> u64 {
-        self.traces_seen
-    }
-
-    /// Currently retained window summaries, oldest first.
-    pub fn windows(&self) -> impl Iterator<Item = &WindowSummary> {
-        self.windows.iter()
-    }
-
-    /// Currently retained stitched traces, oldest first.
-    pub fn traces(&self) -> impl Iterator<Item = &StitchedTrace> {
-        self.traces.iter()
-    }
-
-    /// Currently retained SLO events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &SloEvent> {
-        self.events.iter()
+        push_bounded(&mut self.events, EVENTS, e);
     }
 
     /// Renders everything currently retained into a self-contained
@@ -257,7 +182,7 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::slo::{SloSpec, SloTracker};
-    use crate::timeseries::{QueryRecord, RingRecorder, RingSpec, WindowHub};
+    use crate::timeseries::{QueryRecord, RingRecorder, RingSpec};
     use crate::trace::Trace;
     use desim::{SimDuration, SimTime};
 
@@ -297,41 +222,52 @@ mod tests {
                 },
             );
         }
-        let mut hub = WindowHub::new(spec);
-        let mut out = Vec::new();
-        hub.collect(&mut [&mut ring], 1, |s| out.push(s));
-        out.pop().unwrap()
+        let mut out = None;
+        ring.collect(1, |w, data| out = Some(data.summarize(w, spec.width)));
+        out.unwrap()
+    }
+
+    fn trace(trace_id: u64) -> StitchedTrace {
+        StitchedTrace {
+            trace_id,
+            lanes: vec![("worker0".to_string(), lane("serve", 0, 10))],
+        }
     }
 
     #[test]
-    fn rings_are_bounded_and_counters_cumulative() {
-        let mut r = FlightRecorder::new(RecorderCfg {
-            windows: 2,
-            traces: 1,
-            events: 2,
-        });
-        for _ in 0..5 {
+    fn rings_are_bounded() {
+        let mut r = FlightRecorder::default();
+        for _ in 0..WINDOWS + 2 {
             r.push_window(summary(100.0, 4));
         }
-        assert_eq!(r.windows().count(), 2);
-        assert_eq!(r.windows_seen(), 5);
-        for i in 0..3 {
-            r.push_trace(StitchedTrace {
-                trace_id: i,
-                tenant: 0,
-                seq: i,
-                wave: 0,
-                worker: 0,
-                lanes: vec![("worker0".to_string(), lane("serve", 0, 10))],
+        for i in 0..TRACES as u64 + 3 {
+            r.push_trace(trace(i));
+        }
+        for i in 0..EVENTS as u64 + 2 {
+            r.push_event(SloEvent {
+                window: i,
+                start: SimTime::ZERO,
+                spec: 0,
+                name: "p99_latency_us".to_string(),
+                kind: SloEventKind::Breach,
+                value: 1.0,
+                threshold: 0.0,
+                burn_rate: 100.0,
             });
         }
-        assert_eq!(r.traces().count(), 1);
-        assert_eq!(r.traces_seen(), 3);
+        let bundle = r.dump();
+        let windows = bundle.metrics_text.lines().filter(|l| l.starts_with("window"));
+        assert_eq!(windows.count(), WINDOWS);
+        assert_eq!(bundle.chrome_json.matches("thread_name").count(), TRACES);
+        assert!(!bundle.chrome_json.contains("trace0000000000000002/"));
+        assert!(bundle.chrome_json.contains("trace0000000000000003/"));
+        assert_eq!(bundle.slo_text.lines().count(), EVENTS);
+        assert!(bundle.slo_text.starts_with("w=2 "));
     }
 
     #[test]
     fn dump_renders_all_three_sections() {
-        let mut r = FlightRecorder::new(RecorderCfg::default());
+        let mut r = FlightRecorder::default();
         r.push_window(summary(50_000.0, 8));
         let mut tracker = SloTracker::new(vec![SloSpec::p99_latency_us(25_000.0)], 8);
         let mut ev = Vec::new();
@@ -341,17 +277,12 @@ mod tests {
         }
         r.push_trace(StitchedTrace {
             trace_id: 0xabcd,
-            tenant: 3,
-            seq: 7,
-            wave: 1,
-            worker: 2,
             lanes: vec![
                 ("admission".to_string(), lane("queue", 0, 100)),
                 ("collector/shard1".to_string(), lane("gather", 0, 40)),
                 ("worker2".to_string(), lane("serve", 100, 550)),
             ],
         });
-        assert_eq!(r.breaches(), 1);
         let bundle = r.dump();
         assert!(bundle.chrome_json.contains("trace000000000000abcd/admission"));
         assert!(bundle.chrome_json.contains("trace000000000000abcd/collector/shard1"));
@@ -369,16 +300,9 @@ mod tests {
     #[test]
     fn dump_is_deterministic() {
         let build = || {
-            let mut r = FlightRecorder::new(RecorderCfg::default());
+            let mut r = FlightRecorder::default();
             r.push_window(summary(300.0, 6));
-            r.push_trace(StitchedTrace {
-                trace_id: 9,
-                tenant: 1,
-                seq: 2,
-                wave: 3,
-                worker: 0,
-                lanes: vec![("worker0".to_string(), lane("serve", 5, 25))],
-            });
+            r.push_trace(trace(9));
             r.dump()
         };
         let a = build();

@@ -47,11 +47,6 @@ impl TraceSampler {
         TraceSampler { seed, every }
     }
 
-    /// The sampling rate denominator this sampler was built with.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
     fn hash(&self, tenant: u32, seq: u64) -> u64 {
         derive_seed(derive_seed(self.seed, tenant as u64), seq)
     }

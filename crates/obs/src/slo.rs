@@ -1,14 +1,14 @@
 //! Declarative SLO tracking over telemetry windows.
 //!
-//! An [`SloSpec`] names one health invariant of the serving plane — "p99
-//! end-to-end latency ≤ 25ms", "shed rate ≤ 1%", "≤ 10% of answers off
-//! the full-freshness rung" — optionally scoped to one tenant class. An
+//! An [`SloSpec`] names one plane-wide health invariant of the serving
+//! plane — "p99 end-to-end latency ≤ 25ms", "≤ 1% of completions from
+//! load-shed waves", "≤ 10% of answers off the full-freshness rung". An
 //! [`SloTracker`] evaluates every spec against each finalised
-//! [`WindowSummary`] and keeps **burn-rate accounting**: each spec owns an
-//! error budget (the fraction of windows allowed to breach, default 1%),
-//! and the burn rate is the breach fraction over a sliding horizon divided
-//! by that budget — burn 1.0 means the budget is being consumed exactly as
-//! fast as it accrues, burn 10 means ten times too fast. Transitions emit
+//! [`WindowSummary`] and keeps **burn-rate accounting**: every spec has
+//! the same error budget (1% of windows may breach), and the burn rate is
+//! the breach fraction over a sliding horizon divided by that budget —
+//! burn 1.0 means the budget is being consumed exactly as fast as it
+//! accrues, burn 10 means ten times too fast. Transitions emit
 //! typed [`SloEvent`]s (breach / recover) that feed the flight recorder's
 //! postmortem timeline.
 //!
@@ -29,7 +29,9 @@ pub enum SloKind {
     P99LatencyUs,
     /// 99.9th-percentile end-to-end latency, µs.
     P999LatencyUs,
-    /// Fraction of queries shed by admission control.
+    /// Fraction of completions whose wave was load-shed onto the
+    /// heuristic backend (admission rejections never complete, so they
+    /// are not counted here).
     ShedRate,
     /// Fraction of queries returning a typed error.
     ErrorRate,
@@ -50,7 +52,12 @@ impl SloKind {
     }
 }
 
-/// One declarative SLO: `kind ≤ threshold`, evaluated per window.
+/// Error budget of every spec: the allowed fraction of breaching windows.
+/// Burn rate is measured against this.
+const BUDGET: f64 = 0.01;
+
+/// One declarative plane-wide SLO: `kind ≤ threshold`, evaluated per
+/// window.
 #[derive(Clone, Debug)]
 pub struct SloSpec {
     /// Human-readable name, used in events and the postmortem timeline.
@@ -59,12 +66,6 @@ pub struct SloSpec {
     pub kind: SloKind,
     /// Inclusive upper bound on the measured value.
     pub threshold: f64,
-    /// Restrict to one tenant class (`None` = plane-wide). Ignored for
-    /// [`SloKind::DegradedRate`], whose rung distribution is plane-wide.
-    pub class: Option<usize>,
-    /// Error budget: allowed fraction of breaching windows. Burn rate is
-    /// measured against this.
-    pub budget: f64,
 }
 
 impl SloSpec {
@@ -73,8 +74,6 @@ impl SloSpec {
             name: kind.label().to_string(),
             kind,
             threshold,
-            class: None,
-            budget: 0.01,
         }
     }
 
@@ -88,7 +87,8 @@ impl SloSpec {
         Self::named(SloKind::P999LatencyUs, threshold)
     }
 
-    /// Plane-wide shed-rate bound.
+    /// Plane-wide bound on the fraction of completions from load-shed
+    /// waves.
     pub fn shed_rate(threshold: f64) -> Self {
         Self::named(SloKind::ShedRate, threshold)
     }
@@ -153,43 +153,15 @@ impl SloSpec {
             .collect()
     }
 
-    fn measure(&self, s: &WindowSummary) -> Option<f64> {
-        let class = match self.class {
-            Some(c) => {
-                let cw = s.classes.get(c)?;
-                if cw.count == 0 && !matches!(self.kind, SloKind::ShedRate) {
-                    return None;
-                }
-                Some(cw)
-            }
-            None => None,
-        };
-        Some(match self.kind {
-            SloKind::P50LatencyUs => class.map_or(s.p50_us, |c| c.p50_us),
-            SloKind::P99LatencyUs => class.map_or(s.p99_us, |c| c.p99_us),
-            SloKind::P999LatencyUs => class.map_or(s.p999_us, |c| c.p999_us),
-            SloKind::ShedRate => class.map_or_else(
-                || s.shed_rate(),
-                |c| {
-                    if c.count == 0 {
-                        0.0
-                    } else {
-                        c.shed as f64 / c.count as f64
-                    }
-                },
-            ),
-            SloKind::ErrorRate => class.map_or_else(
-                || s.error_rate(),
-                |c| {
-                    if c.count == 0 {
-                        0.0
-                    } else {
-                        c.errors as f64 / c.count as f64
-                    }
-                },
-            ),
+    fn measure(&self, s: &WindowSummary) -> f64 {
+        match self.kind {
+            SloKind::P50LatencyUs => s.p50_us,
+            SloKind::P99LatencyUs => s.p99_us,
+            SloKind::P999LatencyUs => s.p999_us,
+            SloKind::ShedRate => s.shed_rate(),
+            SloKind::ErrorRate => s.error_rate(),
             SloKind::DegradedRate => s.degraded_rate(),
-        })
+        }
     }
 }
 
@@ -227,20 +199,7 @@ pub struct SloEvent {
 struct SpecState {
     recent: std::collections::VecDeque<bool>,
     recent_breached: usize,
-    windows: u64,
-    breaches: u64,
     in_breach: bool,
-}
-
-/// Cumulative per-spec accounting, for reporting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SloStats {
-    /// Windows with traffic this spec was evaluated against.
-    pub windows: u64,
-    /// Windows that breached.
-    pub breaches: u64,
-    /// Whether the spec is currently breached.
-    pub in_breach: bool,
 }
 
 /// Evaluates a set of [`SloSpec`]s window by window, maintaining sliding
@@ -260,8 +219,6 @@ impl SloTracker {
             .map(|_| SpecState {
                 recent: std::collections::VecDeque::with_capacity(horizon.max(1)),
                 recent_breached: 0,
-                windows: 0,
-                breaches: 0,
                 in_breach: false,
             })
             .collect();
@@ -272,21 +229,6 @@ impl SloTracker {
         }
     }
 
-    /// The tracked specs.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
-    /// Cumulative accounting for spec `i`.
-    pub fn stats(&self, i: usize) -> SloStats {
-        let s = &self.state[i];
-        SloStats {
-            windows: s.windows,
-            breaches: s.breaches,
-            in_breach: s.in_breach,
-        }
-    }
-
     /// Current burn rate of spec `i` over the sliding horizon.
     pub fn burn_rate(&self, i: usize) -> f64 {
         let st = &self.state[i];
@@ -294,7 +236,7 @@ impl SloTracker {
             return 0.0;
         }
         let frac = st.recent_breached as f64 / st.recent.len() as f64;
-        frac / self.specs[i].budget.max(1e-9)
+        frac / BUDGET
     }
 
     /// Evaluates all specs against one finalised window, pushing any
@@ -305,14 +247,9 @@ impl SloTracker {
             return;
         }
         for i in 0..self.specs.len() {
-            let value = match self.specs[i].measure(summary) {
-                Some(v) => v,
-                None => continue,
-            };
+            let value = self.specs[i].measure(summary);
             let breached = value > self.specs[i].threshold;
             let st = &mut self.state[i];
-            st.windows += 1;
-            st.breaches += breached as u64;
             if st.recent.len() == self.horizon && st.recent.pop_front() == Some(true) {
                 st.recent_breached -= 1;
             }
@@ -344,7 +281,7 @@ impl SloTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeseries::{QueryRecord, RingRecorder, RingSpec, WindowHub};
+    use crate::timeseries::{QueryRecord, RingRecorder, RingSpec};
     use desim::{SimDuration, SimTime};
 
     const BOUNDS: &[f64] = &[1_000.0, 10_000.0, 100_000.0];
@@ -372,10 +309,9 @@ mod tests {
                 },
             );
         }
-        let mut hub = WindowHub::new(spec);
-        let mut out = Vec::new();
-        hub.collect(&mut [&mut ring], 1, |s| out.push(s));
-        out.pop().unwrap()
+        let mut out = None;
+        ring.collect(1, |w, data| out = Some(data.summarize(w, spec.width)));
+        out.unwrap()
     }
 
     #[test]
@@ -392,15 +328,11 @@ mod tests {
         t.evaluate(&window(500.0, 10, 0), &mut ev);
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[1].kind, SloEventKind::Recover);
-        assert_eq!(t.stats(0).breaches, 2);
-        assert_eq!(t.stats(0).windows, 3);
     }
 
     #[test]
     fn burn_rate_scales_with_breach_fraction_over_budget() {
-        let mut spec = SloSpec::p99_latency_us(25_000.0);
-        spec.budget = 0.1;
-        let mut t = SloTracker::new(vec![spec], 10);
+        let mut t = SloTracker::new(vec![SloSpec::p99_latency_us(25_000.0)], 10);
         let mut ev = Vec::new();
         for _ in 0..5 {
             t.evaluate(&window(50_000.0, 4, 0), &mut ev);
@@ -408,8 +340,8 @@ mod tests {
         for _ in 0..5 {
             t.evaluate(&window(100.0, 4, 0), &mut ev);
         }
-        // 5 of 10 recent windows breached against a 10% budget: burn = 5.
-        assert!((t.burn_rate(0) - 5.0).abs() < 1e-9);
+        // 5 of 10 recent windows breached against the 1% budget: burn = 50.
+        assert!((t.burn_rate(0) - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -420,7 +352,8 @@ mod tests {
         assert_eq!(ev.len(), 1);
         t.evaluate(&window(0.0, 0, 0), &mut ev);
         assert_eq!(ev.len(), 1, "empty window must not transition");
-        assert!(t.stats(0).in_breach);
+        t.evaluate(&window(50_000.0, 4, 0), &mut ev);
+        assert_eq!(ev.len(), 1, "the breach outlived the empty window");
     }
 
     #[test]

@@ -3,33 +3,26 @@
 //! The serving plane runs forever; aggregate counters answer "how did the
 //! run go" but not "is the system healthy *right now*, and which tenant
 //! class or shard is the outlier". This module keeps distributions per
-//! fixed-width sim-time window on a small fixed label space:
+//! fixed-width sim-time window on a small fixed label space, in one
+//! [`RingRecorder`] owned by the plane's sequencer. At each wave close the
+//! sequencer records the wave's completions — a handful of array writes
+//! each, **alloc-free** (pinned by `tests/timeseries_alloc.rs`) — then
+//! finalises every window the wave clock has passed (wave clocks are
+//! monotone, so once the clock passes a window's end nothing lands in it)
+//! and condenses it into a [`WindowSummary`] carrying p50/p99/p999, rates,
+//! shed/error/hit counts per tenant class, a staleness-rung distribution,
+//! and per-shard query counts.
 //!
-//! * [`RingRecorder`] — one per worker, a ring of `buckets` windows of
-//!   width `width`. Recording a completed query is a handful of array
-//!   writes into the slot owned by the completion's window: **alloc-free
-//!   and lock-free** (each worker owns its ring exclusively; the sequencer
-//!   only touches it between waves). Pinned by
-//!   `tests/timeseries_alloc.rs`.
-//! * [`WindowHub`] — sequencer-side. At each wave boundary every window
-//!   that can no longer receive completions (wave clocks are monotone, so
-//!   once the wave clock passes a window's end nothing lands in it) is
-//!   drained from all worker rings, merged, and summarised into a
-//!   [`WindowSummary`] carrying p50/p99/p999, rates, shed/error/hit
-//!   counts per tenant class, a staleness-rung distribution, and
-//!   per-shard query counts.
-//!
-//! Under sustained overload a completion can lag the wave clock by more
-//! than the ring covers; such records are *dropped and counted* rather
-//! than silently folded into the wrong window — the drop counter is
-//! itself a health signal.
+//! The ring covers the windows `[next, next + buckets)`, where `next` (the
+//! horizon) is the first window not yet finalised. A record outside that
+//! range — lagging the horizon by more than the ring spans, or landing in
+//! a window already finalised (a flush finalises windows ahead of the wave
+//! clock) — is *dropped and counted* rather than folded into the wrong
+//! window; the drop counter is itself a health signal.
 
 use desim::{SimDuration, SimTime};
 
 use crate::metrics::quantile_from_counts;
-
-/// Window index marking an unoccupied ring slot.
-const EMPTY: u64 = u64::MAX;
 
 /// Shape of a telemetry ring: window width, ring depth, and the fixed
 /// label space (tenant classes × shards) plus latency histogram edges.
@@ -38,7 +31,7 @@ pub struct RingSpec {
     /// Width of one time bucket (one telemetry window).
     pub width: SimDuration,
     /// Ring depth in windows; also bounds how far completions may lag the
-    /// wave clock before being dropped.
+    /// horizon before being dropped.
     pub buckets: usize,
     /// Number of tenant classes (label dimension 1).
     pub classes: usize,
@@ -66,7 +59,9 @@ pub struct QueryRecord {
     pub latency_us: f64,
     /// The query returned a typed error.
     pub error: bool,
-    /// The query was shed by admission control.
+    /// The query's wave was load-shed: the whole wave was forced onto the
+    /// heuristic backend. (Queries admission rejects never complete, so
+    /// they never reach telemetry.)
     pub shed: bool,
     /// The answer was served from cache.
     pub hit: bool,
@@ -94,8 +89,7 @@ pub struct WindowData {
 }
 
 impl WindowData {
-    /// Preallocates accumulators for `spec`'s label space (cold path).
-    pub fn new(spec: &RingSpec) -> Self {
+    fn new(spec: &RingSpec) -> Self {
         let classes = spec.classes.max(1);
         let shards = spec.shards.max(1);
         WindowData {
@@ -114,7 +108,7 @@ impl WindowData {
     }
 
     /// Zeroes every accumulator; the allocation is reused.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.hist.iter_mut().for_each(|c| *c = 0);
         self.count.iter_mut().for_each(|c| *c = 0);
         self.sum_us.iter_mut().for_each(|c| *c = 0.0);
@@ -125,8 +119,7 @@ impl WindowData {
         self.shard_count.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Folds one completed query in. Alloc-free.
-    pub fn record(&mut self, rec: &QueryRecord) {
+    fn record(&mut self, rec: &QueryRecord) {
         let c = rec.class.min(self.classes - 1);
         let s = rec.shard.min(self.shards - 1);
         let hb = self.bounds.len() + 1;
@@ -143,36 +136,6 @@ impl WindowData {
         self.hits[c] += rec.hit as u64;
         self.rungs[(rec.rung as usize).min(2)] += 1;
         self.shard_count[s] += 1;
-    }
-
-    /// Elementwise-adds `other` into `self` (merging worker rings).
-    /// Alloc-free; both sides must share one [`RingSpec`].
-    pub fn add_from(&mut self, other: &WindowData) {
-        debug_assert_eq!(self.hist.len(), other.hist.len());
-        for (a, b) in self.hist.iter_mut().zip(&other.hist) {
-            *a += b;
-        }
-        for (a, b) in self.count.iter_mut().zip(&other.count) {
-            *a += b;
-        }
-        for (a, b) in self.sum_us.iter_mut().zip(&other.sum_us) {
-            *a += b;
-        }
-        for (a, b) in self.errors.iter_mut().zip(&other.errors) {
-            *a += b;
-        }
-        for (a, b) in self.shed.iter_mut().zip(&other.shed) {
-            *a += b;
-        }
-        for (a, b) in self.hits.iter_mut().zip(&other.hits) {
-            *a += b;
-        }
-        for (a, b) in self.rungs.iter_mut().zip(&other.rungs) {
-            *a += b;
-        }
-        for (a, b) in self.shard_count.iter_mut().zip(&other.shard_count) {
-            *a += b;
-        }
     }
 
     /// Total completions recorded across all classes.
@@ -239,7 +202,7 @@ pub struct ClassWindow {
     pub mean_us: f64,
     /// Typed errors returned.
     pub errors: u64,
-    /// Queries shed by admission control.
+    /// Completions whose wave was load-shed onto the heuristic backend.
     pub shed: u64,
     /// Cache hits.
     pub hits: u64,
@@ -274,7 +237,8 @@ pub struct WindowSummary {
 }
 
 impl WindowSummary {
-    /// Fraction of this window's queries shed by admission control.
+    /// Fraction of this window's completions whose wave was load-shed onto
+    /// the heuristic backend.
     pub fn shed_rate(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
@@ -301,18 +265,16 @@ impl WindowSummary {
     }
 }
 
-struct Slot {
-    window: u64,
-    data: WindowData,
-}
-
-/// Lock-free per-worker ring of time-bucketed [`WindowData`]. "Lock-free"
-/// by ownership: the owning worker records during a wave, the sequencer
-/// drains between waves — the two never overlap, so no atomics are needed
-/// and the hot path is plain array arithmetic.
+/// A ring of time-bucketed [`WindowData`] over the windows
+/// `[next, next + buckets)`: window `w` lives in slot `w % buckets`, and
+/// the slot of the horizon `next` holds either `next`'s records or zeros.
 pub struct RingRecorder {
     spec: RingSpec,
-    slots: Vec<Slot>,
+    slots: Vec<WindowData>,
+    /// First window not yet finalised.
+    next: u64,
+    /// One past the highest window recorded into — the flush bound.
+    end: u64,
     dropped: u64,
 }
 
@@ -321,15 +283,11 @@ impl RingRecorder {
     pub fn new(spec: RingSpec) -> Self {
         assert!(spec.buckets > 0, "ring must have at least one bucket");
         assert!(spec.width > SimDuration::ZERO, "window width must be positive");
-        let slots = (0..spec.buckets)
-            .map(|_| Slot {
-                window: EMPTY,
-                data: WindowData::new(&spec),
-            })
-            .collect();
         RingRecorder {
+            slots: (0..spec.buckets).map(|_| WindowData::new(&spec)).collect(),
             spec,
-            slots,
+            next: 0,
+            end: 0,
             dropped: 0,
         }
     }
@@ -339,107 +297,46 @@ impl RingRecorder {
         &self.spec
     }
 
-    /// Records one completed query at instant `now`. Alloc-free. Records
-    /// whose window collides with an undrained slot (completion lag
-    /// exceeded the ring span) or a slot that already wrapped past are
-    /// dropped and counted — never folded into the wrong window.
+    /// Records one completed query at instant `now`. Alloc-free. A record
+    /// below the horizon (its window is already finalised) or a full ring
+    /// span or more beyond it is dropped and counted — never folded into
+    /// the wrong window.
     pub fn record(&mut self, now: SimTime, rec: &QueryRecord) {
         let w = self.spec.window_of(now);
-        let i = (w % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[i];
-        if slot.window != w {
-            if slot.window == EMPTY {
-                // Drained slots are left zeroed, so claiming is just
-                // stamping the window index.
-                slot.window = w;
-            } else {
-                self.dropped += 1;
-                return;
-            }
+        let span = self.slots.len() as u64;
+        if w < self.next || w - self.next >= span {
+            self.dropped += 1;
+            return;
         }
-        slot.data.record(rec);
+        self.end = self.end.max(w + 1);
+        self.slots[(w % span) as usize].record(rec);
     }
 
-    /// Records dropped because their window collided with live ring state.
+    /// Records dropped because they fell outside the ring's windows.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Adds window `w`'s accumulators into `into` and frees the slot.
-    /// Returns whether the ring held any data for `w`. Alloc-free.
-    pub fn drain_window(&mut self, w: u64, into: &mut WindowData) -> bool {
-        let i = (w % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[i];
-        if slot.window != w {
-            return false;
-        }
-        into.add_from(&slot.data);
-        slot.data.reset();
-        slot.window = EMPTY;
-        true
-    }
-
-    /// Highest window currently holding data, if any — the flush bound.
-    pub fn max_window(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter(|s| s.window != EMPTY)
-            .map(|s| s.window)
-            .max()
-    }
-}
-
-/// Sequencer-side merger: drains finalised windows from every worker ring
-/// in worker order (deterministic), merges them, and emits one
-/// [`WindowSummary`] per window in strictly increasing window order.
-pub struct WindowHub {
-    spec: RingSpec,
-    next: u64,
-    scratch: WindowData,
-}
-
-impl WindowHub {
-    /// A hub for rings of shape `spec`.
-    pub fn new(spec: RingSpec) -> Self {
-        WindowHub {
-            scratch: WindowData::new(&spec),
-            spec,
-            next: 0,
-        }
-    }
-
-    /// The hub's ring shape.
-    pub fn spec(&self) -> &RingSpec {
-        &self.spec
-    }
-
-    /// Summarises every window strictly before `until` (the first window
-    /// the wave clock has not yet closed), draining all rings. Emits
-    /// summaries for empty windows too — a zero-rate window is signal.
-    pub fn collect(
-        &mut self,
-        rings: &mut [&mut RingRecorder],
-        until: u64,
-        mut emit: impl FnMut(WindowSummary),
-    ) {
+    /// Finalises every window strictly before `until` (the first window
+    /// the wave clock has not yet closed), handing each to `emit` in
+    /// increasing window order straight from its slot, then zeroing the
+    /// slot for reuse. Empty windows are emitted too — a zero-rate window
+    /// is signal. Alloc-free.
+    pub fn collect(&mut self, until: u64, mut emit: impl FnMut(u64, &WindowData)) {
+        let span = self.slots.len() as u64;
         while self.next < until {
             let w = self.next;
-            self.scratch.reset();
-            for ring in rings.iter_mut() {
-                ring.drain_window(w, &mut self.scratch);
-            }
-            emit(self.scratch.summarize(w, self.spec.width));
+            let slot = &mut self.slots[(w % span) as usize];
+            emit(w, slot);
+            slot.reset();
             self.next += 1;
         }
     }
 
-    /// Finalises everything still buffered (end of run): drains up to and
-    /// including the highest occupied window of any ring.
-    pub fn flush(&mut self, rings: &mut [&mut RingRecorder], emit: impl FnMut(WindowSummary)) {
-        let max = rings.iter().filter_map(|r| r.max_window()).max();
-        if let Some(m) = max {
-            self.collect(rings, m + 1, emit);
-        }
+    /// Finalises everything still buffered (end of run, or a dump): every
+    /// window up to and including the highest one recorded into.
+    pub fn flush(&mut self, emit: impl FnMut(u64, &WindowData)) {
+        self.collect(self.end, emit);
     }
 }
 
@@ -475,15 +372,20 @@ mod tests {
         }
     }
 
+    fn collect(ring: &mut RingRecorder, until: u64) -> Vec<WindowSummary> {
+        let width = ring.spec().width;
+        let mut out = Vec::new();
+        ring.collect(until, |w, data| out.push(data.summarize(w, width)));
+        out
+    }
+
     #[test]
     fn windows_partition_by_time_and_label() {
         let mut ring = RingRecorder::new(spec());
         ring.record(t(1), &rec(0, 1, 50.0));
         ring.record(t(2), &rec(1, 2, 5_000.0));
         ring.record(t(6), &rec(0, 1, 500.0));
-        let mut hub = WindowHub::new(spec());
-        let mut out = Vec::new();
-        hub.collect(&mut [&mut ring], 2, |s| out.push(s));
+        let out = collect(&mut ring, 2);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].window, 0);
         assert_eq!(out[0].total, 2);
@@ -492,33 +394,6 @@ mod tests {
         assert_eq!(out[0].shards, vec![0, 1, 1, 0]);
         assert_eq!(out[1].total, 1);
         assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn merging_two_rings_matches_one_ring_with_all_records() {
-        let mut a = RingRecorder::new(spec());
-        let mut b = RingRecorder::new(spec());
-        let mut one = RingRecorder::new(spec());
-        for i in 0..100u64 {
-            let r = rec((i % 2) as usize, (i % 4) as usize, (i * 37 % 9000) as f64);
-            let at = t(i % 4);
-            if i % 2 == 0 {
-                a.record(at, &r);
-            } else {
-                b.record(at, &r);
-            }
-            one.record(at, &r);
-        }
-        let mut hub = WindowHub::new(spec());
-        let mut merged = Vec::new();
-        hub.collect(&mut [&mut a, &mut b], 1, |s| merged.push(s));
-        let mut hub1 = WindowHub::new(spec());
-        let mut single = Vec::new();
-        hub1.collect(&mut [&mut one], 1, |s| single.push(s));
-        assert_eq!(merged[0].total, single[0].total);
-        assert_eq!(merged[0].classes, single[0].classes);
-        assert_eq!(merged[0].shards, single[0].shards);
-        assert_eq!(merged[0].p99_us, single[0].p99_us);
     }
 
     #[test]
@@ -532,9 +407,7 @@ mod tests {
         for _ in 0..5 {
             ring.record(t(0), &rec(0, 0, 50_000.0));
         }
-        let mut hub = WindowHub::new(spec());
-        let mut out = Vec::new();
-        hub.collect(&mut [&mut ring], 1, |s| out.push(s));
+        let out = collect(&mut ring, 1);
         let s = &out[0];
         assert!(s.p50_us <= 100.0, "p50 {} should sit in the fast bucket", s.p50_us);
         assert!(s.p99_us > 1_000.0, "p99 {} should feel the outlier", s.p99_us);
@@ -546,26 +419,44 @@ mod tests {
         let mut ring = RingRecorder::new(spec());
         ring.record(t(0), &rec(0, 0, 10.0));
         // 8 buckets × 5ms = 40ms span; window 8 wraps onto window 0's slot
-        // while window 0 is still undrained.
+        // while window 0 is still unfinalised.
         ring.record(t(40), &rec(0, 0, 10.0));
         assert_eq!(ring.dropped(), 1);
         // Window 0's data survives.
-        let mut hub = WindowHub::new(spec());
-        let mut out = Vec::new();
-        hub.collect(&mut [&mut ring], 1, |s| out.push(s));
+        let out = collect(&mut ring, 1);
         assert_eq!(out[0].total, 1);
+    }
+
+    #[test]
+    fn records_below_the_horizon_drop_and_count() {
+        let mut ring = RingRecorder::new(spec());
+        ring.record(t(17), &rec(1, 3, 250.0)); // window 3
+        let mut flushed = 0;
+        ring.flush(|_, _| flushed += 1);
+        assert_eq!(flushed, 4, "windows 0..=3");
+        // Window 2 is final: a late record for it drops, and window 10 —
+        // whose slot window 2 shares — still gets all of its own.
+        ring.record(t(12), &rec(0, 0, 10.0));
+        ring.record(t(50), &rec(0, 0, 10.0));
+        assert_eq!(ring.dropped(), 1);
+        let out = collect(&mut ring, 11);
+        assert_eq!(out.len(), 7, "windows 4..=10");
+        assert_eq!(out.iter().map(|s| s.total).sum::<u64>(), 1);
+        assert_eq!(out[6].total, 1);
     }
 
     #[test]
     fn flush_finalises_future_windows() {
         let mut ring = RingRecorder::new(spec());
         ring.record(t(17), &rec(1, 3, 250.0)); // window 3
-        let mut hub = WindowHub::new(spec());
+        let width = ring.spec().width;
         let mut out = Vec::new();
-        hub.flush(&mut [&mut ring], |s| out.push(s));
+        ring.flush(|w, data| out.push(data.summarize(w, width)));
         assert_eq!(out.len(), 4); // windows 0..=3
         assert_eq!(out[3].total, 1);
-        assert_eq!(ring.max_window(), None);
+        let mut again = 0;
+        ring.flush(|_, _| again += 1);
+        assert_eq!(again, 0, "nothing left to flush");
     }
 
     #[test]
@@ -585,9 +476,7 @@ mod tests {
                 },
             );
         }
-        let mut hub = WindowHub::new(spec());
-        let mut out = Vec::new();
-        hub.collect(&mut [&mut ring], 1, |s| out.push(s));
+        let out = collect(&mut ring, 1);
         let s = &out[0];
         assert_eq!(s.total, 10);
         // 10 completions in a 5ms window = 2000 qps.

@@ -123,11 +123,6 @@ impl Trace {
         }
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Opens a span at simulated instant `sim_now`, nested under the
     /// innermost open span. Allocation-free: a full arena drops the span
     /// (counted) instead of growing.
@@ -269,7 +264,6 @@ mod tests {
     #[test]
     fn disabled_trace_is_inert() {
         let mut tr = Trace::disabled();
-        assert!(!tr.is_enabled());
         let s = tr.begin("x", t(0));
         tr.set_arg(s, "k", 9);
         tr.end(s, t(5));

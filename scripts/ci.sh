@@ -70,6 +70,8 @@ assert "BREACH" in slo, f"SLO timeline records no breach:\n{slo}"
 with open("BENCH_telemetry_metrics.txt") as f:
     metrics = f.read()
 assert "p999_us=" in metrics and "class" in metrics, "window metrics lack per-class quantiles"
+idx = [int(w) for w in re.findall(r"^window (\d+) ", metrics, re.M)]
+assert idx == list(range(idx[0], idx[0] + len(idx))), f"window indices not consecutive: {idx}"
 print(f"telemetry OK: {len(stitched)} stitched traces across {len(lanes)} sampled, "
       f"{slo.count('BREACH')} breach events")
 EOF
@@ -147,6 +149,20 @@ if grep -nE 'fn build\(|\.build\(\)' crates/lang/src/builder.rs; then
 fi
 if grep -rnE 'DefaultHasher|RandomState|Hash(Map|Set)<(Address|u64|TenantId|TransferId)' crates/*/src src | grep -v '^crates/bench/'; then
     echo "error: a default-hasher table or SipHash fingerprint is back — use cloudtalk_lang::{WordHasher, WordMap, WordSet}"
+    exit 1
+fi
+
+echo "=== one telemetry ring (the sequencer records completions at wave close; no per-worker rings, no merge layer) ==="
+if grep -rnE 'WindowHub|add_from' crates/*/src; then
+    echo "error: a window merge layer is back — telemetry records into TelemetryState's one ring"
+    exit 1
+fi
+# Outside the `use` lists, core may name RingRecorder only inside
+# `struct TelemetryState` and the `TelemetryState { .. }` literal that builds it.
+stray="$(sed -s -e '/^use .*{$/,/^};$/d' -e '/^struct TelemetryState {/,/^}/d' \
+    -e '/(TelemetryState {$/,/^ *})$/d' crates/core/src/*.rs | grep -n 'RingRecorder' || true)"
+if [ -n "$stray" ]; then
+    echo "error: a RingRecorder outside TelemetryState in crates/core/src:"; echo "$stray"
     exit 1
 fi
 
