@@ -11,8 +11,9 @@
 //!   default, as in §5.4), per-hop serialisation + propagation delay. The
 //!   paper runs htsim *inside* CloudTalk, so this loop's speed is query
 //!   latency: events fire in one `(time, scheduling order)` total order
-//!   out of a calendar that holds a lane per busy port and armed timer,
-//!   not an entry per packet in flight (see [`sim`]), and
+//!   out of three queues — a heap of at most two entries per busy port
+//!   (not one per packet in flight), the flows that have not started, and
+//!   the retransmission timers (see [`sim`]) — and
 //!   [`sim::PktSim::completed`] tells a driver what each step finished.
 //! * [`tcp`] — TCP Reno endpoints: slow start, congestion avoidance,
 //!   triple-duplicate-ACK fast retransmit, retransmission timeouts with
