@@ -185,7 +185,8 @@ struct JobRun<'a> {
     split_bytes: f64,
     /// One map's partition for one reducer (sort: everything is shuffled).
     fetch_bytes: f64,
-    /// Durations of the maps completed so far (the speculation baseline).
+    /// Durations of the maps completed so far, ascending (the speculation
+    /// baseline: its median is the middle element).
     map_durations: Vec<f64>,
     speculative_launched: usize,
     /// Reduces that have not finished computing yet.
@@ -302,7 +303,7 @@ impl<'a> JobRun<'a> {
                         }
                         self.maps[task].winner = Some(node);
                         if let Some(s) = self.maps[task].started {
-                            self.map_durations.push((t - s).as_secs_f64());
+                            insert_sorted(&mut self.map_durations, (t - s).as_secs_f64());
                         }
                         // Feed every placed reducer its partition.
                         for ri in 0..self.reduces.len() {
@@ -460,9 +461,7 @@ impl<'a> JobRun<'a> {
                 self.launch_map(cluster, task, node, source);
             } else if cfg.speculative && !self.map_durations.is_empty() {
                 // Stragglers: duplicate the slowest over-median running map.
-                let mut sorted = self.map_durations.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let median = sorted[sorted.len() / 2];
+                let median = self.map_durations[self.map_durations.len() / 2];
                 let threshold = median * cfg.spec_factor;
                 let now = cluster.now();
                 let candidate = maps.iter().position(|m| {
@@ -581,6 +580,12 @@ impl<'a> JobRun<'a> {
         self.io.insert(tid, IoTag::MapRead { task, node });
         self.map_slots_free[node.0] -= 1;
     }
+}
+
+/// Inserts `duration` into the ascending `sorted`, after any equal ones.
+fn insert_sorted(sorted: &mut Vec<f64>, duration: f64) {
+    let at = sorted.partition_point(|&d| d <= duration);
+    sorted.insert(at, duration);
 }
 
 #[cfg(test)]
@@ -737,6 +742,36 @@ mod tests {
         for node in nodes {
             let free = run.map_slots_free[node.0];
             assert_eq!(free + running[node.0], cfg.map_slots, "{node:?}");
+        }
+    }
+
+    /// The straggler threshold's median, read by index from durations kept
+    /// sorted on insert, equals the clone-and-sort median the heartbeat
+    /// used to compute (kept here as the oracle) bit for bit, at every
+    /// length, for durations arriving in any order — ties included, since
+    /// maps that finish alike tie. End to end the pin is `fig9`
+    /// (speculative execution on), whose golden output must not move.
+    #[test]
+    fn median_by_index_equals_clone_and_sort() {
+        let clone_and_sort = |durations: &[f64]| {
+            let mut sorted = durations.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            sorted[sorted.len() / 2]
+        };
+        let mut rng = stream_rng(26, 0);
+        for _ in 0..40 {
+            let (mut arrived, mut sorted) = (Vec::new(), Vec::new());
+            for _ in 0..150 {
+                let d = if rng.gen_bool(0.3) {
+                    0.25 * rng.gen_range(1..12) as f64
+                } else {
+                    rng.gen_range(1e-9..30.0)
+                };
+                arrived.push(d);
+                insert_sorted(&mut sorted, d);
+                let by_index = sorted[sorted.len() / 2];
+                assert_eq!(by_index.to_bits(), clone_and_sort(&arrived).to_bits());
+            }
         }
     }
 
