@@ -6,7 +6,7 @@
 //! aggregation fan-in, so everything here runs on the packet-level
 //! simulator.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`query_latency`] — one query in a given deployment (single
 //!   aggregator or two-level), via [`pktsim::workload`].

@@ -13,6 +13,9 @@ cargo clippy --workspace -- -D warnings
 echo "=== tests (every suite: the oracle, determinism, chaos and allocation-pin contracts all live here) ==="
 cargo test -q --workspace
 
+echo "=== packet-event ordering hunt (the three pktsim queues against the single-heap reference, 512 cases; tier-1 runs 64) ==="
+PROPTEST_CASES=512 cargo test -q --release -p pktsim --test calendar_equiv
+
 echo "=== benches compile ==="
 cargo bench --no-run --workspace
 
