@@ -118,12 +118,13 @@
 //! Per-rack state is dense: a rack's hosts are sorted once in the
 //! [`FleetLayout`], a host's index there is its *slot*, and aggregator
 //! snapshots and collector views are slot-indexed tables sharing that
-//! host list — a served report is one binary search of the fleet index
+//! host list — a served report is one hashed probe of the fleet index
 //! plus an array index, a full resync is a copy.
 
 use std::sync::Arc;
 
 use cloudtalk_lang::problem::Address;
+use cloudtalk_lang::WordMap;
 use desim::rng::{stream_rng, DetRng};
 use desim::SimTime;
 use obs::{CounterId, MetricsRegistry, Trace, TraceReport};
@@ -148,8 +149,10 @@ pub struct FleetLayout {
     /// snapshots, collector views) is indexed by it and shares this
     /// allocation.
     racks: Vec<Arc<[Address]>>,
-    /// Every host as `(address, rack, slot)`, sorted by address.
-    index: Vec<(Address, u32, u32)>,
+    /// Every host's `(rack, slot)`, hashed by address: a fleet-sized
+    /// lookup is one probe, not a binary search's chain of cold ones.
+    /// Nothing iterates it, so hash order reaches no output.
+    index: WordMap<Address, (u32, u32)>,
 }
 
 impl FleetLayout {
@@ -160,26 +163,22 @@ impl FleetLayout {
     ///
     /// Panics if an address is assigned to two racks.
     pub fn grouped(racks: Vec<Vec<Address>>) -> Self {
-        let mut index = Vec::with_capacity(racks.iter().map(Vec::len).sum());
+        let mut index =
+            WordMap::with_capacity_and_hasher(racks.iter().map(Vec::len).sum(), Default::default());
         let racks: Vec<Arc<[Address]>> = racks
             .into_iter()
             .enumerate()
             .map(|(rack, mut hosts)| {
                 hosts.sort_unstable_by_key(|a| a.0);
                 hosts.dedup();
-                index.extend(
-                    hosts
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &a)| (a, rack as u32, slot as u32)),
-                );
+                for (slot, &a) in hosts.iter().enumerate() {
+                    if index.insert(a, (rack as u32, slot as u32)).is_some() {
+                        panic!("address {a:?} assigned to two racks");
+                    }
+                }
                 hosts.into()
             })
             .collect();
-        index.sort_unstable_by_key(|e| e.0 .0);
-        if let Some(w) = index.windows(2).find(|w| w[0].0 == w[1].0) {
-            panic!("address {:?} assigned to two racks", w[0].0);
-        }
         FleetLayout { racks, index }
     }
 
@@ -216,8 +215,7 @@ impl FleetLayout {
     /// The rack containing `addr` and its slot there
     /// (`hosts(rack)[slot] == addr`), if it is part of the fleet.
     pub fn slot_of(&self, addr: Address) -> Option<(RackId, usize)> {
-        let i = self.index.binary_search_by_key(&addr.0, |e| e.0 .0).ok()?;
-        let (_, rack, slot) = self.index[i];
+        let &(rack, slot) = self.index.get(&addr)?;
         Some((RackId(rack), slot as usize))
     }
 
