@@ -55,9 +55,7 @@ impl<'a> Footprint<'a> {
     }
 
     fn of(problem: Held<'a>) -> Self {
-        let addrs = problem.get().mentioned_addresses();
-        let mut sorted = addrs.clone();
-        sorted.sort_unstable();
+        let (addrs, sorted) = problem.get().mentioned_addresses_and_sorted();
         Footprint {
             problem,
             addrs,
@@ -121,6 +119,26 @@ mod tests {
         assert_eq!(fp.sorted(), [4, 5, 6, 7, 9].map(Address));
         assert_eq!(fp.fingerprint(), fingerprint_problem(&p));
         assert_eq!(*fp.share(), p);
+    }
+
+    #[test]
+    fn a_sampled_write_sorts_its_footprint_ascending_without_repeats() {
+        use crate::sampling::sample_candidates;
+        use desim::rng::stream_rng;
+        // Scattered, not ascending, and the writer is also in the pool.
+        let nodes: Vec<Address> = (0..300u32).map(|i| Address(1 + (i * 7919) % 997)).collect();
+        let p = hdfs_write_query(nodes[150], &nodes, 3, 1e6)
+            .resolve()
+            .unwrap();
+        let sampled = sample_candidates(&p, 100, &mut stream_rng(7, 0x5A));
+        for problem in [p, sampled] {
+            let fp = Footprint::shared(problem);
+            assert!(fp.addrs().len() > 32, "the sorting path, not the scan");
+            assert!(fp.sorted().windows(2).all(|w| w[0] < w[1]));
+            let mut want = fp.addrs().to_vec();
+            want.sort_unstable();
+            assert_eq!(fp.sorted(), want);
+        }
     }
 
     #[test]

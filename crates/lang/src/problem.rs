@@ -250,10 +250,34 @@ impl Problem {
     /// are interrogated in, and therefore the order the transport draws
     /// its loss randomness in.
     pub fn mentioned_addresses(&self) -> Vec<Address> {
+        let (mut addrs, deduplicated) = self.mentions();
+        if !deduplicated {
+            dedup_keeping_first(&mut addrs);
+        }
+        addrs
+    }
+
+    /// [`Problem::mentioned_addresses`] together with the same addresses
+    /// ascending. A footprint past the linear-scan size sorts once for
+    /// both.
+    pub fn mentioned_addresses_and_sorted(&self) -> (Vec<Address>, Vec<Address>) {
+        let (mut addrs, deduplicated) = self.mentions();
+        let sorted = if deduplicated {
+            let mut sorted = addrs.clone();
+            sorted.sort_unstable();
+            sorted
+        } else {
+            dedup_keeping_first(&mut addrs)
+        };
+        (addrs, sorted)
+    }
+
+    /// Every known address mention in first-mention order, and whether
+    /// repeats are already gone. Small footprints dedup by scanning what
+    /// is already there; once one outgrows that, mentions are appended raw
+    /// for [`dedup_keeping_first`].
+    fn mentions(&self) -> (Vec<Address>, bool) {
         let mut addrs: Vec<Address> = Vec::new();
-        // Small footprints dedup by scanning what is already there; once
-        // one outgrows that, mentions are appended raw and deduplicated
-        // by one sort at the end.
         let mut scanning = true;
         let mut push = |a: Address| {
             if a == Address::UNKNOWN {
@@ -288,10 +312,7 @@ impl Problem {
                 }
             }
         }
-        if !scanning {
-            dedup_keeping_first(&mut addrs);
-        }
-        addrs
+        (addrs, scanning)
     }
 }
 
@@ -301,21 +322,32 @@ impl Problem {
 const LINEAR_DEDUP_MAX: usize = 32;
 
 /// Removes every repeat of an address, keeping first occurrences in their
-/// original order, in `O(n log n)`.
-fn dedup_keeping_first(addrs: &mut Vec<Address>) {
-    let mut keyed: Vec<(Address, usize)> = addrs.iter().copied().zip(0..).collect();
+/// original order, and returns the distinct addresses ascending: one sort
+/// of `address << 32 | position` keys, `O(n log n)`. A repeat is marked
+/// [`Address::UNKNOWN`] until the final `retain`, which is why no mention
+/// may be that address.
+fn dedup_keeping_first(addrs: &mut Vec<Address>) -> Vec<Address> {
+    assert!(
+        u32::try_from(addrs.len()).is_ok(),
+        "a position fits 32 bits"
+    );
+    let mut keys: Vec<u64> = (0..)
+        .zip(addrs.iter())
+        .map(|(at, a)| (u64::from(a.0) << 32) | at)
+        .collect();
     // Within a run of equal addresses the first mention sorts first.
-    keyed.sort_unstable();
-    let mut first = vec![false; addrs.len()];
-    let mut prev = None;
-    for (addr, at) in keyed {
-        if prev != Some(addr) {
-            first[at] = true;
-            prev = Some(addr);
+    keys.sort_unstable();
+    let mut sorted: Vec<Address> = Vec::with_capacity(keys.len());
+    for key in keys {
+        let addr = Address((key >> 32) as u32);
+        if sorted.last() == Some(&addr) {
+            addrs[key as u32 as usize] = Address::UNKNOWN;
+        } else {
+            sorted.push(addr);
         }
     }
-    let mut keep = first.into_iter();
-    addrs.retain(|_| keep.next().expect("one flag per mention"));
+    addrs.retain(|&a| a != Address::UNKNOWN);
+    sorted
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@
 //! bit-identical: the binding, every score (compared by bit pattern), and
 //! the *order* of the mentioned addresses (it is gather order, and so the
 //! order the transport draws its loss randomness in).
+//! `Problem::mentioned_addresses_and_sorted` must return that same list
+//! and, beside it, the list sorted.
 //!
 //! Lives in the root package so tier-1 `cargo test -q` reaches it.
 
@@ -46,6 +48,15 @@ fn reference_mentioned_addresses(p: &Problem) -> Vec<Address> {
         }
     }
     addrs
+}
+
+/// The reference list and the reference list sorted: what
+/// `mentioned_addresses_and_sorted` must return.
+fn reference_both_halves(p: &Problem) -> (Vec<Address>, Vec<Address>) {
+    let first = reference_mentioned_addresses(p);
+    let mut sorted = first.clone();
+    sorted.sort_unstable();
+    (first, sorted)
 }
 
 // --- reference: the per-candidate `total_network_peers` scorer ------------
@@ -246,7 +257,7 @@ fn ref_build_profiles(problem: &Problem) -> Vec<RefProfile> {
 
 /// Pool sizes on both sides of the 32-address linear-dedup boundary, the
 /// paper's 300-host pool, and ordinary small ones.
-const POOL_SIZES: [usize; 8] = [1, 2, 5, 20, 32, 33, 64, 300];
+const POOL_SIZES: [usize; 9] = [1, 2, 5, 20, 31, 32, 33, 64, 300];
 
 /// A random problem over addresses `1..=universe`: shared and disjoint
 /// pools, repeats within and across pools, `disk` candidates, pools of
@@ -337,6 +348,7 @@ proptest! {
     fn mentioned_addresses_match_the_contains_dedup(seed in any::<u64>()) {
         let p = random_problem(&mut stream_rng(seed, 1));
         prop_assert_eq!(p.mentioned_addresses(), reference_mentioned_addresses(&p));
+        prop_assert_eq!(p.mentioned_addresses_and_sorted(), reference_both_halves(&p));
     }
 
     /// Binding and every score, bit for bit, fresh scratch and reused.
@@ -369,7 +381,7 @@ proptest! {
 #[test]
 fn boundary_pool_sizes_agree() {
     use cloudtalk_lang::builder::hdfs_write_query;
-    for &size in &[1usize, 32, 33, 300] {
+    for &size in &[1usize, 31, 32, 33, 300] {
         for writer in [Address(9_000), Address(3)] {
             let nodes: Vec<Address> = (0..size as u32)
                 .map(|i| Address(2 + (i * 7) % 401))
@@ -378,6 +390,11 @@ fn boundary_pool_sizes_agree() {
             assert_eq!(
                 p.mentioned_addresses(),
                 reference_mentioned_addresses(&p),
+                "size {size}"
+            );
+            assert_eq!(
+                p.mentioned_addresses_and_sorted(),
+                reference_both_halves(&p),
                 "size {size}"
             );
             let w = random_world(&mut stream_rng(size as u64, 3), 400);
