@@ -138,6 +138,12 @@ if grep -rnE 'too_many_arguments|macro_rules!' crates/apps/src; then
     exit 1
 fi
 
+echo "=== one fleet lookup (FleetLayout finds a host by one hashed probe; the sorted index lives only in tests/fleet_index_equiv.rs) ==="
+if grep -n 'index.binary_search' crates/core/src/aggregate.rs; then
+    echo "error: aggregate.rs binary-searches the fleet index again — FleetLayout::index is a WordMap"
+    exit 1
+fi
+
 echo "=== names in place, one hasher (no String per identifier, no deep clone to resolve a builder, no SipHash over addresses, ids or already-mixed keys) ==="
 for where in "Ident crates/lang/src/ast.rs" "Variable crates/lang/src/problem.rs" "Flow crates/lang/src/problem.rs"; do
     set -- $where
