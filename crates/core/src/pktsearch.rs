@@ -415,7 +415,7 @@ impl Walker for PktWalker<'_> {
         &self.current
     }
 
-    fn push(&mut self, value: Value) {
+    fn push(&mut self, value: Value, _: usize) {
         self.current.push(value);
     }
 

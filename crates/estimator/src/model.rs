@@ -304,16 +304,17 @@ pub(crate) fn push_host_capacities(s: &crate::HostState, capacities: &mut Vec<f6
 }
 
 /// Emits the shared-resource usages of one flow from its bound endpoints.
-/// `base_of` maps an address to the base index of its 4-resource block;
+/// `base_of` maps a host (an address, or a [`crate::CapacityTable`] slot)
+/// to the base index of its 4-resource block;
 /// entries are pushed in a fixed order (source side first) so both
 /// evaluation paths build identical usage lists. A flow emits at most two
 /// entries, and the two can never name the same resource (one is an `up`,
-/// the other a `down`, of distinct addresses), so no coalescing is needed
+/// the other a `down`, of distinct hosts), so no coalescing is needed
 /// here.
-pub(crate) fn push_flow_usages(
-    src: BoundEndpoint,
-    dst: BoundEndpoint,
-    mut base_of: impl FnMut(Address) -> usize,
+pub(crate) fn push_flow_usages<H: Copy + PartialEq>(
+    src: BoundEndpoint<H>,
+    dst: BoundEndpoint<H>,
+    mut base_of: impl FnMut(H) -> usize,
     mut push: impl FnMut(ResourceIdx, f64),
 ) {
     match (src, dst) {

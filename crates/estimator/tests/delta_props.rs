@@ -8,6 +8,12 @@
 //! paths rate a component with the same per-component simulation code on
 //! the same canonical inputs, so nothing may diverge, ever — not even in
 //! the last mantissa bit.
+//!
+//! A value is pushed with its index in the pool, and the estimator reads
+//! the value's host slot from that index. A twin estimator pushed the
+//! *first* index of each value must agree with it bit for bit — on
+//! estimates and on `component_lower_bound` — at every step, including on
+//! pools where a value sits at more than one index.
 
 use cloudtalk_lang::builder::{daisy_chain_query, hdfs_write_query, QueryBuilder};
 use cloudtalk_lang::problem::{Address, Problem, Value};
@@ -49,16 +55,29 @@ fn mixed(addrs: &[Address]) -> Problem {
     b.resolve().expect("well-formed")
 }
 
+/// [`mixed`] with every pool's first two values repeated and `disk`
+/// appended: the same value at two indices, and a candidate with no host.
+fn repeats(addrs: &[Address]) -> Problem {
+    let mut p = mixed(addrs);
+    for var in &mut p.vars {
+        let again = var.candidates[..2].to_vec();
+        var.candidates.extend(again);
+        var.candidates.push(Value::Disk);
+    }
+    p
+}
+
 fn topo_for(pick: u8) -> Problem {
     let addrs: Vec<Address> = (1..=12).map(Address).collect();
-    match pick % 3 {
+    match pick % 4 {
         0 => daisy(&addrs),
         // Rate-coupled pipeline: one big component, the delta path's
         // worst case (no component ever survives a move untouched).
         1 => hdfs_write_query(Address(1), &addrs[1..], 3, 256e6)
             .resolve()
             .expect("well-formed"),
-        _ => mixed(&addrs),
+        2 => mixed(&addrs),
+        _ => repeats(&addrs),
     }
 }
 
@@ -101,28 +120,64 @@ fn check_step(
     Ok(())
 }
 
+/// [`check_step`] for the estimator pushed each value's drawn index and
+/// for its twin pushed the value's first index, then the two against each
+/// other: same slots, same prefix bound to the bit, same work counters.
+fn check_twins(
+    de: &mut DeltaEstimator,
+    twin: &mut DeltaEstimator,
+    problem: &Problem,
+    mirror: &Vec<Value>,
+    world: &World,
+) -> Result<(), TestCaseError> {
+    check_step(de, problem, mirror, world)?;
+    check_step(twin, problem, mirror, world)?;
+    prop_assert_eq!(de.slots(), twin.slots());
+    let (lb, twin_lb) = (de.component_lower_bound(), twin.component_lower_bound());
+    prop_assert_eq!(lb.to_bits(), twin_lb.to_bits(), "prefix bound bits");
+    prop_assert_eq!(de.stats(), twin.stats());
+    Ok(())
+}
+
 fn drive(problem: &Problem, world: &World, seed: u64, steps: usize) -> Result<(), TestCaseError> {
     let mut rng = stream_rng(seed, 0x0D17);
     let mut de = DeltaEstimator::new(problem, world).expect("statically supported problem");
+    let mut twin = de.clone();
     let n_vars = problem.vars.len();
     let mut mirror: Vec<Value> = Vec::new();
-    let cand = |v: usize, k: usize| problem.vars[v].candidates[k % problem.vars[v].candidates.len()];
+    // Candidate `k` (mod the pool) of variable `v`: the value, its index
+    // and the first index that holds the same value.
+    let cand = |v: usize, k: usize| {
+        let pool = &problem.vars[v].candidates;
+        let index = k % pool.len();
+        let first = pool
+            .iter()
+            .position(|&c| c == pool[index])
+            .expect("in the pool");
+        (pool[index], index, first)
+    };
+    let push = |de: &mut DeltaEstimator, twin: &mut DeltaEstimator, mirror: &mut Vec<Value>, k| {
+        let (val, index, first) = cand(mirror.len(), k);
+        de.push(val, index);
+        twin.push(val, first);
+        mirror.push(val);
+    };
     let mut estimates = 0u64;
     for _ in 0..steps {
         let roll = rng.gen_range(0..100u32);
         if roll < 35 && mirror.len() < n_vars {
-            let val = cand(mirror.len(), rng.gen_range(0..64usize));
-            de.push(val);
-            mirror.push(val);
+            push(&mut de, &mut twin, &mut mirror, rng.gen_range(0..64usize));
         } else if roll < 60 && !mirror.is_empty() {
             de.pop();
+            twin.pop();
             mirror.pop();
         } else if roll < 70 {
             // Rating a prefix ahead of its leaves only warms the cache:
             // every later comparison must still hold to the bit.
             de.rate_prefix();
+            twin.rate_prefix();
         } else {
-            check_step(&mut de, problem, &mirror, world)?;
+            check_twins(&mut de, &mut twin, problem, &mirror, world)?;
             // `stats.estimates` counts served leaf estimates; partial
             // bindings are rejected by the arity check before counting.
             if mirror.len() == n_vars {
@@ -132,11 +187,9 @@ fn drive(problem: &Problem, world: &World, seed: u64, steps: usize) -> Result<()
     }
     // Finish with a full descent so every run compares at least one leaf.
     while mirror.len() < n_vars {
-        let val = cand(mirror.len(), rng.gen_range(0..64usize));
-        de.push(val);
-        mirror.push(val);
+        push(&mut de, &mut twin, &mut mirror, rng.gen_range(0..64usize));
     }
-    check_step(&mut de, problem, &mirror, world)?;
+    check_twins(&mut de, &mut twin, problem, &mirror, world)?;
     estimates += 1;
     prop_assert_eq!(de.stats().estimates, estimates);
     Ok(())
@@ -151,7 +204,7 @@ proptest! {
     fn delta_matches_scratch_bitwise(
         seed in any::<u64>(),
         steps in 10usize..60,
-        topo_pick in 0u8..3,
+        topo_pick in 0u8..4,
     ) {
         let problem = topo_for(topo_pick);
         let world = world_for(&problem, seed ^ 0x5EED);
@@ -168,16 +221,16 @@ fn daisy_inner_move_rerates_one_component() {
     let problem = daisy(&addrs);
     let world = world_for(&problem, 7);
     let mut de = DeltaEstimator::new(&problem, &world).unwrap();
-    de.push(Value::Addr(addrs[0]));
-    de.push(Value::Addr(addrs[1]));
-    de.push(Value::Addr(addrs[2]));
+    de.push(Value::Addr(addrs[0]), 0);
+    de.push(Value::Addr(addrs[1]), 1);
+    de.push(Value::Addr(addrs[2]), 2);
     let first = de.estimate_summary().unwrap();
     // f1 {x1.up, x2.down} and f2 {x2.up, x3.down} share no resource.
     assert_eq!(de.stats().components_rerated, 2);
     assert_eq!(de.stats().components_reused, 0);
 
     de.pop();
-    de.push(Value::Addr(addrs[3]));
+    de.push(Value::Addr(addrs[3]), 3);
     let second = de.estimate_summary().unwrap();
     // Only f2's component moved; f1's rating is replayed from the cache.
     assert_eq!(de.stats().components_rerated, 3);
@@ -218,17 +271,17 @@ fn component_lower_bound_is_admissible() {
     let world = world_for(&problem, 11);
     let mut de = DeltaEstimator::new(&problem, &world).unwrap();
     assert_eq!(de.component_lower_bound(), 0.0, "cold cache bounds nothing");
-    de.push(Value::Addr(addrs[0]));
-    de.push(Value::Addr(addrs[1]));
-    de.push(Value::Addr(addrs[2]));
+    de.push(Value::Addr(addrs[0]), 0);
+    de.push(Value::Addr(addrs[1]), 1);
+    de.push(Value::Addr(addrs[2]), 2);
     de.estimate_summary().unwrap();
     de.pop();
     // f1 (x1→x2) is determined at depth 2 and untouched by the pop.
     let lb = de.component_lower_bound();
     assert!(lb > 0.0, "rated determined component must bound");
     // Admissible: no choice of x3 beats the bound.
-    for &a in &addrs {
-        de.push(Value::Addr(a));
+    for (k, &a) in addrs.iter().enumerate() {
+        de.push(Value::Addr(a), k);
         let m = de.estimate_summary().unwrap().makespan;
         assert!(lb <= m, "lb {lb} > makespan {m} for x3={a:?}");
         de.pop();
@@ -243,20 +296,20 @@ fn rate_prefix_bounds_a_prefix_on_first_visit() {
     let problem = daisy(&addrs);
     let world = world_for(&problem, 11);
     let mut de = DeltaEstimator::new(&problem, &world).unwrap();
-    de.push(Value::Addr(addrs[0]));
+    de.push(Value::Addr(addrs[0]), 0);
     de.rate_prefix();
     assert_eq!(
         de.component_lower_bound(),
         0.0,
         "x1 alone determines no flow"
     );
-    de.push(Value::Addr(addrs[1]));
+    de.push(Value::Addr(addrs[1]), 1);
     assert_eq!(de.component_lower_bound(), 0.0, "nothing rated yet");
     de.rate_prefix();
     let lb = de.component_lower_bound();
     assert_eq!(de.stats().components_rerated, 1, "f1 rated at the prefix");
-    for &a in &addrs[2..] {
-        de.push(Value::Addr(a));
+    for (k, &a) in addrs.iter().enumerate().skip(2) {
+        de.push(Value::Addr(a), k);
         de.estimate_summary().unwrap();
         assert_eq!(lb.to_bits(), de.flow_finish()[0].to_bits(), "x3={a:?}");
         de.pop();
@@ -278,8 +331,8 @@ fn a_component_an_open_flow_can_join_bounds_nothing() {
     for (distinct, bounds) in [(true, true), (false, false)] {
         problem.distinct = distinct;
         let mut de = DeltaEstimator::new(&problem, &world).unwrap();
-        de.push(Value::Addr(addrs[0]));
-        de.push(Value::Addr(addrs[1]));
+        de.push(Value::Addr(addrs[0]), 0);
+        de.push(Value::Addr(addrs[1]), 1);
         de.rate_prefix();
         assert_eq!(
             de.component_lower_bound() > 0.0,
