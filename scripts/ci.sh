@@ -144,6 +144,16 @@ if grep -n 'index.binary_search' crates/core/src/aggregate.rs; then
     exit 1
 fi
 
+echo "=== one address lookup per search (CapacityTable turns addresses into slots at rebuild; the walk and its nodes move slots; one table per walker) ==="
+if grep -nE '\.slot\(|\.free\(|binary_search' crates/core/src/exhaustive.rs crates/core/src/walk.rs; then
+    echo "error: the exact search looks an address up below CapacityTable::rebuild — push and read slots"
+    exit 1
+fi
+if [ "$(grep -o 'rebuild(' crates/core/src/exhaustive.rs | wc -l)" -gt 1 ]; then
+    echo "error: exhaustive.rs builds more than one capacity table — a delta walker reads its estimator's"
+    exit 1
+fi
+
 echo "=== names in place, one hasher (no String per identifier, no deep clone to resolve a builder, no SipHash over addresses, ids or already-mixed keys) ==="
 for where in "Ident crates/lang/src/ast.rs" "Variable crates/lang/src/problem.rs" "Flow crates/lang/src/problem.rs"; do
     set -- $where
