@@ -70,7 +70,7 @@ fn run(
             .unwrap_or(0.0);
         quality.push(100.0 * tp / base_tp);
         missing.push(a.missing as f64);
-        if a.rung == DegradationRung::Full {
+        if a.provenance.rung == DegradationRung::Full {
             full += 1;
         }
     }

@@ -24,10 +24,11 @@
 //! * [`canon`] — canonical query fingerprinting: host equivalence
 //!   classes (shared with the pktsearch memoiser) and structural
 //!   problem hashes, the identity half of every answer-cache key.
-//! * [`qcache`] — the two-tier answer cache: per-worker L1 plus a shared
-//!   L2 (one tier type) keyed on (exact problem, snapshot epoch,
-//!   footprint-restricted reservation mask, rung, backend);
-//!   invalidation is epoch-driven, hits are bit-identical to misses.
+//! * [`qcache`] — the serving plane's two-tier answer cache: per-worker
+//!   L1 plus a shared L2 (one tier type) keyed on (exact problem,
+//!   snapshot epoch, footprint-restricted reservation mask, rung,
+//!   backend); invalidation is epoch-driven, hits are bit-identical to
+//!   misses. [`server::CloudTalkServer`] answers never touch it.
 //! * [`sampling`] — §4.3: how many servers to sample for near-optimal
 //!   answers, plus the analytic n(d, p, confidence) calculator (Figure 4).
 //! * [`reservation`] — §5.5 pseudo-reservations preventing oscillation:
@@ -122,8 +123,7 @@ pub use canon::{fingerprint_problem, shape_hash, CanonKey, HostClasses};
 pub use faults::{Corruption, FaultIntensity, FaultPlan, FaultySource, Window};
 pub use heuristic::evaluate_query;
 pub use pktsearch::{
-    host_classes, pkt_prepare, pkt_search, pkt_search_prepared, MirrorTopology, PktArtifacts,
-    PktSearchError, PktSearchOptions, PktSearchResult,
+    host_classes, pkt_search, MirrorTopology, PktSearchError, PktSearchOptions, PktSearchResult,
 };
 pub use qcache::{CacheConfig, CacheStats};
 pub use server::{

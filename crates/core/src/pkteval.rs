@@ -158,16 +158,6 @@ impl PktProgram {
     pub fn flow_count(&self) -> usize {
         self.sizes.len()
     }
-
-    /// Rough heap footprint of the compiled program, used by the answer
-    /// cache's `cache.bytes` accounting. Deliberately approximate: the
-    /// gauge exists to spot runaway growth, not to bill memory.
-    pub fn approx_bytes(&self) -> u64 {
-        let flows = self.sizes.len();
-        let per_flow = 8 + 8 + 24 + 2 * std::mem::size_of::<Endpoint>();
-        let deps: usize = self.deps.iter().map(|d| d.len() * 8).sum();
-        (std::mem::size_of::<PktProgram>() + flows * per_flow + deps) as u64
-    }
 }
 
 /// Evaluates one binding of a compiled problem on a caller-owned simulator.

@@ -277,43 +277,6 @@ fn rack_shapes(
     shapes
 }
 
-/// Binding-independent artifacts of a packet-level search: the compiled
-/// program and the symmetry classes. Computing them is pure — the same
-/// problem over the same mirror always prepares the same artifacts — so
-/// the answer cache keeps them keyed by problem fingerprint and repeat
-/// queries skip recompilation entirely.
-#[derive(Clone, Debug)]
-pub struct PktArtifacts {
-    /// The compiled flow program.
-    pub prog: PktProgram,
-    /// Host symmetry classes for the memoiser.
-    pub classes: HostClasses,
-}
-
-impl PktArtifacts {
-    /// Rough heap footprint, for cache accounting.
-    pub fn approx_bytes(&self) -> u64 {
-        self.prog.approx_bytes() + 16 * u64::from(self.classes.classes().max(1))
-    }
-}
-
-/// Compiles `problem` and builds its symmetry classes, verifying every
-/// mentioned address exists in the mirror so per-binding evaluation can
-/// never hit `UnknownAddress` mid-search.
-pub fn pkt_prepare(
-    problem: &Problem,
-    mirror: &MirrorTopology,
-) -> Result<PktArtifacts, PktSearchError> {
-    let prog = PktProgram::compile(problem)?;
-    for a in problem.mentioned_addresses() {
-        if !mirror.addr_to_host.contains_key(&a) {
-            return Err(PktSearchError::Eval(PktEvalError::UnknownAddress(a)));
-        }
-    }
-    let classes = host_classes(problem, mirror);
-    Ok(PktArtifacts { prog, classes })
-}
-
 /// Searches all bindings of `problem` (respecting same-pool
 /// distinctness) for the minimum packet-simulated makespan over
 /// `mirror`. Deterministic: the winning binding and its makespan are
@@ -326,32 +289,24 @@ pub fn pkt_search(
 ) -> Result<PktSearchResult, PktSearchError> {
     // Space guard first: a TooLarge query is rejected in O(|vars|)
     // without compiling anything.
-    guard(problem, opts.limit)?;
-    let artifacts = pkt_prepare(problem, mirror)?;
-    pkt_search_prepared(problem, mirror, opts, &artifacts)
-}
-
-fn guard(problem: &Problem, limit: u64) -> Result<(), PktSearchError> {
-    space_guard(problem, limit).map_err(|space| PktSearchError::TooLarge { space, limit })
-}
-
-/// [`pkt_search`] with the binding-independent artifacts already
-/// prepared (by [`pkt_prepare`], possibly on an earlier query). The
-/// caller must pass artifacts prepared from this exact `problem` and
-/// `mirror` pair; the answer cache guarantees that by keying them on
-/// the problem's structural fingerprint.
-pub fn pkt_search_prepared(
-    problem: &Problem,
-    mirror: &MirrorTopology,
-    opts: &PktSearchOptions,
-    artifacts: &PktArtifacts,
-) -> Result<PktSearchResult, PktSearchError> {
-    guard(problem, opts.limit)?;
+    space_guard(problem, opts.limit).map_err(|space| PktSearchError::TooLarge {
+        space,
+        limit: opts.limit,
+    })?;
+    // Compile, and check every mentioned address against the mirror, so
+    // per-binding evaluation can never hit `UnknownAddress` mid-search.
+    let prog = PktProgram::compile(problem)?;
+    for a in problem.mentioned_addresses() {
+        if !mirror.addr_to_host.contains_key(&a) {
+            return Err(PktSearchError::Eval(PktEvalError::UnknownAddress(a)));
+        }
+    }
+    let classes = host_classes(problem, mirror);
     let memo: Mutex<WordMap<CanonKey, MemoEntry>> = Mutex::new(WordMap::default());
     let walker = || PktWalker {
-        prog: &artifacts.prog,
+        prog: &prog,
         mirror,
-        canon: opts.memoise.then_some(&artifacts.classes),
+        canon: opts.memoise.then_some(&classes),
         memo: &memo,
         early_abort: opts.early_abort,
         sim: PktSim::new(mirror.topo.clone(), opts.sim),

@@ -4,9 +4,13 @@
 //! re-runs candidate search from scratch, even though multi-tenant
 //! traffic is dominated by structurally isomorphic queries. This module
 //! caches *search results* (backend, effort counters, winning binding,
-//! scores) and *compiled packet-level artifacts* so a repeat query skips
-//! the search entirely and replays the stored result through the normal
-//! bind/reservation path.
+//! scores) so a repeat query skips the search entirely and replays the
+//! stored result through the normal bind/reservation path.
+//!
+//! One rule decides who caches: only a serving-plane worker looks up,
+//! stores or publishes an entry. A [`crate::server::CloudTalkServer`]
+//! answer gathers a snapshot for itself alone, whose epoch no later
+//! answer can match, so it never touches the cache.
 //!
 //! # Key completeness
 //!
@@ -67,10 +71,10 @@ use cloudtalk_lang::problem::{Address, Binding, Problem};
 use cloudtalk_lang::{WordHasher, WordMap};
 
 use crate::footprint::Footprint;
-use crate::pktsearch::PktArtifacts;
 use crate::server::{Backend, DegradationRung, EvalMethod, SearchStats};
 
-/// Answer-cache knobs, part of [`crate::server::ServerConfig`].
+/// Answer-cache knobs, part of [`crate::server::ServerConfig`]. Serving
+/// plane only: a [`crate::server::CloudTalkServer`] never caches.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Master switch. Off, every lookup misses and nothing is stored —
@@ -78,13 +82,9 @@ pub struct CacheConfig {
     pub enabled: bool,
     /// Per-worker L1 capacity, entries.
     pub l1_entries: usize,
-    /// Shared L2 capacity, entries (serving plane only).
+    /// Shared L2 capacity, entries.
     pub l2_entries: usize,
 }
-
-/// Per-worker capacity of the compiled-artifact cache (packet-level
-/// programs + symmetry classes), entries.
-const ARTIFACT_ENTRIES: usize = 64;
 
 impl Default for CacheConfig {
     fn default() -> Self {
@@ -338,24 +338,14 @@ impl Tier {
     }
 }
 
-/// One fingerprint bucket of compiled artifacts: hash collisions are
-/// resolved by comparing the stored exact problem.
-type ArtifactBucket = Vec<(Arc<Problem>, Arc<PktArtifacts>)>;
-
-/// Per-worker L1 cache plus the worker's compiled-artifact cache. Owned
-/// by an `EvalCore`; all mutation is single-threaded.
+/// A serving-plane worker's L1. Owned by the worker's `EvalCore`; all
+/// mutation is single-threaded.
 pub(crate) struct QueryCache {
     cfg: CacheConfig,
     l1: Tier,
-    /// Entries inserted for publication since the last
-    /// [`QueryCache::take_fresh`]; the serving plane drains these into L2
-    /// between waves.
+    /// Entries inserted since the last [`QueryCache::take_fresh`]; the
+    /// serving plane drains these into L2 between waves.
     fresh: Vec<Entry>,
-    /// Compiled packet-level artifacts keyed by problem fingerprint,
-    /// verified against the exact problem.
-    artifacts: WordMap<u64, ArtifactBucket>,
-    artifact_order: VecDeque<u64>,
-    artifact_bytes: u64,
 }
 
 impl QueryCache {
@@ -364,26 +354,19 @@ impl QueryCache {
             cfg,
             l1: Tier::default(),
             fresh: Vec::new(),
-            artifacts: WordMap::default(),
-            artifact_order: VecDeque::new(),
-            artifact_bytes: 0,
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
         self.l1.lookup(k)
     }
 
-    /// Stores a freshly computed search result under `k`, and — when
-    /// `publish`, i.e. an L2 will drain it — queues a copy for
-    /// [`QueryCache::take_fresh`]. The entry (and the L2 entry after it)
-    /// shares the footprint's problem: no copy when the front end owns the
-    /// problem, one when it borrowed it.
-    pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>, publish: bool) {
+    /// Stores a freshly computed search result under `k` and queues a copy
+    /// for [`QueryCache::take_fresh`]: only plane workers insert, and the
+    /// plane drains every insert into its L2. The entry (and the L2 entry
+    /// after it) shares the footprint's problem, which a plane worker's
+    /// footprint always owns: no copy.
+    pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>) {
         if !self.cfg.enabled || self.cfg.l1_entries == 0 {
             return;
         }
@@ -395,9 +378,7 @@ impl QueryCache {
             seq: 0,
             value,
         };
-        if publish {
-            self.fresh.push(entry.clone());
-        }
+        self.fresh.push(entry.clone());
         self.l1.push(entry);
         self.l1.evict_to(self.cfg.l1_entries);
     }
@@ -412,43 +393,7 @@ impl QueryCache {
     }
 
     pub fn bytes(&self) -> u64 {
-        self.l1.bytes() + self.artifact_bytes
-    }
-
-    /// Looks up compiled packet-level artifacts for `fp`'s problem.
-    pub fn lookup_artifacts(&self, fp: &Footprint<'_>) -> Option<Arc<PktArtifacts>> {
-        let bucket = self.artifacts.get(&fp.fingerprint())?;
-        bucket
-            .iter()
-            .find(|(p, _)| **p == *fp.problem())
-            .map(|(_, a)| a.clone())
-    }
-
-    /// Stores compiled artifacts for `fp`'s problem.
-    pub fn insert_artifacts(&mut self, fp: &Footprint<'_>, artifacts: Arc<PktArtifacts>) {
-        if !self.cfg.enabled {
-            return;
-        }
-        let hash = fp.fingerprint();
-        self.artifact_bytes += artifacts.approx_bytes();
-        self.artifacts
-            .entry(hash)
-            .or_default()
-            .push((fp.share(), artifacts));
-        self.artifact_order.push_back(hash);
-        while self.artifact_order.len() > ARTIFACT_ENTRIES {
-            let h = self.artifact_order.pop_front().expect("order non-empty");
-            if let Some(bucket) = self.artifacts.get_mut(&h) {
-                if !bucket.is_empty() {
-                    let (_, dropped) = bucket.remove(0);
-                    self.artifact_bytes =
-                        self.artifact_bytes.saturating_sub(dropped.approx_bytes());
-                }
-                if bucket.is_empty() {
-                    self.artifacts.remove(&h);
-                }
-            }
-        }
+        self.l1.bytes()
     }
 }
 
@@ -561,7 +506,7 @@ mod tests {
     fn key_components_all_matter() {
         let mut c = QueryCache::new(CacheConfig::default());
         let p = Footprint::shared(problem(10));
-        c.insert(&parts(&p, 1, &[]), value(1), false);
+        c.insert(&parts(&p, 1, &[]), value(1));
         assert!(c.lookup(&parts(&p, 1, &[])).is_some());
         // Epoch, reservation mask, rung, shed, and problem all miss.
         assert!(c.lookup(&parts(&p, 2, &[])).is_none());
@@ -587,7 +532,7 @@ mod tests {
         let mut c = QueryCache::new(cfg);
         let ps: Vec<Footprint<'_>> = (0..3).map(|i| Footprint::shared(problem(20 + i))).collect();
         for p in &ps {
-            c.insert(&parts(p, 1, &[]), value(1), false);
+            c.insert(&parts(p, 1, &[]), value(1));
         }
         assert_eq!(c.len(), 2);
         assert!(c.lookup(&parts(&ps[0], 1, &[])).is_none(), "oldest evicted");
@@ -598,7 +543,7 @@ mod tests {
     fn shared_publish_sweeps_dead_epochs_and_dedups() {
         let mut l1 = QueryCache::new(CacheConfig::default());
         let p = Footprint::shared(problem(30));
-        l1.insert(&parts(&p, 1, &[]), value(1), true);
+        l1.insert(&parts(&p, 1, &[]), value(1));
         let fresh = l1.take_fresh();
         let mut shared = SharedCache::new(16);
         assert_eq!(shared.publish(fresh.clone(), &[1], false), 0);
@@ -623,7 +568,7 @@ mod tests {
         };
         let mut c = QueryCache::new(cfg);
         let p = Footprint::shared(problem(40));
-        c.insert(&parts(&p, 1, &[]), value(1), false);
+        c.insert(&parts(&p, 1, &[]), value(1));
         assert_eq!(c.len(), 0);
         assert!(c.lookup(&parts(&p, 1, &[])).is_none());
     }

@@ -1,9 +1,10 @@
 //! The multi-tenant serving plane: thousands of tenants, one fleet.
 //!
 //! [`crate::server::CloudTalkServer`] answers one query at a time over a
-//! single snapshot — fine for a library, not for the provider-side
-//! service the paper pitches (§4: "a CloudTalk server runs on every
-//! machine"). This module turns the answer pipeline into a *plane*:
+//! snapshot gathered for it, and caches nothing — fine for a library,
+//! not for the provider-side service the paper pitches (§4: "a CloudTalk
+//! server runs on every machine"). This module turns the answer pipeline
+//! into a *plane*:
 //!
 //! * **Sharded snapshots** — the fleet is split into rack groups
 //!   ([`ServingConfig::racks_per_shard`]); each shard owns its own
@@ -591,11 +592,8 @@ impl<S: StatusSource> ServingPlane<S> {
                 avail: SimTime::ZERO,
             })
             .collect();
-        let l2 = SharedCache::new(if cfg.server.cache.enabled {
-            cfg.server.cache.l2_entries
-        } else {
-            0
-        });
+        // With the cache off no worker is handed the L2, so it stays empty.
+        let l2 = SharedCache::new(cfg.server.cache.l2_entries);
         ServingPlane {
             layout,
             source,
@@ -1027,7 +1025,7 @@ impl<S: StatusSource> ServingPlane<S> {
         // below, on this thread, in worker-index order.
         let cfg = &self.cfg;
         let published: &Reservations = &self.ledger;
-        let shared = self.l2.view();
+        let shared = cfg.server.cache.enabled.then(|| self.l2.view());
         let busy = self.workers.iter_mut().enumerate().zip(work);
         let mut jobs = busy.filter(|(_, groups)| !groups.is_empty()).map(|((wi, slot), groups)| {
             let (core, start) = (&mut slot.core, slot.avail);
@@ -1119,7 +1117,7 @@ fn run_groups(
     core: &mut EvalCore,
     groups: Vec<Group>,
     published: &Reservations,
-    shared: &Tier,
+    shared: Option<&Tier>,
     cfg: &ServingConfig,
     wave: u64,
     worker: usize,
@@ -1156,8 +1154,7 @@ fn run_groups(
                     record: true,
                 },
                 shed,
-                true,
-                Some(shared),
+                shared,
             );
             let hit = matches!(&result, Ok(a) if a.provenance.cache_hit);
             cursor += if hit {
@@ -1399,6 +1396,111 @@ mod tests {
         assert_eq!(s2.epoch, 1, "a purge is not a merge");
         assert_eq!(s2.conflicts, 0);
         assert_eq!(v1.len(), s1.live_entries);
+    }
+
+    /// A one-worker plane over [`fleet`], its server config edited.
+    fn plane_with(edit: impl FnOnce(&mut ServerConfig)) -> ServingPlane<TableStatusSource> {
+        let (layout, src) = fleet();
+        let mut c = cfg(1);
+        edit(&mut c.server);
+        ServingPlane::new(c, layout, src)
+    }
+
+    #[test]
+    fn a_cache_miss_and_a_hit_each_fingerprint_once() {
+        use crate::canon::FINGERPRINT_CALLS;
+        // One tenant's query, then the same query a wave later against the
+        // same shard snapshot. With no holds the repeat's reservation mask
+        // is the first one's: the miss (L1 lookup, L2 lookup, insert) hashes
+        // the problem once, and so does the hit.
+        let mut plane = plane_with(|s| s.reservation_hold = None);
+        let fingerprints = || FINGERPRINT_CALLS.with(|c| c.get());
+        for (at, hit) in [(0.0, false), (0.005, true)] {
+            let at = SimTime::from_secs_f64(at);
+            let before = fingerprints();
+            plane.submit(TenantId(0), rack_query(0), at).unwrap();
+            let done = plane.run_until(at + SimDuration::from_millis(5));
+            assert_eq!(done[0].result.as_ref().unwrap().provenance.cache_hit, hit);
+            assert_eq!(fingerprints() - before, 1, "hit: {hit}");
+        }
+        let stats = plane.cache_stats();
+        assert_eq!((stats.misses, stats.l1_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_replayed_exhaustive_answer_carries_the_same_provenance() {
+        // Two identical exhaustive queries in one tenant's wave, no holds:
+        // the second replays the first from the worker's L1, and its
+        // provenance — counters, tie cuts, span tree — equals the search's.
+        let mut plane = plane_with(|s| {
+            s.reservation_hold = None;
+            s.method = crate::server::EvalMethod::Exhaustive { limit: 100 };
+        });
+        let nodes: Vec<Address> = (2..=5).map(Address).collect();
+        let p = hdfs_write_query(Address(1), &nodes, 3, 1e8)
+            .resolve()
+            .unwrap();
+        for _ in 0..2 {
+            plane.submit(TenantId(0), p.clone(), SimTime::ZERO).unwrap();
+        }
+        let done = plane.run_until(SimTime::from_secs_f64(0.005));
+        let searched = &done[0].result.as_ref().unwrap().provenance;
+        let replayed = &done[1].result.as_ref().unwrap().provenance;
+        assert_eq!(searched.backend, crate::server::Backend::Exhaustive);
+        assert!(searched.search.pruned_ties > 0, "{:?}", searched.search);
+        assert!(!searched.cache_hit && replayed.cache_hit);
+        assert_eq!(replayed, searched);
+    }
+
+    #[test]
+    fn a_failing_query_leaves_the_rest_of_its_wave_answered() {
+        use crate::exhaustive::ExhaustiveError;
+        // One tenant's wave holds an exhaustive search over 32³ bindings,
+        // which trips the limit, and a small one, which still answers.
+        let mut plane =
+            plane_with(|s| s.method = crate::server::EvalMethod::Exhaustive { limit: 100 });
+        let huge: Vec<Address> = (2..34).map(Address).collect();
+        let small: Vec<Address> = (2..5).map(Address).collect();
+        for (pool, replicas) in [(&huge, 3), (&small, 2)] {
+            let p = hdfs_write_query(Address(1), pool, replicas, 1e6);
+            plane.submit(TenantId(0), p.resolve().unwrap(), SimTime::ZERO).unwrap();
+        }
+        let done = plane.run_until(SimTime::from_secs_f64(0.005));
+        assert_eq!(done[0].wave, done[1].wave);
+        assert!(matches!(
+            done[0].result,
+            Err(ServerError::Exhaustive(ExhaustiveError::TooLarge { .. }))
+        ));
+        assert_eq!(done[1].result.as_ref().unwrap().binding.len(), 2);
+        let errors = plane.metrics().counter_named("serving.query_errors");
+        assert_eq!(errors, Some(1));
+    }
+
+    #[test]
+    fn a_wave_gathers_nothing_beyond_its_shard_refreshes() {
+        // Three queries in one tenant's wave are answered against their
+        // shard's snapshot, so status traffic comes only from the shard
+        // gathers: the prime at time zero (two shards of eight hosts),
+        // then one per shard once `snapshot_refresh` has passed.
+        let mut plane = plane_with(|_| {});
+        let polled = |plane: &ServingPlane<_>| {
+            let m = plane.metrics();
+            m.counter_named("overhead.status_queries").unwrap()
+        };
+        assert_eq!(polled(&plane), 16);
+        for (at, polls) in [(0.0, 16), (0.05, 32)] {
+            let at = SimTime::from_secs_f64(at);
+            for _ in 0..3 {
+                plane.submit(TenantId(0), rack_query(0), at).unwrap();
+            }
+            let done = plane.run_until(at + SimDuration::from_millis(5));
+            let bytes: Vec<u64> = done
+                .iter()
+                .map(|c| c.result.as_ref().unwrap().provenance.status_bytes)
+                .collect();
+            assert!(bytes[0] > 0 && bytes == [bytes[0]; 3], "{bytes:?}");
+            assert_eq!(polled(&plane), polls, "status polls after the wave at {at:?}");
+        }
     }
 
     fn telemetry_cfg(workers: usize, sample_every: u64, slos: Vec<obs::SloSpec>) -> ServingConfig {

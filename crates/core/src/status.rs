@@ -18,7 +18,7 @@ use estimator::HostState;
 /// lagging collection pipeline — or a fault-injected stale report — answers
 /// with data that was true `age` ago; the CloudTalk server weighs such
 /// replies down via staleness decay (see
-/// [`crate::server::StatusSnapshot::freshness`]).
+/// [`crate::server::DegradationConfig::decay`]).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct StatusReport {
     /// The reported I/O state.

@@ -155,14 +155,18 @@ fn single_aggregator_fault_costs_at_most_one_racks_freshness() {
         for fault in AggFault::ALL {
             let (a, plane) = run_fault(seed, fault, victim, PlaneConfig::default());
             assert!(
-                matches!(a.rung, DegradationRung::Full | DegradationRung::FreshSubset),
+                matches!(
+                    a.provenance.rung,
+                    DegradationRung::Full | DegradationRung::FreshSubset
+                ),
                 "seed {seed} {fault:?}: rung {:?} worse than FreshSubset",
-                a.rung
+                a.provenance.rung
             );
             assert_eq!(a.binding.len(), 3, "complete binding");
             if fault.silences() {
                 // 16 of 24 hosts fresh → freshness ≈ 0.67 < 0.7.
-                assert_eq!(a.rung, DegradationRung::FreshSubset, "seed {seed} {fault:?}");
+                let rung = a.provenance.rung;
+                assert_eq!(rung, DegradationRung::FreshSubset, "seed {seed} {fault:?}");
                 assert_eq!(
                     a.provenance.stale_dropped,
                     rack_hosts(victim),
@@ -180,7 +184,8 @@ fn single_aggregator_fault_costs_at_most_one_racks_freshness() {
             } else {
                 // Stragglers and mid-push crashes are absorbed inside the
                 // sync: the query never sees them.
-                assert_eq!(a.rung, DegradationRung::Full, "seed {seed} {fault:?}");
+                let rung = a.provenance.rung;
+                assert_eq!(rung, DegradationRung::Full, "seed {seed} {fault:?}");
                 assert!(a.provenance.stale_dropped.is_empty());
                 assert!(plane.stale_racks().is_empty());
             }
@@ -214,7 +219,8 @@ fn standby_failover_erases_the_fault_entirely() {
     for seed in SEEDS {
         let victim = RackId(1);
         let (a, plane) = run_fault(seed, AggFault::Crash, victim, cfg.clone());
-        assert_eq!(a.rung, DegradationRung::Full, "seed {seed}: standby holds Full");
+        let rung = a.provenance.rung;
+        assert_eq!(rung, DegradationRung::Full, "seed {seed}: standby holds Full");
         assert!(a.provenance.stale_dropped.is_empty());
         assert!(plane.on_standby(victim));
         assert!(
@@ -240,7 +246,8 @@ fn bypass_failover_erases_the_fault_entirely() {
     for seed in SEEDS {
         let victim = RackId(2);
         let (a, plane) = run_fault(seed, AggFault::Partition, victim, cfg.clone());
-        assert_eq!(a.rung, DegradationRung::Full, "seed {seed}: bypass holds Full");
+        let rung = a.provenance.rung;
+        assert_eq!(rung, DegradationRung::Full, "seed {seed}: bypass holds Full");
         assert!(a.provenance.stale_dropped.is_empty());
         assert!(
             plane

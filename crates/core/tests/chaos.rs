@@ -120,7 +120,7 @@ fn quality_under(
     let baseline = server_with(seed, transport)
         .answer_problem(&problem, &mut source_from(&world), SimTime::ZERO)
         .expect("fault-free answer");
-    assert_eq!(baseline.rung, DegradationRung::Full);
+    assert_eq!(baseline.provenance.rung, DegradationRung::Full);
     let tp_free = true_throughput(&problem, &baseline.binding, &world);
     assert!(tp_free > 0.0, "baseline must make progress");
 
@@ -156,9 +156,9 @@ fn transient_loss_recovers_and_quality_holds() {
             "seed {seed}: transient loss must recover ≥90% of hosts \
              ({recovered}/{} answered over {} rounds)",
             a.interrogated,
-            a.gather_rounds
+            a.provenance.gather_rounds
         );
-        assert!(a.gather_rounds > 1, "loss must trigger retries");
+        assert!(a.provenance.gather_rounds > 1, "loss must trigger retries");
         assert!(
             ratio >= 0.9,
             "seed {seed}: recovered data must give a near-fault-free answer, got {ratio:.2}"
@@ -176,8 +176,8 @@ fn stragglers_are_recovered_by_retries() {
         }
         let (ratio, a) = quality_under(seed, plan, None, TransportConfig::default());
         assert_eq!(a.missing, 0, "seed {seed}: stragglers fully recovered");
-        assert_eq!(a.gather_rounds, 2, "one retry sufficed");
-        assert_eq!(a.rung, DegradationRung::Full);
+        assert_eq!(a.provenance.gather_rounds, 2, "one retry sufficed");
+        assert_eq!(a.provenance.rung, DegradationRung::Full);
         assert!(
             ratio >= 0.999,
             "seed {seed}: full recovery must reproduce the fault-free answer, got {ratio:.3}"
@@ -198,9 +198,12 @@ fn rack_partition_degrades_gracefully() {
         assert_eq!(a.missing, 6, "silenced hosts stay missing after retries");
         // 14 of 20 fresh → freshness 0.7: still answers, possibly degraded.
         assert!(
-            matches!(a.rung, DegradationRung::Full | DegradationRung::FreshSubset),
+            matches!(
+                a.provenance.rung,
+                DegradationRung::Full | DegradationRung::FreshSubset
+            ),
             "seed {seed}: rung {:?}",
-            a.rung
+            a.provenance.rung
         );
         // The answer can only place on the surviving 14 hosts; the best
         // binding may be lost with them, but a bounded-quality one remains.
@@ -228,7 +231,7 @@ fn stale_reports_are_discounted_not_trusted() {
         let (ratio, a) =
             quality_under(seed, plan, Some(inverted(&world)), TransportConfig::default());
         assert_eq!(
-            a.rung,
+            a.provenance.rung,
             DegradationRung::FreshSubset,
             "seed {seed}: freshness {:.2}",
             a.freshness
@@ -255,7 +258,6 @@ fn provenance_names_exactly_the_staleness_dropped_hosts() {
         }
         let (_, a) =
             quality_under(seed, plan, Some(inverted(&world)), TransportConfig::default());
-        assert_eq!(a.rung, DegradationRung::FreshSubset);
         assert_eq!(a.provenance.rung, DegradationRung::FreshSubset);
         // Degraded rungs answer with the heuristic.
         assert_eq!(a.provenance.backend, cloudtalk::Backend::Heuristic);
@@ -294,7 +296,8 @@ fn corrupted_readings_are_sanitised_before_evaluation() {
             },
         );
         let (ratio, a) = quality_under(seed, plan, None, TransportConfig::default());
-        assert_eq!(a.rung, DegradationRung::Full, "corruption is invisible to freshness");
+        let rung = a.provenance.rung;
+        assert_eq!(rung, DegradationRung::Full, "corruption is invisible to freshness");
         assert!(ratio > 0.0, "seed {seed}: corrupted data must not zero the answer");
         assert!(
             ratio.is_finite(),
@@ -321,7 +324,7 @@ fn kitchen_sink_chaos_never_panics_and_always_answers() {
         assert!((0.0..=1.0).contains(&a.freshness), "freshness {}", a.freshness);
         // The rung must be consistent with the observed freshness.
         let expected = ServerConfig::default().degradation.rung_for(a.freshness);
-        assert_eq!(a.rung, expected);
+        assert_eq!(a.provenance.rung, expected);
         let tp = true_throughput(&problem, &a.binding, &world);
         assert!(tp.is_finite() && tp > 0.0, "seed {seed}: throughput {tp}");
     }
@@ -345,7 +348,7 @@ fn crashed_server_recovers_after_restart_window() {
         .answer_problem(&problem, &mut src, SimTime::from_secs_f64(2.0))
         .unwrap();
     assert_eq!(b.missing, 0, "restarted host answers again");
-    assert_eq!(b.rung, DegradationRung::Full);
+    assert_eq!(b.provenance.rung, DegradationRung::Full);
 }
 
 #[test]
@@ -364,8 +367,8 @@ fn chaos_is_deterministic_given_seed() {
         let a = run(seed);
         let b = run(seed);
         assert_eq!(a.binding, b.binding);
-        assert_eq!(a.rung, b.rung);
+        assert_eq!(a.provenance.rung, b.provenance.rung);
         assert_eq!(a.freshness, b.freshness);
-        assert_eq!(a.gather_rounds, b.gather_rounds);
+        assert_eq!(a.provenance.gather_rounds, b.provenance.gather_rounds);
     }
 }

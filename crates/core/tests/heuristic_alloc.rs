@@ -2,22 +2,19 @@
 //! candidate is scored from its variable's precomputed profile, so no
 //! per-candidate work touches the heap. With a warm scratch an evaluation
 //! allocates exactly the binding and the scores it returns, whatever the
-//! number of variables `n` and candidates `p`; a whole answer through the
-//! server's evaluation core adds only per-query buffers whose *count* does
-//! not depend on `n·p`. (Before, every candidate rebuilt two hash sets
-//! over the flows: `2·n·p` allocations, 1 800 for a 300-host write.)
+//! number of variables `n` and candidates `p`. (Before, every candidate
+//! rebuilt two hash sets over the flows: `2·n·p` allocations, 1 800 for a
+//! 300-host write.) A whole answer through the server's evaluation core,
+//! which adds only per-query buffers whose *count* does not depend on
+//! `n·p`, is pinned beside that core, in `server::tests`.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, so this
 //! file holds exactly one `#[test]` — parallel tests would pollute the
 //! counter.
 
 use cloudtalk::heuristic::{evaluate_query_scored_in, HeuristicConfig, HeuristicScratch};
-use cloudtalk::qcache::CacheConfig;
-use cloudtalk::server::{CloudTalkServer, ServerConfig};
-use cloudtalk::status::TableStatusSource;
 use cloudtalk_lang::builder::{hdfs_write_query, reduce_placement_query};
 use cloudtalk_lang::problem::{Address, Problem};
-use desim::SimTime;
 use estimator::{HostState, World};
 use testkit::allocs_of;
 
@@ -77,47 +74,4 @@ fn warm_heuristic_allocations_do_not_grow_with_candidates() {
             "n={n} p={p}: a warm evaluation allocates its binding and its scores only"
         );
     }
-
-    // A whole answer through the evaluation core (cache off, so every
-    // call evaluates; pools unsampled). What it allocates besides the
-    // kernel's two vectors — the footprint's address lists, the trace
-    // report — is a handful of buffers, a few more when a longer address
-    // list doubles its way up, never something per candidate.
-    let mut status = TableStatusSource::new();
-    for &a in &hosts {
-        status.set(a, world.get(a));
-    }
-    let mut server = CloudTalkServer::new(ServerConfig {
-        sample_budget: usize::MAX,
-        cache: CacheConfig {
-            enabled: false,
-            ..CacheConfig::default()
-        },
-        ..ServerConfig::default()
-    });
-    let snapshot = server.take_snapshot(&hosts, &mut status);
-    let mut per_shape = Vec::new();
-    for (n, p, problem) in shapes() {
-        let warm = server
-            .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
-            .unwrap();
-        let (allocs, _, again) = allocs_of(|| {
-            server
-                .answer_with_snapshot(&problem, &snapshot, SimTime::ZERO, false)
-                .unwrap()
-        });
-        assert_eq!(again, warm);
-        assert!(
-            allocs <= 16,
-            "n={n} p={p}: {allocs} allocations per answer, 2·n·p = {}",
-            2 * n * p
-        );
-        per_shape.push(allocs);
-    }
-    // 15× the candidates, 60× the candidate scorings: a few more buffer
-    // doublings, not thousands of hash sets.
-    assert!(
-        per_shape[1] <= per_shape[0] + 8 && per_shape[2] <= per_shape[0] + 8,
-        "allocations per answer by shape: {per_shape:?}"
-    );
 }

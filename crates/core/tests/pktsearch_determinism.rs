@@ -346,7 +346,7 @@ fn server_packet_level_answers_are_thread_count_invariant() {
         let a = server
             .answer_problem(&problem, &mut status, SimTime::ZERO)
             .expect("packet-level answer succeeds");
-        assert_eq!(a.rung, DegradationRung::Full);
+        assert_eq!(a.provenance.rung, DegradationRung::Full);
         answers.push(a.binding);
     }
     assert_eq!(answers[0], answers[1], "1 vs 2 threads");

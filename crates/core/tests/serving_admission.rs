@@ -158,7 +158,8 @@ fn shed_waves_keep_reporting_data_quality() {
     let a = done[0].result.as_ref().unwrap();
     assert!(a.provenance.shed);
     assert_eq!(a.provenance.backend, Backend::Heuristic);
-    assert_eq!(a.rung, DegradationRung::Full, "shedding is not staleness");
+    let rung = a.provenance.rung;
+    assert_eq!(rung, DegradationRung::Full, "shedding is not staleness");
 
     // Half-dark data + shedding: the rung degrades and says so — no
     // silent staleness behind the shed flag.
@@ -178,9 +179,9 @@ fn shed_waves_keep_reporting_data_quality() {
     let a = done[0].result.as_ref().unwrap();
     assert!(a.provenance.shed);
     assert!(
-        a.rung != DegradationRung::Full,
+        a.provenance.rung != DegradationRung::Full,
         "half the fleet dark must degrade the rung, got {:?}",
-        a.rung
+        a.provenance.rung
     );
     assert!(a.freshness < 0.7, "freshness must reflect the dark hosts");
     assert!(a.missing > 0, "missing hosts must be reported");
@@ -219,7 +220,8 @@ fn accepted_queries_meet_rung_contract_under_saturation() {
     let mut shed_seen = false;
     for c in &done {
         let a = c.result.as_ref().unwrap();
-        assert_eq!(a.rung, DegradationRung::Full, "fresh data stays Full");
+        let rung = a.provenance.rung;
+        assert_eq!(rung, DegradationRung::Full, "fresh data stays Full");
         assert_eq!(a.provenance.shed, c.shed);
         shed_seen |= c.shed;
     }

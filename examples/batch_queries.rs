@@ -1,16 +1,19 @@
 //! Batched queries: a scheduler placing a wave of tasks asks once.
 //!
-//! Three tenants each want an idle server for a 256 MB transfer. Answered
-//! one by one, the server would pay one status scatter-gather round per
-//! query; `answer_batch` gathers status once into a shared snapshot and
-//! evaluates the whole wave against it — with pseudo-reservations steering
-//! the answers onto *different* idle machines.
+//! One tenant wants three idle servers, one per 256 MB transfer. Asked
+//! one by one, a `CloudTalkServer` would pay one status scatter-gather
+//! round per query. The serving plane batches instead: queries that
+//! arrive within one wave are answered against their shard's snapshot,
+//! gathered once per shard, and the tenant's same-wave pseudo-reservations
+//! steer the three answers onto *different* idle machines.
 //!
 //! ```text
 //! cargo run --example batch_queries
 //! ```
 
-use cloudtalk_repro::core::server::{CloudTalkServer, ServerConfig};
+use cloudtalk_repro::core::aggregate::FleetLayout;
+use cloudtalk_repro::core::messages::LedgerCounters;
+use cloudtalk_repro::core::serving::{ServingConfig, ServingPlane, TenantId};
 use cloudtalk_repro::core::status::TableStatusSource;
 use cloudtalk_repro::lang::problem::{Address, Problem, Value};
 use cloudtalk_repro::lang::{parse_query, resolve, MapResolver};
@@ -22,39 +25,50 @@ fn problem(text: &str) -> Problem {
 }
 
 fn main() {
-    // Four candidate servers; 10.0.0.5 is busy receiving.
+    // One rack: the client 10.0.0.1 and four candidate servers, of which
+    // 10.0.0.5 is busy receiving.
+    let fleet: Vec<Address> = (1u32..=5).map(|a| Address(0x0A000000 + a)).collect();
     let mut status = TableStatusSource::new();
-    for a in 2u32..=5 {
-        status.set(Address(0x0A000000 + a), HostState::gbps_idle());
+    for &a in &fleet {
+        status.set(a, HostState::gbps_idle());
     }
     status.set(
         Address(0x0A000005),
         HostState::gbps_idle().with_down_load(0.9),
     );
 
-    // Three identical placement queries — a wave of tasks.
+    // The plane gathers every shard's snapshot once when it starts.
+    let cfg = ServingConfig::default();
+    let wave = cfg.wave_quantum;
+    let mut plane = ServingPlane::new(cfg, FleetLayout::uniform(&fleet, 5), status);
+
+    // Three identical placement queries from one tenant — a wave of tasks.
     let pool = "(10.0.0.2 10.0.0.3 10.0.0.4 10.0.0.5)";
-    let batch: Vec<Problem> = (1..=3)
-        .map(|i| problem(&format!("X = {pool}\nf{i} 10.0.0.1 -> X size 256M")))
-        .collect();
+    for i in 1..=3 {
+        let p = problem(&format!("X = {pool}\nf{i} 10.0.0.1 -> X size 256M"));
+        plane
+            .submit(TenantId(0), p, SimTime::ZERO)
+            .expect("admitted");
+    }
 
-    let mut server = CloudTalkServer::new(ServerConfig::default());
-    let answers = server.answer_batch(&batch, &mut status, SimTime::ZERO);
-
-    for (i, a) in answers.iter().enumerate() {
-        let a = a.as_ref().expect("well-formed query");
+    for (i, done) in plane.run_until(SimTime::ZERO + wave).iter().enumerate() {
+        let a = done.result.as_ref().expect("well-formed query");
         let placed = match a.binding[0] {
             Value::Addr(addr) => addr.to_string(),
             Value::Disk => "disk".into(),
         };
         println!(
-            "task {}: X = {placed}  (asked {} status servers)",
+            "task {}: X = {placed}  (wave {}, shard {})",
             i + 1,
-            a.interrogated
+            done.wave,
+            done.shard
         );
     }
+    let mut metrics = plane.metrics();
+    let ledger = LedgerCounters::register(&mut metrics).ledger(&metrics);
     println!(
-        "\nstatus traffic for the whole wave: {} bytes (one gather round)",
-        server.ledger().status_bytes()
+        "\nstatus traffic for the whole wave: {} bytes (one gather for each of {} shard(s))",
+        ledger.status_bytes(),
+        plane.shard_count()
     );
 }

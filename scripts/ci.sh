@@ -144,6 +144,17 @@ if grep -n 'index.binary_search' crates/core/src/aggregate.rs; then
     exit 1
 fi
 
+echo "=== one caching rule (a CloudTalkServer answer never looks up, stores or publishes a cache entry; only a serving-plane worker does) ==="
+if grep -rnE 'answer_batch|answer_with_snapshot|pkt_search_prepared|pkt_prepare|PktArtifacts|lookup_artifacts|artifact_' \
+    crates/*/src src examples tests; then
+    echo "error: a server-side cache door is back — batches and repeats go through the serving plane, which owns the cache"
+    exit 1
+fi
+if grep -nE '\bkeyed:|publish:' crates/core/src/server.rs crates/core/src/qcache.rs; then
+    echo "error: a caching flag is back — an answer is keyed iff it is given the plane's L2, and every insert is published"
+    exit 1
+fi
+
 echo "=== one address lookup per search (CapacityTable turns addresses into slots at rebuild; the walk and its nodes move slots; one table per walker) ==="
 if grep -nE '\.slot\(|\.free\(|binary_search' crates/core/src/exhaustive.rs crates/core/src/walk.rs; then
     echo "error: the exact search looks an address up below CapacityTable::rebuild — push and read slots"
