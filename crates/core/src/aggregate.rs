@@ -131,7 +131,7 @@ use obs::{CounterId, MetricsRegistry, Trace, TraceReport};
 
 use crate::faults::FaultPlan;
 use crate::messages::OverheadLedger;
-use crate::status::{StatusReport, StatusSource};
+use crate::status::{ChangeMarks, StatusReport, StatusSource};
 use crate::transport::{
     loss_probability, scatter_gather_changed, scatter_gather_retry, GatherOutcome, RetryPolicy,
     TransportConfig,
@@ -400,15 +400,10 @@ pub enum DeltaAnswer {
 #[derive(Clone, Debug)]
 pub struct RackAggregator {
     snap: PartialSnapshot,
-    /// Hosts the source's change view listed since the last refresh.
-    /// `queued` (by slot) keeps each in at most once, so this never
-    /// outgrows the rack however long the aggregator goes unrefreshed.
-    pending: Vec<Address>,
-    queued: Vec<bool>,
-    /// Nothing vouches for the hosts outside `pending`: the aggregator is
-    /// new, or the source had no change view to offer. The next refresh
-    /// polls the whole rack.
-    scan_all: bool,
+    /// Hosts the source's change view listed since the last refresh. A
+    /// new aggregator starts with nothing vouched for, so its first
+    /// refresh polls the whole rack.
+    marks: ChangeMarks<Address>,
     transport: TransportConfig,
     rng: DetRng,
 }
@@ -443,9 +438,7 @@ impl RackAggregator {
     ) -> Self {
         assert!(node != 0, "node 0 is reserved for unprimed views");
         RackAggregator {
-            pending: Vec::new(),
-            queued: vec![false; hosts.len()],
-            scan_all: true,
+            marks: ChangeMarks::new(hosts.len()),
             snap: PartialSnapshot::new(rack, node, hosts),
             transport,
             rng: stream_rng(seed, 0xA660_0000 | u64::from(node)),
@@ -479,25 +472,16 @@ impl RackAggregator {
             &mut self.rng,
             ledger,
         );
-        self.scan_all = false;
-        self.clear_marks();
+        self.marks.clear();
         self.fold(&outcome, now)
-    }
-
-    fn clear_marks(&mut self) {
-        self.pending.clear();
-        self.queued.fill(false);
     }
 
     /// Notes that the source's change view listed the host at `slot`.
     fn mark(&mut self, slot: usize) {
-        if !self.scan_all && !self.queued[slot] {
-            self.queued[slot] = true;
-            self.pending.push(self.snap.table.hosts[slot]);
-        }
+        self.marks.mark(slot, self.snap.table.hosts[slot]);
     }
 
-    /// Whether a refresh may leave the hosts outside `pending` unpolled:
+    /// Whether a refresh may leave the unmarked hosts unpolled:
     /// the change view covers them, each of them answered the last
     /// refresh (a silent host is retried every time, which its silence
     /// cannot stand in for — and a restarted aggregator has heard from
@@ -505,7 +489,9 @@ impl RackAggregator {
     /// randomness for every host).
     fn unmarked_are_known(&self) -> bool {
         let n = self.hosts().len();
-        !self.scan_all && self.snap.table.live == n && loss_probability(n, &self.transport) == 0.0
+        self.marks.vouched()
+            && self.snap.table.live == n
+            && loss_probability(n, &self.transport) == 0.0
     }
 
     /// [`Self::refresh`] at the cost of what changed: when
@@ -526,17 +512,17 @@ impl RackAggregator {
             return n;
         }
         // Address order, like the scan this stands in for.
-        self.pending.sort_unstable_by_key(|a| a.0);
-        let polled = self.pending.len();
+        let pending = self.marks.sorted();
+        let polled = pending.len();
         let outcome = scatter_gather_changed(
             source,
-            &self.pending,
+            pending,
             n - polled,
             &self.transport,
             &mut self.rng,
             ledger,
         );
-        self.clear_marks();
+        self.marks.clear();
         self.fold(&outcome, now);
         polled
     }
@@ -1052,7 +1038,7 @@ impl<S: StatusSource> AggregationPlane<S> {
         self.changed.clear();
         if !self.source.drain_changed(&mut self.changed) {
             for agg in self.primaries.iter_mut().chain(&mut self.standbys) {
-                agg.scan_all = true;
+                agg.marks.mark_all();
             }
             self.settled.fill(false);
             return false;
@@ -1084,7 +1070,7 @@ impl<S: StatusSource> AggregationPlane<S> {
         let primary = &self.primaries[rack];
         !self.faults.agg_faulted(RackId(rack as u32))
             && primary.unmarked_are_known()
-            && primary.pending.is_empty()
+            && primary.marks.is_empty()
             && self.views[rack].stamp == primary.stamp()
     }
 

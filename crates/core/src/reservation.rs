@@ -20,6 +20,8 @@
 //! hold time (a few hundred at most on every workload this repo runs), so
 //! a sorted `Vec` with binary-search probes is the whole data structure.
 
+use std::cmp::Ordering;
+
 use cloudtalk_lang::problem::Address;
 use desim::SimTime;
 
@@ -62,10 +64,45 @@ impl Reservations {
     }
 
     /// Takes over every hold of `other`. Max-expiry merging is commutative
-    /// and associative: the result does not depend on merge order.
+    /// and associative: the result does not depend on merge order. One
+    /// pass over both sorted lists, in place: the list grows by `other`'s
+    /// length and is filled from the back, so no entry is overwritten
+    /// before it is read; an address both hold leaves one slot spare at
+    /// the front, closed up at the end.
     pub fn merge(&mut self, other: &Reservations) {
-        for &(addr, until) in &other.entries {
-            self.reserve(addr, until);
+        let (n, theirs) = (self.entries.len(), other.entries.as_slice());
+        if theirs.is_empty() {
+            return;
+        }
+        self.entries.extend_from_slice(theirs);
+        let e = &mut self.entries;
+        // Unread: `e[..i]` and `theirs[..j]`; the next write goes to
+        // `e[w - 1]`, and `w >= i + j` throughout.
+        let (mut i, mut j, mut w) = (n, theirs.len(), e.len());
+        while j > 0 {
+            let y = theirs[j - 1];
+            w -= 1;
+            match (i > 0).then(|| e[i - 1].0.cmp(&y.0)) {
+                Some(Ordering::Greater) => {
+                    e[w] = e[i - 1];
+                    i -= 1;
+                }
+                Some(Ordering::Equal) => {
+                    e[w] = (y.0, e[i - 1].1.max(y.1));
+                    i -= 1;
+                    j -= 1;
+                }
+                Some(Ordering::Less) | None => {
+                    e[w] = y;
+                    j -= 1;
+                }
+            }
+        }
+        // `e[..i]` is in place; the merged tail starts at `w`.
+        if w > i {
+            let len = e.len();
+            e.copy_within(w.., i);
+            e.truncate(len - (w - i));
         }
     }
 

@@ -42,7 +42,9 @@ use crate::qcache::{CacheConfig, CachedSearch, KeyParts, QueryCache, Tier};
 use crate::reservation::Reservations;
 use crate::sampling::{sample_candidates, DEFAULT_SAMPLE_THRESHOLD};
 use crate::status::StatusSource;
-use crate::transport::{scatter_gather_retry, TransportConfig};
+use crate::transport::{
+    loss_probability, scatter_gather_changed, scatter_gather_retry, TransportConfig,
+};
 
 /// Which evaluation backend answers the query.
 ///
@@ -828,6 +830,89 @@ impl EvalCore {
                 epoch,
             }
         }
+    }
+
+    /// Whether [`Self::regather_snapshot`] may refresh `snap`, this core's
+    /// gather of `n` hosts: every host answered its first round, and a
+    /// round over `n` hosts is lossless (beyond the knee a round draws
+    /// randomness for every host, so none may go unpolled). A static
+    /// snapshot ran no round and never qualifies.
+    pub(crate) fn can_regather(&self, snap: &StatusSnapshot, n: usize) -> bool {
+        snap.rounds == 1
+            && snap.missing == 0
+            && snap.interrogated == n
+            && loss_probability(n, &self.cfg.transport) == 0.0
+    }
+
+    /// [`Self::gather_snapshot`] of `addrs` at the cost of what changed:
+    /// refreshes `snap`, the last gather of the same `addrs`, in place.
+    /// `dirty` holds the positions in `addrs`, ascending, of the hosts whose
+    /// answers may differ from what `snap` holds; the caller vouches, from
+    /// the source's change view, that every other host answers exactly
+    /// that. Requires [`Self::can_regather`].
+    ///
+    /// Only `dirty` is polled ([`scatter_gather_changed`] charges the whole
+    /// round), and the world and ages are edited, copy-on-write, only when
+    /// a host was. The snapshot comes out as the full gather would leave
+    /// it: epoch, world, ages, elapsed, rounds, missing, the ledger delta,
+    /// and freshness summed in the order the full gather's replies arrive —
+    /// first-round replies in address order, then each retry's recoveries.
+    pub(crate) fn regather_snapshot(
+        &mut self,
+        snap: &mut StatusSnapshot,
+        addrs: &[Address],
+        dirty: &[usize],
+        source: &mut impl StatusSource,
+        rng: &mut DetRng,
+    ) {
+        debug_assert!(self.can_regather(snap, addrs.len()));
+        self.snapshot_seq += 1;
+        let polled: Vec<Address> = dirty.iter().map(|&i| addrs[i]).collect();
+        let mut gather = OverheadLedger::default();
+        let outcome = scatter_gather_changed(
+            source,
+            &polled,
+            addrs.len() - polled.len(),
+            &self.cfg.transport,
+            rng,
+            &mut gather,
+        );
+        self.lc.absorb(&mut self.metrics, &gather);
+        snap.epoch = self.snapshot_seq;
+        snap.elapsed = outcome.elapsed;
+        snap.rounds = outcome.rounds;
+        snap.missing = outcome.missing.len();
+        snap.gather = gather;
+        if polled.is_empty() {
+            return;
+        }
+        let world = Arc::make_mut(&mut snap.world);
+        let ages = Arc::make_mut(&mut snap.ages);
+        for &(addr, report) in &outcome.replies {
+            world.set(addr, report.state);
+            ages.insert(addr, report.age);
+        }
+        for addr in &outcome.missing {
+            world.remove(*addr);
+            ages.remove(addr);
+        }
+        let answered = polled.len() - outcome.first_round_missing;
+        let (first, recovered) = outcome.replies.split_at(answered);
+        let mut first = first.iter().map(|&(addr, _)| addr).peekable();
+        let mut dirty = dirty.iter().peekable();
+        let mut decay_sum = 0.0;
+        for (i, addr) in addrs.iter().enumerate() {
+            // A polled host that missed the first round answers, if at
+            // all, among the recoveries below.
+            let missed = dirty.next_if_eq(&&i).is_some() && first.next_if_eq(addr).is_none();
+            if !missed {
+                decay_sum += self.cfg.degradation.decay(ages[addr]);
+            }
+        }
+        for (_, report) in recovered {
+            decay_sum += self.cfg.degradation.decay(report.age);
+        }
+        snap.freshness = decay_sum / addrs.len() as f64;
     }
 }
 

@@ -106,7 +106,7 @@ use crate::server::{
     sample_within_budget, Answer, DegradationRung, EvalCore, Holds, ServerConfig, ServerError,
     StatusSnapshot,
 };
-use crate::status::StatusSource;
+use crate::status::{ChangeMarks, StatusSource};
 use crate::walk::fan_out;
 
 /// A tenant of the serving plane. Tenants are the unit of queue
@@ -317,12 +317,39 @@ struct GroupDone {
 }
 
 /// One snapshot shard: a rack group's addresses, its gather RNG stream,
-/// and the current snapshot.
+/// the current snapshot, and the hosts the source's change view has listed
+/// since that snapshot was gathered.
 struct Shard {
     addrs: Vec<Address>,
     rng: DetRng,
     snapshot: StatusSnapshot,
     next_refresh: SimTime,
+    /// The listed hosts, by position in `addrs`.
+    marks: ChangeMarks<usize>,
+}
+
+impl Shard {
+    /// Refreshes the snapshot at the cost of what changed. When the change
+    /// view vouches for every unlisted host and the collector may leave
+    /// them unpolled ([`EvalCore::can_regather`]), only the listed hosts
+    /// are polled — a clean shard polls none and keeps its world, taking a
+    /// new epoch and the round's charge — and the snapshot comes out as a
+    /// full gather's would. Otherwise the shard is gathered in full.
+    /// Returns how many hosts the first round polled.
+    fn refresh(&mut self, collector: &mut EvalCore, source: &mut impl StatusSource) -> usize {
+        let n = self.addrs.len();
+        let polled = if self.marks.vouched() && collector.can_regather(&self.snapshot, n) {
+            let dirty = self.marks.sorted();
+            let rng = &mut self.rng;
+            collector.regather_snapshot(&mut self.snapshot, &self.addrs, dirty, source, rng);
+            dirty.len()
+        } else {
+            self.snapshot = collector.gather_snapshot(&self.addrs, source, &mut self.rng);
+            n
+        };
+        self.marks.clear();
+        polled
+    }
 }
 
 /// One virtual worker: a long-lived evaluation core (scratch reused
@@ -352,6 +379,8 @@ struct ServingMetricIds {
     tel_breaches: CounterId,
     tel_sampled: CounterId,
     tel_ring_dropped: GaugeId,
+    refresh_hosts_polled: CounterId,
+    refresh_shards_clean: CounterId,
 }
 
 /// Virtual-latency histogram bounds, microseconds.
@@ -381,6 +410,8 @@ impl ServingMetricIds {
             tel_breaches: reg.counter("telemetry.slo_breaches"),
             tel_sampled: reg.counter("telemetry.sampled_traces"),
             tel_ring_dropped: reg.gauge("telemetry.ring_dropped"),
+            refresh_hosts_polled: reg.counter("serving.refresh_hosts_polled"),
+            refresh_shards_clean: reg.counter("serving.refresh_shards_clean"),
         }
     }
 }
@@ -498,6 +529,8 @@ pub struct ServingPlane<S> {
     source: S,
     collector: EvalCore,
     shards: Vec<Shard>,
+    /// Scratch: the addresses the source's change view listed this wave.
+    changed: Vec<Address>,
     workers: Vec<WorkerSlot>,
     /// Holds published by earlier waves, and what merging them has seen.
     ledger: Arc<Reservations>,
@@ -518,7 +551,9 @@ pub struct ServingPlane<S> {
 
 impl<S: StatusSource> ServingPlane<S> {
     /// Builds a plane over `layout`, collecting status through `source`.
-    /// Every shard is primed with an initial gather at time zero.
+    /// Every shard is primed with an initial gather at time zero. The
+    /// plane owns the source and consumes its change view
+    /// ([`StatusSource::drain_changed`]).
     ///
     /// # Panics
     ///
@@ -562,6 +597,11 @@ impl<S: StatusSource> ServingPlane<S> {
             None
         };
         source.advance_to(SimTime::ZERO);
+        // Drained once before the prime gathers, so that every later write
+        // is listed at the next drain; the prime polls everything anyway.
+        let mut changed = Vec::new();
+        source.drain_changed(&mut changed);
+        changed.clear();
         let mut shards = Vec::with_capacity(nshards);
         for si in 0..nshards {
             let lo = si * cfg.racks_per_shard;
@@ -579,7 +619,11 @@ impl<S: StatusSource> ServingPlane<S> {
                     agg,
                 });
             }
+            // The prime polled every host.
+            let mut marks = ChangeMarks::new(addrs.len());
+            marks.clear();
             shards.push(Shard {
+                marks,
                 addrs,
                 rng,
                 snapshot,
@@ -599,6 +643,7 @@ impl<S: StatusSource> ServingPlane<S> {
             source,
             collector,
             shards,
+            changed,
             workers,
             ledger: Arc::new(Reservations::new()),
             ledger_epoch: 0,
@@ -621,6 +666,12 @@ impl<S: StatusSource> ServingPlane<S> {
     /// The plane's configuration.
     pub fn config(&self) -> &ServingConfig {
         &self.cfg
+    }
+
+    /// The plane's status source, where a caller changes what hosts report
+    /// between waves.
+    pub fn source_mut(&mut self) -> &mut S {
+        &mut self.source
     }
 
     /// Number of snapshot shards.
@@ -916,6 +967,32 @@ impl<S: StatusSource> ServingPlane<S> {
         tel.close_windows(Some(until), metrics, ids);
     }
 
+    /// Takes the source's change view and marks each listed host on its
+    /// shard. A source with no view to offer sends every shard's next
+    /// refresh down the full gather.
+    fn mark_changed(&mut self) {
+        self.changed.clear();
+        if !self.source.drain_changed(&mut self.changed) {
+            for shard in &mut self.shards {
+                shard.marks.mark_all();
+            }
+            return;
+        }
+        let per = self.cfg.racks_per_shard;
+        for &addr in &self.changed {
+            let Some((rack, slot)) = self.layout.slot_of(addr) else {
+                continue;
+            };
+            // A shard's addresses are its racks' hosts, rack after rack.
+            let rack = rack.0 as usize;
+            let before: usize = (rack - rack % per..rack)
+                .map(|r| self.layout.hosts(RackId(r as u32)).len())
+                .sum();
+            let pos = before + slot;
+            self.shards[rack / per].marks.mark(pos, pos);
+        }
+    }
+
     /// Evaluates wave `wave` at its close instant `t_wave`.
     fn process_wave(&mut self, wave: u64, t_wave: SimTime, out: &mut Vec<CompletedQuery>) {
         self.metrics.inc(self.ids.waves, 1);
@@ -937,17 +1014,21 @@ impl<S: StatusSource> ServingPlane<S> {
         // answer-cache entry keyed on the old epoch. Time-aware sources
         // (an aggregation plane) are moved to the wave clock first so the
         // gather reads state as of now — unconditionally, so telemetry
-        // on/off cannot change what a gather sees.
+        // on/off cannot change what a gather sees. The change view is
+        // drained first, so a refresh polls only what changed.
         self.source.advance_to(t_wave);
         let mut refreshed = false;
-        {
+        if self.shards.iter().any(|s| t_wave >= s.next_refresh) {
+            self.mark_changed();
+            let (mut polled, mut clean) = (0u64, 0u64);
             let collector = &mut self.collector;
             let source = &mut self.source;
             let telemetry = &mut self.telemetry;
             for (si, shard) in self.shards.iter_mut().enumerate() {
                 if t_wave >= shard.next_refresh {
-                    shard.snapshot =
-                        collector.gather_snapshot(&shard.addrs, source, &mut shard.rng);
+                    let n = shard.refresh(collector, source) as u64;
+                    polled += n;
+                    clean += u64::from(n == 0);
                     shard.next_refresh = t_wave + self.cfg.snapshot_refresh;
                     refreshed = true;
                     if let Some(tel) = telemetry {
@@ -956,6 +1037,8 @@ impl<S: StatusSource> ServingPlane<S> {
                     }
                 }
             }
+            self.metrics.inc(self.ids.refresh_hosts_polled, polled);
+            self.metrics.inc(self.ids.refresh_shards_clean, clean);
         }
 
         for slot in &mut self.workers {
@@ -1501,6 +1584,39 @@ mod tests {
             assert!(bytes[0] > 0 && bytes == [bytes[0]; 3], "{bytes:?}");
             assert_eq!(polled(&plane), polls, "status polls after the wave at {at:?}");
         }
+    }
+
+    #[test]
+    fn a_refresh_polls_only_what_changed() {
+        // Over a static table the three refreshes after the prime poll
+        // nobody, while the modelled rounds are charged as before; one
+        // `set` is re-polled exactly once, on its shard's next refresh.
+        let mut plane = plane_with(|_| {});
+        let read = |plane: &ServingPlane<_>, name: &str| {
+            plane.metrics().counter_named(name).expect("registered")
+        };
+        let refresh = |plane: &mut ServingPlane<_>, k: u64| {
+            plane.run_until(SimTime::ZERO + SimDuration::from_millis(50 * k));
+        };
+        let epochs = plane.shard_epochs();
+        for k in 1..=3 {
+            refresh(&mut plane, k);
+        }
+        assert_eq!(read(&plane, "serving.refresh_hosts_polled"), 0);
+        assert_eq!(read(&plane, "serving.refresh_shards_clean"), 3 * 2);
+        assert_eq!(read(&plane, "overhead.status_queries"), 4 * 16);
+        let moved = plane.shard_epochs().iter().zip(&epochs).all(|(now, was)| now > was);
+        assert!(moved, "every refresh takes a new epoch");
+
+        plane
+            .source_mut()
+            .set(Address(3), HostState::gbps_idle().with_up_load(0.5));
+        for k in 4..=5 {
+            refresh(&mut plane, k);
+        }
+        assert_eq!(read(&plane, "serving.refresh_hosts_polled"), 1);
+        assert_eq!(read(&plane, "serving.refresh_shards_clean"), 5 * 2 - 1);
+        assert_eq!(read(&plane, "overhead.status_queries"), 6 * 16);
     }
 
     fn telemetry_cfg(workers: usize, sample_every: u64, slos: Vec<obs::SloSpec>) -> ServingConfig {

@@ -82,12 +82,78 @@ pub trait StatusSource {
     /// included. Listing too much is always allowed, listing too little
     /// never. A source whose answers depend on time or on state it does
     /// not own ([`NetSimStatusSource`]) keeps the
-    /// default. Draining consumes the view, so it has one consumer: the
-    /// [`crate::aggregate::AggregationPlane`] that owns the source, which
-    /// re-polls only what is listed and otherwise falls back to polling
-    /// every host.
+    /// default. Draining consumes the view, so it has one consumer:
+    /// whichever plane owns the source. An
+    /// [`crate::aggregate::AggregationPlane`] re-polls only the listed hosts
+    /// of its racks, a [`crate::serving::ServingPlane`] only those of its
+    /// shards; each falls back to polling every host when the source has no
+    /// view.
     fn drain_changed(&mut self, _changed: &mut Vec<Address>) -> bool {
         false
+    }
+}
+
+/// A change-view consumer's bookkeeping for one unit it gathers (a rack
+/// aggregator's rack, a serving plane's shard): which of the unit's hosts
+/// the view listed since the unit's last full gather, each once — or that
+/// nothing vouches for the others, because the unit has not been gathered
+/// yet or the source had no view at a drain since. `T` is how the consumer
+/// names a listed host.
+#[derive(Clone, Debug)]
+pub(crate) struct ChangeMarks<T> {
+    /// The listed hosts. `queued` (by slot) keeps each in at most once, so
+    /// this never outgrows the unit however long it goes ungathered.
+    pending: Vec<T>,
+    queued: Vec<bool>,
+    scan_all: bool,
+}
+
+impl<T: Copy + Ord> ChangeMarks<T> {
+    /// Marks for a unit of `n` hosts that has not been gathered yet.
+    pub(crate) fn new(n: usize) -> Self {
+        ChangeMarks {
+            pending: Vec::new(),
+            queued: vec![false; n],
+            scan_all: true,
+        }
+    }
+
+    /// Notes that the view listed the host at `slot`, named `host`.
+    pub(crate) fn mark(&mut self, slot: usize, host: T) {
+        if !self.scan_all && !self.queued[slot] {
+            self.queued[slot] = true;
+            self.pending.push(host);
+        }
+    }
+
+    /// The source had no view to offer: nothing vouches for any host
+    /// until the unit is gathered in full.
+    pub(crate) fn mark_all(&mut self) {
+        self.scan_all = true;
+    }
+
+    /// Whether the view vouches for every host not listed.
+    pub(crate) fn vouched(&self) -> bool {
+        !self.scan_all
+    }
+
+    /// Whether no host is listed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// The listed hosts, ascending.
+    pub(crate) fn sorted(&mut self) -> &[T] {
+        self.pending.sort_unstable();
+        &self.pending
+    }
+
+    /// The unit was just gathered: nothing is listed, and the view vouches
+    /// for every host again.
+    pub(crate) fn clear(&mut self) {
+        self.pending.clear();
+        self.queued.fill(false);
+        self.scan_all = false;
     }
 }
 

@@ -4,7 +4,8 @@
 //! with duplicate addresses inside one call and reservations made in the
 //! past. After every step both agree on what is stored and on who is held
 //! when; the new store's entries are strictly sorted; and no expiry ever
-//! shortens.
+//! shortens. The one-pass `merge` is also held to the loop it replaced, a
+//! `reserve` per entry of the other store, kept below as its oracle.
 
 use std::collections::HashMap;
 
@@ -109,6 +110,26 @@ fn reserve(table: &mut oracle::ReservationTable, r: &mut Reservations, (now, add
     }
 }
 
+/// The merge `Reservations` had before it merged in one pass: one
+/// `reserve` per entry of the other store. Test-target oracle only.
+fn merge_by_reserve(into: &mut Reservations, other: &Reservations) {
+    for &(addr, until) in other.entries() {
+        into.reserve(addr, until);
+    }
+}
+
+/// A store built from a few random calls (possibly none).
+fn random_store(rng: &mut impl Rng) -> Reservations {
+    let mut r = Reservations::new();
+    for _ in 0..rng.gen_range(0..5) {
+        let (now, addrs) = random_call(rng);
+        for a in addrs {
+            r.reserve(a, now + HOLD);
+        }
+    }
+    r
+}
+
 fn check(
     table: &oracle::ReservationTable,
     r: &Reservations,
@@ -184,6 +205,19 @@ proptest! {
                 }
             }
             check(&table, &r, &mut rng)?;
+        }
+    }
+
+    #[test]
+    fn one_pass_merge_equals_a_reserve_per_entry(seed in any::<u64>()) {
+        let mut rng = stream_rng(seed, 0x3E26E);
+        for _ in 0..16 {
+            let (a, b) = (random_store(&mut rng), random_store(&mut rng));
+            let mut merged = a.clone();
+            merged.merge(&b);
+            let mut oracle = a.clone();
+            merge_by_reserve(&mut oracle, &b);
+            prop_assert_eq!(&merged, &oracle, "{:?} merged with {:?}", a, b);
         }
     }
 }

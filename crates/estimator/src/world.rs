@@ -168,6 +168,11 @@ impl World {
         self.hosts.insert(addr, state);
     }
 
+    /// Forgets one host: lookups fall back to the overloaded assumption.
+    pub fn remove(&mut self, addr: Address) {
+        self.hosts.remove(&addr);
+    }
+
     /// Gets one host's state; unknown hosts are assumed overloaded.
     pub fn get(&self, addr: Address) -> HostState {
         self.hosts

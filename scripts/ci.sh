@@ -155,6 +155,14 @@ if grep -nE '\bkeyed:|publish:' crates/core/src/server.rs crates/core/src/qcache
     exit 1
 fi
 
+echo "=== shard refreshes pay for what changed (serving.rs gathers a shard in full only to prime it and as Shard::refresh's fallback) ==="
+callers="$(awk '/^ *(pub(\(crate\))? )?fn /{f=$0; sub(/.*fn /,"",f); sub(/[(<].*/,"",f)} /[^a-z_]gather_snapshot\(/{print f}' \
+    crates/core/src/serving.rs | sort | tr '\n' ' ')"
+if [ "$callers" != "new refresh " ]; then
+    echo "error: serving.rs calls gather_snapshot( outside the prime and the refresh fallback (callers: $callers)"
+    exit 1
+fi
+
 echo "=== one address lookup per search (CapacityTable turns addresses into slots at rebuild; the walk and its nodes move slots; one table per walker) ==="
 if grep -nE '\.slot\(|\.free\(|binary_search' crates/core/src/exhaustive.rs crates/core/src/walk.rs; then
     echo "error: the exact search looks an address up below CapacityTable::rebuild — push and read slots"
