@@ -99,8 +99,15 @@ impl Deref for Name {
 }
 
 impl PartialEq for Name {
+    #[inline]
     fn eq(&self, other: &Name) -> bool {
-        self.as_bytes() == other.as_bytes()
+        match (&self.0, &other.0) {
+            // Inline bytes past `len` are zero, so two inline names are
+            // equal exactly when their whole buffers are: a few word
+            // compares, no call.
+            (Repr::Inline { len, buf }, Repr::Inline { len: l, buf: b }) => len == l && buf == b,
+            _ => self.as_bytes() == other.as_bytes(),
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Pins what the query front end allocates: one vector per list the AST
-//! and the problem hold, and nothing per identifier. Names are stored in
+//! and the problem hold, nothing per identifier or per token, and nothing
+//! more for a larger pool. Names are stored in
 //! place ([`cloudtalk_lang::Name`]), `resolve` compares them where they
 //! are, and `QueryBuilder::resolve` reads the builder's own declarations
 //! and flows rather than a copy of them.
@@ -57,12 +58,13 @@ fn allocs(builder: &QueryBuilder) -> (u64, u64) {
 
 #[test]
 fn the_front_end_allocates_per_list_not_per_identifier() {
-    // The commonest shape: a 3-replica write over 20 datanodes (15 and 5
-    // when this was written; 58 and 53 with a `String` per identifier).
+    // The commonest shape: a 3-replica write over 20 datanodes (14 and 5
+    // since the parser stopped storing tokens; 15 and 5 before, 58 and 53
+    // with a `String` per identifier).
     let h = hosts(21);
     let (from_text, from_builder) = allocs(&hdfs_write_query(h[0], &h[1..], 3, BLOCK));
     assert!(
-        from_text <= 20,
+        from_text <= 14,
         "text → Problem allocated {from_text} times"
     );
     assert!(
@@ -70,8 +72,16 @@ fn the_front_end_allocates_per_list_not_per_identifier() {
         "QueryBuilder::resolve allocated {from_builder} times"
     );
 
-    // Neither count moves with how many identifiers the query has, nor
-    // with how long they are while they fit in place.
+    // Neither count moves with the size of the pool…
+    let h = hosts(301);
+    assert_eq!(
+        allocs(&hdfs_write_query(h[0], &h[1..], 3, BLOCK)),
+        (from_text, from_builder),
+        "grew with pool size"
+    );
+
+    // …nor with how many identifiers the query has, nor with how long they
+    // are while they fit in place.
     let plain = allocs(&chain("f", false));
     assert_eq!(
         allocs(&chain("f", true)),

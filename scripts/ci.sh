@@ -185,6 +185,10 @@ if grep -nE 'fn build\(|\.build\(\)' crates/lang/src/builder.rs; then
     echo "error: QueryBuilder assembles a copy of itself again — resolve and text read its own declarations and flows"
     exit 1
 fi
+if find . -name target -prune -o -type d -name src -print | xargs grep -rnE 'reference_(parser|lexer)'; then
+    echo "error: a src/ directory names the old front end — reference_parser and reference_lexer are test oracles only"
+    exit 1
+fi
 if grep -rnE 'DefaultHasher|RandomState|Hash(Map|Set)<(Address|u64|TenantId|TransferId)' crates/*/src src | grep -v '^crates/bench/'; then
     echo "error: a default-hasher table or SipHash fingerprint is back — use cloudtalk_lang::{WordHasher, WordMap, WordSet}"
     exit 1
