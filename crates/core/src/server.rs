@@ -42,9 +42,7 @@ use crate::qcache::{CacheConfig, CachedSearch, KeyParts, QueryCache, Tier};
 use crate::reservation::Reservations;
 use crate::sampling::{sample_candidates, DEFAULT_SAMPLE_THRESHOLD};
 use crate::status::StatusSource;
-use crate::transport::{
-    loss_probability, scatter_gather_changed, scatter_gather_retry, TransportConfig,
-};
+use crate::transport::{scatter_gather_changed, TransportConfig};
 
 /// Which evaluation backend answers the query.
 ///
@@ -754,136 +752,81 @@ impl CloudTalkServer {
         addrs: &[Address],
         source: &mut impl StatusSource,
     ) -> StatusSnapshot {
-        self.core.gather_snapshot(addrs, source, &mut self.rng)
+        let mut snap = StatusSnapshot::unprimed();
+        self.core
+            .gather_snapshot(&mut snap, addrs, None, source, &mut self.rng);
+        snap
     }
 }
 
 impl EvalCore {
-    /// Gathers status for `addrs` once into an immutable snapshot,
-    /// charging the gather traffic to this core's overhead counters (the
-    /// serving plane runs one collector core per snapshot shard, so shard
-    /// refreshes account — and fail — independently).
+    /// Folds a status gather of `addrs` into `snap`, charging the gather
+    /// traffic to this core's overhead counters (the serving plane runs
+    /// one collector core per snapshot shard, so shard refreshes account —
+    /// and fail — independently). Every snapshot is built here.
+    ///
+    /// With `listed` `None` every host is polled into a fresh world. With
+    /// `Some`, `snap` is the last gather of the same `addrs` and `listed`
+    /// holds the positions in `addrs`, ascending, of the hosts whose
+    /// answers may differ from what `snap` holds; the caller vouches
+    /// ([`crate::status::ChangeMarks::may_skip`]) that every other host
+    /// answers exactly that. Only the listed hosts are polled
+    /// ([`scatter_gather_changed`] charges the whole round), the world and
+    /// ages are edited copy-on-write, and the snapshot comes out as the
+    /// full gather would leave it. Static mode ignores `listed`.
     pub(crate) fn gather_snapshot(
         &mut self,
+        snap: &mut StatusSnapshot,
         addrs: &[Address],
+        listed: Option<&[usize]>,
         source: &mut impl StatusSource,
         rng: &mut DetRng,
-    ) -> StatusSnapshot {
+    ) {
         // Every snapshot gets a fresh epoch, even in static mode: the
         // answer cache keys on it, and two gathers are two observations
         // of the fleet regardless of how the data was produced.
         self.snapshot_seq += 1;
-        let epoch = self.snapshot_seq;
-        if self.cfg.use_dynamic {
-            // Account the gather into a local delta first: the snapshot
-            // keeps it for per-query provenance, the registry accumulates
-            // it into the server-lifetime totals.
-            let mut gather = OverheadLedger::default();
-            let outcome = scatter_gather_retry(
-                source,
-                addrs,
-                &self.cfg.transport,
-                rng,
-                &mut gather,
-            );
-            self.lc.absorb(&mut self.metrics, &gather);
-            let mut world = World::new();
-            let mut ages =
-                WordMap::with_capacity_and_hasher(outcome.replies.len(), Default::default());
-            let mut decay_sum = 0.0;
-            for (addr, report) in &outcome.replies {
-                world.set(*addr, report.state);
-                ages.insert(*addr, report.age);
-                decay_sum += self.cfg.degradation.decay(report.age);
-            }
-            // Missing hosts contribute 0: a snapshot that never heard from
-            // half the fleet is at most half fresh no matter how crisp the
-            // other half's reports are.
-            let freshness = if addrs.is_empty() {
-                1.0
-            } else {
-                decay_sum / addrs.len() as f64
-            };
-            StatusSnapshot {
-                world: Arc::new(world),
-                ages: Arc::new(ages),
-                elapsed: outcome.elapsed,
-                interrogated: addrs.len(),
-                missing: outcome.missing.len(),
-                rounds: outcome.rounds,
-                freshness,
-                gather,
-                epoch,
-            }
-        } else {
+        snap.epoch = self.snapshot_seq;
+        if !self.cfg.use_dynamic {
             // Static mode: assume idle hosts; no status traffic, and the
             // (synthetic) data is by definition fresh.
-            StatusSnapshot {
+            *snap = StatusSnapshot {
                 world: Arc::new(World::uniform(addrs, HostState::gbps_idle())),
-                ages: Arc::new(WordMap::default()),
-                elapsed: SimDuration::ZERO,
                 interrogated: addrs.len(),
-                missing: 0,
-                rounds: 0,
-                freshness: 1.0,
-                gather: OverheadLedger::default(),
-                epoch,
-            }
+                epoch: snap.epoch,
+                ..StatusSnapshot::unprimed()
+            };
+            return;
         }
-    }
-
-    /// Whether [`Self::regather_snapshot`] may refresh `snap`, this core's
-    /// gather of `n` hosts: every host answered its first round, and a
-    /// round over `n` hosts is lossless (beyond the knee a round draws
-    /// randomness for every host, so none may go unpolled). A static
-    /// snapshot ran no round and never qualifies.
-    pub(crate) fn can_regather(&self, snap: &StatusSnapshot, n: usize) -> bool {
-        snap.rounds == 1
-            && snap.missing == 0
-            && snap.interrogated == n
-            && loss_probability(n, &self.cfg.transport) == 0.0
-    }
-
-    /// [`Self::gather_snapshot`] of `addrs` at the cost of what changed:
-    /// refreshes `snap`, the last gather of the same `addrs`, in place.
-    /// `dirty` holds the positions in `addrs`, ascending, of the hosts whose
-    /// answers may differ from what `snap` holds; the caller vouches, from
-    /// the source's change view, that every other host answers exactly
-    /// that. Requires [`Self::can_regather`].
-    ///
-    /// Only `dirty` is polled ([`scatter_gather_changed`] charges the whole
-    /// round), and the world and ages are edited, copy-on-write, only when
-    /// a host was. The snapshot comes out as the full gather would leave
-    /// it: epoch, world, ages, elapsed, rounds, missing, the ledger delta,
-    /// and freshness summed in the order the full gather's replies arrive —
-    /// first-round replies in address order, then each retry's recoveries.
-    pub(crate) fn regather_snapshot(
-        &mut self,
-        snap: &mut StatusSnapshot,
-        addrs: &[Address],
-        dirty: &[usize],
-        source: &mut impl StatusSource,
-        rng: &mut DetRng,
-    ) {
-        debug_assert!(self.can_regather(snap, addrs.len()));
-        self.snapshot_seq += 1;
-        let polled: Vec<Address> = dirty.iter().map(|&i| addrs[i]).collect();
+        snap.interrogated = addrs.len();
+        let picked: Vec<Address>;
+        let polled = match listed {
+            None => addrs,
+            Some(listed) => {
+                picked = listed.iter().map(|&i| addrs[i]).collect();
+                &picked
+            }
+        };
+        // Account the gather into a local delta first: the snapshot keeps
+        // it for per-query provenance, the registry accumulates it into
+        // the server-lifetime totals.
         let mut gather = OverheadLedger::default();
-        let outcome = scatter_gather_changed(
-            source,
-            &polled,
-            addrs.len() - polled.len(),
-            &self.cfg.transport,
-            rng,
-            &mut gather,
-        );
+        let unpolled = addrs.len() - polled.len();
+        let transport = &self.cfg.transport;
+        let outcome = scatter_gather_changed(source, polled, unpolled, transport, rng, &mut gather);
         self.lc.absorb(&mut self.metrics, &gather);
-        snap.epoch = self.snapshot_seq;
         snap.elapsed = outcome.elapsed;
-        snap.rounds = outcome.rounds;
         snap.missing = outcome.missing.len();
+        snap.rounds = outcome.rounds;
         snap.gather = gather;
-        if polled.is_empty() {
+        if listed.is_none() {
+            let ages = WordMap::with_capacity_and_hasher(outcome.replies.len(), Default::default());
+            renew(&mut snap.world, World::new());
+            renew(&mut snap.ages, ages);
+        } else if polled.is_empty() {
+            // Nothing listed: the world and the ages stand, and so does the
+            // freshness (the last gather heard every host in its first
+            // round, so it summed these ages in this order).
             return;
         }
         let world = Arc::make_mut(&mut snap.world);
@@ -896,23 +839,44 @@ impl EvalCore {
             world.remove(*addr);
             ages.remove(addr);
         }
-        let answered = polled.len() - outcome.first_round_missing;
-        let (first, recovered) = outcome.replies.split_at(answered);
-        let mut first = first.iter().map(|&(addr, _)| addr).peekable();
-        let mut dirty = dirty.iter().peekable();
-        let mut decay_sum = 0.0;
-        for (i, addr) in addrs.iter().enumerate() {
-            // A polled host that missed the first round answers, if at
-            // all, among the recoveries below.
-            let missed = dirty.next_if_eq(&&i).is_some() && first.next_if_eq(addr).is_none();
-            if !missed {
-                decay_sum += self.cfg.degradation.decay(ages[addr]);
+        // Freshness sums in the order the replies arrive: first-round
+        // replies in address order (an unpolled host answered what the
+        // snapshot holds), then each retry's recoveries. Missing hosts
+        // contribute 0: a snapshot that never heard from half the fleet is
+        // at most half fresh no matter how crisp the other half's reports
+        // are.
+        let (first, recovered) = outcome
+            .replies
+            .split_at(polled.len() - outcome.first_round_missing);
+        let mut first = first.iter().peekable();
+        let mut listed = listed.map(|l| l.iter().peekable());
+        let ages = addrs.iter().enumerate().filter_map(|(i, addr)| {
+            if listed.as_mut().is_none_or(|l| l.next_if_eq(&&i).is_some()) {
+                // None: the host missed the first round.
+                first
+                    .next_if(|(a, _)| a == addr)
+                    .map(|(_, report)| report.age)
+            } else {
+                Some(snap.ages[addr])
             }
-        }
-        for (_, report) in recovered {
-            decay_sum += self.cfg.degradation.decay(report.age);
-        }
-        snap.freshness = decay_sum / addrs.len() as f64;
+        });
+        let recovered = recovered.iter().map(|(_, report)| report.age);
+        let decay = |sum, age| sum + self.cfg.degradation.decay(age);
+        let decay_sum = ages.chain(recovered).fold(0.0, decay);
+        snap.freshness = if addrs.is_empty() {
+            1.0
+        } else {
+            decay_sum / addrs.len() as f64
+        };
+    }
+}
+
+/// Replaces `shared`'s value with `fresh`, in place when nothing else
+/// holds it.
+fn renew<T>(shared: &mut Arc<T>, fresh: T) {
+    match Arc::get_mut(shared) {
+        Some(value) => *value = fresh,
+        None => *shared = Arc::new(fresh),
     }
 }
 
@@ -1345,6 +1309,27 @@ pub struct StatusSnapshot {
 }
 
 impl StatusSnapshot {
+    /// A static snapshot of no hosts, for a first gather to fold into.
+    pub(crate) fn unprimed() -> Self {
+        StatusSnapshot {
+            world: Arc::default(),
+            ages: Arc::default(),
+            elapsed: SimDuration::ZERO,
+            interrogated: 0,
+            missing: 0,
+            rounds: 0,
+            freshness: 1.0,
+            gather: OverheadLedger::default(),
+            epoch: 0,
+        }
+    }
+
+    /// Whether this gather of `n` hosts heard every one of them in its
+    /// first round (a static snapshot ran no round).
+    pub(crate) fn heard_from_all(&self, n: usize) -> bool {
+        self.rounds == 1 && self.missing == 0 && self.interrogated == n
+    }
+
     /// Time the gather took (all rounds and backoffs).
     pub(crate) fn elapsed(&self) -> SimDuration {
         self.elapsed

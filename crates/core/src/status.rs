@@ -12,6 +12,8 @@ use cloudtalk_lang::{WordMap, WordSet};
 use desim::{SimDuration, SimTime};
 use estimator::HostState;
 
+use crate::transport::{loss_probability, TransportConfig};
+
 /// One status reply: the measured state plus how old the measurement is.
 ///
 /// A healthy status server answers with a fresh reading (`age == 0`). A
@@ -132,9 +134,14 @@ impl<T: Copy + Ord> ChangeMarks<T> {
         self.scan_all = true;
     }
 
-    /// Whether the view vouches for every host not listed.
-    pub(crate) fn vouched(&self) -> bool {
-        !self.scan_all
+    /// Whether the unit's next gather may leave the unlisted hosts
+    /// unpolled: the view vouches for every one of them, the last gather
+    /// heard from every host (`answered_all`, which the consumer knows: a
+    /// silent host is retried every time, which its silence cannot stand
+    /// in for), and a round over the unit is lossless (beyond the knee a
+    /// round draws randomness for every host, so none may go unpolled).
+    pub(crate) fn may_skip(&self, answered_all: bool, transport: &TransportConfig) -> bool {
+        !self.scan_all && answered_all && loss_probability(self.queued.len(), transport) == 0.0
     }
 
     /// Whether no host is listed.

@@ -155,11 +155,16 @@ if grep -nE '\bkeyed:|publish:' crates/core/src/server.rs crates/core/src/qcache
     exit 1
 fi
 
-echo "=== shard refreshes pay for what changed (serving.rs gathers a shard in full only to prime it and as Shard::refresh's fallback) ==="
-callers="$(awk '/^ *(pub(\(crate\))? )?fn /{f=$0; sub(/.*fn /,"",f); sub(/[(<].*/,"",f)} /[^a-z_]gather_snapshot\(/{print f}' \
-    crates/core/src/serving.rs | sort | tr '\n' ' ')"
-if [ "$callers" != "new refresh " ]; then
-    echo "error: serving.rs calls gather_snapshot( outside the prime and the refresh fallback (callers: $callers)"
+echo "=== one status gather (EvalCore::gather_snapshot builds every snapshot; a change-driven refresh is the same fold over the listed hosts) ==="
+if grep -rnE 'regather_snapshot|can_regather' crates/*/src; then
+    echo "error: a second snapshot builder is back — a shard refresh calls gather_snapshot with the listed positions"
+    exit 1
+fi
+builders="$(awk '/^ *(pub(\(crate\))? )?fn /{f=$0; sub(/.*fn /,"",f); sub(/[(<].*/,"",f)}
+    (/StatusSnapshot \{/ && !/(struct|impl|->) StatusSnapshot/) || (FILENAME ~ /\/(server|serving)\.rs$/ && /scatter_gather[a-z_]*\(/) {print f}' \
+    $(find crates/*/src -name '*.rs') | sort -u | tr '\n' ' ')"
+if [ "$builders" != "gather_snapshot unprimed " ]; then
+    echo "error: a status snapshot is built outside EvalCore::gather_snapshot (builders: $builders)"
     exit 1
 fi
 
