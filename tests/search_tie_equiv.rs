@@ -96,6 +96,8 @@ fn problems() -> Vec<(&'static str, Problem, bool)> {
     repeats.distinct = false;
     vec![
         ("hdfs_write_8x3", write(8, 256.0 * MB), true),
+        // The paper's 20-server write: 20·19·18 = 6 840 bindings.
+        ("hdfs_write_20x3", write(20, 256.0 * MB), true),
         ("hdfs_read_3", read(3), true),
         ("hdfs_read_6", read(6), true),
         (
@@ -189,6 +191,17 @@ fn worlds(problem: &Problem) -> Vec<(&'static str, World)> {
     for (i, &a) in hosts.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
         half_known.set(a, loaded(lopsided(i / 2)));
     }
+    // Mild, unequal loads on every host, up and down apart: few ties,
+    // and a bound that rarely beats the incumbent.
+    let mut mixed = World::new();
+    for (i, &a) in hosts.iter().enumerate() {
+        let up = 0.08 * (i % 11) as f64;
+        let down = 0.06 * (i % 13) as f64;
+        mixed.set(
+            a,
+            HostState::gbps_idle().with_up_load(up).with_down_load(down),
+        );
+    }
     vec![
         ("all_idle", world_by(&hosts, |_| 0.0)),
         ("two_level", world_by(&hosts, lopsided)),
@@ -196,6 +209,7 @@ fn worlds(problem: &Problem) -> Vec<(&'static str, World)> {
         ("all_unknown", World::new()),
         ("half_unknown", half_known),
         ("reserved", reserved),
+        ("mixed", mixed),
     ]
 }
 
@@ -209,16 +223,19 @@ fn oracle(problem: &Problem, world: &World) -> Result<ExhaustiveResult, Exhausti
 
 /// What the oracle itself is held to: a recursion over
 /// [`estimator::estimate`] that shares no code with the search — nested
-/// loops, the same-pool clash skip, first-found strict `<`.
-fn plain_scan(problem: &Problem, world: &World) -> Result<(Binding, f64), ExhaustiveError> {
+/// loops, the same-pool clash skip, first-found strict `<` — returning the
+/// winner and the number of leaves it reached.
+fn plain_scan(problem: &Problem, world: &World) -> Result<(Binding, f64, u64), ExhaustiveError> {
     fn rec(
         problem: &Problem,
         world: &World,
         current: &mut Binding,
         best: &mut Option<(Binding, f64)>,
+        leaves: &mut u64,
     ) {
         let idx = current.len();
         if idx == problem.vars.len() {
+            *leaves += 1;
             if let Ok(e) = estimate(problem, current, world) {
                 if best.as_ref().is_none_or(|(_, b)| e.makespan < *b) {
                     *best = Some((current.clone(), e.makespan));
@@ -237,13 +254,14 @@ fn plain_scan(problem: &Problem, world: &World) -> Result<(Binding, f64), Exhaus
                 continue;
             }
             current.push(value);
-            rec(problem, world, current, best);
+            rec(problem, world, current, best, leaves);
             current.pop();
         }
     }
-    let mut best = None;
-    rec(problem, world, &mut Binding::new(), &mut best);
-    best.ok_or(ExhaustiveError::NoFeasibleBinding)
+    let (mut best, mut leaves) = (None, 0);
+    rec(problem, world, &mut Binding::new(), &mut best, &mut leaves);
+    best.map(|(b, m)| (b, m, leaves))
+        .ok_or(ExhaustiveError::NoFeasibleBinding)
 }
 
 /// Binding and makespan bits, or the error.
@@ -259,11 +277,16 @@ fn the_oracle_is_the_plain_recursive_scan() {
     for (pname, problem, _) in problems() {
         for (wname, world) in worlds(&problem) {
             let plain = plain_scan(&problem, &world);
+            let reference = oracle(&problem, &world);
             assert_eq!(
-                outcome(&oracle(&problem, &world)),
-                plain.as_ref().map(|(b, m)| (b.as_slice(), m.to_bits())),
+                outcome(&reference),
+                plain.as_ref().map(|(b, m, _)| (b.as_slice(), m.to_bits())),
                 "{pname}/{wname}"
             );
+            // Unpruned, the search evaluates every leaf the scan reaches.
+            if let (Ok(r), Ok((_, _, leaves))) = (&reference, &plain) {
+                assert_eq!(r.evaluated, *leaves, "{pname}/{wname}: leaves evaluated");
+            }
         }
     }
 }
@@ -322,6 +345,14 @@ fn tie_heavy_searches_stop_early() {
             100,
         ),
         ("fig3_sharded_gather", sharded_gather(7, 12, 15), 1_920, 16),
+        // Five idle hosts in twenty: 60 bindings tie on the least
+        // makespan, and a tie-blind cut evaluates every one of them.
+        (
+            "fig3_daisy3_20addr",
+            daisy_chain(&addrs(1..=20), 3, 100.0 * MB),
+            6_840,
+            16,
+        ),
     ];
     for (name, problem, space, at_most) in cases {
         let world = world_by(&problem.mentioned_addresses(), lopsided);
