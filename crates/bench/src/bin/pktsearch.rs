@@ -1,28 +1,26 @@
-//! Packet-level search backend speedup: serial full-run baseline vs the
+//! Packet-level search backend work: serial full-run baseline vs the
 //! optimised backend (simulator reuse, incumbent early-abort, symmetry
 //! memoisation, parallel fan-out) on the §5.4 web-search aggregator
 //! placement.
 //!
 //! Every arm must return a **bit-identical** winning binding and makespan
 //! — the optimisations trade work, never answers. The binary verifies
-//! this and prints the speedup table recorded in EXPERIMENTS.md.
+//! this and prints each arm's simulation counts. It prints no wall-clock
+//! time, so its stdout is deterministic; the backend's speed is the
+//! `pktsearch.*` rows of `perf/`'s `paper_apps` workload.
 //!
 //! ```text
 //! cargo run --release -p cloudtalk-bench --bin pktsearch          # full table
 //! cargo run --release -p cloudtalk-bench --bin pktsearch -- --smoke  # CI-sized
 //! cargo run --release -p cloudtalk-bench --bin pktsearch -- --smoke --trace t.json
-//! cargo run --release -p cloudtalk-bench --bin pktsearch -- --obs-overhead
 //! ```
 //!
 //! `--trace <path>` answers the scenario once through the full
 //! [`CloudTalkServer`] packet-level path and writes the answer's span tree
 //! as Chrome `trace_event` JSON (open in `chrome://tracing` or Perfetto)
-//! plus a flat metrics dump at `<path>.metrics`. `--obs-overhead` times
-//! repeated server answers with query tracing on vs off — the
-//! observability-overhead row of EXPERIMENTS.md.
+//! plus a flat metrics dump at `<path>.metrics`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use cloudtalk::pktsearch::{pkt_search, MirrorTopology, PktSearchOptions, PktSearchResult};
 use cloudtalk::pkteval::pkt_evaluate;
@@ -41,8 +39,12 @@ struct Scenario {
     mirror: MirrorTopology,
     problem: Problem,
     pairs: usize,
-    threads: usize,
 }
+
+/// Worker threads of the parallel arm and of the traced server. The
+/// arm's simulation counts depend on how the threads interleave, so the
+/// table prints only its winner.
+const THREADS: usize = 4;
 
 /// Full scale: 80 leaves over a two-tier fabric, 12 aggregator
 /// candidates drawn 3-per-rack from 4 leaf-free racks. The frontend pins
@@ -63,19 +65,7 @@ fn full_scenario() -> Scenario {
         mirror: MirrorTopology::new(topo),
         problem,
         pairs,
-        threads: worker_threads(8),
     }
-}
-
-/// Worker threads for the parallel arm: the host's parallelism, capped.
-/// (On a single-core host the arm degenerates to the serial optimised
-/// path — the table still shows it, the speedup then comes from the
-/// other optimisations.)
-fn worker_threads(cap: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(cap)
 }
 
 /// CI-sized: 8 leaves on one switch, 4 candidates (12 ordered pairs),
@@ -92,7 +82,6 @@ fn smoke_scenario() -> Scenario {
         mirror: MirrorTopology::new(topo),
         problem,
         pairs,
-        threads: worker_threads(4),
     }
 }
 
@@ -115,7 +104,6 @@ fn rack_smoke_scenario() -> Scenario {
         mirror: MirrorTopology::new(topo),
         problem,
         pairs,
-        threads: 1,
     }
 }
 
@@ -125,8 +113,8 @@ fn rack_symmetry_smoke() {
     let s = rack_smoke_scenario();
     let n_cands = s.problem.vars[0].candidates.len() as u64;
     let opts = PktSearchOptions::new(n_cands * n_cands);
-    let (off, _) = run_arm(&s, &opts.memoise(false));
-    let (on, _) = run_arm(&s, &opts);
+    let off = run_arm(&s, &opts.memoise(false));
+    let on = run_arm(&s, &opts);
     assert_eq!(on.binding, off.binding, "rack symmetry changed the winner");
     assert_eq!(
         on.makespan.to_bits(),
@@ -178,10 +166,8 @@ fn serial_baseline(s: &Scenario) -> (Binding, f64, u64) {
     (binding, makespan, evaluated)
 }
 
-fn run_arm(s: &Scenario, opts: &PktSearchOptions) -> (PktSearchResult, f64) {
-    let t0 = Instant::now();
-    let r = pkt_search(&s.problem, &s.mirror, opts).expect("search succeeds");
-    (r, t0.elapsed().as_secs_f64())
+fn run_arm(s: &Scenario, opts: &PktSearchOptions) -> PktSearchResult {
+    pkt_search(&s.problem, &s.mirror, opts).expect("search succeeds")
 }
 
 fn fmt_binding(b: &Binding) -> String {
@@ -194,50 +180,32 @@ fn fmt_binding(b: &Binding) -> String {
         .join(", ")
 }
 
-/// A server answering `problem` through the packet-level backend.
-fn server_for(
-    problem: &Problem,
-    threads: usize,
-    mirror: Arc<MirrorTopology>,
-    tracing: bool,
-) -> CloudTalkServer {
+/// Answers once through a traced server on the packet-level backend and
+/// exports the query's span tree and the server's metrics registry.
+fn export_trace(s: Scenario, path: &str) {
+    let Scenario {
+        mirror, problem, ..
+    } = s;
     let n_cands = problem.vars[0].candidates.len() as u64;
-    CloudTalkServer::new(ServerConfig {
+    let mut server = CloudTalkServer::new(ServerConfig {
         method: EvalMethod::PacketLevel {
             limit: n_cands * n_cands,
         },
         pkt: PktBackendConfig {
-            mirror: Some(mirror),
-            threads,
+            mirror: Some(Arc::new(mirror)),
+            threads: THREADS,
             ..Default::default()
         },
         obs: ObsConfig {
-            tracing,
-            host_timer: tracing,
+            tracing: true,
+            host_timer: true,
         },
         ..Default::default()
-    })
-}
-
-fn idle_status(problem: &Problem) -> TableStatusSource {
+    });
     let mut status = TableStatusSource::new();
     for &a in &problem.mentioned_addresses() {
         status.set(a, HostState::gbps_idle());
     }
-    status
-}
-
-/// Answers once through the server and exports the query's span tree and
-/// the server's metrics registry.
-fn export_trace(s: Scenario, path: &str) {
-    let Scenario {
-        mirror,
-        problem,
-        threads,
-        ..
-    } = s;
-    let mut server = server_for(&problem, threads, Arc::new(mirror), true);
-    let mut status = idle_status(&problem);
     let a = server
         .answer_problem(&problem, &mut status, SimTime::ZERO)
         .expect("packet-level answer succeeds");
@@ -254,53 +222,11 @@ fn export_trace(s: Scenario, path: &str) {
     );
 }
 
-/// Times repeated server answers with tracing on vs off. Serial search
-/// (one thread): per-answer thread spawns would drown the signal.
-fn obs_overhead(reps: usize) {
-    let time_arm = |tracing: bool| -> f64 {
-        let s = smoke_scenario();
-        let mut server = server_for(&s.problem, 1, Arc::new(s.mirror), tracing);
-        let mut status = idle_status(&s.problem);
-        // Warm-up answer outside the timed window.
-        server
-            .answer_problem(&s.problem, &mut status, SimTime::ZERO)
-            .expect("warm-up answer");
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let a = server
-                .answer_problem(&s.problem, &mut status, SimTime::ZERO)
-                .expect("answer succeeds");
-            std::hint::black_box(a.binding.len());
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    // Five interleaved off/on pairs, best of each: the minimum is the
-    // least noise-polluted estimate and interleaving cancels drift.
-    let (mut off, mut on) = (f64::MAX, f64::MAX);
-    for _ in 0..5 {
-        off = off.min(time_arm(false));
-        on = on.min(time_arm(true));
-    }
-    let delta = (on - off) / off * 100.0;
-    println!(
-        "pktsearch server answers x{reps}: tracing off {:.3}s ({:.1}/s), \
-         tracing on {:.3}s ({:.1}/s), overhead {delta:+.1}%",
-        off,
-        reps as f64 / off,
-        on,
-        reps as f64 / on
-    );
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if let Some(path) = flag_value("--trace") {
         let s = if smoke { smoke_scenario() } else { full_scenario() };
         export_trace(s, &path);
-        return;
-    }
-    if std::env::args().any(|a| a == "--obs-overhead") {
-        obs_overhead(2_000);
         return;
     }
     let s = if smoke { smoke_scenario() } else { full_scenario() };
@@ -310,13 +236,8 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let t0 = Instant::now();
     let (base_binding, base_makespan, base_evals) = serial_baseline(&s);
-    let base_time = t0.elapsed().as_secs_f64();
-    println!(
-        "{:<34} {:>9.3}s  ({} sims)  1.0x",
-        "serial full-run baseline", base_time, base_evals
-    );
+    println!("{:<34}  ({} sims)", "serial full-run baseline", base_evals);
 
     // The space guard counts the raw product (distinctness not yet
     // applied), so bound by |candidates|^2.
@@ -334,13 +255,12 @@ fn main() {
         ("+ symmetry memoisation", PktSearchOptions::new(limit)),
         (
             "+ parallel fan-out",
-            PktSearchOptions::new(limit).threads(s.threads),
+            PktSearchOptions::new(limit).threads(THREADS),
         ),
     ];
 
-    let mut best_speedup = 1.0f64;
     for (label, opts) in &arms {
-        let (r, elapsed) = run_arm(&s, opts);
+        let r = run_arm(&s, opts);
         assert_eq!(
             r.binding, base_binding,
             "{label}: winner differs from the serial baseline"
@@ -350,17 +270,18 @@ fn main() {
             base_makespan.to_bits(),
             "{label}: makespan not bit-identical"
         );
-        let speedup = base_time / elapsed;
-        best_speedup = best_speedup.max(speedup);
-        let label = if *label == "+ parallel fan-out" {
-            format!("+ parallel fan-out ({} threads)", s.threads)
+        if opts.threads > 1 {
+            println!(
+                "{label:<34}  (winner ({}) makespan {:.4}s)",
+                fmt_binding(&r.binding),
+                r.makespan
+            );
         } else {
-            (*label).to_string()
-        };
-        println!(
-            "{:<34} {:>9.3}s  ({} sims, {} aborted, {} memo hits)  {:.1}x",
-            label, elapsed, r.evaluated, r.aborted, r.memo_hits, speedup
-        );
+            println!(
+                "{label:<34}  ({} sims, {} aborted, {} memo hits)",
+                r.evaluated, r.aborted, r.memo_hits
+            );
+        }
     }
 
     println!(
@@ -370,11 +291,5 @@ fn main() {
     );
     if smoke {
         rack_symmetry_smoke();
-    } else {
-        assert!(
-            best_speedup >= 5.0,
-            "acceptance: end-to-end speedup {best_speedup:.1}x < 5x"
-        );
-        println!("acceptance: {best_speedup:.1}x >= 5x end-to-end speedup");
     }
 }

@@ -1,9 +1,10 @@
 //! Shared helpers for the experiment harnesses.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md for the index); Criterion
-//! benches under `benches/` cover the timing-sensitive ones. The binaries
-//! print the same rows/series the paper reports.
+//! `src/bin/` that regenerates it (see DESIGN.md for the index). The
+//! binaries print the same rows/series the paper reports. Every binary
+//! but `table2` prints the same bytes on every run, pinned by the files
+//! under `golden/`; wall-clock costs are measured by `perf/`.
 //!
 //! Run sizes scale with the `CLOUDTALK_BENCH_SCALE` environment variable
 //! (default 1.0): e.g. `CLOUDTALK_BENCH_SCALE=0.1 cargo run --release

@@ -16,12 +16,6 @@ cargo test -q --workspace
 echo "=== packet-event ordering hunt (the three pktsim queues against the single-heap reference, 512 cases; tier-1 runs 64) ==="
 PROPTEST_CASES=512 cargo test -q --release -p pktsim --test calendar_equiv
 
-echo "=== benches compile ==="
-cargo bench --no-run --workspace
-
-echo "=== delta search smoke (scratch and delta agree on winner + objective; daisy6_8addr evaluates < 1% of its space) ==="
-cargo bench -q -p cloudtalk-bench --bench exhaustive_bench -- --delta --smoke
-
 echo "=== pktsearch smoke ==="
 cargo run --release -q -p cloudtalk-bench --bin pktsearch -- --smoke
 
@@ -79,12 +73,31 @@ print(f"telemetry OK: {len(stitched)} stitched traces across {len(lanes)} sample
       f"{slo.count('BREACH')} breach events")
 EOF
 
-echo "=== golden figures (13 deterministic run_all.sh outputs cmp-identical to crates/bench/golden/) ==="
+echo "=== golden outputs (every bin but table2 is deterministic and cmp-identical to crates/bench/golden/) ==="
+for src in crates/bench/src/bin/*.rs; do
+    bin="$(basename "$src" .rs)"
+    if [ "$bin" != table2 ] && [ ! -f "crates/bench/golden/$bin.txt" ]; then
+        echo "error: $bin has no golden — commit its stdout as crates/bench/golden/$bin.txt"
+        exit 1
+    fi
+done
 for f in crates/bench/golden/*.txt; do
     bin="$(basename "$f" .txt)"
     cargo run --release -q -p cloudtalk-bench --bin "$bin" | cmp - "$f" \
         || { echo "error: $bin output drifted from $f"; exit 1; }
 done
+
+echo "=== one benchmark harness (wall-clock numbers come from perf/; no other bench target, stand-in or timing table) ==="
+manifests="$(find . -path ./target -prune -o \( -name Cargo.toml -o -name Cargo.lock \) -print)"
+if grep -rnE 'crit[e]rion|\[\[bench\]\]|micro[_]latency|BENCH[_]exhaustive' $manifests scripts crates src tests examples; then
+    echo "error: a retired timing harness is named again — time it in perf/ and pin its output with a golden"
+    exit 1
+fi
+timers="$(grep -rlw 'Instant' crates/bench/src | grep -vE '/(table2|qps_storm)\.rs$' || true)"
+if [ -n "$timers" ]; then
+    echo "error: a wall clock read in crates/bench/src outside table2.rs and qps_storm.rs:"; echo "$timers"
+    exit 1
+fi
 
 echo "=== benchmark smoke (digests equal across passes, cache-on == cache-off, two-worker replay identical, 0 stale hits, 0 ledger conflicts) ==="
 bash perf/run.sh --smoke

@@ -36,7 +36,7 @@ fn daisy_chain(pool: &[Address], n_vars: usize, bytes: f64) -> Problem {
 
 /// The fig3 chain with hop `i` carried by `shards[i]` parallel transfers
 /// of staggered sizes, one variable per pool: each hop is one multi-flow
-/// rate component (`exhaustive_bench`'s `fig3_sharded_gather` shape).
+/// rate component whose shards all contend on the same two NICs.
 fn sharded_chain(pools: &[Vec<Address>], shards: &[usize]) -> Problem {
     assert_eq!(shards.len(), pools.len() - 1, "one shard count per hop");
     let mut b = QueryBuilder::new();
@@ -164,7 +164,8 @@ fn world_by(hosts: &[Address], level: impl Fn(usize) -> f64) -> World {
     w
 }
 
-/// `exhaustive_bench`'s lopsided fleet: three hosts in four at 90 % load.
+/// The lopsided fleet the paper optimises for: three hosts in four at
+/// 90 % load.
 fn lopsided(i: usize) -> f64 {
     if i.is_multiple_of(4) {
         0.05
@@ -334,9 +335,9 @@ fn pruned_search_returns_the_sequential_scan_winner_bit_for_bit() {
 
 #[test]
 fn tie_heavy_searches_stop_early() {
-    // The two rows of BENCH_exhaustive.json that the strict-only rule
-    // walked in full with pruning on. A regression to tie-blind pruning
-    // brings the full counts back.
+    // Full-size chains on the lopsided fleet. The strict-only rule walked
+    // the first two in full with pruning on; a regression to tie-blind
+    // pruning brings the full counts back.
     let cases = [
         (
             "fig3_daisy6_8addr",
