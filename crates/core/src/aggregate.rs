@@ -57,30 +57,34 @@
 //!   view. Each sync marks the listed hosts on their rack's
 //!   aggregators (primary and standby each keep their own marks, so one
 //!   that goes unrefreshed — partitioned, crashed, idle standby — catches
-//!   up on its next refresh; the marks are a flag per slot, bounded by
-//!   the rack). A source without a view (the default: anything whose
-//!   answers depend on time or on a simulation it does not own) gets
-//!   every host polled, as before; the plane takes the cheap path exactly
-//!   when the source offers the view, never by configuration.
-//! * **A clean rack is settled in O(1).** A rack skips the ladder when its
-//!   next trip is certain to end at rung 1 with an empty delta: none of
-//!   its hosts is marked, no `agg_*` fault entry names it (so the primary
-//!   answers the first pull, nothing restarts, no delayed delta is in
-//!   flight), the view is at the primary's stamp, the rack is at or below
-//!   the transport's loss knee (beyond it a gather draws randomness per
-//!   host) and every host answered the primary's last refresh (a silent
-//!   host is retried each sync). Its two freshness instants move to the
-//!   sync time and the pull, the reply header and the rack-local poll
-//!   round are charged in one batched ledger update; nothing is polled
-//!   and nothing is allocated. Silence therefore stays distinguishable
-//!   from "unchanged" by construction: any rack that *could* be silent is
-//!   never skipped.
-//! * **A dirty rack polls its marked hosts.** Under the same loss-free,
-//!   everyone-answered conditions an aggregator's refresh polls only the
-//!   marked hosts; the unmarked ones would answer what the snapshot
-//!   holds. Otherwise (new or restarted aggregator, a host missing, a
-//!   lossy rack, no change view) it polls every host; the serving plane's
-//!   shards share this skip rule, `ChangeMarks::may_skip`.
+//!   up on its next refresh; the marks are slots, each listed once). A
+//!   source without a view (the default: anything whose answers depend on
+//!   time or on a simulation it does not own) gets every host polled, as
+//!   before; the plane takes the cheap path exactly when the source
+//!   offers the view, never by configuration.
+//! * **A healthy rack takes rung 1, certain.** A rack is *healthy* when
+//!   its trip down the ladder is certain to end at rung 1, whatever the
+//!   view lists: no `agg_*` fault entry names it (so the primary answers
+//!   the first pull, nothing restarts, no delayed delta is in flight), the
+//!   view is at the primary's stamp, the rack is at or below the loss
+//!   knee (beyond it a gather draws randomness per host) and every host
+//!   answered the primary's last refresh. Such a rack skips the ladder:
+//!   the primary's one refresh polls its marked hosts (the same gather
+//!   and retry rounds, so each is polled once and no random draw moves)
+//!   into a buffer the plane owns, and the delta the ladder would pull is
+//!   exactly the slots that refresh changed, which are written into the
+//!   view. Pull, reply, round and counters are charged as the ladder
+//!   charges them; no delta is built, nothing is allocated. A clean rack
+//!   polls nobody: two instants move, its exchange is charged in a batch.
+//! * **Every other rack walks the ladder:** a faulted or lossy rack, one
+//!   holding a host that did not answer (it is retried each sync), one
+//!   whose view is not at its primary's stamp (unprimed, on standby,
+//!   bypassed, stale), and every rack after a drain the source could not
+//!   answer. Silence thus stays distinguishable from "unchanged" by
+//!   construction. There an aggregator's refresh polls only the marked
+//!   hosts under the same loss-free, everyone-answered conditions, and
+//!   every host otherwise; the serving plane's shards share this skip
+//!   rule, `ChangeMarks::may_skip`.
 //!
 //! Views, report ages, `stale_racks`, the ledger, every other
 //! `gather.agg.*` counter and the failover spans are bit-identical to the
@@ -91,7 +95,7 @@
 //!
 //! # Failover ladder
 //!
-//! Each sync takes every rack that is not settled (see above) through an
+//! Each sync takes every rack that is not healthy (see above) through an
 //! explicit ladder, faulted aggregators degrading exactly as hosts do
 //! today:
 //!
@@ -134,7 +138,7 @@ use crate::faults::FaultPlan;
 use crate::messages::OverheadLedger;
 use crate::status::{ChangeMarks, StatusReport, StatusSource};
 use crate::transport::{
-    scatter_gather_changed, scatter_gather_retry, RetryPolicy, TransportConfig,
+    gather_into, scatter_gather_retry, GatherOutcome, RetryPolicy, TransportConfig,
 };
 
 /// Identifies one rack of the fleet (an index into the [`FleetLayout`]).
@@ -400,10 +404,10 @@ pub enum DeltaAnswer {
 #[derive(Clone, Debug)]
 pub struct RackAggregator {
     snap: PartialSnapshot,
-    /// Hosts the source's change view listed since the last refresh. A
-    /// new aggregator starts with nothing vouched for, so its first
-    /// refresh polls the whole rack.
-    marks: ChangeMarks<Address>,
+    /// Slots of the hosts the source's change view listed since the last
+    /// refresh. A new aggregator starts with nothing vouched for, so its
+    /// first refresh polls the whole rack.
+    marks: ChangeMarks,
     transport: TransportConfig,
     rng: DetRng,
 }
@@ -467,13 +471,8 @@ impl RackAggregator {
     ) -> bool {
         let epoch = self.snap.stamp.epoch;
         self.marks.mark_all();
-        self.refresh_changed(source, now, ledger);
+        self.refresh_changed(source, now, ledger, &mut GatherOutcome::default());
         self.snap.stamp.epoch != epoch
-    }
-
-    /// Notes that the source's change view listed the host at `slot`.
-    fn mark(&mut self, slot: usize) {
-        self.marks.mark(slot, self.snap.table.hosts[slot]);
     }
 
     /// Whether a refresh may leave the unmarked hosts unpolled
@@ -488,37 +487,30 @@ impl RackAggregator {
     /// [`Self::unmarked_are_known`], only the marked hosts are polled —
     /// the others would answer what the snapshot holds, so the snapshot,
     /// the epoch and the ledger (still charged the whole rack's round)
-    /// come out exactly as the full scan leaves them. Returns how many
-    /// hosts the first round polled.
+    /// come out exactly as the full scan leaves them. The gather lands in
+    /// `gathered`, by slot. Returns how many hosts the first round polled.
     fn refresh_changed(
         &mut self,
         source: &mut impl StatusSource,
         now: SimTime,
         ledger: &mut OverheadLedger,
+        gathered: &mut GatherOutcome<usize>,
     ) -> usize {
+        let skip = self.unmarked_are_known();
         let hosts = &self.snap.table.hosts;
-        // Address order, like the scan this stands in for.
-        let polled: &[Address] = if self.unmarked_are_known() {
-            self.marks.sorted()
-        } else {
-            hosts
-        };
-        let unpolled = hosts.len() - polled.len();
+        // Ascending slots are ascending addresses: the scan's poll order.
+        let slots = self.marks.poll_list(skip);
+        let (polled, unpolled) = (slots.len(), hosts.len() - slots.len());
+        let (targets, host) = (slots.iter().copied(), |slot: usize| hosts[slot]);
         let (transport, rng) = (&self.transport, &mut self.rng);
-        let outcome = scatter_gather_changed(source, polled, unpolled, transport, rng, ledger);
-        let polled = polled.len();
+        gather_into(
+            source, targets, host, unpolled, transport, rng, ledger, gathered,
+        );
         self.marks.clear();
         // Fold the replies and silences into the snapshot; the epoch
         // advances once, and only if a slot changed.
         let next = self.snap.stamp.epoch + 1;
-        let heard = outcome.replies.iter().map(|&(a, r)| (a, Some(r)));
-        let silent = outcome.missing.iter().map(|&a| (a, None));
-        for (addr, report) in heard.chain(silent) {
-            let slot = self
-                .snap
-                .table
-                .slot_of(addr)
-                .expect("gathers poll this rack's hosts only");
+        for (slot, report) in gathered.answers() {
             if self.snap.table.put(slot, report) {
                 self.snap.touched_at[slot] = next;
                 self.snap.stamp.epoch = next;
@@ -822,12 +814,14 @@ pub struct AggregationPlane<S> {
     pull_attempts: Vec<u32>,
     serving_standby: Vec<bool>,
     stale_now: Vec<bool>,
-    /// Per rack: the ladder would certainly end at rung 1 with an empty
-    /// delta (see [`Self::is_settled`]). Computed when a rack leaves the
-    /// ladder, cleared when the change view lists one of its hosts.
-    settled: Vec<bool>,
+    /// Per rack: the ladder would certainly end at rung 1 (see
+    /// [`Self::is_healthy`]). Computed when a rack leaves a sync, cleared
+    /// for every rack when the fault plan or the change view goes.
+    healthy: Vec<bool>,
     /// Scratch: the addresses the source's change view listed this sync.
     changed: Vec<Address>,
+    /// Scratch: the replies and silences of the latest aggregator refresh.
+    gathered: GatherOutcome<usize>,
     last_trace: TraceReport,
 }
 
@@ -876,8 +870,9 @@ impl<S: StatusSource> AggregationPlane<S> {
             pull_attempts: vec![0; n],
             serving_standby: vec![false; n],
             stale_now: vec![false; n],
-            settled: vec![false; n],
+            healthy: vec![false; n],
             changed: Vec::new(),
+            gathered: GatherOutcome::default(),
             last_trace: TraceReport::default(),
             layout,
             cfg,
@@ -889,7 +884,7 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// wrapped around the host source).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self.settled.fill(false);
+        self.healthy.fill(false);
         self
     }
 
@@ -947,8 +942,9 @@ impl<S: StatusSource> AggregationPlane<S> {
 
     /// Synchronizes the collector with the aggregator tier at `now`:
     /// takes the source's change view, delivers (and epoch-checks) any
-    /// delayed deltas, then brings every rack up to `now` — a settled
-    /// rack in O(1), every other through the failover ladder. Idempotent
+    /// delayed deltas, then brings every rack up to `now` — a healthy
+    /// rack at rung 1 for the cost of what changed in it (nothing, for a
+    /// clean one), every other through the failover ladder. Idempotent
     /// per instant — polls at an already-synced `now` reuse the merged
     /// views.
     pub fn sync(&mut self, now: SimTime) {
@@ -977,28 +973,25 @@ impl<S: StatusSource> AggregationPlane<S> {
             }
         }
 
-        let (mut clean_racks, mut clean_hosts, mut repolled) = (0u64, 0u64, 0u64);
+        let (mut healthy, mut clean_racks, mut clean_hosts, mut repolled) = (0, 0, 0, 0);
         for rack in 0..self.layout.rack_count() {
-            if self.settled[rack] {
-                // The clean-rack fast path. The ladder would pull the
-                // primary once, the primary would poll its rack and hear
-                // from every host what it already holds, and answer an
-                // empty delta that applies: two instants move, the
-                // exchange is charged below, no poll is executed.
-                let primary = &mut self.primaries[rack];
-                primary.snap.fresh_as_of = now;
-                self.views[rack].fresh_as_of = now;
-                self.pull_attempts[rack] += 1;
-                clean_racks += 1;
-                clean_hosts += primary.hosts().len() as u64;
+            if self.healthy[rack] {
+                healthy += 1;
+                let polled = self.rung_one(rack, now) as u64;
+                if polled == 0 {
+                    clean_racks += 1;
+                    clean_hosts += self.layout.racks[rack].len() as u64;
+                    continue;
+                }
+                repolled += polled;
             } else {
                 repolled += self.pull_rack(rack, now, &mut trace) as u64;
-                self.settled[rack] = tracked && self.is_settled(rack);
             }
+            self.healthy[rack] = tracked && self.is_healthy(rack);
         }
         self.ledger.record_idle_racks(clean_racks, clean_hosts);
-        self.metrics.inc(self.ids.pulls, clean_racks);
-        self.metrics.inc(self.ids.deltas_applied, clean_racks);
+        self.metrics.inc(self.ids.pulls, healthy);
+        self.metrics.inc(self.ids.deltas_applied, healthy);
         self.metrics.inc(self.ids.racks_clean, clean_racks);
         self.metrics.inc(self.ids.hosts_repolled, repolled);
         trace.set_arg(root, "clean_racks", clean_racks);
@@ -1011,14 +1004,14 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// Takes the source's change view and marks what it lists on the
     /// aggregators that will have to re-poll it. `false` when the source
     /// has no view to offer: every aggregator then scans its whole rack
-    /// at its next refresh and no rack counts as settled.
+    /// at its next refresh and no rack counts as healthy.
     fn mark_changed(&mut self) -> bool {
         self.changed.clear();
         if !self.source.drain_changed(&mut self.changed) {
             for agg in self.primaries.iter_mut().chain(&mut self.standbys) {
                 agg.marks.mark_all();
             }
-            self.settled.fill(false);
+            self.healthy.fill(false);
             return false;
         }
         for &addr in &self.changed {
@@ -1026,30 +1019,62 @@ impl<S: StatusSource> AggregationPlane<S> {
                 continue;
             };
             let rack = rack.0 as usize;
-            self.primaries[rack].mark(slot);
+            self.primaries[rack].marks.mark(slot);
             if let Some(standby) = self.standbys.get_mut(rack) {
-                standby.mark(slot);
+                standby.marks.mark(slot);
             }
-            self.settled[rack] = false;
         }
         true
     }
 
     /// Whether `rack`'s next trip down the ladder is certain to end at
-    /// rung 1 with an empty delta, *provided the change view lists none
-    /// of its hosts before then*: no aggregator-tier fault names the rack
-    /// (so the primary answers the first pull and no delayed delta is in
-    /// flight), the primary's refresh would poll nobody
-    /// ([`RackAggregator::unmarked_are_known`], nothing pending), and the
+    /// rung 1, whatever the change view lists: no aggregator-tier fault
+    /// names the rack (so the primary answers the first pull, nothing
+    /// restarts and no delayed delta is in flight), the primary's refresh
+    /// may leave the unmarked hosts unpolled
+    /// ([`RackAggregator::unmarked_are_known`]: the rack is at or below
+    /// the loss knee and every host answered the last refresh), and the
     /// view is at the primary's stamp. Any rack that could be silent —
     /// faulted, lossy, holding a host that did not answer — fails this
     /// and keeps walking the ladder.
-    fn is_settled(&self, rack: usize) -> bool {
+    fn is_healthy(&self, rack: usize) -> bool {
         let primary = &self.primaries[rack];
         !self.faults.agg_faulted(RackId(rack as u32))
             && primary.unmarked_are_known()
-            && primary.marks.is_empty()
             && self.views[rack].stamp == primary.stamp()
+    }
+
+    /// Rung 1 for a healthy rack ([`Self::is_healthy`]), without the
+    /// ladder: the primary's one refresh polls the marked hosts, and the
+    /// delta it would answer against the view's stamp — its own stamp
+    /// before that refresh — is exactly the slots the refresh changed, so
+    /// those are written into the view and the pull and its reply are
+    /// charged as the ladder charges them. A clean rack polls nobody: its
+    /// two instants move, and [`Self::sync`] charges its exchange (pull,
+    /// header-only reply, the rack's loss-free round) in one batch.
+    /// Returns how many hosts were polled.
+    fn rung_one(&mut self, rack: usize, now: SimTime) -> usize {
+        self.pull_attempts[rack] += 1;
+        let (primary, view) = (&mut self.primaries[rack], &mut self.views[rack]);
+        view.fresh_as_of = now;
+        if primary.marks.is_empty() {
+            primary.snap.fresh_as_of = now;
+            return 0;
+        }
+        let (source, gathered) = (&mut self.source, &mut self.gathered);
+        let polled = primary.refresh_changed(source, now, &mut self.ledger, gathered);
+        let (mut entries, mut removals) = (0, 0);
+        for (slot, report) in gathered.answers() {
+            if view.table.put(slot, report) {
+                entries += u64::from(report.is_some());
+                removals += u64::from(report.is_none());
+            }
+        }
+        view.stamp = primary.stamp();
+        self.ledger.record_agg_pull();
+        self.ledger.record_agg_reply(entries, removals);
+        self.metrics.inc(self.ids.delta_hosts, entries);
+        polled
     }
 
     /// One rack through the failover ladder. Returns how many hosts were
@@ -1087,7 +1112,8 @@ impl<S: StatusSource> AggregationPlane<S> {
             {
                 continue; // no reply within the timeout
             }
-            polled += self.primaries[rack].refresh_changed(&mut self.source, now, &mut self.ledger);
+            let (source, ledger) = (&mut self.source, &mut self.ledger);
+            polled += self.primaries[rack].refresh_changed(source, now, ledger, &mut self.gathered);
             let answer = self.primaries[rack].delta_since(self.views[rack].stamp);
             if self.faults.agg_crash_mid_push_at(rid, now) && !self.mid_push_fired[rack] {
                 // The reply is lost in flight and the aggregator dies
@@ -1114,7 +1140,8 @@ impl<S: StatusSource> AggregationPlane<S> {
             trace.set_arg(span, "rung", 2);
             self.ledger.record_agg_pull();
             self.metrics.inc(self.ids.pulls, 1);
-            polled += self.standbys[rack].refresh_changed(&mut self.source, now, &mut self.ledger);
+            let (source, ledger) = (&mut self.source, &mut self.ledger);
+            polled += self.standbys[rack].refresh_changed(source, now, ledger, &mut self.gathered);
             let answer = self.standbys[rack].delta_since(self.views[rack].stamp);
             self.absorb_answer(rack, true, &answer);
             self.serving_standby[rack] = true;

@@ -325,7 +325,7 @@ struct Shard {
     snapshot: StatusSnapshot,
     next_refresh: SimTime,
     /// The listed hosts, by position in `addrs`.
-    marks: ChangeMarks<usize>,
+    marks: ChangeMarks,
 }
 
 /// One virtual worker: a long-lived evaluation core (scratch reused
@@ -966,7 +966,7 @@ impl<S: StatusSource> ServingPlane<S> {
                 .map(|r| self.layout.hosts(RackId(r as u32)).len())
                 .sum();
             let pos = before + slot;
-            self.shards[rack / per].marks.mark(pos, pos);
+            self.shards[rack / per].marks.mark(pos);
         }
     }
 

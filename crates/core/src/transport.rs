@@ -146,14 +146,16 @@ impl TransportConfig {
     }
 }
 
-/// Result of a scatter-gather exchange (one round or several).
+/// Result of a scatter-gather exchange (one round or several). `T` names
+/// a polled host: its address, or whatever the caller polls it by (a rack
+/// aggregator polls its rack's slots).
 #[derive(Clone, Debug)]
-pub struct GatherOutcome {
+pub struct GatherOutcome<T = Address> {
     /// Replies that made it back, in query order (first round first, then
     /// each retry round's recoveries).
-    pub replies: Vec<(Address, StatusReport)>,
-    /// Addresses that never answered (lost datagram or silent host).
-    pub missing: Vec<Address>,
+    pub replies: Vec<(T, StatusReport)>,
+    /// Hosts that never answered (lost datagram or silent host).
+    pub missing: Vec<T>,
     /// Addresses missing after the *first* round — the set retries had to
     /// recover. `missing.len() / first_round_missing` is the unrecovered
     /// fraction.
@@ -164,39 +166,61 @@ pub struct GatherOutcome {
     pub elapsed: SimDuration,
 }
 
-/// One query/reply round against `addrs`; replies are sanitised here —
-/// the single choke point between raw status reports and the estimator.
-/// Retry rounds (`retry = true`) account their traffic in the ledger's
-/// distinct retry counters so re-sends never inflate the §5.5 bytes.
-/// `unchanged` further hosts belong to the round without being polled
-/// (see [`scatter_gather_changed`]): queried and answered on the modelled
-/// wire, absent from `out`.
+impl<T> Default for GatherOutcome<T> {
+    fn default() -> Self {
+        GatherOutcome {
+            replies: Vec::new(),
+            missing: Vec::new(),
+            first_round_missing: 0,
+            rounds: 0,
+            elapsed: SimDuration::ZERO,
+        }
+    }
+}
+
+impl<T: Copy> GatherOutcome<T> {
+    /// Every polled host with its final answer (`None`: it never
+    /// answered), replies first.
+    pub fn answers(&self) -> impl Iterator<Item = (T, Option<StatusReport>)> + '_ {
+        let heard = self.replies.iter().map(|&(t, r)| (t, Some(r)));
+        heard.chain(self.missing.iter().map(|&t| (t, None)))
+    }
+}
+
+/// One query/reply round against `targets`, each polled at `host(t)`;
+/// replies are sanitised here — the single choke point between raw status
+/// reports and the estimator. Retry rounds (`retry = true`) account their
+/// traffic in the ledger's distinct retry counters so re-sends never
+/// inflate the §5.5 bytes. `unchanged` further hosts belong to the round
+/// without being polled (see [`scatter_gather_changed`]): queried and
+/// answered on the modelled wire, absent from `out`.
 #[allow(clippy::too_many_arguments)]
-fn gather_round(
+fn gather_round<T: Copy>(
     source: &mut impl StatusSource,
-    addrs: &[Address],
+    targets: impl ExactSizeIterator<Item = T>,
+    host: &impl Fn(T) -> Address,
     unchanged: usize,
     cfg: &TransportConfig,
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
-    out: &mut GatherOutcome,
+    out: &mut GatherOutcome<T>,
     retry: bool,
 ) -> SimDuration {
-    let n = addrs.len() + unchanged;
+    let n = targets.len() + unchanged;
     let loss_p = loss_probability(n, cfg);
     assert!(
         unchanged == 0 || loss_p == 0.0,
         "a lossy round draws per host: it cannot skip any"
     );
     let before = out.replies.len();
-    for &addr in addrs {
+    for target in targets {
         let lost = loss_p > 0.0 && rng.gen_bool(loss_p);
-        match (lost, source.poll_report(addr)) {
+        match (lost, source.poll_report(host(target))) {
             (false, Some(mut report)) => {
                 report.state = report.state.sanitised();
-                out.replies.push((addr, report));
+                out.replies.push((target, report));
             }
-            _ => out.missing.push(addr),
+            _ => out.missing.push(target),
         }
     }
     let received = (out.replies.len() - before + unchanged) as u64;
@@ -225,27 +249,11 @@ pub fn scatter_gather(
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
 ) -> GatherOutcome {
-    first_round(source, addrs, 0, cfg, rng, ledger)
-}
-
-fn first_round(
-    source: &mut impl StatusSource,
-    addrs: &[Address],
-    unchanged: usize,
-    cfg: &TransportConfig,
-    rng: &mut DetRng,
-    ledger: &mut OverheadLedger,
-) -> GatherOutcome {
-    let mut out = GatherOutcome {
-        replies: Vec::with_capacity(addrs.len()),
-        missing: Vec::new(),
-        first_round_missing: 0,
-        rounds: 1,
-        elapsed: SimDuration::ZERO,
+    let one_round = TransportConfig {
+        retry: RetryPolicy::NONE,
+        ..*cfg
     };
-    out.elapsed = gather_round(source, addrs, unchanged, cfg, rng, ledger, &mut out, false);
-    out.first_round_missing = out.missing.len();
-    out
+    scatter_gather_changed(source, addrs, 0, &one_round, rng, ledger)
 }
 
 /// Scatter-gather with bounded retries: after the first round, up to
@@ -287,18 +295,47 @@ pub(crate) fn scatter_gather_changed(
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
 ) -> GatherOutcome {
-    let mut out = first_round(source, addrs, unchanged, cfg, rng, ledger);
+    let mut out = GatherOutcome {
+        replies: Vec::with_capacity(addrs.len()),
+        ..GatherOutcome::default()
+    };
+    let addrs = addrs.iter().copied();
+    gather_into(source, addrs, |a| a, unchanged, cfg, rng, ledger, &mut out);
+    out
+}
+
+/// [`scatter_gather_changed`] over `targets`, each polled at `host(t)`,
+/// into `out` (emptied first): a caller that gathers again and again
+/// keeps one buffer and names its hosts as it likes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gather_into<T: Copy>(
+    source: &mut impl StatusSource,
+    targets: impl ExactSizeIterator<Item = T>,
+    host: impl Fn(T) -> Address,
+    unchanged: usize,
+    cfg: &TransportConfig,
+    rng: &mut DetRng,
+    ledger: &mut OverheadLedger,
+    out: &mut GatherOutcome<T>,
+) {
+    out.replies.clear();
+    out.missing.clear();
+    out.rounds = 1;
+    out.elapsed = gather_round(
+        source, targets, &host, unchanged, cfg, rng, ledger, out, false,
+    );
+    out.first_round_missing = out.missing.len();
     for retry in 1..=cfg.retry.max_retries {
         if out.missing.is_empty() {
             break;
         }
         let targets = std::mem::take(&mut out.missing);
         out.elapsed += cfg.retry.backoff_before_jittered(retry, rng);
-        let round = gather_round(source, &targets, 0, cfg, rng, ledger, &mut out, true);
+        let targets = targets.into_iter();
+        let round = gather_round(source, targets, &host, 0, cfg, rng, ledger, out, true);
         out.elapsed += round;
         out.rounds += 1;
     }
-    out
 }
 
 /// The per-reply loss probability at fan-out `n`.

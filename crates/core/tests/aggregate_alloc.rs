@@ -1,8 +1,12 @@
 //! Pins the change-driven status plane's cost claims to the heap:
 //!
 //! * a steady-state sync with nothing changed allocates a count that does
-//!   not depend on the number of racks (50 vs 500) — settled racks are
+//!   not depend on the number of racks (50 vs 500) — clean racks are
 //!   advanced in place, only the per-sync trace is built;
+//! * a sync after 1 or 64 host changes spread over healthy racks
+//!   allocates that same count: a healthy rack polls its changed hosts into
+//!   the plane's buffer and writes them into its view, and no delta is
+//!   built;
 //! * a `TableStatusSource` whose change view nobody drains stays bounded
 //!   by its table: 10⁶ writes over 1 000 hosts keep the bookkeeping at
 //!   O(hosts), because a written host is flagged, not logged (and before
@@ -58,6 +62,41 @@ fn idle_sync_allocations_ignore_rack_count_and_undrained_writes_stay_bounded() {
         small <= 4,
         "an idle sync builds its trace and nothing else: {small}"
     );
+
+    // Changes spread over the racks: each changed host's rack takes rung 1
+    // without the ladder and polls that host alone.
+    let dirty_sync = |racks: usize, changes: usize| {
+        let mut plane = primed_plane(racks);
+        let stride = racks * HOSTS_PER_RACK / changes;
+        for i in 0..changes {
+            let addr = Address((i * stride + i % HOSTS_PER_RACK + 1) as u32);
+            plane
+                .source_mut()
+                .set(addr, HostState::gbps_idle().with_up_load(0.5));
+        }
+        let repolled = plane.metrics().counter_named("gather.agg.hosts_repolled");
+        let (allocs, _, ()) = allocs_of(|| plane.sync(SimTime::from_secs_f64(2.0)));
+        assert_eq!(
+            plane.metrics().counter_named("gather.agg.hosts_repolled"),
+            repolled.map(|n| n + changes as u64),
+            "{racks} racks, {changes} changes: only the changed hosts were polled"
+        );
+        assert_eq!(
+            plane.metrics().counter_named("gather.agg.delta_hosts"),
+            Some(changes as u64),
+            "{racks} racks, {changes} changes: each change reached the view"
+        );
+        allocs
+    };
+    for racks in [50, 500] {
+        for changes in [1, 64] {
+            assert_eq!(
+                dirty_sync(racks, changes),
+                small,
+                "{racks} racks, {changes} changes: a healthy rack's sync allocates nothing"
+            );
+        }
+    }
 
     // A million writes nobody drains: before anyone asks for the change
     // view nothing is tracked, afterwards the bookkeeping is a set of the

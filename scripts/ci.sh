@@ -99,6 +99,33 @@ if [ -n "$timers" ]; then
     exit 1
 fi
 
+echo "=== the benchmark ledger (append-only; every BENCH_perf.jsonl row parses and carries git_sha, workload, seed, failed == 0 and BENCHMARK.json's end-to-end metrics) ==="
+if git rev-parse -q --verify HEAD~1 >/dev/null \
+    && ! git show HEAD~1:BENCH_perf.jsonl | cmp -s - <(head -c "$(git show HEAD~1:BENCH_perf.jsonl | wc -c)" BENCH_perf.jsonl); then
+    echo "error: BENCH_perf.jsonl is append-only — a row the parent commit holds was edited or removed"
+    exit 1
+fi
+python3 - <<'EOF'
+import json
+with open("BENCHMARK.json") as f:
+    metrics = [m["name"] for m in json.load(f)["end_to_end"]]
+bad = []
+with open("BENCH_perf.jsonl") as f:
+    for n, line in enumerate(f, 1):
+        try:
+            row = json.loads(line)
+        except ValueError as e:
+            bad.append(f"line {n} does not parse: {e}")
+            continue
+        missing = [k for k in ["git_sha", "workload", "seed", "failed", *metrics] if k not in row]
+        if missing:
+            bad.append(f"line {n} lacks {missing}")
+        elif row["failed"] != 0:
+            bad.append(f"line {n} records {row['failed']} failed operations")
+assert not bad, "BENCH_perf.jsonl:\n" + "\n".join(bad)
+print(f"BENCH_perf.jsonl: {n} rows, each complete")
+EOF
+
 echo "=== benchmark smoke (digests equal across passes, cache-on == cache-off, two-worker replay identical, 0 stale hits, 0 ledger conflicts) ==="
 bash perf/run.sh --smoke
 

@@ -1,8 +1,10 @@
 //! Oracle equivalence for the change-driven status plane.
 //!
 //! An `AggregationPlane` whose source offers a change view
-//! (`StatusSource::drain_changed`) settles clean racks in O(1) and
-//! re-polls only the listed hosts of the others. The reference is the
+//! (`StatusSource::drain_changed`) takes every healthy rack to rung 1
+//! without the ladder, polling only its listed hosts (none, for a clean
+//! rack), and re-polls only the listed hosts of the others wherever the
+//! aggregator may skip the rest. The reference is the
 //! *same plane* over a wrapper source that hides the view, which forces
 //! the full scan the plane ran before — every rack down the ladder, every
 //! host polled. Both are driven with the same seeded churn, host faults,
@@ -12,7 +14,9 @@
 //! counter and the spans of `last_sync_trace`. Excluded are exactly the
 //! names that say how much work a sync *executed*: the counters
 //! `gather.agg.racks_clean` / `gather.agg.hosts_repolled` and the
-//! `clean_racks` / `dirty_hosts` arguments of the `agg.sync` span.
+//! `clean_racks` / `dirty_hosts` arguments of the `agg.sync` span. A
+//! poll counter under the change-driven plane holds the healthy path to
+//! one poll per listed host and sync.
 //!
 //! Lives in the root package so tier-1 `cargo test -q` reaches it.
 
@@ -25,6 +29,7 @@ use desim::rng::{stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use estimator::HostState;
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// Names that describe executed work rather than modelled behaviour.
 const WORK_COUNTERS: [&str; 2] = ["gather.agg.racks_clean", "gather.agg.hosts_repolled"];
@@ -562,4 +567,82 @@ fn a_fault_plan_installed_on_settled_racks_takes_effect() {
         assert_eq!(fast.stale_racks(), vec![RackId(1)]);
         assert_eq!(observe(&mut fast), observe(&mut oracle), "sync {step}");
     }
+}
+
+/// Counts the polls that reach the inner source, per address; the change
+/// view passes through.
+struct Counted<S> {
+    inner: S,
+    polls: BTreeMap<Address, u32>,
+}
+
+impl<S: StatusSource> StatusSource for Counted<S> {
+    fn poll(&mut self, addr: Address) -> Option<HostState> {
+        self.poll_report(addr).map(|r| r.state)
+    }
+
+    fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
+        *self.polls.entry(addr).or_default() += 1;
+        self.inner.poll_report(addr)
+    }
+
+    fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {
+        self.inner.drain_changed(changed)
+    }
+}
+
+#[test]
+fn a_healthy_rack_polls_each_listed_host_once() {
+    let layout = FleetLayout::grouped(racks());
+    let cfg = plane_config(11, PLAIN);
+    let retries = cfg.host_transport.retry.max_retries;
+    let counted = Counted {
+        inner: table(11),
+        polls: BTreeMap::new(),
+    };
+    let mut fast = AggregationPlane::new(layout.clone(), counted, cfg.clone());
+    let mut oracle = AggregationPlane::new(layout, Opaque(table(11)), cfg);
+    let mut step = |writes: &[(u32, Option<f64>)], at: f64| {
+        fast.source_mut().polls.clear();
+        for table in [&mut fast.source_mut().inner, oracle.source_mut().table()] {
+            for &(a, load) in writes {
+                match load {
+                    Some(load) => table.set(Address(a), HostState::gbps_idle().with_up_load(load)),
+                    None => table.silence(Address(a)),
+                }
+            }
+        }
+        fast.sync(t(at));
+        oracle.sync(t(at));
+        assert_eq!(observe(&mut fast), observe(&mut oracle), "sync at {at} s");
+        std::mem::take(&mut fast.source_mut().polls)
+    };
+    // Priming polls everyone; the next sync finds every rack healthy.
+    step(&[], 0.0);
+    assert!(step(&[], 1.0).is_empty(), "a clean fleet polls nobody");
+    // Listed hosts in racks 0, 1 and 3, one listed twice, and host 14 of
+    // rack 2 listed because it went silent: each is polled by the first
+    // round alone, and the silent one again only by the transport's
+    // retry rounds.
+    let writes = [
+        (2, Some(0.3)),
+        (6, Some(0.6)),
+        (7, Some(0.9)),
+        (7, Some(0.3)),
+        (30, Some(0.6)),
+        (14, None),
+    ];
+    let polls = step(&writes, 2.0);
+    let want: BTreeMap<Address, u32> = [(2, 1), (6, 1), (7, 1), (30, 1), (14, 1 + retries)]
+        .map(|(a, n)| (Address(a), n))
+        .into();
+    assert_eq!(polls, want);
+    // A silent host leaves its rack unhealthy: rack 2 walks the ladder and
+    // its aggregator polls the whole rack, while the healthy rack 5 polls
+    // only its listed host.
+    let polls = step(&[(41, Some(0.6))], 3.0);
+    assert_eq!(polls.get(&Address(41)), Some(&1));
+    assert_eq!(polls.get(&Address(14)), Some(&(1 + retries)));
+    assert!((13..=20).all(|a| polls.contains_key(&Address(a))));
+    assert_eq!(polls.len(), 1 + 8);
 }
