@@ -52,7 +52,7 @@ impl Cluster {
     }
 
     /// The host behind a CloudTalk address.
-    pub fn host(&self, addr: Address) -> Option<HostId> {
+    pub(crate) fn host(&self, addr: Address) -> Option<HostId> {
         self.net.topology().host_by_addr(addr.0)
     }
 
@@ -98,13 +98,16 @@ impl Cluster {
     ///
     /// Panics if the server binds a variable to `disk` or to an address
     /// outside the cluster — callers here always use address-only pools.
-    pub fn ask_hosts(&mut self, problem: &Problem) -> Result<Vec<HostId>, ServerError> {
+    pub(crate) fn ask_hosts(&mut self, problem: &Problem) -> Result<Vec<HostId>, ServerError> {
         let answer = self.ask(problem)?;
         Ok(self.binding_hosts(&answer))
     }
 
     /// Advisory variant of [`Cluster::ask_hosts`] (no reservation).
-    pub fn ask_hosts_advisory(&mut self, problem: &Problem) -> Result<Vec<HostId>, ServerError> {
+    pub(crate) fn ask_hosts_advisory(
+        &mut self,
+        problem: &Problem,
+    ) -> Result<Vec<HostId>, ServerError> {
         let answer = self.ask_advisory(problem)?;
         Ok(self.binding_hosts(&answer))
     }
@@ -154,10 +157,10 @@ impl Cluster {
 /// old — a fresh reading is taken, and cached, only when the previous one
 /// has expired.
 pub(crate) struct CachedNetSource<'a> {
-    pub net: &'a mut NetSim,
-    pub cache: &'a mut WordMap<Address, (SimTime, HostState)>,
-    pub interval: Option<SimDuration>,
-    pub now: SimTime,
+    pub(crate) net: &'a mut NetSim,
+    pub(crate) cache: &'a mut WordMap<Address, (SimTime, HostState)>,
+    pub(crate) interval: Option<SimDuration>,
+    pub(crate) now: SimTime,
 }
 
 impl StatusSource for CachedNetSource<'_> {

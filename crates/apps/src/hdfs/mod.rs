@@ -25,9 +25,9 @@ use crate::cluster::Cluster;
 #[derive(Clone, Copy, Debug)]
 pub struct HdfsConfig {
     /// Replication factor (paper default: 3).
-    pub replication: usize,
+    pub(crate) replication: usize,
     /// Block size in bytes (paper: 256 MB).
-    pub block_bytes: f64,
+    pub(crate) block_bytes: f64,
 }
 
 impl Default for HdfsConfig {
@@ -50,7 +50,7 @@ pub enum Policy {
 
 /// Identifier of a stored block.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct BlockId(pub usize);
+pub(crate) struct BlockId(pub(crate) usize);
 
 /// The filesystem metadata (a NameNode's view).
 #[derive(Clone, Debug, Default)]
@@ -61,29 +61,29 @@ pub struct Hdfs {
 
 impl Hdfs {
     /// Creates an empty filesystem.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Blocks of a file, if it exists.
-    pub fn file_blocks(&self, name: &str) -> Option<&[BlockId]> {
+    pub(crate) fn file_blocks(&self, name: &str) -> Option<&[BlockId]> {
         self.files.get(name).map(|b| b.as_slice())
     }
 
     /// Replica locations of a block.
-    pub fn replicas(&self, block: BlockId) -> &[HostId] {
+    pub(crate) fn replicas(&self, block: BlockId) -> &[HostId] {
         &self.blocks[block.0]
     }
 
     /// All file names (deterministic order).
-    pub fn file_names(&self) -> Vec<String> {
+    pub(crate) fn file_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.files.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Registers a new block at `replicas`, appending it to `file`.
-    pub fn commit_block(&mut self, file: &str, replicas: Vec<HostId>) -> BlockId {
+    pub(crate) fn commit_block(&mut self, file: &str, replicas: Vec<HostId>) -> BlockId {
         let id = BlockId(self.blocks.len());
         self.blocks.push(replicas);
         self.files.entry(file.to_string()).or_default().push(id);
@@ -91,13 +91,13 @@ impl Hdfs {
     }
 
     /// Number of blocks a file of `bytes` occupies under `cfg`.
-    pub fn blocks_for(cfg: &HdfsConfig, bytes: f64) -> usize {
+    pub(crate) fn blocks_for(cfg: &HdfsConfig, bytes: f64) -> usize {
         ((bytes / cfg.block_bytes).ceil() as usize).max(1)
     }
 }
 
 /// Chooses the write pipeline for one block.
-pub fn place_write(
+pub(crate) fn place_write(
     cluster: &mut Cluster,
     cfg: &HdfsConfig,
     client: HostId,
@@ -136,7 +136,7 @@ pub fn place_write(
 }
 
 /// Chooses the replica to read one block from.
-pub fn place_read(
+pub(crate) fn place_read(
     cluster: &mut Cluster,
     cfg: &HdfsConfig,
     client: HostId,
@@ -161,7 +161,7 @@ pub fn place_read(
 /// Starts the network/disk transfer realising one block write: the client
 /// reads the source data from local storage while the pipeline fans it
 /// out, every hop rate-coupled (the daisy chain of §5.3).
-pub fn start_block_write(
+pub(crate) fn start_block_write(
     cluster: &mut Cluster,
     bytes: f64,
     client: HostId,
@@ -175,7 +175,7 @@ pub fn start_block_write(
 
 /// Starts the transfer realising one block read: replica disk → network →
 /// client disk, coupled.
-pub fn start_block_read(
+pub(crate) fn start_block_read(
     cluster: &mut Cluster,
     bytes: f64,
     client: HostId,

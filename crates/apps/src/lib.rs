@@ -11,12 +11,12 @@
 //!   task assignment, data-local maps, shuffle, speculative execution.
 //! * [`websearch`] — Solr-style scatter-gather search over aggregators,
 //!   evaluated on the packet-level simulator (incast-dominated).
-//! * [`cluster`] — the shared harness tying a [`simnet::NetSim`] to a
-//!   [`cloudtalk::CloudTalkServer`].
+//! * [`Cluster`] — the shared harness tying a [`simnet::NetSim`] to a
+//!   [`cloudtalk::server::CloudTalkServer`].
 
 #![warn(missing_docs)]
 
-pub mod cluster;
+pub(crate) mod cluster;
 pub mod hdfs;
 pub mod mapreduce;
 pub mod websearch;

@@ -19,6 +19,6 @@
 //! * **HDFS output** — reduce output pipelines are placed by the write
 //!   query when [`MrConfig::replicate_output`] is on.
 
-pub mod runtime;
+pub(crate) mod runtime;
 
-pub use runtime::{run_sort_job, run_sort_job_on, JobResult, MrConfig, SchedPolicy, SortJob};
+pub use runtime::{run_sort_job, run_sort_job_on, MrConfig, SchedPolicy, SortJob};

@@ -51,7 +51,7 @@ pub enum Deployment {
 }
 
 /// Per-leaf response size (paper: 10 KB).
-pub const RESPONSE_BYTES: u64 = 10 * 1024;
+pub(crate) const RESPONSE_BYTES: u64 = 10 * 1024;
 
 /// Latency of one query under `deployment` on a fresh simulator.
 pub fn query_latency(
@@ -100,8 +100,6 @@ fn query_latency_on(
 /// One point of the load sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadPoint {
-    /// Offered load, queries per second.
-    pub qps: f64,
     /// Mean query latency, seconds.
     pub mean_latency: f64,
     /// 99th-percentile query latency, seconds.
@@ -115,17 +113,17 @@ pub struct LoadPoint {
 /// Tomcat aggregator *crashed* under incast; a simulator does not crash,
 /// so a query stuck through an RTO round (≫ the ~50 ms healthy latency)
 /// is the observable equivalent.
-pub const OVERLOAD_LATENCY: f64 = 0.2;
+pub(crate) const OVERLOAD_LATENCY: f64 = 0.2;
 
 /// How long leaf search itself takes: responses leave a leaf between 0 and
 /// this many seconds after the query arrives. The stagger is what keeps a
 /// *lone* query's fan-in from self-incasting — collapse then only appears
 /// when concurrent queries pile up (the paper's >35 qps regime).
-pub const LEAF_COMPUTE_MAX: f64 = 0.04;
+pub(crate) const LEAF_COMPUTE_MAX: f64 = 0.04;
 
 /// Sweeps offered load for a deployment: `n_queries` queries arrive with
 /// uniform spacing `1/qps`; all share one simulator so they contend. Leaf
-/// responses are staggered by up to [`LEAF_COMPUTE_MAX`] (deterministic
+/// responses are staggered by up to `LEAF_COMPUTE_MAX` (deterministic
 /// per leaf/query), modelling per-leaf search time.
 pub fn sweep_load(
     topo: &Topology,
@@ -207,7 +205,6 @@ pub fn sweep_load(
     let overload = latencies.iter().filter(|&&l| l > OVERLOAD_LATENCY).count() as f64
         / latencies.len().max(1) as f64;
     LoadPoint {
-        qps,
         mean_latency: mean,
         p99_latency: p99,
         overload_fraction: overload,

@@ -5,7 +5,7 @@
 //! cargo run --release -p cloudtalk-bench --bin probing
 //! ```
 
-use probe::{infer_racks, rack_inference_accuracy, Prober, Visibility};
+use probe::{infer_racks, rack_inference_accuracy, Prober};
 use simnet::topology::{HostId, TopoOptions, Topology};
 use simnet::{NetSim, GBPS};
 
@@ -30,7 +30,7 @@ fn main() {
     println!("\nper-pair observables on the medium topology:");
     let topo = Topology::two_tier(10, 10, GBPS, f64::INFINITY, TopoOptions::default());
     let mut net = NetSim::new(topo);
-    let mut prober = Prober::new(&mut net, Visibility::Tunneled);
+    let mut prober = Prober::new(&mut net);
     for (a, b, what) in [(0usize, 1usize, "same rack"), (0, 15, "cross rack")] {
         let hops = prober.hop_count(HostId(a), HostId(b));
         let rtt = prober.ping(HostId(a), HostId(b));

@@ -19,7 +19,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Scale factor for run sizes, from `CLOUDTALK_BENCH_SCALE`.
-pub fn scale() -> f64 {
+pub(crate) fn scale() -> f64 {
     std::env::var("CLOUDTALK_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -27,7 +27,7 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// `n` scaled by [`scale`], at least `min`.
+/// `n` scaled by `scale`, at least `min`.
 pub fn scaled(n: usize, min: usize) -> usize {
     ((n as f64 * scale()).round() as usize).max(min)
 }
@@ -64,7 +64,7 @@ pub enum LoadDist {
 
 impl LoadDist {
     /// Draws one load fraction.
-    pub fn draw(self, rng: &mut DetRng) -> f64 {
+    pub(crate) fn draw(self, rng: &mut DetRng) -> f64 {
         match self {
             LoadDist::Uniform => rng.gen_range(0.0..=0.9),
             LoadDist::Bimodal => {

@@ -313,12 +313,12 @@ impl SlotTable {
 #[derive(Clone, Debug)]
 pub struct PartialSnapshot {
     /// The rack this snapshot covers.
-    pub rack: RackId,
+    pub(crate) rack: RackId,
     /// Identity and version of the snapshot state.
-    pub stamp: EpochStamp,
+    pub(crate) stamp: EpochStamp,
     /// When the covered hosts were last successfully re-polled; served
     /// report ages grow from this instant.
-    pub fresh_as_of: SimTime,
+    pub(crate) fresh_as_of: SimTime,
     table: SlotTable,
     /// Per slot, the epoch at which it last changed — a report replaced
     /// or a host dropped — for delta compression (0: never since the
@@ -341,24 +341,14 @@ impl PartialSnapshot {
         }
     }
 
-    /// The report held for `addr`, if the host answered the last refresh.
-    pub fn get(&self, addr: Address) -> Option<&StatusReport> {
-        self.table.get(addr)
-    }
-
     /// Iterates entries in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
         self.table.iter()
     }
 
     /// Number of hosts with a live entry.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.table.live
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.table.live == 0
     }
 }
 
@@ -367,19 +357,19 @@ impl PartialSnapshot {
 #[derive(Clone, Debug)]
 pub struct SnapshotDelta {
     /// The rack the delta covers.
-    pub rack: RackId,
+    pub(crate) rack: RackId,
     /// The exact stamp this delta was computed against; a collector may
     /// apply it only from that stamp.
     pub base: EpochStamp,
     /// The epoch the collector is at after applying (same node and
     /// incarnation as `base`).
-    pub next_epoch: u64,
+    pub(crate) next_epoch: u64,
     /// Refresh instant of the covered hosts.
-    pub fresh_as_of: SimTime,
+    pub(crate) fresh_as_of: SimTime,
     /// Hosts whose report changed since `base.epoch`, in address order.
-    pub changed: Vec<(Address, StatusReport)>,
+    pub(crate) changed: Vec<(Address, StatusReport)>,
     /// Hosts that stopped answering since `base.epoch`, in address order.
-    pub removed: Vec<Address>,
+    pub(crate) removed: Vec<Address>,
 }
 
 /// An aggregator's answer to a pull: a delta when the collector's stamp
@@ -455,7 +445,7 @@ impl RackAggregator {
     }
 
     /// The hosts this aggregator covers.
-    pub fn hosts(&self) -> &[Address] {
+    pub(crate) fn hosts(&self) -> &[Address] {
         &self.snap.table.hosts
     }
 
@@ -622,7 +612,7 @@ impl RackView {
     }
 
     /// The report held for `addr`.
-    pub fn get(&self, addr: Address) -> Option<&StatusReport> {
+    pub(crate) fn get(&self, addr: Address) -> Option<&StatusReport> {
         self.table.get(addr)
     }
 
@@ -1585,7 +1575,7 @@ mod tests {
             removed: Vec::new(),
         };
         plane.absorb_answer(0, true, &DeltaAnswer::Delta(forged));
-        assert!(plane.primaries[0].full().is_empty());
+        assert_eq!(plane.primaries[0].full().len(), 0);
         assert_eq!(plane.view(RackId(0)).len(), 4);
         assert!(plane.view(RackId(0)).matches(&plane.standbys[0].full()));
         assert_eq!(plane.view(RackId(0)).stamp, plane.standbys[0].stamp());

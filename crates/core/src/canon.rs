@@ -12,16 +12,13 @@
 //!   classes to report how collapsed a tenant mix is (`cache.shapes`).
 //!   The packet-level memoiser keys its per-binding cache on the
 //!   [`CanonKey`], which knows a second relation: whole *racks* are
-//!   interchangeable when they have equal [`RackShape`]s and hold no
+//!   interchangeable when they have equal `RackShape`s and hold no
 //!   pinned address, so a binding is canonical up to a permutation of
 //!   such racks as well as of the hosts inside each.
 //! * **Problem fingerprints** — structural hashes of a resolved
 //!   [`Problem`]. [`fingerprint_problem`] hashes the *exact* problem
 //!   (addresses included) and is the first component of every
-//!   answer-cache key; [`shape_hash`] hashes the problem with every
-//!   address replaced by its host class, so structurally isomorphic
-//!   queries over interchangeable hosts collide — the statistic the
-//!   qps benchmarks report as "distinct shapes".
+//!   answer-cache key.
 //!
 //! Hashes are 64-bit and therefore *not* proof of equality: every cache
 //! that keys on a fingerprint must verify with a structural comparison
@@ -56,20 +53,18 @@ pub type CanonKey = Vec<[u32; 4]>;
 /// (a tree) — with equal-cost multipath the route of a flow depends on
 /// the ids of the switches it crosses, which a swap changes.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct RackShape {
+pub(crate) struct RackShape {
     /// The switch the rack's top-of-rack switch hangs off.
-    pub parent: usize,
+    pub(crate) parent: usize,
     /// Capacity (bit pattern) and latency (ns) of the link to it.
-    pub uplink: (u64, u64),
+    pub(crate) uplink: (u64, u64),
     /// Capacity and latency of every host access link in the rack, sorted.
-    pub hosts: Vec<(u64, u64)>,
+    pub(crate) hosts: Vec<(u64, u64)>,
 }
 
 /// Where a candidate address sits in both relations.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    /// Host-level class: same rack, same access link, not pinned.
-    class: u32,
     /// The rack itself (dense index), for the same-rack pattern.
     rack: u32,
     /// Class of the rack: shared by interchangeable racks.
@@ -81,7 +76,7 @@ struct Slot {
 /// The topology equivalence classes of a query's candidate hosts.
 ///
 /// Built once per (problem, topology) pair and consulted per binding;
-/// see [`HostClasses::build`] for the exact relation.
+/// see `HostClasses::build` for the exact relation.
 #[derive(Clone, Debug)]
 pub struct HostClasses {
     slots: WordMap<Address, Slot>,
@@ -135,7 +130,7 @@ impl HostClasses {
     ///
     /// Ids are assigned in candidate declaration order, so they are
     /// stable across runs and thread counts.
-    pub fn build<D, F, G>(problem: &Problem, describe: F, rack_shape: G) -> HostClasses
+    pub(crate) fn build<D, F, G>(problem: &Problem, describe: F, rack_shape: G) -> HostClasses
     where
         D: Hash + Eq + Clone,
         F: Fn(Address) -> Option<(usize, D)>,
@@ -182,8 +177,9 @@ impl HostClasses {
                 let rack_class = class_of_rack[rack as usize];
                 // Pinned (or undescribed) hosts are singleton classes.
                 let free = described.filter(|_| !pinned.contains(a));
+                // Only the number of host-level classes is kept (`classes()`).
+                classes.id(free.clone());
                 let slot = Slot {
-                    class: classes.id(free.clone()),
                     rack,
                     rack_class,
                     kind: kinds.id(free.map(|(_, link)| link)),
@@ -195,11 +191,6 @@ impl HostClasses {
             slots,
             classes: classes.next,
         }
-    }
-
-    /// The host-level class of a candidate address, if it was classified.
-    pub fn class_of(&self, a: Address) -> Option<u32> {
-        self.slots.get(&a).map(|s| s.class)
     }
 
     /// Number of distinct host-level classes.
@@ -266,7 +257,7 @@ pub fn fingerprint_problem(problem: &Problem) -> u64 {
 
 fn exact_hash(problem: &Problem) -> u64 {
     let mut h = WordHasher::default();
-    hash_problem(problem, AddrToken::Exact, &mut h);
+    hash_problem(problem, &mut h);
     h.finish()
 }
 
@@ -285,49 +276,21 @@ thread_local! {
 pub(crate) static ONE_BUCKET: std::sync::atomic::AtomicBool =
     std::sync::atomic::AtomicBool::new(false);
 
-/// Address-blind shape hash: every address is replaced by its host
-/// class (unclassified addresses hash as themselves, pinning them).
-/// Isomorphic queries — the same application shape bound over
-/// interchangeable hosts — collide, which makes the hash a workload
-/// statistic, *not* a cache key.
-pub fn shape_hash(problem: &Problem, classes: &HostClasses) -> u64 {
-    let mut h = WordHasher::default();
-    hash_problem(
-        problem,
-        |a| match classes.class_of(a) {
-            Some(c) => AddrToken::Class(c),
-            None => AddrToken::Exact(a),
-        },
-        &mut h,
-    );
-    h.finish()
-}
-
-/// How an address is folded into a hash: exactly, or by its class.
-#[derive(Hash)]
-enum AddrToken {
-    Exact(Address),
-    Class(u32),
-}
-
-fn hash_problem<F>(problem: &Problem, token: F, h: &mut impl Hasher)
-where
-    F: Fn(Address) -> AddrToken,
-{
+fn hash_problem(problem: &Problem, h: &mut impl Hasher) {
     problem.vars.len().hash(h);
     for var in &problem.vars {
         var.name.hash(h);
         var.pool.hash(h);
         var.candidates.len().hash(h);
         for v in &var.candidates {
-            hash_value(*v, &token, h);
+            hash_value(*v, h);
         }
     }
     problem.flows.len().hash(h);
     for flow in &problem.flows {
         flow.name.hash(h);
-        hash_endpoint(flow.src, &token, h);
-        hash_endpoint(flow.dst, &token, h);
+        hash_endpoint(flow.src, h);
+        hash_endpoint(flow.dst, h);
         for kind in ATTR_KINDS {
             match flow.attr(kind) {
                 Some(e) => {
@@ -341,21 +304,21 @@ where
     problem.distinct.hash(h);
 }
 
-fn hash_value<F: Fn(Address) -> AddrToken>(v: Value, token: &F, h: &mut impl Hasher) {
+fn hash_value(v: Value, h: &mut impl Hasher) {
     match v {
         Value::Addr(a) => {
             0u8.hash(h);
-            token(a).hash(h);
+            a.hash(h);
         }
         Value::Disk => 1u8.hash(h),
     }
 }
 
-fn hash_endpoint<F: Fn(Address) -> AddrToken>(ep: Endpoint, token: &F, h: &mut impl Hasher) {
+fn hash_endpoint(ep: Endpoint, h: &mut impl Hasher) {
     match ep {
         Endpoint::Addr(a) => {
             0u8.hash(h);
-            token(a).hash(h);
+            a.hash(h);
         }
         Endpoint::Var(v) => {
             1u8.hash(h);
@@ -432,37 +395,14 @@ mod tests {
     }
 
     #[test]
-    fn shape_hash_collapses_interchangeable_hosts() {
-        // Hosts 1-4 are all "identical" per the descriptor; queries over
-        // {1,2} and {3,4} are isomorphic, so their shapes collide while
-        // their exact fingerprints do not.
-        let describe = |a: Address| (a.0 <= 4).then_some((0usize, 0u8));
-        let p1 = two_var_problem(vec![Address(1)], vec![Address(2)], 1e4);
-        let p2 = two_var_problem(vec![Address(3)], vec![Address(4)], 1e4);
-        let c1 = HostClasses::build(&p1, describe, |_| None);
-        let c2 = HostClasses::build(&p2, describe, |_| None);
-        assert_ne!(exact_hash(&p1), exact_hash(&p2));
-        assert_eq!(shape_hash(&p1, &c1), shape_hash(&p2, &c2));
-        // A different flow size is a different shape.
-        let p3 = two_var_problem(vec![Address(1)], vec![Address(2)], 5e4);
-        let c3 = HostClasses::build(&p3, describe, |_| None);
-        assert_ne!(shape_hash(&p1, &c1), shape_hash(&p3, &c3));
-    }
-
-    #[test]
     fn pinned_addresses_get_singleton_classes() {
         let mut b = QueryBuilder::new();
         let x = b.variable("x", vec![Address(1), Address(2), Address(3)]);
         b.flow("f").from_addr(Address(1)).to_var(x).size(1e4);
         let p = b.resolve().unwrap();
         let classes = HostClasses::build(&p, |_| Some((0usize, 0u8)), |_| None);
-        // Address 1 is pinned by the fixed src endpoint: its class must
-        // differ from the interchangeable pair {2, 3}.
-        let c1 = classes.class_of(Address(1)).unwrap();
-        let c2 = classes.class_of(Address(2)).unwrap();
-        let c3 = classes.class_of(Address(3)).unwrap();
-        assert_ne!(c1, c2);
-        assert_eq!(c2, c3);
+        // Address 1 is pinned by the fixed src endpoint: it is a class of
+        // its own beside the interchangeable pair {2, 3}.
         assert_eq!(classes.classes(), 2);
     }
 

@@ -96,7 +96,7 @@ pub struct ExhaustiveResult {
     /// shared incumbent (0 with pruning off). Each cut skips a whole
     /// suffix of the binding space, so this counts pruning *decisions*,
     /// not skipped bindings.
-    pub pruned_subtrees: u64,
+    pub(crate) pruned_subtrees: u64,
     /// Subtrees cut only because their bound *equalled* the worker's own
     /// best (or was infinite before any leaf had landed) — the cuts the
     /// strict rule alone would not have made. Disjoint from
@@ -138,13 +138,13 @@ impl std::error::Error for ExhaustiveError {}
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SearchOptions {
     /// Refuse searches whose binding space exceeds this many bindings.
-    pub limit: u64,
+    pub(crate) limit: u64,
     /// Worker threads; `0` and `1` both mean single-threaded.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Whether to prune subtrees via the admissible lower bound.
-    pub prune: bool,
+    pub(crate) prune: bool,
     /// Candidate evaluation strategy.
-    pub eval: EvalStrategy,
+    pub(crate) eval: EvalStrategy,
 }
 
 impl SearchOptions {

@@ -41,11 +41,10 @@ use crate::status::{StatusReport, StatusSource};
 /// faulted instant (inclusive) and `until` — when present — is the first
 /// healthy instant again (exclusive; "the crash restarts *at* `until`").
 /// Consequently a window with `from == until` contains no instant at all
-/// ([`Window::is_empty`]), two windows `[a, b)` and `[b, c)` compose
+/// (`Window::is_empty`), two windows `[a, b)` and `[b, c)` compose
 /// without double-faulting instant `b`, and every consumer —
-/// [`Window::contains`], [`FaultPlan::silenced_at`],
-/// [`FaultPlan::partition_group`], the aggregator fault accessors — uses
-/// these same edges.
+/// `Window::contains`, [`FaultPlan::partition_group`], the aggregator
+/// fault accessors — uses these same edges.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Window {
     from: SimTime,
@@ -77,12 +76,12 @@ impl Window {
     }
 
     /// Whether the fault is active at `now`: `from <= now < until`.
-    pub fn contains(&self, now: SimTime) -> bool {
+    pub(crate) fn contains(&self, now: SimTime) -> bool {
         now >= self.from && self.until.is_none_or(|u| now < u)
     }
 
     /// Whether the window contains no instant at all (`until <= from`).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.until.is_some_and(|u| u <= self.from)
     }
 
@@ -90,7 +89,7 @@ impl Window {
     /// actually happened before `now` — an empty window never "ends", it
     /// never began). Restart logic keys off this edge: at `now == until`
     /// the host/aggregator is already back.
-    pub fn ended_by(&self, now: SimTime) -> bool {
+    pub(crate) fn ended_by(&self, now: SimTime) -> bool {
         !self.is_empty() && self.until.is_some_and(|u| now >= u)
     }
 }
@@ -113,7 +112,7 @@ pub enum Corruption {
 
 impl Corruption {
     /// Every corruption kind, for seeded plan generation.
-    pub const ALL: [Corruption; 5] = [
+    pub(crate) const ALL: [Corruption; 5] = [
         Corruption::NanUsage,
         Corruption::NegativeUsage,
         Corruption::OverflowedUsage,
@@ -122,7 +121,7 @@ impl Corruption {
     ];
 
     /// Applies the corruption to an otherwise honest reading.
-    pub fn apply(self, mut state: HostState) -> HostState {
+    pub(crate) fn apply(self, mut state: HostState) -> HostState {
         match self {
             Corruption::NanUsage => state.nic_up_used = f64::NAN,
             Corruption::NegativeUsage => state.nic_down_used = -1e9,
@@ -157,7 +156,7 @@ pub struct FaultIntensity {
 
 impl FaultIntensity {
     /// A mild plan: a few stragglers and stale reports, nothing fatal.
-    pub fn mild() -> Self {
+    pub(crate) fn mild() -> Self {
         FaultIntensity {
             crash_frac: 0.0,
             partition_frac: 0.0,
@@ -290,31 +289,31 @@ impl FaultPlan {
     }
 
     /// Whether `rack`'s primary aggregator is crashed at `now`.
-    pub fn agg_crashed_at(&self, rack: RackId, now: SimTime) -> bool {
+    pub(crate) fn agg_crashed_at(&self, rack: RackId, now: SimTime) -> bool {
         self.agg_crashed.get(&rack).is_some_and(|w| w.contains(now))
     }
 
     /// Whether `rack`'s primary aggregator is partitioned at `now`.
-    pub fn agg_partitioned_at(&self, rack: RackId, now: SimTime) -> bool {
+    pub(crate) fn agg_partitioned_at(&self, rack: RackId, now: SimTime) -> bool {
         self.agg_partitioned
             .get(&rack)
             .is_some_and(|w| w.contains(now))
     }
 
     /// How many pulls of `rack`'s primary aggregator straggle.
-    pub fn agg_straggle_rounds(&self, rack: RackId) -> u32 {
+    pub(crate) fn agg_straggle_rounds(&self, rack: RackId) -> u32 {
         self.agg_stragglers.get(&rack).copied().unwrap_or(0)
     }
 
     /// Whether `rack`'s aggregator suffers a mid-push crash at `now`.
-    pub fn agg_crash_mid_push_at(&self, rack: RackId, now: SimTime) -> bool {
+    pub(crate) fn agg_crash_mid_push_at(&self, rack: RackId, now: SimTime) -> bool {
         self.agg_mid_push.get(&rack).is_some_and(|w| w.contains(now))
     }
 
     /// Whether the plan holds any aggregator-tier entry for `rack`,
     /// whatever its window: such a rack always walks the whole failover
     /// ladder, it is never settled by the plane's clean-rack fast path.
-    pub fn agg_faulted(&self, rack: RackId) -> bool {
+    pub(crate) fn agg_faulted(&self, rack: RackId) -> bool {
         self.agg_crashed.contains_key(&rack)
             || self.agg_partitioned.contains_key(&rack)
             || self.agg_stragglers.contains_key(&rack)
@@ -339,7 +338,7 @@ impl FaultPlan {
 
     /// The crash window configured for `rack`'s primary aggregator, if
     /// any (restart handling keys off [`Window::ended_by`]).
-    pub fn agg_crash_window(&self, rack: RackId) -> Option<Window> {
+    pub(crate) fn agg_crash_window(&self, rack: RackId) -> Option<Window> {
         self.agg_crashed.get(&rack).copied()
     }
 
@@ -368,38 +367,6 @@ impl FaultPlan {
             }
         }
         plan
-    }
-
-    /// Hosts that can never answer while their fault window is open at
-    /// `now` (crashed or partitioned) — the set retries cannot recover.
-    /// Uses the same half-open `[from, until)` edges as
-    /// [`Window::contains`]: a host whose window ends *at* `now` is not
-    /// silenced. Sorted by address and deduplicated (a host both crashed
-    /// and partitioned appears once), so iteration is deterministic.
-    pub fn silenced_at(&self, now: SimTime) -> impl Iterator<Item = Address> {
-        let mut silenced: Vec<Address> = self
-            .crashed
-            .iter()
-            .chain(self.partitioned.iter())
-            .filter(|(_, w)| w.contains(now))
-            .map(|(&a, _)| a)
-            .collect();
-        silenced.sort_unstable_by_key(|a| a.0);
-        silenced.dedup();
-        silenced.into_iter()
-    }
-
-    /// Whether the plan injects no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashed.is_empty()
-            && self.partitioned.is_empty()
-            && self.stragglers.is_empty()
-            && self.stale.is_empty()
-            && self.corrupt.is_empty()
-            && self.agg_crashed.is_empty()
-            && self.agg_partitioned.is_empty()
-            && self.agg_stragglers.is_empty()
-            && self.agg_mid_push.is_empty()
     }
 }
 
@@ -457,16 +424,6 @@ impl<S> FaultySource<S> {
     /// The wrapped source.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    /// How many polls `addr` has seen so far.
-    pub fn attempts(&self, addr: Address) -> u32 {
-        self.attempts.get(&addr).copied().unwrap_or(0)
-    }
-
-    /// The plan being applied.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 
@@ -584,21 +541,11 @@ mod tests {
             !w.ended_by(SimTime::from_secs_f64(9.0)),
             "a fault that never began never ends (no restart to handle)"
         );
-        // And silenced_at agrees: an empty window silences nobody, even
-        // at its own boundary instant.
-        let plan = FaultPlan::none().crash(Address(1), w);
-        assert_eq!(plan.silenced_at(t).count(), 0);
-    }
-
-    #[test]
-    fn silenced_at_is_sorted_and_dedups_doubly_faulted_hosts() {
-        let plan = FaultPlan::none()
-            .crash(Address(3), Window::always())
-            .crash(Address(1), Window::always())
-            .partition(Address(3), Window::always())
-            .partition(Address(2), Window::between(SimTime::ZERO, SimTime::ZERO));
-        let silenced: Vec<Address> = plan.silenced_at(SimTime::ZERO).collect();
-        assert_eq!(silenced, vec![Address(1), Address(3)]);
+        // And the source agrees: an empty window silences nobody, even at
+        // its own boundary instant.
+        let mut f = FaultySource::new(source(2), FaultPlan::none().crash(Address(1), w));
+        f.set_now(t);
+        assert!(f.poll_report(Address(1)).is_some());
     }
 
     #[test]
@@ -609,7 +556,6 @@ mod tests {
             .agg_partition(RackId(1), Window::always())
             .agg_straggle(RackId(2), 3)
             .agg_crash_mid_push(RackId(3), Window::starting_at(t(5.0)));
-        assert!(!plan.is_empty());
         assert!(!plan.agg_crashed_at(RackId(0), t(0.5)));
         assert!(plan.agg_crashed_at(RackId(0), t(1.0)));
         assert!(!plan.agg_crashed_at(RackId(0), t(2.0)), "until exclusive");
@@ -631,7 +577,6 @@ mod tests {
             assert!(f.poll_report(*a).is_none());
         }
         assert!(f.poll_report(Address(4)).is_some());
-        assert_eq!(f.plan().silenced_at(SimTime::ZERO).count(), 3);
     }
 
     #[test]
@@ -660,7 +605,7 @@ mod tests {
         assert!(f.poll_report(Address(1)).is_none(), "round 1 times out");
         assert!(f.poll_report(Address(1)).is_none(), "round 2 times out");
         assert!(f.poll_report(Address(1)).is_some(), "round 3 arrives");
-        assert_eq!(f.attempts(Address(1)), 3);
+        assert_eq!(f.attempts[&Address(1)], 3);
     }
 
     #[test]
@@ -698,7 +643,6 @@ mod tests {
         assert_eq!(a.stragglers, b.stragglers);
         assert_eq!(a.stale, b.stale);
         assert_eq!(a.corrupt, b.corrupt);
-        assert!(!a.is_empty());
         let crashed = a.crashed.len();
         assert!(
             (5..=40).contains(&crashed),
@@ -717,6 +661,6 @@ mod tests {
                 corrupt_frac: 0.0,
             },
         );
-        assert!(none.is_empty());
+        assert!(none.host_addresses().is_empty());
     }
 }

@@ -50,7 +50,7 @@ pub(crate) struct Footprint<'a> {
 
 impl<'a> Footprint<'a> {
     /// The footprint of a problem the caller keeps.
-    pub fn borrowed(problem: &'a Problem) -> Self {
+    pub(crate) fn borrowed(problem: &'a Problem) -> Self {
         Self::of(Held::Borrowed(problem))
     }
 
@@ -65,13 +65,13 @@ impl<'a> Footprint<'a> {
     }
 
     /// The problem.
-    pub fn problem(&self) -> &Problem {
+    pub(crate) fn problem(&self) -> &Problem {
         self.problem.get()
     }
 
     /// A shareable handle to the problem: a reference-count bump when the
     /// front end owns it, the one deep clone when it was borrowed.
-    pub fn share(&self) -> Arc<Problem> {
+    pub(crate) fn share(&self) -> Arc<Problem> {
         match &self.problem {
             Held::Shared(p) => Arc::clone(p),
             Held::Borrowed(p) => Arc::new((*p).clone()),
@@ -79,17 +79,17 @@ impl<'a> Footprint<'a> {
     }
 
     /// Distinct mentioned addresses, in first-mention (gather) order.
-    pub fn addrs(&self) -> &[Address] {
+    pub(crate) fn addrs(&self) -> &[Address] {
         &self.addrs
     }
 
     /// Distinct mentioned addresses, ascending.
-    pub fn sorted(&self) -> &[Address] {
+    pub(crate) fn sorted(&self) -> &[Address] {
         &self.sorted
     }
 
     /// The problem's exact fingerprint, hashed on the first call only.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
             .get_or_init(|| fingerprint_problem(self.problem()))
@@ -98,7 +98,7 @@ impl<'a> Footprint<'a> {
 
 impl Footprint<'static> {
     /// The footprint of a problem the front end owns.
-    pub fn shared(problem: Problem) -> Self {
+    pub(crate) fn shared(problem: Problem) -> Self {
         Self::of(Held::Shared(Arc::new(problem)))
     }
 }

@@ -149,7 +149,7 @@ pub fn evaluate_query_scored_in(
 /// caller-held buffers (overwritten), so a warmed evaluation allocates
 /// nothing at all — the exhaustive search scores its seed incumbent this
 /// way.
-pub fn evaluate_query_scored_into(
+pub(crate) fn evaluate_query_scored_into(
     problem: &Problem,
     world: &World,
     cfg: &HeuristicConfig,

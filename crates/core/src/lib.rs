@@ -24,7 +24,7 @@
 //! * [`canon`] — canonical query fingerprinting: host equivalence
 //!   classes (shared with the pktsearch memoiser) and structural
 //!   problem hashes, the identity half of every answer-cache key.
-//! * [`qcache`] — the serving plane's two-tier answer cache: per-worker
+//! * `qcache` — the serving plane's two-tier answer cache: per-worker
 //!   L1 plus a shared L2 (one tier type) keyed on (exact problem,
 //!   snapshot epoch, footprint-restricted reservation mask, rung,
 //!   backend); invalidation is epoch-driven, hits are bit-identical to
@@ -32,7 +32,7 @@
 //! * [`sampling`] — §4.3: how many servers to sample for near-optimal
 //!   answers, plus the analytic n(d, p, confidence) calculator (Figure 4).
 //! * [`reservation`] — §5.5 pseudo-reservations preventing oscillation:
-//!   one [`Reservations`] value type behind both front doors.
+//!   one [`reservation::Reservations`] value type behind both front doors.
 //! * [`server`] — [`server::CloudTalkServer`] tying it all together.
 //! * [`messages`] — wire-format sizes for the §5.5 overhead accounting,
 //!   hosted in the server's [`obs`] metrics registry.
@@ -44,7 +44,7 @@
 //!   graceful-degradation ladder ([`server::DegradationRung`]).
 //! * [`serving`] — the multi-tenant serving plane: wave-batched
 //!   admission over sharded snapshots, per-tenant holds merged into one
-//!   published [`Reservations`] at wave close, and load-shedding
+//!   published [`reservation::Reservations`] at wave close, and load-shedding
 //!   backpressure — bit-identical answers at any worker count.
 //! * [`aggregate`] — the hierarchical status plane for 100k+ hosts:
 //!   rack-level aggregators owning delta-compressed, epoch-stamped
@@ -59,9 +59,10 @@
 //! [`server::CloudTalkServer::metrics`] exposes the server's metrics
 //! registry for flat dumps.
 //!
-//! The paper's §7 future-work directions are implemented too:
-//! [`billing`] (workload-described price quotes) and [`scalar`]
-//! (CPU/memory requirements filtering candidate pools).
+//! The paper's §7 future-work directions (workload-described price
+//! quotes, CPU/memory requirements filtering candidate pools) are
+//! extensions built on this crate, not part of it: they live in the root
+//! package's `examples/billing_quote.rs`.
 //!
 //! # Examples
 //!
@@ -95,7 +96,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod billing;
 pub mod canon;
 pub mod exhaustive;
 pub mod faults;
@@ -104,10 +104,9 @@ pub mod heuristic;
 pub mod messages;
 pub mod pkteval;
 pub mod pktsearch;
-pub mod qcache;
+pub(crate) mod qcache;
 pub mod reservation;
 pub mod sampling;
-pub mod scalar;
 pub mod score;
 pub mod server;
 pub mod serving;
@@ -115,21 +114,5 @@ pub mod status;
 pub mod transport;
 mod walk;
 
-pub use aggregate::{
-    AggregationPlane, DeltaAnswer, EpochStamp, FleetLayout, MergeOutcome, PartialSnapshot,
-    PlaneConfig, RackAggregator, RackId, RackView, SnapshotDelta,
-};
-pub use canon::{fingerprint_problem, shape_hash, CanonKey, HostClasses};
-pub use faults::{Corruption, FaultIntensity, FaultPlan, FaultySource, Window};
-pub use heuristic::evaluate_query;
-pub use pktsearch::{
-    host_classes, pkt_search, MirrorTopology, PktSearchError, PktSearchOptions, PktSearchResult,
-};
-pub use qcache::{CacheConfig, CacheStats};
-pub use server::{
-    Answer, Backend, CloudTalkServer, DegradationConfig, DegradationRung, EvalMethod, ObsConfig,
-    PktBackendConfig, Provenance, SearchStats, ServerConfig, ServerError, StatusSnapshot,
-};
-pub use reservation::Reservations;
-pub use serving::{CompletedQuery, LedgerStats, ServingConfig, ServingPlane, TenantId};
-pub use status::{StatusReport, StatusSource, TableStatusSource};
+pub use faults::FaultySource;
+pub use server::Backend;

@@ -21,26 +21,26 @@
 use obs::{CounterId, MetricsRegistry};
 
 /// Bytes of one status query on the wire.
-pub const STATUS_QUERY_BYTES: u64 = 64;
+pub(crate) const STATUS_QUERY_BYTES: u64 = 64;
 
 /// Bytes of one status response on the wire.
-pub const STATUS_RESPONSE_BYTES: u64 = 78;
+pub(crate) const STATUS_RESPONSE_BYTES: u64 = 78;
 
 /// Bytes of one collector→aggregator pull request: the status query plus
 /// the collector's epoch stamp (node + incarnation + epoch).
-pub const AGG_PULL_BYTES: u64 = 80;
+pub(crate) const AGG_PULL_BYTES: u64 = 80;
 
 /// Bytes of one aggregator reply header (stamp pair, rack id, freshness
 /// instant, entry counts) — paid per pull whether or not anything changed.
-pub const AGG_REPLY_HEADER_BYTES: u64 = 48;
+pub(crate) const AGG_REPLY_HEADER_BYTES: u64 = 48;
 
 /// Bytes of one host entry inside an aggregator reply: an address plus a
 /// status response body (delta-compressed replies carry only the changed
 /// entries; full snapshots carry them all).
-pub const AGG_ENTRY_BYTES: u64 = 8 + STATUS_RESPONSE_BYTES;
+pub(crate) const AGG_ENTRY_BYTES: u64 = 8 + STATUS_RESPONSE_BYTES;
 
 /// Bytes of one removal notice (an address) inside an aggregator delta.
-pub const AGG_REMOVAL_BYTES: u64 = 8;
+pub(crate) const AGG_REMOVAL_BYTES: u64 = 8;
 
 /// Running totals of CloudTalk-related network overhead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,39 +48,39 @@ pub struct OverheadLedger {
     /// Status queries sent in first rounds.
     pub status_queries: u64,
     /// Status responses received in first rounds.
-    pub status_responses: u64,
+    pub(crate) status_responses: u64,
     /// Scatter-gather rounds performed (retries count as extra rounds, so
     /// multi-round gathers are visible in the accounting).
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Status queries re-sent by retry rounds (distinct from
     /// `status_queries` so retries can never double-count §5.5 bytes).
-    pub retry_queries: u64,
+    pub(crate) retry_queries: u64,
     /// Status responses received by retry rounds.
-    pub retry_responses: u64,
+    pub(crate) retry_responses: u64,
     /// Bytes of client query text received.
-    pub query_text_bytes: u64,
+    pub(crate) query_text_bytes: u64,
     /// Bytes of answers returned to clients.
-    pub answer_bytes: u64,
+    pub(crate) answer_bytes: u64,
     /// Packet-level search: bindings answered from the symmetry cache.
     pub pkt_memo_hits: u64,
     /// Packet-level search: bindings that had to simulate.
     pub pkt_memo_misses: u64,
     /// Collector→aggregator pulls sent (hierarchical status plane).
-    pub agg_pulls: u64,
+    pub(crate) agg_pulls: u64,
     /// Aggregator replies received (each pays a header; delta or full).
-    pub agg_replies: u64,
+    pub(crate) agg_replies: u64,
     /// Host entries carried in aggregator replies (delta-changed plus
     /// full-snapshot entries — the payload that shrinks with delta
     /// compression).
-    pub agg_entries: u64,
+    pub(crate) agg_entries: u64,
     /// Removal notices carried in aggregator deltas.
-    pub agg_removals: u64,
+    pub(crate) agg_removals: u64,
 }
 
 impl OverheadLedger {
     /// Records one first-round scatter-gather exchange: `sent` queries,
     /// `received` replies.
-    pub fn record_round(&mut self, sent: u64, received: u64) {
+    pub(crate) fn record_round(&mut self, sent: u64, received: u64) {
         self.status_queries += sent;
         self.status_responses += received;
         self.rounds += 1;
@@ -89,33 +89,33 @@ impl OverheadLedger {
     /// Records one *retry* round. Retry traffic lands in its own counters:
     /// folding re-sends into `status_queries` would double-count hosts in
     /// the §5.5 `status_bytes` figure.
-    pub fn record_retry_round(&mut self, sent: u64, received: u64) {
+    pub(crate) fn record_retry_round(&mut self, sent: u64, received: u64) {
         self.retry_queries += sent;
         self.retry_responses += received;
         self.rounds += 1;
     }
 
     /// Records one packet-level search's symmetry-cache counters.
-    pub fn record_pkt_memo(&mut self, hits: u64, misses: u64) {
+    pub(crate) fn record_pkt_memo(&mut self, hits: u64, misses: u64) {
         self.pkt_memo_hits += hits;
         self.pkt_memo_misses += misses;
     }
 
     /// Records a client interaction.
-    pub fn record_client(&mut self, query_text_bytes: u64, answer_bytes: u64) {
+    pub(crate) fn record_client(&mut self, query_text_bytes: u64, answer_bytes: u64) {
         self.query_text_bytes += query_text_bytes;
         self.answer_bytes += answer_bytes;
     }
 
     /// Records one collector→aggregator pull request.
-    pub fn record_agg_pull(&mut self) {
+    pub(crate) fn record_agg_pull(&mut self) {
         self.agg_pulls += 1;
     }
 
     /// Records one aggregator reply carrying `entries` host entries and
     /// `removals` removal notices (0/0 for an idle "nothing changed"
     /// header).
-    pub fn record_agg_reply(&mut self, entries: u64, removals: u64) {
+    pub(crate) fn record_agg_reply(&mut self, entries: u64, removals: u64) {
         self.agg_replies += 1;
         self.agg_entries += entries;
         self.agg_removals += removals;
@@ -126,7 +126,7 @@ impl OverheadLedger {
     /// reply and the aggregator's loss-free poll round of all its hosts —
     /// what [`Self::record_agg_pull`], [`Self::record_round`]`(n, n)` and
     /// [`Self::record_agg_reply`]`(0, 0)` add up to rack by rack.
-    pub fn record_idle_racks(&mut self, racks: u64, hosts: u64) {
+    pub(crate) fn record_idle_racks(&mut self, racks: u64, hosts: u64) {
         self.agg_pulls += racks;
         self.agg_replies += racks;
         self.status_queries += hosts;
@@ -211,7 +211,7 @@ impl LedgerCounters {
 
     /// Adds an accounting delta (one gather, one client exchange, …) to the
     /// registry-hosted totals.
-    pub fn absorb(&self, reg: &mut MetricsRegistry, delta: &OverheadLedger) {
+    pub(crate) fn absorb(&self, reg: &mut MetricsRegistry, delta: &OverheadLedger) {
         reg.inc(self.status_queries, delta.status_queries);
         reg.inc(self.status_responses, delta.status_responses);
         reg.inc(self.rounds, delta.rounds);
@@ -333,7 +333,7 @@ mod tests {
         assert_eq!(ledger.total_bytes(), ledger.agg_bytes());
         // An idle aggregator exchange is ~20x cheaper than re-polling a
         // 40-host rack flat.
-        assert!(AGG_PULL_BYTES + AGG_REPLY_HEADER_BYTES < 40 * (64 + 78) / 20);
+        const { assert!(AGG_PULL_BYTES + AGG_REPLY_HEADER_BYTES < 40 * (64 + 78) / 20) };
     }
 
     #[test]

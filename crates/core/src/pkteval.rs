@@ -16,9 +16,9 @@
 //! candidate enumeration does not redo binding-independent work per
 //! binding:
 //!
-//! * [`PktProgram::compile`] resolves sizes, starts, and `t(f)`
+//! * `PktProgram::compile` resolves sizes, starts, and `t(f)`
 //!   dependencies once per problem;
-//! * [`pkt_evaluate_program`] runs one binding on a caller-owned
+//! * `pkt_evaluate_program` runs one binding on a caller-owned
 //!   [`PktSim`] (reset between bindings, so port tables and route caches
 //!   are reused) and can be given a `deadline`: the moment simulated time
 //!   crosses it with query flows still unfinished, the run is abandoned —
@@ -40,17 +40,17 @@ pub struct PktEvalResult {
     /// Simulated completion time of the whole task, seconds.
     pub makespan: f64,
     /// Per-query-flow finish times, seconds (0 for flows that move nothing
-    /// over the network).
-    pub flow_finish: Vec<f64>,
-    /// Total packet drops observed.
-    pub drops: u64,
-    /// Total RTO events observed.
-    pub timeouts: u64,
+    /// over the network). Only tests read it.
+    #[cfg(test)]
+    pub(crate) flow_finish: Vec<f64>,
+    /// Total packet drops observed. Only tests read it.
+    #[cfg(test)]
+    pub(crate) drops: u64,
 }
 
 /// Outcome of one bounded evaluation ([`pkt_evaluate_program`]).
 #[derive(Clone, Debug)]
-pub enum PktEvalOutcome {
+pub(crate) enum PktEvalOutcome {
     /// The simulation ran to completion.
     Completed(PktEvalResult),
     /// Simulated time crossed the deadline with query flows unfinished:
@@ -103,7 +103,7 @@ impl std::error::Error for PktEvalError {}
 /// binding-independent ingredient — flow sizes, static starts, and the
 /// `t(f)` dependency graph — resolved exactly once.
 #[derive(Clone, Debug)]
-pub struct PktProgram {
+pub(crate) struct PktProgram {
     n_vars: usize,
     sizes: Vec<f64>,
     starts: Vec<f64>,
@@ -115,7 +115,7 @@ pub struct PktProgram {
 
 impl PktProgram {
     /// Compiles `problem`, resolving sizes, starts, and dependencies.
-    pub fn compile(problem: &Problem) -> Result<Self, PktEvalError> {
+    pub(crate) fn compile(problem: &Problem) -> Result<Self, PktEvalError> {
         let sizes = resolve_static_sizes(problem).map_err(PktEvalError::Unsupported)?;
         let n = problem.flows.len();
 
@@ -155,7 +155,7 @@ impl PktProgram {
     }
 
     /// Number of flows in the compiled problem.
-    pub fn flow_count(&self) -> usize {
+    pub(crate) fn flow_count(&self) -> usize {
         self.sizes.len()
     }
 }
@@ -171,7 +171,7 @@ impl PktProgram {
 /// [`PktEvalOutcome::DeadlineExceeded`] the moment simulated time passes
 /// `d` seconds while query flows are still unfinished; completed runs
 /// always report their exact makespan, even when it exceeds `d`.
-pub fn pkt_evaluate_program(
+pub(crate) fn pkt_evaluate_program(
     prog: &PktProgram,
     binding: &Binding,
     sim: &mut PktSim,
@@ -295,9 +295,10 @@ pub fn pkt_evaluate_program(
     let makespan = flow_finish.iter().copied().fold(0.0, f64::max);
     Ok(PktEvalOutcome::Completed(PktEvalResult {
         makespan,
+        #[cfg(test)]
         flow_finish,
+        #[cfg(test)]
         drops: sim.stats().drops,
-        timeouts: sim.stats().timeouts,
     }))
 }
 
@@ -305,8 +306,8 @@ pub fn pkt_evaluate_program(
 /// `topo`. `addr_to_host` maps query addresses into the simulated
 /// topology (the provider placing the tenant's VMs in its model).
 ///
-/// One-shot convenience over [`PktProgram::compile`] +
-/// [`pkt_evaluate_program`]; enumerations over many bindings should use
+/// One-shot convenience over `PktProgram::compile` +
+/// `pkt_evaluate_program`; enumerations over many bindings should use
 /// those directly with a reused simulator.
 pub fn pkt_evaluate(
     problem: &Problem,

@@ -83,15 +83,15 @@ impl MirrorTopology {
 #[derive(Clone, Copy, Debug)]
 pub struct PktSearchOptions {
     /// Refuse searches whose binding space exceeds this many bindings.
-    pub limit: u64,
+    pub(crate) limit: u64,
     /// Worker threads; `0` and `1` both mean single-threaded.
     pub threads: usize,
     /// Share one simulation result across symmetry-equivalent bindings.
-    pub memoise: bool,
+    pub(crate) memoise: bool,
     /// Abandon simulations that can no longer beat the incumbent.
-    pub early_abort: bool,
+    pub(crate) early_abort: bool,
     /// Packet-simulator configuration.
-    pub sim: SimConfig,
+    pub(crate) sim: SimConfig,
 }
 
 impl PktSearchOptions {
@@ -126,7 +126,7 @@ impl PktSearchOptions {
     }
 
     /// Sets the simulator configuration.
-    pub fn sim(mut self, cfg: SimConfig) -> Self {
+    pub(crate) fn sim(mut self, cfg: SimConfig) -> Self {
         self.sim = cfg;
         self
     }
@@ -203,7 +203,7 @@ enum MemoEntry {
 /// links of identical capacity and latency *and* neither appears as a
 /// fixed endpoint of the query (a fixed endpoint is pinned: an
 /// automorphism must map it to itself, so it cannot be swapped). Two
-/// racks are interchangeable iff [`rack_shapes`] gives them equal shapes
+/// racks are interchangeable iff `rack_shapes` gives them equal shapes
 /// and neither holds a pinned address.
 pub fn host_classes(problem: &Problem, mirror: &MirrorTopology) -> HostClasses {
     let link_key = |l: LinkId| {

@@ -81,9 +81,9 @@ pub struct CacheConfig {
     /// the bit-exactness oracle the equivalence tests compare against.
     pub enabled: bool,
     /// Per-worker L1 capacity, entries.
-    pub l1_entries: usize,
+    pub(crate) l1_entries: usize,
     /// Shared L2 capacity, entries.
-    pub l2_entries: usize,
+    pub(crate) l2_entries: usize,
 }
 
 impl Default for CacheConfig {
@@ -111,8 +111,6 @@ pub struct CacheStats {
     pub stale_hits: u64,
     /// L2 entries dropped by epoch sweeps since the plane started.
     pub invalidated: u64,
-    /// Current L2 entry count.
-    pub l2_entries: usize,
     /// L2 entries whose epoch is no longer live. Non-zero only
     /// transiently inside a wave; zero after every drain.
     pub l2_dead: usize,
@@ -162,7 +160,7 @@ pub(crate) struct KeyParts<'a> {
 }
 
 impl<'a> KeyParts<'a> {
-    pub fn new(
+    pub(crate) fn new(
         fp: &'a Footprint<'a>,
         epoch: u64,
         reserved: &'a [Address],
@@ -200,14 +198,14 @@ impl<'a> KeyParts<'a> {
 /// assembled answer is bit-identical to the miss it replaces.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedSearch {
-    pub backend: Backend,
-    pub search: SearchStats,
-    pub binding: Binding,
-    pub binding_scores: Vec<f64>,
+    pub(crate) backend: Backend,
+    pub(crate) search: SearchStats,
+    pub(crate) binding: Binding,
+    pub(crate) binding_scores: Vec<f64>,
     /// The snapshot epoch the search ran under — equal to the key's
     /// epoch by construction; re-checked on every hit for the
     /// `cache.stale_hit` audit.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 impl CachedSearch {
@@ -267,7 +265,7 @@ impl Tier {
             .find(|e| e.scalars == scalars && e.reserved == reserved && *e.problem == *problem)
     }
 
-    pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
+    pub(crate) fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
         self.find(k.hash, k.scalars, k.reserved, k.fp.problem())
             .map(|e| e.value.clone())
     }
@@ -329,11 +327,11 @@ impl Tier {
             .count()
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 }
@@ -349,7 +347,7 @@ pub(crate) struct QueryCache {
 }
 
 impl QueryCache {
-    pub fn new(cfg: CacheConfig) -> Self {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
         QueryCache {
             cfg,
             l1: Tier::default(),
@@ -357,7 +355,7 @@ impl QueryCache {
         }
     }
 
-    pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
+    pub(crate) fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
         self.l1.lookup(k)
     }
 
@@ -366,7 +364,7 @@ impl QueryCache {
     /// plane drains every insert into its L2. The entry (and the L2 entry
     /// after it) shares the footprint's problem, which a plane worker's
     /// footprint always owns: no copy.
-    pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>) {
+    pub(crate) fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>) {
         if !self.cfg.enabled || self.cfg.l1_entries == 0 {
             return;
         }
@@ -384,15 +382,15 @@ impl QueryCache {
     }
 
     /// Drains the entries inserted since the last call (for L2 publish).
-    pub fn take_fresh(&mut self) -> Vec<Entry> {
+    pub(crate) fn take_fresh(&mut self) -> Vec<Entry> {
         std::mem::take(&mut self.fresh)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.l1.len()
     }
 
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.l1.bytes()
     }
 }
@@ -408,7 +406,7 @@ pub(crate) struct SharedCache {
 }
 
 impl SharedCache {
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         SharedCache {
             tier: Tier::default(),
             cap,
@@ -417,7 +415,7 @@ impl SharedCache {
     }
 
     /// The tier as workers read it during a wave.
-    pub fn view(&self) -> &Tier {
+    pub(crate) fn view(&self) -> &Tier {
         &self.tier
     }
 
@@ -427,7 +425,7 @@ impl SharedCache {
     /// refresh, so sweeping otherwise is wasted work). Returns the number
     /// of entries invalidated by the sweep. The steady state — nothing
     /// fresh, no refresh — touches nothing.
-    pub fn publish(&mut self, fresh: Vec<Entry>, live_epochs: &[u64], sweep: bool) -> u64 {
+    pub(crate) fn publish(&mut self, fresh: Vec<Entry>, live_epochs: &[u64], sweep: bool) -> u64 {
         let dropped = if sweep {
             self.tier.sweep(live_epochs)
         } else {
@@ -447,21 +445,21 @@ impl SharedCache {
         dropped
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tier.len()
     }
 
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.tier.bytes()
     }
 
-    pub fn invalidated(&self) -> u64 {
+    pub(crate) fn invalidated(&self) -> u64 {
         self.invalidated
     }
 
     /// Entries keyed on epochs not in `live_epochs`. Zero after every
     /// drain — dead entries are swept the same wave their epoch dies.
-    pub fn dead_entries(&self, live_epochs: &[u64]) -> usize {
+    pub(crate) fn dead_entries(&self, live_epochs: &[u64]) -> usize {
         self.tier.dead_entries(live_epochs)
     }
 }

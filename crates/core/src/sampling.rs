@@ -21,7 +21,7 @@ use rand::Rng;
 
 /// Default pool size above which sampling kicks in (paper: "when N, the
 /// total number of tenant VMs, is larger than one hundred").
-pub const DEFAULT_SAMPLE_THRESHOLD: usize = 100;
+pub(crate) const DEFAULT_SAMPLE_THRESHOLD: usize = 100;
 
 /// Restricts every candidate pool larger than `budget` to a uniform random
 /// sample of `budget` values. Returns the sampled problem (pools of size

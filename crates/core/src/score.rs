@@ -12,12 +12,12 @@ use estimator::HostState;
 pub const MAX_SCORE: f64 = f64::INFINITY;
 
 /// The selectable capacity-vs-contention weight (paper default: 2).
-pub const DEFAULT_WEIGHT: f64 = 2.0;
+pub(crate) const DEFAULT_WEIGHT: f64 = 2.0;
 
 /// Generic fitness: `W·capacity − usage`. Larger is better; `W > 1`
 /// prefers big pipes even when moderately used, `W = 1` is pure residual
 /// capacity.
-pub fn eval(capacity: f64, usage: f64, w: f64) -> f64 {
+pub(crate) fn eval(capacity: f64, usage: f64, w: f64) -> f64 {
     w * capacity - usage
 }
 

@@ -26,7 +26,7 @@ use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
 use cloudtalk_lang::{parse_query, resolve, LangError, MapResolver, WordMap};
 use desim::rng::{stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
-use estimator::{HostState, World};
+use estimator::World;
 
 use obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, Trace, TraceReport};
 
@@ -84,9 +84,6 @@ pub struct ServerConfig {
     pub reservation_hold: Option<SimDuration>,
     /// Evaluation backend.
     pub method: EvalMethod,
-    /// Whether to gather dynamic status data; with `false`, evaluation
-    /// sees idle hosts everywhere (static/topology-only mode, §4).
-    pub use_dynamic: bool,
     /// Graceful-degradation ladder parameters.
     pub degradation: DegradationConfig,
     /// Packet-level backend parameters (only used by
@@ -94,7 +91,7 @@ pub struct ServerConfig {
     pub pkt: PktBackendConfig,
     /// Observability: per-query span tracing and host-timer selection.
     pub obs: ObsConfig,
-    /// The canonical answer cache ([`crate::qcache`]), serving plane
+    /// The canonical answer cache (`crate::qcache`), serving plane
     /// only: per-worker L1 plus a shared L2, keyed on the exact
     /// post-sampling problem, snapshot epoch, footprint-restricted
     /// reservation mask, rung, shed flag, and backend config — a hit is
@@ -112,7 +109,6 @@ impl Default for ServerConfig {
             sample_budget: DEFAULT_SAMPLE_THRESHOLD,
             reservation_hold: Some(SimDuration::from_millis(300)),
             method: EvalMethod::Heuristic,
-            use_dynamic: true,
             degradation: DegradationConfig::default(),
             pkt: PktBackendConfig::default(),
             obs: ObsConfig::default(),
@@ -125,7 +121,7 @@ impl Default for ServerConfig {
 /// Observability configuration for a server.
 ///
 /// The default records every answer's span tree with the deterministic
-/// [`obs::NullClock`] (host timestamps all zero), so answers — including
+/// `obs::NullClock` (host timestamps all zero), so answers — including
 /// their provenance — compare equal across identical runs. Benches enable
 /// `host_timer` to see real per-phase durations; latency-critical setups
 /// disable `tracing` entirely, which makes every span operation a no-op
@@ -224,20 +220,15 @@ pub struct DegradationConfig {
     /// Staleness-decay half-life: a report `half_life` old contributes 0.5
     /// to the freshness score, `2·half_life` contributes 0.25, and so on.
     /// Missing hosts contribute 0.
-    pub half_life: SimDuration,
+    pub(crate) half_life: SimDuration,
     /// Reports older than this are excluded from the fresh subset on the
     /// [`DegradationRung::FreshSubset`] rung.
-    pub fresh_max_age: SimDuration,
+    pub(crate) fresh_max_age: SimDuration,
     /// Freshness score at or above which the full backend runs.
-    pub full_threshold: f64,
+    pub(crate) full_threshold: f64,
     /// Freshness score below which even the fresh subset is too thin and
     /// the assume-busy fallback answers.
-    pub fallback_threshold: f64,
-    /// With `strict`, a query that would fall to
-    /// [`DegradationRung::AssumeBusy`] fails with
-    /// [`ServerError::TooStale`] instead — for callers that would rather
-    /// retry later than act on a blind recommendation.
-    pub strict: bool,
+    pub(crate) fallback_threshold: f64,
 }
 
 impl Default for DegradationConfig {
@@ -247,7 +238,6 @@ impl Default for DegradationConfig {
             fresh_max_age: SimDuration::from_secs_f64(1.0),
             full_threshold: 0.7,
             fallback_threshold: 0.2,
-            strict: false,
         }
     }
 }
@@ -277,9 +267,9 @@ impl DegradationConfig {
 /// average to answer one query: of these, 0.32ms are spent in parsing …
 /// 0.13ms running our query evaluation algorithm"). Used to report
 /// simulated response times; the benches measure the real thing.
-pub const MODELLED_PARSE_TIME: SimDuration = SimDuration::from_micros(320);
+pub(crate) const MODELLED_PARSE_TIME: SimDuration = SimDuration::from_micros(320);
 /// Modelled heuristic evaluation time.
-pub const MODELLED_EVAL_TIME: SimDuration = SimDuration::from_micros(130);
+pub(crate) const MODELLED_EVAL_TIME: SimDuration = SimDuration::from_micros(130);
 
 /// Which evaluation backend actually produced a binding (reported in
 /// [`Provenance`]; degraded rungs force [`Backend::Heuristic`] regardless
@@ -325,10 +315,10 @@ pub struct SearchStats {
     pub enumerated: u64,
     /// Subtrees cut by the exhaustive lower bound strictly exceeding the
     /// incumbent (0 for other backends).
-    pub pruned: u64,
+    pub(crate) pruned: u64,
     /// Subtrees the exhaustive search cut on a bound merely *equal* to its
     /// own best so far (0 for other backends). Disjoint from `pruned`.
-    pub pruned_ties: u64,
+    pub(crate) pruned_ties: u64,
     /// Packet simulations abandoned by the incumbent deadline.
     pub aborted: u64,
     /// Bindings answered from the packet-search symmetry cache.
@@ -339,11 +329,11 @@ pub struct SearchStats {
     /// [`EvalStrategy::Delta`] actually ran).
     pub delta_components_rerated: u64,
     /// Resource components the delta evaluator replayed from its cache.
-    pub delta_components_reused: u64,
+    pub(crate) delta_components_reused: u64,
     /// Flow endpoint moves the delta evaluator applied.
-    pub delta_flows_moved: u64,
+    pub(crate) delta_flows_moved: u64,
     /// High-water depth of the delta evaluator's undo log.
-    pub delta_max_undo_depth: u64,
+    pub(crate) delta_max_undo_depth: u64,
 }
 
 /// Structured provenance of one answer: which rung and backend produced
@@ -354,7 +344,7 @@ pub struct SearchStats {
 /// With the default [`ObsConfig`] this is fully deterministic — identical
 /// runs produce identical (`PartialEq`-comparable) provenance.
 ///
-/// `PartialEq` is implemented manually to exclude [`Provenance::cache_hit`]:
+/// `PartialEq` is implemented manually to exclude `Provenance::cache_hit`:
 /// whether an answer came from the cache depends on worker count and wave
 /// scheduling (a query may hit one worker's L1 in one run and miss in
 /// another), while everything *else* in the answer is bit-identical by the
@@ -377,7 +367,7 @@ pub struct Provenance {
     pub status_bytes: u64,
     /// Retry-round bytes of the same gather (kept separate so retries
     /// never double-count the §5.5 figure).
-    pub retry_bytes: u64,
+    pub(crate) retry_bytes: u64,
     /// Hosts whose reports existed but were dropped for staleness on the
     /// [`DegradationRung::FreshSubset`] rung, sorted by address. Empty on
     /// other rungs ([`DegradationRung::Full`] trusts everything,
@@ -394,7 +384,7 @@ pub struct Provenance {
     /// re-running the search. Always `false` on [`CloudTalkServer`], which
     /// never caches. Excluded from `PartialEq` (see the type docs): cache
     /// placement is scheduling-dependent, the answer is not.
-    pub cache_hit: bool,
+    pub(crate) cache_hit: bool,
     /// The per-phase span tree.
     pub trace: TraceReport,
 }
@@ -455,12 +445,6 @@ pub enum ServerError {
         /// Name of the offending variable.
         var: String,
     },
-    /// Status data was too stale to answer and the degradation config is
-    /// strict (the assume-busy fallback is disabled).
-    TooStale {
-        /// The snapshot's freshness score.
-        freshness: f64,
-    },
     /// The serving plane refused admission: the tenant's bounded queue is
     /// full (or the plane's backlog exceeds its admission bound). The
     /// query was **not** evaluated; retry no earlier than `retry_after`
@@ -484,10 +468,6 @@ impl std::fmt::Display for ServerError {
             ServerError::EmptyCandidates { var } => {
                 write!(f, "variable '{var}' has an empty candidate pool")
             }
-            ServerError::TooStale { freshness } => write!(
-                f,
-                "status data too stale to answer (freshness {freshness:.2}, strict mode)"
-            ),
             ServerError::Overloaded { retry_after } => write!(
                 f,
                 "serving plane overloaded; retry after {:.1} ms",
@@ -599,12 +579,12 @@ pub struct CloudTalkServer {
 /// [`ServerConfig::reservation_hold`] is `None`.
 pub(crate) struct Holds<'a> {
     /// Holds published by others (the serving plane's prior-wave ledger).
-    pub published: &'a Reservations,
+    pub(crate) published: &'a Reservations,
     /// The caller's own holds: the server's one set, or a tenant's
     /// same-wave set.
-    pub own: &'a mut Reservations,
+    pub(crate) own: &'a mut Reservations,
     /// Whether the answer is a recommendation the client will act on.
-    pub record: bool,
+    pub(crate) record: bool,
 }
 
 impl EvalCore {
@@ -773,7 +753,7 @@ impl EvalCore {
     /// answers exactly that. Only the listed hosts are polled
     /// ([`scatter_gather_changed`] charges the whole round), the world and
     /// ages are edited copy-on-write, and the snapshot comes out as the
-    /// full gather would leave it. Static mode ignores `listed`.
+    /// full gather would leave it.
     pub(crate) fn gather_snapshot(
         &mut self,
         snap: &mut StatusSnapshot,
@@ -782,22 +762,10 @@ impl EvalCore {
         source: &mut impl StatusSource,
         rng: &mut DetRng,
     ) {
-        // Every snapshot gets a fresh epoch, even in static mode: the
-        // answer cache keys on it, and two gathers are two observations
-        // of the fleet regardless of how the data was produced.
+        // Every snapshot gets a fresh epoch: the answer cache keys on it,
+        // and two gathers are two observations of the fleet.
         self.snapshot_seq += 1;
         snap.epoch = self.snapshot_seq;
-        if !self.cfg.use_dynamic {
-            // Static mode: assume idle hosts; no status traffic, and the
-            // (synthetic) data is by definition fresh.
-            *snap = StatusSnapshot {
-                world: Arc::new(World::uniform(addrs, HostState::gbps_idle())),
-                interrogated: addrs.len(),
-                epoch: snap.epoch,
-                ..StatusSnapshot::unprimed()
-            };
-            return;
-        }
         snap.interrogated = addrs.len();
         let picked: Vec<Address>;
         let polled = match listed {
@@ -926,11 +894,6 @@ impl EvalCore {
         }
 
         let rung = self.cfg.degradation.rung_for(snapshot.freshness);
-        if rung == DegradationRung::AssumeBusy && self.cfg.degradation.strict {
-            return Err(ServerError::TooStale {
-                freshness: snapshot.freshness,
-            });
-        }
 
         // The query's span tree. With the default NullClock all host
         // timestamps are zero and the trace — like the whole answer — is
@@ -1288,8 +1251,7 @@ pub(crate) fn sample_within_budget(
 #[derive(Clone, Debug)]
 pub struct StatusSnapshot {
     world: Arc<World>,
-    /// Per-host report age, for hosts that answered. Static-mode
-    /// snapshots have no entries (their data is synthetic, age 0).
+    /// Per-host report age, for hosts that answered.
     ages: Arc<WordMap<Address, SimDuration>>,
     elapsed: SimDuration,
     interrogated: usize,
@@ -1387,6 +1349,7 @@ mod tests {
     use super::*;
     use crate::status::TableStatusSource;
     use cloudtalk_lang::builder::hdfs_write_query;
+    use estimator::HostState;
 
     fn idle_source(n: u32) -> TableStatusSource {
         let mut s = TableStatusSource::new();
@@ -1619,38 +1582,23 @@ mod tests {
     }
 
     #[test]
-    fn static_mode_skips_status_collection() {
-        let nodes: Vec<Address> = (2..6).map(Address).collect();
-        let p = hdfs_write_query(Address(1), &nodes, 3, 1e6).resolve().unwrap();
-        let cfg = ServerConfig {
-            use_dynamic: false,
-            ..Default::default()
-        };
-        let mut server = CloudTalkServer::new(cfg);
-        // An empty status source would doom dynamic mode; static is fine.
-        let mut empty = TableStatusSource::new();
-        let a = server.answer_problem(&p, &mut empty, SimTime::ZERO).unwrap();
-        assert_eq!(a.binding.len(), 3);
-        assert_eq!(server.ledger().status_bytes(), 0);
-    }
-
-    #[test]
     fn snapshot_answers_match_direct_path() {
-        // Static mode removes transport randomness, so the direct and
-        // snapshot paths must agree exactly.
+        // A lossless local transport over a fleet that all answers removes
+        // transport randomness, so the direct and snapshot paths must agree
+        // exactly.
         let nodes: Vec<Address> = (2..8).map(Address).collect();
         let p = hdfs_write_query(Address(1), &nodes, 3, 1e6).resolve().unwrap();
         let cfg = ServerConfig {
-            use_dynamic: false,
+            transport: TransportConfig::local(),
             ..Default::default()
         };
-        let mut empty = TableStatusSource::new();
+        let mut status = idle_source(8);
 
         let mut direct = CloudTalkServer::new(cfg.clone());
-        let a = direct.answer_problem(&p, &mut empty, SimTime::ZERO).unwrap();
+        let a = direct.answer_problem(&p, &mut status, SimTime::ZERO).unwrap();
 
         let mut snap_server = CloudTalkServer::new(cfg);
-        let snapshot = snap_server.take_snapshot(&p.mentioned_addresses(), &mut empty);
+        let snapshot = snap_server.take_snapshot(&p.mentioned_addresses(), &mut status);
         let b = answer_held(&mut snap_server, &p, &snapshot, SimTime::ZERO, true).unwrap();
         assert_eq!(a, b);
         assert_eq!(snap_server.queries_answered(), 1);
@@ -1801,28 +1749,6 @@ mod tests {
         for v in &a.binding {
             assert!(p.vars.iter().any(|var| var.candidates.contains(v)));
         }
-    }
-
-    #[test]
-    fn strict_mode_fails_instead_of_answering_blind() {
-        let nodes: Vec<Address> = (2..8).map(Address).collect();
-        let p = hdfs_write_query(Address(1), &nodes, 3, 1e6).resolve().unwrap();
-        let cfg = ServerConfig {
-            degradation: DegradationConfig {
-                strict: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut server = CloudTalkServer::new(cfg);
-        let mut silent = TableStatusSource::new();
-        let err = server
-            .answer_problem(&p, &mut silent, SimTime::ZERO)
-            .unwrap_err();
-        assert!(
-            matches!(err, ServerError::TooStale { freshness } if freshness == 0.0),
-            "{err}"
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   tenant always travel together (one worker, submission order), so a
 //!   tenant's back-to-back queries see each other's reservations exactly
 //!   like they would on the single server. Each worker owns a
-//!   long-lived [`EvalCore`] whose `SearchWorkspace`/`DeltaEstimator`
+//!   long-lived `EvalCore` whose `SearchWorkspace`/`DeltaEstimator`
 //!   scratch is reused query after query — the steady-state search loop
 //!   allocates nothing (pinned by `tests/search_alloc.rs` at the
 //!   workspace layer).
@@ -245,11 +245,11 @@ pub struct CompletedQuery {
     pub wave: u64,
     /// The virtual worker that evaluated the query (worker-count
     /// dependent, unlike the answer itself).
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// Virtual arrival time (as clamped by admission).
-    pub arrival: SimTime,
+    pub(crate) arrival: SimTime,
     /// Virtual completion time under the modelled service schedule.
-    pub completion: SimTime,
+    pub(crate) completion: SimTime,
     /// Whether this query's wave was load-shed to the heuristic backend.
     pub shed: bool,
     /// The answer (bit-identical across worker counts) or the per-query
@@ -271,10 +271,10 @@ pub struct LedgerStats {
     /// Waves that have merged holds into the published set so far.
     pub epoch: u64,
     /// Entries in the published set.
-    pub live_entries: usize,
+    pub(crate) live_entries: usize,
     /// Same-wave reservations of one address by *different* tenants
     /// (merged commutatively by max expiry — counted, not a conflict).
-    pub collisions: u64,
+    pub(crate) collisions: u64,
     /// Lost or shortened reservations detected after a merge — an
     /// invariant violation. Always 0 in a correct plane.
     pub conflicts: u64,
@@ -692,12 +692,11 @@ impl<S: StatusSource> ServingPlane<S> {
     }
 
     /// Audit snapshot of the answer cache: per-tier hit counters summed
-    /// across workers, L2 occupancy, sweep count, and the stale-hit and
+    /// across workers, sweep count, and the stale-hit and
     /// dead-entry counts the soundness tests pin at zero.
     pub fn cache_stats(&self) -> CacheStats {
         let mut s = CacheStats {
             invalidated: self.l2.invalidated(),
-            l2_entries: self.l2.len(),
             l2_dead: self.l2.dead_entries(&self.shard_epochs()),
             ..CacheStats::default()
         };

@@ -31,7 +31,7 @@ pub struct StatusReport {
 
 impl StatusReport {
     /// A report measured just now.
-    pub fn fresh(state: HostState) -> Self {
+    pub(crate) fn fresh(state: HostState) -> Self {
         StatusReport {
             state,
             age: SimDuration::ZERO,

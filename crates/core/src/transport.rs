@@ -32,7 +32,7 @@ use crate::status::{StatusReport, StatusSource};
 
 /// The saturation point of the loss model: beyond this, extra fan-out
 /// cannot make things worse (some replies always squeak through).
-pub const MAX_LOSS_PROBABILITY: f64 = 0.9;
+pub(crate) const MAX_LOSS_PROBABILITY: f64 = 0.9;
 
 /// Retry/backoff policy for re-querying hosts that missed a round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,7 +63,7 @@ impl RetryPolicy {
 
     /// The deterministic base backoff to wait before retry number `retry`
     /// (1-based), jitter excluded.
-    pub fn backoff_before(&self, retry: u32) -> SimDuration {
+    pub(crate) fn backoff_before(&self, retry: u32) -> SimDuration {
         let mut factor: u64 = 1;
         for _ in 1..retry {
             factor = factor.saturating_mul(self.backoff_multiplier.max(1) as u64);
@@ -78,7 +78,7 @@ impl RetryPolicy {
     /// position is untouched and the result equals
     /// [`RetryPolicy::backoff_before`] exactly, keeping jitter-free
     /// configurations bit-stable.
-    pub fn backoff_before_jittered(&self, retry: u32, rng: &mut DetRng) -> SimDuration {
+    pub(crate) fn backoff_before_jittered(&self, retry: u32, rng: &mut DetRng) -> SimDuration {
         let base = self.backoff_before(retry);
         if self.jitter_pct == 0 {
             return base;
@@ -155,15 +155,15 @@ pub struct GatherOutcome<T = Address> {
     /// each retry round's recoveries).
     pub replies: Vec<(T, StatusReport)>,
     /// Hosts that never answered (lost datagram or silent host).
-    pub missing: Vec<T>,
+    pub(crate) missing: Vec<T>,
     /// Addresses missing after the *first* round — the set retries had to
     /// recover. `missing.len() / first_round_missing` is the unrecovered
     /// fraction.
-    pub first_round_missing: usize,
+    pub(crate) first_round_missing: usize,
     /// Rounds performed (1 = no retries needed or allowed).
     pub rounds: u32,
     /// Total time: per-round RTT/timeout plus inter-round backoff.
-    pub elapsed: SimDuration,
+    pub(crate) elapsed: SimDuration,
 }
 
 impl<T> Default for GatherOutcome<T> {
@@ -181,7 +181,7 @@ impl<T> Default for GatherOutcome<T> {
 impl<T: Copy> GatherOutcome<T> {
     /// Every polled host with its final answer (`None`: it never
     /// answered), replies first.
-    pub fn answers(&self) -> impl Iterator<Item = (T, Option<StatusReport>)> + '_ {
+    pub(crate) fn answers(&self) -> impl Iterator<Item = (T, Option<StatusReport>)> + '_ {
         let heard = self.replies.iter().map(|&(t, r)| (t, Some(r)));
         heard.chain(self.missing.iter().map(|&t| (t, None)))
     }
@@ -234,26 +234,6 @@ fn gather_round<T: Copy>(
     } else {
         cfg.timeout
     }
-}
-
-/// Performs **one** scatter-gather round against `addrs`.
-///
-/// Loss model: with fan-out `n`, each reply is independently lost with
-/// probability `min(0.9, loss_per_doubling · log2(n / knee))` for
-/// `n > knee`, else 0 — negligible loss at 100-way fan-out, heavy loss at
-/// 1000-way, matching the paper's observation.
-pub fn scatter_gather(
-    source: &mut impl StatusSource,
-    addrs: &[Address],
-    cfg: &TransportConfig,
-    rng: &mut DetRng,
-    ledger: &mut OverheadLedger,
-) -> GatherOutcome {
-    let one_round = TransportConfig {
-        retry: RetryPolicy::NONE,
-        ..*cfg
-    };
-    scatter_gather_changed(source, addrs, 0, &one_round, rng, ledger)
 }
 
 /// Scatter-gather with bounded retries: after the first round, up to
@@ -345,8 +325,8 @@ pub(crate) fn gather_into<T: Copy>(
 /// * `n == 0` — no queries are sent, so nothing can be lost: `0.0`.
 /// * `knee == 0` — every positive fan-out is infinitely far beyond the
 ///   knee; the former `log2(n / 0) = ∞` relied on the `min` clamp by
-///   accident, now it returns [`MAX_LOSS_PROBABILITY`] directly.
-/// * The probability never exceeds [`MAX_LOSS_PROBABILITY`] (0.9): even
+///   accident, now it returns `MAX_LOSS_PROBABILITY` directly.
+/// * The probability never exceeds `MAX_LOSS_PROBABILITY` (0.9): even
 ///   catastrophic incast lets some replies through.
 pub fn loss_probability(n: usize, cfg: &TransportConfig) -> f64 {
     if n == 0 {
@@ -393,10 +373,10 @@ mod tests {
         let mut src = source(100);
         let addrs: Vec<Address> = (1..=100).map(Address).collect();
         let mut ledger = OverheadLedger::default();
-        let out = scatter_gather(
+        let out = scatter_gather_retry(
             &mut src,
             &addrs,
-            &TransportConfig::default(),
+            &one_shot(),
             &mut stream_rng(1, 0),
             &mut ledger,
         );
@@ -416,7 +396,7 @@ mod tests {
         let mut src = source(1000);
         let addrs: Vec<Address> = (1..=1000).map(Address).collect();
         let mut ledger = OverheadLedger::default();
-        let out = scatter_gather(&mut src, &addrs, &cfg, &mut stream_rng(2, 0), &mut ledger);
+        let out = scatter_gather_retry(&mut src, &addrs, &cfg, &mut stream_rng(2, 0), &mut ledger);
         assert!(
             out.missing.len() > 300,
             "expected heavy loss, missing only {}",
@@ -431,10 +411,10 @@ mod tests {
         src.silence(Address(2));
         let addrs = [Address(1), Address(2), Address(3)];
         let mut ledger = OverheadLedger::default();
-        let out = scatter_gather(
+        let out = scatter_gather_retry(
             &mut src,
             &addrs,
-            &TransportConfig::default(),
+            &one_shot(),
             &mut stream_rng(3, 0),
             &mut ledger,
         );
@@ -449,7 +429,7 @@ mod tests {
         let run = || {
             let mut src = source(500);
             let mut ledger = OverheadLedger::default();
-            scatter_gather(&mut src, &addrs, &cfg, &mut stream_rng(7, 1), &mut ledger)
+            scatter_gather_retry(&mut src, &addrs, &cfg, &mut stream_rng(7, 1), &mut ledger)
                 .missing
                 .len()
         };
@@ -608,10 +588,10 @@ mod tests {
         let mut src = FaultySource::new(source(3), plan);
         let addrs: Vec<Address> = (1..=3).map(Address).collect();
         let mut ledger = OverheadLedger::default();
-        let out = scatter_gather(
+        let out = scatter_gather_retry(
             &mut src,
             &addrs,
-            &TransportConfig::default(),
+            &one_shot(),
             &mut stream_rng(1, 0),
             &mut ledger,
         );

@@ -138,16 +138,16 @@ pub(crate) struct Local {
     best_score: Option<f64>,
     best_binding: Binding,
     /// Leaves handed to [`Walker::score`].
-    pub leaves: u64,
+    pub(crate) leaves: u64,
     /// Prefixes cut because their bound strictly exceeded `G`.
-    pub pruned: u64,
+    pub(crate) pruned: u64,
     /// Prefixes cut only because their bound reached `L`.
-    pub pruned_ties: u64,
+    pub(crate) pruned_ties: u64,
 }
 
 impl Local {
     /// The winner and its score, if any leaf scored.
-    pub fn best(&self) -> Option<(&Binding, f64)> {
+    pub(crate) fn best(&self) -> Option<(&Binding, f64)> {
         self.best_score.map(|score| (&self.best_binding, score))
     }
 

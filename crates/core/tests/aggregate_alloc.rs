@@ -106,7 +106,7 @@ fn idle_sync_allocations_ignore_rack_count_and_undrained_writes_stay_bounded() {
     for i in 0..HOSTS {
         source.set(Address(i), HostState::gbps_idle());
     }
-    let mut write_a_million = |source: &mut TableStatusSource| {
+    let write_a_million = |source: &mut TableStatusSource| {
         let (_, bytes, ()) = allocs_of(|| {
             for i in 0..1_000_000u32 {
                 let load = f64::from(i % 10) / 10.0;

@@ -128,7 +128,7 @@ fn run(
     }
     let end = subs.last().map_or(SimTime::ZERO, |s| s.arrival) + SimDuration::from_millis(40);
     drain(&mut plane, end, &mut fps)?;
-    fps.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    fps.sort_by_key(|a| (a.0, a.1));
     let cs = plane.cache_stats();
     if !cache_on {
         prop_assert_eq!(cs.hits() + cs.misses, 0, "disabled cache was consulted");

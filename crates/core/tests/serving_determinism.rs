@@ -130,7 +130,7 @@ fn run(workers: usize, subs: &[Sub]) -> Result<(Vec<Fingerprint>, u64, u64), Tes
     }
     let end = subs.last().map_or(SimTime::ZERO, |s| s.arrival) + SimDuration::from_millis(20);
     drain(&mut plane, end, &mut fps)?;
-    fps.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    fps.sort_by_key(|a| (a.0, a.1));
     Ok((fps, accepted, rejected))
 }
 
@@ -218,7 +218,7 @@ fn run_with_telemetry(workers: usize, subs: &[Sub]) -> (Vec<Fingerprint>, Vec<(u
         plane.telemetry_stats().windows > 0 || plane.telemetry_dump().is_some(),
         "telemetry plane produced no windows"
     );
-    fps.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    fps.sort_by_key(|a| (a.0, a.1));
     sampled.sort_unstable();
     (fps, sampled)
 }

@@ -66,8 +66,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration; used as an "infinite" sentinel.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from raw nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -270,10 +268,8 @@ mod tests {
     #[test]
     fn max_is_sentinel() {
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-        assert_eq!(
-            SimDuration::MAX.saturating_mul(3),
-            SimDuration::MAX
-        );
+        let longest = SimDuration::from_nanos(u64::MAX);
+        assert_eq!(longest.saturating_mul(3), longest);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct DeltaStats {
     /// variable moved since its usages were last derived).
     pub flows_moved: u64,
     /// Undo-log entries replayed by [`DeltaEstimator::pop`].
-    pub undos: u64,
+    pub(crate) undos: u64,
     /// High-water mark of the undo-log depth.
     pub max_undo_depth: u64,
 }
@@ -86,7 +86,7 @@ impl DeltaStats {
 /// residual rates of every address the search can mention — candidate
 /// pools and fixed flow endpoints, ascending by address, four rates per
 /// address (up, down, disk-read, disk-write — the order
-/// [`model::push_host_capacities`] emits, so `4 * slot` is the base index
+/// `model::push_host_capacities` emits, so `4 * slot` is the base index
 /// of a host's resource block) — and, resolved once, the slot of every
 /// candidate of every variable and of every fixed flow endpoint. Built
 /// from the [`World`] hash map once per walker per search (a
@@ -501,11 +501,6 @@ impl DeltaEstimator {
         &self.finish
     }
 
-    /// Deadline misses of the last successful estimate.
-    pub fn deadline_misses(&self) -> &[FlowId] {
-        &self.deadline_misses
-    }
-
     /// Marks every flow mentioning `var` as touched: bumps its version
     /// (invalidating component ratings that depend on it) and schedules a
     /// usage rebuild before the next estimate.
@@ -872,7 +867,7 @@ impl DeltaEstimator {
     }
 
     /// Allocating convenience over [`estimate_summary`](Self::estimate_summary),
-    /// returning the same [`Estimate`] the scratch path would.
+    /// returning the same `Estimate` the scratch path would.
     pub fn estimate(&mut self) -> Result<Estimate, EstimateError> {
         let summary = self.estimate_summary()?;
         Ok(Estimate {

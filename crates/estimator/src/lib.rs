@@ -6,7 +6,7 @@
 //! > computes flow rates until they stabilize. It is accurate for large
 //! > transfers and much faster than the packet level simulator."
 //!
-//! Given a resolved [`cloudtalk_lang::Problem`], a variable binding and
+//! Given a resolved `cloudtalk_lang::Problem`, a variable binding and
 //! a [`World`] of per-host I/O state (what the status servers report), the
 //! estimator computes each flow's completion time under max-min fair
 //! sharing of host NIC and disk resources — the only places a
@@ -47,7 +47,7 @@ mod world;
 
 pub use delta::{CapacityTable, DeltaEstimator, DeltaStats, Resource};
 pub use model::{
-    estimate, estimate_with, resolve_sizes_into, resolve_static_sizes, Estimate, EstimateError,
-    EstimateSummary, EstimatorScratch,
+    estimate, estimate_with, resolve_sizes_into, resolve_static_sizes, EstimateError,
+    EstimatorScratch,
 };
 pub use world::{HostState, World};

@@ -28,7 +28,7 @@ pub struct Estimate {
     /// CloudTalk server minimises.
     pub makespan: f64,
     /// Total bytes moved by all flows.
-    pub total_bytes: f64,
+    pub(crate) total_bytes: f64,
     /// `total_bytes / makespan` (0 when the problem moves no bytes).
     pub throughput: f64,
     /// Flows whose predicted finish exceeds their `end` attribute — the
@@ -82,7 +82,7 @@ pub struct EstimateSummary {
     /// Time when the last flow finishes.
     pub makespan: f64,
     /// Total bytes moved by all flows.
-    pub total_bytes: f64,
+    pub(crate) total_bytes: f64,
     /// `total_bytes / makespan` (0 when the problem moves no bytes).
     pub throughput: f64,
     /// Number of flows missing their `end` deadline.
@@ -147,12 +147,6 @@ impl EstimatorScratch {
     /// successful [`estimate_with`] call on this scratch.
     pub fn flow_finish(&self) -> &[f64] {
         &self.finish
-    }
-
-    /// Flows that missed their `end` deadline in the last successful
-    /// [`estimate_with`] call on this scratch.
-    pub fn deadline_misses(&self) -> &[FlowId] {
-        &self.deadline_misses
     }
 }
 

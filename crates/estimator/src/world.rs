@@ -52,7 +52,7 @@ impl HostState {
 
     /// The pessimistic assumption for hosts that never answered: fully
     /// loaded in every dimension.
-    pub fn assumed_overloaded() -> Self {
+    pub(crate) fn assumed_overloaded() -> Self {
         HostState {
             nic_up_capacity: 125e6,
             nic_up_used: 125e6,

@@ -73,7 +73,7 @@ pub struct FlowDef {
 
 impl FlowDef {
     /// Returns the expression for `kind`, if the flow declares it.
-    pub fn attr(&self, kind: AttrKind) -> Option<&Expr> {
+    pub(crate) fn attr(&self, kind: AttrKind) -> Option<&Expr> {
         self.attrs.iter().find(|a| a.kind == kind).map(|a| &a.value)
     }
 }
@@ -177,7 +177,7 @@ impl AttrKind {
     }
 
     /// All attribute kinds, in canonical order.
-    pub const ALL: [AttrKind; 5] = [
+    pub(crate) const ALL: [AttrKind; 5] = [
         AttrKind::Start,
         AttrKind::End,
         AttrKind::Size,
@@ -203,7 +203,7 @@ pub enum RefAttr {
 
 impl RefAttr {
     /// The source keyword for this reference head.
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             RefAttr::Start => "st",
             RefAttr::End => "e",
@@ -244,7 +244,7 @@ pub enum FlowRef {
 
 impl FlowRef {
     /// The source span of the reference target.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         match self {
             FlowRef::Named(ident) => ident.span,
             FlowRef::Index { span, .. } => *span,
@@ -252,7 +252,7 @@ impl FlowRef {
     }
 
     /// Human-readable form for diagnostics and printing.
-    pub fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         match self {
             FlowRef::Named(ident) => ident.text.to_string(),
             FlowRef::Index { index, .. } => index.to_string(),
@@ -306,18 +306,6 @@ impl Expr {
             span: Span::DUMMY,
         }
     }
-
-    /// Visits every flow reference in the expression.
-    pub fn for_each_ref(&self, f: &mut impl FnMut(RefAttr, &FlowRef)) {
-        match self {
-            Expr::Literal { .. } => {}
-            Expr::Ref { attr, flow, .. } => f(*attr, flow),
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.for_each_ref(f);
-                rhs.for_each_ref(f);
-            }
-        }
-    }
 }
 
 /// Binary arithmetic operators.
@@ -335,7 +323,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// The operator's source text.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
@@ -386,35 +374,5 @@ mod tests {
         assert_eq!(BinOp::Sub.apply(2.0, 3.0), -1.0);
         assert_eq!(BinOp::Mul.apply(2.0, 3.0), 6.0);
         assert_eq!(BinOp::Div.apply(3.0, 2.0), 1.5);
-    }
-
-    #[test]
-    fn for_each_ref_walks_tree() {
-        let expr = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(Expr::Ref {
-                attr: RefAttr::Rate,
-                flow: FlowRef::Named(Ident::synthetic("f1")),
-                span: Span::DUMMY,
-            }),
-            rhs: Box::new(Expr::Binary {
-                op: BinOp::Mul,
-                lhs: Box::new(Expr::literal(2.0)),
-                rhs: Box::new(Expr::Ref {
-                    attr: RefAttr::Size,
-                    flow: FlowRef::Named(Ident::synthetic("f2")),
-                    span: Span::DUMMY,
-                }),
-            }),
-        };
-        let mut seen = Vec::new();
-        expr.for_each_ref(&mut |attr, flow| seen.push((attr, flow.display())));
-        assert_eq!(
-            seen,
-            vec![
-                (RefAttr::Rate, "f1".to_string()),
-                (RefAttr::Size, "f2".to_string())
-            ]
-        );
     }
 }

@@ -422,6 +422,7 @@ pub fn map_placement_query(worker: Address, holders: &[Address], bytes: f64) -> 
 mod tests {
     use super::*;
     use crate::parse_query;
+    use crate::problem::Endpoint;
     use crate::units::sizes::MB;
 
     #[test]
@@ -458,7 +459,7 @@ mod tests {
         assert!(p.distinct);
         // Flows alternate network / disk.
         for (i, f) in p.flows.iter().enumerate() {
-            assert_eq!(f.touches_disk(), i % 2 == 1, "flow {i}");
+            assert_eq!(f.dst == Endpoint::Disk, i % 2 == 1, "flow {i}");
         }
         // The wire text is valid CloudTalk.
         assert!(parse_query(&b.text()).is_ok());
@@ -475,7 +476,7 @@ mod tests {
             .flows
             .iter()
             .step_by(2)
-            .all(|f| f.src == crate::problem::Endpoint::Unknown));
+            .all(|f| f.src == Endpoint::Unknown));
     }
 
     #[test]
@@ -484,8 +485,8 @@ mod tests {
         let b = map_placement_query(Address(9), &holders, 128.0 * MB);
         let p = b.resolve().unwrap();
         assert_eq!(p.flows.len(), 2);
-        assert!(p.flows[0].touches_disk());
-        assert!(p.flows[1].is_network());
+        assert_eq!(p.flows[0].src, Endpoint::Disk);
+        assert!(![p.flows[1].src, p.flows[1].dst].contains(&Endpoint::Disk));
         let text = b.text();
         assert!(text.contains("disk -> X"), "{text}");
         assert!(text.contains("rate r(f2)"), "{text}");

@@ -6,9 +6,9 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Span {
     /// Byte offset of the first character.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Byte offset one past the last character.
-    pub end: usize,
+    pub(crate) end: usize,
 }
 
 impl Span {

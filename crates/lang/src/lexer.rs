@@ -4,9 +4,9 @@
 //! emits [`TokenKind::StatementEnd`] for both. Runs of blank separators are
 //! collapsed by the parser.
 //!
-//! The lexer is a [`Scanner`]: a position in the source, and questions
+//! The lexer is a `Scanner`: a position in the source, and questions
 //! about the token there ("an identifier?", "`(`?") answered from its first
-//! bytes. [`Scanner::peek`] lexes one token in full, for error messages and
+//! bytes. `Scanner::peek` lexes one token in full, for error messages and
 //! for [`lex`]. Identifiers are slices of the source; octets and integer
 //! literals are accumulated digit by digit as they are scanned.
 

@@ -18,7 +18,7 @@
 //! A leading identifier is a flow *name* when the token after it starts
 //! another endpoint; it is the *source endpoint* when followed by `->`.
 //!
-//! The parser asks the [`Scanner`] whether the next token is what the
+//! The parser asks the `Scanner` whether the next token is what the
 //! grammar expects there and steps over it only if so: no token is built
 //! unless wanted. A lexical error anywhere in the text still wins over a
 //! syntax error, as if the text had been lexed first. An expression is

@@ -177,16 +177,6 @@ impl Flow {
     pub fn attr(&self, kind: AttrKind) -> Option<&ExprR> {
         self.attrs[attr_index(kind)].as_ref()
     }
-
-    /// Returns `true` if either endpoint is the local disk.
-    pub fn touches_disk(&self) -> bool {
-        self.src == Endpoint::Disk || self.dst == Endpoint::Disk
-    }
-
-    /// Returns `true` if this is a network transfer (neither endpoint disk).
-    pub fn is_network(&self) -> bool {
-        !self.touches_disk()
-    }
 }
 
 fn attr_index(kind: AttrKind) -> usize {
@@ -395,8 +385,6 @@ mod tests {
     #[test]
     fn flow_attr_set_get() {
         let mut f = Flow::new(None, Endpoint::Disk, Endpoint::Var(VarId(0)));
-        assert!(f.touches_disk());
-        assert!(!f.is_network());
         f.set_attr(AttrKind::Size, ExprR::Literal(100.0));
         assert_eq!(f.attr(AttrKind::Size), Some(&ExprR::Literal(100.0)));
         assert_eq!(f.attr(AttrKind::Rate), None);

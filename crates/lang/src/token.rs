@@ -48,7 +48,7 @@ pub enum TokenKind<'a> {
 
 impl TokenKind<'_> {
     /// Short human-readable description used in error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Ident(name) => format!("identifier `{name}`"),
             TokenKind::Number(n) => format!("number `{n}`"),

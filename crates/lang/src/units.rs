@@ -42,7 +42,7 @@ pub fn format_bytes(value: f64) -> String {
 }
 
 /// Formats a number exactly, without scientific notation for typical values.
-pub fn format_number(value: f64) -> String {
+pub(crate) fn format_number(value: f64) -> String {
     if value.fract() == 0.0 && value.abs() < 1e15 {
         format!("{}", value as i64)
     } else {
@@ -52,12 +52,8 @@ pub fn format_number(value: f64) -> String {
 
 /// Convenience constants for common sizes, in bytes.
 pub mod sizes {
-    /// One kibibyte.
-    pub const KB: f64 = 1024.0;
     /// One mebibyte.
     pub const MB: f64 = 1024.0 * 1024.0;
-    /// One gibibyte.
-    pub const GB: f64 = 1024.0 * 1024.0 * 1024.0;
 }
 
 #[cfg(test)]
@@ -74,7 +70,7 @@ mod tests {
 
     #[test]
     fn format_picks_largest_exact_suffix() {
-        assert_eq!(format_bytes(sizes::GB), "1G");
+        assert_eq!(format_bytes(1024.0 * sizes::MB), "1G");
         assert_eq!(format_bytes(512.0 * sizes::MB), "512M");
         // 1536 is not an integral multiple of any suffix, so it stays plain.
         assert_eq!(format_bytes(1536.0), "1536");

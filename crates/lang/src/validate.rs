@@ -40,11 +40,6 @@ impl MapResolver {
         self.map.insert(name.into(), addr);
         self
     }
-
-    /// Adds a mapping.
-    pub fn insert(&mut self, name: impl Into<String>, addr: Address) {
-        self.map.insert(name.into(), addr);
-    }
 }
 
 impl Resolver for MapResolver {
@@ -68,11 +63,6 @@ impl InterningResolver {
         InterningResolver {
             inner: RefCell::new((HashMap::new(), 0x0A00_0001)),
         }
-    }
-
-    /// Returns the interned table so callers can map addresses back to names.
-    pub fn table(&self) -> HashMap<String, Address> {
-        self.inner.borrow().0.clone()
     }
 }
 

@@ -22,7 +22,7 @@ pub trait HostClock: Send {
 /// Always reads `0`. The deterministic default: with it installed a
 /// [`crate::Trace`] records no host-dependent bits at all.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NullClock;
+pub(crate) struct NullClock;
 
 impl HostClock for NullClock {
     fn now_ns(&mut self) -> u64 {
@@ -55,13 +55,13 @@ impl HostClock for ManualClock {
 
 /// Real host time: nanoseconds elapsed since the clock was created.
 #[derive(Clone, Copy, Debug)]
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     origin: std::time::Instant,
 }
 
 impl MonotonicClock {
     /// Starts counting now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MonotonicClock {
             origin: std::time::Instant::now(),
         }

@@ -116,7 +116,7 @@ fn fmt_f64(v: f64) -> String {
 /// ```
 ///
 /// Histogram lines carry both the raw bucket counts *and* the estimated
-/// p50/p99/p999 ([`crate::metrics::Histogram::quantile`]), so the text
+/// p50/p99/p999 (`crate::metrics::Histogram::quantile`), so the text
 /// dump preserves the distribution instead of collapsing it to a sum.
 /// Lines follow registration order, so a deterministic program produces a
 /// byte-identical dump.

@@ -20,7 +20,7 @@
 /// This is the shared estimator behind [`Histogram::quantile`] and the
 /// windowed time-series summaries in [`crate::timeseries`], which keep raw
 /// bucket arrays rather than `Histogram` values on their hot path.
-pub fn quantile_from_counts(bounds: &[f64], counts: &[u64], total: u64, q: f64) -> f64 {
+pub(crate) fn quantile_from_counts(bounds: &[f64], counts: &[u64], total: u64, q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     if total == 0 {
         return 0.0;
@@ -103,7 +103,7 @@ impl Histogram {
     }
 
     /// Inclusive upper edges of the finite buckets.
-    pub fn bounds(&self) -> &'static [f64] {
+    pub(crate) fn bounds(&self) -> &'static [f64] {
         self.bounds
     }
 
@@ -129,7 +129,7 @@ impl Histogram {
     /// edge is negative); ranks landing in the overflow bucket clamp to
     /// the highest finite edge, the honest answer a fixed-bucket
     /// histogram can give. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         quantile_from_counts(self.bounds, &self.counts, self.total, q)
     }
 
@@ -154,7 +154,7 @@ impl Histogram {
     ///
     /// # Panics
     /// If the bucket edges differ.
-    pub fn merge_from(&mut self, other: &Histogram) {
+    pub(crate) fn merge_from(&mut self, other: &Histogram) {
         assert_eq!(
             self.bounds, other.bounds,
             "merging histograms with different bucket edges"
@@ -317,7 +317,7 @@ impl MetricsRegistry {
     /// merge bucket-wise. Names missing here are registered first, so
     /// merging a worker pool's per-worker registries into one view needs
     /// no pre-registration. Same-named histograms must share bucket
-    /// edges (see [`Histogram::merge_from`]).
+    /// edges (see `Histogram::merge_from`).
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for (i, &name) in other.counter_names.iter().enumerate() {
             let id = self.counter(name);

@@ -247,7 +247,6 @@ mod tests {
             r.push_event(SloEvent {
                 window: i,
                 start: SimTime::ZERO,
-                spec: 0,
                 name: "p99_latency_us".to_string(),
                 kind: SloEventKind::Breach,
                 value: 1.0,

@@ -27,7 +27,7 @@ pub struct TraceCtx {
 
 impl TraceCtx {
     /// A root context for a freshly sampled query.
-    pub fn root(trace_id: u64) -> Self {
+    pub(crate) fn root(trace_id: u64) -> Self {
         TraceCtx { trace_id }
     }
 }
@@ -53,7 +53,7 @@ impl TraceSampler {
 
     /// The trace id `(tenant, seq)` would get *if* sampled. Pure hash —
     /// never zero, so 0 can be used as a sentinel by callers.
-    pub fn trace_id(&self, tenant: u32, seq: u64) -> u64 {
+    pub(crate) fn trace_id(&self, tenant: u32, seq: u64) -> u64 {
         // The decision hashes the raw value; the id only forces the low
         // bit so 0 stays free as a sentinel.
         self.hash(tenant, seq) | 1

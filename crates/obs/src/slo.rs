@@ -22,7 +22,7 @@ use crate::timeseries::WindowSummary;
 
 /// What a spec measures in each window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SloKind {
+pub(crate) enum SloKind {
     /// Median end-to-end latency, µs.
     P50LatencyUs,
     /// 99th-percentile end-to-end latency, µs.
@@ -63,7 +63,7 @@ pub struct SloSpec {
     /// Human-readable name, used in events and the postmortem timeline.
     pub name: String,
     /// The measured quantity.
-    pub kind: SloKind,
+    pub(crate) kind: SloKind,
     /// Inclusive upper bound on the measured value.
     pub threshold: f64,
 }
@@ -82,31 +82,10 @@ impl SloSpec {
         Self::named(SloKind::P99LatencyUs, threshold)
     }
 
-    /// Plane-wide p99.9 latency bound, µs.
-    pub fn p999_latency_us(threshold: f64) -> Self {
-        Self::named(SloKind::P999LatencyUs, threshold)
-    }
-
-    /// Plane-wide bound on the fraction of completions from load-shed
-    /// waves.
-    pub fn shed_rate(threshold: f64) -> Self {
-        Self::named(SloKind::ShedRate, threshold)
-    }
-
-    /// Plane-wide error-rate bound.
-    pub fn error_rate(threshold: f64) -> Self {
-        Self::named(SloKind::ErrorRate, threshold)
-    }
-
-    /// Bound on the fraction of answers served off the full rung.
-    pub fn degraded_rate(threshold: f64) -> Self {
-        Self::named(SloKind::DegradedRate, threshold)
-    }
-
     /// Parses the `--slo` flag grammar: `p50=|p99=|p999=` followed by a
     /// duration (`25ms`, `800us`), or `shed=|error=|degraded=` followed by
     /// a rate (`1%` or `0.01`). Several specs separated by commas.
-    pub fn parse(s: &str) -> Result<SloSpec, String> {
+    pub(crate) fn parse(s: &str) -> Result<SloSpec, String> {
         let (key, val) = s
             .split_once('=')
             .ok_or_else(|| format!("slo `{s}`: expected key=value"))?;
@@ -178,22 +157,20 @@ pub enum SloEventKind {
 #[derive(Clone, Debug)]
 pub struct SloEvent {
     /// Index of the window that triggered the transition.
-    pub window: u64,
+    pub(crate) window: u64,
     /// Start of that window on the simulated timeline.
-    pub start: SimTime,
-    /// Index of the spec in the tracker.
-    pub spec: usize,
+    pub(crate) start: SimTime,
     /// Spec name (cloned for self-contained postmortems).
-    pub name: String,
+    pub(crate) name: String,
     /// Transition direction.
     pub kind: SloEventKind,
     /// Measured value this window.
-    pub value: f64,
+    pub(crate) value: f64,
     /// The spec's threshold.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Burn rate at the transition (breach fraction over the sliding
     /// horizon / error budget).
-    pub burn_rate: f64,
+    pub(crate) burn_rate: f64,
 }
 
 struct SpecState {
@@ -230,7 +207,7 @@ impl SloTracker {
     }
 
     /// Current burn rate of spec `i` over the sliding horizon.
-    pub fn burn_rate(&self, i: usize) -> f64 {
+    pub(crate) fn burn_rate(&self, i: usize) -> f64 {
         let st = &self.state[i];
         if st.recent.is_empty() {
             return 0.0;
@@ -262,7 +239,6 @@ impl SloTracker {
                 events.push(SloEvent {
                     window: summary.window,
                     start: summary.start,
-                    spec: i,
                     name: self.specs[i].name.clone(),
                     kind: if breached {
                         SloEventKind::Breach
@@ -358,7 +334,7 @@ mod tests {
 
     #[test]
     fn shed_rate_spec_breaches_on_ratio() {
-        let mut t = SloTracker::new(vec![SloSpec::shed_rate(0.01)], 8);
+        let mut t = SloTracker::new(vec![SloSpec::parse("shed=1%").unwrap()], 8);
         let mut ev = Vec::new();
         t.evaluate(&window(100.0, 10, 5), &mut ev);
         assert_eq!(ev.len(), 1);

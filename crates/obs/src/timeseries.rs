@@ -143,7 +143,7 @@ impl WindowData {
         self.count.iter().sum()
     }
 
-    /// Condenses the raw accumulators into a [`WindowSummary`]
+    /// Condenses the raw accumulators into a `WindowSummary`
     /// (control path — allocates the summary).
     pub fn summarize(&self, window: u64, width: SimDuration) -> WindowSummary {
         let hb = self.bounds.len() + 1;
@@ -187,25 +187,25 @@ impl WindowData {
 
 /// Per-tenant-class slice of one window.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ClassWindow {
+pub(crate) struct ClassWindow {
     /// Completions in this class this window.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Completion rate over the window, in queries/sec.
-    pub rate_qps: f64,
+    pub(crate) rate_qps: f64,
     /// Median end-to-end latency estimate, µs.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// 99th-percentile latency estimate, µs.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
     /// 99.9th-percentile latency estimate, µs.
-    pub p999_us: f64,
+    pub(crate) p999_us: f64,
     /// Mean latency, µs.
-    pub mean_us: f64,
+    pub(crate) mean_us: f64,
     /// Typed errors returned.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Completions whose wave was load-shed onto the heuristic backend.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Cache hits.
-    pub hits: u64,
+    pub(crate) hits: u64,
 }
 
 /// One finalised telemetry window, ready for SLO evaluation and the
@@ -213,33 +213,33 @@ pub struct ClassWindow {
 #[derive(Clone, Debug)]
 pub struct WindowSummary {
     /// Window index (`start = window * width`).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Window start on the simulated timeline.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Window width.
-    pub width: SimDuration,
+    pub(crate) width: SimDuration,
     /// Completions across all classes.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Overall completion rate, queries/sec.
-    pub rate_qps: f64,
+    pub(crate) rate_qps: f64,
     /// Overall median latency estimate, µs.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// Overall p99 latency estimate, µs.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
     /// Overall p99.9 latency estimate, µs.
-    pub p999_us: f64,
+    pub(crate) p999_us: f64,
     /// Per-tenant-class slices, indexed by class.
-    pub classes: Vec<ClassWindow>,
+    pub(crate) classes: Vec<ClassWindow>,
     /// Staleness rung distribution (full / fresh-subset / assume-busy).
-    pub rungs: [u64; 3],
+    pub(crate) rungs: [u64; 3],
     /// Queries routed per shard.
-    pub shards: Vec<u64>,
+    pub(crate) shards: Vec<u64>,
 }
 
 impl WindowSummary {
     /// Fraction of this window's completions whose wave was load-shed onto
     /// the heuristic backend.
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -248,7 +248,7 @@ impl WindowSummary {
     }
 
     /// Fraction of this window's queries that returned a typed error.
-    pub fn error_rate(&self) -> f64 {
+    pub(crate) fn error_rate(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -257,7 +257,7 @@ impl WindowSummary {
     }
 
     /// Fraction of answers produced off the full-freshness rung.
-    pub fn degraded_rate(&self) -> f64 {
+    pub(crate) fn degraded_rate(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }

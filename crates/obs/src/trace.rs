@@ -11,7 +11,7 @@ use crate::clock::{HostClock, MonotonicClock, NullClock};
 use desim::SimTime;
 
 /// Sentinel parent index for root spans in a [`SpanRecord`].
-pub const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// One recorded span. `sim_*` are deterministic simulated instants;
 /// `host_*` come from the installed [`HostClock`] (all zero under the
@@ -27,7 +27,7 @@ pub struct SpanRecord {
     /// Simulated instant the span closed (== `sim_start` until ended).
     pub sim_end: SimTime,
     /// Host-clock reading at open, nanoseconds.
-    pub host_start_ns: u64,
+    pub(crate) host_start_ns: u64,
     /// Host-clock reading at close, nanoseconds.
     pub host_end_ns: u64,
     /// Up to two key/value annotations (static key, integer value), in
@@ -47,11 +47,11 @@ impl SpanId {
 
 /// The finished, immutable result of a [`Trace`]: the span arena plus how
 /// many spans did not fit. Attached to answers as provenance and consumed
-/// by the exporters in [`crate::export`].
+/// by the exporters in `crate::export`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceReport {
     /// Recorded spans in begin order; tree-linked through
-    /// [`SpanRecord::parent`].
+    /// `SpanRecord::parent`.
     pub spans: Vec<SpanRecord>,
     /// Spans that were requested after the arena filled.
     pub dropped: u32,
@@ -101,12 +101,12 @@ impl Trace {
         }
     }
 
-    /// A deterministic trace: host readings are all zero ([`NullClock`]).
+    /// A deterministic trace: host readings are all zero (`NullClock`).
     pub fn deterministic(capacity: usize) -> Self {
         Self::new(capacity, Box::new(NullClock))
     }
 
-    /// A trace with real host timings ([`MonotonicClock`]); sim timestamps
+    /// A trace with real host timings (`MonotonicClock`); sim timestamps
     /// stay deterministic, host ones do not.
     pub fn timed(capacity: usize) -> Self {
         Self::new(capacity, Box::new(MonotonicClock::new()))

@@ -13,7 +13,7 @@
 //!   latency: events fire in one `(time, scheduling order)` total order
 //!   out of three queues — a heap of at most two entries per busy port
 //!   (not one per packet in flight), the flows that have not started, and
-//!   the retransmission timers (see [`sim`]) — and
+//!   the retransmission timers (see `sim`) — and
 //!   [`sim::PktSim::completed`] tells a driver what each step finished.
 //! * [`tcp`] — TCP Reno endpoints: slow start, congestion avoidance,
 //!   triple-duplicate-ACK fast retransmit, retransmission timeouts with
@@ -41,7 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod sim;
+pub(crate) mod sim;
 pub mod stats;
 pub mod tcp;
 pub mod workload;

@@ -17,36 +17,9 @@ pub struct Stats {
     pub timeouts: u64,
 }
 
-impl Stats {
-    /// The port with the most drops, if any packet was dropped.
-    pub fn hottest_port(&self) -> Option<(usize, u64)> {
-        self.drops_per_port
-            .iter()
-            .max_by_key(|(port, n)| (**n, usize::MAX - **port))
-            .map(|(&p, &n)| (p, n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hottest_port_picks_max() {
-        let mut s = Stats::default();
-        assert_eq!(s.hottest_port(), None);
-        s.drops_per_port.insert(3, 10);
-        s.drops_per_port.insert(7, 25);
-        assert_eq!(s.hottest_port(), Some((7, 25)));
-    }
-
-    #[test]
-    fn ties_break_deterministically() {
-        let mut s = Stats::default();
-        s.drops_per_port.insert(3, 10);
-        s.drops_per_port.insert(7, 10);
-        assert_eq!(s.hottest_port(), Some((3, 10)));
-    }
 
     #[test]
     fn drops_iterate_in_port_order() {

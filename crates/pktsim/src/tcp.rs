@@ -9,21 +9,21 @@
 #[derive(Clone, Debug)]
 pub struct TcpState {
     /// Total data packets this flow must deliver.
-    pub total_pkts: u64,
+    pub(crate) total_pkts: u64,
     /// Next never-sent sequence number.
-    pub next_seq: u64,
+    pub(crate) next_seq: u64,
     /// Lowest unacknowledged sequence number (sender view).
-    pub snd_una: u64,
+    pub(crate) snd_una: u64,
     /// Congestion window, in packets (fractional growth in CA).
-    pub cwnd: f64,
+    pub(crate) cwnd: f64,
     /// Slow-start threshold, packets.
-    pub ssthresh: f64,
+    pub(crate) ssthresh: f64,
     /// Consecutive duplicate ACK counter.
-    pub dup_acks: u32,
+    pub(crate) dup_acks: u32,
     /// Receiver: out-of-order packets buffered beyond `rcv_next`.
-    pub rcv_ooo: std::collections::BTreeSet<u64>,
+    pub(crate) rcv_ooo: std::collections::BTreeSet<u64>,
     /// Receiver: next in-order sequence expected (cumulative ack value).
-    pub rcv_next: u64,
+    pub(crate) rcv_next: u64,
     /// Current RTO backoff multiplier (1, 2, 4, …).
     pub rto_backoff: u32,
     /// Stats: retransmitted packets.
@@ -31,9 +31,9 @@ pub struct TcpState {
     /// Stats: RTO events.
     pub timeouts: u64,
     /// Whether fast recovery is in progress.
-    pub in_recovery: bool,
+    pub(crate) in_recovery: bool,
     /// Recovery ends when `snd_una` passes this point.
-    pub recovery_point: u64,
+    pub(crate) recovery_point: u64,
 }
 
 impl TcpState {
@@ -58,13 +58,8 @@ impl TcpState {
     }
 
     /// Whether all data is delivered and acknowledged.
-    pub fn complete(&self) -> bool {
+    pub(crate) fn complete(&self) -> bool {
         self.snd_una >= self.total_pkts
-    }
-
-    /// Packets currently presumed in flight (go-back-N "pipe" estimate).
-    pub fn in_flight(&self) -> u64 {
-        self.next_seq - self.snd_una
     }
 
     /// Sequence numbers the sender may transmit now (new data only);
@@ -246,7 +241,6 @@ mod tests {
         assert_eq!(f.cwnd, 1.0);
         assert_eq!(f.ssthresh, 16.0);
         assert_eq!(f.rto_backoff, 2);
-        assert_eq!(f.in_flight(), 0);
         // Backoff doubles again.
         f.on_timeout();
         assert_eq!(f.rto_backoff, 4);

@@ -14,12 +14,6 @@ use crate::sim::{FlowIdx, PktSim};
 pub struct GatherResult {
     /// When the last response arrived.
     pub finish: SimTime,
-    /// Per-sender completion times.
-    pub finishes: Vec<SimTime>,
-    /// Total retransmissions across responders.
-    pub retransmits: u64,
-    /// Total RTO events across responders.
-    pub timeouts: u64,
 }
 
 /// Runs one synchronized fan-in: each of `senders` transmits
@@ -50,16 +44,12 @@ pub fn gather(
         left -= sim.completed()[seen..].iter().filter(|f| f.0 >= first).count();
         seen = sim.completed().len();
     }
-    let finishes: Vec<SimTime> = flows
+    let finish = flows
         .iter()
         .map(|&f| sim.finish_time(f).expect("completed above"))
-        .collect();
-    GatherResult {
-        finish: finishes.iter().copied().max().expect("non-empty gather"),
-        finishes,
-        retransmits: flows.iter().map(|&f| sim.flow_retransmits(f)).sum(),
-        timeouts: flows.iter().map(|&f| sim.flow_timeouts(f)).sum(),
-    }
+        .max()
+        .expect("non-empty gather");
+    GatherResult { finish }
 }
 
 /// A two-stage aggregation query: leaves respond to their aggregator, then
@@ -135,8 +125,13 @@ mod tests {
         let mut sim = PktSim::new(topo, SimConfig::default());
         let h = sim.topology().host_ids();
         let r = gather(&mut sim, &h[..10], h[10], 10 * 1024, SimTime::ZERO);
-        assert_eq!(r.finishes.len(), 10);
-        assert!(r.finish >= *r.finishes.iter().min().unwrap());
+        assert_eq!(sim.completed().len(), 10);
+        let last = sim
+            .completed()
+            .iter()
+            .map(|&f| sim.finish_time(f).unwrap())
+            .max();
+        assert_eq!(last, Some(r.finish));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! quantified.
 //!
 //! * [`Prober::ping`] — round-trip time along the routed path.
-//! * [`Prober::traceroute`] — per-hop node identifiers; in
-//!   [`Visibility::Tunneled`] mode the addresses are opaque (what EC2
-//!   looks like since ~2015), leaving only the hop *count*.
+//! * [`Prober::hop_count`] — the hop *count*, which is all traceroute
+//!   still reveals on a tunneled fabric (what EC2 looks like since ~2015).
 //! * [`Prober::iperf`] — available-bandwidth measurement by briefly
 //!   installing a greedy flow in the live network (disruptive, §3.1).
 //! * [`infer_racks`] — cluster hosts into racks by mutual hop count.
@@ -19,43 +18,23 @@
 
 use desim::SimDuration;
 use simnet::routing::Router;
-use simnet::topology::{HostId, NodeId, Topology};
+use simnet::topology::{HostId, Topology};
 use simnet::{engine::TransferSpec, NetSim};
-
-/// How much the provider reveals to probing tenants.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Visibility {
-    /// 2011-era EC2: router addresses visible in traceroute.
-    Open,
-    /// Post-2015 EC2: tunneled fabric, opaque per-hop identifiers.
-    Tunneled,
-}
-
-/// One traceroute hop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HopId {
-    /// A stable router identifier (open mode).
-    Node(NodeId),
-    /// An opaque identifier carrying no structure (tunneled mode).
-    Opaque(u64),
-}
 
 /// A probing session over a live cluster.
 pub struct Prober<'a> {
     net: &'a mut NetSim,
     router: Router,
-    visibility: Visibility,
     /// Probes issued (the overhead the paper worries about).
     pub probes_sent: u64,
 }
 
 impl<'a> Prober<'a> {
     /// Creates a prober over the live network.
-    pub fn new(net: &'a mut NetSim, visibility: Visibility) -> Self {
+    pub fn new(net: &'a mut NetSim) -> Self {
         Prober {
             net,
             router: Router::new(),
-            visibility,
             probes_sent: 0,
         }
     }
@@ -73,27 +52,6 @@ impl<'a> Prober<'a> {
             rtt += topo.link(hop.link).latency * 2;
         }
         rtt
-    }
-
-    /// The sequence of hops a packet traverses from `a` to `b`.
-    pub fn traceroute(&mut self, a: HostId, b: HostId) -> Vec<HopId> {
-        self.probes_sent += 1;
-        let topo = self.net.topology();
-        let route = self.router.route(topo, a, b, 0);
-        let mut current = topo.host(a).node;
-        let mut hops = Vec::with_capacity(route.len());
-        for hop in route {
-            let link = topo.link(hop.link);
-            current = if link.a == current { link.b } else { link.a };
-            hops.push(match self.visibility {
-                Visibility::Open => HopId::Node(current),
-                Visibility::Tunneled => HopId::Opaque(desim::rng::derive_seed(
-                    0xEC2,
-                    (a.0 as u64) << 32 | current.0 as u64,
-                )),
-            });
-        }
-        hops
     }
 
     /// Measures achievable throughput from `a` to `b` right now by
@@ -130,7 +88,7 @@ pub struct InferredRacks {
 /// Clusters hosts into racks: two hosts sharing a rack see each other at
 /// the minimum observed hop count (host → ToR → host = 2).
 pub fn infer_racks(net: &mut NetSim, hosts: &[HostId]) -> InferredRacks {
-    let mut prober = Prober::new(net, Visibility::Tunneled);
+    let mut prober = Prober::new(net);
     let mut groups: Vec<Vec<HostId>> = Vec::new();
     let mut assigned: Vec<bool> = vec![false; hosts.len()];
     for i in 0..hosts.len() {
@@ -201,7 +159,7 @@ mod tests {
     #[test]
     fn ping_correlates_with_hops() {
         let mut net = two_tier(2, 3);
-        let mut p = Prober::new(&mut net, Visibility::Open);
+        let mut p = Prober::new(&mut net);
         let same_rack = p.ping(HostId(0), HostId(1));
         let cross_rack = p.ping(HostId(0), HostId(4));
         assert!(cross_rack > same_rack);
@@ -209,32 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn traceroute_open_names_routers() {
-        let mut net = two_tier(2, 2);
-        let mut p = Prober::new(&mut net, Visibility::Open);
-        let hops = p.traceroute(HostId(0), HostId(2));
-        assert_eq!(hops.len(), 4); // ToR, core, ToR, host
-        assert!(matches!(hops[0], HopId::Node(_)));
-    }
-
-    #[test]
-    fn traceroute_tunneled_is_opaque_but_counts_hops() {
-        let mut net = two_tier(2, 2);
-        let mut p = Prober::new(&mut net, Visibility::Tunneled);
-        let near = p.traceroute(HostId(0), HostId(1));
-        let far = p.traceroute(HostId(0), HostId(2));
-        assert!(near.len() < far.len());
-        assert!(near.iter().all(|h| matches!(h, HopId::Opaque(_))));
-        // Opaque ids differ per probing vantage point (no aliasing).
-        let far_from_other = p.traceroute(HostId(1), HostId(2));
-        assert_ne!(far.last(), far_from_other.last());
-    }
-
-    #[test]
     fn iperf_measures_and_releases() {
         let mut net = two_tier(2, 2);
         {
-            let mut p = Prober::new(&mut net, Visibility::Tunneled);
+            let mut p = Prober::new(&mut net);
             let bw = p.iperf(HostId(0), HostId(2));
             assert!((bw - GBPS).abs() < 1e-3, "idle path measures NIC rate: {bw}");
         }
@@ -245,7 +181,7 @@ mod tests {
     fn iperf_sees_background_contention() {
         let mut net = two_tier(1, 3);
         net.start(TransferSpec::network(HostId(1), HostId(2), f64::INFINITY));
-        let mut p = Prober::new(&mut net, Visibility::Tunneled);
+        let mut p = Prober::new(&mut net);
         let bw = p.iperf(HostId(0), HostId(2));
         assert!(
             (bw - GBPS / 2.0).abs() < 1e-3,

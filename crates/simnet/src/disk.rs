@@ -23,29 +23,12 @@ impl DiskModel {
         }
     }
 
-    /// A fast NVMe SSD: 2.5 GB/s read, 2 GB/s write (used for the 10 Gbps
-    /// experiments where the network must be able to overwhelm a disk).
-    pub fn nvme() -> Self {
-        DiskModel {
-            read_bps: 2.5e9,
-            write_bps: 2.0e9,
-        }
-    }
-
     /// A spinning disk ~7× slower than [`DiskModel::ssd`] (the paper's
     /// "5 to 10 times slower" HDDs): 70 MB/s read, 65 MB/s write.
     pub fn hdd() -> Self {
         DiskModel {
             read_bps: 70e6,
             write_bps: 65e6,
-        }
-    }
-
-    /// A disk so fast it never bottlenecks (for network-only experiments).
-    pub fn unbounded() -> Self {
-        DiskModel {
-            read_bps: 1e12,
-            write_bps: 1e12,
         }
     }
 
@@ -71,7 +54,6 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_sanely() {
-        assert!(DiskModel::nvme().read_bps > DiskModel::ssd().read_bps);
         assert!(DiskModel::ssd().read_bps > DiskModel::hdd().read_bps);
         // The paper's HDDs are 5-10x slower than its SSDs.
         let ratio = DiskModel::ssd().read_bps / DiskModel::hdd().read_bps;

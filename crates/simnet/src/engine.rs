@@ -211,9 +211,9 @@ pub struct EngineStats {
     /// Completion-queue events processed.
     pub events: u64,
     /// Progress settlements (rate changes applied to a running transfer).
-    pub settles: u64,
+    pub(crate) settles: u64,
     /// Largest batch of live transfers ever rated.
-    pub max_component: usize,
+    pub(crate) max_component: usize,
 }
 
 /// Registry handles for the engine's exported work counters.

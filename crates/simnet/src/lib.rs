@@ -48,8 +48,8 @@ pub mod sharing;
 pub mod topology;
 pub mod traffic;
 
-pub use engine::{Completion, EngineStats, NetSim, TransferId, TransferSpec};
-pub use topology::{HostId, LinkId, NodeId, Topology};
+pub use engine::{Completion, NetSim, TransferId, TransferSpec};
+pub use topology::{HostId, LinkId, Topology};
 
 /// One gigabit per second, in bytes per second (the unit used throughout).
 pub const GBPS: f64 = 1e9 / 8.0;

@@ -44,15 +44,6 @@ impl Demand {
         }
     }
 
-    /// An elastic demand with a rate cap.
-    pub fn capped(usages: Vec<(ResourceIdx, f64)>, cap: f64) -> Self {
-        Demand {
-            usages,
-            cap: Some(cap),
-            inelastic: None,
-        }
-    }
-
     /// An inelastic (UDP-like) demand at `rate`.
     pub fn inelastic(usages: Vec<(ResourceIdx, f64)>, rate: f64) -> Self {
         Demand {
@@ -361,6 +352,14 @@ pub fn is_feasible(capacities: &[f64], demands: &[Demand], rates: &[f64]) -> boo
 mod tests {
     use super::*;
 
+    /// An elastic demand with a rate cap.
+    fn capped(usages: Vec<(ResourceIdx, f64)>, cap: f64) -> Demand {
+        Demand {
+            cap: Some(cap),
+            ..Demand::elastic(usages)
+        }
+    }
+
     #[test]
     fn equal_share_on_one_link() {
         let rates = max_min_rates(
@@ -397,7 +396,7 @@ mod tests {
         let rates = max_min_rates(
             &[100.0],
             &[
-                Demand::capped(vec![(0, 1.0)], 10.0),
+                capped(vec![(0, 1.0)], 10.0),
                 Demand::elastic(vec![(0, 1.0)]),
             ],
         );
@@ -484,7 +483,7 @@ mod tests {
     fn empty_usages_are_unconstrained() {
         let rates = max_min_rates(&[], &[Demand::elastic(vec![])]);
         assert_eq!(rates, vec![f64::INFINITY]);
-        let rates = max_min_rates(&[], &[Demand::capped(vec![], 7.0)]);
+        let rates = max_min_rates(&[], &[capped(vec![], 7.0)]);
         assert_eq!(rates, vec![7.0]);
     }
 
@@ -503,7 +502,7 @@ mod tests {
             &[f64::INFINITY, 10.0],
             &[
                 Demand::elastic(vec![(0, 1.0)]),
-                Demand::capped(vec![(0, 2.0)], 7.0),
+                capped(vec![(0, 2.0)], 7.0),
                 Demand::elastic(vec![(0, 1.0), (1, 1.0)]),
             ],
         );
@@ -520,7 +519,7 @@ mod tests {
         let caps = [100.0, 50.0, 25.0, 10.0];
         let demands = vec![
             Demand::elastic(vec![(0, 1.0), (1, 1.0)]),
-            Demand::capped(vec![(1, 1.0), (2, 1.0)], 8.0),
+            capped(vec![(1, 1.0), (2, 1.0)], 8.0),
             Demand::inelastic(vec![(2, 1.0), (3, 1.0)], 9.0),
             Demand::elastic(vec![(0, 2.0), (3, 1.0)]),
             Demand::elastic(vec![(0, 1.0)]),
@@ -550,7 +549,7 @@ mod tests {
                 vec![100.0, 50.0, 25.0, 10.0],
                 vec![
                     Demand::elastic(vec![(0, 1.0), (1, 1.0)]),
-                    Demand::capped(vec![(1, 1.0), (2, 1.0)], 8.0),
+                    capped(vec![(1, 1.0), (2, 1.0)], 8.0),
                     Demand::inelastic(vec![(2, 1.0), (3, 1.0)], 9.0),
                     Demand::elastic(vec![(0, 2.0), (3, 1.0)]),
                 ],
@@ -565,7 +564,7 @@ mod tests {
                     Demand::elastic(vec![]),
                 ],
             ),
-            (vec![], vec![Demand::capped(vec![], 7.0)]),
+            (vec![], vec![capped(vec![], 7.0)]),
             (vec![0.0], vec![Demand::elastic(vec![(0, 1.0)])]),
         ];
         let mut scratch = SharingScratch::default();

@@ -94,16 +94,6 @@ pub fn disk_hogs(
         .collect()
 }
 
-/// Selects `fraction` of `hosts` uniformly at random (deterministic in the
-/// RNG), used to pick "active"/"busy" server subsets in the experiments.
-pub fn random_subset(rng: &mut DetRng, hosts: &[HostId], fraction: f64) -> Vec<HostId> {
-    let mut pool = hosts.to_vec();
-    pool.shuffle(rng);
-    let n = ((hosts.len() as f64) * fraction).round() as usize;
-    pool.truncate(n.min(hosts.len()));
-    pool
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,17 +153,5 @@ mod tests {
         assert!(busy.disk_write_bps >= busy.disk_write_capacity * 0.99);
         let idle = net.host_load(hosts[3]);
         assert_eq!(idle.disk_write_bps, 0.0);
-    }
-
-    #[test]
-    fn random_subset_is_deterministic_and_sized() {
-        let hosts: Vec<HostId> = (0..100).map(HostId).collect();
-        let a = random_subset(&mut stream_rng(5, 1), &hosts, 0.3);
-        let b = random_subset(&mut stream_rng(5, 1), &hosts, 0.3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 30);
-        // No duplicates.
-        let set: std::collections::HashSet<_> = a.iter().collect();
-        assert_eq!(set.len(), 30);
     }
 }

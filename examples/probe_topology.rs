@@ -4,9 +4,7 @@
 //! cargo run --example probe_topology
 //! ```
 
-use cloudtalk_repro::probing::{
-    infer_racks, rack_inference_accuracy, Prober, Visibility,
-};
+use cloudtalk_repro::probing::{infer_racks, rack_inference_accuracy, Prober};
 use simnet::topology::{HostId, TopoOptions, Topology};
 use simnet::{NetSim, GBPS};
 
@@ -15,7 +13,7 @@ fn main() {
     let mut net = NetSim::new(topo);
 
     // Ping/traceroute a few pairs, like the paper's EC2 campaign.
-    let mut prober = Prober::new(&mut net, Visibility::Tunneled);
+    let mut prober = Prober::new(&mut net);
     for (a, b) in [(0usize, 1usize), (0, 7), (0, 19)] {
         let rtt = prober.ping(HostId(a), HostId(b));
         let hops = prober.hop_count(HostId(a), HostId(b));

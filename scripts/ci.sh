@@ -7,8 +7,16 @@ cd "$(dirname "$0")/.."
 echo "=== build (release) ==="
 cargo build --release --workspace
 
-echo "=== clippy ==="
-cargo clippy --workspace -- -D warnings
+echo "=== clippy (every target: libs, bins, tests, examples; unused crate-private items fail here) ==="
+cargo clippy --workspace --all-targets -- -D warnings
+dead_allows="$(grep -rn 'allow(dead_code)' crates src tests examples | grep -vE '^crates/(pktsim|lang)/tests/reference_' || true)"
+if [ -n "$dead_allows" ]; then
+    echo "error: dead code is silenced instead of deleted (only the two test oracles may allow it):"; echo "$dead_allows"
+    exit 1
+fi
+
+echo "=== rustdoc (every intra-doc link resolves, and public docs link only public items) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "=== tests (every suite: the oracle, determinism, chaos and allocation-pin contracts all live here) ==="
 cargo test -q --workspace
