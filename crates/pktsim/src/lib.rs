@@ -11,9 +11,10 @@
 //!   default, as in §5.4), per-hop serialisation + propagation delay. The
 //!   paper runs htsim *inside* CloudTalk, so this loop's speed is query
 //!   latency: events fire in one `(time, scheduling order)` total order
-//!   out of three queues — a heap of at most two entries per busy port
-//!   (not one per packet in flight), the flows that have not started, and
-//!   the retransmission timers (see `sim`) — and
+//!   out of three queues — a FIFO lane per distinct port delay (a
+//!   packet event is scheduled a fixed delay from now, so a lane is in key
+//!   order without sifting), the flows that have not started, and the
+//!   retransmission timers (see `sim`) — and
 //!   [`sim::PktSim::completed`] tells a driver what each step finished.
 //! * [`tcp`] — TCP Reno endpoints: slow start, congestion avoidance,
 //!   triple-duplicate-ACK fast retransmit, retransmission timeouts with

@@ -13,12 +13,16 @@
 //! is the simulator's whole notion of "what happens next"; where the
 //! pending events *live* is free, so each kind waits where it is cheapest:
 //!
-//! * **The port heap** holds the events a packet moves on. A port's
-//!   packets in flight are scheduled at `now + latency` with `now`
-//!   non-decreasing, so their keys already ascend: they wait in the port's
-//!   `wire` FIFO and only the head (`Wire`) is in the heap. A port has at
-//!   most one `TxDone` pending. So the heap holds at most two entries per
-//!   busy port, whatever the number of packets in flight.
+//! * **The lanes** hold the events a packet moves on: a serialiser
+//!   finishing its head packet (`TxDone`) and a packet reaching the far end
+//!   of its link (`Arrive`). Each is scheduled at `now + d`, where `d` is
+//!   one of a few per-link constants — a port's data or ACK serialisation
+//!   time, or its link's latency — and there is one FIFO lane per distinct
+//!   `d`. `now` never decreases and the sequence number always increases,
+//!   so the keys of one lane already ascend in push order: a lane's head is
+//!   its least key, and no entry is ever sifted. A `vl2` fabric has a
+//!   handful of lanes; infinite links make a zero-delay lane, whose keys
+//!   `(now, seq)` ascend all the same.
 //! * **The start queue** holds the flows that have not started, each
 //!   under the key [`PktSim::add_flow`] drew for its start.
 //! * **The timer queue** holds retransmission-timer *stand-ins*. A flow's
@@ -32,17 +36,16 @@
 //!   nor a drop is an event: both happen inside [`PktSim::step`] on the
 //!   way to the next real one.
 //!
-//! The next event is the least key of the three heads, and a stand-in is
-//! settled only when the timer queue's head *is* that least key — exactly
-//! when it would have reached the head of one heap holding all three
-//! queues' entries. Every key is drawn at the program point where the
-//! original core's one global event queue drew it, so events fire in that
-//! queue's order (`tests/calendar_equiv.rs` holds the old core as the
-//! oracle). What the
-//! split buys is the port heap's depth: unstarted flows, and stand-ins
-//! that linger up to a backed-off RTO after their flow finished, are
-//! usually the bulk of the pending entries, and now no port event sifts
-//! past them.
+//! The start and timer queues are heaps: drivers choose start times, and
+//! stand-ins re-arm in place, so their keys do not ascend per delay. The
+//! next event is the least key of the least lane head and the two heap
+//! heads, and a stand-in is settled only when the timer queue's head *is*
+//! that least key — exactly when it would have reached the head of one
+//! heap holding every queue's entries. Every key is drawn at the program
+//! point where the original core's one global event queue drew it, so
+//! events fire in that queue's order (`tests/calendar_equiv.rs` holds the
+//! old core as the oracle). A packet event costs a push onto the back of a
+//! lane, a pop off its front and a scan of the lanes' head keys.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -80,19 +83,32 @@ type Key = (SimTime, u64);
 /// never decides an order.
 type Queue<T> = BinaryHeap<Reverse<(Key, T)>>;
 
-/// A port-heap entry: which of a port's two heads is due.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum PortEvent {
+/// A key as one integer in the same order, so that the scan for the least
+/// lane head compares integers instead of branching on a pair.
+fn packed((at, seq): Key) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+fn unpacked(key: u128) -> Key {
+    (SimTime::from_nanos((key >> 64) as u64), key as u64)
+}
+
+/// The packed head of an empty lane: later than every event's key.
+const IDLE: u128 = u128::MAX;
+
+/// What happens when a lane entry comes due.
+#[derive(Clone, Copy, Debug)]
+enum LaneEvent {
     /// The head packet of this port's queue finished serialising.
     TxDone(u32),
-    /// The head packet of this port's wire reaches the far end.
-    Wire(u32),
+    /// A packet reaches the far end of the link it was sent on.
+    Arrive(Packet),
 }
 
 /// Which queue holds the next event.
 #[derive(Clone, Copy)]
 enum Next {
-    Port,
+    Lane(usize),
     Start,
     Timer,
 }
@@ -116,19 +132,18 @@ struct Packet {
 
 struct PortState {
     queue: VecDeque<Packet>,
-    /// Packets crossing the link, each with the key of its arrival; keys
-    /// ascend, and the head's is in the port heap.
-    wire: VecDeque<(Key, Packet)>,
     busy: bool,
-    /// Time to serialise a data packet and an ACK at the link rate.
-    ser: [SimDuration; 2],
-    latency: SimDuration,
+    /// Lanes of the time to serialise a data packet and an ACK at the link
+    /// rate.
+    ser: [u32; 2],
+    /// Lane of the link's latency.
+    wire: u32,
 }
 
-impl PortState {
-    fn ser(&self, pkt: &Packet) -> SimDuration {
-        self.ser[pkt.is_ack as usize]
-    }
+/// Pending lane events of one delay, keys ascending.
+struct Lane {
+    delay: SimDuration,
+    events: VecDeque<(Key, LaneEvent)>,
 }
 
 struct Flow {
@@ -151,8 +166,11 @@ pub struct PktSim {
     topo: Topology,
     router: Router,
     cfg: SimConfig,
-    /// `TxDone` and `Wire` heads, at most one of each per port.
-    port_events: Queue<PortEvent>,
+    /// One FIFO per distinct port delay.
+    lanes: Vec<Lane>,
+    /// Each lane's head key, packed, or [`IDLE`] when the lane is empty:
+    /// the scan for the least one reads only these.
+    heads: Vec<u128>,
     /// Flows that have not started.
     starts: Queue<u32>,
     /// Retransmission-timer stand-ins, live and superseded.
@@ -170,17 +188,27 @@ pub struct PktSim {
 impl PktSim {
     /// Creates a simulator over `topo`.
     pub fn new(topo: Topology, cfg: SimConfig) -> Self {
+        let mut lanes: Vec<Lane> = Vec::new();
+        let mut lane_of = |delay: SimDuration| {
+            let lane = lanes.iter().position(|lane| lane.delay == delay);
+            lane.unwrap_or_else(|| {
+                let events = VecDeque::new();
+                lanes.push(Lane { delay, events });
+                lanes.len() - 1
+            }) as u32
+        };
         let mut ports = Vec::with_capacity(2 * topo.link_count());
         for l in 0..topo.link_count() {
             let link = topo.link(simnet::LinkId(l));
+            let ser = [cfg.mss, cfg.ack_size]
+                .map(|bytes| lane_of(SimDuration::from_secs_f64(bytes as f64 / link.capacity_bps)));
+            let wire = lane_of(link.latency);
             for _ in 0..2 {
                 ports.push(PortState {
                     queue: VecDeque::new(),
-                    wire: VecDeque::new(),
                     busy: false,
-                    ser: [cfg.mss, cfg.ack_size]
-                        .map(|bytes| SimDuration::from_secs_f64(bytes as f64 / link.capacity_bps)),
-                    latency: link.latency,
+                    ser,
+                    wire,
                 });
             }
         }
@@ -188,7 +216,8 @@ impl PktSim {
             topo,
             router: Router::new(),
             cfg,
-            port_events: BinaryHeap::new(),
+            heads: vec![IDLE; lanes.len()],
+            lanes,
             starts: BinaryHeap::new(),
             timers: BinaryHeap::new(),
             next_seq: 0,
@@ -208,7 +237,7 @@ impl PktSim {
 
     /// Rewinds the simulator to an empty, time-zero state over the same
     /// topology, keeping every allocation that is worth keeping: the port
-    /// table, each port's queue and wire buffers, the three event queues,
+    /// table, each port's queue, the lanes and the two heaps,
     /// the completion list, and — most importantly — the router's route cache,
     /// so repeated evaluations of different flow sets over one topology
     /// stop paying BFS per flow.
@@ -217,7 +246,10 @@ impl PktSim {
     /// constructed one: flows, stats, and pending events are gone and the
     /// sequence counter is back at zero.
     pub fn reset(&mut self) {
-        self.port_events.clear();
+        for lane in &mut self.lanes {
+            lane.events.clear();
+        }
+        self.heads.fill(IDLE);
         self.starts.clear();
         self.timers.clear();
         self.next_seq = 0;
@@ -228,7 +260,6 @@ impl PktSim {
         self.stats = Stats::default();
         for port in &mut self.ports {
             port.queue.clear();
-            port.wire.clear();
             port.busy = false;
         }
     }
@@ -320,18 +351,13 @@ impl PktSim {
                 self.flows[f as usize].armed = None;
                 self.on_rto(f as usize);
             }
-            Next::Port => {
-                let Reverse((_, event)) = self.port_events.pop().expect("peeked above");
+            Next::Lane(lane) => {
+                let events = &mut self.lanes[lane].events;
+                let (_, event) = events.pop_front().expect("a head key implies an event");
+                self.heads[lane] = events.front().map_or(IDLE, |&(key, _)| packed(key));
                 match event {
-                    PortEvent::TxDone(port) => self.on_tx_done(port as usize),
-                    PortEvent::Wire(port) => {
-                        let wire = &mut self.ports[port as usize].wire;
-                        let (_, pkt) = wire.pop_front().expect("Wire implies a packet in flight");
-                        if let Some(&(next, _)) = wire.front() {
-                            self.port_events.push(Reverse((next, event)));
-                        }
-                        self.on_arrive(pkt);
-                    }
+                    LaneEvent::TxDone(port) => self.on_tx_done(port as usize),
+                    LaneEvent::Arrive(pkt) => self.on_arrive(pkt),
                 }
             }
         }
@@ -344,9 +370,16 @@ impl PktSim {
     /// deadline (or goes). A stand-in is settled only when its key is the
     /// least of the three heads, so what is returned is a real event.
     fn next_event(&mut self) -> Option<(Key, Next)> {
-        let other = match (head(&self.port_events), head(&self.starts)) {
+        let (mut lane, mut least) = (0, IDLE);
+        for (l, &head) in self.heads.iter().enumerate() {
+            if head < least {
+                (lane, least) = (l, head);
+            }
+        }
+        let port = (least != IDLE).then(|| unpacked(least));
+        let other = match (port, head(&self.starts)) {
             (Some(port), Some(start)) if start < port => Some((start, Next::Start)),
-            (Some(port), _) => Some((port, Next::Port)),
+            (Some(port), _) => Some((port, Next::Lane(lane))),
             (None, start) => start.map(|start| (start, Next::Start)),
         };
         while let Some(mut top) = self.timers.peek_mut() {
@@ -397,11 +430,15 @@ impl PktSim {
         (at, seq)
     }
 
-    /// Schedules `port`'s serialiser to finish its head packet at `at`.
-    fn schedule_tx_done(&mut self, at: SimTime, port: usize) {
-        let key = self.key_at(at);
-        self.port_events
-            .push(Reverse((key, PortEvent::TxDone(port as u32))));
+    /// Schedules `event` one delay of `lane` from now.
+    fn schedule(&mut self, lane: u32, event: LaneEvent) {
+        let lane = lane as usize;
+        let key = self.key_at(self.now + self.lanes[lane].delay);
+        let events = &mut self.lanes[lane].events;
+        if events.is_empty() {
+            self.heads[lane] = packed(key);
+        }
+        events.push_back((key, event));
     }
 
     // --- event handlers ---------------------------------------------------
@@ -429,19 +466,14 @@ impl PktSim {
 
     fn on_tx_done(&mut self, port: usize) {
         // The head packet leaves the wire-side of the port now.
-        let arrive = self.key_at(self.now + self.ports[port].latency);
         let p = &mut self.ports[port];
         let pkt = p.queue.pop_front().expect("TxDone implies a head packet");
-        let wire_was_idle = p.wire.is_empty();
-        p.wire.push_back((arrive, pkt));
-        let next_tx = p.queue.front().map(|next| self.now + p.ser(next));
+        let next_tx = p.queue.front().map(|next| p.ser[next.is_ack as usize]);
         p.busy = next_tx.is_some();
-        if wire_was_idle {
-            self.port_events
-                .push(Reverse((arrive, PortEvent::Wire(port as u32))));
-        }
-        if let Some(at) = next_tx {
-            self.schedule_tx_done(at, port);
+        let wire = p.wire;
+        self.schedule(wire, LaneEvent::Arrive(pkt));
+        if let Some(lane) = next_tx {
+            self.schedule(lane, LaneEvent::TxDone(port as u32));
         }
     }
 
@@ -571,8 +603,8 @@ impl PktSim {
         p.queue.push_back(pkt);
         if !p.busy {
             p.busy = true;
-            let at = self.now + p.ser(&pkt);
-            self.schedule_tx_done(at, port);
+            let lane = p.ser[pkt.is_ack as usize];
+            self.schedule(lane, LaneEvent::TxDone(port as u32));
         }
     }
 
@@ -818,10 +850,13 @@ mod tests {
     }
 
     /// What each queue may hold, checked after every event of a 30-way
-    /// incast whose starts are staggered over the run: the port heap holds
-    /// at most one `TxDone` and one `Wire` per port, each for a port with
-    /// work behind it (its type admits no start and no timer), and the
-    /// start queue holds exactly the flows that have not started.
+    /// incast whose starts are staggered over the run: every lane's keys
+    /// strictly ascend and its head key is cached; a port has one `TxDone`
+    /// across all lanes iff it is busy, in the lane of its head packet's
+    /// serialisation time; the `Arrive` entries are the packets in flight
+    /// (counted from the events that fired), each in the latency lane of
+    /// the link it crosses; and the start queue holds exactly the flows
+    /// that have not started.
     #[test]
     fn each_queue_holds_only_its_own_events() {
         let mut sim = star(31, SimConfig::default().with_buffer(8));
@@ -830,26 +865,50 @@ mod tests {
             let start = SimTime::from_nanos(i as u64 * 50_000);
             sim.add_flow(h[i], h[30], 60_000, start);
         }
+        let mut in_flight = 0i64;
         let mut started_late = 0;
-        while sim.step() {
-            let mut heads = vec![[0u32; 2]; sim.ports.len()];
-            for Reverse((_, event)) in sim.port_events.iter() {
-                match *event {
-                    PortEvent::TxDone(p) => {
-                        heads[p as usize][0] += 1;
-                        assert!(sim.ports[p as usize].busy, "TxDone on idle port {p}");
-                    }
-                    PortEvent::Wire(p) => {
-                        heads[p as usize][1] += 1;
-                        assert!(!sim.ports[p as usize].wire.is_empty(), "port {p}");
+        loop {
+            if let Some((_, Next::Lane(l))) = sim.next_event() {
+                match sim.lanes[l].events[0].1 {
+                    LaneEvent::TxDone(_) => in_flight += 1,
+                    LaneEvent::Arrive(_) => in_flight -= 1,
+                }
+            }
+            if !sim.step() {
+                break;
+            }
+            let mut tx_done = vec![0u32; sim.ports.len()];
+            let mut arriving = 0i64;
+            for (l, lane) in sim.lanes.iter().enumerate() {
+                let keys: Vec<Key> = lane.events.iter().map(|&(key, _)| key).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "lane {l}: {keys:?}");
+                assert_eq!(
+                    sim.heads[l],
+                    keys.first().copied().map_or(IDLE, packed),
+                    "lane {l}"
+                );
+                for &(_, event) in &lane.events {
+                    match event {
+                        LaneEvent::TxDone(p) => {
+                            let port = &sim.ports[p as usize];
+                            tx_done[p as usize] += 1;
+                            let head = port.queue.front().expect("TxDone on an empty port");
+                            assert_eq!(port.ser[head.is_ack as usize] as usize, l, "port {p}");
+                        }
+                        LaneEvent::Arrive(pkt) => {
+                            arriving += 1;
+                            let flow = &sim.flows[pkt.flow as usize];
+                            let path = flow.path + if pkt.is_ack { flow.hops as u32 } else { 0 };
+                            let port = sim.paths[(path + pkt.hop as u32 - 1) as usize];
+                            assert_eq!(sim.ports[port as usize].wire as usize, l, "{pkt:?}");
+                        }
                     }
                 }
             }
-            for (p, [tx, wire]) in heads.into_iter().enumerate() {
-                assert!(tx <= 1 && wire <= 1, "port {p}: {tx} TxDone, {wire} Wire");
-                assert_eq!(tx == 1, sim.ports[p].busy, "port {p}");
-                assert_eq!(wire == 1, !sim.ports[p].wire.is_empty(), "port {p}");
+            for (p, tx) in tx_done.into_iter().enumerate() {
+                assert_eq!(tx, sim.ports[p].busy as u32, "port {p}: {tx} TxDone");
             }
+            assert_eq!(arriving, in_flight, "at {:?}", sim.now());
             let mut waiting: Vec<u32> = sim.starts.iter().map(|e| e.0 .1).collect();
             waiting.sort_unstable();
             let unstarted: Vec<u32> = (0..sim.flows.len() as u32)
@@ -861,8 +920,36 @@ mod tests {
             }
         }
         assert!(started_late > 0, "every flow started before drops");
-        assert!(sim.starts.is_empty() && sim.port_events.is_empty() && sim.timers.is_empty());
+        assert!(sim.starts.is_empty() && sim.timers.is_empty());
+        assert!(sim.lanes.iter().all(|lane| lane.events.is_empty()));
+        assert_eq!(in_flight, 0);
         assert!(sim.all_complete());
+    }
+
+    /// A lane per distinct delay. `vl2(12, 10)` has five: data and ACK
+    /// serialisation at host and at core speed, and the one latency — so
+    /// the `Vl2` shapes of `tests/calendar_equiv.rs` interleave several
+    /// delays. Zero link latency makes a zero-delay lane, which that
+    /// suite's zero-latency case drives.
+    #[test]
+    fn lanes_are_one_per_distinct_delay() {
+        let vl2 = Topology::vl2(12, 10, GBPS, TopoOptions::default());
+        let vl2 = PktSim::new(vl2, SimConfig::default());
+        assert_eq!(vl2.lanes.len(), 5);
+        let opts = TopoOptions {
+            link_latency: SimDuration::ZERO,
+            ..TopoOptions::default()
+        };
+        let instant = Topology::two_tier(3, 4, GBPS, GBPS, opts);
+        let instant = PktSim::new(instant, SimConfig::default());
+        let zero = |lane: &Lane| lane.delay == SimDuration::ZERO;
+        assert!(instant.lanes.iter().any(zero));
+        for sim in [&vl2, &instant] {
+            let delays: Vec<SimDuration> = sim.lanes.iter().map(|lane| lane.delay).collect();
+            let distinct = |(i, d): (usize, &SimDuration)| !delays[..i].contains(d);
+            assert!(delays.iter().enumerate().all(distinct), "{delays:?}");
+            assert_eq!(sim.heads, vec![IDLE; delays.len()]);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The packet simulator's three event queues (port heap, start queue,
-//! timer queue) against the event core they replaced.
+//! The packet simulator's three event queues (the per-delay FIFO lanes of
+//! packet events, the start queue, the timer queue) against the event core
+//! they replaced.
 //!
 //! [`reference_sim`] is the pre-lane `sim.rs`: one global
 //! `desim::EventQueue` holding an entry per packet in flight, RTO restarts
@@ -233,6 +234,20 @@ proptest! {
         // A deadline past the last event leaves the clock at the deadline.
         want.now = want.now.max_of(deadline);
         prop_assert_eq!(trace!(split, flows, 0, split.completed().to_vec()), want);
+    }
+
+    /// With zero link latency a packet arrives at the instant it leaves
+    /// its serialiser: its arrival waits in a zero-delay lane under the
+    /// key `(now, seq)`, behind every event already due at `now`.
+    #[test]
+    fn zero_latency_fires_the_reference_order(
+        racks in 1usize..5,
+        per_rack in 2usize..6,
+        cfg in configs(),
+        specs in flow_specs(),
+    ) {
+        let opts = TopoOptions { link_latency: SimDuration::ZERO, ..TopoOptions::default() };
+        lockstep(Topology::two_tier(racks, per_rack, GBPS, GBPS, opts), cfg, &specs)?;
     }
 }
 

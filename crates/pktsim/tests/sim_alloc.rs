@@ -1,10 +1,10 @@
 //! Pins the zero-allocation invariant of the packet loop: once a
 //! simulator has run a flow set and been [`PktSim::reset`], running the
 //! same set again must not touch the heap between its first and its last
-//! `step()` — the port queues, the wire lanes, the three event queues
-//! (port heap, start queue, timer queue) and the completion list all keep
-//! their capacity across `reset`, and an event moves fixed-size entries
-//! between them.
+//! `step()` — the port queues, the three event queues (the packet-event
+//! lanes, the start queue, the timer queue) and the completion list all
+//! keep their capacity across `reset`, and an event moves fixed-size
+//! entries between them.
 //!
 //! The run is lossless (`with_pfc()`): without drops no packet arrives
 //! out of order, so the receivers' reorder sets never insert, and the

@@ -3,6 +3,9 @@
 //! Routes are computed lazily per `(src, dst, ECMP bucket)` and cached. When
 //! several shortest paths exist (VL2 core), one is picked by hashing a
 //! caller-supplied flow discriminator, mirroring per-flow ECMP hashing.
+//! A walk that never met a tie is the route of every bucket, so it is
+//! cached once for its pair: on a single switch, a two-tier tree or an
+//! EC2-style fabric every pair walks once, not once per bucket.
 //! The BFS behind a route depends on the destination alone — in fact on the
 //! switch the destination hangs off, one hop short of it — so its result,
 //! every node's hop distance to that switch, is cached too, and a route that
@@ -25,7 +28,7 @@ pub struct Hop {
 /// inside owning structures without self-referential lifetimes.
 #[derive(Default)]
 pub struct Router {
-    cache: HashMap<(NodeId, NodeId, u64), Vec<Hop>>,
+    cache: HashMap<(NodeId, NodeId), Routes>,
     /// Hop distance of every node to each anchor routed towards so far. A
     /// destination with a single link is, for every other node, one hop
     /// beyond its neighbour: all hosts of a switch share the switch's
@@ -58,17 +61,33 @@ impl Router {
             return &[];
         }
         let bucket = flow_hash % ECMP_BUCKETS;
-        let fields = &mut self.fields;
-        self.cache.entry((s, d, bucket)).or_insert_with(|| {
-            let anchor = match topo.neighbours(d) {
-                [(only, _)] => *only,
-                _ => d,
-            };
-            let field = fields
-                .entry(anchor)
-                .or_insert_with(|| distance_field(topo, anchor));
-            walk(topo, field, anchor, s, d, bucket)
-        })
+        let routes = self
+            .cache
+            .entry((s, d))
+            .or_insert(Routes::PerBucket(Vec::new()));
+        if let Routes::PerBucket(walked) = routes {
+            if !walked.iter().any(|&(b, _)| u64::from(b) == bucket) {
+                let anchor = match topo.neighbours(d) {
+                    [(only, _)] => *only,
+                    _ => d,
+                };
+                let field = self
+                    .fields
+                    .entry(anchor)
+                    .or_insert_with(|| distance_field(topo, anchor));
+                match walk(topo, field, anchor, s, d, bucket) {
+                    (hops, true) => walked.push((bucket as u8, hops)),
+                    (hops, false) => *routes = Routes::Shared(hops),
+                }
+            }
+        }
+        match routes {
+            Routes::Shared(hops) => hops,
+            Routes::PerBucket(walked) => {
+                let walked = walked.iter().find(|&&(b, _)| u64::from(b) == bucket);
+                &walked.expect("walked above").1
+            }
+        }
     }
 
     /// Number of hops on the (any) shortest path between two hosts —
@@ -79,6 +98,15 @@ impl Router {
 }
 
 const ECMP_BUCKETS: u64 = 64;
+
+/// The cached routes of one `(src, dst)` pair.
+enum Routes {
+    /// The walk met no tie: every bucket takes this route.
+    Shared(Vec<Hop>),
+    /// The route of each ECMP bucket walked so far, under its bucket: a
+    /// pair's flows usually use a few of the buckets, so the list is short.
+    PerBucket(Vec<(u8, Vec<Hop>)>),
+}
 
 /// A hop distance. Every routed-to destination keeps one per node, so it
 /// is as narrow as a datacenter's diameter allows.
@@ -108,7 +136,8 @@ fn distance_field(topo: &Topology, anchor: NodeId) -> Vec<Dist> {
 /// — `dst` itself, or the only neighbour it can be reached through — at
 /// each step choosing among neighbours one hop closer to `dst`; ties broken
 /// by a deterministic hash of `(tie_break, node)` so different flows spread
-/// over the ECMP fan.
+/// over the ECMP fan. Also says whether any step had a tie: without one,
+/// every `tie_break` walks the same route.
 fn walk(
     topo: &Topology,
     field: &[Dist],
@@ -116,21 +145,30 @@ fn walk(
     src: NodeId,
     dst: NodeId,
     tie_break: u64,
-) -> Vec<Hop> {
+) -> (Vec<Hop>, bool) {
     assert_ne!(field[src.0], UNREACHED, "topology is disconnected");
     let beyond = u32::from(anchor != dst);
     let dist = |n: NodeId| if n == dst { 0 } else { u32::from(field[n.0]) + beyond };
     let mut hops = Vec::with_capacity(dist(src) as usize);
     let mut node = src;
+    let mut tied = false;
     while node != dst {
-        let next = topo
+        let mut closer = topo
             .neighbours(node)
             .iter()
-            .filter(|(peer, _)| dist(*peer) + 1 == dist(node))
-            .min_by_key(|(peer, link)| mix(tie_break, peer.0 as u64, link.0 as u64))
-            .copied()
-            .expect("BFS guarantees a next hop");
-        let (peer, link) = next;
+            .filter(|(peer, _)| dist(*peer) + 1 == dist(node));
+        let first = *closer.next().expect("BFS guarantees a next hop");
+        let (peer, link) = match closer.next() {
+            None => first,
+            Some(&second) => {
+                tied = true;
+                [first, second]
+                    .into_iter()
+                    .chain(closer.copied())
+                    .min_by_key(|(peer, link)| mix(tie_break, peer.0 as u64, link.0 as u64))
+                    .expect("two candidates")
+            }
+        };
         let l = topo.link(link);
         let dir = if l.a == node {
             LinkDir::Forward
@@ -140,7 +178,7 @@ fn walk(
         hops.push(Hop { link, dir });
         node = peer;
     }
-    hops
+    (hops, tied)
 }
 
 fn mix(a: u64, b: u64, c: u64) -> u64 {
@@ -211,29 +249,56 @@ mod tests {
         );
     }
 
-    /// The cached, switch-anchored distance fields change where a route
-    /// comes from, never the route: every host pair on every ECMP bucket
-    /// equals a fresh BFS from the destination itself and a walk down it.
+    /// The cached, switch-anchored distance fields and the routes cached
+    /// once per tie-free pair change where a route comes from, never the
+    /// route: every host pair on every ECMP bucket equals a fresh BFS from
+    /// the destination itself and a walk down it.
     #[test]
     fn cached_fields_route_like_a_fresh_bfs() {
-        for t in [
-            Topology::vl2(8, 2, crate::GBPS, TopoOptions::default()),
-            Topology::two_tier(4, 3, crate::GBPS, crate::GBPS, TopoOptions::default()),
+        for (t, ecmp) in [
+            (
+                Topology::vl2(8, 2, crate::GBPS, TopoOptions::default()),
+                true,
+            ),
+            (
+                Topology::two_tier(4, 3, crate::GBPS, crate::GBPS, TopoOptions::default()),
+                false,
+            ),
+            (
+                Topology::single_switch(5, crate::GBPS, TopoOptions::default()),
+                false,
+            ),
+            (
+                Topology::ec2(7, crate::GBPS, 3, TopoOptions::default()),
+                false,
+            ),
         ] {
             let mut r = Router::new();
             for a in t.host_ids() {
                 for b in t.host_ids() {
-                    for bucket in 0..ECMP_BUCKETS {
+                    // Every bucket once, out of order: flow hashes 37k.
+                    for hash in (0..ECMP_BUCKETS).map(|k| 37 * k) {
                         let (s, d) = (t.host(a).node, t.host(b).node);
+                        let bucket = hash % ECMP_BUCKETS;
                         let fresh = if a == b {
                             Vec::new()
                         } else {
-                            walk(&t, &distance_field(&t, d), d, s, d, bucket)
+                            walk(&t, &distance_field(&t, d), d, s, d, bucket).0
                         };
-                        assert_eq!(r.route_ref(&t, a, b, bucket), &fresh[..], "{a:?}->{b:?} #{bucket}");
+                        assert_eq!(
+                            r.route_ref(&t, a, b, hash),
+                            &fresh[..],
+                            "{a:?}->{b:?} #{bucket}"
+                        );
                     }
                 }
             }
+            // Only an ECMP fabric caches a route per bucket.
+            let per_bucket = r
+                .cache
+                .values()
+                .filter(|routes| matches!(routes, Routes::PerBucket(_)));
+            assert_eq!(per_bucket.count() > 0, ecmp);
         }
     }
 

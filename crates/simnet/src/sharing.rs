@@ -82,7 +82,9 @@ pub struct SharingScratch {
     /// `0.0` doubles as the "untouched this round" sentinel (loads are
     /// sums of strictly positive multiplicities).
     load: Vec<f64>,
-    /// Resources with non-zero load this round.
+    /// Resources with non-zero load this round. Listed once, by the first
+    /// round's count, then only pruned: a survivor loads nothing it did
+    /// not load the round before.
     touched: Vec<ResourceIdx>,
     /// Dense per-resource equal share, valid for this round's touched
     /// resources.
@@ -143,7 +145,9 @@ pub fn max_min_rates(capacities: &[f64], demands: &[Demand]) -> Vec<f64> {
 /// order. What differs is how often memory is walked — a round computes
 /// each touched resource's share once, and one pass over the flat usage
 /// array both freezes this round's demands and counts the survivors' loads
-/// for the next.
+/// for the next. The loaded set is listed once and pruned as demands
+/// freeze; its order decides nothing, since it feeds only a minimum and
+/// the zeroing.
 pub fn max_min_rates_into(
     scratch: &mut SharingScratch,
     capacities: &[f64],
@@ -241,7 +245,6 @@ pub fn max_min_rates_into(
                 level = s;
             }
         }
-        touched.clear();
         // Any cap at or below the level freezes first, alone; otherwise
         // every group using a bottleneck resource freezes at the level.
         //
@@ -277,7 +280,11 @@ pub fn max_min_rates_into(
                     }
                 }
                 None => {
-                    count_loads(usages, load, touched);
+                    for &(r, mult) in usages {
+                        if mult > 0.0 {
+                            load[r] += mult;
+                        }
+                    }
                     capped += cap.is_some() as usize;
                     unfrozen[kept] = span;
                     kept += 1;
@@ -285,6 +292,9 @@ pub fn max_min_rates_into(
             }
         }
         unfrozen.truncate(kept);
+        // A survivor's resources were loaded last round too, so the loaded
+        // set only shrinks: keep `touched`, dropping what lost its load.
+        touched.retain(|&r| load[r] != 0.0);
         debug_assert!(kept < before, "progressive filling must freeze each round");
         if kept == before {
             // Defensive: avoid an infinite loop if float trouble strikes.

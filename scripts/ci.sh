@@ -21,7 +21,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "=== tests (every suite: the oracle, determinism, chaos and allocation-pin contracts all live here) ==="
 cargo test -q --workspace
 
-echo "=== packet-event ordering hunt (the three pktsim queues against the single-heap reference, 512 cases; tier-1 runs 64) ==="
+echo "=== packet-event ordering hunt (the pktsim lanes, start queue and timer queue against the single-heap reference, 512 cases; tier-1 runs 64) ==="
 PROPTEST_CASES=512 cargo test -q --release -p pktsim --test calendar_equiv
 
 echo "=== pktsearch smoke ==="
@@ -168,6 +168,17 @@ fi
 fillers="$(grep -rlw 'unfrozen' crates/*/src src || true)"
 if [ "$fillers" != "crates/simnet/src/sharing.rs" ]; then
     echo "error: a progressive-filling loop outside crates/simnet/src/sharing.rs:"; echo "$fillers"
+    exit 1
+fi
+
+echo "=== one packet calendar (port events wait in per-delay FIFO lanes; the heap core lives only in crates/pktsim/tests/reference_sim/) ==="
+if grep -rnE 'PortEvent|port_events|wire: *VecDeque' crates/pktsim/src; then
+    echo "error: a port heap or a per-port wire FIFO is back in crates/pktsim/src — a port event goes on the lane of its delay"
+    exit 1
+fi
+heaps="$(grep -rnE 'BinaryHeap<|: *Queue<' crates/pktsim/src | grep -vE 'type Queue<T> = BinaryHeap<|(starts|timers): Queue<u32>,' || true)"
+if [ -n "$heaps" ]; then
+    echo "error: a heap other than the start and timer queues in crates/pktsim/src:"; echo "$heaps"
     exit 1
 fi
 
