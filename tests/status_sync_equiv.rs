@@ -547,26 +547,65 @@ fn a_fault_plan_installed_on_settled_racks_takes_effect() {
     // Racks settle under an empty plan; a plan installed afterwards must
     // unsettle them (a partitioned rack cannot be waved through), and a
     // straggler counts its rounds from the rack's first pull, settled
-    // syncs included.
+    // syncs included: one straggling fewer rounds than the settled syncs
+    // has already passed them, one straggling more misses one pull.
     let layout = FleetLayout::grouped(racks());
-    let plan = FaultPlan::none()
-        .agg_partition(RackId(1), Window::always())
-        .agg_straggle(RackId(2), 4);
-    let mut fast = AggregationPlane::new(layout.clone(), table(5), plane_config(5, PLAIN));
-    let mut oracle = AggregationPlane::new(layout, Opaque(table(5)), plane_config(5, PLAIN));
-    for step in 0..3 {
-        fast.sync(t(step as f64));
-        oracle.sync(t(step as f64));
+    let retries = PlaneConfig::default().retry.max_retries;
+    for settled in [3, 50] {
+        for straggle in [settled - 1, settled + 1] {
+            let plan = FaultPlan::none()
+                .agg_partition(RackId(1), Window::always())
+                .agg_straggle(RackId(2), straggle);
+            let mut fast = AggregationPlane::new(layout.clone(), table(5), plane_config(5, PLAIN));
+            let mut oracle =
+                AggregationPlane::new(layout.clone(), Opaque(table(5)), plane_config(5, PLAIN));
+            for step in 0..settled {
+                fast.sync(t(step as f64));
+                oracle.sync(t(step as f64));
+            }
+            assert!(counter(&fast, "gather.agg.racks_clean") > 0);
+            let mut fast = fast.with_faults(plan.clone());
+            let mut oracle = oracle.with_faults(plan);
+            for step in settled..settled + 3 {
+                fast.sync(t(step as f64));
+                oracle.sync(t(step as f64));
+                assert_eq!(fast.stale_racks(), vec![RackId(1)]);
+                assert_eq!(
+                    observe(&mut fast),
+                    observe(&mut oracle),
+                    "{settled} settled syncs, straggle {straggle}: sync {step}"
+                );
+            }
+            assert_eq!(
+                counter(&fast, "gather.agg.pull_retries"),
+                3 * u64::from(retries) + u64::from(straggle > settled),
+                "{settled} settled syncs, straggle {straggle}"
+            );
+        }
     }
-    assert!(counter(&fast, "gather.agg.racks_clean") > 0);
-    let mut fast = fast.with_faults(plan.clone());
-    let mut oracle = oracle.with_faults(plan);
-    for step in 3..6 {
-        fast.sync(t(step as f64));
-        oracle.sync(t(step as f64));
-        assert_eq!(fast.stale_racks(), vec![RackId(1)]);
+}
+
+#[test]
+fn a_rack_clean_for_50_syncs_then_silenced_matches_the_full_scan() {
+    let layout = FleetLayout::grouped(racks());
+    let mut fast = AggregationPlane::new(layout.clone(), table(9), plane_config(9, PLAIN));
+    let mut oracle = AggregationPlane::new(layout, Opaque(table(9)), plane_config(9, PLAIN));
+    let silent = racks()[2][3];
+    for step in 0..56 {
+        if step == 50 {
+            fast.source_mut().silence(silent);
+            oracle.source_mut().table().silence(silent);
+        }
+        fast.sync(t(0.5 * step as f64));
+        oracle.sync(t(0.5 * step as f64));
         assert_eq!(observe(&mut fast), observe(&mut oracle), "sync {step}");
     }
+    assert_eq!(
+        counter(&fast, "gather.agg.racks_clean"),
+        49 * RACK_SIZES.len() as u64 + 6 * (RACK_SIZES.len() - 1) as u64,
+        "every rack clean from the second sync on, rack 2 until its host went silent"
+    );
+    assert!(fast.poll_report(silent).is_none());
 }
 
 /// Counts the polls that reach the inner source, per address; the change
