@@ -788,8 +788,9 @@ impl EvalCore {
         snap.rounds = outcome.rounds;
         snap.gather = gather;
         if listed.is_none() {
-            let ages = WordMap::with_capacity_and_hasher(outcome.replies.len(), Default::default());
-            renew(&mut snap.world, World::new());
+            let replies = outcome.replies.len();
+            let ages = WordMap::with_capacity_and_hasher(replies, Default::default());
+            renew(&mut snap.world, World::with_capacity(replies));
             renew(&mut snap.ages, ages);
         } else if polled.is_empty() {
             // Nothing listed: the world and the ages stand, and so does the
@@ -1329,7 +1330,8 @@ impl StatusSnapshot {
     /// against. Excluded hosts fall back to the assumed-overloaded state
     /// on lookup.
     pub(crate) fn fresh_world(&self, max_age: SimDuration) -> World {
-        let mut out = World::new();
+        // One age per host of the world.
+        let mut out = World::with_capacity(self.ages.len());
         for (&addr, &state) in self.world.iter() {
             let age = self
                 .ages

@@ -156,6 +156,13 @@ impl World {
         World::default()
     }
 
+    /// An empty world with room for `n` hosts.
+    pub fn with_capacity(n: usize) -> Self {
+        World {
+            hosts: WordMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
     /// A world where each of `addrs` has the same `state`.
     pub fn uniform(addrs: &[Address], state: HostState) -> Self {
         World {
