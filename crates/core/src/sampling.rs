@@ -14,7 +14,7 @@
 //!   `confidence`, a sample of n servers contains at least `d` idle ones
 //!   when an `idle_fraction` of the fleet is idle.
 
-use cloudtalk_lang::problem::{Problem, Value};
+use cloudtalk_lang::problem::{Problem, Value, Variable};
 use desim::rng::DetRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -27,32 +27,50 @@ pub(crate) const DEFAULT_SAMPLE_THRESHOLD: usize = 100;
 /// sample of `budget` values. Returns the sampled problem (pools of size
 /// ≤ `budget`) — fixed endpoints are untouched.
 pub fn sample_candidates(problem: &Problem, budget: usize, rng: &mut DetRng) -> Problem {
-    let mut sampled = problem.clone();
     // Pools are shared between same-decl variables; sample each pool once
     // so distinct-value semantics keep enough room (pool ids are dense).
-    let n_pools = sampled.vars.iter().map(|v| v.pool).max().map_or(0, |m| m + 1);
-    for pool in 0..n_pools {
-        let vars_in_pool: Vec<usize> = (0..sampled.vars.len())
-            .filter(|&i| sampled.vars[i].pool == pool)
-            .collect();
-        let Some(&first) = vars_in_pool.first() else {
+    let n_pools = problem
+        .vars
+        .iter()
+        .map(|v| v.pool)
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut samples: Vec<Option<Vec<Value>>> = vec![None; n_pools];
+    for (pool, sample) in samples.iter_mut().enumerate() {
+        let mut vars = problem.vars.iter().filter(|v| v.pool == pool);
+        let Some(first) = vars.next() else {
             continue;
         };
-        let pool_values = &sampled.vars[first].candidates;
         // Never sample below the number of variables that must bind
         // distinct values from this pool.
-        let need = budget.max(vars_in_pool.len());
-        if pool_values.len() <= need {
+        let need = budget.max(1 + vars.count());
+        if first.candidates.len() <= need {
             continue;
         }
-        let mut values: Vec<Value> = pool_values.clone();
+        let mut values = first.candidates.clone();
         values.shuffle(rng);
         values.truncate(need);
-        for &vi in &vars_in_pool {
-            sampled.vars[vi].candidates = values.clone();
-        }
+        *sample = Some(values);
     }
-    sampled
+    // Copy each variable once: a sampled pool's variables get the sample,
+    // never the pool it replaces.
+    let vars = problem
+        .vars
+        .iter()
+        .map(|v| match &samples[v.pool] {
+            Some(values) => Variable {
+                name: v.name.clone(),
+                candidates: values.clone(),
+                pool: v.pool,
+            },
+            None => v.clone(),
+        })
+        .collect();
+    Problem {
+        vars,
+        flows: problem.flows.clone(),
+        distinct: problem.distinct,
+    }
 }
 
 /// Exact binomial computation of the smallest sample size `n` such that
@@ -211,6 +229,67 @@ mod tests {
         // Budget 1 < 3 variables: must keep at least 3 candidates.
         let s = sample_candidates(&p, 1, &mut rng);
         assert_eq!(s.vars[0].candidates.len(), 3);
+    }
+
+    /// The sampler before it stopped copying what it discards: clone the
+    /// whole problem, then overwrite each sampled variable's pool.
+    fn clone_then_overwrite(problem: &Problem, budget: usize, rng: &mut DetRng) -> Problem {
+        let mut sampled = problem.clone();
+        let n_pools = sampled
+            .vars
+            .iter()
+            .map(|v| v.pool)
+            .max()
+            .map_or(0, |m| m + 1);
+        for pool in 0..n_pools {
+            let vars_in_pool: Vec<usize> = (0..sampled.vars.len())
+                .filter(|&i| sampled.vars[i].pool == pool)
+                .collect();
+            let Some(&first) = vars_in_pool.first() else {
+                continue;
+            };
+            let need = budget.max(vars_in_pool.len());
+            if sampled.vars[first].candidates.len() <= need {
+                continue;
+            }
+            let mut values = sampled.vars[first].candidates.clone();
+            values.shuffle(rng);
+            values.truncate(need);
+            for &vi in &vars_in_pool {
+                sampled.vars[vi].candidates = values.clone();
+            }
+        }
+        sampled
+    }
+
+    #[test]
+    fn sampling_draws_and_orders_as_the_clone_then_overwrite_reference() {
+        let pool = |from: u32, n: u32| (from..from + n).map(|a| Value::Addr(Address(a))).collect();
+        let mixed = Problem {
+            vars: vec![
+                Variable::new("a", pool(1, 300), 0),
+                Variable::new("b", pool(1, 300), 0),
+                Variable::new("c", pool(400, 40), 1),
+                Variable::new("d", pool(500, 150), 3),
+            ],
+            flows: Vec::new(),
+            distinct: true,
+        };
+        let nodes: Vec<Address> = (2..302).map(Address).collect();
+        let hdfs = hdfs_write_query(Address(1), &nodes, 3, 1e6)
+            .resolve()
+            .unwrap();
+        for problem in [&mixed, &hdfs] {
+            for budget in [1, 2, 19, 100, 299, 300] {
+                for seed in 0..8 {
+                    let (mut rng, mut reference_rng) = (stream_rng(seed, 0), stream_rng(seed, 0));
+                    let sampled = sample_candidates(problem, budget, &mut rng);
+                    let want = clone_then_overwrite(problem, budget, &mut reference_rng);
+                    assert_eq!(sampled, want, "budget {budget}, seed {seed}");
+                    assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "same draws");
+                }
+            }
+        }
     }
 
     #[test]
