@@ -197,6 +197,22 @@ if grep -rnE 'too_many_arguments|macro_rules!' crates/apps/src; then
     exit 1
 fi
 
+echo "=== a sync visits what changed (AggregationPlane::sync walks the dirtied and the unhealthy racks; the full gather builds its world presized) ==="
+sync_body="$(awk '/^    pub fn sync\(&mut self, now: SimTime\)/,/^    }$/' crates/core/src/aggregate.rs)"
+gather_body="$(awk '/^    pub\(crate\) fn gather_snapshot\(/,/^    }$/' crates/core/src/server.rs)"
+if [ -z "$sync_body" ] || [ -z "$gather_body" ]; then
+    echo "error: AggregationPlane::sync or EvalCore::gather_snapshot not found where this gate looks"
+    exit 1
+fi
+if grep -nE '0\.\.self\.layout\.rack_count\(\)|\.rack_ids\(\)' <<<"$sync_body"; then
+    echo "error: AggregationPlane::sync walks every rack again — a clean healthy rack is charged in a batch, not visited"
+    exit 1
+fi
+if grep -n 'World::new()' <<<"$gather_body"; then
+    echo "error: gather_snapshot grows its world from empty again — build it with World::with_capacity"
+    exit 1
+fi
+
 echo "=== one fleet lookup (FleetLayout finds a host by one hashed probe; the sorted index lives only in tests/fleet_index_equiv.rs) ==="
 if grep -n 'index.binary_search' crates/core/src/aggregate.rs; then
     echo "error: aggregate.rs binary-searches the fleet index again — FleetLayout::index is a WordMap"
