@@ -144,11 +144,6 @@ impl ChangeMarks {
         !self.scan_all && answered_all && loss_probability(self.queued.len(), transport) == 0.0
     }
 
-    /// Whether no host is listed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// The listed slots, ascending.
     pub(crate) fn sorted(&mut self) -> &[usize] {
         self.pending.sort_unstable();
