@@ -6,11 +6,9 @@
 //! the same per-host load the hypervisor would see.
 
 use cloudtalk::server::{Answer, CloudTalkServer, ServerConfig, ServerError};
-use cloudtalk::status::{host_state_from_load, StatusSource};
+use cloudtalk::status::{NetSimStatusSource, Readings};
 use cloudtalk_lang::problem::{Address, Problem, Value};
-use cloudtalk_lang::WordMap;
 use desim::{EventQueue, SimDuration, SimTime};
-use estimator::HostState;
 use simnet::engine::Completion;
 use simnet::topology::HostId;
 use simnet::NetSim;
@@ -22,9 +20,9 @@ pub struct Cluster {
     pub net: NetSim,
     /// The CloudTalk server answering tenant queries.
     pub server: CloudTalkServer,
-    /// Status servers measure periodically; `None` = instantaneous reads.
-    measurement_interval: Option<SimDuration>,
-    status_cache: WordMap<Address, (SimTime, HostState)>,
+    /// Status servers measure every interval, keeping their last
+    /// readings; `None` = instantaneous reads.
+    measured: Option<(SimDuration, Readings)>,
 }
 
 impl Cluster {
@@ -33,8 +31,7 @@ impl Cluster {
         Cluster {
             net: NetSim::new(topo),
             server: CloudTalkServer::new(server_cfg),
-            measurement_interval: None,
-            status_cache: WordMap::default(),
+            measured: None,
         }
     }
 
@@ -42,7 +39,7 @@ impl Cluster {
     /// CloudTalk then sees load data up to `interval` old — the feedback
     /// delay behind the paper's Figure 12 oscillation.
     pub fn with_measurement_interval(mut self, interval: SimDuration) -> Self {
-        self.measurement_interval = Some(interval);
+        self.measured = Some((interval, Readings::default()));
         self
     }
 
@@ -82,12 +79,10 @@ impl Cluster {
 
     fn ask_with(&mut self, problem: &Problem, reserve: bool) -> Result<Answer, ServerError> {
         let now = self.net.now();
-        let mut source = CachedNetSource {
-            net: &mut self.net,
-            cache: &mut self.status_cache,
-            interval: self.measurement_interval,
-            now,
-        };
+        let mut source = NetSimStatusSource::new(&mut self.net);
+        if let Some((interval, readings)) = &mut self.measured {
+            source = source.measuring_every(*interval, readings);
+        }
         self.server
             .answer_problem_with(problem, &mut source, now, reserve)
     }
@@ -149,35 +144,6 @@ impl Cluster {
         };
         self.net.advance_into(t, done);
         Some(t)
-    }
-}
-
-/// The status servers of a simulated cluster: live reads of the network's
-/// per-host load (`interval` `None`), or measurements at most `interval`
-/// old — a fresh reading is taken, and cached, only when the previous one
-/// has expired.
-pub(crate) struct CachedNetSource<'a> {
-    pub(crate) net: &'a mut NetSim,
-    pub(crate) cache: &'a mut WordMap<Address, (SimTime, HostState)>,
-    pub(crate) interval: Option<SimDuration>,
-    pub(crate) now: SimTime,
-}
-
-impl StatusSource for CachedNetSource<'_> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        if let Some(interval) = self.interval {
-            if let Some((at, state)) = self.cache.get(&addr) {
-                if self.now.saturating_since(*at) < interval {
-                    return Some(*state);
-                }
-            }
-        }
-        let host = self.net.topology().host_by_addr(addr.0)?;
-        let state = host_state_from_load(&self.net.host_load(host));
-        if self.interval.is_some() {
-            self.cache.insert(addr, (self.now, state));
-        }
-        Some(state)
     }
 }
 

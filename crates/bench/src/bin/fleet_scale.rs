@@ -173,7 +173,7 @@ fn smoke() {
     plane.sync(SimTime::ZERO);
     churn(plane.source_mut(), n, 1);
     let t = SimTime::from_secs_f64(1.0);
-    plane.set_now(t);
+    plane.advance_to(t);
     let mut truth = build_source(n);
     churn(&mut truth, n, 1);
     for a in addrs(n) {

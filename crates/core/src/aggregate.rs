@@ -982,17 +982,12 @@ impl<S: StatusSource> AggregationPlane<S> {
         self
     }
 
-    /// Sets the simulated time. The next poll triggers a fresh sync.
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
     /// The fleet layout.
     pub fn layout(&self) -> &FleetLayout {
         &self.layout
     }
 
-    /// The wrapped host-level source (tests advance fault windows here).
+    /// The wrapped host-level source.
     pub fn source_mut(&mut self) -> &mut S {
         &mut self.source
     }
@@ -1057,6 +1052,7 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// already-synced `now` reuse the merged views.
     pub fn sync(&mut self, now: SimTime) {
         self.now = now;
+        self.source.advance_to(now);
         self.metrics.inc(self.ids.syncs, 1);
         let mut trace = Trace::deterministic(SYNC_SPAN_CAPACITY);
         let root = trace.begin("agg.sync", now);
@@ -1399,21 +1395,13 @@ impl<S: StatusSource> AggregationPlane<S> {
         self.metrics.inc(self.ids.fulls_installed, 1);
         self.metrics.inc(self.ids.full_hosts, snap.len() as u64);
     }
-
-    fn ensure_synced(&mut self) {
-        if self.synced_at != Some(self.now) {
-            self.sync(self.now);
-        }
-    }
 }
 
 impl<S: StatusSource> StatusSource for AggregationPlane<S> {
-    fn poll(&mut self, addr: Address) -> Option<estimator::HostState> {
-        self.poll_report(addr).map(|r| r.state)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
-        self.ensure_synced();
+        if self.synced_at != Some(self.now) {
+            self.sync(self.now);
+        }
         let (rack, slot) = self.layout.slot_of(addr)?;
         // Every view of the plane is a slot table over its layout rack.
         let rack = rack.0 as usize;
@@ -1424,8 +1412,9 @@ impl<S: StatusSource> StatusSource for AggregationPlane<S> {
         })
     }
 
+    /// The next poll syncs at `now`, unless the plane already has.
     fn advance_to(&mut self, now: SimTime) {
-        self.set_now(now);
+        self.now = now;
     }
 
     fn take_sync_trace(&mut self) -> Option<TraceReport> {
@@ -1635,7 +1624,6 @@ mod tests {
                 source(12),
                 PlaneConfig::default(),
             );
-            plane.set_now(SimTime::ZERO);
             let mut reports = Vec::new();
             for a in 1..=12 {
                 reports.push(plane.poll_report(Address(a)));
@@ -1707,7 +1695,7 @@ mod tests {
             .with_faults(plan);
         plane.sync(SimTime::ZERO);
         let t = SimTime::from_secs_f64(3.0);
-        plane.set_now(t);
+        plane.advance_to(t);
         let stale = plane.poll_report(Address(5)).expect("last view serves");
         assert_eq!(stale.age, SimDuration::from_secs_f64(3.0));
         let fresh = plane.poll_report(Address(1)).expect("healthy rack");
@@ -1877,7 +1865,6 @@ mod tests {
         let faulty = FaultySource::new(source(12), plan);
         let mut plane =
             AggregationPlane::new(layout_3x4(), faulty, PlaneConfig::default());
-        plane.set_now(SimTime::ZERO);
         assert!(plane.poll_report(Address(6)).is_none());
         assert!(plane.poll_report(Address(5)).is_some());
     }

@@ -373,7 +373,9 @@ impl FaultPlan {
 /// A decorator applying a [`FaultPlan`] to any [`StatusSource`].
 ///
 /// Time-dependent faults (crash/partition windows) are evaluated against
-/// the time set with [`FaultySource::set_now`]; straggler faults are
+/// the time of the last [`StatusSource::advance_to`], which every gatherer
+/// calls before it polls and which the decorator forwards inward, along
+/// with the inner source's sync trace and change view; straggler faults are
 /// evaluated against a per-host attempt counter, so a retry round
 /// naturally recovers a straggler once its configured miss count is
 /// exhausted. Stale faults serve either the inner source's reading aged
@@ -415,12 +417,6 @@ impl<S> FaultySource<S> {
         self
     }
 
-    /// Sets the current simulated time, against which crash/partition
-    /// windows are evaluated.
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
     /// The wrapped source.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
@@ -428,31 +424,14 @@ impl<S> FaultySource<S> {
 }
 
 impl<S: StatusSource> StatusSource for FaultySource<S> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.poll_report(addr).map(|r| r.state)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         let attempt = {
             let a = self.attempts.entry(addr).or_insert(0);
             *a += 1;
             *a
         };
-        let now = self.now;
-        if self
-            .plan
-            .crashed
-            .get(&addr)
-            .is_some_and(|w| w.contains(now))
-        {
-            return None;
-        }
-        if self
-            .plan
-            .partitioned
-            .get(&addr)
-            .is_some_and(|w| w.contains(now))
-        {
+        let open = |w: Option<&Window>| w.is_some_and(|w| w.contains(self.now));
+        if open(self.plan.crashed.get(&addr)) || open(self.plan.partitioned.get(&addr)) {
             return None;
         }
         if self
@@ -481,6 +460,17 @@ impl<S: StatusSource> StatusSource for FaultySource<S> {
             report.state = kind.apply(report.state);
         }
         Some(report)
+    }
+
+    /// Crash and partition windows follow `now`, and so does the inner
+    /// source.
+    fn advance_to(&mut self, now: SimTime) {
+        self.now = now;
+        self.inner.advance_to(now);
+    }
+
+    fn take_sync_trace(&mut self) -> Option<obs::TraceReport> {
+        self.inner.take_sync_trace()
     }
 
     fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {
@@ -514,7 +504,7 @@ mod tests {
         let mut f = FaultySource::new(source(2), plan);
         assert!(f.poll_report(Address(1)).is_none(), "crashed: silent");
         assert!(f.poll_report(Address(2)).is_some(), "others unaffected");
-        f.set_now(SimTime::from_secs_f64(2.0));
+        f.advance_to(SimTime::from_secs_f64(2.0));
         assert!(f.poll_report(Address(1)).is_some(), "restarted: answers");
     }
 
@@ -544,7 +534,7 @@ mod tests {
         // And the source agrees: an empty window silences nobody, even at
         // its own boundary instant.
         let mut f = FaultySource::new(source(2), FaultPlan::none().crash(Address(1), w));
-        f.set_now(t);
+        f.advance_to(t);
         assert!(f.poll_report(Address(1)).is_some());
     }
 

@@ -362,8 +362,7 @@ pub struct Provenance {
     /// Scatter-gather rounds behind this answer's snapshot.
     pub gather_rounds: u32,
     /// First-round status bytes of the gather behind this answer's
-    /// snapshot (shared across a batch answered from one snapshot; 0 for
-    /// static snapshots).
+    /// snapshot (shared by every answer read from one snapshot).
     pub status_bytes: u64,
     /// Retry-round bytes of the same gather (kept separate so retries
     /// never double-count the §5.5 figure).
@@ -698,6 +697,9 @@ impl CloudTalkServer {
     /// task is assigned only if the asking node is among the recommended
     /// set) should pass `reserve = false`: reserving on every heartbeat
     /// would hide the genuinely idle machines from the very next query.
+    ///
+    /// The gather reads `source` as of `now`: the answer moves the
+    /// source's clock there ([`StatusSource::advance_to`]) before it polls.
     pub fn answer_problem_with(
         &mut self,
         problem: &Problem,
@@ -712,6 +714,7 @@ impl CloudTalkServer {
             Some(p) => (Footprint::shared(p), true),
             None => (Footprint::borrowed(problem), false),
         };
+        source.advance_to(now);
         let snapshot = self.take_snapshot(working.addrs(), source);
         self.reservations.purge(now);
         let holds = Holds {
@@ -1261,8 +1264,8 @@ pub struct StatusSnapshot {
     /// Freshness score in `[0, 1]`: the mean staleness decay over every
     /// interrogated host, missing hosts counting 0. Picks the rung.
     freshness: f64,
-    /// Accounting delta of the gather that produced this snapshot (zeroed
-    /// for static snapshots). Feeds per-answer provenance bytes.
+    /// Accounting delta of the gather that produced this snapshot. Feeds
+    /// per-answer provenance bytes.
     gather: OverheadLedger,
     /// Core-unique stamp of the gather that produced this snapshot. The
     /// answer cache keys on it: a refreshed shard is a new epoch, so
@@ -1272,7 +1275,7 @@ pub struct StatusSnapshot {
 }
 
 impl StatusSnapshot {
-    /// A static snapshot of no hosts, for a first gather to fold into.
+    /// A snapshot of no hosts, for a first gather to fold into.
     pub(crate) fn unprimed() -> Self {
         StatusSnapshot {
             world: Arc::default(),
@@ -1288,7 +1291,7 @@ impl StatusSnapshot {
     }
 
     /// Whether this gather of `n` hosts heard every one of them in its
-    /// first round (a static snapshot ran no round).
+    /// first round (an unprimed snapshot ran no round).
     pub(crate) fn heard_from_all(&self, n: usize) -> bool {
         self.rounds == 1 && self.missing == 0 && self.interrogated == n
     }
@@ -1298,23 +1301,19 @@ impl StatusSnapshot {
         self.elapsed
     }
 
-    /// Scatter-gather rounds spent gathering (0 for static snapshots).
+    /// Scatter-gather rounds spent gathering (0 before the first gather).
     pub(crate) fn rounds(&self) -> u32 {
         self.rounds
     }
 
     /// The overhead-accounting delta of the gather behind this snapshot:
-    /// first-round and retry traffic, separately. Zero for static
-    /// snapshots.
+    /// first-round and retry traffic, separately.
     pub(crate) fn gather_ledger(&self) -> OverheadLedger {
         self.gather
     }
 
     /// The age of `addr`'s report, if it answered.
     pub(crate) fn report_age(&self, addr: Address) -> Option<SimDuration> {
-        if self.ages.is_empty() && self.world.knows(addr) {
-            return Some(SimDuration::ZERO); // static snapshot
-        }
         self.ages.get(&addr).copied()
     }
 
@@ -1330,15 +1329,11 @@ impl StatusSnapshot {
     /// against. Excluded hosts fall back to the assumed-overloaded state
     /// on lookup.
     pub(crate) fn fresh_world(&self, max_age: SimDuration) -> World {
-        // One age per host of the world.
+        // Every gather fills the world and the ages together: one age per
+        // host of the world.
         let mut out = World::with_capacity(self.ages.len());
         for (&addr, &state) in self.world.iter() {
-            let age = self
-                .ages
-                .get(&addr)
-                .copied()
-                .unwrap_or(SimDuration::ZERO);
-            if age <= max_age {
+            if self.ages[&addr] <= max_age {
                 out.set(addr, state);
             }
         }

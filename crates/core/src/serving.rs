@@ -987,10 +987,11 @@ impl<S: StatusSource> ServingPlane<S> {
         // Refresh due shards — each on its own cadence, through the
         // shared source. A slow gather only delays *this* shard's data.
         // A refresh moves the shard's snapshot epoch, which orphans every
-        // answer-cache entry keyed on the old epoch. Time-aware sources
-        // (an aggregation plane) are moved to the wave clock first so the
-        // gather reads state as of now — unconditionally, so telemetry
-        // on/off cannot change what a gather sees. The change view is
+        // answer-cache entry keyed on the old epoch. The source, and every
+        // layer a decorator forwards the call to, is moved to the wave
+        // clock first so the gather reads state as of now —
+        // unconditionally, so telemetry on/off cannot change what a gather
+        // sees. The change view is
         // drained first, so a refresh polls only what changed.
         self.source.advance_to(t_wave);
         let mut refreshed = false;

@@ -39,28 +39,31 @@ impl StatusReport {
     }
 }
 
-/// A source of per-host status reports.
+/// A source of per-host status reports — the one contract every status
+/// producer honours:
 ///
-/// `poll` returns `None` when the host does not answer (crashed, dropped
-/// datagram at the source, unknown address) — the CloudTalk server then
-/// assumes the host is under heavy I/O load (§4).
+/// * **One question**, [`StatusSource::poll_report`], the only required
+///   method. `None` means the host does not answer (crashed, dropped
+///   datagram, unknown address); the CloudTalk server then assumes it is
+///   under heavy I/O load (§4).
+/// * **One clock, set by whoever gathers.** A
+///   [`crate::server::CloudTalkServer`] answer, an
+///   [`crate::aggregate::AggregationPlane`] sync and a
+///   [`crate::serving::ServingPlane`] wave each call
+///   [`StatusSource::advance_to`] with their own `now` before they poll.
+/// * **A decorator forwards all four methods** to the source it wraps
+///   (where it does not answer itself), so stacked sources keep the
+///   clock, the sync trace and the change view.
 pub trait StatusSource {
-    /// Measures the current I/O state of `addr`.
-    fn poll(&mut self, addr: Address) -> Option<HostState>;
-
-    /// Like [`StatusSource::poll`], but also reporting the measurement's
-    /// age. Sources that always serve live data (the default) report
-    /// `age == 0`; decorators such as [`crate::faults::FaultySource`]
-    /// override this to serve stale readings.
-    fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
-        self.poll(addr).map(StatusReport::fresh)
-    }
+    /// Measures the current I/O state of `addr`, with the measurement's
+    /// age: 0 for a live reading, more for a stale one.
+    fn poll_report(&mut self, addr: Address) -> Option<StatusReport>;
 
     /// Moves the source's notion of "now" to `now` before a gather.
-    /// Stateless sources (the default) ignore this; time-aware sources —
-    /// an [`crate::aggregate::AggregationPlane`] syncing its racks — use
-    /// it so a serving plane's shard refresh sees state as of the wave
-    /// clock rather than as of construction time.
+    /// Stateless sources (the default) ignore this; time-aware ones — a
+    /// [`crate::faults::FaultySource`] evaluating its windows, an
+    /// [`crate::aggregate::AggregationPlane`] syncing its racks — answer
+    /// as of `now` from then on.
     fn advance_to(&mut self, _now: SimTime) {}
 
     /// Takes the span report of the collection work behind the most
@@ -209,11 +212,16 @@ impl TableStatusSource {
             self.changed.insert(addr);
         }
     }
+
+    /// The state the table holds for `addr`, if any.
+    pub fn poll(&self, addr: Address) -> Option<HostState> {
+        self.table.get(&addr).copied()
+    }
 }
 
 impl StatusSource for TableStatusSource {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.table.get(&addr).copied()
+    fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
+        self.poll(addr).map(StatusReport::fresh)
     }
 
     /// The first call lists every address in the table (any other
@@ -230,39 +238,68 @@ impl StatusSource for TableStatusSource {
     }
 }
 
-/// A status source that adapts a [`simnet::NetSim`]: polls read the live
-/// host-load snapshot of the fluid simulation, exactly what a hypervisor
-/// status server would measure.
+/// Each host's last measurement and the instant it was taken, kept by the
+/// owner of a [`NetSimStatusSource`] that measures periodically.
+pub type Readings = WordMap<Address, (SimTime, HostState)>;
+
+/// The status servers of a simulated cluster: polls read the per-host
+/// load of a [`simnet::NetSim`], exactly what a hypervisor status server
+/// would measure, at the network's own clock (`net.now()`).
+///
+/// By default every poll is a live read. With
+/// [`NetSimStatusSource::measuring_every`] a status server measures at
+/// most once per interval and serves its last reading in between — the
+/// feedback delay behind the paper's Figure 12 oscillation. The reading
+/// is served as fresh (`age == 0`): the status server does not say how
+/// old it is.
 pub struct NetSimStatusSource<'a> {
     net: &'a mut simnet::NetSim,
+    measured: Option<(SimDuration, &'a mut Readings)>,
 }
 
 impl<'a> NetSimStatusSource<'a> {
-    /// Wraps a live network simulation.
+    /// Live reads of a network simulation.
     pub fn new(net: &'a mut simnet::NetSim) -> Self {
-        NetSimStatusSource { net }
+        NetSimStatusSource {
+            net,
+            measured: None,
+        }
+    }
+
+    /// Measures each host at most once per `interval`, keeping the
+    /// readings in `readings` so they outlive this source.
+    pub fn measuring_every(mut self, interval: SimDuration, readings: &'a mut Readings) -> Self {
+        self.measured = Some((interval, readings));
+        self
     }
 }
 
 impl StatusSource for NetSimStatusSource<'_> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
+    fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
+        let now = self.net.now();
+        if let Some((interval, readings)) = &self.measured {
+            if let Some(&(at, state)) = readings.get(&addr) {
+                if now.saturating_since(at) < *interval {
+                    return Some(StatusReport::fresh(state));
+                }
+            }
+        }
         let host = self.net.topology().host_by_addr(addr.0)?;
         let load = self.net.host_load(host);
-        Some(host_state_from_load(&load))
-    }
-}
-
-/// Converts a simnet per-host load sample into the estimator's host state.
-pub fn host_state_from_load(load: &simnet::engine::HostLoad) -> HostState {
-    HostState {
-        nic_up_capacity: load.nic_capacity,
-        nic_up_used: load.tx_bps,
-        nic_down_capacity: load.nic_capacity,
-        nic_down_used: load.rx_bps,
-        disk_read_capacity: load.disk_read_capacity,
-        disk_read_used: load.disk_read_bps,
-        disk_write_capacity: load.disk_write_capacity,
-        disk_write_used: load.disk_write_bps,
+        let state = HostState {
+            nic_up_capacity: load.nic_capacity,
+            nic_up_used: load.tx_bps,
+            nic_down_capacity: load.nic_capacity,
+            nic_down_used: load.rx_bps,
+            disk_read_capacity: load.disk_read_capacity,
+            disk_read_used: load.disk_read_bps,
+            disk_write_capacity: load.disk_write_capacity,
+            disk_write_used: load.disk_write_bps,
+        };
+        if let Some((_, readings)) = &mut self.measured {
+            readings.insert(addr, (now, state));
+        }
+        Some(StatusReport::fresh(state))
     }
 }
 
@@ -279,8 +316,14 @@ mod tests {
         s.set(Address(1), HostState::gbps_idle());
         assert!(s.poll(Address(1)).is_some());
         assert!(s.poll(Address(2)).is_none());
+        // Read as a source: a fresh report of the table's state.
+        let rep = s.poll_report(Address(1)).unwrap();
+        assert_eq!(rep.age, SimDuration::ZERO);
+        assert_eq!(rep.state, HostState::gbps_idle());
+        assert!(s.poll_report(Address(2)).is_none());
         s.silence(Address(1));
         assert!(s.poll(Address(1)).is_none());
+        assert!(s.poll_report(Address(1)).is_none());
     }
 
     #[test]
@@ -320,21 +363,30 @@ mod tests {
         let addr0 = Address(net.topology().host(hosts[0]).addr);
         let addr2 = Address(net.topology().host(hosts[2]).addr);
         let mut src = NetSimStatusSource::new(&mut net);
-        let busy = src.poll(addr0).unwrap();
-        assert!(busy.nic_up_used > 0.0);
-        let idle = src.poll(addr2).unwrap();
-        assert_eq!(idle.nic_up_used, 0.0);
+        let busy = src.poll_report(addr0).unwrap();
+        assert!(busy.state.nic_up_used > 0.0);
+        let idle = src.poll_report(addr2).unwrap();
+        assert_eq!(idle.state.nic_up_used, 0.0);
         // Unknown address: no answer.
-        assert!(src.poll(Address(0xFFFF_FFFF)).is_none());
+        assert!(src.poll_report(Address(0xFFFF_FFFF)).is_none());
     }
 
     #[test]
-    fn default_poll_report_is_fresh() {
-        let mut s = TableStatusSource::new();
-        s.set(Address(1), HostState::gbps_idle());
-        let rep = s.poll_report(Address(1)).unwrap();
-        assert_eq!(rep.age, SimDuration::ZERO);
-        assert_eq!(rep.state, HostState::gbps_idle());
-        assert!(s.poll_report(Address(2)).is_none());
+    fn a_measuring_source_serves_its_last_reading_for_an_interval() {
+        let mut net = NetSim::new(Topology::single_switch(2, GBPS, TopoOptions::default()));
+        let hosts = net.hosts();
+        // 0.8 s at line rate.
+        net.start(TransferSpec::network(hosts[0], hosts[1], GBPS / 8.0 * 0.8));
+        let addr = Address(net.topology().host(hosts[0]).addr);
+        let mut readings = Readings::default();
+        let mut sending = |net: &mut NetSim, at: f64| {
+            net.advance_to(SimTime::from_secs_f64(at));
+            let mut src = NetSimStatusSource::new(net)
+                .measuring_every(SimDuration::from_secs_f64(1.0), &mut readings);
+            src.poll_report(addr).unwrap().state.nic_up_used > 0.0
+        };
+        assert!(sending(&mut net, 0.0));
+        assert!(sending(&mut net, 0.9), "done at 0.8 s, but measured at 0");
+        assert!(!sending(&mut net, 1.0), "measured again");
     }
 }

@@ -136,10 +136,8 @@ fn run_fault(
             .set(a, HostState::gbps_idle().with_up_load(0.6));
     }
     let t_mid = SimTime::from_secs_f64(1.0);
-    plane.set_now(t_mid);
     plane.sync(t_mid);
     let t = SimTime::from_secs_f64(QUERY_AT);
-    plane.set_now(t);
     let answer = server(seed)
         .answer_problem(&problem, &mut plane, t)
         .expect("aggregator faults must never break the answer path");

@@ -343,7 +343,6 @@ fn crashed_server_recovers_after_restart_window() {
     let mut srv = server(3);
     let a = srv.answer_problem(&problem, &mut src, SimTime::ZERO).unwrap();
     assert_eq!(a.missing, 1, "crashed host missing before restart");
-    src.set_now(SimTime::from_secs_f64(2.0));
     let b = srv
         .answer_problem(&problem, &mut src, SimTime::from_secs_f64(2.0))
         .unwrap();

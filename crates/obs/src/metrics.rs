@@ -10,49 +10,6 @@
 //! a `NetSim`) carries its own, so tests can read exported values without
 //! reaching into private fields and parallel instances never contend.
 
-/// The `q`-quantile (`q` in `[0, 1]`) estimated from raw bucket counts by
-/// linear interpolation inside the bucket holding the target rank — the
-/// Prometheus `histogram_quantile` estimator. `counts` must have
-/// `bounds.len() + 1` entries (the last is the overflow bucket); ranks
-/// landing in overflow clamp to the highest finite edge, the honest answer
-/// a fixed-bucket histogram can give. Returns 0 for an empty distribution.
-///
-/// This is the shared estimator behind [`Histogram::quantile`] and the
-/// windowed time-series summaries in [`crate::timeseries`], which keep raw
-/// bucket arrays rather than `Histogram` values on their hot path.
-pub(crate) fn quantile_from_counts(bounds: &[f64], counts: &[u64], total: u64, q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    if total == 0 {
-        return 0.0;
-    }
-    let rank = q * total as f64;
-    let mut seen = 0.0;
-    for (i, &c) in counts.iter().enumerate() {
-        let next = seen + c as f64;
-        if next >= rank && c > 0 {
-            if i >= bounds.len() {
-                // Overflow bucket: no finite upper edge to interpolate
-                // towards.
-                return bounds.last().copied().unwrap_or(0.0);
-            }
-            let hi = bounds[i];
-            let lo = if i == 0 {
-                if hi > 0.0 {
-                    0.0
-                } else {
-                    hi
-                }
-            } else {
-                bounds[i - 1]
-            };
-            let frac = ((rank - seen) / c as f64).clamp(0.0, 1.0);
-            return lo + (hi - lo) * frac;
-        }
-        seen = next;
-    }
-    bounds.last().copied().unwrap_or(0.0)
-}
-
 /// Handle to a registered counter (monotonic `u64`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(u32);
@@ -76,7 +33,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: &'static [f64]) -> Self {
+    pub(crate) fn new(bounds: &'static [f64]) -> Self {
         Histogram {
             bounds,
             counts: vec![0; bounds.len() + 1],
@@ -85,7 +42,7 @@ impl Histogram {
         }
     }
 
-    fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let idx = self
             .bounds
             .iter()
@@ -96,7 +53,7 @@ impl Histogram {
         self.sum += v;
     }
 
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.total = 0;
         self.sum = 0.0;
@@ -130,7 +87,36 @@ impl Histogram {
     /// the highest finite edge, the honest answer a fixed-bucket
     /// histogram can give. Returns 0 for an empty histogram.
     pub(crate) fn quantile(&self, q: f64) -> f64 {
-        quantile_from_counts(self.bounds, &self.counts, self.total, q)
+        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        if self.total == 0 {
+            return 0.0;
+        }
+        let rank = q * self.total as f64;
+        let mut seen = 0.0;
+        for (i, &c) in self.counts.iter().enumerate() {
+            let next = seen + c as f64;
+            if next >= rank && c > 0 {
+                if i >= self.bounds.len() {
+                    // Overflow bucket: no finite upper edge to interpolate
+                    // towards.
+                    return self.bounds.last().copied().unwrap_or(0.0);
+                }
+                let hi = self.bounds[i];
+                let lo = if i == 0 {
+                    if hi > 0.0 {
+                        0.0
+                    } else {
+                        hi
+                    }
+                } else {
+                    self.bounds[i - 1]
+                };
+                let frac = ((rank - seen) / c as f64).clamp(0.0, 1.0);
+                return lo + (hi - lo) * frac;
+            }
+            seen = next;
+        }
+        self.bounds.last().copied().unwrap_or(0.0)
     }
 
     /// Median estimate ([`Histogram::quantile`] at 0.5).

@@ -22,7 +22,7 @@
 
 use desim::{SimDuration, SimTime};
 
-use crate::metrics::quantile_from_counts;
+use crate::metrics::Histogram;
 
 /// Shape of a telemetry ring: window width, ring depth, and the fixed
 /// label space (tenant classes × shards) plus latency histogram edges.
@@ -70,17 +70,15 @@ pub struct QueryRecord {
     pub rung: u8,
 }
 
-/// Raw per-window accumulators: a latency histogram + counters per tenant
-/// class, a rung distribution, and per-shard query counts. Flat
-/// preallocated arrays — recording is pure array arithmetic.
+/// Raw per-window accumulators: a latency `metrics::Histogram` + counters per
+/// tenant class, a rung distribution, and per-shard query counts, all
+/// preallocated — recording is pure array arithmetic.
 #[derive(Clone, Debug)]
 pub struct WindowData {
     classes: usize,
     shards: usize,
-    bounds: &'static [f64],
-    hist: Vec<u64>, // classes * (bounds.len() + 1), row-major by class
-    count: Vec<u64>,
-    sum_us: Vec<f64>,
+    /// Latency in µs, one histogram per tenant class.
+    latency: Vec<Histogram>,
     errors: Vec<u64>,
     shed: Vec<u64>,
     hits: Vec<u64>,
@@ -95,10 +93,7 @@ impl WindowData {
         WindowData {
             classes,
             shards,
-            bounds: spec.bounds,
-            hist: vec![0; classes * (spec.bounds.len() + 1)],
-            count: vec![0; classes],
-            sum_us: vec![0.0; classes],
+            latency: (0..classes).map(|_| Histogram::new(spec.bounds)).collect(),
             errors: vec![0; classes],
             shed: vec![0; classes],
             hits: vec![0; classes],
@@ -109,9 +104,7 @@ impl WindowData {
 
     /// Zeroes every accumulator; the allocation is reused.
     fn reset(&mut self) {
-        self.hist.iter_mut().for_each(|c| *c = 0);
-        self.count.iter_mut().for_each(|c| *c = 0);
-        self.sum_us.iter_mut().for_each(|c| *c = 0.0);
+        self.latency.iter_mut().for_each(Histogram::reset);
         self.errors.iter_mut().for_each(|c| *c = 0);
         self.shed.iter_mut().for_each(|c| *c = 0);
         self.hits.iter_mut().for_each(|c| *c = 0);
@@ -122,15 +115,7 @@ impl WindowData {
     fn record(&mut self, rec: &QueryRecord) {
         let c = rec.class.min(self.classes - 1);
         let s = rec.shard.min(self.shards - 1);
-        let hb = self.bounds.len() + 1;
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| rec.latency_us <= b)
-            .unwrap_or(self.bounds.len());
-        self.hist[c * hb + idx] += 1;
-        self.count[c] += 1;
-        self.sum_us[c] += rec.latency_us;
+        self.latency[c].observe(rec.latency_us);
         self.errors[c] += rec.error as u64;
         self.shed[c] += rec.shed as u64;
         self.hits[c] += rec.hit as u64;
@@ -140,29 +125,25 @@ impl WindowData {
 
     /// Total completions recorded across all classes.
     pub fn total(&self) -> u64 {
-        self.count.iter().sum()
+        self.latency.iter().map(Histogram::total).sum()
     }
 
     /// Condenses the raw accumulators into a `WindowSummary`
     /// (control path — allocates the summary).
     pub fn summarize(&self, window: u64, width: SimDuration) -> WindowSummary {
-        let hb = self.bounds.len() + 1;
         let secs = width.as_secs_f64().max(1e-12);
         let mut classes = Vec::with_capacity(self.classes);
-        let mut overall = vec![0u64; hb];
-        for c in 0..self.classes {
-            let row = &self.hist[c * hb..(c + 1) * hb];
-            for (o, r) in overall.iter_mut().zip(row) {
-                *o += r;
-            }
-            let n = self.count[c];
+        let mut overall = Histogram::new(self.latency[0].bounds());
+        for (c, h) in self.latency.iter().enumerate() {
+            overall.merge_from(h);
+            let n = h.total();
             classes.push(ClassWindow {
                 count: n,
                 rate_qps: n as f64 / secs,
-                p50_us: quantile_from_counts(self.bounds, row, n, 0.5),
-                p99_us: quantile_from_counts(self.bounds, row, n, 0.99),
-                p999_us: quantile_from_counts(self.bounds, row, n, 0.999),
-                mean_us: if n > 0 { self.sum_us[c] / n as f64 } else { 0.0 },
+                p50_us: h.quantile(0.5),
+                p99_us: h.quantile(0.99),
+                p999_us: h.quantile(0.999),
+                mean_us: if n > 0 { h.sum() / n as f64 } else { 0.0 },
                 errors: self.errors[c],
                 shed: self.shed[c],
                 hits: self.hits[c],
@@ -175,9 +156,9 @@ impl WindowData {
             width,
             total,
             rate_qps: total as f64 / secs,
-            p50_us: quantile_from_counts(self.bounds, &overall, total, 0.5),
-            p99_us: quantile_from_counts(self.bounds, &overall, total, 0.99),
-            p999_us: quantile_from_counts(self.bounds, &overall, total, 0.999),
+            p50_us: overall.quantile(0.5),
+            p99_us: overall.quantile(0.99),
+            p999_us: overall.quantile(0.999),
             classes,
             rungs: self.rungs,
             shards: self.shard_count.clone(),

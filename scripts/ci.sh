@@ -243,6 +243,32 @@ if [ "$builders" != "gather_snapshot unprimed " ]; then
     exit 1
 fi
 
+echo "=== one status-source contract (one question, one clock set by whoever gathers, decorators forward, one NetSim adapter) ==="
+trait_body="$(awk '/^pub trait StatusSource \{/,/^\}$/' crates/core/src/status.rs)"
+faulty_body="$(awk '/^impl<S: StatusSource> StatusSource for FaultySource<S> \{/,/^\}$/' crates/core/src/faults.rs)"
+if [ -z "$trait_body" ] || [ -z "$faulty_body" ]; then
+    echo "error: the StatusSource trait or FaultySource's impl of it not found where this gate looks"
+    exit 1
+fi
+if grep -n 'fn poll(' <<<"$trait_body"; then
+    echo "error: StatusSource asks its question twice again — poll_report is the one required method"
+    exit 1
+fi
+if grep -rnw 'set_now' crates src tests examples; then
+    echo "error: a clock set by hand — every gatherer calls StatusSource::advance_to with its own now"
+    exit 1
+fi
+if grep -rnE 'impl.* StatusSource for' crates/apps/src; then
+    echo "error: crates/apps/src defines a status source — a NetSim is read through core::status::NetSimStatusSource"
+    exit 1
+fi
+for method in advance_to take_sync_trace drain_changed; do
+    if ! grep -q "fn $method(" <<<"$faulty_body"; then
+        echo "error: FaultySource does not forward $method — a decorator forwards the clock, the sync trace and the change view"
+        exit 1
+    fi
+done
+
 echo "=== one address lookup per search (CapacityTable turns addresses into slots at rebuild; the walk and its nodes move slots; one table per walker) ==="
 if grep -nE '\.slot\(|\.free\(|binary_search' crates/core/src/exhaustive.rs crates/core/src/walk.rs; then
     echo "error: the exact search looks an address up below CapacityTable::rebuild — push and read slots"

@@ -47,10 +47,6 @@ struct Straggly {
 }
 
 impl StatusSource for Straggly {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.poll_report(addr).map(|r| r.state)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         let i = (addr.0 as usize).checked_sub(1)?;
         let host = self.hosts.get(i)?;

@@ -42,10 +42,6 @@ const WORK_COUNTERS: [&str; 2] = [
 struct Opaque<S>(S);
 
 impl<S: StatusSource> StatusSource for Opaque<S> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.0.poll(addr)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         self.0.poll_report(addr)
     }
@@ -83,10 +79,6 @@ impl Hiccup {
 }
 
 impl StatusSource for Hiccup {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.poll_report(addr).map(|r| r.state)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         if let Some(i) = self.armed.iter().position(|&a| a == addr) {
             self.armed.swap_remove(i);
@@ -97,6 +89,10 @@ impl StatusSource for Hiccup {
         let mut report = self.inner.poll_report(addr)?;
         report.age += lag(addr);
         Some(report)
+    }
+
+    fn advance_to(&mut self, now: SimTime) {
+        self.inner.advance_to(now);
     }
 
     fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {
@@ -364,8 +360,6 @@ fn drive(seed: u64, plan: &FaultPlan, workers: usize, cache: bool) -> (u64, u64)
                 [fast.source_mut().hiccup(), oracle.source_mut().hiccup()],
             );
         }
-        fast.source_mut().hiccup().inner.set_now(close);
-        oracle.source_mut().hiccup().inner.set_now(close);
         for (tenant, problem) in queries(&mut rng) {
             let a = fast
                 .submit(tenant, problem.clone(), at)

@@ -40,10 +40,6 @@ const WORK_ARGS: [&str; 2] = ["clean_racks", "dirty_hosts"];
 struct Opaque<S>(S);
 
 impl<S: StatusSource> StatusSource for Opaque<S> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.0.poll(addr)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         self.0.poll_report(addr)
     }
@@ -56,7 +52,6 @@ impl<S: StatusSource> StatusSource for Opaque<S> {
 /// What the driver needs from every source shape under test.
 trait Driven: StatusSource {
     fn table(&mut self) -> &mut TableStatusSource;
-    fn tick(&mut self, _now: SimTime) {}
 }
 
 impl Driven for TableStatusSource {
@@ -69,19 +64,11 @@ impl Driven for FaultySource<TableStatusSource> {
     fn table(&mut self) -> &mut TableStatusSource {
         self.inner_mut()
     }
-
-    fn tick(&mut self, now: SimTime) {
-        self.set_now(now);
-    }
 }
 
 impl<S: Driven> Driven for Opaque<S> {
     fn table(&mut self) -> &mut TableStatusSource {
         self.0.table()
-    }
-
-    fn tick(&mut self, now: SimTime) {
-        self.0.tick(now);
     }
 }
 
@@ -343,8 +330,6 @@ fn drive<S: Driven>(
                 [fast.source_mut().table(), oracle.source_mut().table()],
             );
         }
-        fast.source_mut().tick(now);
-        oracle.source_mut().tick(now);
         fast.sync(now);
         oracle.sync(now);
         assert_eq!(
@@ -616,10 +601,6 @@ struct Counted<S> {
 }
 
 impl<S: StatusSource> StatusSource for Counted<S> {
-    fn poll(&mut self, addr: Address) -> Option<HostState> {
-        self.poll_report(addr).map(|r| r.state)
-    }
-
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         *self.polls.entry(addr).or_default() += 1;
         self.inner.poll_report(addr)
