@@ -32,8 +32,7 @@
 //! recorder's postmortem bundle (`BENCH_telemetry_trace.json`,
 //! `BENCH_telemetry_metrics.txt`, `BENCH_telemetry_slo.txt`) and asserts
 //! answers stay bit-identical with telemetry on, off, and across worker
-//! counts. `--obs-overhead` interleaves telemetry-off/on runs of the same
-//! storm and reports the wall-clock overhead of the telemetry plane.
+//! counts.
 //!
 //! ```text
 //! cargo run --release -p cloudtalk-bench --bin qps_storm             # full sweep
@@ -44,7 +43,6 @@
 //! cargo run --release -p cloudtalk-bench --bin qps_storm -- --cache off
 //! cargo run --release -p cloudtalk-bench --bin qps_storm -- --telemetry --slo p99=25ms
 //! cargo run --release -p cloudtalk-bench --bin qps_storm -- --telemetry --smoke
-//! cargo run --release -p cloudtalk-bench --bin qps_storm -- --obs-overhead
 //! # smaller/larger runs: CLOUDTALK_BENCH_SCALE=0.5
 //! ```
 
@@ -504,7 +502,6 @@ fn run_storm_telemetry(
 ) -> (
     Vec<Fingerprint>,
     Option<(TelemetryStats, obs::PostmortemBundle)>,
-    std::time::Duration,
 ) {
     let (layout, src) = fleet();
     let agg = AggregationPlane::new(
@@ -526,7 +523,6 @@ fn run_storm_telemetry(
     if let Some(tel) = telemetry {
         cfg.telemetry = tel;
     }
-    let started = std::time::Instant::now();
     let mut plane = ServingPlane::new(cfg, layout, agg);
     let mut fps: Vec<Fingerprint> = Vec::new();
     for s in subs {
@@ -539,10 +535,9 @@ fn run_storm_telemetry(
     for c in plane.run_until(end) {
         fps.push((c.tenant.0, c.seq, c.result.map_err(|e| e.to_string())));
     }
-    let elapsed = started.elapsed();
     fps.sort_by_key(|f| (f.0, f.1));
     let tel = plane.telemetry_dump().map(|b| (plane.telemetry_stats(), b));
-    (fps, tel, elapsed)
+    (fps, tel)
 }
 
 /// Writes the postmortem bundle next to the other bench artifacts.
@@ -585,9 +580,9 @@ fn telemetry_mode(smoke: bool, slos: Vec<obs::SloSpec>) {
         ..TelemetryConfig::enabled()
     };
 
-    let (fp_on1, on1, _) = run_storm_telemetry(1, &subs, window, Some(tel.clone()));
-    let (fp_off1, off1, _) = run_storm_telemetry(1, &subs, window, None);
-    let (fp_on4, on4, _) = run_storm_telemetry(4, &subs, window, Some(tel));
+    let (fp_on1, on1) = run_storm_telemetry(1, &subs, window, Some(tel.clone()));
+    let (fp_off1, off1) = run_storm_telemetry(1, &subs, window, None);
+    let (fp_on4, on4) = run_storm_telemetry(4, &subs, window, Some(tel));
     let (stats, bundle) = on1.expect("telemetry on produces a bundle");
     let (stats4, _) = on4.expect("telemetry on produces a bundle");
     assert!(off1.is_none(), "telemetry off must not produce a bundle");
@@ -638,68 +633,11 @@ fn telemetry_mode(smoke: bool, slos: Vec<obs::SloSpec>) {
     );
 }
 
-/// The `--obs-overhead` measurement: interleaved telemetry-off/on runs of
-/// the same storm (interleaving cancels thermal/cache drift), reporting
-/// median wall time per arm and the on/off ratio.
-fn obs_overhead() {
-    let window = SimDuration::from_millis(scaled(2_000, 200) as u64);
-    let subs = storm(SEED, 4_000, window, 0.0);
-    let sample_every: u64 = flag_value("--sample-every")
-        .map(|s| s.parse().expect("--sample-every takes an integer"))
-        .unwrap_or(16);
-    let tel = TelemetryConfig {
-        window: SimDuration::from_millis(10),
-        sample_every,
-        slos: vec![obs::SloSpec::p99_latency_us(SLO_MS * 1e3)],
-        ..TelemetryConfig::enabled()
-    };
-    let reps = scaled(12, 6);
-    let mut off_ns: Vec<u128> = Vec::new();
-    let mut on_ns: Vec<u128> = Vec::new();
-    let mut ratios: Vec<f64> = Vec::new();
-    // Warm-up pair, then interleaved measured pairs with alternating
-    // order inside the pair (cancels allocator/cache position bias).
-    // Both arms run identical deterministic work; container noise is
-    // correlated *within* a back-to-back pair, so the per-pair on/off
-    // ratio is the robust observation — the median ratio is reported.
-    let _ = run_storm_telemetry(4, &subs, window, None);
-    let _ = run_storm_telemetry(4, &subs, window, Some(tel.clone()));
-    for i in 0..reps {
-        let (off, on) = if i % 2 == 0 {
-            let (_, _, off) = run_storm_telemetry(4, &subs, window, None);
-            let (_, _, on) = run_storm_telemetry(4, &subs, window, Some(tel.clone()));
-            (off, on)
-        } else {
-            let (_, _, on) = run_storm_telemetry(4, &subs, window, Some(tel.clone()));
-            let (_, _, off) = run_storm_telemetry(4, &subs, window, None);
-            (off, on)
-        };
-        off_ns.push(off.as_nanos());
-        on_ns.push(on.as_nanos());
-        ratios.push(on.as_nanos() as f64 / off.as_nanos() as f64);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let best = |v: &[u128]| *v.iter().min().expect("reps >= 1") as f64 / 1e6;
-    let (off_ms, on_ms) = (best(&off_ns), best(&on_ns));
-    println!(
-        "obs-overhead: {} queries x {reps} interleaved pairs, 4 workers\n\
-         telemetry off: {off_ms:>8.2} ms best-of-{reps}\n\
-         telemetry on:  {on_ms:>8.2} ms best-of-{reps}\n\
-         overhead:      {:>+8.2}% (median of per-pair ratios)",
-        subs.len(),
-        (ratios[ratios.len() / 2] - 1.0) * 100.0
-    );
-}
-
 fn main() {
     let similarity: f64 = flag_value("--similarity")
         .map(|s| s.parse().expect("--similarity takes a float in [0, 1]"))
         .unwrap_or(0.0);
     let cache_on = !matches!(flag_value("--cache").as_deref(), Some("off"));
-    if flag_present("--obs-overhead") {
-        obs_overhead();
-        return;
-    }
     if flag_present("--telemetry") {
         let slos = flag_value("--slo")
             .map(|s| obs::SloSpec::parse_list(&s).expect("--slo takes e.g. p99=25ms,shed=1%"))

@@ -112,9 +112,8 @@
 //! ladder, faulted aggregators degrading exactly as hosts do
 //! today:
 //!
-//! 1. **retry** the primary aggregator under the configured
-//!    [`RetryPolicy`] (with seeded jitter, so a thundering herd of
-//!    collectors does not re-synchronize on a recovering aggregator);
+//! 1. **retry** the primary aggregator up to the configured
+//!    [`RetryPolicy`]'s `max_retries` times within the sync;
 //! 2. **fail over to the standby** aggregator (its own node id and
 //!    incarnation stream — the first pull after failover is a full
 //!    snapshot by the epoch rules above), when configured;
@@ -131,7 +130,7 @@
 //! (pulls, retries, deltas/fulls, failover and stale-delta-rejection
 //! counters, clean racks and re-polled hosts) and records each sync's
 //! failover events as an `agg.sync` span tree
-//! ([`AggregationPlane::last_sync_trace`]).
+//! (`StatusSource::sync_trace`).
 //!
 //! Per-rack state is dense: a rack's hosts are sorted once in the
 //! [`FleetLayout`], a host's index there is its *slot*, and aggregator
@@ -147,7 +146,7 @@ use desim::rng::{stream_rng, DetRng};
 use desim::SimTime;
 use obs::{CounterId, MetricsRegistry, Trace, TraceReport};
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, Pull};
 use crate::messages::OverheadLedger;
 use crate::status::{ChangeMarks, StatusReport, StatusSource};
 use crate::transport::{
@@ -773,11 +772,10 @@ impl RackSet {
 const SYNC_SPAN_CAPACITY: usize = 64;
 
 /// Configuration of the collector tier.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PlaneConfig {
-    /// Retry/backoff for collector→aggregator pulls. Jittered by default:
-    /// synchronized collectors must not herd onto a recovering
-    /// aggregator.
+    /// Retries for collector→aggregator pulls: a silent pull is retried
+    /// up to `max_retries` times within one sync.
     pub retry: RetryPolicy,
     /// Maintain a standby aggregator per rack (failover rung 2). The
     /// standby is assumed to live in a different failure domain, so
@@ -790,24 +788,9 @@ pub struct PlaneConfig {
     /// Transport for aggregator→host refreshes and for the bypass rung.
     /// Fan-out is one rack, so the default knee keeps it loss-free.
     pub host_transport: TransportConfig,
-    /// RNG seed (pull jitter, bypass transport; aggregator streams are
-    /// derived from it per node).
+    /// RNG seed (bypass transport; aggregator streams are derived from
+    /// it per node).
     pub seed: u64,
-}
-
-impl Default for PlaneConfig {
-    fn default() -> Self {
-        PlaneConfig {
-            retry: RetryPolicy {
-                jitter_pct: 50,
-                ..RetryPolicy::default()
-            },
-            standby: false,
-            bypass: false,
-            host_transport: TransportConfig::default(),
-            seed: 0,
-        }
-    }
 }
 
 /// Handles to the plane's `gather.agg.*` metrics.
@@ -1002,11 +985,6 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// (`status_*`/`retry_*`).
     pub fn ledger(&self) -> OverheadLedger {
         self.ledger
-    }
-
-    /// The span tree of the most recent sync (failover/reject events).
-    pub fn last_sync_trace(&self) -> &TraceReport {
-        &self.last_trace
     }
 
     /// A copy of the collector's merged view of `rack`.
@@ -1211,7 +1189,7 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// and keeps walking the ladder.
     fn is_healthy(&self, rack: usize) -> bool {
         let primary = &self.primaries[rack];
-        !self.faults.agg_faulted(RackId(rack as u32))
+        !self.faults.names_rack(RackId(rack as u32))
             && primary.unmarked_are_known()
             && self.views[rack].stamp == primary.stamp()
     }
@@ -1262,36 +1240,28 @@ impl<S: StatusSource> AggregationPlane<S> {
 
         // A crash window that has closed means the primary restarted with
         // empty state and a fresh incarnation (handled once per window).
-        if let Some(w) = self.faults.agg_crash_window(rid) {
-            if w.ended_by(now) && !self.restart_done[rack] {
-                self.primaries[rack].restart();
-                self.restart_done[rack] = true;
-                self.metrics.inc(self.ids.restarts_observed, 1);
-            }
+        if self.faults.restarted_by(rid, now) && !self.restart_done[rack] {
+            self.primaries[rack].restart();
+            self.restart_done[rack] = true;
+            self.metrics.inc(self.ids.restarts_observed, 1);
         }
 
-        // Rung 1: the primary, under retry/backoff with seeded jitter.
+        // Rung 1: the primary, retried within the sync (no backoff: a sync takes no time).
         for attempt in 0..=self.cfg.retry.max_retries {
             if attempt > 0 {
-                let _backoff = self
-                    .cfg
-                    .retry
-                    .backoff_before_jittered(attempt, &mut self.rng);
                 self.metrics.inc(self.ids.pull_retries, 1);
             }
             self.pull_attempts[rack] += 1;
             self.ledger.record_agg_pull();
             self.metrics.inc(self.ids.pulls, 1);
-            if self.faults.agg_crashed_at(rid, now)
-                || self.faults.agg_partitioned_at(rid, now)
-                || self.pull_attempts[rack] <= self.faults.agg_straggle_rounds(rid)
-            {
+            let pull = self.faults.pull(rid, now, self.pull_attempts[rack]);
+            if pull == Pull::Silent {
                 continue; // no reply within the timeout
             }
             let (source, ledger) = (&mut self.source, &mut self.ledger);
             polled += self.primaries[rack].refresh_changed(source, now, ledger, &mut self.gathered);
             let answer = self.primaries[rack].delta_since(self.views[rack].stamp);
-            if self.faults.agg_crash_mid_push_at(rid, now) && !self.mid_push_fired[rack] {
+            if pull == Pull::PushLost && !self.mid_push_fired[rack] {
                 // The reply is lost in flight and the aggregator dies
                 // mid-push: its next incarnation starts empty, and the
                 // in-flight delta becomes a stale-epoch straggler.
@@ -1417,12 +1387,10 @@ impl<S: StatusSource> StatusSource for AggregationPlane<S> {
         self.now = now;
     }
 
-    fn take_sync_trace(&mut self) -> Option<TraceReport> {
-        if self.last_trace.spans.is_empty() {
-            None
-        } else {
-            Some(std::mem::take(&mut self.last_trace))
-        }
+    /// The span tree of the sync at the current instant (failover and
+    /// reject events), once a poll or [`AggregationPlane::sync`] ran it.
+    fn sync_trace(&self) -> Option<&TraceReport> {
+        (self.synced_at == Some(self.now)).then_some(&self.last_trace)
     }
 }
 
@@ -1720,7 +1688,7 @@ mod tests {
             Some(1)
         );
         assert!(
-            plane.last_sync_trace().span("agg.failover").is_some(),
+            plane.sync_trace().unwrap().span("agg.failover").is_some(),
             "failover recorded in the sync span tree"
         );
     }
@@ -1823,7 +1791,7 @@ mod tests {
                 .counter_named("gather.agg.stale_delta_rejected"),
             Some(1)
         );
-        assert!(plane.last_sync_trace().span("agg.reject").is_some());
+        assert!(plane.sync_trace().unwrap().span("agg.reject").is_some());
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   relation over candidate hosts. Two hosts are interchangeable when
 //!   an automorphism of the mirrored topology can swap them (same rack,
 //!   identical access-link capacity and latency) and neither is pinned
-//!   by a fixed endpoint of the query; the answer cache reuses these
-//!   classes to report how collapsed a tenant mix is (`cache.shapes`).
-//!   The packet-level memoiser keys its per-binding cache on the
+//!   by a fixed endpoint of the query. Only the packet-level search uses
+//!   them: its memoiser keys its per-binding cache on the
 //!   [`CanonKey`], which knows a second relation: whole *racks* are
 //!   interchangeable when they have equal `RackShape`s and hold no
 //!   pinned address, so a binding is canonical up to a permutation of

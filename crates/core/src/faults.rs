@@ -22,6 +22,12 @@
 //! Everything is deterministic: a [`FaultPlan`] is plain data, and
 //! [`FaultPlan::seeded`] derives one reproducibly from a `u64` seed, so a
 //! failing chaos case replays bit-for-bit.
+//!
+//! A plan is one record per faulted host and one per faulted rack
+//! aggregator, and only this module reads them: a [`FaultySource`] poll
+//! looks its host up once, and the aggregation plane asks the plan what a
+//! pull meets (`pull`), whether a crashed primary is back
+//! (`restarted_by`) and whether it names a rack (`names_rack`).
 
 use std::collections::BTreeMap;
 
@@ -43,8 +49,8 @@ use crate::status::{StatusReport, StatusSource};
 /// Consequently a window with `from == until` contains no instant at all
 /// (`Window::is_empty`), two windows `[a, b)` and `[b, c)` compose
 /// without double-faulting instant `b`, and every consumer —
-/// `Window::contains`, [`FaultPlan::partition_group`], the aggregator
-/// fault accessors — uses these same edges.
+/// `Window::contains`, [`FaultPlan::partition_group`], the plan's pull and
+/// restart questions — uses these same edges.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Window {
     from: SimTime,
@@ -155,19 +161,6 @@ pub struct FaultIntensity {
 }
 
 impl FaultIntensity {
-    /// A mild plan: a few stragglers and stale reports, nothing fatal.
-    pub(crate) fn mild() -> Self {
-        FaultIntensity {
-            crash_frac: 0.0,
-            partition_frac: 0.0,
-            straggler_frac: 0.1,
-            max_straggler_rounds: 1,
-            stale_frac: 0.1,
-            stale_age: SimDuration::from_millis(500),
-            corrupt_frac: 0.0,
-        }
-    }
-
     /// The kitchen sink: every fault class at once, at rates high enough
     /// that most answers degrade.
     pub fn chaos() -> Self {
@@ -183,30 +176,55 @@ impl FaultIntensity {
     }
 }
 
-impl Default for FaultIntensity {
-    fn default() -> Self {
-        FaultIntensity::mild()
-    }
+/// Every fault a [`FaultPlan`] injects at one host.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+struct HostFaults {
+    crash: Option<Window>,
+    partition: Option<Window>,
+    /// How many of the host's first polls exceed the gather timeout.
+    straggle: u32,
+    stale: Option<SimDuration>,
+    corrupt: Option<Corruption>,
 }
 
-/// A deterministic description of every injected fault.
+/// Every fault a [`FaultPlan`] injects at one rack's primary aggregator.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+struct RackFaults {
+    crash: Option<Window>,
+    partition: Option<Window>,
+    /// How many of the primary's first pulls exceed the pull timeout.
+    straggle: u32,
+    mid_push: Option<Window>,
+}
+
+fn open(window: Option<Window>, now: SimTime) -> bool {
+    window.is_some_and(|w| w.contains(now))
+}
+
+/// What one pull of a rack's primary aggregator meets.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Pull {
+    /// No reply within the timeout.
+    Silent,
+    /// The aggregator refreshes and answers, then dies mid-push: the
+    /// reply is lost in flight.
+    PushLost,
+    /// The reply arrives.
+    Answered,
+}
+
+/// A deterministic description of every injected fault: one record per
+/// faulted host, one per faulted rack aggregator.
 ///
 /// Build one explicitly with the `crash`/`partition`/… methods, or derive
 /// one reproducibly from a seed with [`FaultPlan::seeded`]; then wrap any
-/// [`StatusSource`] in a [`FaultySource`] to apply it.
+/// [`StatusSource`] in a [`FaultySource`] to apply it. A builder creates a
+/// target's record when it sets the target's first fault, so the plan
+/// names exactly the targets some builder named.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    crashed: WordMap<Address, Window>,
-    partitioned: WordMap<Address, Window>,
-    stragglers: WordMap<Address, u32>,
-    stale: WordMap<Address, SimDuration>,
-    corrupt: WordMap<Address, Corruption>,
-    // Aggregator-tier faults (BTreeMaps: iterated during the sync ladder,
-    // so ordering must be deterministic).
-    agg_crashed: BTreeMap<RackId, Window>,
-    agg_partitioned: BTreeMap<RackId, Window>,
-    agg_stragglers: BTreeMap<RackId, u32>,
-    agg_mid_push: BTreeMap<RackId, Window>,
+    hosts: WordMap<Address, HostFaults>,
+    racks: BTreeMap<RackId, RackFaults>,
 }
 
 impl FaultPlan {
@@ -215,15 +233,23 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
+    fn host(&mut self, addr: Address) -> &mut HostFaults {
+        self.hosts.entry(addr).or_default()
+    }
+
+    fn rack(&mut self, rack: RackId) -> &mut RackFaults {
+        self.racks.entry(rack).or_default()
+    }
+
     /// Crashes `addr`'s status server during `window`.
     pub fn crash(mut self, addr: Address, window: Window) -> Self {
-        self.crashed.insert(addr, window);
+        self.host(addr).crash = Some(window);
         self
     }
 
     /// Partitions `addr` away from the CloudTalk server during `window`.
     pub fn partition(mut self, addr: Address, window: Window) -> Self {
-        self.partitioned.insert(addr, window);
+        self.host(addr).partition = Some(window);
         self
     }
 
@@ -234,33 +260,33 @@ impl FaultPlan {
         window: Window,
     ) -> Self {
         for a in addrs {
-            self.partitioned.insert(a, window);
+            self.host(a).partition = Some(window);
         }
         self
     }
 
     /// Makes `addr`'s first `rounds` replies exceed the gather timeout.
     pub fn straggle(mut self, addr: Address, rounds: u32) -> Self {
-        self.stragglers.insert(addr, rounds);
+        self.host(addr).straggle = rounds;
         self
     }
 
     /// Makes `addr` serve reports that are `age` old.
     pub fn stale(mut self, addr: Address, age: SimDuration) -> Self {
-        self.stale.insert(addr, age);
+        self.host(addr).stale = Some(age);
         self
     }
 
     /// Makes `addr` serve readings corrupted by `kind`.
     pub fn corrupt(mut self, addr: Address, kind: Corruption) -> Self {
-        self.corrupt.insert(addr, kind);
+        self.host(addr).corrupt = Some(kind);
         self
     }
 
     /// Crashes `rack`'s primary aggregator during `window` (state lost;
     /// it restarts with a fresh incarnation when the window closes).
     pub fn agg_crash(mut self, rack: RackId, window: Window) -> Self {
-        self.agg_crashed.insert(rack, window);
+        self.rack(rack).crash = Some(window);
         self
     }
 
@@ -268,14 +294,14 @@ impl FaultPlan {
     /// during `window` (the aggregator is healthy, pulls just never
     /// complete; no state is lost).
     pub fn agg_partition(mut self, rack: RackId, window: Window) -> Self {
-        self.agg_partitioned.insert(rack, window);
+        self.rack(rack).partition = Some(window);
         self
     }
 
     /// Makes the first `rounds` pulls of `rack`'s primary aggregator
     /// exceed the pull timeout; a retry recovers it.
     pub fn agg_straggle(mut self, rack: RackId, rounds: u32) -> Self {
-        self.agg_stragglers.insert(rack, rounds);
+        self.rack(rack).straggle = rounds;
         self
     }
 
@@ -284,62 +310,50 @@ impl FaultPlan {
     /// rejected later by the epoch rules) and the aggregator restarts
     /// with a fresh incarnation.
     pub fn agg_crash_mid_push(mut self, rack: RackId, window: Window) -> Self {
-        self.agg_mid_push.insert(rack, window);
+        self.rack(rack).mid_push = Some(window);
         self
     }
 
-    /// Whether `rack`'s primary aggregator is crashed at `now`.
-    pub(crate) fn agg_crashed_at(&self, rack: RackId, now: SimTime) -> bool {
-        self.agg_crashed.get(&rack).is_some_and(|w| w.contains(now))
+    /// What the primary aggregator of `rack` does with a pull at `now`
+    /// that is its `attempt`-th (counted from its first): silent while
+    /// crashed, partitioned or straggling, else losing its push inside a
+    /// mid-push window, else answered. A mid-push crash happens once; the
+    /// plane remembers that it did.
+    pub(crate) fn pull(&self, rack: RackId, now: SimTime, attempt: u32) -> Pull {
+        let Some(f) = self.racks.get(&rack) else {
+            return Pull::Answered;
+        };
+        if open(f.crash, now) || open(f.partition, now) || attempt <= f.straggle {
+            Pull::Silent
+        } else if open(f.mid_push, now) {
+            Pull::PushLost
+        } else {
+            Pull::Answered
+        }
     }
 
-    /// Whether `rack`'s primary aggregator is partitioned at `now`.
-    pub(crate) fn agg_partitioned_at(&self, rack: RackId, now: SimTime) -> bool {
-        self.agg_partitioned
+    /// Whether `rack`'s primary aggregator is back from a crash by `now`:
+    /// its crash window has closed ([`Window::ended_by`]), so it runs a
+    /// fresh incarnation with empty state.
+    pub(crate) fn restarted_by(&self, rack: RackId, now: SimTime) -> bool {
+        self.racks
             .get(&rack)
-            .is_some_and(|w| w.contains(now))
+            .and_then(|f| f.crash)
+            .is_some_and(|w| w.ended_by(now))
     }
 
-    /// How many pulls of `rack`'s primary aggregator straggle.
-    pub(crate) fn agg_straggle_rounds(&self, rack: RackId) -> u32 {
-        self.agg_stragglers.get(&rack).copied().unwrap_or(0)
+    /// Whether the plan names `rack`, whatever its windows: such a rack
+    /// always walks the whole failover ladder, it is never settled by the
+    /// plane's clean-rack fast path.
+    pub(crate) fn names_rack(&self, rack: RackId) -> bool {
+        self.racks.contains_key(&rack)
     }
 
-    /// Whether `rack`'s aggregator suffers a mid-push crash at `now`.
-    pub(crate) fn agg_crash_mid_push_at(&self, rack: RackId, now: SimTime) -> bool {
-        self.agg_mid_push.get(&rack).is_some_and(|w| w.contains(now))
-    }
-
-    /// Whether the plan holds any aggregator-tier entry for `rack`,
-    /// whatever its window: such a rack always walks the whole failover
-    /// ladder, it is never settled by the plane's clean-rack fast path.
-    pub(crate) fn agg_faulted(&self, rack: RackId) -> bool {
-        self.agg_crashed.contains_key(&rack)
-            || self.agg_partitioned.contains_key(&rack)
-            || self.agg_stragglers.contains_key(&rack)
-            || self.agg_mid_push.contains_key(&rack)
-    }
-
-    /// Every address a host-tier entry names, sorted, each once.
+    /// Every address the plan names, sorted.
     fn host_addresses(&self) -> Vec<Address> {
-        let mut named: Vec<Address> = self
-            .crashed
-            .keys()
-            .chain(self.partitioned.keys())
-            .chain(self.stragglers.keys())
-            .chain(self.stale.keys())
-            .chain(self.corrupt.keys())
-            .copied()
-            .collect();
+        let mut named: Vec<Address> = self.hosts.keys().copied().collect();
         named.sort_unstable_by_key(|a| a.0);
-        named.dedup();
         named
-    }
-
-    /// The crash window configured for `rack`'s primary aggregator, if
-    /// any (restart handling keys off [`Window::ended_by`]).
-    pub(crate) fn agg_crash_window(&self, rack: RackId) -> Option<Window> {
-        self.agg_crashed.get(&rack).copied()
     }
 
     /// Derives a plan over `addrs` reproducibly from `seed`: each host
@@ -349,21 +363,21 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         for &addr in addrs {
             if intensity.crash_frac > 0.0 && rng.gen_bool(intensity.crash_frac) {
-                plan.crashed.insert(addr, Window::always());
+                plan.host(addr).crash = Some(Window::always());
             }
             if intensity.partition_frac > 0.0 && rng.gen_bool(intensity.partition_frac) {
-                plan.partitioned.insert(addr, Window::always());
+                plan.host(addr).partition = Some(Window::always());
             }
             if intensity.straggler_frac > 0.0 && rng.gen_bool(intensity.straggler_frac) {
                 let rounds = rng.gen_range(1..=intensity.max_straggler_rounds.max(1));
-                plan.stragglers.insert(addr, rounds);
+                plan.host(addr).straggle = rounds;
             }
             if intensity.stale_frac > 0.0 && rng.gen_bool(intensity.stale_frac) {
-                plan.stale.insert(addr, intensity.stale_age);
+                plan.host(addr).stale = Some(intensity.stale_age);
             }
             if intensity.corrupt_frac > 0.0 && rng.gen_bool(intensity.corrupt_frac) {
                 let kind = Corruption::ALL[rng.gen_range(0..Corruption::ALL.len())];
-                plan.corrupt.insert(addr, kind);
+                plan.host(addr).corrupt = Some(kind);
             }
         }
         plan
@@ -372,29 +386,28 @@ impl FaultPlan {
 
 /// A decorator applying a [`FaultPlan`] to any [`StatusSource`].
 ///
-/// Time-dependent faults (crash/partition windows) are evaluated against
-/// the time of the last [`StatusSource::advance_to`], which every gatherer
-/// calls before it polls and which the decorator forwards inward, along
-/// with the inner source's sync trace and change view; straggler faults are
-/// evaluated against a per-host attempt counter, so a retry round
-/// naturally recovers a straggler once its configured miss count is
-/// exhausted. Stale faults serve either the inner source's reading aged
-/// by the configured lag, or — when a frozen world was attached with
-/// [`FaultySource::with_stale_world`] — the old reading itself.
+/// Crash and partition windows are evaluated at the time of the last
+/// [`StatusSource::advance_to`], which every gatherer calls before it
+/// polls and which the decorator forwards inward, along with the inner
+/// source's sync trace and change view. A straggler is silent for as many
+/// polls as the plan says and then answers, so a retry round recovers it.
+/// A stale host serves the inner reading aged by its lag, or — with a
+/// frozen world attached by [`FaultySource::with_stale_world`] — the old
+/// reading itself.
 ///
 /// Change view ([`StatusSource::drain_changed`]): the inner source's,
 /// plus — always — every address the plan names, because a window
-/// opening, an attempt counter or a frozen world can change such a host's
+/// opening, a poll counter or a frozen world can change such a host's
 /// answer without the inner source noticing. Hosts the plan does not name
 /// are passed straight through, so the inner view is exact for them.
 pub struct FaultySource<S> {
     inner: S,
-    plan: FaultPlan,
+    /// Each host the plan names: its faults, and how often it was polled.
+    hosts: WordMap<Address, (HostFaults, u32)>,
     /// `plan.host_addresses()`, computed once.
     named: Vec<Address>,
     now: SimTime,
     stale_view: Option<World>,
-    attempts: WordMap<Address, u32>,
 }
 
 impl<S> FaultySource<S> {
@@ -403,10 +416,9 @@ impl<S> FaultySource<S> {
         FaultySource {
             inner,
             named: plan.host_addresses(),
-            plan,
+            hosts: plan.hosts.into_iter().map(|(a, f)| (a, (f, 0))).collect(),
             now: SimTime::ZERO,
             stale_view: None,
-            attempts: WordMap::default(),
         }
     }
 
@@ -424,26 +436,19 @@ impl<S> FaultySource<S> {
 }
 
 impl<S: StatusSource> StatusSource for FaultySource<S> {
+    /// One lookup; a host the plan does not name is the inner source's. A
+    /// named one counts the poll: crash or partition, straggle, stale, corrupt.
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
-        let attempt = {
-            let a = self.attempts.entry(addr).or_insert(0);
-            *a += 1;
-            *a
+        let Some((faults, polls)) = self.hosts.get_mut(&addr) else {
+            return self.inner.poll_report(addr);
         };
-        let open = |w: Option<&Window>| w.is_some_and(|w| w.contains(self.now));
-        if open(self.plan.crashed.get(&addr)) || open(self.plan.partitioned.get(&addr)) {
-            return None;
+        *polls += 1;
+        let (faults, now) = (*faults, self.now);
+        if open(faults.crash, now) || open(faults.partition, now) || *polls <= faults.straggle {
+            return None; // crashed, cut off, or the reply comes after the timeout
         }
-        if self
-            .plan
-            .stragglers
-            .get(&addr)
-            .is_some_and(|&rounds| attempt <= rounds)
-        {
-            return None; // reply will arrive after the timeout: missed round
-        }
-        let mut report = match self.plan.stale.get(&addr) {
-            Some(&lag) => match &self.stale_view {
+        let mut report = match faults.stale {
+            Some(lag) => match &self.stale_view {
                 Some(view) if view.knows(addr) => StatusReport {
                     state: view.get(addr),
                     age: lag,
@@ -456,7 +461,7 @@ impl<S: StatusSource> StatusSource for FaultySource<S> {
             },
             None => self.inner.poll_report(addr)?,
         };
-        if let Some(&kind) = self.plan.corrupt.get(&addr) {
+        if let Some(kind) = faults.corrupt {
             report.state = kind.apply(report.state);
         }
         Some(report)
@@ -469,8 +474,8 @@ impl<S: StatusSource> StatusSource for FaultySource<S> {
         self.inner.advance_to(now);
     }
 
-    fn take_sync_trace(&mut self) -> Option<obs::TraceReport> {
-        self.inner.take_sync_trace()
+    fn sync_trace(&self) -> Option<&obs::TraceReport> {
+        self.inner.sync_trace()
     }
 
     fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {
@@ -546,16 +551,23 @@ mod tests {
             .agg_partition(RackId(1), Window::always())
             .agg_straggle(RackId(2), 3)
             .agg_crash_mid_push(RackId(3), Window::starting_at(t(5.0)));
-        assert!(!plan.agg_crashed_at(RackId(0), t(0.5)));
-        assert!(plan.agg_crashed_at(RackId(0), t(1.0)));
-        assert!(!plan.agg_crashed_at(RackId(0), t(2.0)), "until exclusive");
-        assert!(plan.agg_crash_window(RackId(0)).unwrap().ended_by(t(2.0)));
-        assert!(plan.agg_partitioned_at(RackId(1), t(99.0)));
-        assert!(!plan.agg_partitioned_at(RackId(0), t(99.0)));
-        assert_eq!(plan.agg_straggle_rounds(RackId(2)), 3);
-        assert_eq!(plan.agg_straggle_rounds(RackId(0)), 0);
-        assert!(plan.agg_crash_mid_push_at(RackId(3), t(5.0)));
-        assert!(!plan.agg_crash_mid_push_at(RackId(3), t(4.9)));
+        let pull = |rack, at, attempt| plan.pull(RackId(rack), t(at), attempt);
+        let restarted = |rack, at| plan.restarted_by(RackId(rack), t(at));
+        assert_eq!(pull(0, 0.5, 1), Pull::Answered);
+        assert_eq!(pull(0, 1.0, 1), Pull::Silent);
+        assert_eq!(pull(0, 2.0, 1), Pull::Answered, "until exclusive");
+        assert!(!restarted(0, 1.999));
+        assert!(restarted(0, 2.0), "restarted exactly when healthy again");
+        assert!(!restarted(1, 99.0), "a partition restarts nothing");
+        assert_eq!(pull(1, 99.0, 1), Pull::Silent);
+        assert_eq!(pull(0, 99.0, 1), Pull::Answered);
+        assert_eq!(pull(2, 0.0, 3), Pull::Silent);
+        assert_eq!(pull(2, 0.0, 4), Pull::Answered);
+        assert_eq!(pull(3, 5.0, 1), Pull::PushLost);
+        assert_eq!(pull(3, 4.9, 1), Pull::Answered);
+        assert!((0..4).all(|r| plan.names_rack(RackId(r))));
+        assert!(!plan.names_rack(RackId(4)));
+        assert_eq!(pull(4, 5.0, 1), Pull::Answered, "unnamed");
     }
 
     #[test]
@@ -595,7 +607,35 @@ mod tests {
         assert!(f.poll_report(Address(1)).is_none(), "round 1 times out");
         assert!(f.poll_report(Address(1)).is_none(), "round 2 times out");
         assert!(f.poll_report(Address(1)).is_some(), "round 3 arrives");
-        assert_eq!(f.attempts[&Address(1)], 3);
+        assert_eq!(f.hosts[&Address(1)].1, 3);
+    }
+
+    #[test]
+    fn every_host_fault_at_once_answers_by_precedence() {
+        let t = SimTime::from_secs_f64;
+        let lag = SimDuration::from_secs_f64(3.0);
+        let plan = FaultPlan::none()
+            .crash(Address(1), Window::between(t(0.0), t(1.0)))
+            .straggle(Address(1), 2)
+            .stale(Address(1), lag)
+            .corrupt(Address(1), Corruption::NanUsage);
+        let old = World::uniform(&[Address(1)], HostState::gbps_idle().with_down_load(0.7));
+        let mut f = FaultySource::new(source(1), plan).with_stale_world(old);
+        f.advance_to(t(0.5));
+        assert!(f.poll_report(Address(1)).is_none(), "poll 1: crashed");
+        f.advance_to(t(1.0));
+        assert!(
+            f.poll_report(Address(1)).is_none(),
+            "poll 2: the crash is over, the straggle is not"
+        );
+        for at in [t(1.0), t(2.0)] {
+            f.advance_to(at);
+            let r = f.poll_report(Address(1)).expect("answers from poll 3 on");
+            assert_eq!(r.age, lag, "stale at {at:?}");
+            assert!(r.state.nic_down_used > 0.0, "the frozen reading at {at:?}");
+            assert!(r.state.nic_up_used.is_nan(), "then corrupted at {at:?}");
+        }
+        assert_eq!(f.hosts[&Address(1)].1, 4, "silent polls count");
     }
 
     #[test]
@@ -629,11 +669,8 @@ mod tests {
         let addrs: Vec<Address> = (1..=100).map(Address).collect();
         let a = FaultPlan::seeded(7, &addrs, &FaultIntensity::chaos());
         let b = FaultPlan::seeded(7, &addrs, &FaultIntensity::chaos());
-        assert_eq!(a.crashed, b.crashed);
-        assert_eq!(a.stragglers, b.stragglers);
-        assert_eq!(a.stale, b.stale);
-        assert_eq!(a.corrupt, b.corrupt);
-        let crashed = a.crashed.len();
+        assert_eq!(a.hosts, b.hosts);
+        let crashed = a.hosts.values().filter(|h| h.crash.is_some()).count();
         assert!(
             (5..=40).contains(&crashed),
             "≈20% of 100 hosts crash, got {crashed}"

@@ -590,7 +590,7 @@ impl<S: StatusSource> ServingPlane<S> {
             let mut snapshot = StatusSnapshot::unprimed();
             collector.gather_snapshot(&mut snapshot, &addrs, None, &mut source, &mut rng);
             if let Some(tel) = &mut telemetry {
-                let agg = source.take_sync_trace();
+                let agg = source.sync_trace().cloned();
                 tel.gathers.push(GatherRecord {
                     at: SimTime::ZERO,
                     agg,
@@ -1021,7 +1021,7 @@ impl<S: StatusSource> ServingPlane<S> {
                     shard.next_refresh = t_wave + self.cfg.snapshot_refresh;
                     refreshed = true;
                     if let Some(tel) = telemetry {
-                        let agg = source.take_sync_trace();
+                        let agg = source.sync_trace().cloned();
                         tel.gathers[si] = GatherRecord { at: t_wave, agg };
                     }
                 }

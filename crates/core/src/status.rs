@@ -66,12 +66,11 @@ pub trait StatusSource {
     /// as of `now` from then on.
     fn advance_to(&mut self, _now: SimTime) {}
 
-    /// Takes the span report of the collection work behind the most
-    /// recent polls, if the source records one (an
-    /// [`crate::aggregate::AggregationPlane`] returns its last sync
-    /// trace). Consumed on read so each gather's trace is stitched into
-    /// at most one end-to-end query trace. Plain sources return `None`.
-    fn take_sync_trace(&mut self) -> Option<obs::TraceReport> {
+    /// The span report of the collection work behind the polls at the
+    /// current instant, if the source records one: an
+    /// [`crate::aggregate::AggregationPlane`] lends its sync's trace to
+    /// every gather of that instant. Plain sources return `None`.
+    fn sync_trace(&self) -> Option<&obs::TraceReport> {
         None
     }
 

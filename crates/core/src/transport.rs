@@ -45,9 +45,8 @@ pub struct RetryPolicy {
     pub backoff_multiplier: u32,
     /// Seeded jitter, as a percentage of the base backoff: each wait is
     /// stretched by a uniformly drawn factor in `[1, 1 + jitter_pct/100]`.
-    /// Spreads otherwise-synchronized retries (many collectors hammering
-    /// one recovering aggregator) without ever shortening a backoff below
-    /// its deterministic base. `0` (the default) draws nothing from the
+    /// Spreads otherwise-synchronized retries without ever shortening a
+    /// backoff below its deterministic base. `0` (the default) draws nothing from the
     /// RNG, so existing seeded runs stay bit-identical.
     pub jitter_pct: u32,
 }

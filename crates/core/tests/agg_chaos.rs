@@ -229,7 +229,7 @@ fn standby_failover_erases_the_fault_entirely() {
                 > 0
         );
         assert!(
-            plane.last_sync_trace().span("agg.failover").is_some(),
+            plane.sync_trace().unwrap().span("agg.failover").is_some(),
             "failover must land in the sync span tree"
         );
     }
@@ -324,7 +324,7 @@ fn crash_mid_push_rejects_the_delayed_delta() {
             Some(1),
             "seed {seed}: delayed pre-crash delta must be rejected"
         );
-        assert!(plane.last_sync_trace().span("agg.reject").is_some());
+        assert!(plane.sync_trace().unwrap().span("agg.reject").is_some());
         // And the rejection is final: later syncs see no more strays.
         plane.sync(SimTime::from_secs_f64(4.0));
         assert_eq!(

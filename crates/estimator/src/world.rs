@@ -110,7 +110,7 @@ impl HostState {
     ///   capacity.
     ///
     /// Sane states pass through bit-identical. The ingestion choke point
-    /// for live reports is `cloudtalk::transport::scatter_gather` — every
+    /// for live reports is `gather_round` in `cloudtalk::transport` — every
     /// reply is sanitised there, so internal consumers (which may
     /// deliberately construct `used > capacity` overlays, e.g. reservation
     /// penalties) stay unclamped.

@@ -11,7 +11,8 @@
 //! 2.5 s must see the host missing at 1.5 s only and the rack stale at
 //! 2.5 s only. Under the serving plane, the stitched trace of every query
 //! answered from a refresh must carry the plane's `aggregator` lane,
-//! passed up through the outer decorator.
+//! passed up through the outer decorator — in every shard the wave
+//! refreshed, though the plane synced once for all of them.
 //!
 //! Lives in the root package so tier-1 `cargo test -q` reaches it.
 
@@ -138,6 +139,47 @@ fn a_serving_wave_moves_every_layer_and_stitches_the_aggregator_lane() {
         assert!(
             bundle.chrome_json.contains(&lane),
             "{lane} missing from the stitched traces"
+        );
+    }
+}
+
+#[test]
+fn every_shard_refreshed_from_one_sync_carries_the_aggregator_lane() {
+    const QUANTUM: SimDuration = SimDuration::from_millis(10);
+    let cfg = ServingConfig {
+        workers: 1,
+        // A shard per rack; the wave after 0.5 s refreshes all three from
+        // the plane's one sync at that instant.
+        racks_per_shard: 1,
+        wave_quantum: QUANTUM,
+        snapshot_refresh: QUANTUM,
+        telemetry: TelemetryConfig {
+            sample_every: 1,
+            ..TelemetryConfig::enabled()
+        },
+        ..ServingConfig::default()
+    };
+    let mut plane = ServingPlane::new(cfg, layout(), stack());
+    for (tenant, rack) in hosts().chunks(4).enumerate() {
+        let write = hdfs_write_query(rack[0], rack, 3, 1e6)
+            .resolve()
+            .expect("well-formed");
+        plane
+            .submit(TenantId(tenant as u32), write, t(0.5))
+            .expect("admitted");
+    }
+    let done = plane.run_until(t(0.5) + QUANTUM);
+    let mut shards: Vec<usize> = done.iter().map(|c| c.shard).collect();
+    shards.sort_unstable();
+    assert_eq!(shards, [0, 1, 2], "one query per shard");
+    let bundle = plane.telemetry_dump().expect("telemetry is on");
+    for c in &done {
+        let id = c.trace.expect("every query is sampled").trace_id;
+        let lane = format!("trace{id:016x}/aggregator");
+        assert!(
+            bundle.chrome_json.contains(&lane),
+            "shard {}: {lane} missing from the stitched traces",
+            c.shard
         );
     }
 }

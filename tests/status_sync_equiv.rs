@@ -11,7 +11,7 @@
 //! aggregator faults and failover settings, and after every sync
 //! everything observable must be bit-identical: served reports and ages,
 //! views, `stale_racks`, `on_standby`, the ledger, every `gather.agg.*`
-//! counter and the spans of `last_sync_trace`. Excluded are exactly the
+//! counter and the spans of `sync_trace`. Excluded are exactly the
 //! names that say how much work a sync *executed*: the counters
 //! `gather.agg.racks_clean` / `gather.agg.hosts_repolled` and the
 //! `clean_racks` / `dirty_hosts` arguments of the `agg.sync` span. A
@@ -280,7 +280,8 @@ fn observe<S: StatusSource>(plane: &mut AggregationPlane<S>) -> Observed {
             .filter(|(name, _)| !WORK_COUNTERS.contains(name))
             .collect(),
         spans: plane
-            .last_sync_trace()
+            .sync_trace()
+            .expect("the plane synced")
             .spans
             .iter()
             .map(|s| {
@@ -294,7 +295,7 @@ fn observe<S: StatusSource>(plane: &mut AggregationPlane<S>) -> Observed {
                 (s.name, s.parent, s.sim_start, s.sim_end, args)
             })
             .collect(),
-        dropped: plane.last_sync_trace().dropped,
+        dropped: plane.sync_trace().expect("the plane synced").dropped,
     }
 }
 
@@ -414,7 +415,10 @@ fn zero_churn_syncs_poll_nobody() {
         counter(&plane, "gather.agg.racks_clean"),
         3 * RACK_SIZES.len() as u64
     );
-    let root = plane.last_sync_trace().span("agg.sync").expect("root span");
+    let root = plane
+        .sync_trace()
+        .and_then(|t| t.span("agg.sync"))
+        .expect("root span");
     assert_eq!(
         root.args,
         [
