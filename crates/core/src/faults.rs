@@ -188,7 +188,7 @@ struct HostFaults {
 }
 
 /// Every fault a [`FaultPlan`] injects at one rack's primary aggregator.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct RackFaults {
     crash: Option<Window>,
     partition: Option<Window>,
@@ -436,8 +436,8 @@ impl<S> FaultySource<S> {
 }
 
 impl<S: StatusSource> StatusSource for FaultySource<S> {
-    /// One lookup; a host the plan does not name is the inner source's. A
-    /// named one counts the poll: crash or partition, straggle, stale, corrupt.
+    /// One lookup; an unnamed host is the inner source's. A named host
+    /// counts the poll; precedence: crash or partition, straggle, stale, corrupt.
     fn poll_report(&mut self, addr: Address) -> Option<StatusReport> {
         let Some((faults, polls)) = self.hosts.get_mut(&addr) else {
             return self.inner.poll_report(addr);
