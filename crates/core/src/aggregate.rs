@@ -112,8 +112,8 @@
 //! ladder, faulted aggregators degrading exactly as hosts do
 //! today:
 //!
-//! 1. **retry** the primary aggregator up to the configured
-//!    [`RetryPolicy`]'s `max_retries` times within the sync;
+//! 1. **retry** the primary aggregator up to [`PULL_RETRIES`] times
+//!    within the sync;
 //! 2. **fail over to the standby** aggregator (its own node id and
 //!    incarnation stream — the first pull after failover is a full
 //!    snapshot by the epoch rules above), when configured;
@@ -149,9 +149,7 @@ use obs::{CounterId, MetricsRegistry, Trace, TraceReport};
 use crate::faults::{FaultPlan, Pull};
 use crate::messages::OverheadLedger;
 use crate::status::{ChangeMarks, StatusReport, StatusSource};
-use crate::transport::{
-    gather_into, scatter_gather_retry, GatherOutcome, RetryPolicy, TransportConfig,
-};
+use crate::transport::{gather_into, scatter_gather_retry, GatherOutcome, TransportConfig};
 
 /// Identifies one rack of the fleet (an index into the [`FleetLayout`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -771,12 +769,13 @@ impl RackSet {
 /// Span-arena capacity of the per-sync trace.
 const SYNC_SPAN_CAPACITY: usize = 64;
 
+/// A silent collector→aggregator pull is retried up to this many times
+/// within one sync, with no backoff: a sync charges no time.
+pub const PULL_RETRIES: u32 = 2;
+
 /// Configuration of the collector tier.
 #[derive(Clone, Debug, Default)]
 pub struct PlaneConfig {
-    /// Retries for collector→aggregator pulls: a silent pull is retried
-    /// up to `max_retries` times within one sync.
-    pub retry: RetryPolicy,
     /// Maintain a standby aggregator per rack (failover rung 2). The
     /// standby is assumed to live in a different failure domain, so
     /// aggregator-scoped faults (which model the primary's rack-local
@@ -1246,8 +1245,8 @@ impl<S: StatusSource> AggregationPlane<S> {
             self.metrics.inc(self.ids.restarts_observed, 1);
         }
 
-        // Rung 1: the primary, retried within the sync (no backoff: a sync takes no time).
-        for attempt in 0..=self.cfg.retry.max_retries {
+        // Rung 1: the primary, retried within the sync.
+        for attempt in 0..=PULL_RETRIES {
             if attempt > 0 {
                 self.metrics.inc(self.ids.pull_retries, 1);
             }

@@ -20,7 +20,7 @@
 //!
 //! Lives in the root package so tier-1 `cargo test -q` reaches it.
 
-use cloudtalk::aggregate::{AggregationPlane, FleetLayout, PlaneConfig, RackId};
+use cloudtalk::aggregate::{AggregationPlane, FleetLayout, PlaneConfig, RackId, PULL_RETRIES};
 use cloudtalk::faults::{Corruption, FaultPlan, FaultySource, Window};
 use cloudtalk::status::{StatusReport, StatusSource, TableStatusSource};
 use cloudtalk::transport::{RetryPolicy, TransportConfig};
@@ -140,7 +140,6 @@ fn plane_config(seed: u64, s: Setup) -> PlaneConfig {
             ..base
         },
         seed,
-        ..PlaneConfig::default()
     }
 }
 
@@ -539,7 +538,7 @@ fn a_fault_plan_installed_on_settled_racks_takes_effect() {
     // syncs included: one straggling fewer rounds than the settled syncs
     // has already passed them, one straggling more misses one pull.
     let layout = FleetLayout::grouped(racks());
-    let retries = PlaneConfig::default().retry.max_retries;
+    let retries = PULL_RETRIES;
     for settled in [3, 50] {
         for straggle in [settled - 1, settled + 1] {
             let plan = FaultPlan::none()
