@@ -406,6 +406,8 @@ pub struct FaultySource<S> {
     hosts: WordMap<Address, (HostFaults, u32)>,
     /// `plan.host_addresses()`, computed once.
     named: Vec<Address>,
+    /// Whether the plan corrupts any host's readings.
+    garbles: bool,
     now: SimTime,
     stale_view: Option<World>,
 }
@@ -416,6 +418,7 @@ impl<S> FaultySource<S> {
         FaultySource {
             inner,
             named: plan.host_addresses(),
+            garbles: plan.hosts.values().any(|f| f.corrupt.is_some()),
             hosts: plan.hosts.into_iter().map(|(a, f)| (a, (f, 0))).collect(),
             now: SimTime::ZERO,
             stale_view: None,
@@ -476,6 +479,12 @@ impl<S: StatusSource> StatusSource for FaultySource<S> {
 
     fn sync_trace(&self) -> Option<&obs::TraceReport> {
         self.inner.sync_trace()
+    }
+
+    /// A corrupted or frozen reading enters the system here, unrepaired:
+    /// the gather above sanitises it.
+    fn answers_sane(&self) -> bool {
+        self.inner.answers_sane() && self.stale_view.is_none() && !self.garbles
     }
 
     fn drain_changed(&mut self, changed: &mut Vec<Address>) -> bool {

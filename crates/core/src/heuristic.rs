@@ -23,14 +23,16 @@
 //! Running time: expected `O(max(m, n·p))` for `m` flows, `n` variables,
 //! and at most `p` candidates per variable. The flows are walked once,
 //! into per-variable profiles (peers deduplicated through one hash map);
-//! after that a candidate is scored from its variable's profile and one
-//! status lookup, and checked against its pool's taken set, in constant
-//! expected time. A [`HeuristicScratch`] kept across calls makes a warmed
+//! each candidate list is mapped to its hosts' world slots once, and a
+//! candidate is scored once per distinct scoring profile of the variables
+//! sharing its list (the replicas of a write share one list, and the first
+//! two share a profile), then checked against its pool's taken set, in
+//! constant expected time. A [`HeuristicScratch`] kept across calls makes a warmed
 //! evaluation allocate only the binding and the scores it returns.
 
 use cloudtalk_lang::problem::{Address, Binding, Endpoint, Problem, Value, VarId};
 use cloudtalk_lang::{WordMap, WordSet};
-use estimator::World;
+use estimator::{HostState, World};
 
 use crate::score::{self, MAX_SCORE};
 
@@ -72,7 +74,36 @@ struct VarProfile {
     peer_endpoints: usize,
 }
 
+/// What a candidate's score depends on besides its host's state: the
+/// dimensions a variable exercises, and, per direction, the one fixed
+/// network peer when it is the variable's only peer endpoint (binding to
+/// that peer makes the direction local).
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Scoring {
+    any_rx: bool,
+    any_tx: bool,
+    reads_disk: bool,
+    writes_disk: bool,
+    sole_rx: Option<Address>,
+    sole_tx: Option<Address>,
+}
+
 impl VarProfile {
+    fn scoring(&self) -> Scoring {
+        let sole = |peers: &[Address]| match peers {
+            [peer] if self.peer_endpoints == 1 => Some(*peer),
+            _ => None,
+        };
+        Scoring {
+            any_rx: self.any_rx,
+            any_tx: self.any_tx,
+            reads_disk: self.reads_disk,
+            writes_disk: self.writes_disk,
+            sole_rx: sole(&self.rx_peers),
+            sole_tx: sole(&self.tx_peers),
+        }
+    }
+
     /// Back to the no-flows profile, keeping the peer lists' storage.
     fn reset(&mut self) {
         self.tx_peers.clear();
@@ -105,6 +136,15 @@ pub struct HeuristicScratch {
     prioritised: Vec<bool>,
     /// Values already taken, per pool (distinct-by-default semantics).
     taken: Vec<WordSet<Value>>,
+    /// Each distinct candidate list's world slots (`usize::MAX` for the
+    /// disk and for hosts the world has not met), found once.
+    cand_slots: Vec<usize>,
+    /// Per variable, where its list starts in `cand_slots`.
+    list_at: Vec<usize>,
+    /// Per (list, scoring) pair met, where its scores start in `memo`.
+    memo_at: Vec<(usize, Scoring, usize)>,
+    /// Each pair's score per candidate; NaN until scored.
+    memo: Vec<f64>,
 }
 
 impl HeuristicScratch {
@@ -164,6 +204,10 @@ pub(crate) fn evaluate_query_scored_into(
         order,
         prioritised,
         taken,
+        cand_slots,
+        list_at,
+        memo_at,
+        memo,
         ..
     } = scratch;
 
@@ -181,6 +225,23 @@ pub(crate) fn evaluate_query_scored_into(
     }
     order.extend((0..n).filter(|&i| !prioritised[i]));
 
+    // Each candidate list's hosts become world slots once.
+    cand_slots.clear();
+    list_at.clear();
+    for (i, var) in problem.vars.iter().enumerate() {
+        if problem.repeats_pool(i) {
+            list_at.push(list_at[i - 1]);
+            continue;
+        }
+        list_at.push(cand_slots.len());
+        cand_slots.extend(var.candidates.iter().map(|value| match value {
+            Value::Addr(addr) => world.slot(*addr).unwrap_or(usize::MAX),
+            Value::Disk => usize::MAX,
+        }));
+    }
+    memo_at.clear();
+    memo.clear();
+
     let pools = problem.vars.iter().map(|v| v.pool).max().map_or(0, |m| m + 1);
     taken.resize_with(pools, WordSet::default);
     taken.iter_mut().for_each(WordSet::clear);
@@ -194,12 +255,31 @@ pub(crate) fn evaluate_query_scored_into(
         let var = &problem.vars[vi];
         let profile = &profiles[vi];
         let pool_taken = &mut taken[var.pool];
+        // A candidate is scored once per (list, scoring) pair, whichever
+        // variables share it.
+        let (list, scoring) = (list_at[vi], profile.scoring());
+        let base = match memo_at.iter().find(|m| m.0 == list && m.1 == scoring) {
+            Some(m) => m.2,
+            None => {
+                memo_at.push((list, scoring, memo.len()));
+                memo.resize(memo.len() + var.candidates.len(), f64::NAN);
+                memo.len() - var.candidates.len()
+            }
+        };
+        let slots = &cand_slots[list..list + var.candidates.len()];
+        let scores_here = &mut memo[base..base + var.candidates.len()];
         // Scored at most once per variable, whatever the pool repeats.
         let mut disk_score: Option<f64> = None;
         let mut best: Option<(f64, Value)> = None;
-        let mut consider = |value: Value| {
+        let mut consider = |k: usize, value: Value| {
             let s = match value {
-                Value::Addr(addr) => score_addr(addr, profile, world, cfg),
+                Value::Addr(addr) => {
+                    if scores_here[k].is_nan() {
+                        let state = world.get_at(slots[k]);
+                        scores_here[k] = score_addr(addr, &scoring, &state, cfg);
+                    }
+                    scores_here[k]
+                }
                 Value::Disk => *disk_score.get_or_insert_with(|| score_disk(profile, world)),
             };
             // Strict `>` keeps the earliest candidate on ties (deterministic).
@@ -209,10 +289,10 @@ pub(crate) fn evaluate_query_scored_into(
         };
         let exclude = problem.distinct && !pool_taken.is_empty();
         let mut available = false;
-        for &value in &var.candidates {
+        for (k, &value) in var.candidates.iter().enumerate() {
             if !(exclude && pool_taken.contains(&value)) {
                 available = true;
-                consider(value);
+                consider(k, value);
             }
         }
         if !available {
@@ -220,7 +300,9 @@ pub(crate) fn evaluate_query_scored_into(
             // that is empty outright has no values to reuse — the server
             // rejects such problems with `ServerError::EmptyCandidates`
             // before evaluation; direct callers must do the same.
-            var.candidates.iter().for_each(|&value| consider(value));
+            for (k, &value) in var.candidates.iter().enumerate() {
+                consider(k, value);
+            }
         }
         let (score, value) = best.expect("candidate pools are never empty");
         binding[vi] = value;
@@ -231,32 +313,29 @@ pub(crate) fn evaluate_query_scored_into(
     }
 }
 
-/// Scores binding a variable to the server `addr`: the least-fit resource
-/// dimension it would exercise there.
-fn score_addr(addr: Address, profile: &VarProfile, world: &World, cfg: &HeuristicConfig) -> f64 {
-    let state = world.get(addr);
+/// Scores binding a variable to the server `addr`, whose state is
+/// `state`: the least-fit resource dimension it would exercise there.
+fn score_addr(addr: Address, scoring: &Scoring, state: &HostState, cfg: &HeuristicConfig) -> f64 {
     let w = cfg.weight;
     // Listing 1 lines 8–9 / 27: a variable that exchanges data with exactly
     // one network endpoint, the candidate itself, uses no network there.
-    let only_peer_is =
-        |direction_peers: &[Address]| profile.peer_endpoints == 1 && direction_peers == [addr];
-    let net_rx = if !profile.any_rx || only_peer_is(&profile.rx_peers) {
+    let net_rx = if !scoring.any_rx || scoring.sole_rx == Some(addr) {
         MAX_SCORE
     } else {
-        score::eval_rx(&state, w)
+        score::eval_rx(state, w)
     };
-    let net_tx = if !profile.any_tx || only_peer_is(&profile.tx_peers) {
+    let net_tx = if !scoring.any_tx || scoring.sole_tx == Some(addr) {
         MAX_SCORE
     } else {
-        score::eval_tx(&state, w)
+        score::eval_tx(state, w)
     };
-    let disk_read = if profile.reads_disk {
-        score::eval_disk_read(&state, w)
+    let disk_read = if scoring.reads_disk {
+        score::eval_disk_read(state, w)
     } else {
         MAX_SCORE
     };
-    let disk_write = if profile.writes_disk {
-        score::eval_disk_write(&state, w)
+    let disk_write = if scoring.writes_disk {
+        score::eval_disk_write(state, w)
     } else {
         MAX_SCORE
     };
@@ -359,7 +438,6 @@ mod tests {
         hdfs_read_query, hdfs_write_query, reduce_placement_query, QueryBuilder,
     };
     use cloudtalk_lang::units::sizes::MB;
-    use estimator::HostState;
 
     fn world_with(loads: &[(u32, f64)]) -> World {
         // Hosts 1..=16 idle gigabit, with per-addr up+down loads applied.

@@ -17,10 +17,11 @@
 //! missing. Elapsed time and [`OverheadLedger`] bytes are accounted per
 //! round.
 //!
-//! This is also the ingestion choke point for status data: every reply is
-//! passed through [`estimator::HostState::sanitised`] here, so no garbage
-//! reading (NaN, negative, overflowed) ever reaches the estimator or the
-//! scoring arithmetic.
+//! A reading is sanitised once, where it enters the system: here, for a
+//! source whose readings are raw, and nowhere for one that repaired its
+//! own ([`StatusSource::answers_sane`]). So no garbage reading (NaN,
+//! negative, overflowed) ever reaches the estimator or the scoring
+//! arithmetic, and no gather pays to repair it a second time.
 
 use cloudtalk_lang::problem::Address;
 use desim::rng::DetRng;
@@ -187,11 +188,11 @@ impl<T: Copy> GatherOutcome<T> {
 }
 
 /// One query/reply round against `targets`, each polled at `host(t)`;
-/// replies are sanitised here — the single choke point between raw status
-/// reports and the estimator. Retry rounds (`retry = true`) account their
+/// replies are sanitised here unless the source
+/// [`StatusSource::answers_sane`]. Retry rounds (`retry = true`) account their
 /// traffic in the ledger's distinct retry counters so re-sends never
 /// inflate the §5.5 bytes. `unchanged` further hosts belong to the round
-/// without being polled (see [`scatter_gather_changed`]): queried and
+/// without being polled (see [`gather_into`]): queried and
 /// answered on the modelled wire, absent from `out`.
 #[allow(clippy::too_many_arguments)]
 fn gather_round<T: Copy>(
@@ -212,11 +213,14 @@ fn gather_round<T: Copy>(
         "a lossy round draws per host: it cannot skip any"
     );
     let before = out.replies.len();
+    let raw = !source.answers_sane();
     for target in targets {
         let lost = loss_p > 0.0 && rng.gen_bool(loss_p);
         match (lost, source.poll_report(host(target))) {
             (false, Some(mut report)) => {
-                report.state = report.state.sanitised();
+                if raw {
+                    report.state = report.state.sanitised();
+                }
                 out.replies.push((target, report));
             }
             _ => out.missing.push(target),
@@ -250,42 +254,32 @@ pub fn scatter_gather_retry(
     rng: &mut DetRng,
     ledger: &mut OverheadLedger,
 ) -> GatherOutcome {
-    scatter_gather_changed(source, addrs, 0, cfg, rng, ledger)
-}
-
-/// [`scatter_gather_retry`] over a fan-out of `addrs.len() + unchanged`
-/// hosts of which only `addrs` are polled. The caller vouches — from the
-/// source's change view ([`StatusSource::drain_changed`]) — that each of
-/// the `unchanged` others answers, and answers exactly what the caller
-/// already holds. The *modelled* exchange is the full one: the ledger is
-/// charged a query and a reply for every host and the timing is that of
-/// the whole round; only the polls whose result is known are not
-/// *executed*, and the outcome lists the polled hosts alone.
-///
-/// # Panics
-///
-/// Panics if `unchanged > 0` at a fan-out beyond the loss knee: a lossy
-/// round draws randomness per host, so none can be skipped.
-pub(crate) fn scatter_gather_changed(
-    source: &mut impl StatusSource,
-    addrs: &[Address],
-    unchanged: usize,
-    cfg: &TransportConfig,
-    rng: &mut DetRng,
-    ledger: &mut OverheadLedger,
-) -> GatherOutcome {
     let mut out = GatherOutcome {
         replies: Vec::with_capacity(addrs.len()),
         ..GatherOutcome::default()
     };
     let addrs = addrs.iter().copied();
-    gather_into(source, addrs, |a| a, unchanged, cfg, rng, ledger, &mut out);
+    gather_into(source, addrs, |a| a, 0, cfg, rng, ledger, &mut out);
     out
 }
 
-/// [`scatter_gather_changed`] over `targets`, each polled at `host(t)`,
+/// [`scatter_gather_retry`] over `targets`, each polled at `host(t)`,
 /// into `out` (emptied first): a caller that gathers again and again
 /// keeps one buffer and names its hosts as it likes.
+///
+/// The fan-out is `targets.len() + unchanged` hosts of which only
+/// `targets` are polled. The caller vouches — from the source's change
+/// view ([`StatusSource::drain_changed`]) — that each of the `unchanged`
+/// others answers, and answers exactly what the caller already holds.
+/// The *modelled* exchange is the full one: the ledger is charged a query
+/// and a reply for every host and the timing is that of the whole round;
+/// only the polls whose result is known are not *executed*, and the
+/// outcome lists the polled hosts alone.
+///
+/// # Panics
+///
+/// Panics if `unchanged > 0` at a fan-out beyond the loss knee: a lossy
+/// round draws randomness per host, so none can be skipped.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_into<T: Copy>(
     source: &mut impl StatusSource,

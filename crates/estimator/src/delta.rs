@@ -89,7 +89,7 @@ impl DeltaStats {
 /// `model::push_host_capacities` emits, so `4 * slot` is the base index
 /// of a host's resource block) — and, resolved once, the slot of every
 /// candidate of every variable and of every fixed flow endpoint. Built
-/// from the [`World`] hash map once per walker per search (a
+/// from the [`World`]'s slots once per walker per search (a
 /// [`DeltaEstimator`] builds its own); from then on a search moves slots,
 /// not addresses: the walkers stack each candidate's slot beside its
 /// value, and both the delta estimator and the lower-bound walk read
@@ -121,7 +121,9 @@ impl CapacityTable {
     /// Re-reads the table for `problem` in `world`, reusing its buffers.
     /// Each distinct pool is scanned once ([`Problem::repeats_pool`]), and
     /// this is where every address a search binds is looked up: once per
-    /// candidate and fixed endpoint, never per search node.
+    /// candidate and fixed endpoint, never per search node. The table's
+    /// addresses and the world's are both ascending, so their states are
+    /// read in one forward pass over the world's slots.
     pub fn rebuild(&mut self, problem: &Problem, world: &World) {
         self.addrs.clear();
         for (i, var) in problem.vars.iter().enumerate() {
@@ -147,8 +149,8 @@ impl CapacityTable {
         // same values, different (bijective) indexing, which max-min
         // rating is insensitive to.
         self.capacities.clear();
-        for &a in &self.addrs {
-            push_host_capacities(&world.get(a), &mut self.capacities);
+        for state in world.states_of_sorted(&self.addrs) {
+            push_host_capacities(&state, &mut self.capacities);
         }
 
         self.cands.clear();
