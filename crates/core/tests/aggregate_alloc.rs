@@ -6,7 +6,7 @@
 //! * a sync after 1 or 64 host changes spread over healthy racks
 //!   allocates that same count: a healthy rack polls its changed hosts into
 //!   the plane's buffer and writes them into its view, and no delta is
-//!   built;
+//!   built — also warm, once a sync has folded 64 changes over 64 racks;
 //! * a `TableStatusSource` whose change view nobody drains stays bounded
 //!   by its table: 10⁶ writes over 1 000 hosts keep the bookkeeping at
 //!   O(hosts), because a written host is flagged, not logged (and before
@@ -96,6 +96,45 @@ fn idle_sync_allocations_ignore_rack_count_and_undrained_writes_stay_bounded() {
                 "{racks} racks, {changes} changes: a healthy rack's sync allocates nothing"
             );
         }
+    }
+
+    // Warm: once a sync has folded 64 changes over 64 racks (and grown
+    // every buffer it keeps), the next such sync allocates exactly as an
+    // idle one does: each dirty rack's changes land in the fleet-wide
+    // snapshot and view tables in place.
+    let warm_sync = |racks: usize| {
+        let mut plane = primed_plane(racks);
+        let churn = |plane: &mut AggregationPlane<TableStatusSource>, round: usize| {
+            for i in 0..64 {
+                let host = (i * racks / 64) * HOSTS_PER_RACK + (round * 7 + i) % HOSTS_PER_RACK;
+                let load = HostState::gbps_idle().with_up_load(0.1 * round as f64 + 0.05);
+                plane.source_mut().set(Address(host as u32 + 1), load);
+            }
+        };
+        churn(&mut plane, 1);
+        plane.sync(SimTime::from_secs_f64(2.0));
+        churn(&mut plane, 2);
+        let clean = |plane: &AggregationPlane<_>| {
+            plane
+                .metrics()
+                .counter_named("gather.agg.racks_clean")
+                .expect("registered")
+        };
+        let before = clean(&plane);
+        let (allocs, _, ()) = allocs_of(|| plane.sync(SimTime::from_secs_f64(3.0)));
+        let folded = racks as u64 - (clean(&plane) - before);
+        assert!(
+            folded >= 50,
+            "{racks} racks: the changes dirtied {folded} racks"
+        );
+        allocs
+    };
+    for racks in [64, 500] {
+        assert_eq!(
+            warm_sync(racks),
+            small,
+            "{racks} racks: a warm sync folding 64 changes allocates as an idle one"
+        );
     }
 
     // A million writes nobody drains: before anyone asks for the change
