@@ -50,6 +50,12 @@ print(f"trace OK: {len(trace['traceEvents'])} events, spans {sorted(names)}")
 EOF
 
 echo "=== telemetry smoke (SLO breach timeline, stitched cross-component trace) ==="
+# The smoke writes the three BENCH_telemetry_* files at smoke scale; the
+# committed ones are a full-scale run. Keep them aside and put them back
+# however this script exits.
+telemetry_keep="$(mktemp -d)"
+cp BENCH_telemetry_trace.json BENCH_telemetry_metrics.txt BENCH_telemetry_slo.txt "$telemetry_keep/"
+trap 'cp "$telemetry_keep"/BENCH_telemetry_* . && rm -rf "$telemetry_keep"' EXIT
 cargo run --release -q -p cloudtalk-bench --bin qps_storm -- --telemetry --smoke
 python3 - <<'EOF'
 import json, re
@@ -79,6 +85,21 @@ idx = [int(w) for w in re.findall(r"^window (\d+) ", metrics, re.M)]
 assert idx == list(range(idx[0], idx[0] + len(idx))), f"window indices not consecutive: {idx}"
 print(f"telemetry OK: {len(stitched)} stitched traces across {len(lanes)} sampled, "
       f"{slo.count('BREACH')} breach events")
+EOF
+
+echo "=== profiler smoke (scripts/profile.sh samples a perf/ workload and names its top frame) ==="
+bash scripts/profile.sh --workload hint_cold --smoke --top 5 >/dev/null
+python3 - <<'EOF'
+import re
+with open("perf/out/profile_hint_cold.txt") as f:
+    text = f.read()
+samples = int(re.search(r"^samples (\d+) dropped \d+ scope ", text, re.M).group(1))
+assert samples > 0, "the profile holds no samples"
+top = re.search(r"^top (.+)$", text, re.M).group(1)
+assert not top.startswith("["), f"the top frame has no symbol: {top}"
+rows = re.findall(r"^(self|inclusive|module) +(\d+\.\d+)% (.+)$", text, re.M)
+assert rows and all(0.0 <= float(p) <= 100.0 for _, p, _ in rows), "unparsable share rows"
+print(f"profile OK: {samples} samples, top frame {top}")
 EOF
 
 echo "=== golden outputs (every bin but table2 is deterministic and cmp-identical to crates/bench/golden/) ==="
@@ -262,12 +283,32 @@ if grep -rnE 'impl.* StatusSource for' crates/apps/src; then
     echo "error: crates/apps/src defines a status source — a NetSim is read through core::status::NetSimStatusSource"
     exit 1
 fi
-for method in advance_to sync_trace drain_changed; do
+for method in advance_to answers_sane sync_trace drain_changed; do
     if ! grep -q "fn $method(" <<<"$faulty_body"; then
         echo "error: FaultySource does not forward $method — a decorator forwards the clock, the sync trace and the change view"
         exit 1
     fi
 done
+
+echo "=== hosts by slot (World is slot-indexed vectors; the plane keeps no per-rack table or per-aggregator marks; a reply is sanitised once) ==="
+world_body="$(awk '/^pub struct World \{/,/^\}$/' crates/estimator/src/world.rs)"
+round_body="$(awk '/^fn gather_round</,/^\}$/' crates/core/src/transport.rs)"
+if [ -z "$world_body" ] || [ -z "$round_body" ]; then
+    echo "error: struct World or transport::gather_round not found where this gate looks"
+    exit 1
+fi
+if grep -nE 'WordMap|HashMap' <<<"$world_body"; then
+    echo "error: World holds a hash map again — a host's state is read by its slot"
+    exit 1
+fi
+if grep -nE 'struct SlotTable|ChangeMarks' crates/core/src/aggregate.rs; then
+    echo "error: aggregate.rs keeps a per-rack table or per-aggregator marks again — views, snapshots and listings are fleet-wide arrays by slot"
+    exit 1
+fi
+if grep -q 'sanitised()' <<<"$round_body" && ! grep -q 'answers_sane' <<<"$round_body"; then
+    echo "error: gather_round sanitises every reply — a source that answers sane states is not repaired twice"
+    exit 1
+fi
 
 echo "=== the fault model in one place (one record per faulted host and rack; the plane asks the plan, never a fault kind; a sync trace is read, not taken) ==="
 plan_body="$(awk '/^pub struct FaultPlan \{/,/^\}$/' crates/core/src/faults.rs)"
