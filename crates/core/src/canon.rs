@@ -277,9 +277,15 @@ pub(crate) static ONE_BUCKET: std::sync::atomic::AtomicBool =
 
 fn hash_problem(problem: &Problem, h: &mut impl Hasher) {
     problem.vars.len().hash(h);
-    for var in &problem.vars {
+    for (i, var) in problem.vars.iter().enumerate() {
         var.name.hash(h);
         var.pool.hash(h);
+        // A repeated pool is its predecessor's candidates again: a marker
+        // no length can equal stands for them.
+        if problem.repeats_pool(i) {
+            usize::MAX.hash(h);
+            continue;
+        }
         var.candidates.len().hash(h);
         for v in &var.candidates {
             hash_value(*v, h);
@@ -369,6 +375,25 @@ mod tests {
         assert_eq!(exact_hash(&p1), exact_hash(&p1.clone()));
         assert_ne!(exact_hash(&p1), exact_hash(&p2));
         assert_ne!(exact_hash(&p1), exact_hash(&p3));
+    }
+
+    #[test]
+    fn a_repeated_pool_is_hashed_once_and_still_tells_problems_apart() {
+        use cloudtalk_lang::builder::hdfs_write_query;
+        let nodes: Vec<Address> = (2..22).map(Address).collect();
+        let write = || {
+            hdfs_write_query(Address(1), &nodes, 3, 1e6)
+                .resolve()
+                .unwrap()
+        };
+        let (p, same) = (write(), write());
+        assert!(p.repeats_pool(1) && p.repeats_pool(2));
+        assert_eq!(exact_hash(&p), exact_hash(&same));
+        // The second replica's pool no longer repeats the first's.
+        let mut other = write();
+        other.vars[1].candidates[4] = Value::Addr(Address(99));
+        assert!(!other.repeats_pool(1));
+        assert_ne!(exact_hash(&p), exact_hash(&other));
     }
 
     #[test]

@@ -103,8 +103,8 @@ use crate::footprint::Footprint;
 use crate::qcache::{CacheStats, SharedCache, Tier};
 use crate::reservation::Reservations;
 use crate::server::{
-    sample_within_budget, Answer, DegradationRung, EvalCore, Holds, Roster, ServerConfig,
-    ServerError, StatusSnapshot,
+    exceeds_budget, sample_within_budget, Answer, DegradationRung, EvalCore, Holds, Roster,
+    ServerConfig, ServerError, StatusSnapshot,
 };
 use crate::status::{ChangeMarks, StatusSource};
 use crate::walk::fan_out;
@@ -832,12 +832,18 @@ impl<S: StatusSource> ServingPlane<S> {
     }
 
     /// The shard a problem is routed to: the shard of its lowest
-    /// mentioned in-fleet address (shard 0 for fleet-less problems).
+    /// mentioned in-fleet address (shard 0 for fleet-less problems). A
+    /// problem sampling will replace tries its lowest address first and
+    /// builds its roster only when that one is outside the fleet.
     fn shard_of(&self, footprint: &Footprint<'_>) -> usize {
-        let home_rack = footprint
-            .sorted()
-            .iter()
-            .find_map(|&a| self.layout.rack_of(a));
+        let lowest = exceeds_budget(footprint.problem(), self.cfg.server.sample_budget)
+            .then(|| footprint.lowest())
+            .flatten();
+        let in_fleet = |&a: &Address| self.layout.rack_of(a);
+        let home_rack = lowest
+            .as_ref()
+            .and_then(in_fleet)
+            .or_else(|| footprint.sorted().iter().find_map(in_fleet));
         home_rack.map_or(0, |r| {
             (r.0 as usize / self.cfg.racks_per_shard).min(self.shards.len() - 1)
         })
@@ -1283,6 +1289,33 @@ mod tests {
             racks_per_shard: 2,
             wave_quantum: SimDuration::from_millis(5),
             ..ServingConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_problem_sampling_will_shrink_routes_by_the_sorted_roster_rule() {
+        // Hosts 10..=25, racks of 4, two racks a shard. Both writes' pools
+        // are above the budget; one's lowest address (its pool's 18) is in
+        // the fleet, the other's (its writer, 5) is not.
+        let addrs: Vec<Address> = (10..=25).map(Address).collect();
+        let mut src = TableStatusSource::new();
+        for &a in &addrs {
+            src.set(a, HostState::gbps_idle());
+        }
+        let mut c = cfg(1);
+        c.server.sample_budget = 3;
+        let plane = ServingPlane::new(c, FleetLayout::uniform(&addrs, 4), src);
+        let nodes: Vec<Address> = (18..=25).map(Address).collect();
+        for writer in [30, 5] {
+            let p = hdfs_write_query(Address(writer), &nodes, 2, 1e6)
+                .resolve()
+                .unwrap();
+            assert!(exceeds_budget(&p, 3));
+            let fp = Footprint::shared(p);
+            let routed = plane.shard_of(&fp);
+            let home = fp.sorted().iter().find_map(|&a| plane.layout.rack_of(a));
+            assert_eq!(home, Some(RackId(2)), "writer {writer}");
+            assert_eq!(routed, 1, "writer {writer}: the shard of rack 2");
         }
     }
 
