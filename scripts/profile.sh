@@ -3,6 +3,7 @@
 #
 #   bash scripts/profile.sh --workload status_fleet --seconds 20
 #   bash scripts/profile.sh --workload status_fleet --under 'AggregationPlane<S>::sync'
+#   bash scripts/profile.sh --workload hint_cold --children 'EvalCore::answer_snapshot'
 #   bash scripts/profile.sh --workload hint_cold --diff ../parent .
 #   bash scripts/profile.sh --workload status_fleet --smoke
 #
@@ -17,16 +18,21 @@
 # (default 25) symbols by self share and by inclusive share, and the self
 # shares rolled up by module path. --under SYMBOL keeps only the samples
 # with a frame whose name contains SYMBOL, and shares are of those.
+# --children SYMBOL splits the samples with a frame naming SYMBOL by the
+# frame directly below SYMBOL's outermost occurrence (what it called;
+# `[self]` when SYMBOL is the leaf): the top --top N rows and `[other]`,
+# which sum to 100 %.
 # --diff A B profiles both trees the same way and prints each symbol's
 # self share in A and in B, largest change first
 # (perf/out/profile_diff_<workload>.txt).
 #
 # Options: --workload W (required), --seconds S (default 20), --seed N
-# (default 2017), --tree DIR, --under SYMBOL, --top N, --smoke, --diff A B.
+# (default 2017), --tree DIR, --under SYMBOL, --children SYMBOL, --top N,
+# --smoke, --diff A B.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-workload="" seconds=20 seed=2017 tree="$root" under="" top=25 smoke=() diff=()
+workload="" seconds=20 seed=2017 tree="$root" under="" children="" top=25 smoke=() diff=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="$2"; shift 2 ;;
@@ -34,6 +40,7 @@ while [ $# -gt 0 ]; do
         --seed) seed="$2"; shift 2 ;;
         --tree) tree="$(cd "$2" && pwd)"; shift 2 ;;
         --under) under="$2"; shift 2 ;;
+        --children) children="$2"; shift 2 ;;
         --top) top="$2"; shift 2 ;;
         --smoke) smoke=(--smoke); shift ;;
         --diff) diff=("$(cd "$2" && pwd)" "$(cd "$3" && pwd)"); shift 3 ;;
@@ -66,10 +73,10 @@ sample() {
 
 # report RAW... — symbolise and print; with two RAWs, the diff.
 report() {
-    python3 - "$top" "$under" "$@" <<'EOF'
+    python3 - "$top" "$under" "$children" "$@" <<'EOF'
 import bisect, collections, subprocess, sys
 
-top, under, raws = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+top, under, children, raws = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4:]
 
 def symbols(exe):
     addrs, names = [], []
@@ -126,6 +133,19 @@ def shares(stacks):
     pct = lambda c: {k: 100.0 * v / n for k, v in c.items()}
     return pct(own), pct(incl), pct(mods)
 
+def callees(stacks, symbol):
+    # Stacks are leaf first: the outermost occurrence is the last match.
+    split = collections.Counter()
+    for s in stacks:
+        at = max((d for d, f in enumerate(s) if symbol in f), default=None)
+        if at is not None:
+            split["[self]" if at == 0 else s[at - 1]] += 1
+    n = max(sum(split.values()), 1)
+    rows = sorted(split.items(), key=lambda kv: -kv[1])
+    rest = sum(v for _, v in rows[top:])
+    rows = rows[:top] + ([("[other]", rest)] if rest else [])
+    return sum(split.values()), [(k, 100.0 * v / n) for k, v in rows]
+
 scope = f"under {under}" if under else "all"
 if len(raws) == 1:
     stacks, dropped = load(raws[0])
@@ -137,6 +157,11 @@ if len(raws) == 1:
         print(f"== {title}")
         for k, v in sorted(table.items(), key=lambda kv: -kv[1])[:top]:
             print(f"{title} {v:6.2f}% {k}")
+    if children:
+        n, rows = callees(stacks, children)
+        print(f"== children of {children}: {n} samples")
+        for k, v in rows:
+            print(f"children {v:6.2f}% {k}")
 else:
     (a, da), (b, db) = load(raws[0]), load(raws[1])
     (sa, _, ma), (sb, _, mb) = shares(a), shares(b)
