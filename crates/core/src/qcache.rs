@@ -29,7 +29,7 @@
 //! * the **reservation mask restricted to the query's footprint**: the
 //!   sorted subset of the problem's mentioned addresses the caller's
 //!   reservation view holds at evaluation time. The search consults
-//!   reservations *only* through `overlay_reserved` over exactly these
+//!   reservations *only* through `overlay_reservations` of exactly these
 //!   addresses, so ledger publications touching other addresses leave
 //!   the mask — and the answer — unchanged, and hot entries survive
 //!   unrelated churn;
