@@ -366,6 +366,7 @@ impl Seed {
         evaluate_query_scored_into(
             problem,
             world,
+            None,
             &HeuristicConfig::default(),
             &mut self.heuristic,
             binding,

@@ -181,17 +181,20 @@ pub fn evaluate_query_scored_in(
 ) -> (Binding, Vec<f64>) {
     let mut binding = Binding::new();
     let mut scores = Vec::new();
-    evaluate_query_scored_into(problem, world, cfg, scratch, &mut binding, &mut scores);
+    evaluate_query_scored_into(problem, world, None, cfg, scratch, &mut binding, &mut scores);
     (binding, scores)
 }
 
 /// [`evaluate_query_scored_in`] writing the binding and its scores into
 /// caller-held buffers (overwritten), so a warmed evaluation allocates
 /// nothing at all — the exhaustive search scores its seed incumbent this
-/// way.
+/// way. `slots`, when given, is each candidate's slot in `world`, listed
+/// pool by pool over the pools that do not repeat the one before (a
+/// placed footprint's candidate slots); otherwise each is searched for.
 pub(crate) fn evaluate_query_scored_into(
     problem: &Problem,
     world: &World,
+    slots: Option<&[usize]>,
     cfg: &HeuristicConfig,
     scratch: &mut HeuristicScratch,
     binding: &mut Binding,
@@ -225,20 +228,27 @@ pub(crate) fn evaluate_query_scored_into(
     }
     order.extend((0..n).filter(|&i| !prioritised[i]));
 
-    // Each candidate list's hosts become world slots once.
+    // Each candidate list's hosts become world slots once: the caller's,
+    // or one search each.
     cand_slots.clear();
     list_at.clear();
+    let mut listed = 0;
     for (i, var) in problem.vars.iter().enumerate() {
         if problem.repeats_pool(i) {
             list_at.push(list_at[i - 1]);
             continue;
         }
-        list_at.push(cand_slots.len());
-        cand_slots.extend(var.candidates.iter().map(|value| match value {
-            Value::Addr(addr) => world.slot(*addr).unwrap_or(usize::MAX),
-            Value::Disk => usize::MAX,
-        }));
+        list_at.push(listed);
+        listed += var.candidates.len();
+        if slots.is_none() {
+            let addrs = var.candidates.iter().map(|value| match value {
+                Value::Addr(addr) => Some(*addr),
+                Value::Disk => None,
+            });
+            world.slots_into(addrs, cand_slots);
+        }
     }
+    let cand_slots: &[usize] = slots.unwrap_or(cand_slots);
     memo_at.clear();
     memo.clear();
 

@@ -32,7 +32,8 @@
 //! * [`sampling`] — §4.3: how many servers to sample for near-optimal
 //!   answers, plus the analytic n(d, p, confidence) calculator (Figure 4).
 //! * [`reservation`] — §5.5 pseudo-reservations preventing oscillation:
-//!   one [`reservation::Reservations`] value type behind both front doors.
+//!   one [`reservation::Reservations`] value type behind both front doors,
+//!   holding a hold by fleet slot on the plane and by address elsewhere.
 //! * [`server`] — [`server::CloudTalkServer`] tying it all together.
 //! * [`messages`] — wire-format sizes for the §5.5 overhead accounting,
 //!   hosted in the server's [`obs`] metrics registry.
@@ -43,8 +44,9 @@
 //!   of it via retry/backoff, staleness decay, and a
 //!   graceful-degradation ladder ([`server::DegradationRung`]).
 //! * [`serving`] — the multi-tenant serving plane: wave-batched
-//!   admission over sharded snapshots, per-tenant holds merged into one
-//!   published [`reservation::Reservations`] at wave close, and load-shedding
+//!   admission over sharded snapshots, per-tenant holds written by fleet
+//!   slot into one published [`reservation::Reservations`] at wave close,
+//!   and load-shedding
 //!   backpressure — bit-identical answers at any worker count.
 //! * [`aggregate`] — the hierarchical status plane for 100k+ hosts:
 //!   rack-level aggregators owning delta-compressed, epoch-stamped

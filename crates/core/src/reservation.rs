@@ -12,42 +12,65 @@
 //! The mechanism is one value type, [`Reservations`], wherever holds are
 //! kept: [`crate::server::CloudTalkServer`] owns one and edits it in
 //! place; the serving plane publishes one behind an `Arc` and gives every
-//! tenant of a wave a private one to record into, merged at wave close.
-//! Reading the holds into a query's reservation mask and recording an
-//! answer's addresses both happen in one place, `EvalCore`'s answer path.
+//! tenant of a wave a private one to record into, written into the
+//! published one at wave close. Reading the holds into a query's
+//! reservation mask and recording an answer's addresses both happen in
+//! one place, `EvalCore`'s answer path.
 //!
 //! Live holds are bounded by the hosts one server recommends within the
 //! hold time, which can be most of the fleet (`hint_cold` holds 930–1 011
-//! of its 1 024 hosts at a wave close), so a sorted `Vec` with
-//! binary-search probes is the whole data structure: an answer probes it
-//! once per footprint host, `O(footprint · log holds)`.
-
-use std::cmp::Ordering;
+//! of its 1 024 hosts at a wave close). So the plane's published set keeps
+//! one expiry per fleet slot (the `FleetLayout` number a query's
+//! footprint already carries): reading a hold is one array read, writing
+//! one is one array write, and a hold that has ended needs no purge — it
+//! is simply not later than `now`. An address no slot covers (every hold
+//! of a `CloudTalkServer`, which has no layout, and a plane hold on an
+//! address outside the fleet) keeps a strictly sorted `(Address, expiry)`
+//! entry, found by binary search and purged when it has ended, so those
+//! entries stay bounded by the live holds.
 
 use cloudtalk_lang::problem::Address;
 use desim::SimTime;
 use estimator::{HostState, World};
 
+/// A slot number meaning "no fleet slot": the address is held, if at all,
+/// by an address-keyed entry.
+pub(crate) const NO_SLOT: usize = usize::MAX;
+
 /// Which hosts were recently recommended, and until when.
 ///
-/// Entries are strictly sorted by address. An address has at most one
-/// entry, whose expiry only ever extends; the entry is live at `now` iff
-/// its expiry is later than `now`.
+/// A host has at most one hold, whose expiry only ever extends; the hold
+/// is live at `now` iff its expiry is later than `now`. The serving
+/// plane's set has a slot per fleet host, and holds such a host in its
+/// slot; any other address is held in an entry of a list strictly sorted
+/// by address.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Reservations {
+    /// Per fleet slot, when its hold ends (`SimTime::ZERO`: never held).
+    slots: Vec<SimTime>,
+    /// Holds on addresses no slot covers, strictly sorted by address.
     entries: Vec<(Address, SimTime)>,
 }
 
 impl Reservations {
-    /// No holds.
+    /// No holds, and no slots: every hold is an address-keyed entry.
     pub const fn new() -> Self {
         Reservations {
+            slots: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// No holds, with a slot for each of `n` fleet hosts.
+    pub(crate) fn over_slots(n: usize) -> Self {
+        Reservations {
+            slots: vec![SimTime::ZERO; n],
             entries: Vec::new(),
         }
     }
 
     /// Holds `addr` until `until`, or until its current expiry if that is
-    /// later.
+    /// later, in an address-keyed entry.
     pub fn reserve(&mut self, addr: Address, until: SimTime) {
         match self.entries.binary_search_by_key(&addr, |e| e.0) {
             Ok(i) => self.entries[i].1 = self.entries[i].1.max(until),
@@ -55,77 +78,82 @@ impl Reservations {
         }
     }
 
-    /// When the hold on `addr` ends, if there is an entry for it.
+    /// Holds fleet slot `slot` until `until`, or until its current expiry
+    /// if that is later. Returns the expiry it had before.
+    pub(crate) fn reserve_slot(&mut self, slot: usize, until: SimTime) -> SimTime {
+        let e = &mut self.slots[slot];
+        let before = *e;
+        *e = before.max(until);
+        before
+    }
+
+    /// When the hold on `addr`'s address-keyed entry ends, if it has one.
     pub fn expiry(&self, addr: Address) -> Option<SimTime> {
         let i = self.entries.binary_search_by_key(&addr, |e| e.0).ok()?;
         Some(self.entries[i].1)
     }
 
-    /// Whether `addr` is considered in use at `now`.
+    /// When the hold in fleet slot `slot` ends (`SimTime::ZERO` if it was
+    /// never held).
+    pub(crate) fn slot_expiry(&self, slot: usize) -> SimTime {
+        self.slots[slot]
+    }
+
+    /// Whether `addr` is considered in use at `now`, by its entry.
     pub fn is_reserved(&self, addr: Address, now: SimTime) -> bool {
         self.expiry(addr).is_some_and(|e| e > now)
     }
 
-    /// Takes over every hold of `other`. Max-expiry merging is commutative
-    /// and associative: the result does not depend on merge order. One
-    /// pass over both sorted lists, in place: the list grows by `other`'s
-    /// length and is filled from the back, so no entry is overwritten
-    /// before it is read; an address both hold leaves one slot spare at
-    /// the front, closed up at the end.
-    pub fn merge(&mut self, other: &Reservations) {
-        let (n, theirs) = (self.entries.len(), other.entries.as_slice());
-        if theirs.is_empty() {
-            return;
-        }
-        self.entries.extend_from_slice(theirs);
-        let e = &mut self.entries;
-        // Unread: `e[..i]` and `theirs[..j]`; the next write goes to
-        // `e[w - 1]`, and `w >= i + j` throughout.
-        let (mut i, mut j, mut w) = (n, theirs.len(), e.len());
-        while j > 0 {
-            let y = theirs[j - 1];
-            w -= 1;
-            match (i > 0).then(|| e[i - 1].0.cmp(&y.0)) {
-                Some(Ordering::Greater) => {
-                    e[w] = e[i - 1];
-                    i -= 1;
-                }
-                Some(Ordering::Equal) => {
-                    e[w] = (y.0, e[i - 1].1.max(y.1));
-                    i -= 1;
-                    j -= 1;
-                }
-                Some(Ordering::Less) | None => {
-                    e[w] = y;
-                    j -= 1;
-                }
-            }
-        }
-        // `e[..i]` is in place; the merged tail starts at `w`.
-        if w > i {
-            let len = e.len();
-            e.copy_within(w.., i);
-            e.truncate(len - (w - i));
+    /// Whether the host `addr`, at fleet slot `slot` (or [`NO_SLOT`]), is
+    /// considered in use at `now`: one array read when this set has the
+    /// slot, else its entry.
+    pub(crate) fn holds(&self, addr: Address, slot: usize, now: SimTime) -> bool {
+        match self.slots.get(slot) {
+            Some(&e) => e > now,
+            None => self.is_reserved(addr, now),
         }
     }
 
-    /// Drops the entries no longer live at `now`.
+    /// Drops the address-keyed entries no longer live at `now`. Slots need
+    /// no purge: an ended hold is not later than `now`.
     pub fn purge(&mut self, now: SimTime) {
         self.entries.retain(|&(_, e)| e > now);
     }
 
-    /// The entries, strictly sorted by address.
+    /// Drops the address-keyed entries ended by `now`, then holds each of
+    /// `holds` in an entry.
+    pub(crate) fn extend_entries(&mut self, now: SimTime, holds: &[(Address, SimTime)]) {
+        self.purge(now);
+        for &(addr, until) in holds {
+            self.reserve(addr, until);
+        }
+    }
+
+    /// The address-keyed entries, strictly sorted by address.
     pub fn entries(&self) -> &[(Address, SimTime)] {
         &self.entries
     }
 
-    /// Entries stored, live or not ([`Reservations::purge`] drops the
-    /// rest).
+    /// Every hold live at `now`, ascending by address: the slots' holds,
+    /// addressed through `fleet` (every fleet host, by slot; empty for a
+    /// set with no slots), and the live entries.
+    pub fn live(&self, fleet: &[Address], now: SimTime) -> Vec<(Address, SimTime)> {
+        let slots = fleet.iter().zip(&self.slots).map(|(&a, &e)| (a, e));
+        let mut out: Vec<_> = slots
+            .chain(self.entries.iter().copied())
+            .filter(|&(_, e)| e > now)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Address-keyed entries stored, live or not
+    /// ([`Reservations::purge`] drops the rest).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether there are no entries at all.
+    /// Whether there are no address-keyed entries at all.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -134,15 +162,22 @@ impl Reservations {
 /// Refills `out` with `base` plus a penalty on every address of `mask`: a
 /// capacity's worth of extra usage, so every held host ranks below every
 /// free one while measured load still orders the held (the paper's "in
-/// decreasing order of their evaluated fitness").
-pub fn overlay_reservations(out: &mut World, base: &World, mask: &[Address]) {
-    out.overlay(base, mask, |mut s: HostState| {
+/// decreasing order of their evaluated fitness"). `slots` holds each
+/// address's slot in `base` (`usize::MAX` where `base` lacks it). Returns
+/// whether a host was added ([`World::overlay`]).
+pub fn overlay_reservations(
+    out: &mut World,
+    base: &World,
+    mask: &[Address],
+    slots: &[usize],
+) -> bool {
+    out.overlay(base, mask, slots, |mut s: HostState| {
         s.nic_up_used += s.nic_up_capacity;
         s.nic_down_used += s.nic_down_capacity;
         s.disk_read_used += s.disk_read_capacity;
         s.disk_write_used += s.disk_write_capacity;
         s
-    });
+    })
 }
 
 #[cfg(test)]
@@ -186,28 +221,5 @@ mod tests {
         assert_eq!(r.entries(), [(Address(2), ms(800))]);
         r.purge(ms(900));
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn merge_keeps_entries_sorted_and_takes_the_later_expiry() {
-        let mut a = Reservations::new();
-        a.reserve(Address(5), ms(300));
-        a.reserve(Address(1), ms(300));
-        let mut b = Reservations::new();
-        b.reserve(Address(3), ms(200));
-        b.reserve(Address(5), ms(100));
-        b.reserve(Address(1), ms(400));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(
-            ab.entries(),
-            [
-                (Address(1), ms(400)),
-                (Address(3), ms(200)),
-                (Address(5), ms(300))
-            ]
-        );
-        b.merge(&a);
-        assert_eq!(ab, b, "merge order does not matter");
     }
 }

@@ -20,6 +20,7 @@
 //! ([`crate::serving::ServingPlane`]): a tenant that submits queries in
 //! one wave has them answered against one shard snapshot.
 
+use std::mem::take;
 use std::sync::Arc;
 
 use cloudtalk_lang::problem::{Address, Binding, Problem, Value};
@@ -35,11 +36,11 @@ use crate::exhaustive::{
     SearchWorkspace,
 };
 use crate::footprint::Footprint;
-use crate::heuristic::{evaluate_query_scored_in, HeuristicConfig, HeuristicScratch};
+use crate::heuristic::{evaluate_query_scored_into, HeuristicConfig, HeuristicScratch};
 use crate::messages::{LedgerCounters, OverheadLedger};
 use crate::pktsearch::{pkt_search, MirrorTopology, PktSearchError, PktSearchOptions};
 use crate::qcache::{CacheConfig, CachedSearch, KeyParts, QueryCache, Tier};
-use crate::reservation::{overlay_reservations, Reservations};
+use crate::reservation::{overlay_reservations, Reservations, NO_SLOT};
 use crate::sampling::{sample_candidates, DEFAULT_SAMPLE_THRESHOLD};
 use crate::status::StatusSource;
 use crate::transport::{gather_into, GatherOutcome, TransportConfig};
@@ -555,6 +556,10 @@ pub(crate) struct EvalCore {
     /// in: its base refilled, the mask's penalties applied, reused like
     /// `ws`.
     overlay: World,
+    /// The reservation mask's addresses and their world slots, reused like
+    /// `ws`.
+    mask: Vec<Address>,
+    mask_slots: Vec<usize>,
     /// The span arena every answer records into and reports from: reset
     /// per answer, allocated once ([`ObsConfig`] picks its clock; disabled
     /// when tracing is off).
@@ -610,6 +615,8 @@ impl EvalCore {
             ws: SearchWorkspace::new(),
             hs: HeuristicScratch::new(),
             overlay: World::new(),
+            mask: Vec::new(),
+            mask_slots: Vec::new(),
             trace,
             qcache,
             snapshot_seq: 0,
@@ -965,8 +972,15 @@ impl EvalCore {
         // distrusted.
         let stale_dropped: Vec<Address> = if rung == DegradationRung::FreshSubset {
             let max_age = self.cfg.degradation.fresh_max_age;
-            let stale = |a: &Address| matches!(snapshot.report_age(*a), Some(age) if age > max_age);
-            fp.sorted().iter().copied().filter(stale).collect()
+            let mut stale = Vec::new();
+            fp.for_each_host(|a, _, slot| {
+                let slot = slot.or_else(|| snapshot.world.slot(a));
+                if matches!(slot.and_then(|s| snapshot.age_at(s)), Some(age) if age > max_age) {
+                    stale.push(a);
+                }
+            });
+            stale.sort_unstable();
+            stale
         } else {
             Vec::new()
         };
@@ -991,22 +1005,26 @@ impl EvalCore {
             .fold(1u64, |acc, v| acc.saturating_mul(v.candidates.len() as u64));
 
         // The reservation mask: the footprint's addresses the caller's
-        // holds cover at `now`, ascending. The holds are read here and
+        // holds cover at `now`, in the footprint's order, each with its
+        // slot in the snapshot's world. The holds are read here and
         // nowhere else — the search overlays exactly this mask, so the
         // mask (plus the snapshot epoch, rung, shed flag, and backend
         // config) pins every input the search depends on, which is what
-        // makes it a sound cache key. The key stores the *configured*
-        // method: rung + shed determine the effective one.
-        // One probe per host, not a forward merge with the hold set: the
-        // probes are independent and overlap, where a merge chains each
-        // step on the last (EXPERIMENTS.md "Footprint-priced answers").
+        // makes it a sound cache key; equal problems list their hosts in
+        // the same order. The key stores the *configured* method: rung +
+        // shed determine the effective one. A published hold is one read
+        // at the host's fleet slot.
         let hold = self.cfg.reservation_hold;
-        let held =
-            |a: &Address| holds.own.is_reserved(*a, now) || holds.published.is_reserved(*a, now);
-        let mut mask = Vec::new();
+        let (mut mask, mut mask_slots) = (take(&mut self.mask), take(&mut self.mask_slots));
+        mask.clear();
+        mask_slots.clear();
         if hold.is_some() {
-            mask.reserve_exact(fp.sorted().len());
-            mask.extend(fp.sorted().iter().copied().filter(held));
+            fp.for_each_host(|a, fleet, slot| {
+                if holds.own.is_reserved(a, now) || holds.published.holds(a, fleet, now) {
+                    mask.push(a);
+                    mask_slots.push(slot.or_else(|| snapshot.world.slot(a)).unwrap_or(NO_SLOT));
+                }
+            });
         }
         // Only a plane worker passes an L2, and only its answers are keyed.
         let keyed = shared.map(|l2| {
@@ -1042,7 +1060,7 @@ impl EvalCore {
                 self.metrics.inc(self.ids.cache_miss, 1);
             }
             let (backend, search, binding, binding_scores) =
-                self.run_search(fp, snapshot, &mask, rung, method, space)?;
+                self.run_search(fp, snapshot, (&mask, &mask_slots), rung, method, space)?;
             if let Some((_, key)) = &keyed {
                 self.qcache.insert(
                     key,
@@ -1071,6 +1089,7 @@ impl EvalCore {
                 .set_arg(search_span, "pruned_ties", search.pruned_ties);
         }
         self.trace.end(search_span, t_evaluated);
+        (self.mask, self.mask_slots) = (mask, mask_slots);
 
         // Bind: the recommended machines count as in use from `now` for
         // the hold time, in the caller's own holds.
@@ -1152,37 +1171,41 @@ impl EvalCore {
         &mut self,
         fp: &Footprint<'_>,
         snapshot: &StatusSnapshot,
-        mask: &[Address],
+        (mask, mask_slots): (&[Address], &[usize]),
         rung: DegradationRung,
         method: EvalMethod,
         space: u64,
     ) -> Result<(Backend, SearchStats, Binding, Vec<f64>), ServerError> {
         let working = fp.problem();
-        // The world the chosen rung evaluates against. `base` owns the
-        // degraded copies; `Full` keeps borrowing the shared snapshot.
+        // The world the chosen rung evaluates against, with the snapshot
+        // world's slots. `base` owns the degraded copies; `Full` keeps
+        // borrowing the shared snapshot.
+        let max_age = self.cfg.degradation.fresh_max_age;
         let base: Option<World> = match rung {
             DegradationRung::Full => None,
-            DegradationRung::FreshSubset => {
-                Some(snapshot.fresh_world(self.cfg.degradation.fresh_max_age))
-            }
+            DegradationRung::FreshSubset => Some(snapshot.world_forgetting(|age| age > max_age)),
             // Static fallback: no data is trusted, every host is assumed
-            // busy (an empty world answers every lookup pessimistically).
-            DegradationRung::AssumeBusy => Some(World::new()),
+            // busy (a world that knows no host answers every lookup
+            // pessimistically).
+            DegradationRung::AssumeBusy => Some(snapshot.world_forgetting(|_| true)),
         };
         let base: &World = base.as_ref().unwrap_or(&snapshot.world);
         // Overlay reservations: recently recommended machines count as
         // busy. The shared snapshot world is only copied — into this
-        // core's overlay buffer — when a mentioned address is held.
-        let world: &World = if mask.is_empty() {
-            base
+        // core's overlay buffer — when a mentioned address is held. A held
+        // host the world lacks is added, which moves the slots after it.
+        let (world, moved) = if mask.is_empty() {
+            (base, false)
         } else {
-            overlay_reservations(&mut self.overlay, base, mask);
-            &self.overlay
+            let added = overlay_reservations(&mut self.overlay, base, mask, mask_slots);
+            (&self.overlay, added)
         };
         Ok(match method {
             EvalMethod::Heuristic => {
-                let (b, s) =
-                    evaluate_query_scored_in(working, world, &self.cfg.heuristic, &mut self.hs);
+                let slots = fp.candidate_slots().filter(|_| !moved);
+                let (mut b, mut s) = (Binding::new(), Vec::new());
+                let (cfg, hs) = (&self.cfg.heuristic, &mut self.hs);
+                evaluate_query_scored_into(working, world, slots, cfg, hs, &mut b, &mut s);
                 let enumerated = working
                     .vars
                     .iter()
@@ -1338,10 +1361,11 @@ impl StatusSnapshot {
         self.gather
     }
 
-    /// The age of `addr`'s report, if it answered.
-    pub(crate) fn report_age(&self, addr: Address) -> Option<SimDuration> {
-        let slot = self.world.slot(addr)?;
-        self.world.knows_at(slot).then(|| self.ages[slot])
+    /// The age of the report at world slot `slot`, if its host answered
+    /// (`None` past the world's end).
+    pub(crate) fn age_at(&self, slot: usize) -> Option<SimDuration> {
+        let age = self.ages.get(slot)?;
+        self.world.knows_at(slot).then_some(*age)
     }
 
     /// The snapshot's epoch: a stamp unique per gathering core,
@@ -1351,16 +1375,17 @@ impl StatusSnapshot {
         self.epoch
     }
 
-    /// The world restricted to hosts whose report is at most `max_age`
-    /// old — what the [`DegradationRung::FreshSubset`] rung evaluates
-    /// against. Excluded hosts fall back to the assumed-overloaded state
-    /// on lookup.
-    pub(crate) fn fresh_world(&self, max_age: SimDuration) -> World {
+    /// The world with every host whose report age `forget` picks
+    /// forgotten, each keeping its slot: the
+    /// [`DegradationRung::FreshSubset`] rung forgets the stale ones, the
+    /// [`DegradationRung::AssumeBusy`] rung all. A forgotten host falls
+    /// back to the assumed-overloaded state on lookup.
+    pub(crate) fn world_forgetting(&self, forget: impl Fn(SimDuration) -> bool) -> World {
         // Every gather fills the world and the ages together: one age per
         // slot of the world.
         let mut out = (*self.world).clone();
         for (slot, &age) in self.ages.iter().enumerate() {
-            if age > max_age {
+            if forget(age) {
                 out.remove_at(slot);
             }
         }
@@ -1523,7 +1548,9 @@ mod tests {
             .collect();
 
         assert_eq!(direct, waved);
-        assert_eq!(server.reservations, *plane.ledger_version());
+        let fleet = &addrs;
+        let published = plane.ledger_version().live(fleet, t_wave);
+        assert_eq!(server.reservations.live(&[], t_wave), published);
         assert_eq!(server.reservations.len(), 9, "three disjoint replica sets");
     }
 

@@ -304,26 +304,41 @@ impl World {
     }
 
     /// Makes `self` a copy of `base` in the buffers it already has, then
-    /// sets each of `addrs` to `f` of its state as [`World::get`] reads it
-    /// ([`World::set`] adds a host `base` lacks). One independent slot
-    /// search per address: the searches overlap, where a forward pass
-    /// would chain each on the last.
+    /// sets each of `addrs` to `f` of its state: the host at slot
+    /// `slots[i]` of `base`, or, where that is `usize::MAX` (a host `base`
+    /// has not met), a host added as [`World::set`] adds it, from the
+    /// overloaded assumption. No slot is searched for. Returns whether a
+    /// host was added: the slots after it have moved.
     pub fn overlay(
         &mut self,
         base: &World,
         addrs: &[Address],
+        slots: &[usize],
         mut f: impl FnMut(HostState) -> HostState,
-    ) {
+    ) -> bool {
         self.addrs.clone_from(&base.addrs);
         self.states.clone_from(&base.states);
         self.known.clone_from(&base.known);
         self.len = base.len;
-        for &addr in addrs {
-            match self.slot(addr) {
-                Some(slot) => self.set_at(slot, f(self.get_at(slot))),
-                None => self.set(addr, f(HostState::assumed_overloaded())),
+        let mut added = false;
+        for &slot in slots {
+            if slot != usize::MAX {
+                self.set_at(slot, f(self.get_at(slot)));
             }
         }
+        for (&addr, &slot) in addrs.iter().zip(slots) {
+            if slot == usize::MAX {
+                self.set(addr, f(HostState::assumed_overloaded()));
+                added = true;
+            }
+        }
+        added
+    }
+
+    /// The slot of each of `addrs` (`usize::MAX` for `None` and for an
+    /// address the world has not met), appended to `out`: one search each.
+    pub fn slots_into(&self, addrs: impl Iterator<Item = Option<Address>>, out: &mut Vec<usize>) {
+        out.extend(addrs.map(|a| a.and_then(|a| self.slot(a)).unwrap_or(usize::MAX)));
     }
 }
 

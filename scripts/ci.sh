@@ -395,4 +395,23 @@ if grep -q 'candidates' <<<"$hash_body" && ! grep -q 'repeats_pool' <<<"$hash_bo
     exit 1
 fi
 
+echo "=== holds by slot (the plane reads and writes a hold at its fleet slot: no purge; the heuristic and the overlay are handed slots) ==="
+if grep -n '\.purge(' crates/core/src/serving.rs; then
+    echo "error: serving.rs purges the ledger — a slot hold is live iff its expiry is later than now"
+    exit 1
+fi
+if grep -n 'world\.slot(' crates/core/src/heuristic.rs; then
+    echo "error: heuristic.rs searches the world per candidate — it reads the slots its caller found"
+    exit 1
+fi
+overlay_body="$(awk '/^    pub fn overlay\(/,/^    }$/' crates/estimator/src/world.rs)"
+if [ -z "$overlay_body" ]; then
+    echo "error: World::overlay not found where this gate looks"
+    exit 1
+fi
+if grep -nE 'slot\(|binary_search|partition_point' <<<"$overlay_body"; then
+    echo "error: World::overlay searches by address — it is handed each host's slot"
+    exit 1
+fi
+
 echo "ci: all green"
