@@ -1,18 +1,18 @@
-//! Hierarchical status plane: rack-level aggregators with failover
-//! (ROADMAP item 2; the scale regime beyond the paper's §4.3 knee).
+//! Hierarchical status plane: rack-level aggregators with failover (the
+//! scale regime beyond the paper's §4.3 knee).
 //!
 //! Flat scatter-gather tops out near the paper's ~1000-way fan-out
 //! (Figure 5): past the incast knee most replies are lost no matter how
 //! many retry rounds are spent. This module splits collection into two
 //! tiers, the layered datacenter/broker shape of CloudSim:
 //!
-//! * a [`RackAggregator`] per rack keeps a **delta-compressed,
-//!   epoch-stamped partial snapshot** of its (≤ knee-sized, therefore
-//!   loss-free) host set, and
+//! * an aggregator per rack keeps a **delta-compressed, epoch-stamped**
+//!   snapshot of its (≤ knee-sized, therefore loss-free) host set, and
 //! * an [`AggregationPlane`] — the collector that lives inside the
 //!   CloudTalk server process — pulls *only changed host states* from
 //!   each aggregator and serves the merged fleet view through the
-//!   ordinary [`StatusSource`] trait, so `Server::answer`, sampling, and
+//!   ordinary [`StatusSource`] trait, so
+//!   [`crate::server::CloudTalkServer::answer_problem`], sampling, and
 //!   freshness scoring compose unchanged.
 //!
 //! # Epoch rules
@@ -21,25 +21,25 @@
 //! incarnation, epoch)`: `node` identifies the aggregator process
 //! (primary and standby are distinct nodes), `incarnation` counts its
 //! restarts, `epoch` counts state changes within one incarnation. A
-//! [`SnapshotDelta`] names the exact stamp it was computed against
+//! delta (`SnapshotDelta`) names the exact stamp it was computed against
 //! (`base`) and the epoch it advances to (`next_epoch`); the collector's
-//! [`RackView::apply_delta`] accepts it only when the base matches its
-//! own stamp bit-for-bit. Everything else is handled without guessing:
+//! one merge, `ViewMut::apply_delta`, accepts it only when the base
+//! matches the view's own stamp bit-for-bit. Everything else is handled
+//! without guessing:
 //!
 //! * `next_epoch <= view.epoch`, same node+incarnation — a **replayed**
-//!   delta; merging is idempotent (a no-op, [`MergeOutcome::AlreadyApplied`]).
+//!   delta; merging is idempotent (a no-op, `AlreadyApplied`).
 //! * different node or incarnation — a delta from **before a crash** (or
-//!   from the other aggregator); rejected
-//!   ([`MergeOutcome::RejectedIncarnation`]), never merged, because the
-//!   restarted aggregator re-observed the world from scratch and the old
-//!   delta's base state no longer exists anywhere.
+//!   from the other aggregator); rejected (`RejectedIncarnation`), never
+//!   merged, because the restarted aggregator re-observed the world from
+//!   scratch and the old delta's base state no longer exists anywhere.
 //! * matching incarnation but a **gap** in epochs — rejected
-//!   ([`MergeOutcome::RejectedEpochGap`]); the collector re-pulls and the
-//!   aggregator answers with a full snapshot.
+//!   (`RejectedEpochGap`); the collector re-pulls and the aggregator
+//!   answers with a full resync.
 //!
 //! A rejected pull never corrupts the view: the collector keeps serving
 //! its last merged state (ages growing, so freshness decays honestly)
-//! until a full snapshot re-primes it.
+//! until a full resync re-primes it.
 //!
 //! # Change-driven sync: modelled versus executed
 //!
@@ -140,11 +140,11 @@
 //! view's listing are each one slot-indexed array over the fleet, and
 //! every per-rack operation — a refresh, a delta, a resync, the ladder —
 //! works on its rack's range. A served report is one hashed probe of the
-//! fleet index plus one array read, a full resync is a range copy. A
-//! lone [`RackAggregator`] is the same state over a one-rack fleet.
+//! fleet index plus one array read. A full resync copies no report from
+//! the primary (the view is then *backed* by the primary's table) and
+//! is a range copy from the standby.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use cloudtalk_lang::problem::Address;
 use cloudtalk_lang::WordMap;
@@ -293,44 +293,15 @@ fn put(held: &mut Option<StatusReport>, live: &mut usize, report: Option<StatusR
     true
 }
 
-/// An aggregator's epoch-stamped partial snapshot of its rack, as a
-/// resync body: the rack's reports by slot.
-#[derive(Clone, Debug)]
-pub struct PartialSnapshot {
-    /// Identity and version of the snapshot state.
-    pub(crate) stamp: EpochStamp,
-    /// When the covered hosts were last successfully re-polled; served
-    /// report ages grow from this instant.
-    pub(crate) fresh_as_of: SimTime,
-    /// The rack's hosts, sorted by address.
-    hosts: Arc<[Address]>,
-    reports: Vec<Option<StatusReport>>,
-    /// Number of `Some` reports.
-    live: usize,
-}
-
-impl PartialSnapshot {
-    /// Iterates entries in address order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
-        let slots = self.hosts.iter().zip(&self.reports);
-        slots.filter_map(|(&a, r)| Some((a, r.as_ref()?)))
-    }
-
-    /// Number of hosts with a live entry.
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-}
-
 /// A delta-compressed update: everything that changed between two epochs
 /// of one aggregator incarnation.
 #[derive(Clone, Debug)]
-pub struct SnapshotDelta {
+pub(crate) struct SnapshotDelta {
     /// The rack the delta covers.
     pub(crate) rack: RackId,
     /// The exact stamp this delta was computed against; a collector may
     /// apply it only from that stamp.
-    pub base: EpochStamp,
+    pub(crate) base: EpochStamp,
     /// The epoch the collector is at after applying (same node and
     /// incarnation as `base`).
     pub(crate) next_epoch: u64,
@@ -342,21 +313,10 @@ pub struct SnapshotDelta {
     pub(crate) removed: Vec<Address>,
 }
 
-/// An aggregator's answer to a pull: a delta when the collector's stamp
-/// is one this incarnation can diff against, otherwise a full snapshot.
-#[derive(Clone, Debug)]
-pub enum DeltaAnswer {
-    /// Only the changed/removed hosts.
-    Delta(SnapshotDelta),
-    /// The whole partial snapshot (resync).
-    Full(PartialSnapshot),
-}
-
 /// One aggregator's state but its reports, which live by slot in its
 /// role's table ([`Role`]).
 #[derive(Clone, Debug)]
 struct AggState {
-    rack: RackId,
     stamp: EpochStamp,
     /// When the covered hosts were last successfully re-polled; served
     /// report ages grow from this instant.
@@ -364,17 +324,16 @@ struct AggState {
     /// Number of hosts with a live report.
     live: usize,
     /// The sync of its last gather, against which the change view's
-    /// listing is read; `None` before a gather under a listing.
+    /// listing is read; `None` before its first gather.
     gathered_at: Option<u32>,
     rng: DetRng,
 }
 
 impl AggState {
-    /// Aggregator process `node` (non-zero) of `rack`, never gathered.
-    fn new(rack: RackId, node: u32, seed: u64) -> Self {
+    /// Aggregator process `node` (non-zero), never gathered.
+    fn new(node: u32, seed: u64) -> Self {
         assert!(node != 0, "node 0 is reserved for unprimed views");
         AggState {
-            rack,
             stamp: EpochStamp {
                 node,
                 incarnation: 0,
@@ -398,8 +357,8 @@ impl AggState {
     }
 }
 
-/// The snapshots of one role's aggregators — a lone aggregator's, or
-/// the plane's primaries or standbys: per rack an [`AggState`], per host
+/// The snapshots of one role's aggregators — the plane's primaries or
+/// its standbys: per rack an [`AggState`], per host
 /// its report and the epoch at which the slot last changed — a report
 /// replaced or a host dropped — for delta compression (0: never since the
 /// incarnation began), both by slot.
@@ -413,12 +372,9 @@ struct Role {
 impl Role {
     /// One aggregator per rack of `layout`, its process id `node_base`
     /// plus the rack's index.
-    fn new(layout: &FleetLayout, racks: &[RackId], node_base: u32, seed: u64) -> Self {
-        let node = |i: usize| node_base + i as u32;
-        let states = racks
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| AggState::new(r, node(i), seed));
+    fn new(layout: &FleetLayout, node_base: u32, seed: u64) -> Self {
+        let racks = 0..layout.rack_count() as u32;
+        let states = racks.map(|rack| AggState::new(node_base + rack, seed));
         Role {
             states: states.collect(),
             reports: vec![None; layout.host_count()],
@@ -443,12 +399,20 @@ impl Role {
         }
     }
 
-    /// Answers a pull of `rack` from a collector at `base` (see
-    /// [`RackAggregator::delta_since`]).
-    fn delta_since(&self, layout: &FleetLayout, rack: usize, base: EpochStamp) -> DeltaAnswer {
+    /// Answers a pull of `rack` from a collector at `base`: the delta
+    /// when `base` is a stamp of this incarnation no newer than the
+    /// current epoch, `None` — a full resync — otherwise (another node,
+    /// another incarnation, or a base from the future, i.e. from before a
+    /// crash this incarnation knows nothing about).
+    fn delta_since(
+        &self,
+        layout: &FleetLayout,
+        rack: usize,
+        base: EpochStamp,
+    ) -> Option<SnapshotDelta> {
         let cur = self.states[rack].stamp;
         if base.node != cur.node || base.incarnation != cur.incarnation || base.epoch > cur.epoch {
-            return DeltaAnswer::Full(self.full(layout, rack));
+            return None;
         }
         let range = layout.range(rack);
         let mut changed = Vec::new();
@@ -462,26 +426,14 @@ impl Role {
                 }
             }
         }
-        DeltaAnswer::Delta(SnapshotDelta {
-            rack: self.states[rack].rack,
+        Some(SnapshotDelta {
+            rack: RackId(rack as u32),
             base,
             next_epoch: cur.epoch,
             fresh_as_of: self.states[rack].fresh_as_of,
             changed,
             removed,
         })
-    }
-
-    /// A copy of `rack`'s snapshot (a resync body).
-    fn full(&self, layout: &FleetLayout, rack: usize) -> PartialSnapshot {
-        let (state, range) = (&self.states[rack], layout.range(rack));
-        PartialSnapshot {
-            stamp: state.stamp,
-            fresh_as_of: state.fresh_as_of,
-            hosts: layout.hosts[range.clone()].into(),
-            reports: self.reports[range].to_vec(),
-            live: state.live,
-        }
     }
 }
 
@@ -512,7 +464,7 @@ impl Agg<'_> {
     /// listed since its last gather are polled — the others would answer
     /// what the snapshot holds, so the snapshot, the epoch and the ledger
     /// (still charged the whole rack's round) come out exactly as the
-    /// full scan leaves them; without a listing every host is polled. The
+    /// full scan leaves them; otherwise every host is polled. The
     /// replies and silences are folded in: the epoch advances once, and
     /// only if a slot changed. The gather lands in `gathered`, by slot.
     /// Returns how many hosts the first round polled.
@@ -520,7 +472,7 @@ impl Agg<'_> {
         &mut self,
         source: &mut impl StatusSource,
         now: SimTime,
-        listing: Option<Listing<'_>>,
+        listing: Listing<'_>,
         ledger: &mut OverheadLedger,
         gathered: &mut GatherOutcome<usize>,
         polls: &mut Vec<usize>,
@@ -544,7 +496,7 @@ impl Agg<'_> {
         &mut self,
         source: &mut impl StatusSource,
         now: SimTime,
-        listing: Option<Listing<'_>>,
+        listing: Listing<'_>,
         ledger: &mut OverheadLedger,
         gathered: &mut GatherOutcome<usize>,
         polls: &mut Vec<usize>,
@@ -552,12 +504,14 @@ impl Agg<'_> {
         let n = self.hosts.len();
         polls.clear();
         // Ascending slots are ascending addresses: the scan's poll order.
-        match listing {
-            Some(l) if self.state.unmarked_are_known(n, l.blind_at, self.transport) => {
-                let since = self.state.gathered_at.unwrap_or(0);
-                polls.extend((0..n).filter(|&slot| l.listed_at[slot] > since));
-            }
-            _ => polls.extend(0..n),
+        if self
+            .state
+            .unmarked_are_known(n, listing.blind_at, self.transport)
+        {
+            let since = self.state.gathered_at.unwrap_or(0);
+            polls.extend((0..n).filter(|&slot| listing.listed_at[slot] > since));
+        } else {
+            polls.extend(0..n);
         }
         let (polled, hosts) = (polls.len(), self.hosts);
         let (transport, rng) = (self.transport, &mut self.state.rng);
@@ -566,7 +520,7 @@ impl Agg<'_> {
         gather_into(
             source, targets, host, unpolled, transport, rng, ledger, gathered,
         );
-        self.state.gathered_at = listing.map(|l| l.sync);
+        self.state.gathered_at = Some(listing.sync);
         self.state.fresh_as_of = now;
         polled
     }
@@ -583,95 +537,9 @@ impl Agg<'_> {
     }
 }
 
-/// A rack-level aggregator: owns the delta-compressed, epoch-stamped
-/// partial snapshot of one rack's hosts.
-///
-/// The aggregator refreshes by scatter-gathering its own (rack-sized,
-/// below-the-knee) host set through the ordinary transport — host-level
-/// faults injected by a [`crate::faults::FaultySource`] under it behave
-/// exactly as they do against a flat collector. `epoch` advances only
-/// when a refresh actually changed something, so an idle rack costs a
-/// header per pull, not a body. A lone aggregator is a one-rack fleet:
-/// the plane's aggregators are the same state over the plane's
-/// fleet-wide tables.
-#[derive(Clone, Debug)]
-pub struct RackAggregator {
-    layout: FleetLayout,
-    role: Role,
-    transport: TransportConfig,
-}
-
-impl RackAggregator {
-    /// Creates an aggregator for `rack` with process id `node` (must be
-    /// non-zero and unique across aggregators) over `hosts` (sorted by
-    /// address here, duplicates dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is zero (reserved for "no aggregator").
-    pub fn new(
-        rack: RackId,
-        node: u32,
-        hosts: Vec<Address>,
-        transport: TransportConfig,
-        seed: u64,
-    ) -> Self {
-        let layout = FleetLayout::grouped(vec![hosts]);
-        RackAggregator {
-            role: Role::new(&layout, &[rack], node, seed),
-            layout,
-            transport,
-        }
-    }
-
-    /// The current snapshot stamp.
-    pub fn stamp(&self) -> EpochStamp {
-        self.role.states[0].stamp
-    }
-
-    /// Re-polls every host of the rack through `source`, folding the
-    /// replies into the partial snapshot. Returns `true` when anything
-    /// changed (and the epoch advanced). Host-tier traffic is accounted
-    /// into `ledger`'s `status_*`/`retry_*` counters.
-    pub fn refresh(
-        &mut self,
-        source: &mut impl StatusSource,
-        now: SimTime,
-        ledger: &mut OverheadLedger,
-    ) -> bool {
-        let epoch = self.stamp().epoch;
-        let (gathered, polls) = (&mut GatherOutcome::default(), &mut Vec::new());
-        let mut agg = self.role.at(&self.layout, 0, &self.transport);
-        agg.refresh_changed(source, now, None, ledger, gathered, polls);
-        self.stamp().epoch != epoch
-    }
-
-    /// Answers a pull from a collector at `base`: a [`SnapshotDelta`]
-    /// when `base` is a stamp of this incarnation no newer than the
-    /// current epoch, a full snapshot otherwise (different node,
-    /// different incarnation, or a base from the future — i.e. from
-    /// before a crash this incarnation knows nothing about).
-    pub fn delta_since(&self, base: EpochStamp) -> DeltaAnswer {
-        self.role.delta_since(&self.layout, 0, base)
-    }
-
-    /// The full partial snapshot (a resync body).
-    pub fn full(&self) -> PartialSnapshot {
-        self.role.full(&self.layout, 0)
-    }
-
-    /// Simulates a crash + restart: all in-memory state is lost, the
-    /// incarnation advances, the epoch restarts from zero. Any delta
-    /// computed before the crash now names a stale incarnation and will
-    /// be rejected by every collector.
-    pub fn restart(&mut self) {
-        self.role.at(&self.layout, 0, &self.transport).restart();
-    }
-}
-
-/// Outcome of merging a [`SnapshotDelta`] into a [`RackView`].
+/// Outcome of merging a [`SnapshotDelta`] into a view.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MergeOutcome {
+pub(crate) enum MergeOutcome {
     /// The delta advanced the view to `next_epoch`.
     Applied,
     /// The view already includes this delta (a replay); merging is
@@ -688,50 +556,29 @@ pub enum MergeOutcome {
 impl MergeOutcome {
     /// Whether the view is consistent after the merge attempt (applied
     /// or already present).
-    pub fn accepted(self) -> bool {
+    pub(crate) fn accepted(self) -> bool {
         matches!(self, MergeOutcome::Applied | MergeOutcome::AlreadyApplied)
     }
 }
 
-/// The collector's merged view of one rack.
-///
-/// The view holds the reports of the host set of the snapshot it was
-/// last resynced from ([`RackView::install_full`]), by slot; a default
-/// view covers no host until then. The plane keeps its views' reports in
-/// one fleet-wide table (`Views`) and hands out copies
-/// ([`AggregationPlane::view`]); both merge through the same `ViewMut`.
-#[derive(Clone, Debug, Default)]
-pub struct RackView {
+/// The collector's merged view of one rack, as [`AggregationPlane::view`]
+/// lends it: read-only, over the plane's own tables.
+#[derive(Clone, Copy, Debug)]
+pub struct RackView<'a> {
     /// Stamp of the last merged aggregator state (node 0 when unprimed
     /// or populated by a host bypass).
     pub stamp: EpochStamp,
     /// Refresh instant of the merged data; served ages grow from here.
     pub fresh_as_of: SimTime,
     /// The rack's hosts, sorted by address.
-    hosts: Arc<[Address]>,
-    reports: Vec<Option<StatusReport>>,
+    hosts: &'a [Address],
+    /// Their reports, by slot (empty when the view holds none).
+    reports: &'a [Option<StatusReport>],
     /// Number of `Some` reports.
     live: usize,
 }
 
-impl RackView {
-    /// The view at work.
-    fn at(&mut self) -> ViewMut<'_> {
-        ViewMut {
-            stamp: &mut self.stamp,
-            fresh_as_of: &mut self.fresh_as_of,
-            live: &mut self.live,
-            hosts: &self.hosts,
-            reports: &mut self.reports,
-        }
-    }
-
-    /// The report held for `addr`.
-    pub(crate) fn get(&self, addr: Address) -> Option<&StatusReport> {
-        let slot = self.hosts.binary_search_by_key(&addr.0, |a| a.0).ok()?;
-        self.reports[slot].as_ref()
-    }
-
+impl<'a> RackView<'a> {
     /// Number of hosts with a report.
     pub fn len(&self) -> usize {
         self.live
@@ -743,35 +590,9 @@ impl RackView {
     }
 
     /// Iterates reports in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Address, &StatusReport)> {
-        let slots = self.hosts.iter().zip(&self.reports);
+    pub fn iter(&self) -> impl Iterator<Item = (Address, &'a StatusReport)> {
+        let slots = self.hosts.iter().zip(self.reports);
         slots.filter_map(|(&a, r)| Some((a, r.as_ref()?)))
-    }
-
-    /// Merges `delta` under the epoch rules (see the module docs): the
-    /// base stamp must match bit-for-bit; replays are idempotent no-ops;
-    /// anything from another node, another incarnation, or across an
-    /// epoch gap is rejected without touching the view. (A delta that
-    /// passes names only hosts of the snapshot the view was resynced
-    /// from; an address outside that host set is ignored.)
-    pub fn apply_delta(&mut self, delta: &SnapshotDelta) -> MergeOutcome {
-        self.at().apply_delta(delta)
-    }
-
-    /// Replaces the view with a full snapshot (resync / failover).
-    pub fn install_full(&mut self, snap: &PartialSnapshot) {
-        if !Arc::ptr_eq(&self.hosts, &snap.hosts) {
-            self.hosts = Arc::clone(&snap.hosts);
-        }
-        self.reports.clone_from(&snap.reports);
-        self.live = snap.live;
-        self.stamp = snap.stamp;
-        self.fresh_as_of = snap.fresh_as_of;
-    }
-
-    /// Whether the view's host table equals `snap`'s, entry for entry.
-    pub fn matches(&self, snap: &PartialSnapshot) -> bool {
-        self.len() == snap.len() && snap.iter().all(|(a, r)| self.get(a) == Some(r))
     }
 }
 
@@ -797,32 +618,51 @@ struct Views {
 }
 
 impl Views {
-    /// The view of `rack` at work over its range of slots.
+    /// The view of `rack` at work over its range of the views' table.
     fn at<'a>(&'a mut self, layout: &'a FleetLayout, rack: usize) -> ViewMut<'a> {
-        let (head, range) = (&mut self.heads[rack], layout.range(rack));
+        let range = layout.range(rack);
         ViewMut {
-            stamp: &mut head.stamp,
-            fresh_as_of: &mut head.fresh_as_of,
-            live: &mut head.live,
+            head: &mut self.heads[rack],
             hosts: &layout.hosts[range.clone()],
             reports: &mut self.reports[range],
         }
     }
+
+    /// Resyncs `rack`'s view in full from its aggregator in `role`. With
+    /// `backed` (the primary) the view reads that aggregator's table and
+    /// copies nothing; otherwise (the standby) the aggregator's range is
+    /// copied into the view's range, which must be allocated.
+    fn install_full(&mut self, layout: &FleetLayout, rack: usize, role: &Role, backed: bool) {
+        let state = &role.states[rack];
+        if !backed {
+            let range = layout.range(rack);
+            self.reports[range.clone()].copy_from_slice(&role.reports[range]);
+        }
+        self.heads[rack] = ViewHead {
+            stamp: state.stamp,
+            fresh_as_of: state.fresh_as_of,
+            live: state.live,
+            backed,
+        };
+    }
 }
 
-/// One view at work, wherever its reports are kept.
+/// One view at work over its own range of the views' table.
 struct ViewMut<'a> {
-    stamp: &'a mut EpochStamp,
-    fresh_as_of: &'a mut SimTime,
-    live: &'a mut usize,
+    head: &'a mut ViewHead,
     hosts: &'a [Address],
     reports: &'a mut [Option<StatusReport>],
 }
 
 impl ViewMut<'_> {
-    /// [`RackView::apply_delta`].
+    /// Merges `delta` under the epoch rules (see the module docs): the
+    /// base stamp must match bit-for-bit; replays are idempotent no-ops;
+    /// anything from another node, another incarnation, or across an
+    /// epoch gap is rejected without touching the view. (A delta that
+    /// passes names only hosts of the rack; an address outside it is
+    /// ignored.)
     fn apply_delta(&mut self, delta: &SnapshotDelta) -> MergeOutcome {
-        let stamp = *self.stamp;
+        let stamp = self.head.stamp;
         if delta.base.node != stamp.node || delta.base.incarnation != stamp.incarnation {
             return MergeOutcome::RejectedIncarnation;
         }
@@ -838,20 +678,12 @@ impl ViewMut<'_> {
         let removed = delta.removed.iter().map(|&a| (a, None));
         for (addr, report) in changed.chain(removed) {
             if let Ok(slot) = self.hosts.binary_search_by_key(&addr.0, |a| a.0) {
-                put(&mut self.reports[slot], self.live, report);
+                put(&mut self.reports[slot], &mut self.head.live, report);
             }
         }
-        self.stamp.epoch = delta.next_epoch;
-        *self.fresh_as_of = delta.fresh_as_of;
+        self.head.stamp.epoch = delta.next_epoch;
+        self.head.fresh_as_of = delta.fresh_as_of;
         MergeOutcome::Applied
-    }
-
-    /// Replaces the view with a full snapshot of the same rack.
-    fn install_full(&mut self, snap: &PartialSnapshot) {
-        self.reports.copy_from_slice(&snap.reports);
-        *self.live = snap.live;
-        *self.stamp = snap.stamp;
-        *self.fresh_as_of = snap.fresh_as_of;
     }
 
     /// Replaces the view's reports with what a host bypass gathered at
@@ -859,14 +691,14 @@ impl ViewMut<'_> {
     /// successful aggregator pull resyncs in full.
     fn install_bypass(&mut self, replies: &[(Address, StatusReport)], now: SimTime) {
         self.reports.fill(None);
-        *self.live = 0;
+        self.head.live = 0;
         for &(addr, report) in replies {
             if let Ok(slot) = self.hosts.binary_search_by_key(&addr.0, |a| a.0) {
-                put(&mut self.reports[slot], self.live, Some(report));
+                put(&mut self.reports[slot], &mut self.head.live, Some(report));
             }
         }
-        *self.stamp = EpochStamp::default();
-        *self.fresh_as_of = now;
+        self.head.stamp = EpochStamp::default();
+        self.head.fresh_as_of = now;
     }
 }
 
@@ -991,8 +823,8 @@ impl PlaneMetricIds {
     }
 }
 
-/// The collector tier: one [`RackAggregator`] (plus optional standby)
-/// per rack, merged [`RackView`]s, and the failover ladder. Implements
+/// The collector tier: one aggregator (plus optional standby) per rack,
+/// the merged views, and the failover ladder. Implements
 /// [`StatusSource`], so a [`crate::server::CloudTalkServer`] collects
 /// through it unchanged — the server-side "transport" to a co-located
 /// plane is an in-process call (pair it with
@@ -1069,11 +901,10 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// consumes its view.
     pub fn new(layout: FleetLayout, source: S, cfg: PlaneConfig) -> Self {
         let n = layout.rack_count();
-        let racks: Vec<RackId> = layout.rack_ids().collect();
-        let primaries = Role::new(&layout, &racks, 1, cfg.seed);
+        let primaries = Role::new(&layout, 1, cfg.seed);
         let standbys = match cfg.standby {
-            true => Role::new(&layout, &racks, 1 + n as u32, cfg.seed),
-            false => Role::new(&FleetLayout::default(), &[], 1, cfg.seed),
+            true => Role::new(&layout, 1 + n as u32, cfg.seed),
+            false => Role::new(&FleetLayout::default(), 1, cfg.seed),
         };
         let mut metrics = MetricsRegistry::new();
         let ids = PlaneMetricIds::register(&mut metrics);
@@ -1149,19 +980,18 @@ impl<S: StatusSource> AggregationPlane<S> {
         self.ledger
     }
 
-    /// A copy of the collector's merged view of `rack`.
-    pub fn view(&self, rack: RackId) -> RackView {
+    /// The collector's merged view of `rack`.
+    pub fn view(&self, rack: RackId) -> RackView<'_> {
         let (id, rack) = (rack, rack.0 as usize);
-        let (head, range) = (self.views.heads[rack], self.layout.range(rack));
-        let reports = match self.served(rack).get(range.clone()) {
-            Some(reports) => reports.to_vec(),
-            None => vec![None; range.len()],
-        };
+        let head = &self.views.heads[rack];
         RackView {
             stamp: head.stamp,
             fresh_as_of: self.fresh_as_of(rack),
-            hosts: self.layout.hosts(id).into(),
-            reports,
+            hosts: self.layout.hosts(id),
+            reports: self
+                .served(rack)
+                .get(self.layout.range(rack))
+                .unwrap_or_default(),
             live: head.live,
         }
     }
@@ -1418,7 +1248,7 @@ impl<S: StatusSource> AggregationPlane<S> {
         let mut primary = self.primaries.at(layout, rack, &self.cfg.host_transport);
         let (source, gathered) = (&mut self.source, &mut self.gathered);
         let (ledger, polls) = (&mut self.ledger, &mut self.polls);
-        let polled = primary.poll_marked(source, now, Some(listing), ledger, gathered, polls);
+        let polled = primary.poll_marked(source, now, listing, ledger, gathered, polls);
         // At one stamp the view holds what the snapshot holds, so a slot
         // changes in both or in neither, and both count the same live
         // reports: the view is backed by the snapshot's table
@@ -1486,7 +1316,7 @@ impl<S: StatusSource> AggregationPlane<S> {
                 // The reply is lost in flight and the aggregator dies
                 // mid-push: its next incarnation starts empty, and the
                 // in-flight delta becomes a stale-epoch straggler.
-                if let DeltaAnswer::Delta(d) = answer {
+                if let Some(d) = answer {
                     self.delayed.push(d);
                 }
                 self.restart_primary(rack);
@@ -1494,7 +1324,7 @@ impl<S: StatusSource> AggregationPlane<S> {
                 self.metrics.inc(self.ids.mid_push_crashes, 1);
                 continue;
             }
-            self.absorb_answer(rack, false, &answer);
+            self.absorb_answer(rack, false, answer.as_ref());
             self.serving_standby[rack] = false;
             return polled;
         }
@@ -1510,7 +1340,7 @@ impl<S: StatusSource> AggregationPlane<S> {
             polled += self.refresh(rack, true, now);
             let base = self.views.heads[rack].stamp;
             let answer = self.standbys.delta_since(&self.layout, rack, base);
-            self.absorb_answer(rack, true, &answer);
+            self.absorb_answer(rack, true, answer.as_ref());
             self.serving_standby[rack] = true;
             self.metrics.inc(self.ids.failover_standby, 1);
             trace.end(span, now);
@@ -1562,7 +1392,7 @@ impl<S: StatusSource> AggregationPlane<S> {
         let mut agg = role.at(layout, rack, &self.cfg.host_transport);
         let (source, gathered) = (&mut self.source, &mut self.gathered);
         let (ledger, polls) = (&mut self.ledger, &mut self.polls);
-        agg.refresh_changed(source, now, Some(listing), ledger, gathered, polls)
+        agg.refresh_changed(source, now, listing, ledger, gathered, polls)
     }
 
     /// `rack`'s primary crashes and restarts empty.
@@ -1572,12 +1402,12 @@ impl<S: StatusSource> AggregationPlane<S> {
     }
 
     /// Merges the answer of `rack`'s primary — or, with `from_standby`,
-    /// its standby — into the rack view, falling back to a full install
-    /// from that same aggregator when a delta unexpectedly fails to
-    /// apply.
-    fn absorb_answer(&mut self, rack: usize, from_standby: bool, answer: &DeltaAnswer) {
+    /// its standby — into the rack view: a delta, or `None` for a full
+    /// resync. Falls back to a full resync from that same aggregator when
+    /// a delta unexpectedly fails to apply.
+    fn absorb_answer(&mut self, rack: usize, from_standby: bool, answer: Option<&SnapshotDelta>) {
         match answer {
-            DeltaAnswer::Delta(d) => {
+            Some(d) => {
                 self.ledger
                     .record_agg_reply(d.changed.len() as u64, d.removed.len() as u64);
                 if self.view_mut(rack).apply_delta(d).accepted() {
@@ -1586,42 +1416,34 @@ impl<S: StatusSource> AggregationPlane<S> {
                         .inc(self.ids.delta_hosts, d.changed.len() as u64);
                 } else {
                     // Cannot happen through the pull path (the aggregator
-                    // answers Full on any stamp mismatch), but a view must
-                    // never be left inconsistent: resync in full from the
-                    // aggregator that answered — on rung 2 the primary is
-                    // the one that is down.
-                    let full = self.snapshot(rack, from_standby);
-                    self.install_full(rack, &full, from_standby);
+                    // answers a full resync on any stamp mismatch), but a
+                    // view must never be left inconsistent: resync in full
+                    // from the aggregator that answered — on rung 2 the
+                    // primary is the one that is down.
+                    self.install_full(rack, from_standby);
                 }
             }
-            DeltaAnswer::Full(s) => self.install_full(rack, s, from_standby),
+            None => self.install_full(rack, from_standby),
         }
     }
 
-    /// A copy of `rack`'s snapshot at its primary — or, with `standby`,
-    /// at its standby.
-    fn snapshot(&self, rack: usize, standby: bool) -> PartialSnapshot {
-        let role = match standby {
+    /// Resyncs `rack`'s view in full from its primary — or, with
+    /// `from_standby`, its standby, into the view's own range
+    /// ([`Views::install_full`]) — charged as a reply of every live report.
+    fn install_full(&mut self, rack: usize, from_standby: bool) {
+        if from_standby {
+            self.view_mut(rack);
+        }
+        let role = match from_standby {
             true => &self.standbys,
             false => &self.primaries,
         };
-        role.full(&self.layout, rack)
-    }
-
-    /// Installs `snap`, the current snapshot of `rack`'s primary — or,
-    /// with `from_standby`, of its standby. A view installed from the
-    /// primary is backed by the primary's table and copies nothing.
-    fn install_full(&mut self, rack: usize, snap: &PartialSnapshot, from_standby: bool) {
-        self.ledger.record_agg_reply(snap.len() as u64, 0);
-        if from_standby {
-            self.view_mut(rack).install_full(snap);
-        } else {
-            let head = &mut self.views.heads[rack];
-            (head.stamp, head.fresh_as_of, head.live) = (snap.stamp, snap.fresh_as_of, snap.len());
-            head.backed = true;
-        }
+        self.views
+            .install_full(&self.layout, rack, role, !from_standby);
+        let live = self.views.heads[rack].live as u64;
+        self.ledger.record_agg_reply(live, 0);
         self.metrics.inc(self.ids.fulls_installed, 1);
-        self.metrics.inc(self.ids.full_hosts, snap.len() as u64);
+        self.metrics.inc(self.ids.full_hosts, live);
     }
 }
 
@@ -1662,6 +1484,8 @@ mod tests {
     use crate::status::TableStatusSource;
     use desim::SimDuration;
     use estimator::HostState;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn source(n: u32) -> TableStatusSource {
         let mut s = TableStatusSource::new();
@@ -1698,151 +1522,317 @@ mod tests {
         FleetLayout::grouped(vec![vec![Address(1), Address(2)], vec![Address(2)]]);
     }
 
+    /// A one-rack plane over hosts `1..=n` whose standby and view are
+    /// driven by hand (nothing syncs it): the epoch rules are asserted on
+    /// the plane's own `Role`, `Views`, refresh, merge and standby resync.
+    /// No change view vouches for any host, so every refresh polls all.
+    fn one_rack(n: u32, seed: u64) -> AggregationPlane<TableStatusSource> {
+        let layout = FleetLayout::grouped(vec![(1..=n).map(Address).collect()]);
+        let cfg = PlaneConfig {
+            standby: true,
+            seed,
+            ..PlaneConfig::default()
+        };
+        let mut plane = AggregationPlane::new(layout, source(n), cfg);
+        plane.blind_at = u32::MAX;
+        plane
+    }
+
+    impl AggregationPlane<TableStatusSource> {
+        fn stamp(&self) -> EpochStamp {
+            self.standbys.states[0].stamp
+        }
+
+        fn view_stamp(&self) -> EpochStamp {
+            self.views.heads[0].stamp
+        }
+
+        /// The standby re-polls every host; `true` when the epoch
+        /// advanced.
+        fn refresh_standby(&mut self, now: SimTime) -> bool {
+            let epoch = self.stamp().epoch;
+            self.refresh(0, true, now);
+            self.stamp().epoch != epoch
+        }
+
+        fn restart_standby(&mut self) {
+            self.standbys
+                .at(&self.layout, 0, &self.cfg.host_transport)
+                .restart();
+        }
+
+        fn standby_delta(&self, base: EpochStamp) -> Option<SnapshotDelta> {
+            self.standbys.delta_since(&self.layout, 0, base)
+        }
+
+        fn apply(&mut self, delta: &SnapshotDelta) -> MergeOutcome {
+            self.view_mut(0).apply_delta(delta)
+        }
+
+        /// A pull from the standby: the delta against the view's stamp and
+        /// what merging it did, or `None` after a full resync.
+        fn pull(&mut self) -> Option<(SnapshotDelta, MergeOutcome)> {
+            let Some(delta) = self.standby_delta(self.view_stamp()) else {
+                self.install_full(0, true);
+                return None;
+            };
+            let outcome = self.apply(&delta);
+            Some((delta, outcome))
+        }
+
+        /// The view's stamp, freshness and reports, as `view` lends them.
+        fn seen(&self) -> (EpochStamp, SimTime, Vec<(Address, StatusReport)>) {
+            let view = self.view(RackId(0));
+            let reports = view.iter().map(|(a, r)| (a, *r)).collect();
+            (view.stamp, view.fresh_as_of, reports)
+        }
+
+        /// Whether the view holds exactly the standby's reports.
+        fn matches(&self) -> bool {
+            self.views.reports == self.standbys.reports
+                && self.views.heads[0].live == self.standbys.states[0].live
+        }
+    }
+
+    fn load(up: f64) -> HostState {
+        HostState::gbps_idle().with_up_load(up)
+    }
+
     #[test]
     fn refresh_advances_epoch_only_on_change() {
-        let mut src = source(4);
-        let mut agg = RackAggregator::new(
-            RackId(0),
-            1,
-            (1..=4).map(Address).collect(),
-            TransportConfig::default(),
-            7,
-        );
-        let mut ledger = OverheadLedger::default();
-        assert!(agg.refresh(&mut src, SimTime::ZERO, &mut ledger));
-        assert_eq!(agg.stamp().epoch, 1);
+        let mut rack = one_rack(4, 7);
+        assert!(rack.refresh_standby(SimTime::ZERO));
+        assert_eq!(rack.stamp().epoch, 1);
         // Nothing changed: epoch holds, freshness still advances.
         let t1 = SimTime::from_secs_f64(1.0);
-        assert!(!agg.refresh(&mut src, t1, &mut ledger));
-        assert_eq!(agg.stamp().epoch, 1);
-        assert_eq!(agg.full().fresh_as_of, t1);
+        assert!(!rack.refresh_standby(t1));
+        assert_eq!(rack.stamp().epoch, 1);
+        assert_eq!(rack.standbys.states[0].fresh_as_of, t1);
         // One host changes: epoch advances, delta carries only it.
-        src.set(Address(2), HostState::gbps_idle().with_up_load(0.5));
-        let before = agg.stamp();
-        assert!(agg.refresh(&mut src, t1, &mut ledger));
-        match agg.delta_since(before) {
-            DeltaAnswer::Delta(d) => {
-                assert_eq!(d.changed.len(), 1);
-                assert_eq!(d.changed[0].0, Address(2));
-                assert!(d.removed.is_empty());
-            }
-            DeltaAnswer::Full(_) => panic!("same incarnation must diff"),
-        }
+        rack.source.set(Address(2), load(0.5));
+        let before = rack.stamp();
+        assert!(rack.refresh_standby(t1));
+        let d = rack
+            .standby_delta(before)
+            .expect("same incarnation must diff");
+        assert_eq!(d.changed.len(), 1);
+        assert_eq!(d.changed[0].0, Address(2));
+        assert!(d.removed.is_empty());
     }
 
     #[test]
     fn delta_round_trip_reconstructs_full_snapshot() {
-        let mut src = source(4);
-        let mut agg = RackAggregator::new(
-            RackId(0),
-            1,
-            (1..=4).map(Address).collect(),
-            TransportConfig::default(),
-            7,
-        );
-        let mut ledger = OverheadLedger::default();
-        let mut view = RackView::default();
-        agg.refresh(&mut src, SimTime::ZERO, &mut ledger);
-        // Unprimed view (node 0): the aggregator answers Full.
-        match agg.delta_since(view.stamp) {
-            DeltaAnswer::Full(s) => view.install_full(&s),
-            DeltaAnswer::Delta(_) => panic!("node mismatch must resync"),
-        }
-        assert!(view.matches(&agg.full()));
+        let mut rack = one_rack(4, 7);
+        rack.refresh_standby(SimTime::ZERO);
+        // Unprimed view (node 0): the aggregator answers a full resync.
+        assert!(rack.pull().is_none(), "node mismatch must resync");
+        assert!(rack.matches());
         // Mutate, remove, refresh; the delta catches the view up exactly.
-        src.set(Address(1), HostState::gbps_idle().with_up_load(0.9));
-        src.silence(Address(3));
-        agg.refresh(&mut src, SimTime::from_secs_f64(1.0), &mut ledger);
-        match agg.delta_since(view.stamp) {
-            DeltaAnswer::Delta(d) => {
-                assert_eq!(d.removed, vec![Address(3)]);
-                assert_eq!(view.apply_delta(&d), MergeOutcome::Applied);
-                // Replay: idempotent no-op.
-                assert_eq!(view.apply_delta(&d), MergeOutcome::AlreadyApplied);
-            }
-            DeltaAnswer::Full(_) => panic!("expected a delta"),
-        }
-        assert!(view.matches(&agg.full()));
-        assert!(view.get(Address(3)).is_none(), "removed host dropped");
+        rack.source.set(Address(1), load(0.9));
+        rack.source.silence(Address(3));
+        rack.refresh_standby(SimTime::from_secs_f64(1.0));
+        let (d, outcome) = rack.pull().expect("expected a delta");
+        assert_eq!(d.removed, vec![Address(3)]);
+        assert_eq!(outcome, MergeOutcome::Applied);
+        // Replay: idempotent no-op.
+        assert_eq!(rack.apply(&d), MergeOutcome::AlreadyApplied);
+        assert!(rack.matches());
+        let dropped = rack.seen().2.iter().all(|&(a, _)| a != Address(3));
+        assert!(dropped, "removed host dropped");
     }
 
     #[test]
     fn pre_crash_delta_is_rejected_after_restart() {
-        let mut src = source(4);
-        let mut agg = RackAggregator::new(
-            RackId(0),
-            1,
-            (1..=4).map(Address).collect(),
-            TransportConfig::default(),
-            7,
-        );
-        let mut ledger = OverheadLedger::default();
-        let mut view = RackView::default();
-        agg.refresh(&mut src, SimTime::ZERO, &mut ledger);
-        let DeltaAnswer::Full(s) = agg.delta_since(view.stamp) else {
-            panic!()
-        };
-        view.install_full(&s);
+        let mut rack = one_rack(4, 7);
+        rack.refresh_standby(SimTime::ZERO);
+        assert!(rack.pull().is_none());
         // A delta is computed… and delayed in flight.
-        src.set(Address(2), HostState::gbps_idle().with_up_load(0.4));
-        agg.refresh(&mut src, SimTime::from_secs_f64(1.0), &mut ledger);
-        let DeltaAnswer::Delta(delayed) = agg.delta_since(view.stamp) else {
-            panic!()
-        };
+        rack.source.set(Address(2), load(0.4));
+        rack.refresh_standby(SimTime::from_secs_f64(1.0));
+        let delayed = rack
+            .standby_delta(rack.view_stamp())
+            .expect("same incarnation must diff");
         // The aggregator crashes and restarts; the collector resyncs from
         // the new incarnation.
-        agg.restart();
-        agg.refresh(&mut src, SimTime::from_secs_f64(2.0), &mut ledger);
-        let DeltaAnswer::Full(s2) = agg.delta_since(view.stamp) else {
-            panic!("post-restart incarnation must resync")
-        };
-        view.install_full(&s2);
-        let settled = view.clone();
-        // The delayed pre-crash delta finally arrives: rejected, no-op.
-        assert_eq!(
-            view.apply_delta(&delayed),
-            MergeOutcome::RejectedIncarnation
+        rack.restart_standby();
+        rack.refresh_standby(SimTime::from_secs_f64(2.0));
+        assert!(
+            rack.pull().is_none(),
+            "post-restart incarnation must resync"
         );
-        assert_eq!(view.stamp, settled.stamp);
-        assert!(view.matches(&agg.full()));
+        let settled = rack.seen();
+        // The delayed pre-crash delta finally arrives: rejected, no-op.
+        assert_eq!(rack.apply(&delayed), MergeOutcome::RejectedIncarnation);
+        assert_eq!(rack.seen(), settled);
+        assert!(rack.matches());
     }
 
     #[test]
     fn epoch_gap_is_rejected_and_resynced() {
-        let mut src = source(4);
-        let mut agg = RackAggregator::new(
-            RackId(0),
-            1,
-            (1..=4).map(Address).collect(),
-            TransportConfig::default(),
-            7,
-        );
-        let mut ledger = OverheadLedger::default();
-        let mut view = RackView::default();
-        agg.refresh(&mut src, SimTime::ZERO, &mut ledger);
-        let DeltaAnswer::Full(s) = agg.delta_since(view.stamp) else {
-            panic!()
-        };
-        view.install_full(&s);
-        let old_stamp = view.stamp;
+        let mut rack = one_rack(4, 7);
+        rack.refresh_standby(SimTime::ZERO);
+        assert!(rack.pull().is_none());
+        let old_stamp = rack.view_stamp();
         // Two missed updates; a delta built against the *newer* epoch
         // cannot be applied onto the older view.
-        src.set(Address(1), HostState::gbps_idle().with_up_load(0.3));
-        agg.refresh(&mut src, SimTime::ZERO, &mut ledger);
-        let mid_stamp = agg.stamp();
-        src.set(Address(2), HostState::gbps_idle().with_up_load(0.6));
-        agg.refresh(&mut src, SimTime::ZERO, &mut ledger);
-        let DeltaAnswer::Delta(tail) = agg.delta_since(mid_stamp) else {
-            panic!()
-        };
-        assert_eq!(view.stamp, old_stamp);
-        assert_eq!(view.apply_delta(&tail), MergeOutcome::RejectedEpochGap);
+        rack.source.set(Address(1), load(0.3));
+        rack.refresh_standby(SimTime::ZERO);
+        let mid_stamp = rack.stamp();
+        rack.source.set(Address(2), load(0.6));
+        rack.refresh_standby(SimTime::ZERO);
+        let tail = rack
+            .standby_delta(mid_stamp)
+            .expect("same incarnation must diff");
+        assert_eq!(rack.view_stamp(), old_stamp);
+        assert_eq!(rack.apply(&tail), MergeOutcome::RejectedEpochGap);
         // But a delta built against the view's own stamp covers the gap.
-        let DeltaAnswer::Delta(all) = agg.delta_since(view.stamp) else {
-            panic!()
+        let (_, outcome) = rack.pull().expect("same incarnation must diff");
+        assert_eq!(outcome, MergeOutcome::Applied);
+        assert!(rack.matches());
+    }
+
+    /// Discrete load levels: state changes are unambiguous, never
+    /// floating-point coincidences.
+    const LEVELS: [f64; 5] = [0.0, 0.05, 0.3, 0.6, 0.9];
+
+    /// One random walk of mutate/silence/refresh/restart/pull/replay: the
+    /// view must hold the aggregator's reports after every pull (delta
+    /// compression loses nothing), replaying a merged delta must leave it
+    /// bit-unchanged, and a stored old delta, delivered arbitrarily late,
+    /// may apply only from its exact base and otherwise must not touch it.
+    fn drive(seed: u64, steps: u64, hosts: u32) -> Result<(), TestCaseError> {
+        let mut rng = stream_rng(seed, 0xA99);
+        let mut rack = one_rack(hosts, seed);
+        let mut old_deltas: Vec<SnapshotDelta> = Vec::new();
+        let mut restarts = 0u32;
+        for step in 1..=steps {
+            let now = SimTime::from_nanos(step * 1_000_000);
+            let host = Address(rng.gen_range(1..=hosts));
+            match rng.gen_range(0..100u32) {
+                // A host's load changes (or a silenced host comes back).
+                0..35 => rack
+                    .source
+                    .set(host, load(LEVELS[rng.gen_range(0..LEVELS.len())])),
+                // A host goes silent: the next refresh drops it.
+                35..45 => rack.source.silence(host),
+                // The aggregator crashes and restarts: state lost, fresh
+                // incarnation — every outstanding delta is now stale.
+                45..52 => {
+                    rack.restart_standby();
+                    restarts += 1;
+                }
+                // A refresh whose delta nobody pulls (epoch may advance).
+                52..62 => _ = rack.refresh_standby(now),
+                // A pull: refresh, diff against the view's stamp, merge.
+                62..88 => {
+                    rack.refresh_standby(now);
+                    if let Some((d, outcome)) = rack.pull() {
+                        prop_assert_eq!(outcome, MergeOutcome::Applied, "base matched: must apply");
+                        // Idempotence: the duplicate datagram changes nothing.
+                        let before = rack.seen();
+                        prop_assert!(rack.apply(&d).accepted());
+                        prop_assert_eq!(rack.seen(), before, "replay must be a no-op");
+                        if rng.gen_bool(0.5) {
+                            old_deltas.push(d);
+                        }
+                    }
+                    // Round-trip: the delta-maintained view IS the snapshot.
+                    prop_assert!(rack.matches(), "view diverged at step {}", step);
+                    prop_assert_eq!(rack.view_stamp(), rack.stamp());
+                }
+                // The network delivers an arbitrarily delayed old delta:
+                // it applies only from its exact base (a genuine, if old,
+                // successor state) and otherwise leaves the view alone.
+                _ if !old_deltas.is_empty() => {
+                    let d = old_deltas[rng.gen_range(0..old_deltas.len())].clone();
+                    let before = rack.seen();
+                    match rack.apply(&d) {
+                        MergeOutcome::Applied => prop_assert_eq!(d.base, before.0),
+                        _ => prop_assert_eq!(rack.seen(), before, "rejected/duplicate delta"),
+                    }
+                }
+                _ => {}
+            }
+        }
+        // However the walk ended (mid-crash, stale view, pending deltas),
+        // one clean pull converges the view to the aggregator's truth.
+        rack.refresh_standby(SimTime::from_nanos((steps + 1) * 1_000_000));
+        if let Some((_, outcome)) = rack.pull() {
+            prop_assert!(outcome.accepted());
+        }
+        prop_assert!(rack.matches(), "final pull must converge");
+        prop_assert_eq!(rack.view_stamp(), rack.stamp());
+        // Restarts leave their mark in the incarnation counter.
+        prop_assert_eq!(rack.view_stamp().incarnation, restarts);
+        Ok(())
+    }
+
+    /// A delta diffed immediately before a crash must be rejected by a
+    /// view that has resynced with the restarted incarnation — whatever
+    /// the world did around the crash — and must leave it untouched.
+    fn crash_scenario(seed: u64, hosts: u32, pre_moves: u64) -> Result<(), TestCaseError> {
+        let mut rng = stream_rng(seed, 0xC4A5);
+        let mut rack = one_rack(hosts, seed);
+        let ms = |n: u64| SimTime::from_nanos(n * 1_000_000);
+        rack.refresh_standby(ms(1));
+        prop_assert!(
+            rack.pull().is_none(),
+            "unprimed view must get a full resync"
+        );
+        // Some changes happen and a delta is computed… but its push is
+        // interrupted: the datagram sits in flight.
+        for m in 0..pre_moves {
+            let level = LEVELS[rng.gen_range(0..LEVELS.len())];
+            rack.source
+                .set(Address(rng.gen_range(1..=hosts)), load(level));
+            rack.refresh_standby(ms(2 + m));
+        }
+        let Some(in_flight) = rack.standby_delta(rack.view_stamp()) else {
+            return Err(TestCaseError::fail("same incarnation must diff"));
         };
-        assert_eq!(view.apply_delta(&all), MergeOutcome::Applied);
-        assert!(view.matches(&agg.full()));
+        // Crash. The restarted incarnation re-observes the world (which
+        // may have changed again) and the view resyncs from it.
+        rack.restart_standby();
+        rack.source
+            .set(Address(rng.gen_range(1..=hosts)), load(0.9));
+        rack.refresh_standby(ms(60));
+        prop_assert!(rack.pull().is_none(), "post-crash incarnation must resync");
+        let settled = rack.seen();
+        // The in-flight pre-crash delta finally arrives.
+        prop_assert_eq!(
+            rack.apply(&in_flight),
+            MergeOutcome::RejectedIncarnation,
+            "pre-crash delta must be rejected after resync"
+        );
+        prop_assert_eq!(rack.seen(), settled);
+        prop_assert!(rack.matches());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random mutate/silence/refresh/restart/replay walks: round-trip,
+        /// idempotence, and stale-delta safety all hold at every step.
+        #[test]
+        fn delta_walks_round_trip_and_reject_stale(
+            seed in any::<u64>(),
+            steps in 20u64..120,
+            hosts in 3u32..24,
+        ) {
+            drive(seed, steps, hosts)?;
+        }
+
+        /// A delayed delta from a pre-crash epoch is rejected after the
+        /// view resyncs.
+        #[test]
+        fn pre_crash_delta_always_rejected(
+            seed in any::<u64>(),
+            hosts in 2u32..16,
+            pre_moves in 1u64..8,
+        ) {
+            crash_scenario(seed, hosts, pre_moves)?;
+        }
     }
 
     #[test]
@@ -1981,11 +1971,15 @@ mod tests {
             changed: Vec::new(),
             removed: Vec::new(),
         };
-        plane.absorb_answer(0, true, &DeltaAnswer::Delta(forged));
-        assert_eq!(plane.snapshot(0, false).len(), 0);
+        plane.absorb_answer(0, true, Some(&forged));
+        assert_eq!(plane.primaries.states[0].live, 0);
         assert_eq!(plane.view(RackId(0)).len(), 4);
-        assert!(plane.view(RackId(0)).matches(&plane.snapshot(0, true)));
-        assert_eq!(plane.view(RackId(0)).stamp, plane.snapshot(0, true).stamp);
+        let range = plane.layout.range(0);
+        assert_eq!(
+            plane.views.reports[range.clone()],
+            plane.standbys.reports[range]
+        );
+        assert_eq!(plane.view(RackId(0)).stamp, plane.standbys.states[0].stamp);
     }
 
     #[test]

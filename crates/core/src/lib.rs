@@ -49,8 +49,8 @@
 //!   and load-shedding
 //!   backpressure — bit-identical answers at any worker count.
 //! * [`aggregate`] — the hierarchical status plane for 100k+ hosts:
-//!   rack-level aggregators owning delta-compressed, epoch-stamped
-//!   partial snapshots, merged by an [`aggregate::AggregationPlane`]
+//!   rack-level aggregators keeping delta-compressed, epoch-stamped
+//!   snapshots of their racks, merged by an [`aggregate::AggregationPlane`]
 //!   that serves the fleet through [`status::StatusSource`] with an
 //!   explicit failover ladder (retry → standby → bypass → stale rack).
 //!

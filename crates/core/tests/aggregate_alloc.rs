@@ -1,5 +1,8 @@
 //! Pins the change-driven status plane's cost claims to the heap:
 //!
+//! * the priming sync of a new plane allocates a count that does not
+//!   depend on the number of racks (50 vs 500): a full resync from the
+//!   primary moves the view's head and copies no report;
 //! * a steady-state sync with nothing changed allocates a count that does
 //!   not depend on the number of racks (50 vs 500) — clean racks are
 //!   advanced in place, only the per-sync trace is built;
@@ -28,14 +31,18 @@ static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 const HOSTS_PER_RACK: usize = 40;
 
-fn primed_plane(racks: usize) -> AggregationPlane<TableStatusSource> {
+fn new_plane(racks: usize) -> AggregationPlane<TableStatusSource> {
     let addrs: Vec<Address> = (1..=(racks * HOSTS_PER_RACK) as u32).map(Address).collect();
     let mut source = TableStatusSource::new();
     for &a in &addrs {
         source.set(a, HostState::gbps_idle());
     }
     let layout = FleetLayout::uniform(&addrs, HOSTS_PER_RACK);
-    let mut plane = AggregationPlane::new(layout, source, PlaneConfig::default());
+    AggregationPlane::new(layout, source, PlaneConfig::default())
+}
+
+fn primed_plane(racks: usize) -> AggregationPlane<TableStatusSource> {
+    let mut plane = new_plane(racks);
     plane.sync(SimTime::ZERO);
     plane.sync(SimTime::from_secs_f64(1.0));
     plane
@@ -43,6 +50,23 @@ fn primed_plane(racks: usize) -> AggregationPlane<TableStatusSource> {
 
 #[test]
 fn idle_sync_allocations_ignore_rack_count_and_undrained_writes_stay_bounded() {
+    // Priming: every rack resyncs in full from its primary.
+    let prime_sync = |racks: usize| {
+        let mut plane = new_plane(racks);
+        let (allocs, _, ()) = allocs_of(|| plane.sync(SimTime::ZERO));
+        assert_eq!(
+            plane.metrics().counter_named("gather.agg.fulls_installed"),
+            Some(racks as u64),
+            "the prime resynced every rack in full"
+        );
+        allocs
+    };
+    let (small, large) = (prime_sync(50), prime_sync(500));
+    assert_eq!(
+        small, large,
+        "a priming sync's allocations must not grow with the fleet"
+    );
+
     let idle_sync = |racks: usize| {
         let mut plane = primed_plane(racks);
         let (allocs, _, ()) = allocs_of(|| plane.sync(SimTime::from_secs_f64(2.0)));

@@ -314,6 +314,12 @@ if grep -q 'sanitised()' <<<"$round_body" && ! grep -q 'answers_sane' <<<"$round
     exit 1
 fi
 
+echo "=== one aggregator, one view (the plane's aggregators and views are the only ones; ViewMut::apply_delta is the one merge; a full resync copies no snapshot) ==="
+if grep -rnE 'struct RackAggregator|PartialSnapshot|pub fn (apply_delta|install_full)' crates/core/src; then
+    echo "error: a standalone aggregator, a resync snapshot or a public merge is back in crates/core/src — a full resync moves the view's head (primary) or copies the standby's range"
+    exit 1
+fi
+
 echo "=== the fault model in one place (one record per faulted host and rack; the plane asks the plan, never a fault kind; a sync trace is read, not taken) ==="
 plan_body="$(awk '/^pub struct FaultPlan \{/,/^\}$/' crates/core/src/faults.rs)"
 if [ -z "$plan_body" ]; then
