@@ -317,6 +317,7 @@ pub(crate) struct SnapshotDelta {
 /// role's table ([`Role`]).
 #[derive(Clone, Debug)]
 struct AggState {
+    rack: RackId,
     stamp: EpochStamp,
     /// When the covered hosts were last successfully re-polled; served
     /// report ages grow from this instant.
@@ -330,10 +331,11 @@ struct AggState {
 }
 
 impl AggState {
-    /// Aggregator process `node` (non-zero), never gathered.
-    fn new(node: u32, seed: u64) -> Self {
+    /// Aggregator process `node` (non-zero) of `rack`, never gathered.
+    fn new(rack: RackId, node: u32, seed: u64) -> Self {
         assert!(node != 0, "node 0 is reserved for unprimed views");
         AggState {
+            rack,
             stamp: EpochStamp {
                 node,
                 incarnation: 0,
@@ -372,9 +374,12 @@ struct Role {
 impl Role {
     /// One aggregator per rack of `layout`, its process id `node_base`
     /// plus the rack's index.
-    fn new(layout: &FleetLayout, node_base: u32, seed: u64) -> Self {
-        let racks = 0..layout.rack_count() as u32;
-        let states = racks.map(|rack| AggState::new(node_base + rack, seed));
+    fn new(layout: &FleetLayout, racks: &[RackId], node_base: u32, seed: u64) -> Self {
+        let node = |i: usize| node_base + i as u32;
+        let states = racks
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| AggState::new(r, node(i), seed));
         Role {
             states: states.collect(),
             reports: vec![None; layout.host_count()],
@@ -427,7 +432,7 @@ impl Role {
             }
         }
         Some(SnapshotDelta {
-            rack: RackId(rack as u32),
+            rack: self.states[rack].rack,
             base,
             next_epoch: cur.epoch,
             fresh_as_of: self.states[rack].fresh_as_of,
@@ -901,10 +906,11 @@ impl<S: StatusSource> AggregationPlane<S> {
     /// consumes its view.
     pub fn new(layout: FleetLayout, source: S, cfg: PlaneConfig) -> Self {
         let n = layout.rack_count();
-        let primaries = Role::new(&layout, 1, cfg.seed);
+        let racks: Vec<RackId> = layout.rack_ids().collect();
+        let primaries = Role::new(&layout, &racks, 1, cfg.seed);
         let standbys = match cfg.standby {
-            true => Role::new(&layout, 1 + n as u32, cfg.seed),
-            false => Role::new(&FleetLayout::default(), 1, cfg.seed),
+            true => Role::new(&layout, &racks, 1 + n as u32, cfg.seed),
+            false => Role::new(&FleetLayout::default(), &[], 1, cfg.seed),
         };
         let mut metrics = MetricsRegistry::new();
         let ids = PlaneMetricIds::register(&mut metrics);
